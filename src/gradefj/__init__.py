@@ -26,7 +26,6 @@ from .grades import (
     PartialMap,
     ProductAlgebra,
     iota,
-    residual,
     validate_algebra,
     validate_hom,
     zeta,
@@ -39,10 +38,6 @@ from .hetero import (
     ZERO_D,
     check_universe_laws,
     default_universe,
-    derived_hom,
-    het_add,
-    het_leq,
-    het_mul,
     load_universe,
     universe_from_config,
     validate_universe,
@@ -53,12 +48,12 @@ from .typecheck import (
     CheckError,
     TypingResult,
     check,
-    check_annotated,
     check_configuration,
     check_program,
     check_table,
     elaborate_table,
 )
 from .runtime import Enumerate, GradedConfig, Minimal, graded_run, graded_step, std_run
+from .props import check_entry, load_corpus, theorem_suite
 
 __version__ = "0.1.0"

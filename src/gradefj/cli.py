@@ -13,9 +13,8 @@ import sys
 
 from .hetero import GradeUniverse, UniverseError, check_universe_laws, default_universe, load_universe
 from .grades import GradeError, validate_algebra
-from .props import stripped_table
 from .runtime import Enumerate, GradedConfig, Minimal, StdConfig, graded_run, std_run
-from .syntax import Program, SyntaxErrorGFJ, erase, format_expr, parse_program, strip_ascriptions
+from .syntax import Program, SyntaxErrorGFJ, erase, erase_table, format_expr, parse_program
 from .typecheck import (
     CheckError,
     annotate_expr,
@@ -91,7 +90,7 @@ def cmd_run(args) -> int:
         return EXIT_BAD_INPUT
 
     if args.standard:
-        return _run_standard(args, universe, program)
+        return _run_standard(args, program)
 
     if args.unchecked:
         try:
@@ -146,11 +145,10 @@ def cmd_run(args) -> int:
     return EXIT_STUCK if run.outcome == "stuck" else EXIT_OK
 
 
-def _run_standard(args, universe, program: Program) -> int:
-    table = stripped_table(program.table)
-    ann = annotate_table(universe, table)
-    main = strip_ascriptions(program.main)
-    outcome, cfg, steps = std_run(ann, StdConfig.make(main, {}), args.fuel)
+def _run_standard(args, program: Program) -> int:
+    table = erase_table(program.table)
+    main = erase(program.main)
+    outcome, cfg, steps = std_run(table, StdConfig.make(main, {}), args.fuel)
     payload = {"outcome": "final" if outcome == "final" else outcome,
                "steps": steps,
                "value": format_expr(cfg.expr) if outcome == "final" else None}

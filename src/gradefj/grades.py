@@ -527,11 +527,6 @@ class ExtendAlgebra(Algebra):
         return ExtFin(self.inner.parse_payload(text))
 
 
-def format_payload(alg: Algebra, value: GradeValue) -> str:
-    alg.check_value(value)
-    return str(value)
-
-
 # ---------------------------------------------------------------------------
 # Built-in finite tables
 
@@ -638,33 +633,6 @@ AFFINITY = FiniteAlgebra(affinity_table())
 BOOLEAN = FiniteAlgebra(boolean_table())
 PRIVACY = FiniteAlgebra(privacy_table())
 PPRIVACY = FiniteAlgebra(pprivacy_table())
-
-
-# ---------------------------------------------------------------------------
-# Spec-level operation names
-
-def alg_leq(spec: Algebra, a: GradeValue, b: GradeValue) -> bool:
-    return spec.leq(a, b)
-
-
-def alg_add(spec: Algebra, a: GradeValue, b: GradeValue) -> GradeValue:
-    return spec.add(a, b)
-
-
-def alg_mul(spec: Algebra, a: GradeValue, b: GradeValue) -> GradeValue:
-    return spec.mul(a, b)
-
-
-def alg_zero(spec: Algebra) -> GradeValue:
-    return spec.zero()
-
-
-def alg_one(spec: Algebra) -> GradeValue:
-    return spec.one()
-
-
-def residual(spec: Algebra, available: GradeValue, demand: GradeValue):
-    return spec.residual(available, demand)
 
 
 def all_residuals(spec: Algebra, available: GradeValue, demand: GradeValue) -> list[GradeValue]:
@@ -821,10 +789,6 @@ class ComposeHom(Hom):
 
     def apply(self, a):
         return self.second.apply(self.first.apply(a))
-
-
-def hom_apply(h: Hom, a: GradeValue) -> GradeValue:
-    return h.apply(a)
 
 
 def compose(first: Hom, second: Hom) -> Hom:

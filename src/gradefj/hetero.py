@@ -234,9 +234,6 @@ class GradeUniverse:
             kind, payload = KIND_NAT, text
         return KindedGrade(kind, self.algebra(kind).parse_payload(payload.strip()))
 
-    def format_grade(self, g: KindedGrade) -> str:
-        return str(g)
-
     def sample_pool(self, nat_prefix: int = 11) -> list[KindedGrade]:
         """Deterministic kinded-value pool: full finite carriers, a prefix
         of the naturals, and a sample of other infinite kinds."""
@@ -395,23 +392,6 @@ def validate_universe(kinds: dict[str, Algebra], edges: list[RefinementEdge],
 
     return GradeUniverse(kinds=kinds, edges=list(edges), order=frozenset(order),
                          join_table=join_table, homs=homs)
-
-
-def derived_hom(u: GradeUniverse, k1: str, k2: str) -> Hom:
-    """The unique homomorphism along k1's refinement into k2."""
-    return u.hom(k1, k2)
-
-
-def het_leq(u: GradeUniverse, x: KindedGrade, y: KindedGrade) -> bool:
-    return u.leq(x, y)
-
-
-def het_add(u: GradeUniverse, x: KindedGrade, y: KindedGrade) -> KindedGrade:
-    return u.add(x, y)
-
-
-def het_mul(u: GradeUniverse, x: KindedGrade, y: KindedGrade) -> KindedGrade:
-    return u.mul(x, y)
 
 
 def default_universe() -> GradeUniverse:

@@ -16,7 +16,7 @@ from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Optional
 
-from .hetero import GradeUniverse, KindedGrade, ZERO_D, load_universe, default_universe
+from .hetero import GradeUniverse, KindedGrade, load_universe, default_universe
 from .runtime import (
     Enumerate,
     GradedConfig,
@@ -32,54 +32,37 @@ from .runtime import (
     std_step,
 )
 from .syntax import (
-    ClassDecl,
     ClassTable,
     GradedType,
     Program,
-    erase,
+    erase_table,
     is_value,
     parse_program,
-    strip_ascriptions,
 )
 from .typecheck import (
-    AnnTable,
     CheckError,
     annotate_expr,
     annotate_table,
     check_configuration,
     check_program,
     check_table,
-    ctx_scale,
     elaborate_table,
     infer_class,
 )
 
 
-@dataclass
-class SlackContext:
-    """The reserve context threaded through the progress argument; the
-    top-level instance is the all-zero scaling of the expression context."""
-
-    ctx: dict[str, tuple[str, KindedGrade]]
-
-    @staticmethod
-    def initial(u: GradeUniverse, delta) -> "SlackContext":
-        return SlackContext(ctx_scale(u, ZERO_D, delta))
-
-
 # ---------------------------------------------------------------------------
 # Theorem-level checks
 
-def assert_progress(u: GradeUniverse, ann: AnnTable, cfg: GradedConfig,
+def assert_progress(u: GradeUniverse, ann: ClassTable, cfg: GradedConfig,
                     expected: GradedType) -> list[str]:
     """Well-typed non-values must step to a well-typed configuration with
-    a larger domain and pointwise smaller grades on shared variables."""
+    a larger domain and pointwise smaller grades on shared variables.
+    ``ann`` is the elaborated table."""
     try:
-        gamma, delta = check_configuration(u, ann.table, cfg.expr, cfg.env_dict(),
-                                           expected)
+        gamma, _ = check_configuration(u, ann, cfg.expr, cfg.env_dict(), expected)
     except CheckError as exc:
         return [f"configuration does not type: {exc.diag.msg}"]
-    SlackContext.initial(u, delta)
     if is_value(cfg.expr):
         return []
     result = graded_step(u, ann, cfg, expected.grade, Minimal())
@@ -92,8 +75,7 @@ def assert_progress(u: GradeUniverse, ann: AnnTable, cfg: GradedConfig,
     for succ, _ in result.successors:
         errs = []
         try:
-            gamma2, _ = check_configuration(u, ann.table, succ.expr, succ.env_dict(),
-                                            expected)
+            gamma2, _ = check_configuration(u, ann, succ.expr, succ.env_dict(), expected)
         except CheckError as exc:
             errs.append(f"successor does not type: {exc.diag.msg}")
             gamma2 = None
@@ -109,7 +91,7 @@ def assert_progress(u: GradeUniverse, ann: AnnTable, cfg: GradedConfig,
     return failures
 
 
-def assert_soundness_may(u: GradeUniverse, ann: AnnTable, cfg: GradedConfig,
+def assert_soundness_may(u: GradeUniverse, ann: ClassTable, cfg: GradedConfig,
                          expected: GradedType, fuel: int = 100_000) -> list[str]:
     """Accepted programs reach a well-typed value or diverge; a stuck run
     is a hard failure."""
@@ -120,33 +102,19 @@ def assert_soundness_may(u: GradeUniverse, ann: AnnTable, cfg: GradedConfig,
     if run.outcome == "fuel":
         return []
     try:
-        check_configuration(u, ann.table, run.config.expr, run.config.env_dict(),
-                            expected)
+        check_configuration(u, ann, run.config.expr, run.config.env_dict(), expected)
     except CheckError as exc:
         return [f"final configuration does not type: {exc.diag.msg}"]
     return []
 
 
-def erased_table(ann: AnnTable) -> AnnTable:
-    """The class table whose method bodies are the erasure of the
-    elaborated ones; this is what the standard semantics runs."""
-    from dataclasses import replace
-    classes = {}
-    for name, decl in ann.table.classes.items():
-        methods = {m: replace(md, body=erase(ann.bodies[(name, m)]))
-                   for m, md in decl.methods.items()}
-        classes[name] = ClassDecl(decl.name, decl.superName, decl.fields, methods,
-                                  decl.pos)
-    return AnnTable(ClassTable(classes), {})
-
-
-def assert_subject_reduction(u: GradeUniverse, ann: AnnTable, cfg: GradedConfig,
+def assert_subject_reduction(u: GradeUniverse, ann: ClassTable, cfg: GradedConfig,
                              expected: GradedType, fuel: int = 100_000) -> list[str]:
     """Run the erased program in the standard semantics in lockstep with
     the instrumented run; states must agree under erasure and the graded
     type must be preserved at every index."""
     failures = []
-    std_ann = erased_table(ann)
+    std_table = erase_table(ann)
     std_cfg = erase_config(cfg)
     graded_cfg = cfg
     steps = 0
@@ -155,8 +123,7 @@ def assert_subject_reduction(u: GradeUniverse, ann: AnnTable, cfg: GradedConfig,
             failures.append(f"lockstep divergence at step {steps}")
             break
         try:
-            check_configuration(u, ann.table, graded_cfg.expr, graded_cfg.env_dict(),
-                                expected)
+            check_configuration(u, ann, graded_cfg.expr, graded_cfg.env_dict(), expected)
         except CheckError as exc:
             failures.append(f"type not preserved at step {steps}: {exc.diag.msg}")
             break
@@ -168,7 +135,7 @@ def assert_subject_reduction(u: GradeUniverse, ann: AnnTable, cfg: GradedConfig,
             break
         graded_cfg = result.successors[0][0]
         try:
-            nxt = std_step(std_ann, std_cfg)
+            nxt = std_step(std_table, std_cfg)
         except StdStuck as exc:
             failures.append(f"standard run stuck at step {steps}: {exc}")
             break
@@ -177,14 +144,16 @@ def assert_subject_reduction(u: GradeUniverse, ann: AnnTable, cfg: GradedConfig,
     return failures
 
 
-def check_trace_props(u: GradeUniverse, ann: AnnTable, trace: list[TraceEntry],
+def check_trace_props(u: GradeUniverse, ann: ClassTable, trace: list[TraceEntry],
                       grade: KindedGrade,
                       lower_grades: Optional[list[KindedGrade]] = None) -> list[str]:
     """Run the per-step reduction properties over a recorded trace."""
     failures = []
+    std_table = erase_table(ann)
     for i in range(1, len(trace)):
         before, after = trace[i - 1].config, trace[i].config
-        errs = props_step(u, ann, before, after, grade, trace[i].info, lower_grades)
+        errs = props_step(u, ann, std_table, before, after, grade, trace[i].info,
+                          lower_grades)
         failures.extend(f"step {i}: {e}" for e in errs)
     return failures
 
@@ -235,21 +204,6 @@ def load_corpus(directory: str | Path) -> list[CorpusEntry]:
         program = parse_program(path.read_text(encoding="utf-8"), universe)
         entries.append(CorpusEntry(path.stem, path, manifest, universe, program))
     return entries
-
-
-def stripped_table(table: ClassTable) -> ClassTable:
-    """The table with @-ascriptions removed from method bodies (erasure image)."""
-    classes = {}
-    for name, decl in table.classes.items():
-        methods = {m: _strip_method(md) for m, md in decl.methods.items()}
-        classes[name] = ClassDecl(decl.name, decl.superName, decl.fields, methods,
-                                  decl.pos)
-    return ClassTable(classes)
-
-
-def _strip_method(md):
-    from dataclasses import replace
-    return replace(md, body=strip_ascriptions(md.body))
 
 
 @dataclass

@@ -18,39 +18,33 @@ from typing import Optional, Union
 
 from .hetero import GradeUniverse, KindedGrade, ONE_D, ZERO_D
 from .syntax import (
-    ABlock,
-    AFieldAccess,
-    AInvk,
-    ANew,
-    AVar,
-    AnnExpr,
     Block,
+    ClassTable,
     Expr,
     FieldAccess,
     Invk,
     New,
+    UnknownClass,
     UnknownMember,
     Var,
-    ann_subst,
     erase,
     format_ann,
-    is_source_value,
     is_value,
     subst,
+    with_ascription,
 )
-from .typecheck import AnnTable
 
-GradedEnv = dict[str, tuple[AnnExpr, KindedGrade]]
+GradedEnv = dict[str, tuple[Expr, KindedGrade]]
 StdEnv = dict[str, Expr]
 
 
 @dataclass(frozen=True)
 class GradedConfig:
-    expr: AnnExpr
-    env: tuple[tuple[str, tuple[AnnExpr, KindedGrade]], ...]
+    expr: Expr
+    env: tuple[tuple[str, tuple[Expr, KindedGrade]], ...]
 
     @staticmethod
-    def make(expr: AnnExpr, env: GradedEnv) -> "GradedConfig":
+    def make(expr: Expr, env: GradedEnv) -> "GradedConfig":
         return GradedConfig(expr, tuple(env.items()))
 
     def env_dict(self) -> GradedEnv:
@@ -210,13 +204,17 @@ def _var_choices(u: GradeUniverse, grade: KindedGrade, stored: KindedGrade,
     return out
 
 
-def graded_step(u: GradeUniverse, table: AnnTable, cfg: GradedConfig,
+def graded_step(u: GradeUniverse, table: ClassTable, cfg: GradedConfig,
                 grade: KindedGrade, policy: Policy = Minimal()) -> StepResult:
-    """One instrumented step; Minimal yields at most one successor."""
+    """One instrumented step; Minimal yields at most one successor.
+
+    ``table`` holds the annotated method bodies.  A slot child is reduced
+    at the grade of its ascription, and every contractum takes over the
+    ascription of its redex, so the slot keeps its grade."""
     e = cfg.expr
     env = cfg.env_dict()
 
-    if isinstance(e, AVar):
+    if isinstance(e, Var):
         if e.name not in env:
             return StepResult("stuck", reason=ResourceExhausted(e.name, None, grade))
         value, stored = env[e.name]
@@ -225,85 +223,87 @@ def graded_step(u: GradeUniverse, table: AnnTable, cfg: GradedConfig,
             demanded = grade if grade != ZERO_D else ONE_D
             return StepResult("stuck",
                               reason=ResourceExhausted(e.name, stored, demanded))
+        contractum = with_ascription(value, e.ascription)
         succs = []
         for burned, left in choices:
             new_env = dict(env)
             new_env[e.name] = (value, left)
-            succs.append((GradedConfig.make(value, new_env),
+            succs.append((GradedConfig.make(contractum, new_env),
                           StepInfo("var", e.name, burned, left)))
         return StepResult("step", succs)
 
-    if isinstance(e, AFieldAccess):
-        if is_value(e.recv):
-            recv = e.recv
+    if isinstance(e, FieldAccess):
+        recv = e.recv
+        if is_value(recv):
             try:
-                idx = table.table.field_index(recv.className, e.fieldName)
-            except UnknownMember:
+                idx = table.field_index(recv.className, e.fieldName)
+            except (UnknownClass, UnknownMember):
                 return StepResult("stuck", reason=NoSuchMember(
                     f"{recv.className}.{e.fieldName}"))
             if idx >= len(recv.args):
                 return StepResult("stuck", reason=NoSuchMember(
                     f"{recv.className}.{e.fieldName}"))
-            have = u.mul(e.recvGrade, recv.argGrades[idx])
+            have = u.mul(recv.ascription, recv.args[idx].ascription)
             if not u.leq(grade, have):
                 return StepResult("stuck",
                                   reason=FieldExtraction(e.fieldName, have, grade))
-            return StepResult("step", [(GradedConfig.make(recv.args[idx], env),
+            field_value = with_ascription(recv.args[idx], e.ascription)
+            return StepResult("step", [(GradedConfig.make(field_value, env),
                                         StepInfo("field-access"))])
-        sub = graded_step(u, table, GradedConfig.make(e.recv, env), e.recvGrade, policy)
-        return _wrap(sub, lambda r: AFieldAccess(r, e.recvGrade, e.fieldName, e.pos))
+        sub = graded_step(u, table, GradedConfig.make(recv, env), recv.ascription, policy)
+        return _wrap(sub, lambda r: FieldAccess(r, e.fieldName, e.ascription, e.pos))
 
-    if isinstance(e, ANew):
+    if isinstance(e, New):
         for i, arg in enumerate(e.args):
             if not is_value(arg):
                 sub = graded_step(u, table, GradedConfig.make(arg, env),
-                                  u.mul(grade, e.argGrades[i]), policy)
-                return _wrap(sub, lambda r, i=i: ANew(
-                    e.className, e.args[:i] + (r,) + e.args[i + 1:], e.argGrades, e.pos))
+                                  u.mul(grade, arg.ascription), policy)
+                return _wrap(sub, lambda r, i=i: New(
+                    e.className, e.args[:i] + (r,) + e.args[i + 1:], e.ascription, e.pos))
         return StepResult("value")
 
-    if isinstance(e, AInvk):
-        if not is_value(e.recv):
-            sub = graded_step(u, table, GradedConfig.make(e.recv, env), e.recvGrade, policy)
-            return _wrap(sub, lambda r: AInvk(r, e.recvGrade, e.method, e.args,
-                                              e.argGrades, e.pos))
+    if isinstance(e, Invk):
+        recv = e.recv
+        if not is_value(recv):
+            sub = graded_step(u, table, GradedConfig.make(recv, env), recv.ascription,
+                              policy)
+            return _wrap(sub, lambda r: Invk(r, e.method, e.args, e.ascription, e.pos))
         for i, arg in enumerate(e.args):
             if not is_value(arg):
                 sub = graded_step(u, table, GradedConfig.make(arg, env),
-                                  e.argGrades[i], policy)
-                return _wrap(sub, lambda r, i=i: AInvk(
-                    e.recv, e.recvGrade, e.method, e.args[:i] + (r,) + e.args[i + 1:],
-                    e.argGrades, e.pos))
+                                  arg.ascription, policy)
+                return _wrap(sub, lambda r, i=i: Invk(
+                    recv, e.method, e.args[:i] + (r,) + e.args[i + 1:], e.ascription,
+                    e.pos))
         try:
-            params, body = table.ann_mbody(e.recv.className, e.method)
-        except (UnknownMember, KeyError):
+            params, body = table.mbody(recv.className, e.method)
+        except (UnknownClass, UnknownMember):
             return StepResult("stuck", reason=NoSuchMember(
-                f"{e.recv.className}.{e.method}"))
+                f"{recv.className}.{e.method}"))
         if len(params) != len(e.args):
             return StepResult("stuck", reason=NotAValue(
                 f"arity mismatch calling {e.method}"))
         new_env = dict(env)
         mapping = {}
-        for base, value, g in zip(("this",) + params,
-                                  (e.recv,) + e.args,
-                                  (e.recvGrade,) + e.argGrades):
+        for base, value in zip(("this",) + params, (recv,) + e.args):
             y = fresh_name(base, new_env)
             mapping[base] = y
-            new_env[y] = (value, g)
-        return StepResult("step", [(GradedConfig.make(ann_subst(body, mapping), new_env),
-                                    StepInfo("invk"))])
+            new_env[y] = (value, value.ascription)
+        body = with_ascription(subst(body, mapping), e.ascription)
+        return StepResult("step", [(GradedConfig.make(body, new_env), StepInfo("invk"))])
 
-    if isinstance(e, ABlock):
-        if is_value(e.init):
+    if isinstance(e, Block):
+        init = e.init
+        if is_value(init):
             new_env = dict(env)
             y = fresh_name(e.var, new_env)
-            new_env[y] = (e.init, e.initGrade)
-            body = ann_subst(e.body, {e.var: y})
+            new_env[y] = (init, init.ascription)
+            body = with_ascription(subst(e.body, {e.var: y}), e.ascription)
             return StepResult("step", [(GradedConfig.make(body, new_env),
                                         StepInfo("block"))])
-        sub = graded_step(u, table, GradedConfig.make(e.init, env), e.initGrade, policy)
-        return _wrap(sub, lambda r: ABlock(e.declClass, e.var, r, e.initGrade,
-                                           e.body, e.pos))
+        sub = graded_step(u, table, GradedConfig.make(init, env), init.ascription, policy)
+        return _wrap(sub, lambda r: Block(e.declClass, e.declGrade, e.var, r, e.body,
+                                          e.ascription, e.pos))
 
     raise TypeError(e)
 
@@ -320,7 +320,7 @@ def _wrap(sub: StepResult, rebuild) -> StepResult:
 # ---------------------------------------------------------------------------
 # Standard reduction
 
-def std_step(table: AnnTable, cfg: StdConfig) -> Optional[StdConfig]:
+def std_step(table: ClassTable, cfg: StdConfig) -> Optional[StdConfig]:
     """One standard step, or None when the expression is a value.
 
     Raises StdStuck when no rule applies.
@@ -334,10 +334,10 @@ def std_step(table: AnnTable, cfg: StdConfig) -> Optional[StdConfig]:
         return StdConfig.make(env[e.name], env)
 
     if isinstance(e, FieldAccess):
-        if is_source_value(e.recv):
+        if is_value(e.recv):
             try:
-                idx = table.table.field_index(e.recv.className, e.fieldName)
-            except UnknownMember as exc:
+                idx = table.field_index(e.recv.className, e.fieldName)
+            except (UnknownClass, UnknownMember) as exc:
                 raise StdStuck(str(exc)) from None
             if idx >= len(e.recv.args):
                 raise StdStuck(f"missing field {e.fieldName!r}")
@@ -349,7 +349,7 @@ def std_step(table: AnnTable, cfg: StdConfig) -> Optional[StdConfig]:
 
     if isinstance(e, New):
         for i, arg in enumerate(e.args):
-            if not is_source_value(arg):
+            if not is_value(arg):
                 sub = std_step(table, StdConfig.make(arg, env))
                 if sub is None:
                     raise StdStuck("constructor argument is a value")
@@ -358,21 +358,21 @@ def std_step(table: AnnTable, cfg: StdConfig) -> Optional[StdConfig]:
         return None
 
     if isinstance(e, Invk):
-        if not is_source_value(e.recv):
+        if not is_value(e.recv):
             sub = std_step(table, StdConfig.make(e.recv, env))
             if sub is None:
                 raise StdStuck("receiver is a value")
             return StdConfig(Invk(sub.expr, e.method, e.args, None, e.pos), sub.env)
         for i, arg in enumerate(e.args):
-            if not is_source_value(arg):
+            if not is_value(arg):
                 sub = std_step(table, StdConfig.make(arg, env))
                 if sub is None:
                     raise StdStuck("argument is a value")
                 args = e.args[:i] + (sub.expr,) + e.args[i + 1:]
                 return StdConfig(Invk(e.recv, e.method, args, None, e.pos), sub.env)
         try:
-            params, body = table.table.mbody(e.recv.className, e.method)
-        except UnknownMember as exc:
+            params, body = table.mbody(e.recv.className, e.method)
+        except (UnknownClass, UnknownMember) as exc:
             raise StdStuck(str(exc)) from None
         if len(params) != len(e.args):
             raise StdStuck(f"arity mismatch calling {e.method}")
@@ -385,7 +385,7 @@ def std_step(table: AnnTable, cfg: StdConfig) -> Optional[StdConfig]:
         return StdConfig.make(subst(body, mapping), new_env)
 
     if isinstance(e, Block):
-        if is_source_value(e.init):
+        if is_value(e.init):
             new_env = dict(env)
             y = fresh_name(e.var, new_env)
             new_env[y] = e.init
@@ -403,11 +403,11 @@ class StdStuck(Exception):
     pass
 
 
-def std_run(table: AnnTable, cfg: StdConfig, fuel: int = 100_000) -> tuple[str, StdConfig, int]:
+def std_run(table: ClassTable, cfg: StdConfig, fuel: int = 100_000) -> tuple[str, StdConfig, int]:
     """Run to a value ('final'), stuck ('stuck') or out of fuel ('fuel')."""
     steps = 0
     while steps < fuel:
-        if is_source_value(cfg.expr):
+        if is_value(cfg.expr):
             return "final", cfg, steps
         try:
             nxt = std_step(table, cfg)
@@ -447,7 +447,7 @@ class RunResult:
         return {x: str(g) for x, (_, g) in self.config.env}
 
 
-def graded_run(u: GradeUniverse, table: AnnTable, cfg: GradedConfig,
+def graded_run(u: GradeUniverse, table: ClassTable, cfg: GradedConfig,
                grade: KindedGrade, policy: Policy = Minimal(),
                fuel: int = 100_000, want_trace: bool = False,
                want_stuck_schedules: bool = False) -> RunResult:
@@ -514,12 +514,13 @@ def _search_run(u, table, cfg, grade, policy, fuel, want_trace,
 # ---------------------------------------------------------------------------
 # Per-step property checks (the three reduction propositions)
 
-def props_step(u: GradeUniverse, table: AnnTable, before: GradedConfig,
-               after: GradedConfig, grade: KindedGrade, info: StepInfo,
-               lower_grades: Optional[list[KindedGrade]] = None) -> list[str]:
+def props_step(u: GradeUniverse, table: ClassTable, std_table: ClassTable,
+               before: GradedConfig, after: GradedConfig, grade: KindedGrade,
+               info: StepInfo, lower_grades: Optional[list[KindedGrade]] = None) -> list[str]:
     """Check one recorded step: environments only grow and grades only
     shrink; the step replays at every sampled lower grade; erasing both
-    sides yields a standard step."""
+    sides yields a standard step of ``std_table``, the erasure of the
+    annotated ``table``."""
     violations = []
     env_before, env_after = before.env_dict(), after.env_dict()
     for x, (v, g) in env_before.items():
@@ -545,7 +546,7 @@ def props_step(u: GradeUniverse, table: AnnTable, before: GradedConfig,
             violations.append(f"step does not replay at lower grade {s}")
 
     try:
-        std_next = std_step(table, erase_config(before))
+        std_next = std_step(std_table, erase_config(before))
     except StdStuck as exc:
         violations.append(f"erased step is stuck: {exc}")
         return violations

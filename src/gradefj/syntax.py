@@ -1,4 +1,5 @@
-"""Surface syntax and annotated syntax for graded Featherweight Java.
+"""Syntax of graded Featherweight Java: one expression tree for source and
+elaborated terms.
 
 Source programs are class declarations followed by a single graded run
 expression.  Every type is a class name paired with a grade; grades are
@@ -7,9 +8,11 @@ ascribes the grade a subterm is reduced at; the checker only leaves that
 choice open on field-access receivers, everywhere else the ascription
 must agree with the declaration it restates.
 
-Annotated expressions mirror the source but carry a mandatory grade on
-every reducible subposition; they are what the instrumented reduction
-runs and what the checker elaborates into.
+An elaborated (annotated) term is a source term whose every *slot child*
+carries its grade as ascription: field and invocation receivers, ``new``
+and invocation arguments, and block initializers.  The checker and the
+unchecked annotator fill the slots, the instrumented reduction reads them,
+and erasure drops them again.
 """
 
 from __future__ import annotations
@@ -90,27 +93,32 @@ class Block(Expr):
     pos: Pos = field(default=(0, 0), compare=False)
 
 
-def with_ascription(e: Expr, grade: KindedGrade) -> Expr:
-    cls = type(e)
-    kwargs = {f: getattr(e, f) for f in e.__dataclass_fields__}
-    kwargs["ascription"] = grade
-    return cls(**kwargs)
+def with_ascription(e: Expr, grade: Optional[KindedGrade]) -> Expr:
+    """``e`` carrying ``grade`` as its own ascription (``e`` itself if it does)."""
+    if e.ascription is grade or e.ascription == grade:
+        return e
+    out = object.__new__(type(e))  # a field-for-field copy, cheaper than __init__
+    out.__dict__.update(e.__dict__, ascription=grade)
+    return out
 
 
-def strip_ascriptions(e: Expr) -> Expr:
-    """Drop every @-ascription; the image of erasure lives here."""
+def is_value(e: Expr) -> bool:
+    return isinstance(e, New) and all(is_value(a) for a in e.args)
+
+
+def erase(e: Expr) -> Expr:
+    """Drop every @-ascription; an elaborated term erases to its source."""
     if isinstance(e, Var):
         return Var(e.name, None, e.pos)
     if isinstance(e, FieldAccess):
-        return FieldAccess(strip_ascriptions(e.recv), e.fieldName, None, e.pos)
+        return FieldAccess(erase(e.recv), e.fieldName, None, e.pos)
     if isinstance(e, New):
-        return New(e.className, tuple(strip_ascriptions(a) for a in e.args), None, e.pos)
+        return New(e.className, tuple(erase(a) for a in e.args), None, e.pos)
     if isinstance(e, Invk):
-        return Invk(strip_ascriptions(e.recv), e.method,
-                    tuple(strip_ascriptions(a) for a in e.args), None, e.pos)
+        return Invk(erase(e.recv), e.method, tuple(erase(a) for a in e.args), None, e.pos)
     if isinstance(e, Block):
-        return Block(e.declClass, e.declGrade, e.var, strip_ascriptions(e.init),
-                     strip_ascriptions(e.body), None, e.pos)
+        return Block(e.declClass, e.declGrade, e.var, erase(e.init), erase(e.body),
+                     None, e.pos)
     raise TypeError(e)
 
 
@@ -131,119 +139,8 @@ def free_vars(e: Expr) -> set[str]:
     raise TypeError(e)
 
 
-# ---------------------------------------------------------------------------
-# Annotated AST
-
-@dataclass(frozen=True)
-class AnnExpr:
-    pass
-
-
-@dataclass(frozen=True)
-class AVar(AnnExpr):
-    name: str
-    pos: Pos = field(default=(0, 0), compare=False)
-
-
-@dataclass(frozen=True)
-class AFieldAccess(AnnExpr):
-    recv: AnnExpr
-    recvGrade: KindedGrade
-    fieldName: str
-    pos: Pos = field(default=(0, 0), compare=False)
-
-
-@dataclass(frozen=True)
-class ANew(AnnExpr):
-    className: str
-    args: tuple[AnnExpr, ...]
-    argGrades: tuple[KindedGrade, ...]
-    pos: Pos = field(default=(0, 0), compare=False)
-
-
-@dataclass(frozen=True)
-class AInvk(AnnExpr):
-    recv: AnnExpr
-    recvGrade: KindedGrade
-    method: str
-    args: tuple[AnnExpr, ...]
-    argGrades: tuple[KindedGrade, ...]
-    pos: Pos = field(default=(0, 0), compare=False)
-
-
-@dataclass(frozen=True)
-class ABlock(AnnExpr):
-    declClass: str
-    var: str
-    init: AnnExpr
-    initGrade: KindedGrade
-    body: AnnExpr
-    pos: Pos = field(default=(0, 0), compare=False)
-
-
-def is_value(e: AnnExpr) -> bool:
-    return isinstance(e, ANew) and all(is_value(a) for a in e.args)
-
-
-def is_source_value(e: Expr) -> bool:
-    return isinstance(e, New) and all(is_source_value(a) for a in e.args)
-
-
-def erase(e: AnnExpr) -> Expr:
-    """Remove every grade annotation from an annotated expression."""
-    if isinstance(e, AVar):
-        return Var(e.name, None, e.pos)
-    if isinstance(e, AFieldAccess):
-        return FieldAccess(erase(e.recv), e.fieldName, None, e.pos)
-    if isinstance(e, ANew):
-        return New(e.className, tuple(erase(a) for a in e.args), None, e.pos)
-    if isinstance(e, AInvk):
-        return Invk(erase(e.recv), e.method, tuple(erase(a) for a in e.args), None, e.pos)
-    if isinstance(e, ABlock):
-        return Block(e.declClass, e.initGrade, e.var, erase(e.init), erase(e.body),
-                     None, e.pos)
-    raise TypeError(e)
-
-
-def ann_free_vars(e: AnnExpr) -> set[str]:
-    if isinstance(e, AVar):
-        return {e.name}
-    if isinstance(e, AFieldAccess):
-        return ann_free_vars(e.recv)
-    if isinstance(e, ANew):
-        return set().union(*[ann_free_vars(a) for a in e.args]) if e.args else set()
-    if isinstance(e, AInvk):
-        out = ann_free_vars(e.recv)
-        for a in e.args:
-            out |= ann_free_vars(a)
-        return out
-    if isinstance(e, ABlock):
-        return ann_free_vars(e.init) | (ann_free_vars(e.body) - {e.var})
-    raise TypeError(e)
-
-
-def ann_subst(e: AnnExpr, mapping: dict[str, str]) -> AnnExpr:
-    """Simultaneous variable renaming, stopping at shadowing binders."""
-    if not mapping:
-        return e
-    if isinstance(e, AVar):
-        return AVar(mapping.get(e.name, e.name), e.pos)
-    if isinstance(e, AFieldAccess):
-        return AFieldAccess(ann_subst(e.recv, mapping), e.recvGrade, e.fieldName, e.pos)
-    if isinstance(e, ANew):
-        return ANew(e.className, tuple(ann_subst(a, mapping) for a in e.args),
-                    e.argGrades, e.pos)
-    if isinstance(e, AInvk):
-        return AInvk(ann_subst(e.recv, mapping), e.recvGrade, e.method,
-                     tuple(ann_subst(a, mapping) for a in e.args), e.argGrades, e.pos)
-    if isinstance(e, ABlock):
-        inner = {k: v for k, v in mapping.items() if k != e.var}
-        return ABlock(e.declClass, e.var, ann_subst(e.init, mapping), e.initGrade,
-                      ann_subst(e.body, inner), e.pos)
-    raise TypeError(e)
-
-
 def subst(e: Expr, mapping: dict[str, str]) -> Expr:
+    """Simultaneous variable renaming, stopping at shadowing binders."""
     if not mapping:
         return e
     if isinstance(e, Var):
@@ -372,6 +269,16 @@ class ClassTable:
         decl = self._find_method(name, method)
         return tuple(p.name for p in decl.params), decl.body
 
+    def with_bodies(self, body_of) -> "ClassTable":
+        """The same table with each method body replaced by
+        ``body_of(class name, method declaration)``."""
+        return ClassTable({
+            name: ClassDecl(name, decl.superName, decl.fields,
+                            {m: MethodDecl(m, md.thisGrade, md.params, md.returnType,
+                                           body_of(name, md), md.pos)
+                             for m, md in decl.methods.items()}, decl.pos)
+            for name, decl in self.classes.items()})
+
     def _find_method(self, name: str, method: str) -> MethodDecl:
         cur: Optional[str] = name
         while cur is not None and cur != OBJECT:
@@ -380,6 +287,11 @@ class ClassTable:
                 return decl.methods[method]
             cur = decl.superName
         raise UnknownMember(f"class {name} has no method {method!r}")
+
+
+def erase_table(table: ClassTable) -> ClassTable:
+    """The table with erased method bodies; what the standard semantics runs."""
+    return table.with_bodies(lambda _, md: erase(md.body))
 
 
 def gtype_leq(u: GradeUniverse, table: ClassTable, t1: GradedType, t2: GradedType) -> bool:
@@ -674,12 +586,8 @@ def parse_expr(text: str, universe: GradeUniverse) -> Expr:
 # ---------------------------------------------------------------------------
 # Pretty printing
 
-def format_grade(g: KindedGrade) -> str:
-    return str(g)
-
-
 def format_expr(e: Expr) -> str:
-    asc = f" @ {e.ascription}" if getattr(e, "ascription", None) is not None else ""
+    asc = f" @ {e.ascription}" if e.ascription is not None else ""
     if isinstance(e, Var):
         return e.name + asc
     if isinstance(e, FieldAccess):
@@ -695,21 +603,25 @@ def format_expr(e: Expr) -> str:
     raise TypeError(e)
 
 
-def format_ann(e: AnnExpr) -> str:
-    if isinstance(e, AVar):
+def format_ann(e: Expr) -> str:
+    """The annotated trace syntax: each slot child is followed by ``^grade``."""
+    if isinstance(e, Var):
         return e.name
-    if isinstance(e, AFieldAccess):
-        return f"{format_ann(e.recv)}^{e.recvGrade}.{e.fieldName}"
-    if isinstance(e, ANew):
-        inner = ", ".join(f"{format_ann(a)}^{g}" for a, g in zip(e.args, e.argGrades))
-        return f"new {e.className}({inner})"
-    if isinstance(e, AInvk):
-        inner = ", ".join(f"{format_ann(a)}^{g}" for a, g in zip(e.args, e.argGrades))
-        return f"{format_ann(e.recv)}^{e.recvGrade}.{e.method}({inner})"
-    if isinstance(e, ABlock):
-        return (f"{{{e.declClass} {e.var} = {format_ann(e.init)}^{e.initGrade}; "
+    if isinstance(e, FieldAccess):
+        return f"{format_ann(e.recv)}^{e.recv.ascription}.{e.fieldName}"
+    if isinstance(e, New):
+        return f"new {e.className}({_format_slots(e.args)})"
+    if isinstance(e, Invk):
+        return (f"{format_ann(e.recv)}^{e.recv.ascription}.{e.method}"
+                f"({_format_slots(e.args)})")
+    if isinstance(e, Block):
+        return (f"{{{e.declClass} {e.var} = {format_ann(e.init)}^{e.init.ascription}; "
                 f"{format_ann(e.body)}}}")
     raise TypeError(e)
+
+
+def _format_slots(args: tuple[Expr, ...]) -> str:
+    return ", ".join(f"{format_ann(a)}^{a.ascription}" for a in args)
 
 
 def format_program(p: Program) -> str:

@@ -1,34 +1,30 @@
-"""Graded type checking with elaboration into annotated syntax.
+"""Graded type checking with elaboration by slot ascription.
 
 The checker runs in checking mode: the expected graded type flows down.
 Where the typing rules leave a grade free, it picks the least admissible
 one (the expected grade at variables, the canonical unit on field-access
-receivers unless an ascription overrides it); every other annotation is
+receivers unless an ascription overrides it); every other slot grade is
 forced by field, method and block declarations, so elaboration is just a
-matter of writing those grades down.  Subsumption is folded into each
-construct as final subtype/context checks, keeping checking syntax
-directed.
+matter of writing those grades down as the slot children's ascriptions.
+A fully ascribed term elaborates to itself, so the same ``check`` types
+source programs and the annotated configurations of a run.  Subsumption
+is folded into each construct as final subtype/context checks, keeping
+checking syntax directed.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Optional
 
 from .hetero import GradeUniverse, KindedGrade, ONE_D, ZERO_D
 from .syntax import (
-    ABlock,
-    AFieldAccess,
-    AInvk,
-    ANew,
-    AVar,
-    AnnExpr,
     Block,
     ClassTable,
     Expr,
     FieldAccess,
     GradedType,
     Invk,
+    MethodDecl,
     New,
     OBJECT,
     Pos,
@@ -36,9 +32,10 @@ from .syntax import (
     UnknownClass,
     UnknownMember,
     Var,
-    ann_free_vars,
+    free_vars,
     gtype_leq,
     is_value,
+    with_ascription,
 )
 
 # context entry: variable -> (class name, grade)
@@ -74,7 +71,7 @@ def _fail(rule: str, kind: str, msg: str, pos: Pos = (0, 0)):
 @dataclass
 class TypingResult:
     ctx: CoeffectCtx
-    elaborated: AnnExpr
+    elaborated: Expr
 
 
 # ---------------------------------------------------------------------------
@@ -165,7 +162,7 @@ def _no_ascription(e: Expr, rule: str):
 
 
 def _forced_ascription(e: Expr, forced: KindedGrade, rule: str, what: str):
-    if e.ascription is not None and e.ascription != forced:
+    if e.ascription is not None and e.ascription is not forced and e.ascription != forced:
         _fail(rule, "AnnotationMismatch",
               f"ascription {e.ascription} contradicts the declared {what} {forced}",
               e.pos)
@@ -173,14 +170,18 @@ def _forced_ascription(e: Expr, forced: KindedGrade, rule: str, what: str):
 
 def check(u: GradeUniverse, table: ClassTable, env: TypeEnv, e: Expr,
           expected: GradedType) -> TypingResult:
-    """Least context and elaboration such that ctx |- e : expected."""
+    """Least context and elaboration such that ctx |- e : expected.
+
+    The elaboration is ``e`` with each slot child ascribed with its grade;
+    ``e``'s own ascription is left to its parent.  A fully ascribed ``e``
+    is returned as is."""
     if isinstance(e, Var):
         if e.name not in env:
             _fail("t-var", "UnknownVariable", f"unknown variable {e.name!r}", e.pos)
         cls = env[e.name]
         _require_subclass(table, cls, expected.className, "t-sub", e.pos)
         consume = _consume_grade(expected.grade)
-        return TypingResult({e.name: (cls, consume)}, AVar(e.name, e.pos))
+        return TypingResult({e.name: (cls, consume)}, e)
 
     if isinstance(e, FieldAccess):
         recv_cls = infer_class(table, env, e.recv)
@@ -201,8 +202,9 @@ def check(u: GradeUniverse, table: ClassTable, env: TypeEnv, e: Expr,
                   f"field {e.fieldName!r} gives grade {have} (receiver at "
                   f"{recv_grade}), but {expected.grade} is required", e.pos)
         sub = check(u, table, env, e.recv, GradedType(recv_cls, recv_grade))
-        return TypingResult(sub.ctx, AFieldAccess(sub.elaborated, recv_grade,
-                                                  e.fieldName, e.pos))
+        recv = with_ascription(sub.elaborated, recv_grade)
+        return TypingResult(sub.ctx, e if recv is e.recv else
+                            FieldAccess(recv, e.fieldName, e.ascription, e.pos))
 
     if isinstance(e, New):
         if not table.has_class(e.className):
@@ -214,15 +216,16 @@ def check(u: GradeUniverse, table: ClassTable, env: TypeEnv, e: Expr,
                   f"class {e.className} has {len(flds)} fields, "
                   f"got {len(e.args)} arguments", e.pos)
         ctx: CoeffectCtx = {}
-        args, grades = [], []
+        args, same = [], True
         for fd, arg in zip(flds, e.args):
             _forced_ascription(arg, fd.grade, "t-new", f"grade of field {fd.name!r}")
             target = GradedType(fd.className, u.mul(expected.grade, fd.grade))
             sub = check(u, table, env, arg, target)
             ctx = ctx_add(u, ctx, sub.ctx, "t-new", e.pos)
-            args.append(sub.elaborated)
-            grades.append(fd.grade)
-        return TypingResult(ctx, ANew(e.className, tuple(args), tuple(grades), e.pos))
+            args.append(with_ascription(sub.elaborated, fd.grade))
+            same = same and args[-1] is arg
+        return TypingResult(ctx, e if same else
+                            New(e.className, tuple(args), e.ascription, e.pos))
 
     if isinstance(e, Invk):
         recv_cls = infer_class(table, env, e.recv)
@@ -245,15 +248,16 @@ def check(u: GradeUniverse, table: ClassTable, env: TypeEnv, e: Expr,
         _forced_ascription(e.recv, mt.thisGrade, "t-invk", "grade of 'this'")
         sub0 = check(u, table, env, e.recv, GradedType(recv_cls, mt.thisGrade))
         ctx = sub0.ctx
-        args, grades = [], []
+        recv = with_ascription(sub0.elaborated, mt.thisGrade)
+        args, same = [], recv is e.recv
         for p, arg in zip(mt.params, e.args):
             _forced_ascription(arg, p.grade, "t-invk", f"grade of parameter {p.name!r}")
             sub = check(u, table, env, arg, GradedType(p.className, p.grade))
             ctx = ctx_add(u, ctx, sub.ctx, "t-invk", e.pos)
-            args.append(sub.elaborated)
-            grades.append(p.grade)
-        return TypingResult(ctx, AInvk(sub0.elaborated, mt.thisGrade, e.method,
-                                       tuple(args), tuple(grades), e.pos))
+            args.append(with_ascription(sub.elaborated, p.grade))
+            same = same and args[-1] is arg
+        return TypingResult(ctx, e if same else
+                            Invk(recv, e.method, tuple(args), e.ascription, e.pos))
 
     if isinstance(e, Block):
         if not table.has_class(e.declClass):
@@ -273,151 +277,35 @@ def check(u: GradeUniverse, table: ClassTable, env: TypeEnv, e: Expr,
                       f"variable {e.var!r} is used at grade {used}, which is not "
                       f"within its declared grade {e.declGrade}", e.pos)
         ctx = ctx_add(u, sub1.ctx, body_ctx, "t-block", e.pos)
-        return TypingResult(ctx, ABlock(e.declClass, e.var, sub1.elaborated,
-                                        e.declGrade, sub2.elaborated, e.pos))
+        init = with_ascription(sub1.elaborated, e.declGrade)
+        same = init is e.init and sub2.elaborated is e.body
+        return TypingResult(ctx, e if same else
+                            Block(e.declClass, e.declGrade, e.var, init, sub2.elaborated,
+                                  e.ascription, e.pos))
 
-    raise TypeError(e)
-
-
-# ---------------------------------------------------------------------------
-# Checking annotated expressions
-
-def check_annotated(u: GradeUniverse, table: ClassTable, env: TypeEnv, e: AnnExpr,
-                    expected: GradedType) -> CoeffectCtx:
-    """Least context at which the fixed annotations admit the expected type."""
-    if isinstance(e, AVar):
-        if e.name not in env:
-            _fail("t-var", "UnknownVariable", f"unknown variable {e.name!r}", e.pos)
-        cls = env[e.name]
-        _require_subclass(table, cls, expected.className, "t-sub", e.pos)
-        return {e.name: (cls, _consume_grade(expected.grade))}
-
-    if isinstance(e, AFieldAccess):
-        recv_cls = _infer_ann_class(table, env, e.recv)
-        try:
-            fd = table.field(recv_cls, e.fieldName)
-        except UnknownMember as exc:
-            _fail("t-field-access", "UnknownMember", str(exc), e.pos)
-        _require_subclass(table, fd.className, expected.className, "t-sub", e.pos)
-        have = u.mul(e.recvGrade, fd.grade)
-        if not u.leq(expected.grade, have):
-            _fail("t-field-access", "GradeTooDemanding",
-                  f"field {e.fieldName!r} gives grade {have} (receiver at "
-                  f"{e.recvGrade}), but {expected.grade} is required", e.pos)
-        return check_annotated(u, table, env, e.recv, GradedType(recv_cls, e.recvGrade))
-
-    if isinstance(e, ANew):
-        if not table.has_class(e.className):
-            _fail("t-new", "UnknownClass", f"unknown class {e.className!r}", e.pos)
-        _require_subclass(table, e.className, expected.className, "t-sub", e.pos)
-        flds = table.fields(e.className)
-        if len(flds) != len(e.args):
-            _fail("t-new", "ArityMismatch",
-                  f"class {e.className} has {len(flds)} fields, "
-                  f"got {len(e.args)} arguments", e.pos)
-        ctx: CoeffectCtx = {}
-        for fd, arg, g in zip(flds, e.args, e.argGrades):
-            if g != fd.grade:
-                _fail("t-new", "AnnotationMismatch",
-                      f"argument for field {fd.name!r} is annotated {g}, "
-                      f"declared {fd.grade}", e.pos)
-            target = GradedType(fd.className, u.mul(expected.grade, fd.grade))
-            ctx = ctx_add(u, ctx, check_annotated(u, table, env, arg, target),
-                          "t-new", e.pos)
-        return ctx
-
-    if isinstance(e, AInvk):
-        recv_cls = _infer_ann_class(table, env, e.recv)
-        try:
-            mt = table.mtype(recv_cls, e.method)
-        except UnknownMember as exc:
-            _fail("t-invk", "UnknownMember", str(exc), e.pos)
-        if not table.subclass_of(mt.returnType.className, expected.className):
-            _fail("t-sub", "TypeMismatch",
-                  f"method {e.method!r} returns {mt.returnType.className}, "
-                  f"which is not a subclass of {expected.className}", e.pos)
-        if not u.leq(expected.grade, mt.returnType.grade):
-            _fail("t-sub", "GradeTooDemanding",
-                  f"method {e.method!r} returns grade {mt.returnType.grade}, "
-                  f"but {expected.grade} is required", e.pos)
-        if e.recvGrade != mt.thisGrade:
-            _fail("t-invk", "AnnotationMismatch",
-                  f"receiver annotated {e.recvGrade}, 'this' is declared "
-                  f"{mt.thisGrade}", e.pos)
-        if len(mt.params) != len(e.args):
-            _fail("t-invk", "ArityMismatch",
-                  f"method {e.method!r} takes {len(mt.params)} arguments, "
-                  f"got {len(e.args)}", e.pos)
-        ctx = check_annotated(u, table, env, e.recv, GradedType(recv_cls, mt.thisGrade))
-        for p, arg, g in zip(mt.params, e.args, e.argGrades):
-            if g != p.grade:
-                _fail("t-invk", "AnnotationMismatch",
-                      f"argument for {p.name!r} is annotated {g}, declared {p.grade}",
-                      e.pos)
-            ctx = ctx_add(u, ctx, check_annotated(u, table, env, arg,
-                                                  GradedType(p.className, p.grade)),
-                          "t-invk", e.pos)
-        return ctx
-
-    if isinstance(e, ABlock):
-        if not table.has_class(e.declClass):
-            _fail("t-block", "UnknownClass", f"unknown class {e.declClass!r}", e.pos)
-        ctx1 = check_annotated(u, table, env, e.init,
-                               GradedType(e.declClass, e.initGrade))
-        ctx2 = dict(check_annotated(u, table, {**env, e.var: e.declClass}, e.body,
-                                    expected))
-        if e.var in ctx2:
-            _, used = ctx2.pop(e.var)
-            if not u.leq(used, e.initGrade):
-                _fail("t-var", "GradeTooDemanding",
-                      f"variable {e.var!r} is used at grade {used}, which is not "
-                      f"within its declared grade {e.initGrade}", e.pos)
-        return ctx_add(u, ctx1, ctx2, "t-block", e.pos)
-
-    raise TypeError(e)
-
-
-def _infer_ann_class(table: ClassTable, env: TypeEnv, e: AnnExpr) -> str:
-    if isinstance(e, AVar):
-        if e.name not in env:
-            _fail("t-var", "UnknownVariable", f"unknown variable {e.name!r}", e.pos)
-        return env[e.name]
-    if isinstance(e, ANew):
-        if not table.has_class(e.className):
-            _fail("t-new", "UnknownClass", f"unknown class {e.className!r}", e.pos)
-        return e.className
-    if isinstance(e, AFieldAccess):
-        cls = _infer_ann_class(table, env, e.recv)
-        try:
-            return table.field(cls, e.fieldName).className
-        except UnknownMember as exc:
-            _fail("t-field-access", "UnknownMember", str(exc), e.pos)
-    if isinstance(e, AInvk):
-        cls = _infer_ann_class(table, env, e.recv)
-        try:
-            return table.mtype(cls, e.method).returnType.className
-        except UnknownMember as exc:
-            _fail("t-invk", "UnknownMember", str(exc), e.pos)
-    if isinstance(e, ABlock):
-        return _infer_ann_class(table, {**env, e.var: e.declClass}, e.body)
     raise TypeError(e)
 
 
 # ---------------------------------------------------------------------------
 # Methods, tables, programs, configurations
 
+def _method_env(cls: str, decl: MethodDecl) -> TypeEnv:
+    env: TypeEnv = {"this": cls}
+    for p in decl.params:
+        env[p.name] = p.className
+    return env
+
+
 def check_method(u: GradeUniverse, table: ClassTable, cls: str, method: str) -> list[CheckDiag]:
     """Body conformance: params and this at their declared grades."""
     decl = table.decl(cls).methods[method]
-    env: TypeEnv = {"this": cls}
     declared: CoeffectCtx = {"this": (cls, decl.thisGrade)}
     for p in decl.params:
-        env[p.name] = p.className
         declared[p.name] = (p.className, p.grade)
     diags: list[CheckDiag] = []
     try:
         _no_ascription(decl.body, "t-meth")
-        result = check(u, table, env, decl.body, decl.returnType)
+        result = check(u, table, _method_env(cls, decl), decl.body, decl.returnType)
     except CheckError as exc:
         return [CheckDiag("t-meth", exc.diag.kind,
                           f"in {cls}.{method}: {exc.diag.msg}",
@@ -431,14 +319,6 @@ def check_method(u: GradeUniverse, table: ClassTable, cls: str, method: str) -> 
                     f"in {cls}.{method}: {x!r} is used at grade {g}, declared {have}",
                     decl.pos))
     return diags
-
-
-def elaborate_method(u: GradeUniverse, table: ClassTable, cls: str, method: str) -> AnnExpr:
-    decl = table.decl(cls).methods[method]
-    env: TypeEnv = {"this": cls}
-    for p in decl.params:
-        env[p.name] = p.className
-    return check(u, table, env, decl.body, decl.returnType).elaborated
 
 
 def check_table(u: GradeUniverse, table: ClassTable) -> list[CheckDiag]:
@@ -513,26 +393,10 @@ def check_table(u: GradeUniverse, table: ClassTable) -> list[CheckDiag]:
     return diags
 
 
-@dataclass
-class AnnTable:
-    """A class table bundled with an annotated body per method."""
-    table: ClassTable
-    bodies: dict[tuple[str, str], AnnExpr]
-
-    def ann_mbody(self, cls: str, method: str) -> tuple[tuple[str, ...], AnnExpr]:
-        cur: Optional[str] = cls
-        while cur is not None and cur != OBJECT:
-            if (cur, method) in self.bodies:
-                params, _ = self.table.mbody(cur, method)
-                return params, self.bodies[(cur, method)]
-            cur = self.table.classes[cur].superName
-        raise UnknownMember(f"class {cls} has no method {method!r}")
-
-
-def elaborate_table(u: GradeUniverse, table: ClassTable) -> AnnTable:
-    bodies = {(cls, m): elaborate_method(u, table, cls, m)
-              for cls, decl in table.classes.items() for m in decl.methods}
-    return AnnTable(table, bodies)
+def elaborate_table(u: GradeUniverse, table: ClassTable) -> ClassTable:
+    """The table with every method body elaborated (raises on a bad body)."""
+    return table.with_bodies(lambda cls, md: check(u, table, _method_env(cls, md), md.body,
+                                                   md.returnType).elaborated)
 
 
 def check_program(u: GradeUniverse, table: ClassTable, program: Program) -> TypingResult:
@@ -542,15 +406,15 @@ def check_program(u: GradeUniverse, table: ClassTable, program: Program) -> Typi
     return check(u, table, {}, program.main, GradedType(main_cls, program.mainGrade))
 
 
-def check_configuration(u: GradeUniverse, table: ClassTable, e: AnnExpr,
-                        env: dict[str, tuple[AnnExpr, KindedGrade]],
+def check_configuration(u: GradeUniverse, table: ClassTable, e: Expr,
+                        env: dict[str, tuple[Expr, KindedGrade]],
                         expected: GradedType) -> tuple[CoeffectCtx, CoeffectCtx]:
     """Type a configuration <e | env>: env entries at their stored grades,
     the expression under them, and the context bound (t-env + t-conf)."""
     gamma: CoeffectCtx = {}
     tenv: TypeEnv = {}
     for x, (v, g) in env.items():
-        free = ann_free_vars(v)
+        free = free_vars(v)
         if free:
             _fail("t-env", "OpenValue",
                   f"stored value for {x!r} has free variables {sorted(free)}")
@@ -559,12 +423,11 @@ def check_configuration(u: GradeUniverse, table: ClassTable, e: AnnExpr,
         cls = v.className
         if not table.has_class(cls):
             _fail("t-env", "UnknownClass", f"unknown class {cls!r}")
-        inner = check_annotated(u, table, {}, v, GradedType(cls, g))
-        if inner:
+        if check(u, table, {}, v, GradedType(cls, g)).ctx:
             _fail("t-env", "OpenValue", f"value for {x!r} needs a nonempty context")
         gamma[x] = (cls, g)
         tenv[x] = cls
-    delta = check_annotated(u, table, tenv, e, expected)
+    delta = check(u, table, tenv, e, expected).ctx
     if not ctx_leq(u, delta, gamma):
         bad = [x for x in delta if x not in gamma
                or delta[x][0] != gamma[x][0]
@@ -578,159 +441,51 @@ def check_configuration(u: GradeUniverse, table: ClassTable, e: AnnExpr,
 # ---------------------------------------------------------------------------
 # Default annotator (for running hand-annotated programs unchecked)
 
-def annotate_expr(u: GradeUniverse, table: ClassTable, env: TypeEnv, e: Expr) -> AnnExpr:
-    """Annotate without grade checking: declared grades, ascriptions win."""
+def _fill(e: Expr, declared: KindedGrade) -> Expr:
+    return e if e.ascription is not None else with_ascription(e, declared)
+
+
+def annotate_expr(u: GradeUniverse, table: ClassTable, env: TypeEnv, e: Expr) -> Expr:
+    """Fill every slot without grade checking: a written ascription wins,
+    else the declared grade (the unit on field-access receivers)."""
     if isinstance(e, Var):
-        return AVar(e.name, e.pos)
+        return e
     if isinstance(e, FieldAccess):
-        recv_grade = e.recv.ascription if e.recv.ascription is not None else ONE_D
-        return AFieldAccess(annotate_expr(u, table, env, e.recv), recv_grade,
-                            e.fieldName, e.pos)
+        recv = _fill(annotate_expr(u, table, env, e.recv), ONE_D)
+        return FieldAccess(recv, e.fieldName, e.ascription, e.pos)
     if isinstance(e, New):
-        flds = table.fields(e.className)
+        try:
+            flds = table.fields(e.className)
+        except UnknownClass as exc:
+            _fail("annotate", "UnknownClass", str(exc), e.pos)
         if len(flds) != len(e.args):
             _fail("annotate", "ArityMismatch",
                   f"class {e.className} has {len(flds)} fields, got {len(e.args)}",
                   e.pos)
-        grades = tuple(a.ascription if a.ascription is not None else fd.grade
-                       for fd, a in zip(flds, e.args))
-        return ANew(e.className, tuple(annotate_expr(u, table, env, a) for a in e.args),
-                    grades, e.pos)
+        args = tuple(_fill(annotate_expr(u, table, env, a), fd.grade)
+                     for fd, a in zip(flds, e.args))
+        return New(e.className, args, e.ascription, e.pos)
     if isinstance(e, Invk):
         recv_cls = infer_class(table, env, e.recv)
-        mt = table.mtype(recv_cls, e.method)
-        recv_grade = (e.recv.ascription if e.recv.ascription is not None
-                      else mt.thisGrade)
-        grades = tuple(a.ascription if a.ascription is not None else p.grade
-                       for p, a in zip(mt.params, e.args))
-        return AInvk(annotate_expr(u, table, env, e.recv), recv_grade, e.method,
-                     tuple(annotate_expr(u, table, env, a) for a in e.args),
-                     grades, e.pos)
+        try:
+            mt = table.mtype(recv_cls, e.method)
+        except (UnknownClass, UnknownMember) as exc:
+            _fail("annotate", type(exc).__name__, str(exc), e.pos)
+        if len(mt.params) != len(e.args):
+            _fail("annotate", "ArityMismatch",
+                  f"method {e.method!r} takes {len(mt.params)} arguments, "
+                  f"got {len(e.args)}", e.pos)
+        recv = _fill(annotate_expr(u, table, env, e.recv), mt.thisGrade)
+        args = tuple(_fill(annotate_expr(u, table, env, a), p.grade)
+                     for p, a in zip(mt.params, e.args))
+        return Invk(recv, e.method, args, e.ascription, e.pos)
     if isinstance(e, Block):
-        init_grade = e.init.ascription if e.init.ascription is not None else e.declGrade
-        return ABlock(e.declClass, e.var,
-                      annotate_expr(u, table, env, e.init), init_grade,
-                      annotate_expr(u, table, {**env, e.var: e.declClass}, e.body),
-                      e.pos)
+        init = _fill(annotate_expr(u, table, env, e.init), e.declGrade)
+        body = annotate_expr(u, table, {**env, e.var: e.declClass}, e.body)
+        return Block(e.declClass, e.declGrade, e.var, init, body, e.ascription, e.pos)
     raise TypeError(e)
 
 
-def annotate_table(u: GradeUniverse, table: ClassTable) -> AnnTable:
-    bodies = {}
-    for cls, decl in table.classes.items():
-        for mname, m in decl.methods.items():
-            env: TypeEnv = {"this": cls}
-            env.update({p.name: p.className for p in m.params})
-            bodies[(cls, mname)] = annotate_expr(u, table, env, m.body)
-    return AnnTable(table, bodies)
-
-
-# ---------------------------------------------------------------------------
-# Bounded derivation search (minimality oracle for tests)
-
-def enumerate_contexts(u: GradeUniverse, table: ClassTable, env: TypeEnv, e: Expr,
-                       expected: GradedType, pool: list[KindedGrade],
-                       limit: int = 20000) -> list[CoeffectCtx]:
-    """Every context derivable when the rules' free grades range over ``pool``.
-
-    Follows the declarative rules with subsumption folded in as the same
-    side conditions the checker uses, but with variable-consumption,
-    field-receiver and constructor grades enumerated instead of chosen.
-    """
-    out: list[CoeffectCtx] = []
-    budget = [limit]
-
-    def go(env, e, expected):
-        if budget[0] <= 0:
-            return []
-        budget[0] -= 1
-        results = []
-        if isinstance(e, Var):
-            cls = env.get(e.name)
-            if cls is None or not table.subclass_of(cls, expected.className):
-                return []
-            for r in pool:
-                if r != ZERO_D and u.leq(expected.grade, r):
-                    results.append({e.name: (cls, r)})
-            return results
-        if isinstance(e, FieldAccess):
-            try:
-                recv_cls = infer_class(table, env, e.recv)
-                fd = table.field(recv_cls, e.fieldName)
-            except CheckError:
-                return []
-            if not table.subclass_of(fd.className, expected.className):
-                return []
-            for r in pool:
-                if u.leq(expected.grade, u.mul(r, fd.grade)):
-                    results.extend(go(env, e.recv, GradedType(recv_cls, r)))
-            return results
-        if isinstance(e, New):
-            if not table.has_class(e.className):
-                return []
-            if not table.subclass_of(e.className, expected.className):
-                return []
-            flds = table.fields(e.className)
-            if len(flds) != len(e.args):
-                return []
-            for r in pool:
-                if not u.leq(expected.grade, r):
-                    continue
-                partial = [dict()]
-                for fd, arg in zip(flds, e.args):
-                    nxt = []
-                    for ctx in partial:
-                        for sub in go(env, arg, GradedType(fd.className, u.mul(r, fd.grade))):
-                            try:
-                                nxt.append(ctx_add(u, ctx, sub))
-                            except CheckError:
-                                pass
-                    partial = nxt
-                results.extend(partial)
-            return results
-        if isinstance(e, Invk):
-            try:
-                recv_cls = infer_class(table, env, e.recv)
-                mt = table.mtype(recv_cls, e.method)
-            except CheckError:
-                return []
-            if not table.subclass_of(mt.returnType.className, expected.className):
-                return []
-            if not u.leq(expected.grade, mt.returnType.grade):
-                return []
-            if len(mt.params) != len(e.args):
-                return []
-            partial = go(env, e.recv, GradedType(recv_cls, mt.thisGrade))
-            for p, arg in zip(mt.params, e.args):
-                nxt = []
-                for ctx in partial:
-                    for sub in go(env, arg, GradedType(p.className, p.grade)):
-                        try:
-                            nxt.append(ctx_add(u, ctx, sub))
-                        except CheckError:
-                            pass
-                partial = nxt
-            return partial
-        if isinstance(e, Block):
-            if not table.has_class(e.declClass):
-                return []
-            inits = go(env, e.init, GradedType(e.declClass, e.declGrade))
-            bodies = go({**env, e.var: e.declClass}, e.body, expected)
-            for ci in inits:
-                for cb in bodies:
-                    cb = dict(cb)
-                    if e.var in cb:
-                        _, used = cb.pop(e.var)
-                        if not u.leq(used, e.declGrade):
-                            continue
-                    try:
-                        results.append(ctx_add(u, ci, cb))
-                    except CheckError:
-                        pass
-            return results
-        raise TypeError(e)
-
-    for ctx in go(dict(env), e, expected):
-        if ctx not in out:
-            out.append(ctx)
-    return out
+def annotate_table(u: GradeUniverse, table: ClassTable) -> ClassTable:
+    return table.with_bodies(lambda cls, md: annotate_expr(u, table, _method_env(cls, md),
+                                                           md.body))

@@ -1,9 +1,14 @@
 """CLI behavior: exit codes, output formats, determinism."""
 
 import json
+import os
+import pathlib
+import subprocess
+import sys
 
 import pytest
 
+import gradefj
 from gradefj.cli import main
 
 
@@ -161,3 +166,58 @@ def test_laws_json_deterministic(capsys, corpus_dir):
     _, out1, _ = run_cli(capsys, "laws", "--json", corpus_path(corpus_dir, "bool.json"))
     _, out2, _ = run_cli(capsys, "laws", "--json", corpus_path(corpus_dir, "bool.json"))
     assert out1 == out2 and json.loads(out1)
+
+
+# ---------------------------------------------------------------------------
+# malformed programs end in a documented exit code, never a traceback
+
+@pytest.mark.parametrize("src", [
+    # a method body that is never called and cannot be annotated
+    "class A { }\nclass B { A[1] f; B[1] mk(A[1] x, A[1] y) [1] { new B(x, y) } }\n"
+    "run new B(new A()).f at 1\n",
+    "class A { A[1] m() [1] { this.nope() } }\nrun new A() at 1\n",
+])
+def test_run_standard_needs_no_annotations(capsys, tmp_path, src):
+    path = tmp_path / "prog.gfj"
+    path.write_text(src)
+    code, out, err = run_cli(capsys, "run", "--standard", "--json", str(path))
+    assert code == 0, err
+    payload = json.loads(out)
+    assert payload["outcome"] == "final" and payload["value"] == "new A()"
+
+
+def test_run_standard_unknown_class_is_stuck(capsys, tmp_path):
+    path = tmp_path / "prog.gfj"
+    path.write_text("class A { }\nrun new Zed().f at 1\n")
+    code, out, _ = run_cli(capsys, "run", "--standard", str(path))
+    assert code == 4
+    assert out.startswith("stuck after 0 steps")
+
+
+@pytest.mark.parametrize("src, message", [
+    ("class A { A[1] m() [1] { new A() } }\n"
+     "run {A[1] a = new A(); new A().m(a)} at 1\n", "takes 0 arguments, got 1"),
+    ("class A { A[1] m(A[1] x) [1] { x } }\nrun new A().m() at 1\n",
+     "takes 1 arguments, got 0"),
+    ("class A { }\nrun new A().m() at 1\n", "has no method 'm'"),
+    ("class A { }\nrun new Zed() at 1\n", "unknown class 'Zed'"),
+    ("class A { }\nclass B extends Zed { }\nrun new B() at 1\n", "unknown class 'Zed'"),
+])
+def test_run_unchecked_reports_unannotatable_input(capsys, tmp_path, src, message):
+    path = tmp_path / "prog.gfj"
+    path.write_text(src)
+    code, out, err = run_cli(capsys, "run", "--unchecked", str(path))
+    assert code == 2
+    assert out == "" and "[annotate]" in err and message in err
+
+
+def test_importing_cli_loads_every_module():
+    # perfbench/tracing.py wraps functions in every gradefj module after
+    # importing only gradefj.cli
+    src = pathlib.Path(gradefj.__file__).parent.parent
+    code = ("import sys, gradefj.cli; "
+            "print(' '.join(sorted(m for m in sys.modules if m.startswith('gradefj.'))))")
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                         env={**os.environ, "PYTHONPATH": str(src)}, check=True).stdout
+    modules = {p.stem for p in (src / "gradefj").glob("*.py")} - {"__init__"}
+    assert set(out.split()) == {f"gradefj.{m}" for m in modules}

@@ -31,13 +31,7 @@ from gradefj.grades import (
     ZetaHom,
     affinity_table,
     all_residuals,
-    alg_add,
-    alg_leq,
-    alg_mul,
-    alg_one,
-    alg_zero,
     iota,
-    residual,
     validate_algebra,
     validate_hom,
     zeta,
@@ -52,42 +46,42 @@ PP = lambda n: FiniteElem(n, "privacy4")
 # order / sum / product / constants
 
 def test_leq_examples():
-    assert alg_leq(NAT, Nat(0), Nat(5))
-    assert alg_leq(AFFINITY, AFF("1"), AFF("w"))
-    assert not alg_leq(PRIVACY, PRIV("public"), PRIV("private"))
-    assert alg_leq(PRIVACY, PRIV("private"), PRIV("public"))
+    assert NAT.leq(Nat(0), Nat(5))
+    assert AFFINITY.leq(AFF("1"), AFF("w"))
+    assert not PRIVACY.leq(PRIV("public"), PRIV("private"))
+    assert PRIVACY.leq(PRIV("private"), PRIV("public"))
 
 
 def test_add_mul_examples():
-    assert alg_add(NAT, Nat(2), Nat(2)) == Nat(4)
-    assert alg_add(PRIVACY, PRIV("private"), PRIV("public")) == PRIV("public")
-    assert alg_mul(PRIVACY, PRIV("private"), PRIV("public")) == PRIV("private")
+    assert NAT.add(Nat(2), Nat(2)) == Nat(4)
+    assert PRIVACY.add(PRIV("private"), PRIV("public")) == PRIV("public")
+    assert PRIVACY.mul(PRIV("private"), PRIV("public")) == PRIV("private")
     ext_nat = ExtendAlgebra(NAT)
-    assert alg_mul(ext_nat, ExtFin(Nat(0)), ExtInf()) == ExtFin(Nat(0))
-    assert alg_mul(ext_nat, ExtFin(Nat(2)), ExtInf()) == ExtInf()
-    assert alg_add(ext_nat, ExtFin(Nat(2)), ExtInf()) == ExtInf()
+    assert ext_nat.mul(ExtFin(Nat(0)), ExtInf()) == ExtFin(Nat(0))
+    assert ext_nat.mul(ExtFin(Nat(2)), ExtInf()) == ExtInf()
+    assert ext_nat.add(ExtFin(Nat(2)), ExtInf()) == ExtInf()
 
 
 def test_constants():
-    assert alg_zero(NAT) == Nat(0) and alg_one(NAT) == Nat(1)
-    assert alg_zero(TRIVIAL) == Triv() and alg_one(TRIVIAL) == Triv()
+    assert NAT.zero() == Nat(0) and NAT.one() == Nat(1)
+    assert TRIVIAL.zero() == Triv() and TRIVIAL.one() == Triv()
     prod = ProductAlgebra(AFFINITY, PRIVACY)
-    assert alg_zero(prod) == PairValue(AFF("0"), PRIV("0"))
-    assert alg_one(prod) == PairValue(AFF("1"), PRIV("public"))
+    assert prod.zero() == PairValue(AFF("0"), PRIV("0"))
+    assert prod.one() == PairValue(AFF("1"), PRIV("public"))
 
 
 def test_carrier_mismatch():
     with pytest.raises(CarrierMismatch):
-        alg_add(NAT, Nat(1), AFF("1"))
+        NAT.add(Nat(1), AFF("1"))
     with pytest.raises(CarrierMismatch):
-        alg_leq(AFFINITY, PRIV("public"), AFF("1"))
+        AFFINITY.leq(PRIV("public"), AFF("1"))
 
 
 def test_extreal_exact():
     third = ExtReal(Fraction(1, 3))
-    assert alg_add(EXTREAL, third, third) == ExtReal(Fraction(2, 3))
-    assert alg_mul(EXTREAL, ExtReal(Fraction(0)), ExtReal(None)) == ExtReal(Fraction(0))
-    assert alg_leq(EXTREAL, ExtReal(Fraction(7, 2)), ExtReal(None))
+    assert EXTREAL.add(third, third) == ExtReal(Fraction(2, 3))
+    assert EXTREAL.mul(ExtReal(Fraction(0)), ExtReal(None)) == ExtReal(Fraction(0))
+    assert EXTREAL.leq(ExtReal(Fraction(7, 2)), ExtReal(None))
 
 
 # ---------------------------------------------------------------------------
@@ -95,22 +89,22 @@ def test_extreal_exact():
 
 def brute_force_residuals_nat(available, demand, bound=50):
     return [Nat(s) for s in range(bound + 1)
-            if alg_leq(NAT, alg_add(NAT, Nat(demand), Nat(s)), Nat(available))]
+            if NAT.leq(NAT.add(Nat(demand), Nat(s)), Nat(available))]
 
 
 def test_residual_nat_oracle():
     # expected value computed by enumerating all s' <= 4 with 2 + s' <= 4
     oracle = brute_force_residuals_nat(4, 2)
     assert max(s.n for s in oracle) == 2
-    assert residual(NAT, Nat(4), Nat(2)) == Nat(2)
-    assert residual(NAT, Nat(1), Nat(2)) is None
+    assert NAT.residual(Nat(4), Nat(2)) == Nat(2)
+    assert NAT.residual(Nat(1), Nat(2)) is None
 
 
 def test_residual_privacy_join_table():
     # oracle: join table — private v public = public <= public
     valid = all_residuals(PRIVACY, PRIV("public"), PRIV("private"))
     assert PRIV("public") in valid
-    assert residual(PRIVACY, PRIV("public"), PRIV("private")) == PRIV("public")
+    assert PRIVACY.residual(PRIV("public"), PRIV("private")) == PRIV("public")
 
 
 @pytest.mark.parametrize("spec", [AFFINITY, BOOLEAN, PRIVACY, PPRIVACY,
@@ -141,7 +135,7 @@ def test_residual_maximality_finite(spec):
 def test_residual_nat_properties():
     for avail in range(12):
         for demand in range(1, 12):
-            got = residual(NAT, Nat(avail), Nat(demand))
+            got = NAT.residual(Nat(avail), Nat(demand))
             oracle = brute_force_residuals_nat(avail, demand, bound=12)
             if got is None:
                 assert not oracle
@@ -165,7 +159,7 @@ def test_ambiguous_residual():
 def test_iota_examples():
     assert iota(Nat(0), PRIVACY) == PRIV("0")
     # unfold: 1 + 1 in the affinity sum table gives w
-    one_plus_one = alg_add(AFFINITY, AFF("1"), AFF("1"))
+    one_plus_one = AFFINITY.add(AFF("1"), AFF("1"))
     assert one_plus_one == AFF("w")
     assert iota(Nat(2), AFFINITY) == one_plus_one
     assert iota(Nat(3), NAT) == Nat(3)

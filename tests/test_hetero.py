@@ -227,7 +227,7 @@ def test_check_universe_laws_degenerate():
 def test_parse_and_format_grades(ap_universe):
     for text in ["4", "A:w", "P:private", "AP:(w,private)", "T:inf", "PP:d"]:
         g = ap_universe.parse_grade(text)
-        assert ap_universe.parse_grade(ap_universe.format_grade(g)) == g
+        assert ap_universe.parse_grade(str(g)) == g
     assert ap_universe.parse_grade("3") == N(3)
     with pytest.raises(UnknownKind):
         ap_universe.parse_grade("Q:1")

@@ -3,9 +3,9 @@
 import pytest
 
 from gradefj.runtime import GradedConfig, Minimal, graded_run
-from gradefj.syntax import ANew, GradedType, parse_expr
+from gradefj.syntax import GradedType, erase_table, parse_expr, parse_program
 from gradefj.typecheck import (
-    check_annotated,
+    check,
     check_program,
     check_table,
     elaborate_table,
@@ -67,8 +67,7 @@ def test_progress_on_every_two_block_configuration(corpus_by_name):
 
 def test_progress_value_branch(corpus_by_name):
     u, program, ann, _, expected = _setup(corpus_by_name["two_blocks_nat"])
-    value = ANew("Pair", (ANew("A", (), ()), ANew("A", (), ())),
-                 tuple(f.grade for f in program.table.fields("Pair")))
+    value = parse_expr("new Pair(new A() @ 1, new A() @ 1)", u)
     assert assert_progress(u, ann, GradedConfig.make(value, {}), expected) == []
 
 
@@ -98,12 +97,11 @@ def test_subject_reduction_two_block_lockstep(corpus_by_name):
 def test_subject_reduction_e1_both_ways(corpus_by_name):
     # the private-level block program ends in new A() in both semantics
     from gradefj.runtime import erase_config, std_run
-    from gradefj.props import erased_table
     u, program, ann, main, expected = _setup(corpus_by_name["priv_narrow_at_private"])
     errs = assert_subject_reduction(u, ann, GradedConfig.make(main, {}), expected)
     assert errs == []
     run = graded_run(u, ann, GradedConfig.make(main, {}), program.mainGrade)
-    outcome, std_final, _ = std_run(erased_table(ann),
+    outcome, std_final, _ = std_run(erase_table(ann),
                                     erase_config(GradedConfig.make(main, {})))
     assert outcome == "final"
     assert std_final.expr == parse_expr("new A()", u)
@@ -111,7 +109,6 @@ def test_subject_reduction_e1_both_ways(corpus_by_name):
 
 
 def test_subject_reduction_value_only(universe):
-    from gradefj.syntax import parse_program
     program = parse_program("class A { }\nrun new A() at 1", universe)
     result = check_program(universe, program.table, program)
     ann = elaborate_table(universe, program.table)
@@ -141,11 +138,10 @@ def test_strengthening_for_values(corpus_by_name):
     # typing a value ignores the context
     entry = corpus_by_name["two_blocks_nat"]
     u, program = entry.universe, entry.program
-    value = ANew("Pair", (ANew("A", (), ()), ANew("A", (), ())),
-                 tuple(f.grade for f in program.table.fields("Pair")))
+    value = parse_expr("new Pair(new A() @ 1, new A() @ 1)", u)
     t = GradedType("Pair", program.mainGrade)
-    assert check_annotated(u, program.table, {}, value, t) == {}
-    assert check_annotated(u, program.table, {"z": "A"}, value, t) == {}
+    assert check(u, program.table, {}, value, t).ctx == {}
+    assert check(u, program.table, {"z": "A"}, value, t).ctx == {}
 
 
 def test_renaming_preserves_verdict(corpus_by_name):
@@ -153,7 +149,6 @@ def test_renaming_preserves_verdict(corpus_by_name):
     u = entry.universe
     src = entry.path.read_text().replace(" a ", " zz ").replace("(a,", "(zz,")
     src = src.replace(" a,", " zz,").replace(", a)", ", zz)").replace("(a)", "(zz)")
-    from gradefj.syntax import parse_program
     renamed = parse_program(src, u)
     assert not check_table(u, renamed.table)
     check_program(u, renamed.table, renamed)  # must not raise
@@ -162,7 +157,6 @@ def test_renaming_preserves_verdict(corpus_by_name):
 def test_theorem_suite_rejects_fabricated_program(universe):
     # a hand-annotated stuck program never enters the suite as accepted
     from gradefj.props import CorpusEntry
-    from gradefj.syntax import parse_program
     src = ("class A { }\nclass Pair { A[1] first; A[1] second; }\n"
            "run {A[4] a = new A(); {Pair[2] p = new Pair(a, a); "
            "new Pair(p.first @ 2, p.second)}} at 1\n")
@@ -170,6 +164,19 @@ def test_theorem_suite_rejects_fabricated_program(universe):
     entry = CorpusEntry("fabricated", None, {"expect": "reject"}, universe, program)
     out = theorem_suite(entry)
     assert out.ok  # nothing to run: the checker rejected it
+
+
+def test_theorem_suite_with_ascribed_method_body(universe):
+    # the erasure check compares against the standard step of the erased
+    # table, so an '@' inside a called method body is not a violation
+    from gradefj.props import CorpusEntry
+    src = ("class A { }\nclass W { A[2] f; A[1] get() [1] { (this @ 1).f } }\n"
+           "run new W(new A()).get() at 1\n")
+    program = parse_program(src, universe)
+    entry = CorpusEntry("ascribed_body", None, {"expect": "accept"}, universe, program)
+    out = theorem_suite(entry)
+    assert out.ok, out.failures
+    assert check_entry(entry).ok
 
 
 def test_check_entry_catches_wrong_manifest(corpus_by_name):

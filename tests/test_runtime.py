@@ -4,7 +4,15 @@ import pytest
 
 from gradefj.grades import FiniteElem, Nat
 from gradefj.hetero import KindedGrade, ONE_D
-from gradefj.syntax import ANew, AFieldAccess, AVar, GradedType, parse_expr, parse_program
+from gradefj.syntax import (
+    FieldAccess,
+    GradedType,
+    New,
+    Var,
+    erase_table,
+    parse_expr,
+    parse_program,
+)
 from gradefj.runtime import (
     Enumerate,
     FieldExtraction,
@@ -59,19 +67,19 @@ def unchecked(universe, src):
 # standard reduction
 
 def test_std_block_and_field_access(universe, two_block):
-    program, _, ann = two_block
+    program, _, _ = two_block
     cfg = StdConfig.make(program.main, {})
-    cfg = std_step(ann, cfg)
+    cfg = std_step(program.table, cfg)
     assert "a" in cfg.env_dict()
-    outcome, final, steps = std_run(ann, StdConfig.make(program.main, {}))
+    outcome, final, steps = std_run(program.table, StdConfig.make(program.main, {}))
     assert outcome == "final" and steps == 8
     assert final.expr == parse_expr("new Pair(new A(), new A())", universe)
 
 
 def test_std_unbound_var_stuck(universe, two_block):
-    _, _, ann = two_block
+    program, _, _ = two_block
     with pytest.raises(StdStuck):
-        std_step(ann, StdConfig.make(parse_expr("x", universe), {}))
+        std_step(program.table, StdConfig.make(parse_expr("x", universe), {}))
 
 
 # ---------------------------------------------------------------------------
@@ -166,16 +174,14 @@ def test_var_at_zero_burns_unit(universe):
 
 def test_no_such_member_stuck(universe, two_block):
     _, _, ann = two_block
-    value = ANew("A", (), ())
-    bad = AFieldAccess(value, N(1), "nope")
+    bad = FieldAccess(New("A", (), N(1)), "nope")
     res = graded_step(universe, ann, GradedConfig.make(bad, {}), N(1))
     assert res.kind == "stuck" and isinstance(res.reason, NoSuchMember)
 
 
 def test_enumerate_offers_choices(universe, two_block):
     _, _, ann = two_block
-    value = ANew("A", (), ())
-    cfg = GradedConfig.make(AVar("x"), {"x": (value, N(3))})
+    cfg = GradedConfig.make(Var("x"), {"x": (New("A", ()), N(3))})
     res = graded_step(universe, ann, cfg, N(1), Enumerate(bound=4))
     assert res.kind == "step"
     consumed = sorted(i.consumed.value.n for _, i in res.successors)
@@ -232,7 +238,7 @@ def test_props_hold_on_two_block_run(universe, two_block):
                      want_trace=True)
     lows = [N(0), N(1)]
     for i in range(1, len(run.trace)):
-        errs = props_step(universe, ann, run.trace[i - 1].config,
+        errs = props_step(universe, ann, erase_table(ann), run.trace[i - 1].config,
                           run.trace[i].config, program.mainGrade,
                           run.trace[i].info, lows)
         assert errs == [], (i, errs)
@@ -244,8 +250,9 @@ def test_props_replay_at_same_grade(universe, two_block):
                      want_trace=True)
     var_steps = [i for i, t in enumerate(run.trace) if t.info and t.info.rule == "var"]
     i = var_steps[0]
-    errs = props_step(universe, ann, run.trace[i - 1].config, run.trace[i].config,
-                      program.mainGrade, run.trace[i].info, [program.mainGrade])
+    errs = props_step(universe, ann, erase_table(ann), run.trace[i - 1].config,
+                      run.trace[i].config, program.mainGrade, run.trace[i].info,
+                      [program.mainGrade])
     assert errs == []
 
 
@@ -257,7 +264,7 @@ def test_props_catch_grown_grade(universe, two_block):
     env = after.env_dict()
     env["a"] = (env["a"][0], N(9))
     fake = GradedConfig.make(after.expr, env)
-    errs = props_step(universe, ann, before, fake, program.mainGrade,
+    errs = props_step(universe, ann, erase_table(ann), before, fake, program.mainGrade,
                       run.trace[2].info)
     assert any("grew" in e for e in errs)
 
@@ -265,7 +272,7 @@ def test_props_catch_grown_grade(universe, two_block):
 def test_erasure_agrees_with_standard_run(universe, two_block):
     program, main, ann = two_block
     run = graded_run(universe, ann, GradedConfig.make(main, {}), program.mainGrade)
-    outcome, std_final, steps = std_run(ann, erase_config(
+    outcome, std_final, steps = std_run(erase_table(ann), erase_config(
         GradedConfig.make(main, {})))
     assert outcome == "final" and steps == run.steps
     assert erase_config(run.config) == std_final
@@ -273,8 +280,7 @@ def test_erasure_agrees_with_standard_run(universe, two_block):
 
 def test_fixed_witness_policy(universe, two_block):
     _, _, ann = two_block
-    value = ANew("A", (), ())
-    cfg = GradedConfig.make(AVar("x"), {"x": (value, N(3))})
+    cfg = GradedConfig.make(Var("x"), {"x": (New("A", ()), N(3))})
     ok = graded_step(universe, ann, cfg, N(1), FixedWitness(N(2), N(1)))
     assert ok.kind == "step"
     bad = graded_step(universe, ann, cfg, N(1), FixedWitness(N(2), N(2)))
@@ -315,9 +321,8 @@ def test_extreal_kind_end_to_end():
 def test_enumerate_on_finite_kind(universe, two_block):
     from gradefj.grades import FiniteElem
     _, _, ann = two_block
-    value = ANew("A", (), ())
     aff = lambda n: KindedGrade("A", FiniteElem(n, "affinity"))
-    cfg = GradedConfig.make(AVar("x"), {"x": (value, aff("w"))})
+    cfg = GradedConfig.make(Var("x"), {"x": (New("A", ()), aff("w"))})
     res = graded_step(universe, ann, cfg, aff("1"), Enumerate())
     assert res.kind == "step"
     burned = sorted(str(i.consumed) for _, i in res.successors)

@@ -19,10 +19,9 @@ from gradefj.syntax import (
     format_program,
     free_vars,
     gtype_leq,
-    is_source_value,
+    is_value,
     parse_expr,
     parse_program,
-    strip_ascriptions,
     subst,
 )
 from gradefj.typecheck import check_program, check_table
@@ -163,7 +162,7 @@ def test_erase_elaborate_identity_on_corpus(corpus):
         if check_table(entry.universe, entry.program.table):
             continue
         result = check_program(entry.universe, entry.program.table, entry.program)
-        assert erase(result.elaborated) == strip_ascriptions(entry.program.main), entry.name
+        assert erase(result.elaborated) == erase(entry.program.main), entry.name
 
 
 def test_subst_stops_at_shadow(universe):
@@ -181,8 +180,9 @@ def test_free_vars(universe):
 
 
 def test_is_source_value(universe):
-    assert is_source_value(parse_expr("new Pair(new A(), new A())", universe))
-    assert not is_source_value(parse_expr("new Pair(x, new A())", universe))
+    assert is_value(parse_expr("new Pair(new A(), new A())", universe))
+    assert is_value(parse_expr("new Pair(new A() @ 2, new A())", universe))
+    assert not is_value(parse_expr("new Pair(x, new A())", universe))
 
 
 def test_format_expr_ascription_roundtrip(universe):

@@ -1,12 +1,13 @@
-"""Checker behavior: contexts, elaboration, annotated checking, tables."""
+"""Checker behavior: contexts, elaboration, checking ascribed terms, tables."""
 
 import pytest
 
 from gradefj.grades import FiniteElem, Nat
 from gradefj.hetero import KindedGrade, ONE_D, ZERO_D
 from gradefj.syntax import (
-    ANew,
     GradedType,
+    New,
+    Var,
     erase,
     parse_expr,
     parse_program,
@@ -15,7 +16,6 @@ from gradefj.typecheck import (
     CheckError,
     annotate_expr,
     check,
-    check_annotated,
     check_configuration,
     check_method,
     check_program,
@@ -24,9 +24,9 @@ from gradefj.typecheck import (
     ctx_leq,
     ctx_scale,
     elaborate_table,
-    enumerate_contexts,
     infer_class,
 )
+from derivation_search import enumerate_contexts
 
 AFF = lambda n: KindedGrade("A", FiniteElem(n, "affinity"))
 PRIV = lambda n: KindedGrade("P", FiniteElem(n, "privacy2"))
@@ -84,7 +84,7 @@ def test_check_block3_context_and_elaboration(universe, getters_table):
     result = check(universe, getters_table, {"p": "Pair"}, e,
                    GradedType("Pair", AFF("1")))
     assert result.ctx == {"p": ("Pair", AFF("1"))}
-    assert result.elaborated.initGrade == AFF("w")
+    assert result.elaborated.init.ascription == AFF("w")
     assert erase(result.elaborated) == e
 
 
@@ -150,9 +150,10 @@ def test_infer_class(universe, getters_table):
 
 
 # ---------------------------------------------------------------------------
-# annotated checking (round trips with elaboration)
+# checking fully ascribed terms (elaboration is idempotent)
 
 def test_prop41_roundtrip_on_corpus(corpus):
+    # re-checking an elaboration gives the same context and the same tree
     for entry in corpus:
         if entry.manifest["expect"] != "accept":
             continue
@@ -162,36 +163,36 @@ def test_prop41_roundtrip_on_corpus(corpus):
         result = check_program(u, program.table, program)
         main_cls = infer_class(program.table, {}, program.main)
         expected = GradedType(main_cls, program.mainGrade)
-        ctx = check_annotated(u, program.table, {}, result.elaborated, expected)
-        assert ctx == result.ctx, entry.name
-        assert erase(result.elaborated) is not None
+        again = check(u, program.table, {}, result.elaborated, expected)
+        assert again.ctx == result.ctx, entry.name
+        assert again.elaborated is result.elaborated, entry.name
+        assert erase(result.elaborated) == erase(program.main), entry.name
 
 
 def test_check_annotated_closed_value(universe, getters_table):
-    value = ANew("A", (), ())
-    ctx = check_annotated(universe, getters_table, {}, value, GradedType("A", N(2)))
-    assert ctx == {}
+    value = New("A", ())
+    result = check(universe, getters_table, {}, value, GradedType("A", N(2)))
+    assert result.ctx == {}
 
 
 def test_check_annotated_rejects_bad_ctor_annotation(universe, getters_table):
-    inner = ANew("A", (), ())
-    bad = ANew("Pair", (inner, inner), (N(2), AFF("1")))
+    bad = parse_expr("new Pair(new A() @ 2, new A() @ A:1)", universe)
     with pytest.raises(CheckError) as exc:
-        check_annotated(universe, getters_table, {}, bad, GradedType("Pair", N(1)))
+        check(universe, getters_table, {}, bad, GradedType("Pair", N(1)))
     assert exc.value.diag.kind == "AnnotationMismatch"
 
 
 def test_check_annotated_rejects_bad_invk_annotation(universe, getters_table):
-    prog = parse_program(GETTERS, universe)
     e = parse_expr("{Pair[A:1] p = new Pair(new A(), new A()); p.getFirst()}",
                    universe)
     result = check(universe, getters_table, {}, e, GradedType("A", AFF("w")))
     wrong = result.elaborated.body
-    assert wrong.recvGrade == AFF("1")
+    assert wrong.recv.ascription == AFF("1")
     from dataclasses import replace
-    hacked = replace(result.elaborated, body=replace(wrong, recvGrade=AFF("w")))
+    hacked = replace(result.elaborated,
+                     body=replace(wrong, recv=replace(wrong.recv, ascription=AFF("w"))))
     with pytest.raises(CheckError) as exc:
-        check_annotated(universe, getters_table, {}, hacked, GradedType("A", AFF("w")))
+        check(universe, getters_table, {}, hacked, GradedType("A", AFF("w")))
     assert exc.value.diag.kind == "AnnotationMismatch"
 
 
@@ -255,18 +256,16 @@ def test_check_configuration_initial_and_midtrace(corpus_by_name):
 
 
 def test_check_configuration_rejects_unjustified_value(universe, getters_table):
-    inner = ANew("A", (), ())
-    bad_value = ANew("Pair", (inner, inner), (N(2), AFF("1")))
+    bad_value = parse_expr("new Pair(new A() @ 2, new A() @ A:1)", universe)
     with pytest.raises(CheckError):
-        check_configuration(universe, getters_table, ANew("A", (), ()),
+        check_configuration(universe, getters_table, New("A", ()),
                             {"x": (bad_value, N(1))}, GradedType("A", N(1)))
 
 
 def test_check_configuration_rejects_open_value(universe, getters_table):
-    from gradefj.syntax import AVar
     with pytest.raises(CheckError) as exc:
-        check_configuration(universe, getters_table, ANew("A", (), ()),
-                            {"x": (AVar("y"), N(1))}, GradedType("A", N(1)))
+        check_configuration(universe, getters_table, New("A", ()),
+                            {"x": (Var("y"), N(1))}, GradedType("A", N(1)))
     assert exc.value.diag.kind in ("OpenValue", "AnnotationMismatch")
 
 
@@ -278,7 +277,7 @@ def test_weakening_soundness(universe, getters_table):
     assert result.ctx == {"x": ("A", AFF("w"))}  # 1+1 saturates in affinity
     for bigger in (AFF("w"), KindedGrade("T", Triv())):
         check_configuration(universe, getters_table, result.elaborated,
-                            {"x": (ANew("A", (), ()), bigger)},
+                            {"x": (New("A", ()), bigger)},
                             GradedType("Pair", N(1)))
 
 
@@ -298,7 +297,7 @@ def test_canonical_forms_on_corpus(corpus):
                          program.mainGrade, Minimal())
         value = run.config.expr
         assert is_value(value)
-        assert isinstance(value, ANew)
+        assert isinstance(value, New)
         assert program.table.subclass_of(value.className, main_cls), entry.name
 
 
@@ -329,6 +328,7 @@ def test_minimal_context_against_enumeration(universe, getters_table):
 def test_annotate_expr_defaults(universe, getters_table):
     e = parse_expr("{Pair[2] q = new Pair(x, x); q.first}", universe)
     ann = annotate_expr(universe, getters_table, {"x": "A"}, e)
-    assert ann.initGrade == N(2)
-    assert ann.init.argGrades == (AFF("1"), AFF("1"))
-    assert ann.body.recvGrade == ONE_D
+    assert ann.init.ascription == N(2)
+    assert tuple(a.ascription for a in ann.init.args) == (AFF("1"), AFF("1"))
+    assert ann.body.recv.ascription == ONE_D
+    assert erase(ann) == e
