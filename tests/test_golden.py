@@ -9,6 +9,11 @@ stdout byte for byte with ``tests/golden/<name>.json``:
 - ``run --unchecked --json --trace`` (manifests with ``uncheckedRun``)
 - ``run --standard --json``
 
+It also pins the exit code, stdout and stderr of ``laws --json`` on the
+corpus universes and on a few universes written out below, in
+``tests/golden/laws/<name>.json``; the universe file's path is replaced by
+``<universe>`` in stderr.
+
 Regenerate the pinned files (only when a change of output is intended) with
 ``PYTHONPATH=src python tests/test_golden.py``.
 """
@@ -18,13 +23,16 @@ import io
 import json
 import pathlib
 import sys
+import tempfile
 
 import pytest
 
 HERE = pathlib.Path(__file__).parent
 CORPUS_DIR = HERE / "corpus"
 GOLDEN_DIR = HERE / "golden"
+LAWS_GOLDEN_DIR = GOLDEN_DIR / "laws"
 PROGRAMS = sorted(p.stem for p in CORPUS_DIR.glob("*.gfj"))
+CORPUS_UNIVERSES = ("affinity_privacy", "bool", "ext")
 
 
 def commands(name: str) -> dict[str, list[str]]:
@@ -44,12 +52,15 @@ def commands(name: str) -> dict[str, list[str]]:
     return out
 
 
-def replay(argv: list[str]) -> dict:
+def replay(argv: list[str], with_stderr: bool = False) -> dict:
     from gradefj.cli import main
     out, err = io.StringIO(), io.StringIO()
     with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
         code = main(argv)
-    return {"exit": code, "stdout": out.getvalue()}
+    got = {"exit": code, "stdout": out.getvalue()}
+    if with_stderr:
+        got["stderr"] = err.getvalue()
+    return got
 
 
 def observe(name: str) -> dict:
@@ -70,9 +81,92 @@ def test_golden_cli_output(name):
         assert got[label] == want[label], label
 
 
+# ---------------------------------------------------------------------------
+# laws --json
+
+def chain_table(name: str, levels: list[str]) -> dict:
+    """Chain 0 < levels[0] < ...: sum is max, product is min, one is the top."""
+    elems = ["0", *levels]
+    rank = {e: i for i, e in enumerate(elems)}
+    return {"name": name, "elements": elems,
+            "leq": [[a, b] for a in elems for b in elems if rank[a] <= rank[b]],
+            "sum": {a: {b: max(a, b, key=rank.get) for b in elems} for a in elems},
+            "mul": {a: {b: min(a, b, key=rank.get) for b in elems} for a in elems},
+            "zero": "0", "one": elems[-1]}
+
+
+def broken_add_table() -> dict:
+    # x + z is y, but z + x stays z
+    table = chain_table("brokenadd", ["x", "y", "z"])
+    table["sum"]["x"]["z"] = "y"
+    return table
+
+
+def broken_mul_table() -> dict:
+    # affinity with 1 * w redefined: distributivity breaks
+    from gradefj.grades import affinity_table
+    table = affinity_table()
+    mul = {a: dict(row) for a, row in table.mul.items()}
+    mul["1"]["w"] = "1"
+    return {"name": "brokenaff", "elements": list(table.elements),
+            "leq": sorted([list(p) for p in table.leq]),
+            "sum": table.sum, "mul": mul, "zero": "0", "one": "1"}
+
+
+def inline_universes() -> dict[str, dict]:
+    """Universe configs pinned besides the corpus ones, keyed by golden name."""
+    lh = chain_table("lh", ["lo", "hi"])
+    return {
+        "fin_product": {
+            "kinds": {"L": {"table": lh},
+                      "LB": {"product": [{"table": lh}, {"builtin": "boolean"}]}},
+            "edges": [{"sub": "LB", "super": "L", "hom": {"proj": "left"}}]},
+        "fin_chain": {
+            "kinds": {"K4": {"table": chain_table("c4", ["a", "b", "c", "d"])},
+                      "K2": {"table": chain_table("c2", ["lo", "hi"])},
+                      "K1": {"table": chain_table("c1", ["on"])}},
+            "edges": [{"sub": "K4", "super": "K2", "hom": {"map": {
+                           "0": "0", "a": "lo", "b": "lo", "c": "hi", "d": "hi"}}},
+                      {"sub": "K2", "super": "K1", "hom": {"map": {
+                           "0": "0", "lo": "on", "hi": "on"}}}]},
+        "extreal": {"kinds": {"R": {"builtin": "extreal"}}, "edges": []},
+        "extend_nat": {"kinds": {"E": {"extend": {"builtin": "nat"}}}, "edges": []},
+        "broken_add": {"kinds": {"X": {"table": broken_add_table()}}, "edges": []},
+        "broken_distributivity": {"kinds": {"X": {"table": broken_mul_table()}},
+                                  "edges": []},
+    }
+
+
+LAW_UNIVERSES = sorted([*CORPUS_UNIVERSES, *inline_universes()])
+
+
+def observe_laws(name: str, workdir: pathlib.Path) -> dict:
+    if name in CORPUS_UNIVERSES:
+        path = CORPUS_DIR / f"{name}.json"
+    else:
+        path = workdir / f"{name}.json"
+        path.write_text(json.dumps(inline_universes()[name]), encoding="utf-8")
+    got = replay(["laws", "--json", str(path)], with_stderr=True)
+    got["stderr"] = got["stderr"].replace(str(path), "<universe>")
+    return got
+
+
+@pytest.mark.parametrize("name", LAW_UNIVERSES)
+def test_golden_laws_output(name, tmp_path):
+    want = json.loads((LAWS_GOLDEN_DIR / f"{name}.json").read_text(encoding="utf-8"))
+    assert observe_laws(name, tmp_path) == want
+
+
 if __name__ == "__main__":
     GOLDEN_DIR.mkdir(exist_ok=True)
     for name in PROGRAMS:
         text = json.dumps(observe(name), indent=1, sort_keys=True) + "\n"
         (GOLDEN_DIR / f"{name}.json").write_text(text, encoding="utf-8")
-    print(f"wrote {len(PROGRAMS)} files to {GOLDEN_DIR}", file=sys.stderr)
+    LAWS_GOLDEN_DIR.mkdir(exist_ok=True)
+    with tempfile.TemporaryDirectory() as workdir:
+        for name in LAW_UNIVERSES:
+            got = observe_laws(name, pathlib.Path(workdir))
+            text = json.dumps(got, indent=1, sort_keys=True) + "\n"
+            (LAWS_GOLDEN_DIR / f"{name}.json").write_text(text, encoding="utf-8")
+    print(f"wrote {len(PROGRAMS)} files to {GOLDEN_DIR} and {len(LAW_UNIVERSES)} "
+          f"to {LAWS_GOLDEN_DIR}", file=sys.stderr)
