@@ -802,6 +802,10 @@ def compose(first: Hom, second: Hom) -> Hom:
 # ---------------------------------------------------------------------------
 # Law validation
 
+ALGEBRA_TRIPLES = 1000  # seeded triples checked on an infinite carrier
+HOM_PAIRS = 400         # seeded pairs checked for a map out of an infinite carrier
+
+
 @dataclass
 class LawResult:
     law: str
@@ -829,85 +833,90 @@ class LawReport:
         return "\n".join(str(r) for r in self.results)
 
 
-def _law_pool(spec: Algebra) -> list[GradeValue]:
-    elems = spec.elements()
-    return elems if elems is not None else spec.sample()
+def check_laws(laws, total: Optional[str] = None) -> LawReport:
+    """Check each ``(law, holds, cases)`` in turn: PASS, or FAIL with the
+    first case on which ``holds`` is false.
+
+    A case on which a map is undefined (PartialMap, CarrierMismatch) fails
+    the law with the error as witness; when ``total`` names a law, it fails
+    that law instead and ends the report.
+    """
+    results = []
+    for law, holds, cases in laws:
+        result = LawResult(law, True)
+        for case in cases:
+            try:
+                if not holds(*case):
+                    result = LawResult(law, False, tuple(str(x) for x in case))
+                    break
+            except (PartialMap, CarrierMismatch) as exc:
+                if total is not None:
+                    return LawReport(results + [LawResult(total, False, (str(exc),))])
+                result = LawResult(law, False, (str(exc),))
+                break
+        results.append(result)
+    return LawReport(results)
 
 
-def _triples(pool: list, exhaustive: bool, minimum: int = 1000):
-    if exhaustive:
-        yield from iproduct(pool, pool, pool)
-        return
+def semiring_laws(alg, pool: list, pairs: list, triples: list, pair_up) -> list[tuple]:
+    """The axioms of an ordered semiring with a least zero, as ``check_laws``
+    input, over anything with ``leq/add/mul/zero/one``: one algebra, or the
+    kinded grades of a universe.  Unary laws range over ``pool``, the others
+    over ``pairs`` and ``triples``; monotonicity over ``pair_up`` applied to
+    the related pairs.
+    """
+    leq, add, mul, zero, one = alg.leq, alg.add, alg.mul, alg.zero(), alg.one()
+    ones = [(a,) for a in pool]
+    mono = pair_up([(a, b) for a, b in pairs if leq(a, b)])
+    return [
+        ("order-reflexive", lambda a: leq(a, a), ones),
+        ("order-antisymmetric", lambda a, b: not (leq(a, b) and leq(b, a)) or a == b, pairs),
+        ("order-transitive",
+         lambda a, b, c: not (leq(a, b) and leq(b, c)) or leq(a, c), triples),
+        ("add-commutative", lambda a, b: add(a, b) == add(b, a), pairs),
+        ("add-associative", lambda a, b, c: add(add(a, b), c) == add(a, add(b, c)), triples),
+        ("add-unit", lambda a: add(a, zero) == a, ones),
+        ("mul-associative", lambda a, b, c: mul(mul(a, b), c) == mul(a, mul(b, c)), triples),
+        ("mul-unit", lambda a: mul(a, one) == a and mul(one, a) == a, ones),
+        ("distributes-left",
+         lambda a, b, c: mul(a, add(b, c)) == add(mul(a, b), mul(a, c)), triples),
+        ("distributes-right",
+         lambda a, b, c: mul(add(b, c), a) == add(mul(b, a), mul(c, a)), triples),
+        ("annihilation", lambda a: mul(a, zero) == zero and mul(zero, a) == zero, ones),
+        ("zero-least", lambda a: leq(zero, a), ones),
+        ("add-monotone", lambda p, q: leq(add(p[0], q[0]), add(p[1], q[1])), mono),
+        ("mul-monotone", lambda p, q: leq(mul(p[0], q[0]), mul(p[1], q[1])), mono),
+    ]
+
+
+def _seeded_triples(pool: list, count: int) -> list[tuple]:
     rng = random.Random(SAMPLE_SEED)
-    count = max(minimum, len(pool))
-    for _ in range(count):
-        yield rng.choice(pool), rng.choice(pool), rng.choice(pool)
+    return [(rng.choice(pool), rng.choice(pool), rng.choice(pool))
+            for _ in range(max(count, len(pool)))]
 
 
-def validate_algebra(spec: Algebra, minimum_samples: int = 1000) -> LawReport:
+def validate_algebra(spec: Algebra) -> LawReport:
     """Check every grade-algebra axiom; exhaustive on finite carriers.
 
-    Infinite carriers are checked on a deterministic seeded sample of at
-    least ``minimum_samples`` triples drawn from the documented pool.
+    Infinite carriers are checked on ``ALGEBRA_TRIPLES`` deterministic
+    seeded triples drawn from ``spec.sample()``; their pairs are the first
+    two components, and monotonicity pairs each related pair with the next.
     """
-    results: list[LawResult] = []
+    shape = []
     if isinstance(spec, FiniteAlgebra):
-        shape = _validate_table_shape(spec.table)
-        results.append(shape)
-        if not shape.ok:
-            return LawReport(results)
-    pool = _law_pool(spec)
-    exhaustive = spec.elements() is not None
-
-    def check(law, fn, triples):
-        for t in triples:
-            if not fn(*t):
-                results.append(LawResult(law, False, tuple(str(x) for x in t)))
-                return
-        results.append(LawResult(law, True))
-
-    one = [(a,) for a in pool]
-    pairs_src = list(iproduct(pool, pool)) if exhaustive else [
-        (a, b) for a, b, _ in _triples(pool, False)]
-    triples_src = list(_triples(pool, exhaustive))
-
-    check("order-reflexive", lambda a: spec.leq(a, a), one)
-    check("order-antisymmetric",
-          lambda a, b: not (spec.leq(a, b) and spec.leq(b, a)) or a == b, pairs_src)
-    check("order-transitive",
-          lambda a, b, c: not (spec.leq(a, b) and spec.leq(b, c)) or spec.leq(a, c),
-          triples_src)
-    check("add-commutative", lambda a, b: spec.add(a, b) == spec.add(b, a), pairs_src)
-    check("add-associative",
-          lambda a, b, c: spec.add(spec.add(a, b), c) == spec.add(a, spec.add(b, c)),
-          triples_src)
-    check("add-unit", lambda a: spec.add(a, spec.zero()) == a, one)
-    check("mul-associative",
-          lambda a, b, c: spec.mul(spec.mul(a, b), c) == spec.mul(a, spec.mul(b, c)),
-          triples_src)
-    check("mul-unit",
-          lambda a: spec.mul(a, spec.one()) == a and spec.mul(spec.one(), a) == a, one)
-    check("distributes-left",
-          lambda a, b, c: spec.mul(a, spec.add(b, c)) == spec.add(spec.mul(a, b), spec.mul(a, c)),
-          triples_src)
-    check("distributes-right",
-          lambda a, b, c: spec.mul(spec.add(b, c), a) == spec.add(spec.mul(b, a), spec.mul(c, a)),
-          triples_src)
-    check("annihilation",
-          lambda a: spec.mul(a, spec.zero()) == spec.zero()
-          and spec.mul(spec.zero(), a) == spec.zero(), one)
-    check("zero-least", lambda a: spec.leq(spec.zero(), a), one)
-
-    related = [(a, b) for a, b in pairs_src if spec.leq(a, b)]
-    mono_pairs = (list(iproduct(related, related)) if exhaustive
-                  else list(zip(related, related[1:] + related[:1])))
-    check("add-monotone",
-          lambda ab, cd: spec.leq(spec.add(ab[0], cd[0]), spec.add(ab[1], cd[1])),
-          mono_pairs)
-    check("mul-monotone",
-          lambda ab, cd: spec.leq(spec.mul(ab[0], cd[0]), spec.mul(ab[1], cd[1])),
-          mono_pairs)
-    return LawReport(results)
+        shape = [_validate_table_shape(spec.table)]
+        if not shape[0].ok:
+            return LawReport(shape)
+    pool = spec.sample()
+    if spec.elements() is not None:
+        pairs, triples = list(iproduct(pool, repeat=2)), list(iproduct(pool, repeat=3))
+        pair_up = lambda related: list(iproduct(related, repeat=2))
+    else:
+        triples = _seeded_triples(pool, ALGEBRA_TRIPLES)
+        pairs = [(a, b) for a, b, _ in triples]
+        pair_up = lambda related: list(zip(related, related[1:] + related[:1]))
+    return LawReport(shape + check_laws(semiring_laws(spec, pool, pairs, triples,
+                                                      pair_up)).results)
 
 
 def _validate_table_shape(table: FiniteTable) -> LawResult:
@@ -930,39 +939,20 @@ def _validate_table_shape(table: FiniteTable) -> LawResult:
     return LawResult("table-shape", True)
 
 
-def validate_hom(h: Hom, minimum_samples: int = 400) -> LawReport:
-    """Check that a map is monotone and preserves 0, 1, sum and product."""
-    src, tgt = h.source(), h.target()
-    results = []
-    try:
-        ok0 = h.apply(src.zero()) == tgt.zero()
-        results.append(LawResult("hom-zero", ok0, None if ok0 else (str(src.zero()),)))
-        ok1 = h.apply(src.one()) == tgt.one()
-        results.append(LawResult("hom-one", ok1, None if ok1 else (str(src.one()),)))
-    except (PartialMap, CarrierMismatch) as exc:
-        results.append(LawResult("hom-total", False, (str(exc),)))
-        return LawReport(results)
-
-    pool = _law_pool(src)
-    exhaustive = src.elements() is not None
-    if exhaustive:
-        pairs = list(iproduct(pool, pool))
-    else:
-        pairs = [(a, b) for a, b, _ in _triples(pool, False, minimum_samples)]
-
-    def check(law, fn):
-        for a, b in pairs:
-            try:
-                if not fn(a, b):
-                    results.append(LawResult(law, False, (str(a), str(b))))
-                    return
-            except (PartialMap, CarrierMismatch) as exc:
-                results.append(LawResult(law, False, (str(exc),)))
-                return
-        results.append(LawResult(law, True))
-
-    check("hom-add", lambda a, b: h.apply(src.add(a, b)) == tgt.add(h.apply(a), h.apply(b)))
-    check("hom-mul", lambda a, b: h.apply(src.mul(a, b)) == tgt.mul(h.apply(a), h.apply(b)))
-    check("hom-monotone",
-          lambda a, b: not src.leq(a, b) or tgt.leq(h.apply(a), h.apply(b)))
-    return LawReport(results)
+def validate_hom(h: Hom) -> LawReport:
+    """Check that a map is monotone and preserves 0, 1, sum and product;
+    exhaustive on a finite source, else on ``HOM_PAIRS`` seeded pairs."""
+    src, tgt, f = h.source(), h.target(), h.apply
+    units = check_laws([("hom-zero", lambda a: f(a) == tgt.zero(), [(src.zero(),)]),
+                        ("hom-one", lambda a: f(a) == tgt.one(), [(src.one(),)])],
+                       total="hom-total")
+    if units.results[-1].law == "hom-total":
+        return units
+    pool = src.sample()
+    pairs = (list(iproduct(pool, repeat=2)) if src.elements() is not None
+             else [(a, b) for a, b, _ in _seeded_triples(pool, HOM_PAIRS)])
+    return LawReport(units.results + check_laws([
+        ("hom-add", lambda a, b: f(src.add(a, b)) == tgt.add(f(a), f(b)), pairs),
+        ("hom-mul", lambda a, b: f(src.mul(a, b)) == tgt.mul(f(a), f(b)), pairs),
+        ("hom-monotone", lambda a, b: not src.leq(a, b) or tgt.leq(f(a), f(b)), pairs),
+    ]).results)

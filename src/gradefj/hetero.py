@@ -36,19 +36,21 @@ from .grades import (
     IdentityHom,
     IotaHom,
     LawReport,
-    LawResult,
     Nat,
     ProductAlgebra,
     ProjLeftHom,
     ProjRightHom,
     ZetaHom,
+    check_laws,
     compose,
+    semiring_laws,
     validate_algebra,
     validate_hom,
 )
 
 KIND_NAT = "N"
 KIND_TRIVIAL = "T"
+NAT_PREFIX = 11  # naturals 0..10 stand for kind N in the kinded pool
 
 
 class UniverseError(GradeError):
@@ -112,6 +114,8 @@ class GradeUniverse:
     order: frozenset[tuple[str, str]] = field(default_factory=frozenset)
     join_table: dict[tuple[str, str], str] = field(default_factory=dict)
     homs: dict[tuple[str, str], Hom] = field(default_factory=dict)
+    # the load-time law report of each user kind (none when not validated)
+    law_reports: dict[str, LawReport] = field(default_factory=dict, compare=False)
     _transport_cache: dict = field(default_factory=dict, repr=False, compare=False)
 
     # -- kinds ------------------------------------------------------------
@@ -196,9 +200,6 @@ class GradeUniverse:
     def one(self) -> KindedGrade:
         return ONE_D
 
-    def coerce(self, x: KindedGrade, kind: str) -> KindedGrade:
-        return KindedGrade(kind, self.transport(x.kind, kind, x.value))
-
     def residual(self, available: KindedGrade, demand: KindedGrade) -> Optional[KindedGrade]:
         """Maximal leftover after consuming ``demand`` out of ``available``.
 
@@ -234,7 +235,7 @@ class GradeUniverse:
             kind, payload = KIND_NAT, text
         return KindedGrade(kind, self.algebra(kind).parse_payload(payload.strip()))
 
-    def sample_pool(self, nat_prefix: int = 11) -> list[KindedGrade]:
+    def sample_pool(self, nat_prefix: int = NAT_PREFIX) -> list[KindedGrade]:
         """Deterministic kinded-value pool: full finite carriers, a prefix
         of the naturals, and a sample of other infinite kinds."""
         pool: list[KindedGrade] = []
@@ -275,9 +276,10 @@ def validate_universe(kinds: dict[str, Algebra], edges: list[RefinementEdge],
         kinds[reserved] = alg
     user = [k for k in kinds if k not in (KIND_NAT, KIND_TRIVIAL)]
 
+    law_reports: dict[str, LawReport] = {}
     if validate_algebras:
         for k in sorted(user):
-            report = validate_algebra(kinds[k])
+            report = law_reports[k] = validate_algebra(kinds[k])
             if not report.ok:
                 raise UniverseError(
                     f"algebra of kind {k} violates {report.failures()[0].law}: "
@@ -391,7 +393,7 @@ def validate_universe(kinds: dict[str, Algebra], edges: list[RefinementEdge],
             homs[(k1, k2)] = h
 
     return GradeUniverse(kinds=kinds, edges=list(edges), order=frozenset(order),
-                         join_table=join_table, homs=homs)
+                         join_table=join_table, homs=homs, law_reports=law_reports)
 
 
 def default_universe() -> GradeUniverse:
@@ -403,70 +405,40 @@ def default_universe() -> GradeUniverse:
 
 # -- universe-level law checking -------------------------------------------
 
-def check_universe_laws(u: GradeUniverse, nat_prefix: int = 11) -> LawReport:
+MONOTONE_PAIRS = 400  # at most about this many related pairs for monotonicity
+
+
+def check_universe_laws(u: GradeUniverse) -> LawReport:
     """Grade-algebra axioms for the combined algebra plus injection coherence.
 
-    Exhaustive over the kinded pool (full finite carriers, naturals up to
-    ``nat_prefix``); the six injection equations are checked pointwise on
-    every kind triple.
+    Exhaustive over the kinded pool (full finite carriers, naturals 0..10,
+    eight samples of other infinite kinds), monotonicity on an even stride
+    of at most ``MONOTONE_PAIRS`` related pairs; functoriality and the six
+    injection equations are checked on every kind pair or triple, pointwise
+    on the pool's values of the source kind.
     """
-    pool = u.sample_pool(nat_prefix)
-    results: list[LawResult] = []
+    pool = u.sample_pool()
+    values: dict[str, list[GradeValue]] = {}
+    for g in pool:
+        values.setdefault(g.kind, []).append(g.value)
 
-    def check(law, fn, src):
-        for t in src:
-            if not fn(*t):
-                results.append(LawResult(law, False, tuple(str(x) for x in t)))
-                return
-        results.append(LawResult(law, True))
+    def pair_up(related):
+        if len(related) > MONOTONE_PAIRS:
+            related = related[::len(related) // MONOTONE_PAIRS + 1]
+        return [(p, q) for p in related for q in related]
 
-    ones = [(a,) for a in pool]
     pairs = [(a, b) for a in pool for b in pool]
     triples = [(a, b, c) for a in pool for b in pool for c in pool]
 
-    check("order-reflexive", lambda a: u.leq(a, a), ones)
-    check("order-antisymmetric",
-          lambda a, b: not (u.leq(a, b) and u.leq(b, a)) or a == b, pairs)
-    check("order-transitive",
-          lambda a, b, c: not (u.leq(a, b) and u.leq(b, c)) or u.leq(a, c), triples)
-    check("add-commutative", lambda a, b: u.add(a, b) == u.add(b, a), pairs)
-    check("add-associative",
-          lambda a, b, c: u.add(u.add(a, b), c) == u.add(a, u.add(b, c)), triples)
-    check("add-unit", lambda a: u.add(a, ZERO_D) == a, ones)
-    check("mul-associative",
-          lambda a, b, c: u.mul(u.mul(a, b), c) == u.mul(a, u.mul(b, c)), triples)
-    check("mul-unit", lambda a: u.mul(a, ONE_D) == a and u.mul(ONE_D, a) == a, ones)
-    check("distributes-left",
-          lambda a, b, c: u.mul(a, u.add(b, c)) == u.add(u.mul(a, b), u.mul(a, c)),
-          triples)
-    check("distributes-right",
-          lambda a, b, c: u.mul(u.add(b, c), a) == u.add(u.mul(b, a), u.mul(c, a)),
-          triples)
-    check("annihilation",
-          lambda a: u.mul(a, ZERO_D) == ZERO_D and u.mul(ZERO_D, a) == ZERO_D, ones)
-    check("zero-least", lambda a: u.leq(ZERO_D, a), ones)
-
-    related = [(a, b) for a, b in pairs if u.leq(a, b)]
-    if len(related) > 400:
-        stride = len(related) // 400 + 1
-        related = related[::stride]
-    mono = [(p, q) for p in related for q in related]
-    check("add-monotone", lambda p, q: u.leq(u.add(p[0], q[0]), u.add(p[1], q[1])), mono)
-    check("mul-monotone", lambda p, q: u.leq(u.mul(p[0], q[0]), u.mul(p[1], q[1])), mono)
+    def eq_on(kind, f, g):
+        return all(f(v) == g(v) for v in values[kind])
 
     # functoriality of the derived homomorphism family
     def functorial(k1, k2, k3):
         if not (u.kind_leq(k1, k2) and u.kind_leq(k2, k3)):
             return True
-        h12, h23, h13 = u.hom(k1, k2), u.hom(k2, k3), u.hom(k1, k3)
-        return all(h23.apply(h12.apply(v)) == h13.apply(v)
-                   for v in _kind_values(u, k1, nat_prefix))
-
-    kind_names = sorted(u.kinds)
-    kind_triples = [(a, b, c) for a in kind_names for b in kind_names for c in kind_names]
-    kind_pairs = [(a, b) for a in kind_names for b in kind_names]
-    kind_ones = [(a,) for a in kind_names]
-    check("hom-functorial", functorial, kind_triples)
+        h12, h23 = u.hom(k1, k2), u.hom(k2, k3)
+        return eq_on(k1, lambda v: h23.apply(h12.apply(v)), u.hom(k1, k3).apply)
 
     # injection coherence: injl/injr are the homs into the join kind
     def injl(k1, k2):
@@ -475,40 +447,29 @@ def check_universe_laws(u: GradeUniverse, nat_prefix: int = 11) -> LawReport:
     def injr(k1, k2):
         return u.hom(k2, u.join(k1, k2))
 
-    def eq_on(kind, f, g):
-        return all(f(v) == g(v) for v in _kind_values(u, kind, nat_prefix))
-
-    check("inj-1-left-assoc",
-          lambda a, b, c: eq_on(a,
-                                lambda v: injl(u.join(a, b), c).apply(injl(a, b).apply(v)),
-                                injl(a, u.join(b, c)).apply),
-          kind_triples)
-    check("inj-2-middle-route",
-          lambda a, b, c: eq_on(b,
-                                lambda v: injl(u.join(a, b), c).apply(injr(a, b).apply(v)),
-                                lambda v: injr(a, u.join(b, c)).apply(injl(b, c).apply(v))),
-          kind_triples)
-    check("inj-3-commute",
-          lambda a, b: eq_on(a, injl(a, b).apply, injr(b, a).apply), kind_pairs)
-    check("inj-4-idempotent",
-          lambda a: eq_on(a, injl(a, a).apply, lambda v: v), kind_ones)
-    check("inj-5-bottom-left",
-          lambda a: eq_on(a, injl(a, KIND_NAT).apply, lambda v: v), kind_ones)
-    check("inj-6-bottom-right",
-          lambda a: eq_on(KIND_NAT, injr(a, KIND_NAT).apply,
-                          IotaHom(u.algebra(a)).apply),
-          kind_ones)
-    return LawReport(results)
-
-
-def _kind_values(u: GradeUniverse, kind: str, nat_prefix: int) -> list[GradeValue]:
-    alg = u.algebra(kind)
-    if kind == KIND_NAT:
-        return [Nat(n) for n in range(nat_prefix)]
-    vals = alg.elements()
-    if vals is None:
-        vals = alg.sample()[:8]
-    return vals
+    kind_names = sorted(u.kinds)
+    kind_triples = [(a, b, c) for a in kind_names for b in kind_names for c in kind_names]
+    kind_pairs = [(a, b) for a in kind_names for b in kind_names]
+    kind_ones = [(a,) for a in kind_names]
+    return check_laws(semiring_laws(u, pool, pairs, triples, pair_up) + [
+        ("hom-functorial", functorial, kind_triples),
+        ("inj-1-left-assoc",
+         lambda a, b, c: eq_on(a, lambda v: injl(u.join(a, b), c).apply(injl(a, b).apply(v)),
+                               injl(a, u.join(b, c)).apply),
+         kind_triples),
+        ("inj-2-middle-route",
+         lambda a, b, c: eq_on(b, lambda v: injl(u.join(a, b), c).apply(injr(a, b).apply(v)),
+                               lambda v: injr(a, u.join(b, c)).apply(injl(b, c).apply(v))),
+         kind_triples),
+        ("inj-3-commute", lambda a, b: eq_on(a, injl(a, b).apply, injr(b, a).apply),
+         kind_pairs),
+        ("inj-4-idempotent", lambda a: eq_on(a, injl(a, a).apply, lambda v: v), kind_ones),
+        ("inj-5-bottom-left",
+         lambda a: eq_on(a, injl(a, KIND_NAT).apply, lambda v: v), kind_ones),
+        ("inj-6-bottom-right",
+         lambda a: eq_on(KIND_NAT, injr(a, KIND_NAT).apply, IotaHom(u.algebra(a)).apply),
+         kind_ones),
+    ])
 
 
 # -- configuration files -----------------------------------------------------
@@ -522,32 +483,57 @@ def algebra_from_config(cfg) -> Algebra:
         raise UniverseError(f"bad algebra spec: {cfg!r}")
     if "builtin" in cfg:
         name = cfg["builtin"]
-        if name not in _BUILTINS:
+        if not isinstance(name, str) or name not in _BUILTINS:
             raise UniverseError(f"unknown builtin algebra {name!r}")
         return _BUILTINS[name]
     if "table" in cfg:
         return FiniteAlgebra(table_from_config(cfg["table"]))
     if "product" in cfg:
-        left, right = cfg["product"]
+        left, right = _two(cfg["product"], "product")
         return ProductAlgebra(algebra_from_config(left), algebra_from_config(right))
     if "extend" in cfg:
         return ExtendAlgebra(algebra_from_config(cfg["extend"]))
     raise UniverseError(f"bad algebra spec: {cfg!r}")
 
 
+def _two(cfg, what: str) -> list:
+    if not (isinstance(cfg, list) and len(cfg) == 2):
+        raise UniverseError(f"{what!r} must be a list of two specs, got {cfg!r}")
+    return cfg
+
+
+def _strings(xs) -> bool:
+    return isinstance(xs, list) and all(isinstance(x, str) for x in xs)
+
+
 def table_from_config(cfg) -> FiniteTable:
+    if not isinstance(cfg, dict):
+        raise UniverseError(f"a finite table must be an object, got {cfg!r}")
     try:
-        return FiniteTable(
-            name=cfg["name"],
-            elements=tuple(cfg["elements"]),
-            leq=frozenset((a, b) for a, b in cfg["leq"]),
-            sum={a: dict(row) for a, row in cfg["sum"].items()},
-            mul={a: dict(row) for a, row in cfg["mul"].items()},
-            zero=cfg["zero"],
-            one=cfg["one"],
-        )
+        name, elements, leq, sums, muls, zero, one = (
+            cfg[k] for k in ("name", "elements", "leq", "sum", "mul", "zero", "one"))
     except KeyError as exc:
         raise UniverseError(f"finite table misses field {exc}") from None
+    if not _strings([name, zero, one]):
+        raise UniverseError("a finite table's 'name', 'zero' and 'one' must be strings")
+    if not _strings(elements):
+        raise UniverseError(f"table {name}: 'elements' must be a list of strings")
+    if not (isinstance(leq, list) and all(_strings(p) and len(p) == 2 for p in leq)):
+        raise UniverseError(f"table {name}: 'leq' must be a list of [a, b] pairs")
+    for op, rows in (("sum", sums), ("mul", muls)):
+        if not (isinstance(rows, dict) and all(isinstance(row, dict) and _strings(list(row.values()))
+                                               for row in rows.values())):
+            raise UniverseError(f"table {name}: {op!r} must map each element "
+                                "to an object of elements")
+    return FiniteTable(
+        name=name,
+        elements=tuple(elements),
+        leq=frozenset((a, b) for a, b in leq),
+        sum={a: dict(row) for a, row in sums.items()},
+        mul={a: dict(row) for a, row in muls.items()},
+        zero=zero,
+        one=one,
+    )
 
 
 def hom_from_config(cfg, source: Algebra, target: Optional[Algebra]) -> Hom:
@@ -561,6 +547,9 @@ def hom_from_config(cfg, source: Algebra, target: Optional[Algebra]) -> Hom:
             if "target" not in cfg:
                 raise UniverseError("a composed 'map' homomorphism needs a 'target'")
             target = algebra_from_config(cfg["target"])
+        if not isinstance(cfg["map"], dict):
+            raise UniverseError(f"a 'map' homomorphism needs an object of images, "
+                                f"got {cfg['map']!r}")
         mapping = {name: target.parse_payload(str(image))
                    for name, image in cfg["map"].items()}
         missing = set(source.table.elements) - set(mapping)
@@ -576,7 +565,7 @@ def hom_from_config(cfg, source: Algebra, target: Optional[Algebra]) -> Hom:
             return ProjRightHom(source)
         raise UniverseError(f"bad projection {cfg['proj']!r}")
     if "compose" in cfg:
-        first_cfg, second_cfg = cfg["compose"]
+        first_cfg, second_cfg = _two(cfg["compose"], "compose")
         first = hom_from_config(first_cfg, source, None)
         second = hom_from_config(second_cfg, first.target(), target)
         return ComposeHom(first, second)
@@ -588,13 +577,21 @@ class PartialMapConfig(UniverseError):
         super().__init__(f"map homomorphism misses source elements {sorted(missing)}")
 
 
-def universe_from_config(cfg: dict) -> GradeUniverse:
-    if KIND_NAT in cfg.get("kinds", {}) or KIND_TRIVIAL in cfg.get("kinds", {}):
+def universe_from_config(cfg) -> GradeUniverse:
+    if not isinstance(cfg, dict):
+        raise UniverseError(f"a universe config must be an object, got {type(cfg).__name__}")
+    kinds_cfg, edges_cfg = cfg.get("kinds", {}), cfg.get("edges", [])
+    if not isinstance(kinds_cfg, dict):
+        raise UniverseError(f"'kinds' must be an object, got {type(kinds_cfg).__name__}")
+    if not (isinstance(edges_cfg, list)
+            and all(isinstance(e, dict) and _strings([e.get("sub"), e.get("super")])
+                    for e in edges_cfg)):
+        raise UniverseError("'edges' must be a list of objects with string 'sub' and 'super'")
+    if KIND_NAT in kinds_cfg or KIND_TRIVIAL in kinds_cfg:
         raise UniverseError("kinds N and T are implicit and may not be redeclared")
-    kinds = {name: algebra_from_config(spec)
-             for name, spec in cfg.get("kinds", {}).items()}
+    kinds = {name: algebra_from_config(spec) for name, spec in kinds_cfg.items()}
     edges = []
-    for e in cfg.get("edges", []):
+    for e in edges_cfg:
         sub, sup = e["sub"], e["super"]
         if sub not in kinds or sup not in kinds:
             raise UnknownKind(f"edge {sub} -> {sup} mentions an undeclared kind")

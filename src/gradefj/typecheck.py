@@ -321,10 +321,10 @@ def check_method(u: GradeUniverse, table: ClassTable, cls: str, method: str) -> 
     return diags
 
 
-def check_table(u: GradeUniverse, table: ClassTable) -> list[CheckDiag]:
-    """Well-formedness: acyclic inheritance, coherent members, typed bodies."""
+def hierarchy_diags(table: ClassTable) -> list[CheckDiag]:
+    """Inheritance shape: one diagnostic per class whose superclass chain
+    loops (CycleDetected) or reaches an undeclared class (UnknownClass)."""
     diags: list[CheckDiag] = []
-    # inheritance shape first; nothing below is safe on a broken hierarchy
     for name, decl in table.classes.items():
         seen = {name}
         cur = decl.superName
@@ -339,6 +339,13 @@ def check_table(u: GradeUniverse, table: ClassTable) -> list[CheckDiag]:
                 break
             seen.add(cur)
             cur = table.classes[cur].superName
+    return diags
+
+
+def check_table(u: GradeUniverse, table: ClassTable) -> list[CheckDiag]:
+    """Well-formedness: acyclic inheritance, coherent members, typed bodies."""
+    # inheritance shape first; nothing below is safe on a broken hierarchy
+    diags = hierarchy_diags(table)
     if diags:
         return diags
 

@@ -134,7 +134,7 @@ def test_criterion_7_algebra_law_suite(ap_universe):
         if not rep.ok:
             failures.append((name, [str(r) for r in rep.failures()]))
     for name, spec in (("nat", NAT), ("extreal", EXTREAL)):
-        rep = validate_algebra(spec, minimum_samples=1000)
+        rep = validate_algebra(spec)
         if not rep.ok:
             failures.append((name, [str(r) for r in rep.failures()]))
     uni = check_universe_laws(ap_universe)

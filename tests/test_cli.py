@@ -168,6 +168,53 @@ def test_laws_json_deterministic(capsys, corpus_dir):
     assert out1 == out2 and json.loads(out1)
 
 
+def test_laws_validates_each_algebra_once(capsys, corpus_dir, monkeypatch):
+    # user kinds are validated when the universe loads, N and T by laws itself
+    import gradefj.cli
+    import gradefj.hetero
+    from gradefj.grades import validate_algebra
+    calls = []
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return validate_algebra(*args, **kwargs)
+    monkeypatch.setattr(gradefj.hetero, "validate_algebra", counted)
+    monkeypatch.setattr(gradefj.cli, "validate_algebra", counted)
+    code, out, _ = run_cli(capsys, "laws", "--json",
+                           corpus_path(corpus_dir, "affinity_privacy.json"))
+    assert code == 0
+    kinds = {line["scope"] for line in json.loads(out) if line["scope"] != "universe"}
+    assert kinds == {f"kind {k}" for k in ("A", "AP", "N", "P", "PP", "T")}
+    assert len(calls) == len(kinds)
+
+
+_TABLE = {"name": "t", "elements": ["0"], "leq": [["0", "0"]], "sum": {"0": {"0": "0"}},
+          "mul": {"0": {"0": "0"}}, "zero": "0", "one": "0"}
+
+
+@pytest.mark.parametrize("cfg, message", [
+    ([], "a universe config must be an object"),
+    ({"kinds": []}, "'kinds' must be an object"),
+    ({"kinds": {"X": {"table": {**_TABLE, "elements": 5}}}}, "'elements' must be a list"),
+    ({"kinds": {"X": {"builtin": "boolean"}}, "edges": "x"}, "'edges' must be a list"),
+    ({"kinds": {"X": {"table": []}}}, "a finite table must be an object"),
+    ({"kinds": {"X": {"table": {**_TABLE, "sum": {"0": 1}}}}}, "'sum' must map each element"),
+    ({"kinds": {"X": {"product": 3}}}, "'product' must be a list of two specs"),
+])
+@pytest.mark.parametrize("command", ["check", "run", "laws"])
+def test_malformed_universe_config_is_bad_input(capsys, tmp_path, corpus_dir, cfg, message,
+                                                command):
+    path = tmp_path / "u.json"
+    path.write_text(json.dumps(cfg))
+    if command == "laws":
+        argv = ["laws", str(path)]
+    else:
+        argv = [command, corpus_path(corpus_dir, "two_blocks_nat.gfj"), "--universe", str(path)]
+    code, out, err = run_cli(capsys, *argv)
+    assert code == 2
+    assert out == "" and message in err
+
+
 # ---------------------------------------------------------------------------
 # malformed programs end in a documented exit code, never a traceback
 
@@ -209,6 +256,20 @@ def test_run_unchecked_reports_unannotatable_input(capsys, tmp_path, src, messag
     code, out, err = run_cli(capsys, "run", "--unchecked", str(path))
     assert code == 2
     assert out == "" and "[annotate]" in err and message in err
+
+
+@pytest.mark.parametrize("src", [
+    "class X extends Y { } class Y extends X { }\nrun new X() at 1\n",
+    "class A { } class X extends Y { A[1] f; } class Y extends X { }\n"
+    "run new X(new A()).f at 1\n",
+])
+@pytest.mark.parametrize("mode", ["--unchecked", "--standard"])
+def test_run_without_checker_refuses_inheritance_cycle(capsys, tmp_path, src, mode):
+    path = tmp_path / "prog.gfj"
+    path.write_text(src)
+    code, out, err = run_cli(capsys, "run", mode, str(path))
+    assert code == 2
+    assert out == "" and "[table] inheritance cycle through X" in err
 
 
 def test_importing_cli_loads_every_module():

@@ -208,6 +208,20 @@ def test_validate_hom_pp_to_p():
     assert validate_hom(pp_to_p()).ok
 
 
+def test_validate_hom_reports_partial_maps():
+    # undefined on a unit: hom-total ends the report
+    no_one = FiniteMapHom(AFFINITY, AFFINITY, {"0": AFF("0"), "w": AFF("w")})
+    assert [(r.law, r.ok) for r in validate_hom(no_one).results] == [
+        ("hom-zero", True), ("hom-total", False)]
+    # undefined elsewhere: each law that meets the gap fails with the error
+    no_w = FiniteMapHom(AFFINITY, AFFINITY, {"0": AFF("0"), "1": AFF("1")})
+    report = validate_hom(no_w)
+    assert [(r.law, r.ok) for r in report.results] == [
+        ("hom-zero", True), ("hom-one", True), ("hom-add", False), ("hom-mul", False),
+        ("hom-monotone", False)]
+    assert report.results[2].witness == ("map has no image for element 'w'",)
+
+
 @pytest.mark.parametrize("spec", [AFFINITY, BOOLEAN, PRIVACY, PPRIVACY,
                                   ProductAlgebra(AFFINITY, PRIVACY),
                                   ExtendAlgebra(AFFINITY)])
