@@ -47,11 +47,10 @@ from .typecheck import (
     CheckDiag,
     CheckError,
     TypingResult,
+    annotate_program,
     check,
     check_configuration,
-    check_program,
-    check_table,
-    elaborate_table,
+    elaborate_program,
 )
 from .runtime import Enumerate, GradedConfig, Minimal, graded_run, graded_step, std_run
 from .props import check_entry, load_corpus, theorem_suite

@@ -11,19 +11,11 @@ import argparse
 import json
 import sys
 
-from .hetero import GradeUniverse, UniverseError, check_universe_laws, default_universe, load_universe
+from .hetero import GradeUniverse, check_universe_laws, default_universe, load_universe
 from .grades import GradeError, LawReport, validate_algebra
 from .runtime import Enumerate, GradedConfig, Minimal, StdConfig, graded_run, std_run
 from .syntax import Program, SyntaxErrorGFJ, erase, erase_table, format_expr, parse_program
-from .typecheck import (
-    CheckError,
-    annotate_expr,
-    annotate_table,
-    check_program,
-    check_table,
-    elaborate_table,
-    hierarchy_diags,
-)
+from .typecheck import annotate_program, cycle_diags, elaborate_program
 
 EXIT_OK = 0
 EXIT_REJECTED = 1
@@ -32,39 +24,28 @@ EXIT_IO = 3
 EXIT_STUCK = 4
 
 
-def _load_universe(path: str | None) -> GradeUniverse:
-    if path is None:
-        return default_universe()
-    return load_universe(path)
-
-
-def _read(path: str) -> str:
-    with open(path, "r", encoding="utf-8") as fh:
-        return fh.read()
-
-
-def cmd_check(args) -> int:
+def _read_program(args) -> tuple[GradeUniverse, Program] | int:
+    """The universe and the parsed program of ``check``/``run``, or the exit
+    code of the error, already reported, that stopped reading them."""
     try:
-        text = _read(args.file)
-    except OSError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_IO
-    try:
-        universe = _load_universe(args.universe)
+        with open(args.file, "r", encoding="utf-8") as fh:
+            text = fh.read()
+        universe = default_universe() if args.universe is None else load_universe(args.universe)
         program = parse_program(text, universe)
     except OSError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_IO
-    except (SyntaxErrorGFJ, UniverseError, GradeError, json.JSONDecodeError,
-            KeyError, ValueError) as exc:
+    except (SyntaxErrorGFJ, GradeError, KeyError, ValueError) as exc:
         print(f"{args.file}: {exc}", file=sys.stderr)
         return EXIT_BAD_INPUT
-    diags = check_table(universe, program.table)
-    if not diags:
-        try:
-            check_program(universe, program.table, program)
-        except CheckError as exc:
-            diags = [exc.diag]
+    return universe, program
+
+
+def cmd_check(args) -> int:
+    read = _read_program(args)
+    if isinstance(read, int):
+        return read
+    diags, _ = elaborate_program(*read)
     if args.json:
         print(json.dumps([d.to_json() for d in diags], sort_keys=True))
     else:
@@ -74,56 +55,27 @@ def cmd_check(args) -> int:
 
 
 def cmd_run(args) -> int:
-    try:
-        text = _read(args.file)
-    except OSError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_IO
-    try:
-        universe = _load_universe(args.universe)
-        program = parse_program(text, universe)
-    except OSError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_IO
-    except (SyntaxErrorGFJ, UniverseError, GradeError, json.JSONDecodeError,
-            KeyError, ValueError) as exc:
-        print(f"{args.file}: {exc}", file=sys.stderr)
-        return EXIT_BAD_INPUT
-
-    if args.standard or args.unchecked:
-        # both skip check_table, but member lookup never ends on a cyclic hierarchy
-        cycles = [d for d in hierarchy_diags(program.table) if d.kind == "CycleDetected"]
-        for d in cycles:
-            print(d.render(args.file), file=sys.stderr)
-        if cycles:
-            return EXIT_BAD_INPUT
+    read = _read_program(args)
+    if isinstance(read, int):
+        return read
+    universe, program = read
+    # the unchecked modes still refuse an inheritance cycle: lookups would not end
+    if args.standard:
+        diags = cycle_diags(program.table)
+    elif args.unchecked:
+        diags, ready = annotate_program(universe, program)
+    else:
+        diags, ready = elaborate_program(universe, program)
+    for d in diags:
+        print(d.render(args.file), file=sys.stderr)
+    if diags:
+        return EXIT_BAD_INPUT if args.standard or args.unchecked else EXIT_REJECTED
     if args.standard:
         return _run_standard(args, program)
 
-    if args.unchecked:
-        try:
-            ann = annotate_table(universe, program.table)
-            main = annotate_expr(universe, program.table, {}, program.main)
-        except CheckError as exc:
-            print(exc.diag.render(args.file), file=sys.stderr)
-            return EXIT_BAD_INPUT
-    else:
-        diags = check_table(universe, program.table)
-        if not diags:
-            try:
-                result = check_program(universe, program.table, program)
-            except CheckError as exc:
-                diags = [exc.diag]
-        if diags:
-            for d in diags:
-                print(d.render(args.file), file=sys.stderr)
-            return EXIT_REJECTED
-        ann = elaborate_table(universe, program.table)
-        main = result.elaborated
-
     policy = Enumerate() if args.policy == "search" else Minimal()
-    run = graded_run(universe, ann, GradedConfig.make(main, {}), program.mainGrade,
-                     policy, args.fuel, want_trace=args.trace)
+    run = graded_run(universe, ready.table, GradedConfig.make(ready.main, {}),
+                     program.mainGrade, policy, args.fuel, want_trace=args.trace)
 
     payload = {
         "outcome": run.outcome,
@@ -182,7 +134,7 @@ def cmd_laws(args) -> int:
     except OSError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_IO
-    except (UniverseError, GradeError, json.JSONDecodeError, KeyError, ValueError) as exc:
+    except (GradeError, KeyError, ValueError) as exc:
         print(f"{args.universe_file}: {exc}", file=sys.stderr)
         return EXIT_BAD_INPUT
 

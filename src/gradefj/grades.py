@@ -37,6 +37,23 @@ class AmbiguousResidual(GradeError):
         self.candidates = candidates
 
 
+def maximal_residuals(alg: Algebra, available: GradeValue,
+                      demand: GradeValue) -> list[GradeValue]:
+    """Every maximal residual: none, the canonical one, or the incomparable
+    candidates of an ambiguous query."""
+    try:
+        r = alg.residual(available, demand)
+    except AmbiguousResidual as exc:
+        return list(exc.candidates)
+    return [] if r is None else [r]
+
+
+def _the_residual(maximal: list[GradeValue]) -> Optional[GradeValue]:
+    if len(maximal) > 1:
+        raise AmbiguousResidual(maximal)
+    return maximal[0] if maximal else None
+
+
 # ---------------------------------------------------------------------------
 # Values
 
@@ -374,13 +391,8 @@ class FiniteAlgebra(Algebra):
         self.check_value(available), self.check_value(demand)
         valid = [s for s in self.elements()
                  if self.leq(self.add(demand, s), available)]
-        maximal = [s for s in valid
-                   if not any(t != s and self.leq(s, t) for t in valid)]
-        if not maximal:
-            return None
-        if len(maximal) > 1:
-            raise AmbiguousResidual(maximal)
-        return maximal[0]
+        return _the_residual([s for s in valid
+                              if not any(t != s and self.leq(s, t) for t in valid)])
 
     def describe(self):
         return f"table:{self.table.name}"
@@ -431,11 +443,11 @@ class ProductAlgebra(Algebra):
 
     def residual(self, available, demand):
         self.check_value(available), self.check_value(demand)
-        rl = self.left.residual(available.left, demand.left)
-        rr = self.right.residual(available.right, demand.right)
-        if rl is None or rr is None:
-            return None
-        return PairValue(rl, rr)
+        # componentwise order and sum: the maximal residuals are the pairs
+        # of maximal component residuals
+        return _the_residual([PairValue(l, r) for l, r in iproduct(
+            maximal_residuals(self.left, available.left, demand.left),
+            maximal_residuals(self.right, available.right, demand.right))])
 
     def describe(self):
         return f"product({self.left.describe()},{self.right.describe()})"
@@ -515,8 +527,8 @@ class ExtendAlgebra(Algebra):
             return ExtInf()
         if isinstance(demand, ExtInf):
             return None
-        r = self.inner.residual(available.inner, demand.inner)
-        return None if r is None else ExtFin(r)
+        return _the_residual([ExtFin(r) for r in maximal_residuals(
+            self.inner, available.inner, demand.inner)])
 
     def describe(self):
         return f"extend({self.inner.describe()})"

@@ -51,6 +51,9 @@ from .grades import (
 KIND_NAT = "N"
 KIND_TRIVIAL = "T"
 NAT_PREFIX = 11  # naturals 0..10 stand for kind N in the kinded pool
+# Universe files are refused past these bounds, before any law check runs:
+MAX_SPEC_DEPTH = 8  # nesting of algebra and homomorphism specs
+MAX_CARRIER = 16    # elements of a finite kind (its law check is cubic in them)
 
 
 class UniverseError(GradeError):
@@ -478,7 +481,27 @@ _BUILTINS = {"nat": NAT, "trivial": TRIVIAL, "affinity": AFFINITY,
              "boolean": BOOLEAN, "extreal": EXTREAL}
 
 
-def algebra_from_config(cfg) -> Algebra:
+def _nested(depth: int) -> int:
+    """The depth of a spec inside one at ``depth``, within MAX_SPEC_DEPTH."""
+    if depth >= MAX_SPEC_DEPTH:
+        raise UniverseError(f"algebra and homomorphism specs nest more than "
+                            f"{MAX_SPEC_DEPTH} deep")
+    return depth + 1
+
+
+def _carrier_size(alg: Algebra) -> Optional[int]:
+    """Size of a finite carrier without listing it; None when infinite."""
+    if isinstance(alg, ProductAlgebra):
+        left, right = _carrier_size(alg.left), _carrier_size(alg.right)
+        return None if left is None or right is None else left * right
+    if isinstance(alg, ExtendAlgebra):
+        inner = _carrier_size(alg.inner)
+        return None if inner is None else inner + 1
+    elements = alg.elements()
+    return None if elements is None else len(elements)
+
+
+def algebra_from_config(cfg, depth: int) -> Algebra:
     if not isinstance(cfg, dict):
         raise UniverseError(f"bad algebra spec: {cfg!r}")
     if "builtin" in cfg:
@@ -490,9 +513,10 @@ def algebra_from_config(cfg) -> Algebra:
         return FiniteAlgebra(table_from_config(cfg["table"]))
     if "product" in cfg:
         left, right = _two(cfg["product"], "product")
-        return ProductAlgebra(algebra_from_config(left), algebra_from_config(right))
+        return ProductAlgebra(algebra_from_config(left, _nested(depth)),
+                              algebra_from_config(right, _nested(depth)))
     if "extend" in cfg:
-        return ExtendAlgebra(algebra_from_config(cfg["extend"]))
+        return ExtendAlgebra(algebra_from_config(cfg["extend"], _nested(depth)))
     raise UniverseError(f"bad algebra spec: {cfg!r}")
 
 
@@ -536,7 +560,7 @@ def table_from_config(cfg) -> FiniteTable:
     )
 
 
-def hom_from_config(cfg, source: Algebra, target: Optional[Algebra]) -> Hom:
+def hom_from_config(cfg, source: Algebra, target: Optional[Algebra], depth: int) -> Hom:
     if not isinstance(cfg, dict):
         raise UniverseError(f"bad hom spec: {cfg!r}")
     if "map" in cfg:
@@ -546,7 +570,7 @@ def hom_from_config(cfg, source: Algebra, target: Optional[Algebra]) -> Hom:
             # a map inside a composition must state its own target algebra
             if "target" not in cfg:
                 raise UniverseError("a composed 'map' homomorphism needs a 'target'")
-            target = algebra_from_config(cfg["target"])
+            target = algebra_from_config(cfg["target"], _nested(depth))
         if not isinstance(cfg["map"], dict):
             raise UniverseError(f"a 'map' homomorphism needs an object of images, "
                                 f"got {cfg['map']!r}")
@@ -566,8 +590,8 @@ def hom_from_config(cfg, source: Algebra, target: Optional[Algebra]) -> Hom:
         raise UniverseError(f"bad projection {cfg['proj']!r}")
     if "compose" in cfg:
         first_cfg, second_cfg = _two(cfg["compose"], "compose")
-        first = hom_from_config(first_cfg, source, None)
-        second = hom_from_config(second_cfg, first.target(), target)
+        first = hom_from_config(first_cfg, source, None, _nested(depth))
+        second = hom_from_config(second_cfg, first.target(), target, _nested(depth))
         return ComposeHom(first, second)
     raise UniverseError(f"bad hom spec: {cfg!r}")
 
@@ -589,16 +613,25 @@ def universe_from_config(cfg) -> GradeUniverse:
         raise UniverseError("'edges' must be a list of objects with string 'sub' and 'super'")
     if KIND_NAT in kinds_cfg or KIND_TRIVIAL in kinds_cfg:
         raise UniverseError("kinds N and T are implicit and may not be redeclared")
-    kinds = {name: algebra_from_config(spec) for name, spec in kinds_cfg.items()}
+    kinds = {name: algebra_from_config(spec, 1) for name, spec in kinds_cfg.items()}
+    for name, alg in kinds.items():
+        size = _carrier_size(alg)
+        if size is not None and size > MAX_CARRIER:
+            raise UniverseError(f"kind {name} has {size} elements, more than {MAX_CARRIER}")
     edges = []
     for e in edges_cfg:
         sub, sup = e["sub"], e["super"]
         if sub not in kinds or sup not in kinds:
             raise UnknownKind(f"edge {sub} -> {sup} mentions an undeclared kind")
-        edges.append(RefinementEdge(sub, sup, hom_from_config(e["hom"], kinds[sub], kinds[sup])))
+        edges.append(RefinementEdge(sub, sup,
+                                    hom_from_config(e["hom"], kinds[sub], kinds[sup], 1)))
     return validate_universe(kinds, edges)
 
 
 def load_universe(path: str) -> GradeUniverse:
     with open(path, "r", encoding="utf-8") as fh:
-        return universe_from_config(json.load(fh))
+        try:
+            cfg = json.load(fh)
+        except RecursionError:
+            raise UniverseError("the universe file nests too deeply to read") from None
+    return universe_from_config(cfg)

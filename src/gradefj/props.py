@@ -40,14 +40,11 @@ from .syntax import (
     parse_program,
 )
 from .typecheck import (
+    Annotated,
     CheckError,
-    annotate_expr,
-    annotate_table,
+    annotate_program,
     check_configuration,
-    check_program,
-    check_table,
-    elaborate_table,
-    infer_class,
+    elaborate_program,
 )
 
 
@@ -221,19 +218,9 @@ def check_entry(entry: CorpusEntry) -> EntryOutcome:
     failures: list[str] = []
     u, program = entry.universe, entry.program
     expect = entry.manifest["expect"]
-    diags = check_table(u, program.table)
-    verdict = "accept"
+    diags, checked = elaborate_program(u, program)
+    verdict = "reject" if diags else "accept"
     messages = [f"[{d.rule}] {d.kind}: {d.msg}" for d in diags]
-    elaborated = None
-    if diags:
-        verdict = "reject"
-    else:
-        try:
-            result = check_program(u, program.table, program)
-            elaborated = result.elaborated
-        except CheckError as exc:
-            verdict = "reject"
-            messages = [f"[{exc.diag.rule}] {exc.diag.kind}: {exc.diag.msg}"]
     if verdict != expect:
         failures.append(f"expected {expect}, checker said {verdict}: {messages}")
         return EntryOutcome(entry.name, failures)
@@ -243,20 +230,21 @@ def check_entry(entry: CorpusEntry) -> EntryOutcome:
 
     if verdict == "accept" and "run" in entry.manifest:
         want = entry.manifest["run"]
-        ann = elaborate_table(u, program.table)
-        cfg = GradedConfig.make(elaborated, {})
-        run = graded_run(u, ann, cfg, program.mainGrade,
-                         fuel=entry.manifest.get("fuel", 100_000))
-        failures.extend(_compare_run(run, want))
+        failures.extend(_compare_run(_run(entry, checked), want))
 
     if "uncheckedRun" in entry.manifest:
         want = entry.manifest["uncheckedRun"]
-        ann = annotate_table(u, program.table)
-        cfg = GradedConfig.make(annotate_expr(u, program.table, {}, program.main), {})
-        run = graded_run(u, ann, cfg, program.mainGrade,
-                         fuel=entry.manifest.get("fuel", 100_000))
-        failures.extend(_compare_run(run, want))
+        diags, annotated = annotate_program(u, program)
+        if diags:
+            failures.append(f"unchecked run refused: {[d.msg for d in diags]}")
+        else:
+            failures.extend(_compare_run(_run(entry, annotated), want))
     return EntryOutcome(entry.name, failures)
+
+
+def _run(entry: CorpusEntry, ready: Annotated) -> RunResult:
+    return graded_run(entry.universe, ready.table, GradedConfig.make(ready.main, {}),
+                      entry.program.mainGrade, fuel=entry.manifest.get("fuel", 100_000))
 
 
 def _compare_run(run: RunResult, want: dict) -> list[str]:
@@ -283,16 +271,11 @@ def theorem_suite(entry: CorpusEntry, fuel: int = 10_000,
     failures: list[str] = []
     u, program = entry.universe, entry.program
     fuel = entry.manifest.get("fuel", fuel)
-    if check_table(u, program.table):
+    diags, checked = elaborate_program(u, program)
+    if diags:
         return EntryOutcome(entry.name, [])  # rejected entries have nothing to run
-    try:
-        result = check_program(u, program.table, program)
-    except CheckError:
-        return EntryOutcome(entry.name, [])
-    ann = elaborate_table(u, program.table)
-    main_cls = infer_class(program.table, {}, program.main)
-    expected = GradedType(main_cls, program.mainGrade)
-    cfg = GradedConfig.make(result.elaborated, {})
+    ann, expected = checked.table, checked.type
+    cfg = GradedConfig.make(checked.main, {})
 
     run = graded_run(u, ann, cfg, program.mainGrade, Minimal(), fuel, want_trace=True)
     if run.outcome == "stuck":

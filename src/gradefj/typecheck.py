@@ -296,29 +296,30 @@ def _method_env(cls: str, decl: MethodDecl) -> TypeEnv:
     return env
 
 
-def check_method(u: GradeUniverse, table: ClassTable, cls: str, method: str) -> list[CheckDiag]:
-    """Body conformance: params and this at their declared grades."""
+def check_method(u: GradeUniverse, table: ClassTable, cls: str,
+                 method: str) -> tuple[list[CheckDiag], Expr]:
+    """Body conformance: params and this at their declared grades.  Returns
+    the diagnostics and the elaborated body (the source body on failure)."""
     decl = table.decl(cls).methods[method]
     declared: CoeffectCtx = {"this": (cls, decl.thisGrade)}
     for p in decl.params:
         declared[p.name] = (p.className, p.grade)
-    diags: list[CheckDiag] = []
     try:
         _no_ascription(decl.body, "t-meth")
         result = check(u, table, _method_env(cls, decl), decl.body, decl.returnType)
     except CheckError as exc:
         return [CheckDiag("t-meth", exc.diag.kind,
                           f"in {cls}.{method}: {exc.diag.msg}",
-                          exc.diag.pos if exc.diag.pos != (0, 0) else decl.pos)]
-    if not ctx_leq(u, result.ctx, declared):
-        for x, (_, g) in result.ctx.items():
-            if x not in declared or not u.leq(g, declared[x][1]):
-                have = declared.get(x, (None, None))[1]
-                diags.append(CheckDiag(
-                    "t-meth", "GradeTooDemanding",
-                    f"in {cls}.{method}: {x!r} is used at grade {g}, declared {have}",
-                    decl.pos))
-    return diags
+                          exc.diag.pos if exc.diag.pos != (0, 0) else decl.pos)], decl.body
+    diags = []
+    for x, (_, g) in result.ctx.items():
+        if x not in declared or not u.leq(g, declared[x][1]):
+            have = declared.get(x, (None, None))[1]
+            diags.append(CheckDiag(
+                "t-meth", "GradeTooDemanding",
+                f"in {cls}.{method}: {x!r} is used at grade {g}, declared {have}",
+                decl.pos))
+    return diags, result.elaborated
 
 
 def hierarchy_diags(table: ClassTable) -> list[CheckDiag]:
@@ -342,8 +343,13 @@ def hierarchy_diags(table: ClassTable) -> list[CheckDiag]:
     return diags
 
 
+def cycle_diags(table: ClassTable) -> list[CheckDiag]:
+    """The inheritance cycles, on which member lookup would never end."""
+    return [d for d in hierarchy_diags(table) if d.kind == "CycleDetected"]
+
+
 def check_table(u: GradeUniverse, table: ClassTable) -> list[CheckDiag]:
-    """Well-formedness: acyclic inheritance, coherent members, typed bodies."""
+    """Well-formed declarations: acyclic inheritance, known classes, coherence."""
     # inheritance shape first; nothing below is safe on a broken hierarchy
     diags = hierarchy_diags(table)
     if diags:
@@ -391,26 +397,53 @@ def check_table(u: GradeUniverse, table: ClassTable) -> list[CheckDiag]:
                             f"{name}.{mname} overrides {sup}.{mname} with return type "
                             f"{m.returnType}, not a subtype of {sm.returnType}", m.pos))
                 sup = sup_decl.superName
-
-    if diags:
-        return diags
-    for name, decl in table.classes.items():
-        for mname in decl.methods:
-            diags.extend(check_method(u, table, name, mname))
     return diags
 
 
-def elaborate_table(u: GradeUniverse, table: ClassTable) -> ClassTable:
-    """The table with every method body elaborated (raises on a bad body)."""
-    return table.with_bodies(lambda cls, md: check(u, table, _method_env(cls, md), md.body,
-                                                   md.returnType).elaborated)
+def elaborate_table(u: GradeUniverse, table: ClassTable) -> tuple[list[CheckDiag], ClassTable]:
+    """Type every method body once: the diagnostics, and the table with
+    every body elaborated (meaningful only when there are none)."""
+    done = {(c, m): check_method(u, table, c, m)
+            for c, decl in table.classes.items() for m in decl.methods}
+    return ([d for found, _ in done.values() for d in found],
+            table.with_bodies(lambda cls, md: done[cls, md.name][1]))
 
 
-def check_program(u: GradeUniverse, table: ClassTable, program: Program) -> TypingResult:
+def check_program(u: GradeUniverse, program: Program) -> tuple[TypingResult, GradedType]:
     """Check the closed main expression at its declared reduction grade."""
     _no_ascription(program.main, "t-conf")
-    main_cls = infer_class(table, {}, program.main)
-    return check(u, table, {}, program.main, GradedType(main_cls, program.mainGrade))
+    expected = GradedType(infer_class(program.table, {}, program.main), program.mainGrade)
+    return check(u, program.table, {}, program.main, expected), expected
+
+
+@dataclass(frozen=True)
+class Annotated:
+    """A program ready to run: its table and main with every slot filled."""
+    table: ClassTable
+    main: Expr
+
+
+@dataclass(frozen=True)
+class Elaborated(Annotated):
+    """An accepted program, with the context its main needs and its type."""
+    ctx: CoeffectCtx
+    type: GradedType
+
+
+def elaborate_program(u: GradeUniverse,
+                      program: Program) -> tuple[list[CheckDiag], Elaborated | None]:
+    """The checked pipeline: declarations, each body typed once, then the main;
+    the diagnostics of the first failing stage, or none and the elaboration."""
+    diags = check_table(u, program.table)
+    if not diags:
+        diags, table = elaborate_table(u, program.table)
+    if diags:
+        return diags, None
+    try:
+        result, expected = check_program(u, program)
+    except CheckError as exc:
+        return [exc.diag], None
+    return [], Elaborated(table, result.elaborated, result.ctx, expected)
 
 
 def check_configuration(u: GradeUniverse, table: ClassTable, e: Expr,
@@ -496,3 +529,16 @@ def annotate_expr(u: GradeUniverse, table: ClassTable, env: TypeEnv, e: Expr) ->
 def annotate_table(u: GradeUniverse, table: ClassTable) -> ClassTable:
     return table.with_bodies(lambda cls, md: annotate_expr(u, table, _method_env(cls, md),
                                                            md.body))
+
+
+def annotate_program(u: GradeUniverse,
+                     program: Program) -> tuple[list[CheckDiag], Annotated | None]:
+    """The unchecked pipeline: refuse inheritance cycles, then fill every slot."""
+    diags = cycle_diags(program.table)
+    if diags:
+        return diags, None
+    try:
+        return [], Annotated(annotate_table(u, program.table),
+                             annotate_expr(u, program.table, {}, program.main))
+    except CheckError as exc:
+        return [exc.diag], None

@@ -27,9 +27,7 @@ from gradefj.grades import (
 )
 from gradefj.hetero import KindedGrade, check_universe_laws
 from gradefj.props import check_entry, theorem_suite
-from gradefj.runtime import GradedConfig, Minimal, graded_run
-from gradefj.syntax import GradedType
-from gradefj.typecheck import check_program, elaborate_table, infer_class
+from gradefj.typecheck import elaborate_program
 
 
 def report(criterion, ok, detail=""):
@@ -162,25 +160,23 @@ def test_criterion_8_theorem_suite(corpus):
 
 def test_criterion_9_roundtrip(corpus):
     from gradefj.syntax import erase
-    from gradefj.typecheck import check, check_table
+    from gradefj.typecheck import check
     failures = []
     checked = 0
     for entry in corpus:
         if entry.manifest["expect"] != "accept":
             continue
         u, program = entry.universe, entry.program
-        if check_table(u, program.table):
-            failures.append((entry.name, "table rejected"))
+        diags, result = elaborate_program(u, program)
+        if diags:
+            failures.append((entry.name, "rejected"))
             continue
-        result = check_program(u, program.table, program)
-        expected = GradedType(infer_class(program.table, {}, program.main),
-                              program.mainGrade)
-        again = check(u, program.table, {}, result.elaborated, expected)
+        again = check(u, program.table, {}, result.main, result.type)
         if again.ctx != result.ctx:
             failures.append((entry.name, "contexts differ"))
-        if again.elaborated != result.elaborated:
+        if again.elaborated != result.main:
             failures.append((entry.name, "elaboration is not idempotent"))
-        if erase(result.elaborated) != erase(program.main):
+        if erase(result.main) != erase(program.main):
             failures.append((entry.name, "erasure is not the source"))
         checked += 1
     ok = not failures and checked > 0

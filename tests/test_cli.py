@@ -54,6 +54,15 @@ def test_check_parse_error(capsys, tmp_path):
     assert code == 2
 
 
+@pytest.mark.parametrize("command", ["check", "run"])
+def test_non_utf8_program_is_bad_input(capsys, tmp_path, command):
+    bad = tmp_path / "bad.gfj"
+    bad.write_bytes(b"class A { }\nrun new A() at 1 \xff\n")
+    code, out, err = run_cli(capsys, command, str(bad))
+    assert code == 2
+    assert out == "" and "can't decode" in err
+
+
 def test_check_malformed_universe(capsys, tmp_path, corpus_dir):
     # a universe with two paths between the same kinds is refused
     ap_universe = json.loads((corpus_dir / "affinity_privacy.json").read_text())
@@ -188,6 +197,34 @@ def test_laws_validates_each_algebra_once(capsys, corpus_dir, monkeypatch):
     assert len(calls) == len(kinds)
 
 
+@pytest.mark.parametrize("how", ["check", "run", "check_entry", "theorem_suite"])
+def test_each_method_body_is_typed_once(capsys, corpus_dir, corpus_by_name, monkeypatch, how):
+    # the checked pipeline keeps the elaboration of its one pass over each body
+    import gradefj.typecheck
+    from gradefj.props import check_entry, theorem_suite
+    check, parse = gradefj.typecheck.check, gradefj.cli.parse_program
+    bodies, typed = [], []
+
+    def note(program):
+        bodies.extend((md.body, f"{c}.{m}") for c, decl in program.table.classes.items()
+                      for m, md in decl.methods.items())
+        return program
+
+    def counted(u, table, env, e, expected):
+        typed.extend(name for body, name in bodies if e is body)
+        return check(u, table, env, e, expected)
+    monkeypatch.setattr(gradefj.typecheck, "check", counted)
+    monkeypatch.setattr(gradefj.cli, "parse_program", lambda *args: note(parse(*args)))
+    if how in ("check", "run"):
+        code, _, _ = run_cli(capsys, how, corpus_path(corpus_dir, "invk_method.gfj"))
+        assert code == 0
+    else:
+        entry = corpus_by_name["invk_method"]
+        note(entry.program)
+        assert {"check_entry": check_entry, "theorem_suite": theorem_suite}[how](entry).ok
+    assert sorted(typed) == ["Box.get", "Box.wrap"]
+
+
 _TABLE = {"name": "t", "elements": ["0"], "leq": [["0", "0"]], "sum": {"0": {"0": "0"}},
           "mul": {"0": {"0": "0"}}, "zero": "0", "one": "0"}
 
@@ -213,6 +250,62 @@ def test_malformed_universe_config_is_bad_input(capsys, tmp_path, corpus_dir, cf
     code, out, err = run_cli(capsys, *argv)
     assert code == 2
     assert out == "" and message in err
+
+
+def _nested_extend(depth, leaf):
+    return '{"kinds": {"X": ' + '{"extend": ' * depth + leaf + "}" * depth + "}}"
+
+
+def _nested_compose(depth):
+    hom = '{"proj": "left"}'
+    for _ in range(depth):
+        hom = '{"compose": [' + hom + ', {"proj": "left"}]}'
+    return ('{"kinds": {"X": {"builtin": "boolean"}, "Y": {"builtin": "boolean"}}, '
+            '"edges": [{"sub": "X", "super": "Y", "hom": ' + hom + "}]}")
+
+
+@pytest.mark.parametrize("text, message", [
+    (_nested_extend(3000, '{"builtin": "nat"}'), "nests too deeply to read"),
+    # the JSON reader's own nesting bound may come first, depending on the stack
+    (_nested_extend(980, '{"builtin": "nat"}'), "nest"),
+    (_nested_extend(300, '{"builtin": "boolean"}'), "nest more than 8 deep"),
+    (_nested_extend(8, '{"builtin": "nat"}'), "nest more than 8 deep"),
+    (_nested_compose(8), "nest more than 8 deep"),
+    (json.dumps({"kinds": {"X": {"product": [{"builtin": "affinity"}, {"product": [
+        {"builtin": "boolean"}, {"extend": {"builtin": "boolean"}}]}]}}}),
+     "kind X has 18 elements, more than 16"),
+], ids=["extend-3000", "extend-980-nat", "extend-300-boolean", "extend-8", "compose-8",
+        "carrier-18"])
+@pytest.mark.parametrize("command", ["check", "laws"])
+def test_universe_over_the_limits_is_refused_quickly(capsys, tmp_path, corpus_dir, text,
+                                                     message, command):
+    import time
+    path = tmp_path / "u.json"
+    path.write_text(text)
+    argv = (["laws", str(path)] if command == "laws" else
+            ["check", corpus_path(corpus_dir, "two_blocks_nat.gfj"), "--universe", str(path)])
+    started = time.perf_counter()
+    code, out, err = run_cli(capsys, *argv)
+    assert time.perf_counter() - started < 1.0
+    assert code == 2
+    assert out == "" and message in err
+
+
+def test_run_ambiguous_product_residual(capsys, tmp_path):
+    # burning (1,1) out of (a,3) leaves (x,2) or (y,2); the minimal run keeps
+    # the first, a value of the product kind
+    from conftest import ambiguous_algebra
+    t = ambiguous_algebra().table
+    amb = {"name": t.name, "elements": list(t.elements), "leq": sorted(map(list, t.leq)),
+           "sum": t.sum, "mul": t.mul, "zero": t.zero, "one": t.one}
+    universe = tmp_path / "u.json"
+    universe.write_text(json.dumps({"kinds": {"Q": {"product": [{"table": amb},
+                                                                {"builtin": "nat"}]}}}))
+    program = tmp_path / "prog.gfj"
+    program.write_text("class A { } run {A[Q:(a,3)] x = new A(); x} at Q:(1,1)\n")
+    code, out, _ = run_cli(capsys, "run", "--json", str(program), "--universe", str(universe))
+    assert code == 0
+    assert json.loads(out)["env"] == {"x": "Q:(x,2)"}
 
 
 # ---------------------------------------------------------------------------

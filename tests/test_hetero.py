@@ -264,3 +264,24 @@ def test_two_edge_chain_composes():
     got = u.add(KindedGrade("PP", FiniteElem("d", "privacy4")),
                 KindedGrade("B", b("0")))
     assert got == KindedGrade("B", b("1"))
+
+
+def test_residual_candidates_are_grades_of_the_available_kind():
+    # an ambiguous component residual is re-raised with whole product or
+    # extended values, every combination of the component candidates
+    from conftest import ambiguous_algebra
+    from gradefj.grades import ExtendAlgebra, NAT
+    amb = ambiguous_algebra()
+    u = validate_universe({"M": amb, "Q": ProductAlgebra(amb, NAT), "E": ExtendAlgebra(amb),
+                           "MM": ProductAlgebra(amb, amb)}, [], validate_algebras=False)
+    pool = u.sample_pool()
+    for available in pool:
+        for demand in pool:
+            for r in u.residual_candidates(available, demand):
+                u.check_grade(r)
+                assert r.kind == available.kind
+    q = lambda text: u.parse_grade(f"Q:{text}")
+    assert sorted(map(str, u.residual_candidates(q("(a,3)"), q("(1,1)")))) == [
+        "Q:(x,2)", "Q:(y,2)"]
+    mm = u.residual_candidates(u.parse_grade("MM:(a,a)"), u.parse_grade("MM:(1,1)"))
+    assert sorted(map(str, mm)) == ["MM:(x,x)", "MM:(x,y)", "MM:(y,x)", "MM:(y,y)"]

@@ -4,13 +4,7 @@ import pytest
 
 from gradefj.runtime import GradedConfig, Minimal, graded_run
 from gradefj.syntax import GradedType, erase_table, parse_expr, parse_program
-from gradefj.typecheck import (
-    check,
-    check_program,
-    check_table,
-    elaborate_table,
-    infer_class,
-)
+from gradefj.typecheck import check, elaborate_program
 from gradefj.props import (
     assert_progress,
     assert_soundness_may,
@@ -50,11 +44,8 @@ def test_theorem_suite_full_corpus(corpus):
 
 def _setup(entry):
     u, program = entry.universe, entry.program
-    result = check_program(u, program.table, program)
-    ann = elaborate_table(u, program.table)
-    expected = GradedType(infer_class(program.table, {}, program.main),
-                          program.mainGrade)
-    return u, program, ann, result.elaborated, expected
+    _, checked = elaborate_program(u, program)
+    return u, program, checked.table, checked.main, checked.type
 
 
 def test_progress_on_every_two_block_configuration(corpus_by_name):
@@ -110,10 +101,9 @@ def test_subject_reduction_e1_both_ways(corpus_by_name):
 
 def test_subject_reduction_value_only(universe):
     program = parse_program("class A { }\nrun new A() at 1", universe)
-    result = check_program(universe, program.table, program)
-    ann = elaborate_table(universe, program.table)
-    errs = assert_subject_reduction(universe, ann,
-                                    GradedConfig.make(result.elaborated, {}),
+    _, checked = elaborate_program(universe, program)
+    errs = assert_subject_reduction(universe, checked.table,
+                                    GradedConfig.make(checked.main, {}),
                                     GradedType("A", program.mainGrade))
     assert errs == []
 
@@ -150,8 +140,8 @@ def test_renaming_preserves_verdict(corpus_by_name):
     src = entry.path.read_text().replace(" a ", " zz ").replace("(a,", "(zz,")
     src = src.replace(" a,", " zz,").replace(", a)", ", zz)").replace("(a)", "(zz)")
     renamed = parse_program(src, u)
-    assert not check_table(u, renamed.table)
-    check_program(u, renamed.table, renamed)  # must not raise
+    diags, _ = elaborate_program(u, renamed)
+    assert not diags
 
 
 def test_theorem_suite_rejects_fabricated_program(universe):

@@ -31,12 +31,7 @@ from gradefj.runtime import (
     std_run,
     std_step,
 )
-from gradefj.typecheck import (
-    annotate_expr,
-    annotate_table,
-    check_program,
-    elaborate_table,
-)
+from gradefj.typecheck import annotate_program, elaborate_program
 
 N = lambda n: KindedGrade("N", Nat(n))
 PRIV = lambda n: KindedGrade("P", FiniteElem(n, "privacy2"))
@@ -51,16 +46,14 @@ run {A[4] a = new A(); {Pair[2] p = new Pair(a, a); new Pair(p.first, p.second)}
 @pytest.fixture(scope="module")
 def two_block(universe):
     program = parse_program(PAIR_SRC, universe)
-    result = check_program(universe, program.table, program)
-    ann = elaborate_table(universe, program.table)
-    return program, result.elaborated, ann
+    _, checked = elaborate_program(universe, program)
+    return program, checked.main, checked.table
 
 
 def unchecked(universe, src):
     program = parse_program(src, universe)
-    ann = annotate_table(universe, program.table)
-    main = annotate_expr(universe, program.table, {}, program.main)
-    return program, main, ann
+    _, annotated = annotate_program(universe, program)
+    return program, annotated.main, annotated.table
 
 
 # ---------------------------------------------------------------------------
@@ -222,9 +215,8 @@ def test_fuel_exhaustion(universe):
     src = ("class Loop { Loop[N:1] spin() [N:1] { this.spin() } }\n"
            "run new Loop().spin() at N:1\n")
     program = parse_program(src, universe)
-    result = check_program(universe, program.table, program)
-    ann = elaborate_table(universe, program.table)
-    run = graded_run(universe, ann, GradedConfig.make(result.elaborated, {}),
+    _, checked = elaborate_program(universe, program)
+    run = graded_run(universe, checked.table, GradedConfig.make(checked.main, {}),
                      program.mainGrade, fuel=50)
     assert run.outcome == "fuel" and run.steps == 50
 
@@ -307,9 +299,8 @@ def test_extreal_kind_end_to_end():
     src = ("class A { }\nclass Pair { A[R:1/2] first; A[R:1/2] second; }\n"
            "run {A[R:1] a = new A(); new Pair(a, a)} at R:1\n")
     program = parse_program(src, u)
-    result = check_program(u, program.table, program)
-    ann = elaborate_table(u, program.table)
-    run = graded_run(u, ann, GradedConfig.make(result.elaborated, {}),
+    _, checked = elaborate_program(u, program)
+    run = graded_run(u, checked.table, GradedConfig.make(checked.main, {}),
                      program.mainGrade, want_trace=True)
     assert run.outcome == "final"
     # two burns of exactly 1/2 leave exactly the kind-R zero: exact arithmetic
@@ -341,8 +332,8 @@ def test_search_finds_schedule_minimal_misses():
     src = ("class A { }\nclass Pair { A[M:1] first; A[M:1] second; }\n"
            "run {A[M:a] v = new A(); new Pair(v @ M:1, v @ M:y)} at M:1\n")
     program = parse_program(src, u)
-    ann = annotate_table(u, program.table)
-    main = annotate_expr(u, program.table, {}, program.main)
+    _, annotated = annotate_program(u, program)
+    ann, main = annotated.table, annotated.main
     linear = graded_run(u, ann, GradedConfig.make(main, {}), program.mainGrade)
     assert linear.outcome == "stuck"
     found = graded_run(u, ann, GradedConfig.make(main, {}), program.mainGrade,

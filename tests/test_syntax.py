@@ -24,7 +24,7 @@ from gradefj.syntax import (
     parse_program,
     subst,
 )
-from gradefj.typecheck import check_program, check_table
+from gradefj.typecheck import elaborate_program
 
 AFF = lambda n: KindedGrade("A", FiniteElem(n, "affinity"))
 N = lambda n: KindedGrade("N", Nat(n))
@@ -151,18 +151,18 @@ def test_gtype_leq_classes(universe):
 
 def test_erase_structural(universe):
     prog = parse_program(PAIR_SRC, universe)
-    result = check_program(universe, prog.table, prog)
-    assert erase(result.elaborated) == prog.main
+    _, checked = elaborate_program(universe, prog)
+    assert erase(checked.main) == prog.main
 
 
 def test_erase_elaborate_identity_on_corpus(corpus):
     for entry in corpus:
         if entry.manifest["expect"] != "accept":
             continue
-        if check_table(entry.universe, entry.program.table):
+        diags, checked = elaborate_program(entry.universe, entry.program)
+        if diags:
             continue
-        result = check_program(entry.universe, entry.program.table, entry.program)
-        assert erase(result.elaborated) == erase(entry.program.main), entry.name
+        assert erase(checked.main) == erase(entry.program.main), entry.name
 
 
 def test_subst_stops_at_shadow(universe):

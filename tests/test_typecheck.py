@@ -18,12 +18,11 @@ from gradefj.typecheck import (
     check,
     check_configuration,
     check_method,
-    check_program,
     check_table,
     ctx_add,
     ctx_leq,
     ctx_scale,
-    elaborate_table,
+    elaborate_program,
     infer_class,
 )
 from derivation_search import enumerate_contexts
@@ -158,15 +157,13 @@ def test_prop41_roundtrip_on_corpus(corpus):
         if entry.manifest["expect"] != "accept":
             continue
         u, program = entry.universe, entry.program
-        if check_table(u, program.table):
+        diags, checked = elaborate_program(u, program)
+        if diags:
             continue
-        result = check_program(u, program.table, program)
-        main_cls = infer_class(program.table, {}, program.main)
-        expected = GradedType(main_cls, program.mainGrade)
-        again = check(u, program.table, {}, result.elaborated, expected)
-        assert again.ctx == result.ctx, entry.name
-        assert again.elaborated is result.elaborated, entry.name
-        assert erase(result.elaborated) == erase(program.main), entry.name
+        again = check(u, program.table, {}, checked.main, checked.type)
+        assert again.ctx == checked.ctx, entry.name
+        assert again.elaborated is checked.main, entry.name
+        assert erase(checked.main) == erase(program.main), entry.name
 
 
 def test_check_annotated_closed_value(universe, getters_table):
@@ -200,15 +197,15 @@ def test_check_annotated_rejects_bad_invk_annotation(universe, getters_table):
 # methods and tables
 
 def test_check_method_examples(universe, getters_table):
-    assert check_method(universe, getters_table, "Pair", "getFirstAffine") == []
-    assert check_method(universe, getters_table, "Pair", "getFirst") == []
+    assert check_method(universe, getters_table, "Pair", "getFirstAffine")[0] == []
+    assert check_method(universe, getters_table, "Pair", "getFirst")[0] == []
 
 
 def test_check_method_zero_this_fails(universe):
     src = GETTERS.replace("A[A:1] getFirstAffine() [A:1]",
                           "A[A:1] getFirstAffine() [A:0]")
     table = parse_program(src, universe).table
-    diags = check_method(universe, table, "Pair", "getFirstAffine")
+    diags, _ = check_method(universe, table, "Pair", "getFirstAffine")
     assert diags and diags[0].kind == "GradeTooDemanding"
 
 
@@ -243,11 +240,10 @@ def test_check_configuration_initial_and_midtrace(corpus_by_name):
     from gradefj.runtime import GradedConfig, Minimal, graded_run
     entry = corpus_by_name["two_blocks_nat"]
     u, program = entry.universe, entry.program
-    result = check_program(u, program.table, program)
-    ann = elaborate_table(u, program.table)
+    _, checked = elaborate_program(u, program)
     expected = GradedType("Pair", program.mainGrade)
-    check_configuration(u, program.table, result.elaborated, {}, expected)
-    run = graded_run(u, ann, GradedConfig.make(result.elaborated, {}),
+    check_configuration(u, program.table, checked.main, {}, expected)
+    run = graded_run(u, checked.table, GradedConfig.make(checked.main, {}),
                      program.mainGrade, Minimal(), want_trace=True)
     mid = run.trace[4].config  # after four steps: a at 0, p at 2
     env = mid.env_dict()
@@ -290,15 +286,13 @@ def test_canonical_forms_on_corpus(corpus):
         if entry.manifest.get("run", {}).get("outcome") != "final":
             continue
         u, program = entry.universe, entry.program
-        result = check_program(u, program.table, program)
-        ann = elaborate_table(u, program.table)
-        main_cls = infer_class(program.table, {}, program.main)
-        run = graded_run(u, ann, GradedConfig.make(result.elaborated, {}),
+        _, checked = elaborate_program(u, program)
+        run = graded_run(u, checked.table, GradedConfig.make(checked.main, {}),
                          program.mainGrade, Minimal())
         value = run.config.expr
         assert is_value(value)
         assert isinstance(value, New)
-        assert program.table.subclass_of(value.className, main_cls), entry.name
+        assert program.table.subclass_of(value.className, checked.type.className), entry.name
 
 
 # ---------------------------------------------------------------------------
