@@ -5,6 +5,7 @@ import os
 import pathlib
 import subprocess
 import sys
+import time
 
 import pytest
 
@@ -279,7 +280,6 @@ def _nested_compose(depth):
 @pytest.mark.parametrize("command", ["check", "laws"])
 def test_universe_over_the_limits_is_refused_quickly(capsys, tmp_path, corpus_dir, text,
                                                      message, command):
-    import time
     path = tmp_path / "u.json"
     path.write_text(text)
     argv = (["laws", str(path)] if command == "laws" else
