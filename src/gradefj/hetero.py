@@ -50,10 +50,12 @@ from .grades import (
 
 KIND_NAT = "N"
 KIND_TRIVIAL = "T"
-NAT_PREFIX = 11  # naturals 0..10 stand for kind N in the kinded pool
+NAT_PREFIX = 11   # naturals 0..10 stand for kind N in the kinded pool
+POOL_SAMPLES = 8  # values of each other infinite kind in the kinded pool
 # Universe files are refused past these bounds, before any law check runs:
 MAX_SPEC_DEPTH = 8  # nesting of algebra and homomorphism specs
 MAX_CARRIER = 16    # elements of a finite kind (its law check is cubic in them)
+MAX_POOL = 56       # grades in the kinded pool (the universe law check is cubic in it)
 
 
 class UniverseError(GradeError):
@@ -249,7 +251,7 @@ class GradeUniverse:
             else:
                 values = alg.elements()
                 if values is None:
-                    values = alg.sample()[:8]
+                    values = alg.sample()[:POOL_SAMPLES]
             pool.extend(KindedGrade(kind, v) for v in values)
         return pool
 
@@ -614,10 +616,14 @@ def universe_from_config(cfg) -> GradeUniverse:
     if KIND_NAT in kinds_cfg or KIND_TRIVIAL in kinds_cfg:
         raise UniverseError("kinds N and T are implicit and may not be redeclared")
     kinds = {name: algebra_from_config(spec, 1) for name, spec in kinds_cfg.items()}
+    pool = NAT_PREFIX + 1  # the naturals and T's one grade
     for name, alg in kinds.items():
         size = _carrier_size(alg)
         if size is not None and size > MAX_CARRIER:
             raise UniverseError(f"kind {name} has {size} elements, more than {MAX_CARRIER}")
+        pool += POOL_SAMPLES if size is None else size
+    if pool > MAX_POOL:
+        raise UniverseError(f"the kinds make a pool of {pool} grades, more than {MAX_POOL}")
     edges = []
     for e in edges_cfg:
         sub, sup = e["sub"], e["super"]

@@ -5,8 +5,9 @@ configuration whose environment only grew and whose grades only shrank.
 Soundness-may: an accepted program either reaches a well-typed value or
 runs out of fuel; it never sticks.  Subject reduction: the standard run
 of the source program is, step by step, the erasure of the instrumented
-run of its elaboration.  All three are checked over a corpus of programs
-with pinned verdicts and outcomes.
+run of its elaboration.  All three are checked in one walk over the
+recorded trace of each accepted program of a corpus with pinned verdicts
+and outcomes.
 """
 
 from __future__ import annotations
@@ -18,16 +19,16 @@ from typing import Optional
 
 from .hetero import GradeUniverse, KindedGrade, load_universe, default_universe
 from .runtime import (
-    Enumerate,
+    FixedWitness,
     GradedConfig,
     Minimal,
     RunResult,
+    StdConfig,
     StdStuck,
-    TraceEntry,
+    StepInfo,
     erase_config,
     graded_run,
     graded_step,
-    props_step,
     reason_name,
     std_step,
 )
@@ -36,7 +37,6 @@ from .syntax import (
     GradedType,
     Program,
     erase_table,
-    is_value,
     parse_program,
 )
 from .typecheck import (
@@ -51,108 +51,75 @@ from .typecheck import (
 # ---------------------------------------------------------------------------
 # Theorem-level checks
 
-def assert_progress(u: GradeUniverse, ann: ClassTable, cfg: GradedConfig,
-                    expected: GradedType) -> list[str]:
-    """Well-typed non-values must step to a well-typed configuration with
-    a larger domain and pointwise smaller grades on shared variables.
-    ``ann`` is the elaborated table."""
-    try:
-        gamma, _ = check_configuration(u, ann, cfg.expr, cfg.env_dict(), expected)
-    except CheckError as exc:
-        return [f"configuration does not type: {exc.diag.msg}"]
-    if is_value(cfg.expr):
-        return []
-    result = graded_step(u, ann, cfg, expected.grade, Minimal())
-    if result.kind != "step":
-        result = graded_step(u, ann, cfg, expected.grade, Enumerate())
-    if result.kind != "step":
-        reason = result.reason.render() if result.reason else "no rule applies"
-        return [f"no step from a well-typed configuration: {reason}"]
-    failures = []
-    for succ, _ in result.successors:
-        errs = []
+def check_run(u: GradeUniverse, ann: ClassTable, run: RunResult, expected: GradedType,
+              lower_grades: Optional[list[KindedGrade]] = None) -> list[str]:
+    """Check the three soundness statements over one traced run of the
+    elaborated table ``ann`` at ``expected.grade``.
+
+    Each trace configuration is typed once (type preservation) and erased
+    once, and each step goes through ``check_step``.  Its environment check
+    is progress on the typing contexts, since t-env types a configuration
+    in its environment's domain at the stored grades; its standard-step
+    check is subject reduction.  A stuck outcome breaks soundness-may."""
+    failures: list[str] = []
+    std_table = erase_table(ann)
+    prev = None
+    for i, tentry in enumerate(run.trace):
+        cfg = tentry.config
         try:
-            gamma2, _ = check_configuration(u, ann, succ.expr, succ.env_dict(), expected)
+            check_configuration(u, ann, cfg.expr, cfg.env_dict(), expected)
         except CheckError as exc:
-            errs.append(f"successor does not type: {exc.diag.msg}")
-            gamma2 = None
-        if gamma2 is not None:
-            if not set(gamma) <= set(gamma2):
-                errs.append("environment domain shrank")
-            for x, (cls, g) in gamma.items():
-                if x in gamma2 and not u.leq(gamma2[x][1], g):
-                    errs.append(f"grade of {x} grew across the step")
-        if not errs:
-            return []
-        failures.extend(errs)
-    return failures
-
-
-def assert_soundness_may(u: GradeUniverse, ann: ClassTable, cfg: GradedConfig,
-                         expected: GradedType, fuel: int = 100_000) -> list[str]:
-    """Accepted programs reach a well-typed value or diverge; a stuck run
-    is a hard failure."""
-    run = graded_run(u, ann, cfg, expected.grade, Minimal(), fuel)
+            failures.append(f"type not preserved at step {i}: {exc.diag.msg}")
+        erased = erase_config(cfg)
+        if prev is not None:
+            errs = check_step(u, ann, std_table, prev[0], cfg, prev[1], erased,
+                              expected.grade, tentry.info, lower_grades)
+            failures.extend(f"step {i}: {e}" for e in errs)
+        prev = cfg, erased
     if run.outcome == "stuck":
         reason = run.reason.render() if run.reason else "?"
-        return [f"accepted program stuck after {run.steps} steps: {reason}"]
-    if run.outcome == "fuel":
-        return []
+        failures.append(f"soundness-may: accepted program stuck after {run.steps} "
+                        f"steps: {reason}")
+    return failures
+
+
+def check_step(u: GradeUniverse, table: ClassTable, std_table: ClassTable,
+               before: GradedConfig, after: GradedConfig,
+               erased_before: StdConfig, erased_after: StdConfig, grade: KindedGrade,
+               info: StepInfo, lower_grades: Optional[list[KindedGrade]] = None) -> list[str]:
+    """Check one recorded step: environments only grow and grades only
+    shrink; the step replays at every sampled lower grade; the erasure of
+    ``after`` is the standard step, under ``std_table`` (the erasure of
+    the annotated ``table``), of the erasure of ``before``."""
+    violations = []
+    env_after, std_env_after = after.env_dict(), erased_after.env_dict()
+    for (x, (_, g)), (_, v) in zip(before.env, erased_before.env):
+        if x not in env_after:
+            violations.append(f"dom shrank: {x} disappeared")
+            continue
+        if std_env_after[x] != v:
+            violations.append(f"value of {x} changed")
+        g2 = env_after[x][1]
+        if not u.leq(g2, g):
+            violations.append(f"grade of {x} grew: {g} -> {g2}")
+
+    replay_policy = (FixedWitness(info.consumed, info.residual) if info.rule == "var"
+                     else Minimal())
+    for s in (lower_grades or []):
+        if not u.leq(s, grade):
+            continue
+        res = graded_step(u, table, before, s, replay_policy)
+        if res.kind != "step" or all(c != after for c, _ in res.successors):
+            violations.append(f"step does not replay at lower grade {s}")
+
     try:
-        check_configuration(u, ann, run.config.expr, run.config.env_dict(), expected)
-    except CheckError as exc:
-        return [f"final configuration does not type: {exc.diag.msg}"]
-    return []
-
-
-def assert_subject_reduction(u: GradeUniverse, ann: ClassTable, cfg: GradedConfig,
-                             expected: GradedType, fuel: int = 100_000) -> list[str]:
-    """Run the erased program in the standard semantics in lockstep with
-    the instrumented run; states must agree under erasure and the graded
-    type must be preserved at every index."""
-    failures = []
-    std_table = erase_table(ann)
-    std_cfg = erase_config(cfg)
-    graded_cfg = cfg
-    steps = 0
-    while steps < fuel:
-        if erase_config(graded_cfg) != std_cfg:
-            failures.append(f"lockstep divergence at step {steps}")
-            break
-        try:
-            check_configuration(u, ann, graded_cfg.expr, graded_cfg.env_dict(), expected)
-        except CheckError as exc:
-            failures.append(f"type not preserved at step {steps}: {exc.diag.msg}")
-            break
-        if is_value(graded_cfg.expr):
-            break
-        result = graded_step(u, ann, graded_cfg, expected.grade, Minimal())
-        if result.kind != "step":
-            failures.append(f"instrumented run stopped at step {steps}")
-            break
-        graded_cfg = result.successors[0][0]
-        try:
-            nxt = std_step(std_table, std_cfg)
-        except StdStuck as exc:
-            failures.append(f"standard run stuck at step {steps}: {exc}")
-            break
-        std_cfg = nxt
-        steps += 1
-    return failures
-
-
-def check_trace_props(u: GradeUniverse, ann: ClassTable, trace: list[TraceEntry],
-                      grade: KindedGrade,
-                      lower_grades: Optional[list[KindedGrade]] = None) -> list[str]:
-    """Run the per-step reduction properties over a recorded trace."""
-    failures = []
-    std_table = erase_table(ann)
-    for i in range(1, len(trace)):
-        before, after = trace[i - 1].config, trace[i].config
-        errs = props_step(u, ann, std_table, before, after, grade, trace[i].info,
-                          lower_grades)
-        failures.extend(f"step {i}: {e}" for e in errs)
-    return failures
+        std_next = std_step(std_table, erased_before)
+    except StdStuck as exc:
+        violations.append(f"erased step is stuck: {exc}")
+        return violations
+    if std_next != erased_after:
+        violations.append("erasure of the step is not the standard step")
+    return violations
 
 
 def lower_grade_samples(u: GradeUniverse, grade: KindedGrade, limit: int = 25) -> list[KindedGrade]:
@@ -264,28 +231,15 @@ def _compare_run(run: RunResult, want: dict) -> list[str]:
     return failures
 
 
-def theorem_suite(entry: CorpusEntry, fuel: int = 10_000,
-                  progress_limit: int = 60) -> EntryOutcome:
-    """Progress at every intermediate configuration, per-step properties,
-    soundness-may and subject reduction for one accepted program."""
-    failures: list[str] = []
+def theorem_suite(entry: CorpusEntry, fuel: int = 10_000) -> EntryOutcome:
+    """Progress, type preservation, the per-step properties, soundness-may
+    and subject reduction for one accepted program, over its one run."""
     u, program = entry.universe, entry.program
-    fuel = entry.manifest.get("fuel", fuel)
     diags, checked = elaborate_program(u, program)
     if diags:
         return EntryOutcome(entry.name, [])  # rejected entries have nothing to run
-    ann, expected = checked.table, checked.type
-    cfg = GradedConfig.make(checked.main, {})
-
-    run = graded_run(u, ann, cfg, program.mainGrade, Minimal(), fuel, want_trace=True)
-    if run.outcome == "stuck":
-        failures.append("soundness-may: accepted program stuck "
-                        f"({run.reason.render() if run.reason else '?'})")
+    run = graded_run(u, checked.table, GradedConfig.make(checked.main, {}),
+                     program.mainGrade, Minimal(), entry.manifest.get("fuel", fuel),
+                     want_trace=True)
     lows = lower_grade_samples(u, program.mainGrade)
-    failures.extend(check_trace_props(u, ann, run.trace, program.mainGrade, lows))
-    for i, tentry in enumerate(run.trace[:progress_limit]):
-        errs = assert_progress(u, ann, tentry.config, expected)
-        failures.extend(f"progress at step {i}: {e}" for e in errs)
-    failures.extend(assert_soundness_may(u, ann, cfg, expected, fuel))
-    failures.extend(assert_subject_reduction(u, ann, cfg, expected, fuel))
-    return EntryOutcome(entry.name, failures)
+    return EntryOutcome(entry.name, check_run(u, checked.table, run, checked.type, lows))

@@ -50,10 +50,6 @@ class GradedConfig:
     def env_dict(self) -> GradedEnv:
         return dict(self.env)
 
-    def render(self) -> str:
-        env = ", ".join(f"{x}:{g}" for x, (_, g) in self.env)
-        return f"<{format_ann(self.expr)} | {{{env}}}>"
-
 
 @dataclass(frozen=True)
 class StdConfig:
@@ -509,47 +505,3 @@ def _search_run(u, table, cfg, grade, policy, fuel, want_trace,
     return RunResult("stuck", best_stuck[1], cfg, reason=best_stuck[0],
                      trace=initial,
                      stuck_schedules=schedules if want_stuck_schedules else None)
-
-
-# ---------------------------------------------------------------------------
-# Per-step property checks (the three reduction propositions)
-
-def props_step(u: GradeUniverse, table: ClassTable, std_table: ClassTable,
-               before: GradedConfig, after: GradedConfig, grade: KindedGrade,
-               info: StepInfo, lower_grades: Optional[list[KindedGrade]] = None) -> list[str]:
-    """Check one recorded step: environments only grow and grades only
-    shrink; the step replays at every sampled lower grade; erasing both
-    sides yields a standard step of ``std_table``, the erasure of the
-    annotated ``table``."""
-    violations = []
-    env_before, env_after = before.env_dict(), after.env_dict()
-    for x, (v, g) in env_before.items():
-        if x not in env_after:
-            violations.append(f"dom shrank: {x} disappeared")
-            continue
-        v2, g2 = env_after[x]
-        if erase(v2) != erase(v):
-            violations.append(f"value of {x} changed")
-        if not u.leq(g2, g):
-            violations.append(f"grade of {x} grew: {g} -> {g2}")
-
-    replay_policy: Policy
-    if info.rule == "var":
-        replay_policy = FixedWitness(info.consumed, info.residual)
-    else:
-        replay_policy = Minimal()
-    for s in (lower_grades or []):
-        if not u.leq(s, grade):
-            continue
-        res = graded_step(u, table, before, s, replay_policy)
-        if res.kind != "step" or all(c != after for c, _ in res.successors):
-            violations.append(f"step does not replay at lower grade {s}")
-
-    try:
-        std_next = std_step(std_table, erase_config(before))
-    except StdStuck as exc:
-        violations.append(f"erased step is stuck: {exc}")
-        return violations
-    if std_next != erase_config(after):
-        violations.append("erasure of the step is not the standard step")
-    return violations

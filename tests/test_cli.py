@@ -257,6 +257,17 @@ def _nested_extend(depth, leaf):
     return '{"kinds": {"X": ' + '{"extend": ' * depth + leaf + "}" * depth + "}}"
 
 
+def _chain(n):
+    elems = [str(i) for i in range(n)]
+    top = lambda a, b: max(a, b, key=int)
+    bottom = lambda a, b: min(a, b, key=int)
+    return {"name": f"chain{n}", "elements": elems,
+            "leq": [[a, b] for a in elems for b in elems if int(a) <= int(b)],
+            "sum": {a: {b: top(a, b) for b in elems} for a in elems},
+            "mul": {a: {b: bottom(a, b) for b in elems} for a in elems},
+            "zero": "0", "one": elems[-1]}
+
+
 def _nested_compose(depth):
     hom = '{"proj": "left"}'
     for _ in range(depth):
@@ -275,8 +286,10 @@ def _nested_compose(depth):
     (json.dumps({"kinds": {"X": {"product": [{"builtin": "affinity"}, {"product": [
         {"builtin": "boolean"}, {"extend": {"builtin": "boolean"}}]}]}}}),
      "kind X has 18 elements, more than 16"),
+    (json.dumps({"kinds": {f"K{i}": {"table": _chain(16)} for i in range(12)}}),
+     "pool of 204 grades, more than 56"),
 ], ids=["extend-3000", "extend-980-nat", "extend-300-boolean", "extend-8", "compose-8",
-        "carrier-18"])
+        "carrier-18", "pool-12x16"])
 @pytest.mark.parametrize("command", ["check", "laws"])
 def test_universe_over_the_limits_is_refused_quickly(capsys, tmp_path, corpus_dir, text,
                                                      message, command):
@@ -375,3 +388,21 @@ def test_importing_cli_loads_every_module():
                          env={**os.environ, "PYTHONPATH": str(src)}, check=True).stdout
     modules = {p.stem for p in (src / "gradefj").glob("*.py")} - {"__init__"}
     assert set(out.split()) == {f"gradefj.{m}" for m in modules}
+
+
+def test_traced_functions_are_module_level_functions():
+    # perfbench/tracing.py wraps these functions by name; a rename must fail
+    # here and not only in a traced benchmark run
+    import ast
+    import importlib
+    import inspect
+    tracing = pathlib.Path(__file__).parent.parent / "perfbench" / "tracing.py"
+    (traced,) = [ast.literal_eval(node.value) for node in ast.parse(tracing.read_text()).body
+                 if isinstance(node, ast.Assign) and ast.unparse(node.targets[0]) == "TRACED"]
+    assert traced
+    for layer, names in traced.items():
+        module = importlib.import_module(f"gradefj.{layer}")
+        for name in names:
+            fn = getattr(module, name, None)
+            assert inspect.isfunction(fn) and fn.__module__ == module.__name__, \
+                f"gradefj.{layer}.{name}"

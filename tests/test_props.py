@@ -1,16 +1,16 @@
-"""Theorem harness over the corpus: progress, soundness-may, lockstep."""
+"""Theorem harness over the corpus: progress, soundness-may, subject
+reduction, all checked in one walk over a traced run."""
+
+import dataclasses
 
 import pytest
 
-from gradefj.runtime import GradedConfig, Minimal, graded_run
-from gradefj.syntax import GradedType, erase_table, parse_expr, parse_program
-from gradefj.typecheck import check, elaborate_program
+from gradefj.runtime import GradedConfig, Minimal, ResourceExhausted, TraceEntry, graded_run
+from gradefj.syntax import GradedType, erase_table, is_value, parse_expr, parse_program
+from gradefj.typecheck import check, check_configuration, elaborate_program
 from gradefj.props import (
-    assert_progress,
-    assert_soundness_may,
-    assert_subject_reduction,
     check_entry,
-    check_trace_props,
+    check_run,
     lower_grade_samples,
     theorem_suite,
 )
@@ -48,18 +48,29 @@ def _setup(entry):
     return u, program, checked.table, checked.main, checked.type
 
 
+def _traced(u, ann, expr, grade, fuel=100_000):
+    return graded_run(u, ann, GradedConfig.make(expr, {}), grade, Minimal(), fuel,
+                      want_trace=True)
+
+
 def test_progress_on_every_two_block_configuration(corpus_by_name):
     u, program, ann, main, expected = _setup(corpus_by_name["two_blocks_nat"])
-    run = graded_run(u, ann, GradedConfig.make(main, {}), program.mainGrade,
-                     Minimal(), want_trace=True)
-    for i, t in enumerate(run.trace):
-        assert assert_progress(u, ann, t.config, expected) == [], i
+    run = _traced(u, ann, main, program.mainGrade)
+    assert len(run.trace) > 2
+    assert check_run(u, ann, run, expected) == []
+    # the walk's environment check is the typing-context check: t-env types
+    # a configuration in its environment's domain at the stored grades
+    for t in run.trace:
+        gamma, _ = check_configuration(u, ann, t.config.expr, t.config.env_dict(), expected)
+        assert gamma == {x: (v.className, g) for x, (v, g) in t.config.env}
 
 
 def test_progress_value_branch(corpus_by_name):
     u, program, ann, _, expected = _setup(corpus_by_name["two_blocks_nat"])
     value = parse_expr("new Pair(new A() @ 1, new A() @ 1)", u)
-    assert assert_progress(u, ann, GradedConfig.make(value, {}), expected) == []
+    run = _traced(u, ann, value, expected.grade)
+    assert run.outcome == "final" and len(run.trace) == 1
+    assert check_run(u, ann, run, expected) == []
 
 
 def test_checker_never_emits_overdemand_annotations(corpus_by_name):
@@ -74,14 +85,13 @@ def test_soundness_may_never_stuck(corpus):
     for entry in accepted_entries(corpus):
         u, program, ann, main, expected = _setup(entry)
         fuel = entry.manifest.get("fuel", 10_000)
-        errs = assert_soundness_may(u, ann, GradedConfig.make(main, {}),
-                                    expected, fuel)
+        errs = check_run(u, ann, _traced(u, ann, main, expected.grade, fuel), expected)
         assert errs == [], (entry.name, errs)
 
 
 def test_subject_reduction_two_block_lockstep(corpus_by_name):
     u, program, ann, main, expected = _setup(corpus_by_name["two_blocks_nat"])
-    errs = assert_subject_reduction(u, ann, GradedConfig.make(main, {}), expected)
+    errs = check_run(u, ann, _traced(u, ann, main, expected.grade), expected)
     assert errs == []
 
 
@@ -89,7 +99,7 @@ def test_subject_reduction_e1_both_ways(corpus_by_name):
     # the private-level block program ends in new A() in both semantics
     from gradefj.runtime import erase_config, std_run
     u, program, ann, main, expected = _setup(corpus_by_name["priv_narrow_at_private"])
-    errs = assert_subject_reduction(u, ann, GradedConfig.make(main, {}), expected)
+    errs = check_run(u, ann, _traced(u, ann, main, expected.grade), expected)
     assert errs == []
     run = graded_run(u, ann, GradedConfig.make(main, {}), program.mainGrade)
     outcome, std_final, _ = std_run(erase_table(ann),
@@ -102,9 +112,8 @@ def test_subject_reduction_e1_both_ways(corpus_by_name):
 def test_subject_reduction_value_only(universe):
     program = parse_program("class A { }\nrun new A() at 1", universe)
     _, checked = elaborate_program(universe, program)
-    errs = assert_subject_reduction(universe, checked.table,
-                                    GradedConfig.make(checked.main, {}),
-                                    GradedType("A", program.mainGrade))
+    run = _traced(universe, checked.table, checked.main, program.mainGrade)
+    errs = check_run(universe, checked.table, run, GradedType("A", program.mainGrade))
     assert errs == []
 
 
@@ -113,12 +122,85 @@ def test_downward_closure_across_runs(corpus):
     for entry in accepted_entries(corpus):
         u, program, ann, main, expected = _setup(entry)
         fuel = entry.manifest.get("fuel", 10_000)
-        run = graded_run(u, ann, GradedConfig.make(main, {}), program.mainGrade,
-                         Minimal(), fuel, want_trace=True)
+        run = _traced(u, ann, main, program.mainGrade, fuel)
         lows = lower_grade_samples(u, program.mainGrade)
         assert len(lows) <= 25
-        errs = check_trace_props(u, ann, run.trace, program.mainGrade, lows)
+        errs = check_run(u, ann, run, expected, lows)
         assert errs == [], (entry.name, errs[:4])
+
+
+# ---------------------------------------------------------------------------
+# the walk reports each kind of fault
+
+@pytest.fixture
+def two_block_run(corpus_by_name):
+    u, program, ann, main, expected = _setup(corpus_by_name["two_blocks_nat"])
+    run = _traced(u, ann, main, expected.grade)
+    assert run.outcome == "final" and check_run(u, ann, run, expected) == []
+    return u, ann, run, expected
+
+
+def test_walk_reports_configuration_that_does_not_type(two_block_run):
+    u, ann, run, expected = two_block_run
+    trace = list(run.trace)
+    i = next(i for i, t in enumerate(trace) if t.config.env)
+    cfg = trace[i].config
+    trace[i] = TraceEntry(GradedConfig(cfg.expr, ()), trace[i].info)
+    errs = check_run(u, ann, dataclasses.replace(run, trace=trace), expected)
+    assert any(e.startswith(f"type not preserved at step {i}:") for e in errs), errs
+
+
+def test_walk_reports_step_that_is_not_the_standard_step(two_block_run):
+    u, ann, run, expected = two_block_run
+    trace = list(run.trace)
+    trace[1], trace[2] = trace[2], trace[1]
+    errs = check_run(u, ann, dataclasses.replace(run, trace=trace), expected)
+    assert any("erasure of the step is not the standard step" in e for e in errs), errs
+
+
+def test_walk_reports_shrinking_env(two_block_run):
+    u, ann, run, expected = two_block_run
+    trace = list(run.trace)
+    before, last = trace[-2].config, trace[-1].config
+    assert before.env and is_value(last.expr)
+    trace[-1] = TraceEntry(GradedConfig(last.expr, ()), trace[-1].info)
+    errs = check_run(u, ann, dataclasses.replace(run, trace=trace), expected)
+    n = len(trace) - 1
+    x = before.env[0][0]
+    assert f"step {n}: dom shrank: {x} disappeared" in errs, errs
+
+
+def test_walk_reports_stuck_outcome(two_block_run):
+    u, ann, run, expected = two_block_run
+    stuck = dataclasses.replace(run, outcome="stuck",
+                                reason=ResourceExhausted("a", None, expected.grade))
+    errs = check_run(u, ann, stuck, expected)
+    assert len(errs) == 1 and errs[0].startswith("soundness-may: accepted program stuck")
+
+
+def test_theorem_suite_runs_the_program_once(corpus_by_name, monkeypatch):
+    # one traced run: each configuration typed once, one standard step per step
+    import gradefj.props as props
+    calls = {"graded_run": 0, "check_configuration": 0, "std_step": 0}
+    runs = []
+
+    def counted(name):
+        original = getattr(props, name)
+
+        def wrapper(*args, **kwargs):
+            calls[name] += 1
+            out = original(*args, **kwargs)
+            if name == "graded_run":
+                runs.append(out)
+            return out
+        monkeypatch.setattr(props, name, wrapper)
+    for name in calls:
+        counted(name)
+    assert theorem_suite(corpus_by_name["two_blocks_nat"]).ok
+    assert calls["graded_run"] == 1
+    (run,) = runs
+    assert calls["check_configuration"] == len(run.trace)
+    assert calls["std_step"] == run.steps == len(run.trace) - 1
 
 
 # ---------------------------------------------------------------------------

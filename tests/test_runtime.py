@@ -27,11 +27,11 @@ from gradefj.runtime import (
     fresh_name,
     graded_run,
     graded_step,
-    props_step,
     std_run,
     std_step,
 )
 from gradefj.typecheck import annotate_program, elaborate_program
+from gradefj.props import check_step
 
 N = lambda n: KindedGrade("N", Nat(n))
 PRIV = lambda n: KindedGrade("P", FiniteElem(n, "privacy2"))
@@ -224,15 +224,19 @@ def test_fuel_exhaustion(universe):
 # ---------------------------------------------------------------------------
 # per-step properties
 
+def _check_step(u, ann, before, after, grade, info, lows=None):
+    return check_step(u, ann, erase_table(ann), before, after, erase_config(before),
+                      erase_config(after), grade, info, lows)
+
+
 def test_props_hold_on_two_block_run(universe, two_block):
     program, main, ann = two_block
     run = graded_run(universe, ann, GradedConfig.make(main, {}), program.mainGrade,
                      want_trace=True)
     lows = [N(0), N(1)]
     for i in range(1, len(run.trace)):
-        errs = props_step(universe, ann, erase_table(ann), run.trace[i - 1].config,
-                          run.trace[i].config, program.mainGrade,
-                          run.trace[i].info, lows)
+        errs = _check_step(universe, ann, run.trace[i - 1].config, run.trace[i].config,
+                           program.mainGrade, run.trace[i].info, lows)
         assert errs == [], (i, errs)
 
 
@@ -242,9 +246,8 @@ def test_props_replay_at_same_grade(universe, two_block):
                      want_trace=True)
     var_steps = [i for i, t in enumerate(run.trace) if t.info and t.info.rule == "var"]
     i = var_steps[0]
-    errs = props_step(universe, ann, erase_table(ann), run.trace[i - 1].config,
-                      run.trace[i].config, program.mainGrade, run.trace[i].info,
-                      [program.mainGrade])
+    errs = _check_step(universe, ann, run.trace[i - 1].config, run.trace[i].config,
+                       program.mainGrade, run.trace[i].info, [program.mainGrade])
     assert errs == []
 
 
@@ -256,8 +259,7 @@ def test_props_catch_grown_grade(universe, two_block):
     env = after.env_dict()
     env["a"] = (env["a"][0], N(9))
     fake = GradedConfig.make(after.expr, env)
-    errs = props_step(universe, ann, erase_table(ann), before, fake, program.mainGrade,
-                      run.trace[2].info)
+    errs = _check_step(universe, ann, before, fake, program.mainGrade, run.trace[2].info)
     assert any("grew" in e for e in errs)
 
 
