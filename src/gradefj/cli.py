@@ -74,7 +74,7 @@ def cmd_run(args) -> int:
         return _run_standard(args, program)
 
     policy = Enumerate() if args.policy == "search" else Minimal()
-    run = graded_run(universe, ready.table, GradedConfig.make(ready.main, {}),
+    run = graded_run(universe, ready.table, GradedConfig(ready.main),
                      program.mainGrade, policy, args.fuel, want_trace=args.trace)
 
     payload = {
@@ -108,7 +108,7 @@ def cmd_run(args) -> int:
 def _run_standard(args, program: Program) -> int:
     table = erase_table(program.table)
     main = erase(program.main)
-    outcome, cfg, steps = std_run(table, StdConfig.make(main, {}), args.fuel)
+    outcome, cfg, steps = std_run(table, StdConfig(main), args.fuel)
     payload = {"outcome": "final" if outcome == "final" else outcome,
                "steps": steps,
                "value": format_expr(cfg.expr) if outcome == "final" else None}

@@ -19,6 +19,7 @@ from typing import Optional
 
 from .hetero import GradeUniverse, KindedGrade, load_universe, default_universe
 from .runtime import (
+    Env,
     FixedWitness,
     GradedConfig,
     Minimal,
@@ -26,7 +27,6 @@ from .runtime import (
     StdConfig,
     StdStuck,
     StepInfo,
-    erase_config,
     graded_run,
     graded_step,
     reason_name,
@@ -36,14 +36,17 @@ from .syntax import (
     ClassTable,
     GradedType,
     Program,
+    erase,
     erase_table,
     parse_program,
 )
 from .typecheck import (
     Annotated,
     CheckError,
+    CoeffectCtx,
     annotate_program,
-    check_configuration,
+    check_conf,
+    check_env_entry,
     elaborate_program,
 )
 
@@ -51,26 +54,77 @@ from .typecheck import (
 # ---------------------------------------------------------------------------
 # Theorem-level checks
 
+class _EnvWalk:
+    """The t-env context and the erasure of a run's environment, brought
+    up to date configuration by configuration.  Only the bindings set since
+    the previous configuration are looked at, so each (binding, value,
+    grade) is typed once and each (binding, value) erased once per walk."""
+
+    def __init__(self, u: GradeUniverse, table: ClassTable):
+        self.u, self.table = u, table
+        self.env = Env()      # the environment described below
+        self.restart()
+
+    def restart(self) -> None:
+        self.erased = Env()   # the erasure of self.env
+        self.seen: dict[str, tuple] = {}  # x -> its (value, grade) when last typed
+        self.gamma: CoeffectCtx = {}      # t-env of the entries that type
+        self.errors: dict[str, CheckError] = {}  # and why the others do not
+
+    def advance(self, env: Env) -> None:
+        keys = env.changes_since(self.env)
+        if keys is None:  # not the previous environment plus bindings
+            self.restart()
+            keys = env.keys()
+        for x in keys:
+            v, g = env[x]
+            old = self.seen.get(x)
+            if old is None or old[0] is not v:
+                self.erased = self.erased.set(x, erase(v))
+            elif old[1] == g:
+                continue
+            self.seen[x] = (v, g)
+            try:
+                self.gamma[x] = (check_env_entry(self.u, self.table, x, v, g), g)
+                self.errors.pop(x, None)
+            except CheckError as exc:
+                self.errors[x] = exc
+                self.gamma.pop(x, None)
+        self.env = env
+
+    def first_error(self) -> Optional[CheckError]:
+        """The t-env failure of the first failing entry, in binding order."""
+        if not self.errors:
+            return None
+        return next(self.errors[x] for x in self.env if x in self.errors)
+
+
 def check_run(u: GradeUniverse, ann: ClassTable, run: RunResult, expected: GradedType,
               lower_grades: Optional[list[KindedGrade]] = None) -> list[str]:
     """Check the three soundness statements over one traced run of the
     elaborated table ``ann`` at ``expected.grade``.
 
-    Each trace configuration is typed once (type preservation) and erased
-    once, and each step goes through ``check_step``.  Its environment check
-    is progress on the typing contexts, since t-env types a configuration
-    in its environment's domain at the stored grades; its standard-step
-    check is subject reduction.  A stuck outcome breaks soundness-may."""
+    Each trace configuration is typed (type preservation) and erased, its
+    environment incrementally, and each step goes through ``check_step``.
+    Its environment check is progress on the typing contexts, since t-env
+    types a configuration in its environment's domain at the stored
+    grades; its standard-step check is subject reduction.  A stuck outcome
+    breaks soundness-may."""
     failures: list[str] = []
     std_table = erase_table(ann)
+    walk = _EnvWalk(u, ann)
     prev = None
     for i, tentry in enumerate(run.trace):
         cfg = tentry.config
+        walk.advance(cfg.env)
         try:
-            check_configuration(u, ann, cfg.expr, cfg.env_dict(), expected)
+            error = walk.first_error()
+            if error is not None:
+                raise error
+            check_conf(u, ann, cfg.expr, walk.gamma, expected)
         except CheckError as exc:
             failures.append(f"type not preserved at step {i}: {exc.diag.msg}")
-        erased = erase_config(cfg)
+        erased = StdConfig(erase(cfg.expr), walk.erased, cfg.fresh)
         if prev is not None:
             errs = check_step(u, ann, std_table, prev[0], cfg, prev[1], erased,
                               expected.grade, tentry.info, lower_grades)
@@ -90,16 +144,24 @@ def check_step(u: GradeUniverse, table: ClassTable, std_table: ClassTable,
     """Check one recorded step: environments only grow and grades only
     shrink; the step replays at every sampled lower grade; the erasure of
     ``after`` is the standard step, under ``std_table`` (the erasure of
-    the annotated ``table``), of the erasure of ``before``."""
+    the annotated ``table``), of the erasure of ``before``.
+
+    When ``after``'s environment is ``before``'s plus bindings, only the
+    bindings set on the way are compared; the others are the same."""
     violations = []
-    env_after, std_env_after = after.env_dict(), erased_after.env_dict()
-    for (x, (_, g)), (_, v) in zip(before.env, erased_before.env):
+    env_before, env_after = before.env, after.env
+    keys = env_after.changes_since(env_before)
+    if keys is None:
+        keys = env_before.keys()
+    for x in keys:
+        if x not in env_before:
+            continue
         if x not in env_after:
             violations.append(f"dom shrank: {x} disappeared")
             continue
-        if std_env_after[x] != v:
+        if erased_after.env.get(x) != erased_before.env.get(x):
             violations.append(f"value of {x} changed")
-        g2 = env_after[x][1]
+        g, g2 = env_before[x][1], env_after[x][1]
         if not u.leq(g2, g):
             violations.append(f"grade of {x} grew: {g} -> {g2}")
 
@@ -210,7 +272,7 @@ def check_entry(entry: CorpusEntry) -> EntryOutcome:
 
 
 def _run(entry: CorpusEntry, ready: Annotated) -> RunResult:
-    return graded_run(entry.universe, ready.table, GradedConfig.make(ready.main, {}),
+    return graded_run(entry.universe, ready.table, GradedConfig(ready.main),
                       entry.program.mainGrade, fuel=entry.manifest.get("fuel", 100_000))
 
 
@@ -238,7 +300,7 @@ def theorem_suite(entry: CorpusEntry, fuel: int = 10_000) -> EntryOutcome:
     diags, checked = elaborate_program(u, program)
     if diags:
         return EntryOutcome(entry.name, [])  # rejected entries have nothing to run
-    run = graded_run(u, checked.table, GradedConfig.make(checked.main, {}),
+    run = graded_run(u, checked.table, GradedConfig(checked.main),
                      program.mainGrade, Minimal(), entry.manifest.get("fuel", fuel),
                      want_trace=True)
     lows = lower_grade_samples(u, program.mainGrade)

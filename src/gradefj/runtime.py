@@ -13,7 +13,9 @@ of an instrumented run is literally a standard run.
 
 from __future__ import annotations
 
+from collections.abc import Mapping
 from dataclasses import dataclass, field
+from itertools import islice
 from typing import Optional, Union
 
 from .hetero import GradeUniverse, KindedGrade, ONE_D, ZERO_D
@@ -34,48 +36,179 @@ from .syntax import (
     with_ascription,
 )
 
-GradedEnv = dict[str, tuple[Expr, KindedGrade]]
-StdEnv = dict[str, Expr]
+_ABSENT = object()
+
+
+class Env(Mapping):
+    """A persistent, insertion-ordered map: ``set`` returns a new version
+    and leaves every older version readable.
+
+    Shallow binding (Baker, "Shallow binding makes functional arrays
+    fast", 1991): the versions derived from one another share a single
+    dict, owned by the version used last, and every other version holds a
+    one-entry diff towards it: ``(key, value or _ABSENT, neighbour)``, read
+    "I am my neighbour with ``key`` bound to ``value``".  Reading a version
+    first reroots the dict to it, reversing the diffs on the way, so a run
+    that only reads its newest version pays O(1) per ``set`` and per read.
+    Iteration returns a snapshot, since reading another version of the
+    same family moves the shared dict.  Equality compares the ordered item
+    sequences."""
+
+    __slots__ = ("_data", "_len")
+
+    def __init__(self, items=()):
+        self._data = dict(items)
+        self._len = len(self._data)
+
+    def _store(self) -> dict:
+        data = self._data
+        if type(data) is dict:
+            return data
+        path = []
+        node = self
+        while type(node._data) is not dict:
+            path.append(node)
+            node = node._data[2]
+        store = node._data
+        for node in reversed(path):  # nearest the owner first
+            key, value, owner = node._data
+            old = store.get(key, _ABSENT)
+            if value is _ABSENT:
+                del store[key]
+            else:
+                store[key] = value
+            owner._data = (key, old, node)
+            node._data = store
+        return store
+
+    def set(self, key, value) -> "Env":
+        """This map with ``key`` bound to ``value`` (appended when new)."""
+        store = self._store()
+        old = store.get(key, _ABSENT)
+        store[key] = value
+        out = Env.__new__(Env)
+        out._data, out._len = store, len(store)
+        self._data = (key, old, out)
+        return out
+
+    def __getitem__(self, key):
+        return self._store()[key]
+
+    def get(self, key, default=None):
+        return self._store().get(key, default)
+
+    def __contains__(self, key) -> bool:
+        return key in self._store()
+
+    def __len__(self) -> int:
+        return self._len
+
+    def __iter__(self):
+        return iter(list(self._store()))
+
+    def keys(self) -> list:
+        return list(self._store())
+
+    def items(self) -> list:
+        return list(self._store().items())
+
+    def values(self) -> list:
+        return list(self._store().values())
+
+    def _path_from(self, other: "Env") -> Optional[list]:
+        """The diffs met walking from ``other`` to this version, which is
+        made the owner first; None when the two share no dict."""
+        self._store()
+        diffs = []
+        node = other
+        while type(node._data) is not dict:
+            diffs.append(node._data)
+            node = node._data[2]
+        return diffs if node is self else None
+
+    def changes_since(self, older: "Env") -> Optional[list]:
+        """The keys bound on the way from ``older`` to this version, in
+        binding order, when this version is ``older`` plus ``set`` calls;
+        None otherwise (another family, or a key missing on the way)."""
+        diffs = older._path_from(self)
+        if diffs is None or any(value is _ABSENT for _, value, _ in diffs):
+            return None
+        return list(dict.fromkeys(key for key, _, _ in reversed(diffs)))
+
+    def __eq__(self, other) -> bool:
+        if self is other:
+            return True
+        if not isinstance(other, Env):
+            return NotImplemented
+        if self._len != other._len:
+            return False
+        diffs = self._path_from(other)
+        if diffs is None:
+            return self.items() == other.items()
+        # only the keys on the path between the two versions can differ;
+        # the rest are the shared dict's, in the same places
+        theirs = {}
+        for key, value, _ in diffs:
+            theirs.setdefault(key, value)
+        mine = self._store()
+        if any(mine.get(key, _ABSENT) != value for key, value in theirs.items()):
+            return False
+        if all(value is not _ABSENT for _, value, _ in diffs):
+            return True  # no key came or went on the way: the order is the same
+        # keys that came or went are at the ends; compare the tails' orders
+        n = len(theirs)
+        tail = list(islice(reversed(mine), n))
+        return tail == list(islice(reversed(other._store()), n))
+
+    def __hash__(self) -> int:
+        return hash(tuple(self.items()))
+
+    def __repr__(self) -> str:
+        return f"Env({dict(self.items())!r})"
 
 
 @dataclass(frozen=True)
 class GradedConfig:
+    """``expr`` under an environment of (value, grade) bindings.  ``fresh``
+    maps a binder's base name to the index its next fresh-name scan may
+    start from; it only saves work, so it is neither compared nor printed."""
     expr: Expr
-    env: tuple[tuple[str, tuple[Expr, KindedGrade]], ...]
-
-    @staticmethod
-    def make(expr: Expr, env: GradedEnv) -> "GradedConfig":
-        return GradedConfig(expr, tuple(env.items()))
-
-    def env_dict(self) -> GradedEnv:
-        return dict(self.env)
+    env: Env = field(default_factory=Env)
+    fresh: Env = field(default_factory=Env, compare=False, repr=False)
 
 
 @dataclass(frozen=True)
 class StdConfig:
+    """``expr`` under an environment of value bindings; ``fresh`` as in
+    ``GradedConfig``."""
     expr: Expr
-    env: tuple[tuple[str, Expr], ...]
-
-    @staticmethod
-    def make(expr: Expr, env: StdEnv) -> "StdConfig":
-        return StdConfig(expr, tuple(env.items()))
-
-    def env_dict(self) -> StdEnv:
-        return dict(self.env)
+    env: Env = field(default_factory=Env)
+    fresh: Env = field(default_factory=Env, compare=False, repr=False)
 
 
 def erase_config(cfg: GradedConfig) -> StdConfig:
-    return StdConfig(erase(cfg.expr),
-                     tuple((x, erase(v)) for x, (v, _) in cfg.env))
+    return StdConfig(erase(cfg.expr), Env((x, erase(v)) for x, (v, _) in cfg.env.items()),
+                     cfg.fresh)
 
 
-def fresh_name(base: str, taken) -> str:
-    if base not in taken:
-        return base
-    k = 0
-    while f"{base}${k}" in taken:
+def indexed_name(base: str, k: int) -> str:
+    """The k-th candidate fresh name for ``base``: base, base$0, base$1, ..."""
+    return base if k == 0 else f"{base}${k - 1}"
+
+
+def fresh_index(base: str, taken, start: int = 0) -> int:
+    """The index of the first candidate name for ``base`` not in ``taken``,
+    scanning from ``start``.  Environments only grow and source names
+    contain no ``$``, so a run may start each scan where the last one for
+    the same base ended."""
+    k = start
+    while indexed_name(base, k) in taken:
         k += 1
-    return f"{base}${k}"
+    return k
+
+
+def fresh_name(base: str, taken, start: int = 0) -> str:
+    return indexed_name(base, fresh_index(base, taken, start))
 
 
 # ---------------------------------------------------------------------------
@@ -207,13 +340,13 @@ def graded_step(u: GradeUniverse, table: ClassTable, cfg: GradedConfig,
     ``table`` holds the annotated method bodies.  A slot child is reduced
     at the grade of its ascription, and every contractum takes over the
     ascription of its redex, so the slot keeps its grade."""
-    e = cfg.expr
-    env = cfg.env_dict()
+    e, env = cfg.expr, cfg.env
 
     if isinstance(e, Var):
-        if e.name not in env:
+        entry = env.get(e.name)
+        if entry is None:
             return StepResult("stuck", reason=ResourceExhausted(e.name, None, grade))
-        value, stored = env[e.name]
+        value, stored = entry
         choices = _var_choices(u, grade, stored, policy)
         if not choices:
             demanded = grade if grade != ZERO_D else ONE_D
@@ -222,9 +355,7 @@ def graded_step(u: GradeUniverse, table: ClassTable, cfg: GradedConfig,
         contractum = with_ascription(value, e.ascription)
         succs = []
         for burned, left in choices:
-            new_env = dict(env)
-            new_env[e.name] = (value, left)
-            succs.append((GradedConfig.make(contractum, new_env),
+            succs.append((GradedConfig(contractum, env.set(e.name, (value, left)), cfg.fresh),
                           StepInfo("var", e.name, burned, left)))
         return StepResult("step", succs)
 
@@ -244,15 +375,16 @@ def graded_step(u: GradeUniverse, table: ClassTable, cfg: GradedConfig,
                 return StepResult("stuck",
                                   reason=FieldExtraction(e.fieldName, have, grade))
             field_value = with_ascription(recv.args[idx], e.ascription)
-            return StepResult("step", [(GradedConfig.make(field_value, env),
+            return StepResult("step", [(GradedConfig(field_value, env, cfg.fresh),
                                         StepInfo("field-access"))])
-        sub = graded_step(u, table, GradedConfig.make(recv, env), recv.ascription, policy)
+        sub = graded_step(u, table, GradedConfig(recv, env, cfg.fresh), recv.ascription,
+                          policy)
         return _wrap(sub, lambda r: FieldAccess(r, e.fieldName, e.ascription, e.pos))
 
     if isinstance(e, New):
         for i, arg in enumerate(e.args):
             if not is_value(arg):
-                sub = graded_step(u, table, GradedConfig.make(arg, env),
+                sub = graded_step(u, table, GradedConfig(arg, env, cfg.fresh),
                                   u.mul(grade, arg.ascription), policy)
                 return _wrap(sub, lambda r, i=i: New(
                     e.className, e.args[:i] + (r,) + e.args[i + 1:], e.ascription, e.pos))
@@ -261,12 +393,12 @@ def graded_step(u: GradeUniverse, table: ClassTable, cfg: GradedConfig,
     if isinstance(e, Invk):
         recv = e.recv
         if not is_value(recv):
-            sub = graded_step(u, table, GradedConfig.make(recv, env), recv.ascription,
+            sub = graded_step(u, table, GradedConfig(recv, env, cfg.fresh), recv.ascription,
                               policy)
             return _wrap(sub, lambda r: Invk(r, e.method, e.args, e.ascription, e.pos))
         for i, arg in enumerate(e.args):
             if not is_value(arg):
-                sub = graded_step(u, table, GradedConfig.make(arg, env),
+                sub = graded_step(u, table, GradedConfig(arg, env, cfg.fresh),
                                   arg.ascription, policy)
                 return _wrap(sub, lambda r, i=i: Invk(
                     recv, e.method, e.args[:i] + (r,) + e.args[i + 1:], e.ascription,
@@ -279,25 +411,27 @@ def graded_step(u: GradeUniverse, table: ClassTable, cfg: GradedConfig,
         if len(params) != len(e.args):
             return StepResult("stuck", reason=NotAValue(
                 f"arity mismatch calling {e.method}"))
-        new_env = dict(env)
+        fresh = cfg.fresh
         mapping = {}
         for base, value in zip(("this",) + params, (recv,) + e.args):
-            y = fresh_name(base, new_env)
-            mapping[base] = y
-            new_env[y] = (value, value.ascription)
+            k = fresh_index(base, env, fresh.get(base, 0))
+            mapping[base] = y = indexed_name(base, k)
+            env = env.set(y, (value, value.ascription))
+            fresh = fresh.set(base, k + 1)
         body = with_ascription(subst(body, mapping), e.ascription)
-        return StepResult("step", [(GradedConfig.make(body, new_env), StepInfo("invk"))])
+        return StepResult("step", [(GradedConfig(body, env, fresh), StepInfo("invk"))])
 
     if isinstance(e, Block):
         init = e.init
         if is_value(init):
-            new_env = dict(env)
-            y = fresh_name(e.var, new_env)
-            new_env[y] = (init, init.ascription)
+            k = fresh_index(e.var, env, cfg.fresh.get(e.var, 0))
+            y = indexed_name(e.var, k)
             body = with_ascription(subst(e.body, {e.var: y}), e.ascription)
-            return StepResult("step", [(GradedConfig.make(body, new_env),
+            return StepResult("step", [(GradedConfig(body, env.set(y, (init, init.ascription)),
+                                                     cfg.fresh.set(e.var, k + 1)),
                                         StepInfo("block"))])
-        sub = graded_step(u, table, GradedConfig.make(init, env), init.ascription, policy)
+        sub = graded_step(u, table, GradedConfig(init, env, cfg.fresh), init.ascription,
+                          policy)
         return _wrap(sub, lambda r: Block(e.declClass, e.declGrade, e.var, r, e.body,
                                           e.ascription, e.pos))
 
@@ -309,7 +443,8 @@ def _wrap(sub: StepResult, rebuild) -> StepResult:
         return StepResult("stuck", reason=NotAValue("contextual subterm is a value"))
     if sub.kind == "stuck":
         return sub
-    succs = [(GradedConfig(rebuild(c.expr), c.env), info) for c, info in sub.successors]
+    succs = [(GradedConfig(rebuild(c.expr), c.env, c.fresh), info)
+             for c, info in sub.successors]
     return StepResult("step", succs)
 
 
@@ -321,13 +456,12 @@ def std_step(table: ClassTable, cfg: StdConfig) -> Optional[StdConfig]:
 
     Raises StdStuck when no rule applies.
     """
-    e = cfg.expr
-    env = cfg.env_dict()
+    e, env, fresh = cfg.expr, cfg.env, cfg.fresh
 
     if isinstance(e, Var):
         if e.name not in env:
             raise StdStuck(f"unbound variable {e.name!r}")
-        return StdConfig.make(env[e.name], env)
+        return StdConfig(env[e.name], env, fresh)
 
     if isinstance(e, FieldAccess):
         if is_value(e.recv):
@@ -337,60 +471,62 @@ def std_step(table: ClassTable, cfg: StdConfig) -> Optional[StdConfig]:
                 raise StdStuck(str(exc)) from None
             if idx >= len(e.recv.args):
                 raise StdStuck(f"missing field {e.fieldName!r}")
-            return StdConfig.make(e.recv.args[idx], env)
-        sub = std_step(table, StdConfig.make(e.recv, env))
+            return StdConfig(e.recv.args[idx], env, fresh)
+        sub = std_step(table, StdConfig(e.recv, env, fresh))
         if sub is None:
             raise StdStuck("field receiver is a value")
-        return StdConfig(FieldAccess(sub.expr, e.fieldName, None, e.pos), sub.env)
+        return StdConfig(FieldAccess(sub.expr, e.fieldName, None, e.pos), sub.env, sub.fresh)
 
     if isinstance(e, New):
         for i, arg in enumerate(e.args):
             if not is_value(arg):
-                sub = std_step(table, StdConfig.make(arg, env))
+                sub = std_step(table, StdConfig(arg, env, fresh))
                 if sub is None:
                     raise StdStuck("constructor argument is a value")
                 args = e.args[:i] + (sub.expr,) + e.args[i + 1:]
-                return StdConfig(New(e.className, args, None, e.pos), sub.env)
+                return StdConfig(New(e.className, args, None, e.pos), sub.env, sub.fresh)
         return None
 
     if isinstance(e, Invk):
         if not is_value(e.recv):
-            sub = std_step(table, StdConfig.make(e.recv, env))
+            sub = std_step(table, StdConfig(e.recv, env, fresh))
             if sub is None:
                 raise StdStuck("receiver is a value")
-            return StdConfig(Invk(sub.expr, e.method, e.args, None, e.pos), sub.env)
+            return StdConfig(Invk(sub.expr, e.method, e.args, None, e.pos), sub.env,
+                             sub.fresh)
         for i, arg in enumerate(e.args):
             if not is_value(arg):
-                sub = std_step(table, StdConfig.make(arg, env))
+                sub = std_step(table, StdConfig(arg, env, fresh))
                 if sub is None:
                     raise StdStuck("argument is a value")
                 args = e.args[:i] + (sub.expr,) + e.args[i + 1:]
-                return StdConfig(Invk(e.recv, e.method, args, None, e.pos), sub.env)
+                return StdConfig(Invk(e.recv, e.method, args, None, e.pos), sub.env,
+                                 sub.fresh)
         try:
             params, body = table.mbody(e.recv.className, e.method)
         except (UnknownClass, UnknownMember) as exc:
             raise StdStuck(str(exc)) from None
         if len(params) != len(e.args):
             raise StdStuck(f"arity mismatch calling {e.method}")
-        new_env = dict(env)
         mapping = {}
         for base, value in zip(("this",) + params, (e.recv,) + e.args):
-            y = fresh_name(base, new_env)
-            mapping[base] = y
-            new_env[y] = value
-        return StdConfig.make(subst(body, mapping), new_env)
+            k = fresh_index(base, env, fresh.get(base, 0))
+            mapping[base] = y = indexed_name(base, k)
+            env = env.set(y, value)
+            fresh = fresh.set(base, k + 1)
+        return StdConfig(subst(body, mapping), env, fresh)
 
     if isinstance(e, Block):
         if is_value(e.init):
-            new_env = dict(env)
-            y = fresh_name(e.var, new_env)
-            new_env[y] = e.init
-            return StdConfig.make(subst(e.body, {e.var: y}), new_env)
-        sub = std_step(table, StdConfig.make(e.init, env))
+            k = fresh_index(e.var, env, fresh.get(e.var, 0))
+            y = indexed_name(e.var, k)
+            return StdConfig(subst(e.body, {e.var: y}), env.set(y, e.init),
+                             fresh.set(e.var, k + 1))
+        sub = std_step(table, StdConfig(e.init, env, fresh))
         if sub is None:
             raise StdStuck("block initializer is a value")
         return StdConfig(Block(e.declClass, e.declGrade, e.var, sub.expr, e.body,
-                               None, e.pos), sub.env)
+                               None, e.pos), sub.env, sub.fresh)
 
     raise TypeError(e)
 
@@ -425,7 +561,7 @@ class TraceEntry:
 
     def render(self, index: int, grade: KindedGrade) -> str:
         rule = self.info.rule if self.info else "-"
-        env = ",".join(f"{x}:{g}" for x, (_, g) in self.config.env)
+        env = ",".join(f"{x}:{g}" for x, (_, g) in self.config.env.items())
         return (f"#{index} [{rule}] grade={grade} env={{{env}}} "
                 f"expr={format_ann(self.config.expr)}")
 
@@ -440,7 +576,7 @@ class RunResult:
     stuck_schedules: Optional[list[tuple[int, StuckReason]]] = None
 
     def final_env_grades(self) -> dict[str, str]:
-        return {x: str(g) for x, (_, g) in self.config.env}
+        return {x: str(g) for x, (_, g) in self.config.env.items()}
 
 
 def graded_run(u: GradeUniverse, table: ClassTable, cfg: GradedConfig,
@@ -472,36 +608,46 @@ def graded_run(u: GradeUniverse, table: ClassTable, cfg: GradedConfig,
 
 def _search_run(u, table, cfg, grade, policy, fuel, want_trace,
                 want_stuck_schedules=False) -> RunResult:
-    budget = [fuel]
-    best_stuck: list = [None, -1]  # (reason, depth)
+    """Depth-first search with an explicit stack of [successors, index of
+    the next one to try, their depth] frames, kept only while a successor
+    is left to try; the trace is one list, truncated on backtracking."""
+    budget = fuel
+    best_reason, best_depth = None, -1
     schedules: list[tuple[int, StuckReason]] = []
-
-    def dfs(cfg, depth, trace):
-        if budget[0] <= 0:
-            return RunResult("fuel", depth, cfg, trace=trace)
-        budget[0] -= 1
-        result = graded_step(u, table, cfg, grade, policy)
+    trace = [TraceEntry(cfg, None)] if want_trace else None
+    frames: list[list] = []
+    node, depth = cfg, 0
+    while True:
+        if budget <= 0:
+            out = RunResult("fuel", depth, node, trace=trace)
+            break
+        budget -= 1
+        result = graded_step(u, table, node, grade, policy)
         if result.kind == "value":
-            return RunResult("final", depth, cfg, trace=trace)
+            out = RunResult("final", depth, node, trace=trace)
+            break
         if result.kind == "stuck":
-            if depth > best_stuck[1]:
-                best_stuck[0], best_stuck[1] = result.reason, depth
+            if depth > best_depth:
+                best_reason, best_depth = result.reason, depth
             if want_stuck_schedules:
                 schedules.append((depth, result.reason))
-            return None
-        for nxt, info in result.successors:
-            sub_trace = trace + [TraceEntry(nxt, info)] if trace is not None else None
-            out = dfs(nxt, depth + 1, sub_trace)
-            if out is not None:
-                return out
-        return None
-
-    initial = [TraceEntry(cfg, None)] if want_trace else None
-    out = dfs(cfg, 0, initial)
-    if out is not None:
-        if want_stuck_schedules:
-            out.stuck_schedules = schedules
-        return out
-    return RunResult("stuck", best_stuck[1], cfg, reason=best_stuck[0],
-                     trace=initial,
-                     stuck_schedules=schedules if want_stuck_schedules else None)
+        elif result.successors:
+            frames.append([result.successors, 0, depth + 1])
+        if not frames:
+            if trace is not None:
+                del trace[1:]
+            return RunResult("stuck", best_depth, cfg, reason=best_reason, trace=trace,
+                             stuck_schedules=schedules if want_stuck_schedules else None)
+        frame = frames[-1]
+        succs, i, depth = frame
+        node, info = succs[i]
+        if i + 1 == len(succs):
+            frames.pop()
+        else:
+            frame[1] = i + 1
+        if trace is not None:
+            del trace[depth:]
+            trace.append(TraceEntry(node, info))
+    if want_stuck_schedules:
+        out.stuck_schedules = schedules
+    return out

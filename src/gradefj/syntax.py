@@ -72,6 +72,15 @@ class New(Expr):
     ascription: Optional[KindedGrade] = None
     pos: Pos = field(default=(0, 0), compare=False)
 
+    def __post_init__(self):
+        # whether this is a value, computed once from the arguments' flags;
+        # an attribute, not a field, so it is neither compared nor printed
+        for a in self.args:
+            if not (isinstance(a, New) and a.is_value):
+                object.__setattr__(self, "is_value", False)
+                return
+        object.__setattr__(self, "is_value", True)
+
 
 @dataclass(frozen=True)
 class Invk(Expr):
@@ -103,7 +112,8 @@ def with_ascription(e: Expr, grade: Optional[KindedGrade]) -> Expr:
 
 
 def is_value(e: Expr) -> bool:
-    return isinstance(e, New) and all(is_value(a) for a in e.args)
+    """A constructor with value arguments; O(1), read off the node's flag."""
+    return isinstance(e, New) and e.is_value
 
 
 def erase(e: Expr) -> Expr:

@@ -14,6 +14,7 @@ checking syntax directed.
 
 from __future__ import annotations
 
+from collections.abc import Mapping
 from dataclasses import dataclass, field
 
 from .hetero import GradeUniverse, KindedGrade, ONE_D, ZERO_D
@@ -446,27 +447,30 @@ def elaborate_program(u: GradeUniverse,
     return [], Elaborated(table, result.elaborated, result.ctx, expected)
 
 
-def check_configuration(u: GradeUniverse, table: ClassTable, e: Expr,
-                        env: dict[str, tuple[Expr, KindedGrade]],
-                        expected: GradedType) -> tuple[CoeffectCtx, CoeffectCtx]:
-    """Type a configuration <e | env>: env entries at their stored grades,
-    the expression under them, and the context bound (t-env + t-conf)."""
-    gamma: CoeffectCtx = {}
-    tenv: TypeEnv = {}
-    for x, (v, g) in env.items():
-        free = free_vars(v)
-        if free:
-            _fail("t-env", "OpenValue",
-                  f"stored value for {x!r} has free variables {sorted(free)}")
-        if not is_value(v):
-            _fail("t-env", "AnnotationMismatch", f"environment entry {x!r} is not a value")
-        cls = v.className
-        if not table.has_class(cls):
-            _fail("t-env", "UnknownClass", f"unknown class {cls!r}")
-        if check(u, table, {}, v, GradedType(cls, g)).ctx:
-            _fail("t-env", "OpenValue", f"value for {x!r} needs a nonempty context")
-        gamma[x] = (cls, g)
-        tenv[x] = cls
+def check_env_entry(u: GradeUniverse, table: ClassTable, x: str, v: Expr,
+                    g: KindedGrade) -> str:
+    """t-env for one binding: ``v`` is a closed value of a known class that
+    types at ``g`` under the empty context.  Returns its class."""
+    free = free_vars(v)
+    if free:
+        _fail("t-env", "OpenValue",
+              f"stored value for {x!r} has free variables {sorted(free)}")
+    if not is_value(v):
+        _fail("t-env", "AnnotationMismatch", f"environment entry {x!r} is not a value")
+    cls = v.className
+    if not table.has_class(cls):
+        _fail("t-env", "UnknownClass", f"unknown class {cls!r}")
+    if check(u, table, {}, v, GradedType(cls, g)).ctx:
+        _fail("t-env", "OpenValue", f"value for {x!r} needs a nonempty context")
+    return cls
+
+
+def check_conf(u: GradeUniverse, table: ClassTable, e: Expr, gamma: CoeffectCtx,
+               expected: GradedType) -> CoeffectCtx:
+    """t-conf: ``e`` checks at ``expected`` under the classes of ``gamma``
+    and needs no more than its grades.  Only ``e``'s free variables are
+    looked up, so the cost does not grow with ``gamma``."""
+    tenv: TypeEnv = {x: gamma[x][0] for x in free_vars(e) if x in gamma}
     delta = check(u, table, tenv, e, expected).ctx
     if not ctx_leq(u, delta, gamma):
         bad = [x for x in delta if x not in gamma
@@ -475,7 +479,17 @@ def check_configuration(u: GradeUniverse, table: ClassTable, e: Expr,
         _fail("t-conf", "GradeTooDemanding",
               f"expression needs {', '.join(f'{x} at {delta[x][1]}' for x in bad)} "
               f"beyond what the environment provides")
-    return gamma, delta
+    return delta
+
+
+def check_configuration(u: GradeUniverse, table: ClassTable, e: Expr,
+                        env: Mapping[str, tuple[Expr, KindedGrade]],
+                        expected: GradedType) -> tuple[CoeffectCtx, CoeffectCtx]:
+    """Type a configuration <e | env>: env entries at their stored grades,
+    the expression under them, and the context bound (t-env + t-conf)."""
+    gamma: CoeffectCtx = {x: (check_env_entry(u, table, x, v, g), g)
+                          for x, (v, g) in env.items()}
+    return gamma, check_conf(u, table, e, gamma, expected)
 
 
 # ---------------------------------------------------------------------------

@@ -134,6 +134,14 @@ def test_run_fuel_divergence_is_not_an_error(capsys, corpus_dir):
     assert "divergent within fuel" in out
 
 
+def test_search_is_stack_safe_at_fuel_5000(capsys):
+    # the depth-first search keeps its own stack, so its depth is bounded
+    # by the fuel and not by the interpreter's recursion limit
+    loop = pathlib.Path(__file__).parent / "programs" / "loop.gfj"
+    code, out, _ = run_cli(capsys, "run", "--policy", "search", "--fuel", "5000", str(loop))
+    assert code == 0 and out == "divergent within fuel (5000 steps)\n"
+
+
 def test_run_universe_flag(capsys, corpus_dir):
     code, out, _ = run_cli(capsys, "run",
                            "--universe", corpus_path(corpus_dir, "affinity_privacy.json"),

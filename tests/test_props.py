@@ -5,7 +5,14 @@ import dataclasses
 
 import pytest
 
-from gradefj.runtime import GradedConfig, Minimal, ResourceExhausted, TraceEntry, graded_run
+from gradefj.runtime import (
+    Env,
+    GradedConfig,
+    Minimal,
+    ResourceExhausted,
+    TraceEntry,
+    graded_run,
+)
 from gradefj.syntax import GradedType, erase_table, is_value, parse_expr, parse_program
 from gradefj.typecheck import check, check_configuration, elaborate_program
 from gradefj.props import (
@@ -49,7 +56,7 @@ def _setup(entry):
 
 
 def _traced(u, ann, expr, grade, fuel=100_000):
-    return graded_run(u, ann, GradedConfig.make(expr, {}), grade, Minimal(), fuel,
+    return graded_run(u, ann, GradedConfig(expr), grade, Minimal(), fuel,
                       want_trace=True)
 
 
@@ -61,8 +68,8 @@ def test_progress_on_every_two_block_configuration(corpus_by_name):
     # the walk's environment check is the typing-context check: t-env types
     # a configuration in its environment's domain at the stored grades
     for t in run.trace:
-        gamma, _ = check_configuration(u, ann, t.config.expr, t.config.env_dict(), expected)
-        assert gamma == {x: (v.className, g) for x, (v, g) in t.config.env}
+        gamma, _ = check_configuration(u, ann, t.config.expr, t.config.env, expected)
+        assert gamma == {x: (v.className, g) for x, (v, g) in t.config.env.items()}
 
 
 def test_progress_value_branch(corpus_by_name):
@@ -101,9 +108,9 @@ def test_subject_reduction_e1_both_ways(corpus_by_name):
     u, program, ann, main, expected = _setup(corpus_by_name["priv_narrow_at_private"])
     errs = check_run(u, ann, _traced(u, ann, main, expected.grade), expected)
     assert errs == []
-    run = graded_run(u, ann, GradedConfig.make(main, {}), program.mainGrade)
+    run = graded_run(u, ann, GradedConfig(main), program.mainGrade)
     outcome, std_final, _ = std_run(erase_table(ann),
-                                    erase_config(GradedConfig.make(main, {})))
+                                    erase_config(GradedConfig(main)))
     assert outcome == "final"
     assert std_final.expr == parse_expr("new A()", u)
     assert erase_config(run.config).expr == std_final.expr
@@ -145,7 +152,7 @@ def test_walk_reports_configuration_that_does_not_type(two_block_run):
     trace = list(run.trace)
     i = next(i for i, t in enumerate(trace) if t.config.env)
     cfg = trace[i].config
-    trace[i] = TraceEntry(GradedConfig(cfg.expr, ()), trace[i].info)
+    trace[i] = TraceEntry(GradedConfig(cfg.expr, Env()), trace[i].info)
     errs = check_run(u, ann, dataclasses.replace(run, trace=trace), expected)
     assert any(e.startswith(f"type not preserved at step {i}:") for e in errs), errs
 
@@ -163,10 +170,10 @@ def test_walk_reports_shrinking_env(two_block_run):
     trace = list(run.trace)
     before, last = trace[-2].config, trace[-1].config
     assert before.env and is_value(last.expr)
-    trace[-1] = TraceEntry(GradedConfig(last.expr, ()), trace[-1].info)
+    trace[-1] = TraceEntry(GradedConfig(last.expr, Env()), trace[-1].info)
     errs = check_run(u, ann, dataclasses.replace(run, trace=trace), expected)
     n = len(trace) - 1
-    x = before.env[0][0]
+    x = next(iter(before.env))
     assert f"step {n}: dom shrank: {x} disappeared" in errs, errs
 
 
@@ -181,7 +188,7 @@ def test_walk_reports_stuck_outcome(two_block_run):
 def test_theorem_suite_runs_the_program_once(corpus_by_name, monkeypatch):
     # one traced run: each configuration typed once, one standard step per step
     import gradefj.props as props
-    calls = {"graded_run": 0, "check_configuration": 0, "std_step": 0}
+    calls = {"graded_run": 0, "check_conf": 0, "std_step": 0}
     runs = []
 
     def counted(name):
@@ -199,8 +206,43 @@ def test_theorem_suite_runs_the_program_once(corpus_by_name, monkeypatch):
     assert theorem_suite(corpus_by_name["two_blocks_nat"]).ok
     assert calls["graded_run"] == 1
     (run,) = runs
-    assert calls["check_configuration"] == len(run.trace)
+    assert calls["check_conf"] == len(run.trace)
     assert calls["std_step"] == run.steps == len(run.trace) - 1
+
+
+def test_theorem_walk_types_and_erases_each_binding_once(corpus, monkeypatch):
+    # the walk reuses the previous configuration's typing and erasure of
+    # every binding that did not change: over one corpus pass, one t-env
+    # typing per (binding, value, grade) and one erasure per (binding,
+    # value) and per configuration; retyping and re-erasing every
+    # environment whole made 10,241 env-entry typings
+    import gradefj.props as props
+    calls = {"check_env_entry": 0, "erase": 0}
+    runs = []
+
+    def counted(name):
+        original = getattr(props, name)
+
+        def wrapper(*args, **kwargs):
+            calls[name] += 1
+            return original(*args, **kwargs)
+        monkeypatch.setattr(props, name, wrapper)
+    for name in calls:
+        counted(name)
+    graded_run = props.graded_run
+    monkeypatch.setattr(props, "graded_run",
+                        lambda *a, **k: runs.append(graded_run(*a, **k)) or runs[-1])
+    for entry in accepted_entries(corpus):
+        assert theorem_suite(entry).ok, entry.name
+    typed = erased = configs = 0
+    for run in runs:
+        entries = [(x, v, g) for t in run.trace for x, (v, g) in t.config.env.items()]
+        typed += len({(x, id(v), g) for x, v, g in entries})
+        erased += len({(x, id(v)) for x, v, _ in entries})
+        configs += len(run.trace)
+    assert calls["check_env_entry"] == typed
+    assert calls["erase"] == erased + configs
+    assert typed < 1000 and erased + configs < 1000
 
 
 # ---------------------------------------------------------------------------

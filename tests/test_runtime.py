@@ -1,5 +1,7 @@
 """Standard and instrumented reduction: steps, runs, policies, properties."""
 
+import random
+
 import pytest
 
 from gradefj.grades import FiniteElem, Nat
@@ -14,6 +16,7 @@ from gradefj.syntax import (
     parse_program,
 )
 from gradefj.runtime import (
+    Env,
     Enumerate,
     FieldExtraction,
     FixedWitness,
@@ -61,10 +64,10 @@ def unchecked(universe, src):
 
 def test_std_block_and_field_access(universe, two_block):
     program, _, _ = two_block
-    cfg = StdConfig.make(program.main, {})
+    cfg = StdConfig(program.main)
     cfg = std_step(program.table, cfg)
-    assert "a" in cfg.env_dict()
-    outcome, final, steps = std_run(program.table, StdConfig.make(program.main, {}))
+    assert "a" in cfg.env
+    outcome, final, steps = std_run(program.table, StdConfig(program.main))
     assert outcome == "final" and steps == 8
     assert final.expr == parse_expr("new Pair(new A(), new A())", universe)
 
@@ -72,7 +75,7 @@ def test_std_block_and_field_access(universe, two_block):
 def test_std_unbound_var_stuck(universe, two_block):
     program, _, _ = two_block
     with pytest.raises(StdStuck):
-        std_step(program.table, StdConfig.make(parse_expr("x", universe), {}))
+        std_step(program.table, StdConfig(parse_expr("x", universe)))
 
 
 # ---------------------------------------------------------------------------
@@ -80,15 +83,15 @@ def test_std_unbound_var_stuck(universe, two_block):
 
 def test_two_block_trace_grades(universe, two_block):
     program, main, ann = two_block
-    run = graded_run(universe, ann, GradedConfig.make(main, {}), program.mainGrade,
+    run = graded_run(universe, ann, GradedConfig(main), program.mainGrade,
                      want_trace=True)
     assert run.outcome == "final" and run.steps == 8
     assert len(run.trace) == 9
-    a_grades = [str(t.config.env_dict()["a"][1]) for t in run.trace
-                if "a" in t.config.env_dict()]
+    a_grades = [str(t.config.env["a"][1]) for t in run.trace
+                if "a" in t.config.env]
     assert a_grades == ["4", "2", "0", "0", "0", "0", "0", "0"]
-    p_grades = [str(t.config.env_dict()["p"][1]) for t in run.trace
-                if "p" in t.config.env_dict()]
+    p_grades = [str(t.config.env["p"][1]) for t in run.trace
+                if "p" in t.config.env]
     assert p_grades == ["2", "1", "1", "0", "0"]
     assert run.final_env_grades() == {"a": "0", "p": "0"}
 
@@ -96,19 +99,19 @@ def test_two_block_trace_grades(universe, two_block):
 def test_graded_step_consumes_two(universe, two_block):
     # the inner initializer runs at grade 2, so each use of `a` burns 2
     program, main, ann = two_block
-    run = graded_run(universe, ann, GradedConfig.make(main, {}), program.mainGrade,
+    run = graded_run(universe, ann, GradedConfig(main), program.mainGrade,
                      want_trace=True)
     step2 = run.trace[2]
     assert step2.info.rule == "var" and step2.info.var == "a"
     assert step2.info.consumed == N(2)
-    assert str(step2.config.env_dict()["a"][1]) == "2"
+    assert str(step2.config.env["a"][1]) == "2"
 
 
 def test_determinism_of_minimal(universe, two_block):
     program, main, ann = two_block
-    r1 = graded_run(universe, ann, GradedConfig.make(main, {}), program.mainGrade,
+    r1 = graded_run(universe, ann, GradedConfig(main), program.mainGrade,
                     want_trace=True)
-    r2 = graded_run(universe, ann, GradedConfig.make(main, {}), program.mainGrade,
+    r2 = graded_run(universe, ann, GradedConfig(main), program.mainGrade,
                     want_trace=True)
     assert [t.config for t in r1.trace] == [t.config for t in r2.trace]
 
@@ -119,16 +122,136 @@ def test_fresh_name_hygiene(universe):
     assert fresh_name("x", {"x", "x$0"}) == "x$1"
     src = "class A { }\nrun {A[1] x = new A(); {A[1] x = x; x}} at 1\n"
     program, main, ann = unchecked(universe, src)
-    run = graded_run(universe, ann, GradedConfig.make(main, {}), program.mainGrade,
+    run = graded_run(universe, ann, GradedConfig(main), program.mainGrade,
                      want_trace=True)
     assert run.outcome == "final"
     assert list(run.final_env_grades()) == ["x", "x$0"]
     # domains only grow, never rebind
     seen = set()
     for t in run.trace:
-        dom = set(t.config.env_dict())
+        dom = set(t.config.env)
         assert seen <= dom
         seen = dom
+
+
+def test_indexed_fresh_name_agrees_with_scan_from_zero():
+    rng = random.Random(11)
+    for _ in range(20):
+        taken, start = set(), {}
+        for _ in range(200):
+            if rng.random() < 0.2:
+                taken.add(rng.choice("abc") + rng.choice(["", "$0", "$1"]))
+                continue  # other bindings: the index only skips names known taken
+            base = rng.choice("abc")
+            name = fresh_name(base, taken, start.get(base, 0))
+            assert name == fresh_name(base, taken)
+            assert name not in taken
+            taken.add(name)
+            k = 0 if name == base else int(name.split("$")[1]) + 1
+            start[base] = k + 1
+
+
+class CountingSet(set):
+    probes = 0
+
+    def __contains__(self, key):
+        CountingSet.probes += 1
+        return super().__contains__(key)
+
+
+def test_fresh_name_probes_are_constant_after_many_bindings(universe):
+    src = "class L { L[1] loop()[1] { this.loop() } }\nrun new L().loop() at 1\n"
+    program = parse_program(src, universe)
+    _, checked = elaborate_program(universe, program)
+    run = graded_run(universe, checked.table, GradedConfig(checked.main),
+                     program.mainGrade, fuel=2000)
+    cfg = run.config
+    assert len(cfg.env) == 1000  # one binding of `this` per call
+    taken = CountingSet(cfg.env)
+    CountingSet.probes = 0
+    name = fresh_name("this", taken, cfg.fresh["this"])
+    assert CountingSet.probes == 1 and name == fresh_name("this", set(cfg.env))
+    std = std_run(erase_table(checked.table), erase_config(GradedConfig(checked.main)),
+                  fuel=2000)[1]
+    assert std.fresh["this"] == cfg.fresh["this"] == 1000
+
+
+def test_fresh_index_is_not_compared_or_printed(universe, two_block):
+    program, main, ann = two_block
+    run = graded_run(universe, ann, GradedConfig(main), program.mainGrade)
+    cfg = run.config
+    assert len(cfg.fresh) == 2
+    assert GradedConfig(cfg.expr, cfg.env) == cfg
+    assert "fresh" not in repr(cfg)
+
+
+# ---------------------------------------------------------------------------
+# the persistent environment
+
+def test_env_old_versions_read_back_after_newer_and_branches():
+    e0 = Env()
+    e1 = e0.set("x", 1)
+    e2 = e1.set("y", 2)
+    e3 = e2.set("x", 3)
+    left = e1.set("z", 4)      # two sets from one version, as search does
+    right = e1.set("w", 5)
+    assert e3.items() == [("x", 3), ("y", 2)]
+    assert right.items() == [("x", 1), ("w", 5)]
+    assert left.items() == [("x", 1), ("z", 4)]
+    assert e2.items() == [("x", 1), ("y", 2)]
+    assert e1.items() == [("x", 1)] and e0.items() == []
+    assert [len(e) for e in (e0, e1, e2, e3, left, right)] == [0, 1, 2, 2, 2, 2]
+    assert "y" in e2 and "y" not in e1 and e3["x"] == 3 and e1.get("y") is None
+    assert list(e2) == ["x", "y"] and e2.keys() == ["x", "y"] and e2.values() == [1, 2]
+    # iteration is a snapshot: reading another version on the way is safe
+    assert [(k, e1.get("x"), e3[k]) for k in e2] == [("x", 1, 3), ("y", 1, 2)]
+
+
+def test_env_equality_is_order_sensitive():
+    xy = Env().set("x", 1).set("y", 2)
+    yx = Env().set("y", 2).set("x", 1)
+    assert xy != yx and dict(xy) == dict(yx)
+    base = Env().set("a", 0)
+    b1, b2 = base.set("x", 1).set("y", 2), base.set("y", 2).set("x", 1)
+    assert b1 != b2   # same family, same items, other order
+    assert b1 == base.set("x", 1).set("y", 2) == Env(dict(b1))
+    assert base.set("x", 1) != base.set("x", 2)
+    assert base.set("x", 1).set("x", 2) == base.set("x", 2)
+    assert hash(b1) == hash(Env(dict(b1)))
+
+
+def test_env_agrees_with_copied_dicts_on_random_histories():
+    # every version against a dict copied at each set, the representation
+    # the persistent map replaced
+    rng = random.Random(5)
+    versions = [(Env(), {})]
+    for _ in range(3000):
+        env, model = rng.choice(versions[-20:] if rng.random() < 0.8 else versions)
+        key, value = rng.choice("abcdefgh"), rng.randrange(3)
+        model = dict(model)
+        model[key] = value
+        child = env.set(key, value)
+        assert child.changes_since(env) == [key] and env.changes_since(child) in (None, [key])
+        versions.append((child, model))
+    for _ in range(3000):
+        (e1, m1), (e2, m2) = rng.choice(versions), rng.choice(versions)
+        assert e1.items() == list(m1.items())
+        assert (e1 == e2) == (list(m1.items()) == list(m2.items()))
+        keys = e2.changes_since(e1)
+        if keys is not None:
+            replayed = dict(m1)
+            for k in keys:
+                replayed[k] = m2[k]
+            assert list(replayed.items()) == list(m2.items())
+
+
+def test_env_reroots_a_long_chain_without_recursion():
+    first = env = Env()
+    for i in range(100_000):
+        env = env.set(f"x{i}", i)
+    assert len(first) == 0 and first.items() == []
+    assert env["x99999"] == 99_999 and len(env.items()) == 100_000
+    assert first.set("y", 0).items() == [("y", 0)]
 
 
 def test_field_extraction_stuck(universe):
@@ -136,7 +259,7 @@ def test_field_extraction_stuck(universe):
            "run {A[4] a = new A(); {Pair[2] p = new Pair(a, a); "
            "new Pair(p.first @ 2, p.second)}} at 1\n")
     program, main, ann = unchecked(universe, src)
-    run = graded_run(universe, ann, GradedConfig.make(main, {}), program.mainGrade)
+    run = graded_run(universe, ann, GradedConfig(main), program.mainGrade)
     assert run.outcome == "stuck" and isinstance(run.reason, FieldExtraction)
     assert str(run.reason.have) == "1" and str(run.reason.demanded) == "2"
 
@@ -145,7 +268,7 @@ def test_resource_exhausted_at_public(universe):
     src = ("class A { }\n"
            "run {A[P:public] y = new A(); {A[P:private] x = y; x}} at P:public\n")
     program, main, ann = unchecked(universe, src)
-    run = graded_run(universe, ann, GradedConfig.make(main, {}), program.mainGrade)
+    run = graded_run(universe, ann, GradedConfig(main), program.mainGrade)
     assert run.outcome == "stuck" and isinstance(run.reason, ResourceExhausted)
     assert run.reason.var == "x"
     assert str(run.reason.available) == "P:private"
@@ -157,7 +280,7 @@ def test_var_at_zero_burns_unit(universe):
            "run {A[2] a = new A(); {Pair[0] p = new Pair(a, a); "
            "new Pair(new A(), new A())}} at 1\n")
     program, main, ann = unchecked(universe, src)
-    run = graded_run(universe, ann, GradedConfig.make(main, {}), program.mainGrade,
+    run = graded_run(universe, ann, GradedConfig(main), program.mainGrade,
                      want_trace=True)
     assert run.outcome == "final"
     burns = [t.info for t in run.trace if t.info and t.info.rule == "var"]
@@ -168,13 +291,13 @@ def test_var_at_zero_burns_unit(universe):
 def test_no_such_member_stuck(universe, two_block):
     _, _, ann = two_block
     bad = FieldAccess(New("A", (), N(1)), "nope")
-    res = graded_step(universe, ann, GradedConfig.make(bad, {}), N(1))
+    res = graded_step(universe, ann, GradedConfig(bad), N(1))
     assert res.kind == "stuck" and isinstance(res.reason, NoSuchMember)
 
 
 def test_enumerate_offers_choices(universe, two_block):
     _, _, ann = two_block
-    cfg = GradedConfig.make(Var("x"), {"x": (New("A", ()), N(3))})
+    cfg = GradedConfig(Var("x"), Env({"x": (New("A", ()), N(3))}))
     res = graded_step(universe, ann, cfg, N(1), Enumerate(bound=4))
     assert res.kind == "step"
     consumed = sorted(i.consumed.value.n for _, i in res.successors)
@@ -185,10 +308,21 @@ def test_enumerate_offers_choices(universe, two_block):
 
 def test_search_completes_when_minimal_does(universe, two_block):
     program, main, ann = two_block
-    run = graded_run(universe, ann, GradedConfig.make(main, {}), program.mainGrade,
+    run = graded_run(universe, ann, GradedConfig(main), program.mainGrade,
                      Enumerate())
     assert run.outcome == "final"
     assert run.final_env_grades() == {"a": "0", "p": "0"}
+
+
+def test_traced_search_keeps_one_path(universe):
+    src = "class L { L[1] loop()[1] { this.loop() } }\nrun new L().loop() at 1\n"
+    program = parse_program(src, universe)
+    _, checked = elaborate_program(universe, program)
+    run = graded_run(universe, checked.table, GradedConfig(checked.main),
+                     program.mainGrade, Enumerate(), fuel=5000, want_trace=True)
+    assert run.outcome == "fuel" and run.steps == 5000 and len(run.trace) == 5001
+    assert run.trace[-1].config is run.config
+    assert [t.info.rule for t in run.trace[1:5]] == ["invk", "var", "invk", "var"]
 
 
 def test_search_all_schedules_stuck(universe):
@@ -196,7 +330,7 @@ def test_search_all_schedules_stuck(universe):
            "run {A[4] a = new A(); {Pair[2] p = new Pair(a, a); "
            "new Pair((p @ 2).first @ 2, p.second)}} at 1\n")
     program, main, ann = unchecked(universe, src)
-    run = graded_run(universe, ann, GradedConfig.make(main, {}), program.mainGrade,
+    run = graded_run(universe, ann, GradedConfig(main), program.mainGrade,
                      Enumerate())
     assert run.outcome == "stuck"
 
@@ -206,7 +340,7 @@ def test_reannotated_overdemand_completes(universe):
            "run {A[6] a = new A(); {Pair[3] p = new Pair(a, a); "
            "new Pair((p @ 2).first @ 2, p.second)}} at 1\n")
     program, main, ann = unchecked(universe, src)
-    run = graded_run(universe, ann, GradedConfig.make(main, {}), program.mainGrade)
+    run = graded_run(universe, ann, GradedConfig(main), program.mainGrade)
     assert run.outcome == "final"
     assert run.final_env_grades() == {"a": "0", "p": "0"}
 
@@ -216,7 +350,7 @@ def test_fuel_exhaustion(universe):
            "run new Loop().spin() at N:1\n")
     program = parse_program(src, universe)
     _, checked = elaborate_program(universe, program)
-    run = graded_run(universe, checked.table, GradedConfig.make(checked.main, {}),
+    run = graded_run(universe, checked.table, GradedConfig(checked.main),
                      program.mainGrade, fuel=50)
     assert run.outcome == "fuel" and run.steps == 50
 
@@ -231,7 +365,7 @@ def _check_step(u, ann, before, after, grade, info, lows=None):
 
 def test_props_hold_on_two_block_run(universe, two_block):
     program, main, ann = two_block
-    run = graded_run(universe, ann, GradedConfig.make(main, {}), program.mainGrade,
+    run = graded_run(universe, ann, GradedConfig(main), program.mainGrade,
                      want_trace=True)
     lows = [N(0), N(1)]
     for i in range(1, len(run.trace)):
@@ -242,7 +376,7 @@ def test_props_hold_on_two_block_run(universe, two_block):
 
 def test_props_replay_at_same_grade(universe, two_block):
     program, main, ann = two_block
-    run = graded_run(universe, ann, GradedConfig.make(main, {}), program.mainGrade,
+    run = graded_run(universe, ann, GradedConfig(main), program.mainGrade,
                      want_trace=True)
     var_steps = [i for i, t in enumerate(run.trace) if t.info and t.info.rule == "var"]
     i = var_steps[0]
@@ -253,28 +387,28 @@ def test_props_replay_at_same_grade(universe, two_block):
 
 def test_props_catch_grown_grade(universe, two_block):
     program, main, ann = two_block
-    run = graded_run(universe, ann, GradedConfig.make(main, {}), program.mainGrade,
+    run = graded_run(universe, ann, GradedConfig(main), program.mainGrade,
                      want_trace=True)
     before, after = run.trace[1].config, run.trace[2].config
-    env = after.env_dict()
+    env = dict(after.env)
     env["a"] = (env["a"][0], N(9))
-    fake = GradedConfig.make(after.expr, env)
+    fake = GradedConfig(after.expr, Env(env))
     errs = _check_step(universe, ann, before, fake, program.mainGrade, run.trace[2].info)
     assert any("grew" in e for e in errs)
 
 
 def test_erasure_agrees_with_standard_run(universe, two_block):
     program, main, ann = two_block
-    run = graded_run(universe, ann, GradedConfig.make(main, {}), program.mainGrade)
+    run = graded_run(universe, ann, GradedConfig(main), program.mainGrade)
     outcome, std_final, steps = std_run(erase_table(ann), erase_config(
-        GradedConfig.make(main, {})))
+        GradedConfig(main)))
     assert outcome == "final" and steps == run.steps
     assert erase_config(run.config) == std_final
 
 
 def test_fixed_witness_policy(universe, two_block):
     _, _, ann = two_block
-    cfg = GradedConfig.make(Var("x"), {"x": (New("A", ()), N(3))})
+    cfg = GradedConfig(Var("x"), Env({"x": (New("A", ()), N(3))}))
     ok = graded_step(universe, ann, cfg, N(1), FixedWitness(N(2), N(1)))
     assert ok.kind == "step"
     bad = graded_step(universe, ann, cfg, N(1), FixedWitness(N(2), N(2)))
@@ -286,7 +420,7 @@ def test_search_collects_stuck_schedules(universe):
            "run {A[4] a = new A(); {Pair[2] p = new Pair(a, a); "
            "new Pair((p @ 2).first @ 2, p.second)}} at 1\n")
     program, main, ann = unchecked(universe, src)
-    run = graded_run(universe, ann, GradedConfig.make(main, {}), program.mainGrade,
+    run = graded_run(universe, ann, GradedConfig(main), program.mainGrade,
                      Enumerate(), want_stuck_schedules=True)
     assert run.outcome == "stuck"
     assert run.stuck_schedules and all(d >= 0 for d, _ in run.stuck_schedules)
@@ -302,7 +436,7 @@ def test_extreal_kind_end_to_end():
            "run {A[R:1] a = new A(); new Pair(a, a)} at R:1\n")
     program = parse_program(src, u)
     _, checked = elaborate_program(u, program)
-    run = graded_run(u, checked.table, GradedConfig.make(checked.main, {}),
+    run = graded_run(u, checked.table, GradedConfig(checked.main),
                      program.mainGrade, want_trace=True)
     assert run.outcome == "final"
     # two burns of exactly 1/2 leave exactly the kind-R zero: exact arithmetic
@@ -315,7 +449,7 @@ def test_enumerate_on_finite_kind(universe, two_block):
     from gradefj.grades import FiniteElem
     _, _, ann = two_block
     aff = lambda n: KindedGrade("A", FiniteElem(n, "affinity"))
-    cfg = GradedConfig.make(Var("x"), {"x": (New("A", ()), aff("w"))})
+    cfg = GradedConfig(Var("x"), Env({"x": (New("A", ()), aff("w"))}))
     res = graded_step(universe, ann, cfg, aff("1"), Enumerate())
     assert res.kind == "step"
     burned = sorted(str(i.consumed) for _, i in res.successors)
@@ -336,9 +470,9 @@ def test_search_finds_schedule_minimal_misses():
     program = parse_program(src, u)
     _, annotated = annotate_program(u, program)
     ann, main = annotated.table, annotated.main
-    linear = graded_run(u, ann, GradedConfig.make(main, {}), program.mainGrade)
+    linear = graded_run(u, ann, GradedConfig(main), program.mainGrade)
     assert linear.outcome == "stuck"
-    found = graded_run(u, ann, GradedConfig.make(main, {}), program.mainGrade,
+    found = graded_run(u, ann, GradedConfig(main), program.mainGrade,
                        Enumerate())
     assert found.outcome == "final"
     assert found.final_env_grades() == {"v": "M:0"}

@@ -1,5 +1,7 @@
 """Parser, printer, class table, graded subtyping, erasure."""
 
+import dataclasses
+
 import pytest
 
 from gradefj.grades import FiniteElem, Nat
@@ -23,6 +25,7 @@ from gradefj.syntax import (
     parse_expr,
     parse_program,
     subst,
+    with_ascription,
 )
 from gradefj.typecheck import elaborate_program
 
@@ -183,6 +186,61 @@ def test_is_source_value(universe):
     assert is_value(parse_expr("new Pair(new A(), new A())", universe))
     assert is_value(parse_expr("new Pair(new A() @ 2, new A())", universe))
     assert not is_value(parse_expr("new Pair(x, new A())", universe))
+
+
+def _recursive_is_value(e):
+    # the definition the New value flag replaces
+    return isinstance(e, New) and all(_recursive_is_value(a) for a in e.args)
+
+
+def _subterms(e):
+    stack = [e]
+    while stack:
+        t = stack.pop()
+        yield t
+        if isinstance(t, (FieldAccess, Invk)):
+            stack.append(t.recv)
+        if isinstance(t, (New, Invk)):
+            stack.extend(t.args)
+        if isinstance(t, Block):
+            stack.extend((t.init, t.body))
+
+
+def test_value_flag_matches_recursive_definition(corpus):
+    from gradefj.runtime import GradedConfig, graded_run
+    roots = []
+    for entry in corpus:
+        program = entry.program
+        tables = [program.table]
+        roots.append(program.main)
+        diags, checked = elaborate_program(entry.universe, program)
+        if not diags:
+            tables.append(checked.table)
+            run = graded_run(entry.universe, checked.table, GradedConfig(checked.main),
+                             program.mainGrade, fuel=200, want_trace=True)
+            for t in run.trace:
+                roots.append(t.config.expr)
+                roots.extend(v for v, _ in t.config.env.values())
+        roots.extend(md.body for table in tables for decl in table.classes.values()
+                     for md in decl.methods.values())
+    terms = [t for root in roots for t in _subterms(root)]
+    values = [t for t in terms if _recursive_is_value(t)]
+    assert values and len(values) < len(terms)
+    for t in terms:
+        variants = [t, with_ascription(t, N(7)), with_ascription(t, None),
+                    subst(t, {"x": "y", "this": "z"}), erase(t), dataclasses.replace(t)]
+        if isinstance(t, New) and t.args:
+            variants.append(dataclasses.replace(t, args=(Var("x"),) + t.args[1:]))
+            variants.append(dataclasses.replace(t, args=tuple(New("A", ()) for _ in t.args)))
+        for v in variants:
+            assert is_value(v) == _recursive_is_value(v), v
+
+
+def test_value_flag_is_not_compared(universe):
+    v = parse_expr("new Pair(new A(), new A())", universe)
+    assert v.is_value and "is_value" not in repr(v)
+    assert "is_value" not in [f.name for f in dataclasses.fields(New)]
+    assert with_ascription(v, N(2)).is_value
 
 
 def test_format_expr_ascription_roundtrip(universe):

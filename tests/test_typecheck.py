@@ -243,10 +243,10 @@ def test_check_configuration_initial_and_midtrace(corpus_by_name):
     _, checked = elaborate_program(u, program)
     expected = GradedType("Pair", program.mainGrade)
     check_configuration(u, program.table, checked.main, {}, expected)
-    run = graded_run(u, checked.table, GradedConfig.make(checked.main, {}),
+    run = graded_run(u, checked.table, GradedConfig(checked.main),
                      program.mainGrade, Minimal(), want_trace=True)
     mid = run.trace[4].config  # after four steps: a at 0, p at 2
-    env = mid.env_dict()
+    env = mid.env
     assert str(env["a"][1]) == "0" and str(env["p"][1]) == "2"
     check_configuration(u, program.table, mid.expr, env, expected)
 
@@ -287,7 +287,7 @@ def test_canonical_forms_on_corpus(corpus):
             continue
         u, program = entry.universe, entry.program
         _, checked = elaborate_program(u, program)
-        run = graded_run(u, checked.table, GradedConfig.make(checked.main, {}),
+        run = graded_run(u, checked.table, GradedConfig(checked.main),
                          program.mainGrade, Minimal())
         value = run.config.expr
         assert is_value(value)
