@@ -27,6 +27,7 @@ from .runtime import (
     StdConfig,
     StdStuck,
     StepInfo,
+    count_binding,
     graded_run,
     graded_step,
     reason_name,
@@ -58,7 +59,11 @@ class _EnvWalk:
     """The t-env context and the erasure of a run's environment, brought
     up to date configuration by configuration.  Only the bindings set since
     the previous configuration are looked at, so each (binding, value,
-    grade) is typed once and each (binding, value) erased once per walk."""
+    grade) is typed once and each (binding, value) erased once per walk.
+    The erased side's fresh-name indices are counted from the bindings, as
+    ``runtime.erase_config`` does, not taken from the instrumented
+    configuration, so a standard step that picks another name than the
+    instrumented step did is seen."""
 
     def __init__(self, u: GradeUniverse, table: ClassTable):
         self.u, self.table = u, table
@@ -67,6 +72,7 @@ class _EnvWalk:
 
     def restart(self) -> None:
         self.erased = Env()   # the erasure of self.env
+        self.counts = Env()   # count_binding over the keys of self.env
         self.seen: dict[str, tuple] = {}  # x -> its (value, grade) when last typed
         self.gamma: CoeffectCtx = {}      # t-env of the entries that type
         self.errors: dict[str, CheckError] = {}  # and why the others do not
@@ -79,6 +85,8 @@ class _EnvWalk:
         for x in keys:
             v, g = env[x]
             old = self.seen.get(x)
+            if old is None:
+                self.counts = count_binding(self.counts, x)
             if old is None or old[0] is not v:
                 self.erased = self.erased.set(x, erase(v))
             elif old[1] == g:
@@ -124,7 +132,7 @@ def check_run(u: GradeUniverse, ann: ClassTable, run: RunResult, expected: Grade
             check_conf(u, ann, cfg.expr, walk.gamma, expected)
         except CheckError as exc:
             failures.append(f"type not preserved at step {i}: {exc.diag.msg}")
-        erased = StdConfig(erase(cfg.expr), walk.erased, cfg.fresh)
+        erased = StdConfig(erase(cfg.expr), walk.erased, walk.counts)
         if prev is not None:
             errs = check_step(u, ann, std_table, prev[0], cfg, prev[1], erased,
                               expected.grade, tentry.info, lower_grades)

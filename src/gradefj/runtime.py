@@ -187,28 +187,36 @@ class StdConfig:
 
 
 def erase_config(cfg: GradedConfig) -> StdConfig:
+    """The erasure of ``cfg``.  Its fresh-name indices are counted from the
+    environment, not copied from ``cfg``, so the standard step of the
+    result picks its names without the instrumented run's word for them."""
+    counts = Env()
+    for x in cfg.env:
+        counts = count_binding(counts, x)
     return StdConfig(erase(cfg.expr), Env((x, erase(v)) for x, (v, _) in cfg.env.items()),
-                     cfg.fresh)
+                     counts)
 
 
-def indexed_name(base: str, k: int) -> str:
-    """The k-th candidate fresh name for ``base``: base, base$0, base$1, ..."""
-    return base if k == 0 else f"{base}${k - 1}"
+def count_binding(counts: Env, name: str) -> Env:
+    """``counts`` with one more binding of ``name``'s base.  Per base, the
+    number of names base, base$0, base$1, ... bound is, in a run that binds
+    each base's names in turn, the index its next fresh-name scan starts
+    from."""
+    base = name.split("$", 1)[0]
+    return counts.set(base, counts.get(base, 0) + 1)
 
 
-def fresh_index(base: str, taken, start: int = 0) -> int:
-    """The index of the first candidate name for ``base`` not in ``taken``,
-    scanning from ``start``.  Environments only grow and source names
-    contain no ``$``, so a run may start each scan where the last one for
-    the same base ended."""
-    k = start
-    while indexed_name(base, k) in taken:
+def fresh_name(base: str, taken, fresh: Env) -> tuple[str, Env]:
+    """The first of base, base$0, base$1, ... not in ``taken``, scanning
+    from the index ``fresh`` holds for ``base``, and ``fresh`` moved past
+    it.  Environments only grow and source names contain no ``$``, so a
+    run may start each scan where the last one for the same base ended."""
+    k = fresh.get(base, 0)
+    name = base if k == 0 else f"{base}${k - 1}"
+    while name in taken:
         k += 1
-    return k
-
-
-def fresh_name(base: str, taken, start: int = 0) -> str:
-    return indexed_name(base, fresh_index(base, taken, start))
+        name = f"{base}${k - 1}"
+    return name, fresh.set(base, k + 1)
 
 
 # ---------------------------------------------------------------------------
@@ -414,22 +422,19 @@ def graded_step(u: GradeUniverse, table: ClassTable, cfg: GradedConfig,
         fresh = cfg.fresh
         mapping = {}
         for base, value in zip(("this",) + params, (recv,) + e.args):
-            k = fresh_index(base, env, fresh.get(base, 0))
-            mapping[base] = y = indexed_name(base, k)
+            y, fresh = fresh_name(base, env, fresh)
+            mapping[base] = y
             env = env.set(y, (value, value.ascription))
-            fresh = fresh.set(base, k + 1)
         body = with_ascription(subst(body, mapping), e.ascription)
         return StepResult("step", [(GradedConfig(body, env, fresh), StepInfo("invk"))])
 
     if isinstance(e, Block):
         init = e.init
         if is_value(init):
-            k = fresh_index(e.var, env, cfg.fresh.get(e.var, 0))
-            y = indexed_name(e.var, k)
+            y, fresh = fresh_name(e.var, env, cfg.fresh)
             body = with_ascription(subst(e.body, {e.var: y}), e.ascription)
-            return StepResult("step", [(GradedConfig(body, env.set(y, (init, init.ascription)),
-                                                     cfg.fresh.set(e.var, k + 1)),
-                                        StepInfo("block"))])
+            after = GradedConfig(body, env.set(y, (init, init.ascription)), fresh)
+            return StepResult("step", [(after, StepInfo("block"))])
         sub = graded_step(u, table, GradedConfig(init, env, cfg.fresh), init.ascription,
                           policy)
         return _wrap(sub, lambda r: Block(e.declClass, e.declGrade, e.var, r, e.body,
@@ -510,18 +515,15 @@ def std_step(table: ClassTable, cfg: StdConfig) -> Optional[StdConfig]:
             raise StdStuck(f"arity mismatch calling {e.method}")
         mapping = {}
         for base, value in zip(("this",) + params, (e.recv,) + e.args):
-            k = fresh_index(base, env, fresh.get(base, 0))
-            mapping[base] = y = indexed_name(base, k)
+            y, fresh = fresh_name(base, env, fresh)
+            mapping[base] = y
             env = env.set(y, value)
-            fresh = fresh.set(base, k + 1)
         return StdConfig(subst(body, mapping), env, fresh)
 
     if isinstance(e, Block):
         if is_value(e.init):
-            k = fresh_index(e.var, env, fresh.get(e.var, 0))
-            y = indexed_name(e.var, k)
-            return StdConfig(subst(e.body, {e.var: y}), env.set(y, e.init),
-                             fresh.set(e.var, k + 1))
+            y, fresh = fresh_name(e.var, env, fresh)
+            return StdConfig(subst(e.body, {e.var: y}), env.set(y, e.init), fresh)
         sub = std_step(table, StdConfig(e.init, env, fresh))
         if sub is None:
             raise StdStuck("block initializer is a value")

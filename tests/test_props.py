@@ -165,6 +165,26 @@ def test_walk_reports_step_that_is_not_the_standard_step(two_block_run):
     assert any("erasure of the step is not the standard step" in e for e in errs), errs
 
 
+def test_walk_reports_binder_that_skips_a_name(universe, monkeypatch):
+    # an instrumented run whose fresh-name index moves one too far binds
+    # this, this$1, ...; the standard step of its erasure binds this$0
+    import gradefj.runtime as runtime
+    src = "class L { L[1] loop()[1] { this.loop() } }\nrun new L().loop() at 1\n"
+    program = parse_program(src, universe)
+    _, checked = elaborate_program(universe, program)
+    fresh_name = runtime.fresh_name
+
+    def skipping(base, taken, fresh):
+        name, fresh = fresh_name(base, taken, fresh)
+        return name, fresh.set(base, fresh[base] + 1)
+    with monkeypatch.context() as m:
+        m.setattr(runtime, "fresh_name", skipping)
+        run = _traced(universe, checked.table, checked.main, program.mainGrade, fuel=6)
+    assert list(run.config.env) == ["this", "this$1", "this$3"]
+    errs = check_run(universe, checked.table, run, checked.type)
+    assert "step 3: erasure of the step is not the standard step" in errs, errs
+
+
 def test_walk_reports_shrinking_env(two_block_run):
     u, ann, run, expected = two_block_run
     trace = list(run.trace)

@@ -117,9 +117,9 @@ def test_determinism_of_minimal(universe, two_block):
 
 
 def test_fresh_name_hygiene(universe):
-    assert fresh_name("x", {"y"}) == "x"
-    assert fresh_name("x", {"x"}) == "x$0"
-    assert fresh_name("x", {"x", "x$0"}) == "x$1"
+    assert fresh_name("x", {"y"}, Env())[0] == "x"
+    assert fresh_name("x", {"x"}, Env())[0] == "x$0"
+    assert fresh_name("x", {"x", "x$0"}, Env())[0] == "x$1"
     src = "class A { }\nrun {A[1] x = new A(); {A[1] x = x; x}} at 1\n"
     program, main, ann = unchecked(universe, src)
     run = graded_run(universe, ann, GradedConfig(main), program.mainGrade,
@@ -137,18 +137,23 @@ def test_fresh_name_hygiene(universe):
 def test_indexed_fresh_name_agrees_with_scan_from_zero():
     rng = random.Random(11)
     for _ in range(20):
-        taken, start = set(), {}
+        taken, fresh = set(), Env()
         for _ in range(200):
             if rng.random() < 0.2:
                 taken.add(rng.choice("abc") + rng.choice(["", "$0", "$1"]))
                 continue  # other bindings: the index only skips names known taken
             base = rng.choice("abc")
-            name = fresh_name(base, taken, start.get(base, 0))
-            assert name == fresh_name(base, taken)
+            name, fresh = fresh_name(base, taken, fresh)
+            assert name == fresh_name(base, taken, Env())[0]
             assert name not in taken
             taken.add(name)
-            k = 0 if name == base else int(name.split("$")[1]) + 1
-            start[base] = k + 1
+
+
+def test_erasure_counts_fresh_indices_from_the_environment():
+    a = (New("A", ()), N(1))
+    cfg = GradedConfig(Var("x"), Env({"x": a, "y": a, "x$0": a, "x$1": a}.items()),
+                       Env({"x": 7}.items()))
+    assert erase_config(cfg).fresh == Env({"x": 3, "y": 1}.items())
 
 
 class CountingSet(set):
@@ -169,8 +174,9 @@ def test_fresh_name_probes_are_constant_after_many_bindings(universe):
     assert len(cfg.env) == 1000  # one binding of `this` per call
     taken = CountingSet(cfg.env)
     CountingSet.probes = 0
-    name = fresh_name("this", taken, cfg.fresh["this"])
-    assert CountingSet.probes == 1 and name == fresh_name("this", set(cfg.env))
+    name, _ = fresh_name("this", taken, cfg.fresh)
+    assert CountingSet.probes == 1 and name == fresh_name("this", set(cfg.env), Env())[0]
+    assert erase_config(cfg).fresh == cfg.fresh
     std = std_run(erase_table(checked.table), erase_config(GradedConfig(checked.main)),
                   fuel=2000)[1]
     assert std.fresh["this"] == cfg.fresh["this"] == 1000
