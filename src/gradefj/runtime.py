@@ -6,13 +6,16 @@ variables behave as consumable resources.  The instrumented reduction is
 indexed by a grade: replacing a variable burns a nonzero amount of its
 stored grade (at least the reduction grade), and a field can only be
 extracted when the demanded grade fits within receiver-times-field.
-Method calls and blocks bind fresh names, chosen deterministically from
-the environment's domain so that runs are reproducible and the erasure
-of an instrumented run is literally a standard run.
+Method calls and blocks bind fresh names: the first of base, base$0,
+base$1, ... outside the environment's domain, which the environment finds
+in O(1) from its count of bound names per base.  Both semantics pick them
+from their own environments, so runs are reproducible and the erasure of
+an instrumented run is literally a standard run.
 """
 
 from __future__ import annotations
 
+from collections import Counter
 from collections.abc import Mapping
 from dataclasses import dataclass, field
 from itertools import islice
@@ -52,13 +55,18 @@ class Env(Mapping):
     that only reads its newest version pays O(1) per ``set`` and per read.
     Iteration returns a snapshot, since reading another version of the
     same family moves the shared dict.  Equality compares the ordered item
-    sequences."""
+    sequences.
 
-    __slots__ = ("_data", "_len")
+    Keys are names.  Next to the shared dict, a family keeps the number of
+    keys bound in it per base (the part of a name before ``$``), which
+    ``fresh`` starts from."""
+
+    __slots__ = ("_data", "_len", "_counts")
 
     def __init__(self, items=()):
         self._data = dict(items)
         self._len = len(self._data)
+        self._counts = Counter(key.partition("$")[0] for key in self._data)
 
     def _store(self) -> dict:
         data = self._data
@@ -69,14 +77,17 @@ class Env(Mapping):
         while type(node._data) is not dict:
             path.append(node)
             node = node._data[2]
-        store = node._data
+        store, counts = node._data, self._counts
         for node in reversed(path):  # nearest the owner first
             key, value, owner = node._data
             old = store.get(key, _ABSENT)
             if value is _ABSENT:
                 del store[key]
+                counts[key.partition("$")[0]] -= 1
             else:
                 store[key] = value
+                if old is _ABSENT:
+                    counts[key.partition("$")[0]] += 1
             owner._data = (key, old, node)
             node._data = store
         return store
@@ -86,10 +97,25 @@ class Env(Mapping):
         store = self._store()
         old = store.get(key, _ABSENT)
         store[key] = value
+        if old is _ABSENT:
+            self._counts[key.partition("$")[0]] += 1
         out = Env.__new__(Env)
-        out._data, out._len = store, len(store)
+        out._data, out._len, out._counts = store, len(store), self._counts
         self._data = (key, old, out)
         return out
+
+    def fresh(self, base: str) -> str:
+        """The first of base, base$0, base$1, ... not bound here.  When the
+        n names bound here with this base are the first n of that sequence,
+        as in every environment a run builds, it is the n-th, so the scan
+        starts there."""
+        store = self._store()
+        k = self._counts[base]
+        name = base if k == 0 else f"{base}${k - 1}"
+        while name in store:
+            k += 1
+            name = f"{base}${k - 1}"
+        return name
 
     def __getitem__(self, key):
         return self._store()[key]
@@ -169,54 +195,20 @@ class Env(Mapping):
 
 @dataclass(frozen=True)
 class GradedConfig:
-    """``expr`` under an environment of (value, grade) bindings.  ``fresh``
-    maps a binder's base name to the index its next fresh-name scan may
-    start from; it only saves work, so it is neither compared nor printed."""
+    """``expr`` under an environment of (value, grade) bindings."""
     expr: Expr
     env: Env = field(default_factory=Env)
-    fresh: Env = field(default_factory=Env, compare=False, repr=False)
 
 
 @dataclass(frozen=True)
 class StdConfig:
-    """``expr`` under an environment of value bindings; ``fresh`` as in
-    ``GradedConfig``."""
+    """``expr`` under an environment of value bindings."""
     expr: Expr
     env: Env = field(default_factory=Env)
-    fresh: Env = field(default_factory=Env, compare=False, repr=False)
 
 
 def erase_config(cfg: GradedConfig) -> StdConfig:
-    """The erasure of ``cfg``.  Its fresh-name indices are counted from the
-    environment, not copied from ``cfg``, so the standard step of the
-    result picks its names without the instrumented run's word for them."""
-    counts = Env()
-    for x in cfg.env:
-        counts = count_binding(counts, x)
-    return StdConfig(erase(cfg.expr), Env((x, erase(v)) for x, (v, _) in cfg.env.items()),
-                     counts)
-
-
-def count_binding(counts: Env, name: str) -> Env:
-    """``counts`` with one more binding of ``name``'s base.  Per base, the
-    number of names base, base$0, base$1, ... bound is, in a run that binds
-    each base's names in turn, the index its next fresh-name scan starts
-    from."""
-    base = name.split("$", 1)[0]
-    return counts.set(base, counts.get(base, 0) + 1)
-
-
-def fresh_name(base: str, taken, fresh: Env) -> tuple[str, Env]:
-    """The first of base, base$0, base$1, ... not in ``taken``, scanning
-    from the index ``fresh`` holds for ``base``, and ``fresh`` moved past
-    it.  Environments only grow and source names contain no ``$``, so a
-    run may start each scan where the last one for the same base ended."""
-    k = fresh.get(base, 0)
-    name = base if k == 0 else f"{base}${k - 1}"
-    while name in taken:
-        k += 1
-        name = f"{base}${k - 1}"
-    return name, fresh.set(base, k + 1)
+    return StdConfig(erase(cfg.expr), Env((x, erase(v)) for x, (v, _) in cfg.env.items()))
 
 
 # ---------------------------------------------------------------------------
@@ -363,7 +355,7 @@ def graded_step(u: GradeUniverse, table: ClassTable, cfg: GradedConfig,
         contractum = with_ascription(value, e.ascription)
         succs = []
         for burned, left in choices:
-            succs.append((GradedConfig(contractum, env.set(e.name, (value, left)), cfg.fresh),
+            succs.append((GradedConfig(contractum, env.set(e.name, (value, left))),
                           StepInfo("var", e.name, burned, left)))
         return StepResult("step", succs)
 
@@ -383,16 +375,15 @@ def graded_step(u: GradeUniverse, table: ClassTable, cfg: GradedConfig,
                 return StepResult("stuck",
                                   reason=FieldExtraction(e.fieldName, have, grade))
             field_value = with_ascription(recv.args[idx], e.ascription)
-            return StepResult("step", [(GradedConfig(field_value, env, cfg.fresh),
+            return StepResult("step", [(GradedConfig(field_value, env),
                                         StepInfo("field-access"))])
-        sub = graded_step(u, table, GradedConfig(recv, env, cfg.fresh), recv.ascription,
-                          policy)
+        sub = graded_step(u, table, GradedConfig(recv, env), recv.ascription, policy)
         return _wrap(sub, lambda r: FieldAccess(r, e.fieldName, e.ascription, e.pos))
 
     if isinstance(e, New):
         for i, arg in enumerate(e.args):
             if not is_value(arg):
-                sub = graded_step(u, table, GradedConfig(arg, env, cfg.fresh),
+                sub = graded_step(u, table, GradedConfig(arg, env),
                                   u.mul(grade, arg.ascription), policy)
                 return _wrap(sub, lambda r, i=i: New(
                     e.className, e.args[:i] + (r,) + e.args[i + 1:], e.ascription, e.pos))
@@ -401,13 +392,11 @@ def graded_step(u: GradeUniverse, table: ClassTable, cfg: GradedConfig,
     if isinstance(e, Invk):
         recv = e.recv
         if not is_value(recv):
-            sub = graded_step(u, table, GradedConfig(recv, env, cfg.fresh), recv.ascription,
-                              policy)
+            sub = graded_step(u, table, GradedConfig(recv, env), recv.ascription, policy)
             return _wrap(sub, lambda r: Invk(r, e.method, e.args, e.ascription, e.pos))
         for i, arg in enumerate(e.args):
             if not is_value(arg):
-                sub = graded_step(u, table, GradedConfig(arg, env, cfg.fresh),
-                                  arg.ascription, policy)
+                sub = graded_step(u, table, GradedConfig(arg, env), arg.ascription, policy)
                 return _wrap(sub, lambda r, i=i: Invk(
                     recv, e.method, e.args[:i] + (r,) + e.args[i + 1:], e.ascription,
                     e.pos))
@@ -419,24 +408,21 @@ def graded_step(u: GradeUniverse, table: ClassTable, cfg: GradedConfig,
         if len(params) != len(e.args):
             return StepResult("stuck", reason=NotAValue(
                 f"arity mismatch calling {e.method}"))
-        fresh = cfg.fresh
         mapping = {}
         for base, value in zip(("this",) + params, (recv,) + e.args):
-            y, fresh = fresh_name(base, env, fresh)
-            mapping[base] = y
+            y = mapping[base] = env.fresh(base)
             env = env.set(y, (value, value.ascription))
         body = with_ascription(subst(body, mapping), e.ascription)
-        return StepResult("step", [(GradedConfig(body, env, fresh), StepInfo("invk"))])
+        return StepResult("step", [(GradedConfig(body, env), StepInfo("invk"))])
 
     if isinstance(e, Block):
         init = e.init
         if is_value(init):
-            y, fresh = fresh_name(e.var, env, cfg.fresh)
+            y = env.fresh(e.var)
             body = with_ascription(subst(e.body, {e.var: y}), e.ascription)
-            after = GradedConfig(body, env.set(y, (init, init.ascription)), fresh)
+            after = GradedConfig(body, env.set(y, (init, init.ascription)))
             return StepResult("step", [(after, StepInfo("block"))])
-        sub = graded_step(u, table, GradedConfig(init, env, cfg.fresh), init.ascription,
-                          policy)
+        sub = graded_step(u, table, GradedConfig(init, env), init.ascription, policy)
         return _wrap(sub, lambda r: Block(e.declClass, e.declGrade, e.var, r, e.body,
                                           e.ascription, e.pos))
 
@@ -448,8 +434,7 @@ def _wrap(sub: StepResult, rebuild) -> StepResult:
         return StepResult("stuck", reason=NotAValue("contextual subterm is a value"))
     if sub.kind == "stuck":
         return sub
-    succs = [(GradedConfig(rebuild(c.expr), c.env, c.fresh), info)
-             for c, info in sub.successors]
+    succs = [(GradedConfig(rebuild(c.expr), c.env), info) for c, info in sub.successors]
     return StepResult("step", succs)
 
 
@@ -461,12 +446,12 @@ def std_step(table: ClassTable, cfg: StdConfig) -> Optional[StdConfig]:
 
     Raises StdStuck when no rule applies.
     """
-    e, env, fresh = cfg.expr, cfg.env, cfg.fresh
+    e, env = cfg.expr, cfg.env
 
     if isinstance(e, Var):
         if e.name not in env:
             raise StdStuck(f"unbound variable {e.name!r}")
-        return StdConfig(env[e.name], env, fresh)
+        return StdConfig(env[e.name], env)
 
     if isinstance(e, FieldAccess):
         if is_value(e.recv):
@@ -476,37 +461,35 @@ def std_step(table: ClassTable, cfg: StdConfig) -> Optional[StdConfig]:
                 raise StdStuck(str(exc)) from None
             if idx >= len(e.recv.args):
                 raise StdStuck(f"missing field {e.fieldName!r}")
-            return StdConfig(e.recv.args[idx], env, fresh)
-        sub = std_step(table, StdConfig(e.recv, env, fresh))
+            return StdConfig(e.recv.args[idx], env)
+        sub = std_step(table, StdConfig(e.recv, env))
         if sub is None:
             raise StdStuck("field receiver is a value")
-        return StdConfig(FieldAccess(sub.expr, e.fieldName, None, e.pos), sub.env, sub.fresh)
+        return StdConfig(FieldAccess(sub.expr, e.fieldName, None, e.pos), sub.env)
 
     if isinstance(e, New):
         for i, arg in enumerate(e.args):
             if not is_value(arg):
-                sub = std_step(table, StdConfig(arg, env, fresh))
+                sub = std_step(table, StdConfig(arg, env))
                 if sub is None:
                     raise StdStuck("constructor argument is a value")
                 args = e.args[:i] + (sub.expr,) + e.args[i + 1:]
-                return StdConfig(New(e.className, args, None, e.pos), sub.env, sub.fresh)
+                return StdConfig(New(e.className, args, None, e.pos), sub.env)
         return None
 
     if isinstance(e, Invk):
         if not is_value(e.recv):
-            sub = std_step(table, StdConfig(e.recv, env, fresh))
+            sub = std_step(table, StdConfig(e.recv, env))
             if sub is None:
                 raise StdStuck("receiver is a value")
-            return StdConfig(Invk(sub.expr, e.method, e.args, None, e.pos), sub.env,
-                             sub.fresh)
+            return StdConfig(Invk(sub.expr, e.method, e.args, None, e.pos), sub.env)
         for i, arg in enumerate(e.args):
             if not is_value(arg):
-                sub = std_step(table, StdConfig(arg, env, fresh))
+                sub = std_step(table, StdConfig(arg, env))
                 if sub is None:
                     raise StdStuck("argument is a value")
                 args = e.args[:i] + (sub.expr,) + e.args[i + 1:]
-                return StdConfig(Invk(e.recv, e.method, args, None, e.pos), sub.env,
-                                 sub.fresh)
+                return StdConfig(Invk(e.recv, e.method, args, None, e.pos), sub.env)
         try:
             params, body = table.mbody(e.recv.className, e.method)
         except (UnknownClass, UnknownMember) as exc:
@@ -515,20 +498,19 @@ def std_step(table: ClassTable, cfg: StdConfig) -> Optional[StdConfig]:
             raise StdStuck(f"arity mismatch calling {e.method}")
         mapping = {}
         for base, value in zip(("this",) + params, (e.recv,) + e.args):
-            y, fresh = fresh_name(base, env, fresh)
-            mapping[base] = y
+            y = mapping[base] = env.fresh(base)
             env = env.set(y, value)
-        return StdConfig(subst(body, mapping), env, fresh)
+        return StdConfig(subst(body, mapping), env)
 
     if isinstance(e, Block):
         if is_value(e.init):
-            y, fresh = fresh_name(e.var, env, fresh)
-            return StdConfig(subst(e.body, {e.var: y}), env.set(y, e.init), fresh)
-        sub = std_step(table, StdConfig(e.init, env, fresh))
+            y = env.fresh(e.var)
+            return StdConfig(subst(e.body, {e.var: y}), env.set(y, e.init))
+        sub = std_step(table, StdConfig(e.init, env))
         if sub is None:
             raise StdStuck("block initializer is a value")
         return StdConfig(Block(e.declClass, e.declGrade, e.var, sub.expr, e.body,
-                               None, e.pos), sub.env, sub.fresh)
+                               None, e.pos), sub.env)
 
     raise TypeError(e)
 
@@ -575,7 +557,6 @@ class RunResult:
     config: GradedConfig
     reason: Optional[StuckReason] = None
     trace: Optional[list[TraceEntry]] = None
-    stuck_schedules: Optional[list[tuple[int, StuckReason]]] = None
 
     def final_env_grades(self) -> dict[str, str]:
         return {x: str(g) for x, (_, g) in self.config.env.items()}
@@ -583,16 +564,13 @@ class RunResult:
 
 def graded_run(u: GradeUniverse, table: ClassTable, cfg: GradedConfig,
                grade: KindedGrade, policy: Policy = Minimal(),
-               fuel: int = 100_000, want_trace: bool = False,
-               want_stuck_schedules: bool = False) -> RunResult:
+               fuel: int = 100_000, want_trace: bool = False) -> RunResult:
     """Iterate graded_step.  With Enumerate, depth-first search over the
     variable-consumption choice points returns the first completed run;
     when every schedule sticks, the reason from the deepest branch is
-    reported (and with ``want_stuck_schedules`` each exhausted branch's
-    depth and reason)."""
+    reported."""
     if isinstance(policy, Enumerate):
-        return _search_run(u, table, cfg, grade, policy, fuel, want_trace,
-                           want_stuck_schedules)
+        return _search_run(u, table, cfg, grade, policy, fuel, want_trace)
     trace = [TraceEntry(cfg, None)] if want_trace else None
     steps = 0
     while steps < fuel:
@@ -608,38 +586,31 @@ def graded_run(u: GradeUniverse, table: ClassTable, cfg: GradedConfig,
     return RunResult("fuel", steps, cfg, trace=trace)
 
 
-def _search_run(u, table, cfg, grade, policy, fuel, want_trace,
-                want_stuck_schedules=False) -> RunResult:
+def _search_run(u, table, cfg, grade, policy, fuel, want_trace) -> RunResult:
     """Depth-first search with an explicit stack of [successors, index of
     the next one to try, their depth] frames, kept only while a successor
     is left to try; the trace is one list, truncated on backtracking."""
     budget = fuel
     best_reason, best_depth = None, -1
-    schedules: list[tuple[int, StuckReason]] = []
     trace = [TraceEntry(cfg, None)] if want_trace else None
     frames: list[list] = []
     node, depth = cfg, 0
     while True:
         if budget <= 0:
-            out = RunResult("fuel", depth, node, trace=trace)
-            break
+            return RunResult("fuel", depth, node, trace=trace)
         budget -= 1
         result = graded_step(u, table, node, grade, policy)
         if result.kind == "value":
-            out = RunResult("final", depth, node, trace=trace)
-            break
+            return RunResult("final", depth, node, trace=trace)
         if result.kind == "stuck":
             if depth > best_depth:
                 best_reason, best_depth = result.reason, depth
-            if want_stuck_schedules:
-                schedules.append((depth, result.reason))
         elif result.successors:
             frames.append([result.successors, 0, depth + 1])
         if not frames:
             if trace is not None:
                 del trace[1:]
-            return RunResult("stuck", best_depth, cfg, reason=best_reason, trace=trace,
-                             stuck_schedules=schedules if want_stuck_schedules else None)
+            return RunResult("stuck", best_depth, cfg, reason=best_reason, trace=trace)
         frame = frames[-1]
         succs, i, depth = frame
         node, info = succs[i]
@@ -650,6 +621,3 @@ def _search_run(u, table, cfg, grade, policy, fuel, want_trace,
         if trace is not None:
             del trace[depth:]
             trace.append(TraceEntry(node, info))
-    if want_stuck_schedules:
-        out.stuck_schedules = schedules
-    return out

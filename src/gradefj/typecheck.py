@@ -104,10 +104,6 @@ def ctx_add(u: GradeUniverse, c1: CoeffectCtx, c2: CoeffectCtx,
     return out
 
 
-def ctx_scale(u: GradeUniverse, r: KindedGrade, c: CoeffectCtx) -> CoeffectCtx:
-    return {x: (cls, u.mul(r, g)) for x, (cls, g) in c.items()}
-
-
 # ---------------------------------------------------------------------------
 # Class inference (grades flow down, classes flow up)
 

@@ -1,5 +1,6 @@
 """Standard and instrumented reduction: steps, runs, policies, properties."""
 
+import dataclasses
 import random
 
 import pytest
@@ -27,7 +28,6 @@ from gradefj.runtime import (
     StdConfig,
     StdStuck,
     erase_config,
-    fresh_name,
     graded_run,
     graded_step,
     std_run,
@@ -117,9 +117,9 @@ def test_determinism_of_minimal(universe, two_block):
 
 
 def test_fresh_name_hygiene(universe):
-    assert fresh_name("x", {"y"}, Env())[0] == "x"
-    assert fresh_name("x", {"x"}, Env())[0] == "x$0"
-    assert fresh_name("x", {"x", "x$0"}, Env())[0] == "x$1"
+    assert Env({"y": 0}.items()).fresh("x") == "x"
+    assert Env({"x": 0}.items()).fresh("x") == "x$0"
+    assert Env({"x": 0, "x$0": 0}.items()).fresh("x") == "x$1"
     src = "class A { }\nrun {A[1] x = new A(); {A[1] x = x; x}} at 1\n"
     program, main, ann = unchecked(universe, src)
     run = graded_run(universe, ann, GradedConfig(main), program.mainGrade,
@@ -134,61 +134,79 @@ def test_fresh_name_hygiene(universe):
         seen = dom
 
 
+def _scan_from_zero(env, base):
+    name, k = base, 0
+    while name in env:
+        name, k = f"{base}${k}", k + 1
+    return name
+
+
 def test_indexed_fresh_name_agrees_with_scan_from_zero():
+    # versions built by fresh + set, branching from older ones as search
+    # does, so that rerooting both adds and removes keys
     rng = random.Random(11)
     for _ in range(20):
-        taken, fresh = set(), Env()
-        for _ in range(200):
-            if rng.random() < 0.2:
-                taken.add(rng.choice("abc") + rng.choice(["", "$0", "$1"]))
-                continue  # other bindings: the index only skips names known taken
-            base = rng.choice("abc")
-            name, fresh = fresh_name(base, taken, fresh)
-            assert name == fresh_name(base, taken, Env())[0]
-            assert name not in taken
-            taken.add(name)
+        versions = [Env()]
+        for _ in range(300):
+            env = rng.choice(versions[-5:] if rng.random() < 0.7 else versions)
+            if env and rng.random() < 0.2:
+                key = rng.choice(env.keys())  # rebinding keeps the domain
+            else:
+                key = env.fresh(rng.choice("abc"))
+            versions.append(env.set(key, rng.randrange(3)))
+        for env in rng.sample(versions, 50) + versions[-5:]:
+            for base in "abcd":
+                assert env.fresh(base) == _scan_from_zero(env, base)
 
 
 def test_erasure_counts_fresh_indices_from_the_environment():
     a = (New("A", ()), N(1))
-    cfg = GradedConfig(Var("x"), Env({"x": a, "y": a, "x$0": a, "x$1": a}.items()),
-                       Env({"x": 7}.items()))
-    assert erase_config(cfg).fresh == Env({"x": 3, "y": 1}.items())
+    cfg = GradedConfig(Var("x"), Env({"x": a, "y": a, "x$0": a, "x$1": a}.items()))
+    erased = erase_config(cfg).env
+    assert [erased.fresh(b) for b in "xyz"] == ["x$2", "y$0", "z"]
+    # the scan starts at the number of names bound per base, so with x$0
+    # and x$1 bound but not x it tries x$2 first
+    assert Env({"x$0": 0, "x$1": 0}.items()).fresh("x") == "x$2"
 
 
-class CountingSet(set):
+class CountingDict(dict):
     probes = 0
 
     def __contains__(self, key):
-        CountingSet.probes += 1
+        CountingDict.probes += 1
         return super().__contains__(key)
 
 
-def test_fresh_name_probes_are_constant_after_many_bindings(universe):
+def test_fresh_name_probes_are_constant_after_many_bindings(universe, monkeypatch):
     src = "class L { L[1] loop()[1] { this.loop() } }\nrun new L().loop() at 1\n"
     program = parse_program(src, universe)
     _, checked = elaborate_program(universe, program)
     run = graded_run(universe, checked.table, GradedConfig(checked.main),
                      program.mainGrade, fuel=2000)
-    cfg = run.config
-    assert len(cfg.env) == 1000  # one binding of `this` per call
-    taken = CountingSet(cfg.env)
-    CountingSet.probes = 0
-    name, _ = fresh_name("this", taken, cfg.fresh)
-    assert CountingSet.probes == 1 and name == fresh_name("this", set(cfg.env), Env())[0]
-    assert erase_config(cfg).fresh == cfg.fresh
+    env = run.config.env
+    assert len(env) == 1000  # one binding of `this` per call
+    store = Env._store
+    with monkeypatch.context() as m:
+        m.setattr(Env, "_store", lambda self: CountingDict(store(self)))
+        CountingDict.probes = 0
+        name = env.fresh("this")
+    assert CountingDict.probes == 1
+    assert name == _scan_from_zero(env, "this") == "this$999"
+    assert erase_config(run.config).env.fresh("this") == "this$999"
     std = std_run(erase_table(checked.table), erase_config(GradedConfig(checked.main)),
                   fuel=2000)[1]
-    assert std.fresh["this"] == cfg.fresh["this"] == 1000
+    assert std.env.keys() == env.keys() and std.env.fresh("this") == "this$999"
 
 
 def test_fresh_index_is_not_compared_or_printed(universe, two_block):
     program, main, ann = two_block
     run = graded_run(universe, ann, GradedConfig(main), program.mainGrade)
     cfg = run.config
-    assert len(cfg.fresh) == 2
-    assert GradedConfig(cfg.expr, cfg.env) == cfg
+    assert [f.name for f in dataclasses.fields(GradedConfig)] == ["expr", "env"]
+    assert [f.name for f in dataclasses.fields(StdConfig)] == ["expr", "env"]
+    assert GradedConfig(cfg.expr, Env(cfg.env.items())) == cfg
     assert "fresh" not in repr(cfg)
+    assert [cfg.env.fresh(b) for b in ("a", "p")] == ["a$0", "p$0"]
 
 
 # ---------------------------------------------------------------------------
@@ -421,16 +439,16 @@ def test_fixed_witness_policy(universe, two_block):
     assert bad.kind == "stuck"  # 2 + 2 is not within 3
 
 
-def test_search_collects_stuck_schedules(universe):
+def test_search_reports_deepest_stuck_reason(universe):
     src = ("class A { }\nclass Pair { A[1] first; A[1] second; }\n"
            "run {A[4] a = new A(); {Pair[2] p = new Pair(a, a); "
            "new Pair((p @ 2).first @ 2, p.second)}} at 1\n")
     program, main, ann = unchecked(universe, src)
     run = graded_run(universe, ann, GradedConfig(main), program.mainGrade,
-                     Enumerate(), want_stuck_schedules=True)
-    assert run.outcome == "stuck"
-    assert run.stuck_schedules and all(d >= 0 for d, _ in run.stuck_schedules)
-    assert any(isinstance(r, ResourceExhausted) for _, r in run.stuck_schedules)
+                     Enumerate())
+    assert run.outcome == "stuck" and run.steps == 6
+    assert isinstance(run.reason, ResourceExhausted) and run.reason.var == "p"
+    assert str(run.reason.available) == "0" and str(run.reason.demanded) == "1"
 
 
 def test_extreal_kind_end_to_end():

@@ -21,7 +21,6 @@ from gradefj.typecheck import (
     check_table,
     ctx_add,
     ctx_leq,
-    ctx_scale,
     elaborate_program,
     infer_class,
 )
@@ -50,11 +49,6 @@ def test_ctx_add_requires_same_class(universe):
     with pytest.raises(CheckError) as exc:
         ctx_add(universe, {"x": ("A", N(1))}, {"x": ("B", N(1))})
     assert exc.value.diag.kind == "TypeMismatch"
-
-
-def test_ctx_scale(universe):
-    got = ctx_scale(universe, N(2), {"x": ("A", N(3)), "y": ("A", N(0))})
-    assert got == {"x": ("A", N(6)), "y": ("A", ZERO_D)}
 
 
 # ---------------------------------------------------------------------------
