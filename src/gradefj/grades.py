@@ -6,6 +6,11 @@ monotone operations, and zero as the least element.  Built-in instances:
 naturals, the trivial one-point algebra, affinity {0,1,w}, booleans,
 extended non-negative rationals, plus finite tables, binary products and
 the infinity extension of any algebra.
+
+The law checks (``validate_algebra``, ``validate_hom`` and the universe's
+``hetero.check_universe_laws``) share one axiom list, ``semiring_laws``,
+and run it over ``Indexed`` grades: small ints whose operations are each
+computed once per pair of values.
 """
 
 from __future__ import annotations
@@ -845,9 +850,76 @@ class LawReport:
         return "\n".join(str(r) for r in self.results)
 
 
-def check_laws(laws, total: Optional[str] = None) -> LawReport:
+class Indexed:
+    """An algebra whose grades are small ints, for the law checks.
+
+    Each distinct grade gets an id the first time ``id`` sees it (one dict
+    lookup by structural equality, so ``id(a) == id(b)`` iff ``a == b``).
+    ``leq``, ``add`` and ``mul`` on ids call the wrapped operation once per
+    ordered pair of ids and answer later calls from an int-keyed memo, so a
+    law check hashes each nested grade value once instead of on every
+    operation.  This is hash-consing (Filliâtre and Conchon, "Type-safe
+    modular hash-consing", ML 2006) kept to the checks.  ``alg`` is anything
+    with ``leq/add/mul/zero/one``: one algebra, or a grade universe.
+    """
+
+    def __init__(self, alg):
+        self.alg = alg
+        self.values: list = []   # id -> grade
+        self._ids: dict = {}     # grade -> id
+        # per id, the memo rows of leq, add and mul, keyed by the right id
+        self._leq: list[dict] = []
+        self._add: list[dict] = []
+        self._mul: list[dict] = []
+        self._zero, self._one = self.id(alg.zero()), self.id(alg.one())
+
+    def id(self, v) -> int:
+        i = self._ids.get(v)
+        if i is None:
+            i = self._ids[v] = len(self.values)
+            self.values.append(v)
+            self._leq.append({}), self._add.append({}), self._mul.append({})
+        return i
+
+    def leq(self, i: int, j: int) -> bool:
+        row = self._leq[i]
+        hit = row.get(j)
+        if hit is None:
+            hit = row[j] = self.alg.leq(self.values[i], self.values[j])
+        return hit
+
+    def add(self, i: int, j: int) -> int:
+        row = self._add[i]
+        hit = row.get(j)
+        if hit is None:
+            hit = row[j] = self.id(self.alg.add(self.values[i], self.values[j]))
+        return hit
+
+    def mul(self, i: int, j: int) -> int:
+        row = self._mul[i]
+        hit = row.get(j)
+        if hit is None:
+            hit = row[j] = self.id(self.alg.mul(self.values[i], self.values[j]))
+        return hit
+
+    def zero(self) -> int:
+        return self._zero
+
+    def one(self) -> int:
+        return self._one
+
+    def show(self, x) -> str:
+        """The witness text of an id, or of a tuple of ids (a pair of grades
+        prints as that tuple of grades does)."""
+        if isinstance(x, tuple):
+            return str(tuple(self.values[i] for i in x))
+        return str(self.values[x])
+
+
+def check_laws(laws, total: Optional[str] = None, show=str) -> LawReport:
     """Check each ``(law, holds, cases)`` in turn: PASS, or FAIL with the
-    first case on which ``holds`` is false.
+    first case on which ``holds`` is false, each component formatted by
+    ``show``.
 
     A case on which a map is undefined (PartialMap, CarrierMismatch) fails
     the law with the error as witness; when ``total`` names a law, it fails
@@ -859,7 +931,7 @@ def check_laws(laws, total: Optional[str] = None) -> LawReport:
         for case in cases:
             try:
                 if not holds(*case):
-                    result = LawResult(law, False, tuple(str(x) for x in case))
+                    result = LawResult(law, False, tuple(show(x) for x in case))
                     break
             except (PartialMap, CarrierMismatch) as exc:
                 if total is not None:
@@ -870,34 +942,40 @@ def check_laws(laws, total: Optional[str] = None) -> LawReport:
     return LawReport(results)
 
 
-def semiring_laws(alg, pool: list, pairs: list, triples: list, pair_up) -> list[tuple]:
+def semiring_laws(alg, pool: list, pairs, triples, pair_up) -> list[tuple]:
     """The axioms of an ordered semiring with a least zero, as ``check_laws``
     input, over anything with ``leq/add/mul/zero/one``: one algebra, or the
-    kinded grades of a universe.  Unary laws range over ``pool``, the others
-    over ``pairs`` and ``triples``; monotonicity over ``pair_up`` applied to
-    the related pairs.
+    kinded grades of a universe (in the checkers, their ``Indexed`` ids).
+    Unary laws range over ``pool``; ``pairs()`` and ``triples()`` return a
+    fresh iterable of cases for each law that uses them, and monotonicity
+    ranges over ``pair_up`` applied to the related pairs.
     """
     leq, add, mul, zero, one = alg.leq, alg.add, alg.mul, alg.zero(), alg.one()
     ones = [(a,) for a in pool]
-    mono = pair_up([(a, b) for a, b in pairs if leq(a, b)])
+    related = [(a, b) for a, b in pairs() if leq(a, b)]
     return [
         ("order-reflexive", lambda a: leq(a, a), ones),
-        ("order-antisymmetric", lambda a, b: not (leq(a, b) and leq(b, a)) or a == b, pairs),
+        ("order-antisymmetric", lambda a, b: not (leq(a, b) and leq(b, a)) or a == b,
+         pairs()),
         ("order-transitive",
-         lambda a, b, c: not (leq(a, b) and leq(b, c)) or leq(a, c), triples),
-        ("add-commutative", lambda a, b: add(a, b) == add(b, a), pairs),
-        ("add-associative", lambda a, b, c: add(add(a, b), c) == add(a, add(b, c)), triples),
+         lambda a, b, c: not (leq(a, b) and leq(b, c)) or leq(a, c), triples()),
+        ("add-commutative", lambda a, b: add(a, b) == add(b, a), pairs()),
+        ("add-associative", lambda a, b, c: add(add(a, b), c) == add(a, add(b, c)),
+         triples()),
         ("add-unit", lambda a: add(a, zero) == a, ones),
-        ("mul-associative", lambda a, b, c: mul(mul(a, b), c) == mul(a, mul(b, c)), triples),
+        ("mul-associative", lambda a, b, c: mul(mul(a, b), c) == mul(a, mul(b, c)),
+         triples()),
         ("mul-unit", lambda a: mul(a, one) == a and mul(one, a) == a, ones),
         ("distributes-left",
-         lambda a, b, c: mul(a, add(b, c)) == add(mul(a, b), mul(a, c)), triples),
+         lambda a, b, c: mul(a, add(b, c)) == add(mul(a, b), mul(a, c)), triples()),
         ("distributes-right",
-         lambda a, b, c: mul(add(b, c), a) == add(mul(b, a), mul(c, a)), triples),
+         lambda a, b, c: mul(add(b, c), a) == add(mul(b, a), mul(c, a)), triples()),
         ("annihilation", lambda a: mul(a, zero) == zero and mul(zero, a) == zero, ones),
         ("zero-least", lambda a: leq(zero, a), ones),
-        ("add-monotone", lambda p, q: leq(add(p[0], q[0]), add(p[1], q[1])), mono),
-        ("mul-monotone", lambda p, q: leq(mul(p[0], q[0]), mul(p[1], q[1])), mono),
+        ("add-monotone", lambda p, q: leq(add(p[0], q[0]), add(p[1], q[1])),
+         pair_up(related)),
+        ("mul-monotone", lambda p, q: leq(mul(p[0], q[0]), mul(p[1], q[1])),
+         pair_up(related)),
     ]
 
 
@@ -908,7 +986,8 @@ def _seeded_triples(pool: list, count: int) -> list[tuple]:
 
 
 def validate_algebra(spec: Algebra) -> LawReport:
-    """Check every grade-algebra axiom; exhaustive on finite carriers.
+    """Check every grade-algebra axiom over ``Indexed(spec)``; exhaustive on
+    finite carriers.
 
     Infinite carriers are checked on ``ALGEBRA_TRIPLES`` deterministic
     seeded triples drawn from ``spec.sample()``; their pairs are the first
@@ -919,16 +998,18 @@ def validate_algebra(spec: Algebra) -> LawReport:
         shape = [_validate_table_shape(spec.table)]
         if not shape[0].ok:
             return LawReport(shape)
-    pool = spec.sample()
+    ix = Indexed(spec)
+    pool = [ix.id(v) for v in spec.sample()]
     if spec.elements() is not None:
-        pairs, triples = list(iproduct(pool, repeat=2)), list(iproduct(pool, repeat=3))
-        pair_up = lambda related: list(iproduct(related, repeat=2))
+        pairs, triples = lambda: iproduct(pool, repeat=2), lambda: iproduct(pool, repeat=3)
+        pair_up = lambda related: iproduct(related, repeat=2)
     else:
-        triples = _seeded_triples(pool, ALGEBRA_TRIPLES)
-        pairs = [(a, b) for a, b, _ in triples]
-        pair_up = lambda related: list(zip(related, related[1:] + related[:1]))
-    return LawReport(shape + check_laws(semiring_laws(spec, pool, pairs, triples,
-                                                      pair_up)).results)
+        seeded = _seeded_triples(pool, ALGEBRA_TRIPLES)
+        seeded_pairs = [(a, b) for a, b, _ in seeded]
+        pairs, triples = lambda: seeded_pairs, lambda: seeded
+        pair_up = lambda related: zip(related, related[1:] + related[:1])
+    return LawReport(shape + check_laws(semiring_laws(ix, pool, pairs, triples, pair_up),
+                                        show=ix.show).results)
 
 
 def _validate_table_shape(table: FiniteTable) -> LawResult:
@@ -953,18 +1034,31 @@ def _validate_table_shape(table: FiniteTable) -> LawResult:
 
 def validate_hom(h: Hom) -> LawReport:
     """Check that a map is monotone and preserves 0, 1, sum and product;
-    exhaustive on a finite source, else on ``HOM_PAIRS`` seeded pairs."""
-    src, tgt, f = h.source(), h.target(), h.apply
+    exhaustive on a finite source, else on ``HOM_PAIRS`` seeded pairs.
+
+    Both algebras are ``Indexed``, and the map is applied once per distinct
+    source grade.
+    """
+    source = h.source()
+    src, tgt = Indexed(source), Indexed(h.target())
+    images: dict[int, int] = {}
+
+    def f(a: int) -> int:
+        b = images.get(a)
+        if b is None:
+            b = images[a] = tgt.id(h.apply(src.values[a]))
+        return b
+
     units = check_laws([("hom-zero", lambda a: f(a) == tgt.zero(), [(src.zero(),)]),
                         ("hom-one", lambda a: f(a) == tgt.one(), [(src.one(),)])],
-                       total="hom-total")
+                       total="hom-total", show=src.show)
     if units.results[-1].law == "hom-total":
         return units
-    pool = src.sample()
-    pairs = (list(iproduct(pool, repeat=2)) if src.elements() is not None
+    pool = [src.id(v) for v in source.sample()]
+    pairs = (list(iproduct(pool, repeat=2)) if source.elements() is not None
              else [(a, b) for a, b, _ in _seeded_triples(pool, HOM_PAIRS)])
     return LawReport(units.results + check_laws([
         ("hom-add", lambda a, b: f(src.add(a, b)) == tgt.add(f(a), f(b)), pairs),
         ("hom-mul", lambda a, b: f(src.mul(a, b)) == tgt.mul(f(a), f(b)), pairs),
         ("hom-monotone", lambda a, b: not src.leq(a, b) or tgt.leq(f(a), f(b)), pairs),
-    ]).results)
+    ], show=src.show).results)

@@ -9,12 +9,18 @@ and operations first transport both operands into the join kind.
 The kinds N (naturals) and T (trivial) are always present: N is the
 bottom kind and supplies the zero and one of the combined algebra, T is
 the default join of unrelated kinds.
+
+``GradeUniverse`` memoizes its operations and transports, because the
+checker and the interpreters call them on every step; the law check
+``check_universe_laws`` runs its axioms over ``grades.Indexed(u)``
+instead, so they hash each kinded grade once.
 """
 
 from __future__ import annotations
 
 import json
 from dataclasses import dataclass, field
+from itertools import product as iproduct
 from typing import Optional
 
 from .grades import (
@@ -34,6 +40,7 @@ from .grades import (
     GradeValue,
     Hom,
     IdentityHom,
+    Indexed,
     IotaHom,
     LawReport,
     Nat,
@@ -54,8 +61,8 @@ NAT_PREFIX = 11   # naturals 0..10 stand for kind N in the kinded pool
 POOL_SAMPLES = 8  # values of each other infinite kind in the kinded pool
 # Universe files are refused past these bounds, before any law check runs:
 MAX_SPEC_DEPTH = 8  # nesting of algebra and homomorphism specs
-MAX_CARRIER = 16    # elements of a finite kind (its law check is cubic in them)
-MAX_POOL = 56       # grades in the kinded pool (the universe law check is cubic in it)
+MAX_CARRIER = 32    # elements of a finite kind (its law check is cubic in them)
+MAX_POOL = 80       # grades in the kinded pool (the universe law check is cubic in it)
 
 
 class UniverseError(GradeError):
@@ -242,7 +249,8 @@ class GradeUniverse:
 
     def sample_pool(self, nat_prefix: int = NAT_PREFIX) -> list[KindedGrade]:
         """Deterministic kinded-value pool: full finite carriers, a prefix
-        of the naturals, and a sample of other infinite kinds."""
+        of the naturals, and ``POOL_SAMPLES`` values spread over the sample
+        of each other infinite kind, its first and last value included."""
         pool: list[KindedGrade] = []
         for kind in sorted(self.kinds):
             alg = self.kinds[kind]
@@ -251,9 +259,18 @@ class GradeUniverse:
             else:
                 values = alg.elements()
                 if values is None:
-                    values = alg.sample()[:POOL_SAMPLES]
+                    values = _spread(alg.sample(), POOL_SAMPLES)
             pool.extend(KindedGrade(kind, v) for v in values)
         return pool
+
+
+def _spread(sample: list, count: int) -> list:
+    """``count`` values spread evenly from the first of ``sample`` to the
+    last (all of it when shorter): samples end at infinity where a kind has
+    one, so it enters the pool."""
+    if len(sample) <= count:
+        return sample
+    return [sample[k * (len(sample) - 1) // (count - 1)] for k in range(count)]
 
 
 def _paths(succ: dict[str, list[str]], start: str, end: str) -> list[tuple[str, ...]]:
@@ -416,65 +433,74 @@ MONOTONE_PAIRS = 400  # at most about this many related pairs for monotonicity
 def check_universe_laws(u: GradeUniverse) -> LawReport:
     """Grade-algebra axioms for the combined algebra plus injection coherence.
 
-    Exhaustive over the kinded pool (full finite carriers, naturals 0..10,
-    eight samples of other infinite kinds), monotonicity on an even stride
-    of at most ``MONOTONE_PAIRS`` related pairs; functoriality and the six
-    injection equations are checked on every kind pair or triple, pointwise
-    on the pool's values of the source kind.
+    The axioms run over ``Indexed(u)``, so each ``u.leq/add/mul`` is computed
+    once per pair of grades.  They are exhaustive over the kinded pool (full
+    finite carriers, naturals 0..10, eight values spread over the sample of
+    each other infinite kind), with monotonicity on an even stride of at most
+    ``MONOTONE_PAIRS`` related pairs; the cases are generated, not stored.
+    Functoriality and the six injection equations are checked on every kind
+    pair or triple, pointwise on the pool's values of the source kind.
     """
-    pool = u.sample_pool()
+    grades = u.sample_pool()
     values: dict[str, list[GradeValue]] = {}
-    for g in pool:
+    for g in grades:
         values.setdefault(g.kind, []).append(g.value)
+    ix = Indexed(u)
+    pool = [ix.id(g) for g in grades]
 
     def pair_up(related):
         if len(related) > MONOTONE_PAIRS:
             related = related[::len(related) // MONOTONE_PAIRS + 1]
-        return [(p, q) for p in related for q in related]
-
-    pairs = [(a, b) for a in pool for b in pool]
-    triples = [(a, b, c) for a in pool for b in pool for c in pool]
+        return iproduct(related, repeat=2)
 
     def eq_on(kind, f, g):
         return all(f(v) == g(v) for v in values[kind])
+
+    # the kinds are the universe's own, so joins are read off its table and
+    # the derived homomorphisms applied through its memo
+    def join(k1, k2):
+        return u.join_table[k1, k2]
+
+    def move(k1, k2):
+        return lambda v: u.transport(k1, k2, v)
 
     # functoriality of the derived homomorphism family
     def functorial(k1, k2, k3):
         if not (u.kind_leq(k1, k2) and u.kind_leq(k2, k3)):
             return True
-        h12, h23 = u.hom(k1, k2), u.hom(k2, k3)
-        return eq_on(k1, lambda v: h23.apply(h12.apply(v)), u.hom(k1, k3).apply)
+        return eq_on(k1, lambda v: u.transport(k2, k3, u.transport(k1, k2, v)), move(k1, k3))
 
-    # injection coherence: injl/injr are the homs into the join kind
+    # injection coherence: injl/injr move a value into the join kind
     def injl(k1, k2):
-        return u.hom(k1, u.join(k1, k2))
+        return move(k1, join(k1, k2))
 
     def injr(k1, k2):
-        return u.hom(k2, u.join(k1, k2))
+        return move(k2, join(k1, k2))
 
     kind_names = sorted(u.kinds)
     kind_triples = [(a, b, c) for a in kind_names for b in kind_names for c in kind_names]
     kind_pairs = [(a, b) for a in kind_names for b in kind_names]
     kind_ones = [(a,) for a in kind_names]
-    return check_laws(semiring_laws(u, pool, pairs, triples, pair_up) + [
+    axioms = check_laws(semiring_laws(ix, pool, lambda: iproduct(pool, repeat=2),
+                                      lambda: iproduct(pool, repeat=3), pair_up),
+                        show=ix.show)
+    return LawReport(axioms.results + check_laws([
         ("hom-functorial", functorial, kind_triples),
         ("inj-1-left-assoc",
-         lambda a, b, c: eq_on(a, lambda v: injl(u.join(a, b), c).apply(injl(a, b).apply(v)),
-                               injl(a, u.join(b, c)).apply),
+         lambda a, b, c: eq_on(a, lambda v: injl(join(a, b), c)(injl(a, b)(v)),
+                               injl(a, join(b, c))),
          kind_triples),
         ("inj-2-middle-route",
-         lambda a, b, c: eq_on(b, lambda v: injl(u.join(a, b), c).apply(injr(a, b).apply(v)),
-                               lambda v: injr(a, u.join(b, c)).apply(injl(b, c).apply(v))),
+         lambda a, b, c: eq_on(b, lambda v: injl(join(a, b), c)(injr(a, b)(v)),
+                               lambda v: injr(a, join(b, c))(injl(b, c)(v))),
          kind_triples),
-        ("inj-3-commute", lambda a, b: eq_on(a, injl(a, b).apply, injr(b, a).apply),
-         kind_pairs),
-        ("inj-4-idempotent", lambda a: eq_on(a, injl(a, a).apply, lambda v: v), kind_ones),
-        ("inj-5-bottom-left",
-         lambda a: eq_on(a, injl(a, KIND_NAT).apply, lambda v: v), kind_ones),
+        ("inj-3-commute", lambda a, b: eq_on(a, injl(a, b), injr(b, a)), kind_pairs),
+        ("inj-4-idempotent", lambda a: eq_on(a, injl(a, a), lambda v: v), kind_ones),
+        ("inj-5-bottom-left", lambda a: eq_on(a, injl(a, KIND_NAT), lambda v: v), kind_ones),
         ("inj-6-bottom-right",
-         lambda a: eq_on(KIND_NAT, injr(a, KIND_NAT).apply, IotaHom(u.algebra(a)).apply),
+         lambda a: eq_on(KIND_NAT, injr(a, KIND_NAT), IotaHom(u.algebra(a)).apply),
          kind_ones),
-    ])
+    ]).results)
 
 
 # -- configuration files -----------------------------------------------------

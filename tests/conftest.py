@@ -63,3 +63,14 @@ def ambiguous_algebra():
         sum={p: {q: add(p, q) for q in elems} for p in elems},
         mul={p: {q: mul(p, q) for q in elems} for p in elems},
         zero="0", one="1"))
+
+
+def noncommutative_affinity():
+    """Affinity with 1 + w redefined as 1 (but w + 1 stays w)."""
+    from gradefj.grades import FiniteAlgebra, FiniteTable, affinity_table
+    table = affinity_table()
+    broken_sum = {a: dict(row) for a, row in table.sum.items()}
+    broken_sum["1"]["w"] = "1"
+    return FiniteAlgebra(FiniteTable(
+        name="broken", elements=table.elements, leq=table.leq,
+        sum=broken_sum, mul=table.mul, zero=table.zero, one=table.one))

@@ -292,12 +292,13 @@ def _nested_compose(depth):
     (_nested_extend(8, '{"builtin": "nat"}'), "nest more than 8 deep"),
     (_nested_compose(8), "nest more than 8 deep"),
     (json.dumps({"kinds": {"X": {"product": [{"builtin": "affinity"}, {"product": [
-        {"builtin": "boolean"}, {"extend": {"builtin": "boolean"}}]}]}}}),
-     "kind X has 18 elements, more than 16"),
+        {"builtin": "boolean"}, {"product": [{"builtin": "boolean"},
+                                             {"extend": {"builtin": "boolean"}}]}]}]}}}),
+     "kind X has 36 elements, more than 32"),
     (json.dumps({"kinds": {f"K{i}": {"table": _chain(16)} for i in range(12)}}),
-     "pool of 204 grades, more than 56"),
+     "pool of 204 grades, more than 80"),
 ], ids=["extend-3000", "extend-980-nat", "extend-300-boolean", "extend-8", "compose-8",
-        "carrier-18", "pool-12x16"])
+        "carrier-36", "pool-12x16"])
 @pytest.mark.parametrize("command", ["check", "laws"])
 def test_universe_over_the_limits_is_refused_quickly(capsys, tmp_path, corpus_dir, text,
                                                      message, command):
@@ -310,6 +311,13 @@ def test_universe_over_the_limits_is_refused_quickly(capsys, tmp_path, corpus_di
     assert time.perf_counter() - started < 1.0
     assert code == 2
     assert out == "" and message in err
+
+
+def test_universe_at_the_pool_limit_loads():
+    # the universe whose `laws` run CI times sits exactly at the bound
+    from gradefj.hetero import MAX_POOL, load_universe
+    u = load_universe(str(pathlib.Path(__file__).parent / "programs" / "chain_pool80.json"))
+    assert len(u.sample_pool()) == MAX_POOL
 
 
 def test_run_ambiguous_product_residual(capsys, tmp_path):

@@ -1,5 +1,7 @@
 """Grade algebra laws, residuals, and homomorphisms."""
 
+from collections import Counter
+from dataclasses import dataclass
 from fractions import Fraction
 
 import pytest
@@ -21,6 +23,7 @@ from gradefj.grades import (
     IotaHom,
     Nat,
     NAT,
+    NatAlgebra,
     PairValue,
     PPRIVACY,
     PRIVACY,
@@ -237,17 +240,69 @@ def test_validate_algebra_sampled(spec):
 
 
 def test_validate_algebra_catches_noncommutative_sum():
-    table = affinity_table()
-    broken_sum = {a: dict(row) for a, row in table.sum.items()}
-    broken_sum["1"]["w"] = "1"  # but w + 1 stays w
-    broken = FiniteAlgebra(FiniteTable(
-        name="broken", elements=table.elements, leq=table.leq,
-        sum=broken_sum, mul=table.mul, zero=table.zero, one=table.one))
-    report = validate_algebra(broken)
-    failed = {r.law for r in report.failures()}
-    assert "add-commutative" in failed
-    witness = [r for r in report.failures() if r.law == "add-commutative"][0].witness
-    assert witness is not None
+    from conftest import noncommutative_affinity
+    report = validate_algebra(noncommutative_affinity())
+    # the first failing case of each law, one witness per case shape: a pair,
+    # a triple and a pair of related pairs (printed as tuples of grades)
+    assert {r.law: r.witness for r in report.failures()} == {
+        "add-commutative": ("1", "w"),
+        "add-associative": ("1", "1", "1"),
+        "add-monotone": (
+            "(FiniteElem(name='0', algebra='broken'), FiniteElem(name='1', algebra='broken'))",
+            "(FiniteElem(name='w', algebra='broken'), FiniteElem(name='w', algebra='broken'))"),
+    }
+
+
+@dataclass(frozen=True)
+class WrappingNatAlgebra(NatAlgebra):
+    """Naturals whose product wraps modulo 7: units, distributivity and
+    monotonicity break on the seeded cases."""
+
+    def mul(self, a, b):
+        self.check_value(a), self.check_value(b)
+        return Nat(a.n * b.n % 7) if a.n and b.n else Nat(0)
+
+
+def test_validate_algebra_sampled_witnesses():
+    report = validate_algebra(WrappingNatAlgebra())
+    assert {r.law: r.witness for r in report.failures()} == {
+        "mul-unit": ("7",),
+        "distributes-left": ("44", "44", "6"),
+        "distributes-right": ("44", "44", "6"),
+        "mul-monotone": ("(Nat(n=44), Nat(n=44))", "(Nat(n=20), Nat(n=32))"),
+    }
+
+
+@dataclass(frozen=True)
+class SkippingIotaHom(IotaHom):
+    """iota with 5 left out: sums and products past it are off by one."""
+
+    def apply(self, a):
+        return iota(Nat(a.n if a.n < 5 else a.n - 1), self.target_spec)
+
+
+def test_validate_hom_witnesses():
+    collapse_w = FiniteMapHom(AFFINITY, BOOLEAN, {
+        "0": FiniteElem("0", "boolean"), "1": FiniteElem("1", "boolean"),
+        "w": FiniteElem("0", "boolean")})
+    assert {r.law: r.witness for r in validate_hom(collapse_w).failures()} == {
+        "hom-add": ("1", "1"), "hom-monotone": ("1", "w")}
+    assert {r.law: r.witness for r in validate_hom(SkippingIotaHom(NAT)).failures()} == {
+        "hom-add": ("32", "41"), "hom-mul": ("32", "41")}
+
+
+@pytest.mark.parametrize("target", [AFFINITY, ProductAlgebra(AFFINITY, PRIVACY)])
+def test_validate_hom_applies_the_map_once_per_value(monkeypatch, target):
+    applied = Counter()
+    apply = IotaHom.apply
+
+    def counted(self, a):
+        applied[a] += 1
+        return apply(self, a)
+
+    monkeypatch.setattr(IotaHom, "apply", counted)
+    assert validate_hom(IotaHom(target)).ok
+    assert applied and max(applied.values()) == 1
 
 
 def test_validate_algebra_rejects_unclosed_order():

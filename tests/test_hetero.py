@@ -1,14 +1,19 @@
 """Refinement graphs, kinded grades, and the combined-algebra laws."""
 
+from collections import Counter
+
 import pytest
 
 from gradefj.grades import (
     AFFINITY,
     BOOLEAN,
+    EXTREAL,
+    ExtendAlgebra,
     FiniteElem,
     FiniteMapHom,
     IdentityHom,
     IotaHom,
+    NAT,
     Nat,
     PairValue,
     PRIVACY,
@@ -27,6 +32,7 @@ from gradefj.hetero import (
     NoLeastAncestor,
     NotRefinement,
     ONE_D,
+    POOL_SAMPLES,
     RefinementEdge,
     UniverseError,
     UnknownKind,
@@ -218,6 +224,48 @@ def test_check_universe_laws_ap_universe(ap_universe):
     assert report.ok, [str(r) for r in report.failures()]
 
 
+def test_check_universe_laws_computes_each_operation_once(monkeypatch, ap_universe):
+    calls = Counter()
+    for op in ("leq", "add", "mul"):
+        original = getattr(GradeUniverse, op)
+
+        def counted(self, x, y, op=op, original=original):
+            calls[op, x, y] += 1
+            return original(self, x, y)
+
+        monkeypatch.setattr(GradeUniverse, op, counted)
+    assert check_universe_laws(ap_universe).ok
+    assert {op for op, _, _ in calls} == {"leq", "add", "mul"}
+    assert max(calls.values()) == 1
+
+
+def test_check_universe_laws_witnesses():
+    # a broken kind, admitted unchecked
+    from conftest import noncommutative_affinity
+    u = validate_universe({"X": noncommutative_affinity()}, [], validate_algebras=False)
+    report = check_universe_laws(u)
+    assert {r.law: r.witness for r in report.failures()} == {
+        "add-commutative": ("1", "X:w"),
+        "add-associative": ("1", "1", "X:1"),
+        "distributes-left": ("X:1", "1", "2"),
+        "distributes-right": ("X:1", "1", "2"),
+        "add-monotone": (
+            "(KindedGrade(kind='N', value=Nat(n=0)), KindedGrade(kind='N', value=Nat(n=1)))",
+            "(KindedGrade(kind='N', value=Nat(n=2)), "
+            "KindedGrade(kind='X', value=FiniteElem(name='w', algebra='broken')))"),
+    }
+
+
+def test_sample_pool_reaches_the_top_of_infinite_kinds():
+    u = validate_universe({"E": ExtendAlgebra(NAT), "R": EXTREAL}, [])
+    pool = u.sample_pool()
+    for kind in ("E", "R"):
+        shown = [str(g) for g in pool if g.kind == kind]
+        assert len(shown) == POOL_SAMPLES
+        assert shown[0] == f"{kind}:0" and shown[-1] == f"{kind}:inf"
+    assert check_universe_laws(u).ok
+
+
 def test_check_universe_laws_degenerate():
     u = validate_universe({}, [])
     report = check_universe_laws(u)
@@ -240,9 +288,8 @@ def test_default_universe_shape(universe):
     assert universe.join("A", "P") == "T"
 
 
-def test_two_edge_chain_composes():
-    # PP refines P refines B: the derived PP->B hom is the composition
-    p = lambda n: FiniteElem(n, "privacy2")
+def pp_p_b_universe():
+    """PP refines P refines B."""
     b = lambda n: FiniteElem(n, "boolean")
     p_to_b = FiniteMapHom(PRIVACY, BOOLEAN,
                           {"0": b("0"), "private": b("1"), "public": b("1")})
@@ -251,6 +298,13 @@ def test_two_edge_chain_composes():
         {"PP": PPRIVACY, "P": PRIVACY, "B": BOOLEAN},
         [RefinementEdge("PP", "P", pp_to_p_hom()),
          RefinementEdge("P", "B", p_to_b)])
+    return u, p_to_b
+
+
+def test_two_edge_chain_composes():
+    # the derived PP->B hom is the composition
+    b = lambda n: FiniteElem(n, "boolean")
+    u, p_to_b = pp_p_b_universe()
     assert u.kind_leq("PP", "B")
     assert u.join("PP", "B") == "B"
     h = u.hom("PP", "B")
@@ -264,6 +318,23 @@ def test_two_edge_chain_composes():
     got = u.add(KindedGrade("PP", FiniteElem("d", "privacy4")),
                 KindedGrade("B", b("0")))
     assert got == KindedGrade("B", b("1"))
+
+
+def test_check_universe_laws_catches_a_derived_hom_off_its_route():
+    # a PP->B map that disagrees with the route through P on a
+    b = lambda n: FiniteElem(n, "boolean")
+    u, _ = pp_p_b_universe()
+    u.homs["PP", "B"] = FiniteMapHom(PPRIVACY, BOOLEAN,
+                                     {n: b("0" if n in "0a" else "1") for n in "0abcd"})
+    failures = {r.law: r.witness for r in check_universe_laws(u).failures()}
+    assert sorted(failures) == sorted([
+        "add-associative", "mul-associative", "distributes-left", "distributes-right",
+        "add-monotone", "mul-monotone", "hom-functorial", "inj-1-left-assoc",
+        "inj-2-middle-route"])
+    assert failures["add-associative"] == ("B:0", "P:0", "PP:a")
+    assert failures["hom-functorial"] == ("PP", "P", "B")
+    assert failures["inj-1-left-assoc"] == ("PP", "P", "B")
+    assert failures["inj-2-middle-route"] == ("B", "PP", "P")
 
 
 def test_residual_candidates_are_grades_of_the_available_kind():
