@@ -16,6 +16,7 @@ computed once per pair of values.
 from __future__ import annotations
 
 import random
+import re
 from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import product as iproduct
@@ -327,8 +328,11 @@ class ExtRealAlgebra(Algebra):
         return "extreal"
 
     def parse_payload(self, text):
+        # only the forms ExtReal prints: inf, n and n/d in ASCII digits, d >= 1
         if text == "inf":
             return ExtReal(None)
+        if not re.fullmatch(r"[0-9]+(/0*[1-9][0-9]*)?", text):
+            raise ValueError(f"bad extended real literal {text!r}: expected inf, n or n/d")
         return ExtReal(Fraction(text))
 
 
@@ -661,11 +665,33 @@ def all_residuals(spec: Algebra, available: GradeValue, demand: GradeValue) -> l
 
 
 def iota(n: GradeValue, target: Algebra) -> GradeValue:
-    """Sum of n copies of the target's one; the unique hom out of naturals."""
+    """Sum of n copies of the target's one, added from the left to zero;
+    the unique hom out of naturals.
+
+    Built-in carriers give it in closed form (componentwise for products,
+    under the finite injection for extensions), matched by exact class
+    because a subclass may redefine the sum.  On any other carrier the
+    running sum is a function of its last value, so once a value repeats
+    the rest of the sequence cycles; a finite carrier repeats within
+    |carrier| + 1 additions.
+    """
     if not isinstance(n, Nat):
         raise CarrierMismatch(f"iota expects a natural, got {n}")
+    if type(target) is NatAlgebra:
+        return Nat(n.n)
+    if type(target) is ExtRealAlgebra:
+        return ExtReal(Fraction(n.n))
+    if type(target) is ProductAlgebra:
+        return PairValue(iota(n, target.left), iota(n, target.right))
+    if type(target) is ExtendAlgebra:
+        return ExtFin(iota(n, target.inner))
+    seen: dict[GradeValue, int] = {}  # each partial sum, in order: its count of ones
     out = target.zero()
-    for _ in range(n.n):
+    for i in range(n.n):
+        if out in seen:
+            start = seen[out]
+            return list(seen)[start + (n.n - start) % (i - start)]
+        seen[out] = i
         out = target.add(out, target.one())
     return out
 

@@ -273,23 +273,16 @@ def _spread(sample: list, count: int) -> list:
     return [sample[k * (len(sample) - 1) // (count - 1)] for k in range(count)]
 
 
-def _paths(succ: dict[str, list[str]], start: str, end: str) -> list[tuple[str, ...]]:
-    if start == end:
-        return [(start,)]
-    out = []
-    for nxt in succ.get(start, ()):
-        out.extend((start,) + p for p in _paths(succ, nxt, end))
-    return out
-
-
 def validate_universe(kinds: dict[str, Algebra], edges: list[RefinementEdge],
                       validate_algebras: bool = True) -> GradeUniverse:
     """Validate kinds, edges and refinement conditions; derive the rest.
 
     Conditions: between any two user kinds there is at most one refinement
-    path, and any two kinds with a common ancestor have a least one.  The
-    derived join table is checked to be a commutative idempotent monoid
-    with unit N.
+    path, and any two kinds with a common ancestor have a least one.  One
+    pass derives each user kind's homomorphism to every ancestor, supers
+    before subs; its keys are the ancestor sets the joins are read from.
+    The derived join table is checked to be a commutative idempotent
+    monoid with unit N.
     """
     kinds = dict(kinds)
     for reserved, alg in ((KIND_NAT, NAT), (KIND_TRIVIAL, TRIVIAL)):
@@ -307,7 +300,7 @@ def validate_universe(kinds: dict[str, Algebra], edges: list[RefinementEdge],
                     f"algebra of kind {k} violates {report.failures()[0].law}: "
                     f"{report.failures()[0].witness}")
 
-    succ: dict[str, list[str]] = {k: [] for k in user}
+    supers: dict[str, list[RefinementEdge]] = {k: [] for k in user}
     for e in edges:
         if e.sub in (KIND_NAT, KIND_TRIVIAL) or e.sup in (KIND_NAT, KIND_TRIVIAL):
             raise NotRefinement("edges to or from N and T are implicit")
@@ -323,32 +316,37 @@ def validate_universe(kinds: dict[str, Algebra], edges: list[RefinementEdge],
         if e.hom.source() != kinds[e.sub] or e.hom.target() != kinds[e.sup]:
             raise UniverseError(
                 f"edge {e.sub} -> {e.sup}: homomorphism endpoints do not match the kinds")
-        succ[e.sub].append(e.sup)
+        supers[e.sub].append(e)
 
-    # cycles
-    state: dict[str, int] = {}
+    # up[k] maps each ancestor of k to the derived hom (condition 1: one
+    # route to each); a kind's supers are derived before the kind itself
+    up: dict[str, dict[str, Hom]] = {}
+    deriving: list[str] = []
 
-    def visit(k, stack):
-        state[k] = 1
-        for nxt in succ[k]:
-            if state.get(nxt) == 1:
-                raise CycleDetected(f"refinement cycle through {' -> '.join(stack + [nxt])}")
-            if state.get(nxt, 0) == 0:
-                visit(nxt, stack + [nxt])
-        state[k] = 2
+    def route(k, a):
+        """The route from k to a through its first direct super reaching a."""
+        if k == a:
+            return (k,)
+        return (k,) + route(next(e.sup for e in supers[k] if a in up[e.sup]), a)
+
+    def derive(k):
+        if k in deriving:
+            loop = deriving[deriving.index(k):] + [k]
+            raise CycleDetected(f"refinement cycle through {' -> '.join(loop)}")
+        if k not in up:
+            deriving.append(k)
+            homs_k = {k: IdentityHom(kinds[k])}
+            for e in supers[k]:
+                for a, h in derive(e.sup).items():
+                    if a in homs_k:
+                        raise DuplicatePath(k, a, [route(k, a), (k,) + route(e.sup, a)])
+                    homs_k[a] = compose(e.hom, h)
+            up[k] = homs_k
+            deriving.pop()
+        return up[k]
 
     for k in sorted(user):
-        if state.get(k, 0) == 0:
-            visit(k, [k])
-
-    # path uniqueness (condition 1)
-    for k1 in sorted(user):
-        for k2 in sorted(user):
-            ps = _paths(succ, k1, k2)
-            if len(ps) > 1:
-                raise DuplicatePath(k1, k2, ps)
-
-    ancestors = {k: {k2 for k2 in user if _paths(succ, k, k2)} for k in user}
+        derive(k)
 
     # least common ancestors (condition 2) and the join table
     join_table: dict[tuple[str, str], str] = {}
@@ -362,26 +360,17 @@ def validate_universe(kinds: dict[str, Algebra], edges: list[RefinementEdge],
             elif k1 == KIND_TRIVIAL or k2 == KIND_TRIVIAL:
                 j = KIND_TRIVIAL
             else:
-                common = ancestors[k1] & ancestors[k2]
+                common = up[k1].keys() & up[k2].keys()
                 if not common:
                     j = KIND_TRIVIAL
                 else:
-                    least = [c for c in common if all(a in ancestors[c] for a in common)]
+                    least = [c for c in common if all(a in up[c] for a in common)]
                     if not least:
                         minimal = {c for c in common
-                                   if not any(d != c and c in ancestors[d] for d in common)}
+                                   if not any(d != c and c in up[d] for d in common)}
                         raise NoLeastAncestor(k1, k2, minimal)
                     j = least[0]
             join_table[(k1, k2)] = j
-
-    order = set()
-    for k in all_kinds:
-        order.add((k, k))
-        order.add((KIND_NAT, k))
-        order.add((k, KIND_TRIVIAL))
-    for k1 in user:
-        for k2 in ancestors[k1]:
-            order.add((k1, k2))
 
     # derived signature laws
     for k1 in all_kinds:
@@ -398,23 +387,13 @@ def validate_universe(kinds: dict[str, Algebra], edges: list[RefinementEdge],
                 if left != right:
                     raise UniverseError(f"join not associative at {k1},{k2},{k3}")
 
-    edge_hom = {(e.sub, e.sup): e.hom for e in edges}
-    homs: dict[tuple[str, str], Hom] = {}
-    for k1, k2 in sorted(order):
-        if k1 == k2:
-            homs[(k1, k2)] = IdentityHom(kinds[k1])
-        elif k1 == KIND_NAT:
-            homs[(k1, k2)] = IotaHom(kinds[k2])
-        elif k2 == KIND_TRIVIAL:
-            homs[(k1, k2)] = ZetaHom(kinds[k1])
-        else:
-            (path,) = _paths(succ, k1, k2)
-            h: Hom = IdentityHom(kinds[k1])
-            for a, b in zip(path, path[1:]):
-                h = compose(h, edge_hom[(a, b)])
-            homs[(k1, k2)] = h
+    # N refines every kind and every kind refines T, by the unique homs
+    homs: dict[tuple[str, str], Hom] = {(KIND_NAT, k): IotaHom(kinds[k]) for k in all_kinds}
+    homs.update(((k, KIND_TRIVIAL), ZetaHom(kinds[k])) for k in all_kinds if k != KIND_NAT)
+    homs.update(((k, k), IdentityHom(kinds[k])) for k in all_kinds)
+    homs.update(((k, a), h) for k in user for a, h in up[k].items())
 
-    return GradeUniverse(kinds=kinds, edges=list(edges), order=frozenset(order),
+    return GradeUniverse(kinds=kinds, edges=list(edges), order=frozenset(homs),
                          join_table=join_table, homs=homs, law_reports=law_reports)
 
 

@@ -234,6 +234,11 @@ def test_each_method_body_is_typed_once(capsys, corpus_dir, corpus_by_name, monk
     assert sorted(typed) == ["Box.get", "Box.wrap"]
 
 
+def _extreal_image(image):
+    return {"kinds": {"B": {"builtin": "boolean"}, "R": {"builtin": "extreal"}},
+            "edges": [{"sub": "B", "super": "R", "hom": {"map": {"0": "0", "1": image}}}]}
+
+
 _TABLE = {"name": "t", "elements": ["0"], "leq": [["0", "0"]], "sum": {"0": {"0": "0"}},
           "mul": {"0": {"0": "0"}}, "zero": "0", "one": "0"}
 
@@ -246,6 +251,7 @@ _TABLE = {"name": "t", "elements": ["0"], "leq": [["0", "0"]], "sum": {"0": {"0"
     ({"kinds": {"X": {"table": []}}}, "a finite table must be an object"),
     ({"kinds": {"X": {"table": {**_TABLE, "sum": {"0": 1}}}}}, "'sum' must map each element"),
     ({"kinds": {"X": {"product": 3}}}, "'product' must be a list of two specs"),
+    (_extreal_image("1/0"), "bad extended real literal '1/0'"),
 ])
 @pytest.mark.parametrize("command", ["check", "run", "laws"])
 def test_malformed_universe_config_is_bad_input(capsys, tmp_path, corpus_dir, cfg, message,
@@ -297,8 +303,12 @@ def _nested_compose(depth):
      "kind X has 36 elements, more than 32"),
     (json.dumps({"kinds": {f"K{i}": {"table": _chain(16)} for i in range(12)}}),
      "pool of 204 grades, more than 80"),
+    # 22 refinement diamonds in a row: 2**22 paths from the bottom to the top
+    ((pathlib.Path(__file__).parent / "programs" / "diamonds_pool79.json").read_text(),
+     "more than one refinement path"),
+    (json.dumps(_extreal_image("1e99999999")), "bad extended real literal '1e99999999'"),
 ], ids=["extend-3000", "extend-980-nat", "extend-300-boolean", "extend-8", "compose-8",
-        "carrier-36", "pool-12x16"])
+        "carrier-36", "pool-12x16", "diamonds-22", "extreal-exponent"])
 @pytest.mark.parametrize("command", ["check", "laws"])
 def test_universe_over_the_limits_is_refused_quickly(capsys, tmp_path, corpus_dir, text,
                                                      message, command):

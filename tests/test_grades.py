@@ -1,5 +1,6 @@
 """Grade algebra laws, residuals, and homomorphisms."""
 
+import time
 from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
@@ -87,6 +88,21 @@ def test_extreal_exact():
     assert EXTREAL.leq(ExtReal(Fraction(7, 2)), ExtReal(None))
 
 
+@pytest.mark.parametrize("text, value", [
+    ("inf", None), ("0", Fraction(0)), ("7", Fraction(7)), ("6/4", Fraction(3, 2)),
+    ("1/007", Fraction(1, 7)), ("1/0", ValueError), ("1/00", ValueError),
+    ("1e99999999", ValueError), ("0.5", ValueError), ("-1", ValueError), (" 1", ValueError),
+    ("\u0663", ValueError), ("1/", ValueError), ("Infinity", ValueError), ("", ValueError),
+])
+def test_extreal_payload_grammar(text, value):
+    # inf, n and n/d in ASCII digits with d >= 1: the forms ExtReal prints
+    if value is ValueError:
+        with pytest.raises(ValueError):
+            EXTREAL.parse_payload(text)
+    else:
+        assert EXTREAL.parse_payload(text) == ExtReal(value)
+
+
 # ---------------------------------------------------------------------------
 # residuals, against a brute-force oracle
 
@@ -167,6 +183,28 @@ def test_iota_examples():
     assert iota(Nat(2), AFFINITY) == one_plus_one
     assert iota(Nat(3), NAT) == Nat(3)
     assert iota(Nat(1), PRIVACY) == PRIV("public")
+
+
+def _left_sum(n, target):
+    out = target.zero()
+    for _ in range(n):
+        out = target.add(out, target.one())
+    return out
+
+
+@pytest.mark.parametrize("target", [
+    NAT, TRIVIAL, AFFINITY, BOOLEAN, PRIVACY, PPRIVACY, EXTREAL,
+    ProductAlgebra(AFFINITY, EXTREAL), ExtendAlgebra(PRIVACY), ExtendAlgebra(NAT),
+    "noncommutative_affinity"])
+def test_iota_is_the_left_sum_in_bounded_time(target):
+    if target == "noncommutative_affinity":
+        from conftest import noncommutative_affinity
+        target = noncommutative_affinity()
+    for n in range(40):
+        assert iota(Nat(n), target) == _left_sum(n, target), n
+    started = time.perf_counter()
+    iota(Nat(9_876_543_210), target)
+    assert time.perf_counter() - started < 1.0
 
 
 def test_zeta_examples():

@@ -9,8 +9,10 @@ from gradefj.grades import (
     BOOLEAN,
     EXTREAL,
     ExtendAlgebra,
+    FiniteAlgebra,
     FiniteElem,
     FiniteMapHom,
+    FiniteTable,
     IdentityHom,
     IotaHom,
     NAT,
@@ -87,7 +89,7 @@ def test_duplicate_path_rejected():
     to_pp = FiniteMapHom(PRIVACY, PPRIVACY, {  # any map; path check fires first
         "0": FiniteElem("0", "privacy4"), "private": FiniteElem("a", "privacy4"),
         "public": FiniteElem("d", "privacy4")})
-    with pytest.raises(DuplicatePath):
+    with pytest.raises(DuplicatePath) as exc:
         validate_universe(
             {"A": AFFINITY, "P": PRIVACY, "PP": PPRIVACY, "AP": ap},
             [RefinementEdge("AP", "A", ProjLeftHom(ap)),
@@ -95,6 +97,9 @@ def test_duplicate_path_rejected():
              RefinementEdge("PP", "P", pp_to_p_hom()),
              RefinementEdge("AP", "PP", _ap_to_pp(ap))],
             validate_algebras=False)
+    # the pair and its two routes: the direct edge and the one through PP
+    assert str(exc.value) == ("more than one refinement path from AP to P: "
+                              "[('AP', 'P'), ('AP', 'PP', 'P')]")
 
 
 def _ap_to_pp(ap):
@@ -122,14 +127,25 @@ def test_no_least_ancestor_reports_minimal_set():
     assert exc.value.minimal == {"U", "V"}
 
 
-def test_cycle_detected():
+def _boolean_refinements(pairs):
     b = lambda n: FiniteElem(n, "boolean")
     ident = {"0": b("0"), "1": b("1")}
-    edges = [RefinementEdge("X", "Y", FiniteMapHom(BOOLEAN, BOOLEAN, dict(ident))),
-             RefinementEdge("Y", "X", FiniteMapHom(BOOLEAN, BOOLEAN, dict(ident)))]
-    with pytest.raises(CycleDetected):
-        validate_universe({"X": BOOLEAN, "Y": BOOLEAN}, edges,
-                          validate_algebras=False)
+    edges = [RefinementEdge(s, t, FiniteMapHom(BOOLEAN, BOOLEAN, dict(ident)))
+             for s, t in pairs]
+    return validate_universe({k: BOOLEAN for pair in pairs for k in pair}, edges,
+                             validate_algebras=False)
+
+
+def test_cycle_detected():
+    with pytest.raises(CycleDetected) as exc:
+        _boolean_refinements([("X", "Y"), ("Y", "X")])
+    assert str(exc.value) == "refinement cycle through X -> Y -> X"
+
+
+def test_cycle_is_named_without_the_way_in():
+    with pytest.raises(CycleDetected) as exc:
+        _boolean_refinements([("A", "X"), ("X", "Y"), ("Y", "Z"), ("Z", "X")])
+    assert str(exc.value) == "refinement cycle through X -> Y -> Z -> X"
 
 
 def test_reserved_kinds_not_redeclarable():
@@ -151,6 +167,39 @@ def test_determinism_of_derivation():
     assert u1.join_table == u2.join_table
     assert u1.order == u2.order
     assert sorted(u1.homs) == sorted(u2.homs)
+
+
+def _chain3(name):
+    """0 < 1 < 2 under max and min; a monotone map fixing 0 and 2 is a hom."""
+    elems = ("0", "1", "2")
+    return FiniteAlgebra(FiniteTable(
+        name=name, elements=elems,
+        leq=frozenset((a, b) for a in elems for b in elems if a <= b),
+        sum={a: {b: max(a, b) for b in elems} for a in elems},
+        mul={a: {b: min(a, b) for b in elems} for a in elems},
+        zero="0", one="2"))
+
+
+def test_long_chain_derives_each_hom_along_its_route():
+    # 68 kinds in a row; a few edges send the middle element down or up, so a
+    # route's hom depends on the order its edge maps are applied in
+    algs = [_chain3(f"c{i}") for i in range(68)]
+    names = [f"K{i:02d}" for i in range(68)]
+    edges = []
+    for i in range(67):
+        middle = "0" if i % 23 == 5 else "2" if i % 23 == 16 else "1"
+        image = {"0": "0", "1": middle, "2": "2"}
+        edges.append(RefinementEdge(names[i], names[i + 1], FiniteMapHom(
+            algs[i], algs[i + 1], {a: FiniteElem(b, f"c{i + 1}") for a, b in image.items()})))
+    u = validate_universe(dict(zip(names, algs)), edges)
+    assert u.order == frozenset(u.homs)
+    for i in range(68):
+        moved = {v: v for v in algs[i].elements()}
+        for j in range(i, 68):
+            assert u.join(names[i], names[j]) == u.join(names[j], names[i]) == names[j]
+            assert {v: u.hom(names[i], names[j]).apply(v) for v in moved} == moved
+            if j < 67:
+                moved = {v: edges[j].hom.apply(w) for v, w in moved.items()}
 
 
 # ---------------------------------------------------------------------------
