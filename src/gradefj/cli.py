@@ -30,7 +30,9 @@ def _read_program(args) -> tuple[GradeUniverse, Program] | int:
     try:
         with open(args.file, "r", encoding="utf-8") as fh:
             text = fh.read()
-        universe = default_universe() if args.universe is None else load_universe(args.universe)
+        universe = default_universe() if args.universe is None else _load_universe(args.universe)
+        if isinstance(universe, int):
+            return universe
         program = parse_program(text, universe)
     except OSError as exc:
         print(f"error: {exc}", file=sys.stderr)
@@ -39,6 +41,19 @@ def _read_program(args) -> tuple[GradeUniverse, Program] | int:
         print(f"{args.file}: {exc}", file=sys.stderr)
         return EXIT_BAD_INPUT
     return universe, program
+
+
+def _load_universe(path: str) -> GradeUniverse | int:
+    """The universe in ``path``, or the exit code of the error, already
+    reported against ``path``, that stopped loading it."""
+    try:
+        return load_universe(path)
+    except OSError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return EXIT_IO
+    except (GradeError, KeyError, ValueError) as exc:
+        print(f"{path}: {exc}", file=sys.stderr)
+        return EXIT_BAD_INPUT
 
 
 def cmd_check(args) -> int:
@@ -129,14 +144,9 @@ def _law_lines(scope: str, report: LawReport) -> list[dict]:
 
 
 def cmd_laws(args) -> int:
-    try:
-        universe = load_universe(args.universe_file)
-    except OSError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_IO
-    except (GradeError, KeyError, ValueError) as exc:
-        print(f"{args.universe_file}: {exc}", file=sys.stderr)
-        return EXIT_BAD_INPUT
+    universe = _load_universe(args.universe_file)
+    if isinstance(universe, int):
+        return universe
 
     lines = []
     for kind in sorted(universe.kinds):

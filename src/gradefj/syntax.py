@@ -17,7 +17,9 @@ and erasure drops them again.
 
 from __future__ import annotations
 
+import re
 from dataclasses import dataclass, field
+from itertools import accumulate, repeat
 from typing import Optional
 
 from .hetero import GradeUniverse, KindedGrade
@@ -322,54 +324,79 @@ class Program:
 KEYWORDS = {"class", "extends", "new", "run", "at"}
 SYMBOLS = {"{", "}", "(", ")", "[", "]", ";", ",", ".", "@", ":", "=", "/"}
 
+# A token is ``(kind, text, line, col)``; kind is ident, int, sym, keyword
+# or eof.  A symbol's or keyword's text is never another kind's, so the
+# parser compares only the text of those.
+Token = tuple[str, str, int, int]
 
-@dataclass(frozen=True)
-class Token:
-    kind: str  # ident | int | sym | keyword | eof
-    text: str
-    pos: Pos
+# A line splits into gap, piece, gap, ..., piece, gap; gaps hold only
+# spaces, tabs and carriage returns.  A piece is a comment, a whole run of
+# ASCII digits that no non-ASCII character follows, a word (a run of
+# ``\w``, which is exactly ``isalnum()`` or '_') or any other character.
+_PIECES = re.compile(r"(//.*|[0-9]+(?![0-9]|[^\x00-\x7f])|\w+|[^ \t\r])")
+
+
+_FIXED_KINDS = {**dict.fromkeys(KEYWORDS, "keyword"), **dict.fromkeys(SYMBOLS, "sym")}
+
+
+class _Kinds(dict):
+    """Piece text -> token kind, filled during one ``lex`` call.  A word is
+    an identifier if it starts with a letter or '_' and an integer if it is
+    all digits; otherwise (None) it needs ``_split_word``."""
+
+    def __missing__(self, text: str) -> Optional[str]:
+        first = text[0]
+        kind = ("ident" if first.isalpha() or first == "_"
+                else "int" if text.isdigit() else None)
+        self[text] = kind
+        return kind
+
+
+def _split_word(word: str, line: int, col: int) -> list[Token]:
+    """The tokens of a piece that ``_Kinds`` leaves open: digit runs and a
+    trailing identifier by ``isdigit``/``isalpha``, one character at a time,
+    or the error at the first character that starts no token."""
+    out: list[Token] = []
+    i, n = 0, len(word)
+    while i < n:
+        ch = word[i]
+        if ch.isalpha() or ch == "_":
+            rest = word[i:]
+            out.append(("keyword" if rest in KEYWORDS else "ident", rest, line, col + i))
+            break
+        if not ch.isdigit():
+            raise SyntaxErrorGFJ(f"unexpected character {ch!r}", line, col + i)
+        j = i + 1
+        while j < n and word[j].isdigit():
+            j += 1
+        out.append(("int", word[i:j], line, col + i))
+        i = j
+    return out
 
 
 def lex(text: str) -> list[Token]:
+    """The tokens of ``text``, eof last.  Each line is split by one regular
+    expression and its columns are running sums of the part lengths; only a
+    word outside the ASCII classes is looked at one character at a time."""
     out: list[Token] = []
-    line, col, i = 1, 1, 0
-    n = len(text)
-    while i < n:
-        ch = text[i]
-        if ch == "\n":
-            line, col, i = line + 1, 1, i + 1
-            continue
-        if ch in " \t\r":
-            col, i = col + 1, i + 1
-            continue
-        if ch == "/" and i + 1 < n and text[i + 1] == "/":
-            while i < n and text[i] != "\n":
-                i += 1
-            continue
-        start = (line, col)
-        if ch.isalpha() or ch == "_":
-            j = i
-            while j < n and (text[j].isalnum() or text[j] == "_"):
-                j += 1
-            word = text[i:j]
-            out.append(Token("keyword" if word in KEYWORDS else "ident", word, start))
-            col += j - i
-            i = j
-            continue
-        if ch.isdigit():
-            j = i
-            while j < n and text[j].isdigit():
-                j += 1
-            out.append(Token("int", text[i:j], start))
-            col += j - i
-            i = j
-            continue
-        if ch in SYMBOLS:
-            out.append(Token("sym", ch, start))
-            col, i = col + 1, i + 1
-            continue
-        raise SyntaxErrorGFJ(f"unexpected character {ch!r}", line, col)
-    out.append(Token("eof", "", (line, col)))
+    kinds = _Kinds(_FIXED_KINDS)
+    for line, src in enumerate(text.split("\n"), 1):
+        parts = _PIECES.split(src)
+        cols = list(accumulate(map(len, parts), initial=1))
+        pieces, starts, end = parts[1::2], cols[1:-1:2], cols[-1]
+        if pieces and pieces[-1].startswith("//"):
+            pieces.pop()
+            end = starts.pop()   # a comment does not advance the column
+        found = list(map(kinds.__getitem__, pieces))
+        if None in found:
+            for kind, piece, col in zip(found, pieces, starts):
+                if kind is None:
+                    out += _split_word(piece, line, col)
+                else:
+                    out.append((kind, piece, line, col))
+        else:
+            out += zip(found, pieces, repeat(line), starts)
+    out.append(("eof", "", line, end))
     return out
 
 
@@ -377,209 +404,219 @@ def lex(text: str) -> list[Token]:
 # Parser
 
 class Parser:
+    """Recursive descent over the tokens, read by index.  The last token is
+    eof and no rule consumes it before the end, so ``self.i`` stays in
+    range; only a kinded grade literal looks one token ahead."""
+
     def __init__(self, tokens: list[Token], universe: GradeUniverse):
         self.toks = tokens
         self.i = 0
         self.u = universe
-
-    def peek(self, ahead: int = 0) -> Token:
-        return self.toks[min(self.i + ahead, len(self.toks) - 1)]
-
-    def next(self) -> Token:
-        tok = self.toks[self.i]
-        if tok.kind != "eof":
-            self.i += 1
-        return tok
+        # literal -> grade, for this parse only: a literal's meaning
+        # depends on the universe
+        self.grades: dict[str, KindedGrade] = {}
 
     def error(self, msg: str, tok: Optional[Token] = None):
-        tok = tok or self.peek()
-        raise SyntaxErrorGFJ(msg, tok.pos[0], tok.pos[1])
+        tok = tok or self.toks[self.i]
+        raise SyntaxErrorGFJ(msg, tok[2], tok[3])
 
-    def expect(self, kind: str, text: Optional[str] = None) -> Token:
-        tok = self.peek()
-        if tok.kind != kind or (text is not None and tok.text != text):
-            want = text or kind
-            self.error(f"expected {want!r}, found {tok.text!r}")
-        return self.next()
+    def expect(self, text: str) -> Token:
+        """Consume the current token, a symbol or keyword spelled ``text``."""
+        tok = self.toks[self.i]
+        if tok[1] != text:
+            self.error(f"expected {text!r}, found {tok[1]!r}")
+        self.i += 1
+        return tok
 
-    def at_sym(self, text: str) -> bool:
-        tok = self.peek()
-        return tok.kind == "sym" and tok.text == text
+    def expect_kind(self, kind: str) -> Token:
+        """Consume the current token, of kind ident, int or eof."""
+        tok = self.toks[self.i]
+        if tok[0] != kind:
+            self.error(f"expected {kind!r}, found {tok[1]!r}")
+        self.i += 1
+        return tok
 
     # -- grades -------------------------------------------------------------
 
     def parse_grade(self) -> KindedGrade:
-        tok = self.peek()
-        if tok.kind == "ident" and self.peek(1).kind == "sym" and self.peek(1).text == ":":
-            kind = self.next().text
-            self.next()  # ':'
-            payload = self._payload_text()
-        elif tok.kind == "int":
-            kind = "N"
-            payload = self.next().text
+        toks, i = self.toks, self.i
+        tok = toks[i]
+        if tok[0] == "int":
+            self.i = i + 1
+            literal = "N:" + tok[1]
+        elif tok[0] == "ident" and toks[i + 1][1] == ":":
+            self.i = i + 2
+            literal = f"{tok[1]}:{self._payload_text()}"
         else:
             self.error("expected a grade literal")
-        try:
-            return self.u.parse_grade(f"{kind}:{payload}")
-        except Exception as exc:
-            raise SyntaxErrorGFJ(str(exc), tok.pos[0], tok.pos[1]) from None
+        grade = self.grades.get(literal)
+        if grade is None:
+            try:
+                grade = self.grades[literal] = self.u.parse_grade(literal)
+            except Exception as exc:
+                raise SyntaxErrorGFJ(str(exc), tok[2], tok[3]) from None
+        return grade
 
     def _payload_text(self) -> str:
-        tok = self.peek()
-        if self.at_sym("("):
-            depth, parts = 0, []
+        toks = self.toks
+        start = self.i
+        tok = toks[start]
+        if tok[1] == "(":
+            depth = 0
             while True:
-                t = self.next()
-                if t.kind == "eof":
+                t = toks[self.i]
+                if t[0] == "eof":
                     self.error("unterminated grade literal", tok)
-                parts.append(t.text)
-                if t.kind == "sym" and t.text == "(":
+                self.i += 1
+                if t[1] == "(":
                     depth += 1
-                elif t.kind == "sym" and t.text == ")":
+                elif t[1] == ")":
                     depth -= 1
                     if depth == 0:
-                        return "".join(parts)
-        if tok.kind in ("ident", "int"):
-            text = self.next().text
-            if tok.kind == "int" and self.at_sym("/"):
-                self.next()
-                den = self.expect("int")
-                return f"{text}/{den.text}"
-            return text
+                        return "".join(t[1] for t in toks[start:self.i])
+        if tok[0] in ("ident", "int"):
+            self.i += 1
+            if tok[0] == "int" and toks[self.i][1] == "/":
+                self.i += 1
+                return f"{tok[1]}/{self.expect_kind('int')[1]}"
+            return tok[1]
         self.error("expected a grade payload")
+
+    def bracketed_grade(self) -> KindedGrade:
+        self.expect("[")
+        grade = self.parse_grade()
+        self.expect("]")
+        return grade
+
+    def typed_name(self) -> tuple[str, KindedGrade, Token]:
+        """``Class[grade] name``: the class, the grade and the name's token."""
+        cls = self.expect_kind("ident")[1]
+        grade = self.bracketed_grade()
+        return cls, grade, self.expect_kind("ident")
 
     # -- programs -----------------------------------------------------------
 
     def parse_program(self) -> Program:
         classes: dict[str, ClassDecl] = {}
-        while self.peek().kind == "keyword" and self.peek().text == "class":
+        while self.toks[self.i][1] == "class":
             decl = self.parse_class()
             if decl.name in classes or decl.name == OBJECT:
-                self.error(f"duplicate class {decl.name}", self.peek())
+                raise SyntaxErrorGFJ(f"duplicate class {decl.name}", *decl.pos)
             classes[decl.name] = decl
-        self.expect("keyword", "run")
+        self.expect("run")
         main = self.parse_expr()
-        self.expect("keyword", "at")
+        self.expect("at")
         grade = self.parse_grade()
-        self.expect("eof")
+        self.expect_kind("eof")
         return Program(ClassTable(classes), main, grade)
 
     def parse_class(self) -> ClassDecl:
-        pos = self.expect("keyword", "class").pos
-        name = self.expect("ident").text
+        tok = self.expect("class")
+        name = self.expect_kind("ident")[1]
         sup = OBJECT
-        if self.peek().kind == "keyword" and self.peek().text == "extends":
-            self.next()
-            sup = self.expect("ident").text
-        self.expect("sym", "{")
+        if self.toks[self.i][1] == "extends":
+            self.i += 1
+            sup = self.expect_kind("ident")[1]
+        self.expect("{")
         fields_: list[FieldDecl] = []
         methods: dict[str, MethodDecl] = {}
-        while not self.at_sym("}"):
-            member_cls = self.expect("ident").text
-            self.expect("sym", "[")
-            grade = self.parse_grade()
-            self.expect("sym", "]")
-            member_name = self.expect("ident").text
+        while self.toks[self.i][1] != "}":
+            member_cls, grade, name_tok = self.typed_name()
+            member_name = name_tok[1]
             if member_name == "this":
-                self.error("'this' is reserved")
-            if self.at_sym(";"):
-                self.next()
-                fields_.append(FieldDecl(member_cls, grade, member_name))
-            elif self.at_sym("("):
+                self.error("'this' is reserved", name_tok)
+            follow = self.toks[self.i][1]
+            if follow == ";":
+                self.i += 1
+                fields_.append(FieldDecl(member_cls, grade, member_name,
+                                         (name_tok[2], name_tok[3])))
+            elif follow == "(":
                 methods[member_name] = self.parse_method(member_cls, grade, member_name)
             else:
                 self.error("expected ';' or '(' after member name")
-        self.expect("sym", "}")
-        return ClassDecl(name, sup, tuple(fields_), methods, pos)
+        self.i += 1  # '}'
+        return ClassDecl(name, sup, tuple(fields_), methods, (tok[2], tok[3]))
 
     def parse_method(self, ret_cls: str, ret_grade: KindedGrade, name: str) -> MethodDecl:
-        pos = self.expect("sym", "(").pos
+        tok = self.expect("(")
         params: list[Param] = []
-        while not self.at_sym(")"):
+        while self.toks[self.i][1] != ")":
             if params:
-                self.expect("sym", ",")
-            p_cls = self.expect("ident").text
-            self.expect("sym", "[")
-            p_grade = self.parse_grade()
-            self.expect("sym", "]")
-            p_name = self.expect("ident").text
+                self.expect(",")
+            p_cls, p_grade, name_tok = self.typed_name()
+            p_name = name_tok[1]
             if p_name == "this" or any(p.name == p_name for p in params):
-                self.error(f"bad parameter name {p_name!r}")
+                self.error(f"bad parameter name {p_name!r}", name_tok)
             params.append(Param(p_cls, p_grade, p_name))
-        self.next()  # ')'
-        self.expect("sym", "[")
-        this_grade = self.parse_grade()
-        self.expect("sym", "]")
-        self.expect("sym", "{")
+        self.i += 1  # ')'
+        this_grade = self.bracketed_grade()
+        self.expect("{")
         body = self.parse_expr()
-        self.expect("sym", "}")
+        self.expect("}")
         return MethodDecl(name, this_grade, tuple(params), GradedType(ret_cls, ret_grade),
-                          body, pos)
+                          body, (tok[2], tok[3]))
 
     # -- expressions ----------------------------------------------------------
 
     def parse_expr(self) -> Expr:
         e = self.parse_primary()
+        toks = self.toks
         while True:
-            if self.at_sym("@"):
-                self.next()
-                grade = self.parse_grade()
-                e = with_ascription(e, grade)
-                continue
-            if self.at_sym("."):
-                self.next()
-                member = self.expect("ident").text
-                if self.at_sym("("):
-                    self.next()
-                    args = []
-                    while not self.at_sym(")"):
+            text = toks[self.i][1]
+            if text == "@":
+                self.i += 1
+                e = with_ascription(e, self.parse_grade())
+            elif text == ".":
+                self.i += 1
+                member = self.expect_kind("ident")[1]
+                if toks[self.i][1] == "(":
+                    self.i += 1
+                    args: list[Expr] = []
+                    while toks[self.i][1] != ")":
                         if args:
-                            self.expect("sym", ",")
+                            self.expect(",")
                         args.append(self.parse_expr())
-                    self.next()
+                    self.i += 1
                     e = Invk(e, member, tuple(args), None, e.pos)
                 else:
                     e = FieldAccess(e, member, None, e.pos)
-                continue
-            return e
+            else:
+                return e
 
     def parse_primary(self) -> Expr:
-        tok = self.peek()
-        if tok.kind == "keyword" and tok.text == "new":
-            self.next()
-            cls = self.expect("ident").text
-            self.expect("sym", "(")
-            args = []
-            while not self.at_sym(")"):
+        tok = self.toks[self.i]
+        kind, text, pos = tok[0], tok[1], (tok[2], tok[3])
+        if kind == "ident":
+            self.i += 1
+            return Var(text, None, pos)
+        if text == "new":
+            self.i += 1
+            cls = self.expect_kind("ident")[1]
+            self.expect("(")
+            args: list[Expr] = []
+            while self.toks[self.i][1] != ")":
                 if args:
-                    self.expect("sym", ",")
+                    self.expect(",")
                 args.append(self.parse_expr())
-            self.next()
-            return New(cls, tuple(args), None, tok.pos)
-        if tok.kind == "ident":
-            self.next()
-            return Var(tok.text, None, tok.pos)
-        if self.at_sym("{"):
-            self.next()
-            cls = self.expect("ident").text
-            self.expect("sym", "[")
-            grade = self.parse_grade()
-            self.expect("sym", "]")
-            var = self.expect("ident").text
-            if var == "this":
-                self.error("'this' is reserved")
-            self.expect("sym", "=")
+            self.i += 1
+            return New(cls, tuple(args), None, pos)
+        if text == "{":
+            self.i += 1
+            cls, grade, var_tok = self.typed_name()
+            if var_tok[1] == "this":
+                self.error("'this' is reserved", var_tok)
+            self.expect("=")
             init = self.parse_expr()
-            self.expect("sym", ";")
+            self.expect(";")
             body = self.parse_expr()
-            self.expect("sym", "}")
-            return Block(cls, grade, var, init, body, None, tok.pos)
-        if self.at_sym("("):
-            self.next()
+            self.expect("}")
+            return Block(cls, grade, var_tok[1], init, body, None, pos)
+        if text == "(":
+            self.i += 1
             e = self.parse_expr()
-            self.expect("sym", ")")
+            self.expect(")")
             return e
-        self.error(f"expected an expression, found {tok.text!r}")
+        self.error(f"expected an expression, found {text!r}")
 
 
 def parse_program(text: str, universe: GradeUniverse) -> Program:
@@ -589,7 +626,7 @@ def parse_program(text: str, universe: GradeUniverse) -> Program:
 def parse_expr(text: str, universe: GradeUniverse) -> Expr:
     parser = Parser(lex(text), universe)
     e = parser.parse_expr()
-    parser.expect("eof")
+    parser.expect_kind("eof")
     return e
 
 

@@ -43,6 +43,15 @@ def test_check_json(capsys, corpus_dir):
     assert diags and diags[0]["rule"] in ("t-sub", "t-var")
 
 
+def test_check_json_field_position(capsys, tmp_path):
+    src = tmp_path / "field.gfj"
+    src.write_text("class A { B[1] f; } run new A(new A()) at 1")
+    code, out, _ = run_cli(capsys, "check", "--json", str(src))
+    assert code == 1
+    assert json.loads(out) == [{"col": 16, "kind": "UnknownClass", "line": 1,
+                                "msg": "field A.f has unknown class B", "rule": "table"}]
+
+
 def test_check_missing_file(capsys):
     code, _, err = run_cli(capsys, "check", "no/such/file.gfj")
     assert code == 3
@@ -265,6 +274,8 @@ def test_malformed_universe_config_is_bad_input(capsys, tmp_path, corpus_dir, cf
     code, out, err = run_cli(capsys, *argv)
     assert code == 2
     assert out == "" and message in err
+    # the error is reported against the universe file, not the program
+    assert err.startswith(f"{path}: ")
 
 
 def _nested_extend(depth, leaf):

@@ -1,6 +1,7 @@
 """Parser, printer, class table, graded subtyping, erasure."""
 
 import dataclasses
+import sys
 
 import pytest
 
@@ -72,14 +73,38 @@ def test_parse_errors_carry_position(universe):
         parse_program("class A { }\nrun x at A:9", universe)  # bad element
 
 
+def _error_at(src, universe):
+    with pytest.raises(SyntaxErrorGFJ) as exc:
+        parse_program(src, universe)
+    return exc.value.msg, exc.value.line, exc.value.col
+
+
+# each error points at the offending token, not at the token after it
 def test_this_reserved(universe):
-    with pytest.raises(SyntaxErrorGFJ):
-        parse_program("class A { }\nrun {A[1] this = new A(); this} at 1", universe)
+    assert _error_at("class A { }\nrun {A[1] this = new A(); this} at 1", universe) == (
+        "'this' is reserved", 2, 11)
+    assert _error_at("class A { A[1] this; }\nrun new A() at 1", universe) == (
+        "'this' is reserved", 1, 16)
 
 
 def test_duplicate_class_rejected(universe):
-    with pytest.raises(SyntaxErrorGFJ):
-        parse_program("class A { }\nclass A { }\nrun new A() at 1", universe)
+    assert _error_at("class A { }\nclass A { }\nrun new A() at 1", universe) == (
+        "duplicate class A", 2, 1)
+    assert _error_at("class Object { }\nrun new A() at 1", universe) == (
+        "duplicate class Object", 1, 1)
+
+
+def test_bad_parameter_name_position(universe):
+    src = "class A { }\nclass B { A[1] m(A[1] x, A[1] x) [1] { x } }\nrun new A() at 1"
+    assert _error_at(src, universe) == ("bad parameter name 'x'", 2, 31)
+    src = "class A { }\nclass B { A[1] m(A[1] this) [1] { this } }\nrun new A() at 1"
+    assert _error_at(src, universe) == ("bad parameter name 'this'", 2, 23)
+
+
+def test_field_declarations_carry_their_position(universe):
+    table = parse_program("class A { }\nclass P {\n  A[1] first; A[1] second; }\n"
+                          "run new A() at 1", universe).table
+    assert [f.pos for f in table.fields("P")] == [(3, 8), (3, 20)]
 
 
 def test_format_parse_roundtrip_corpus(corpus):
@@ -266,3 +291,13 @@ def test_gtype_leq_is_a_preorder(universe):
             if t1.grade.kind == t2.grade.kind:
                 if gtype_leq(universe, table, t1, t2) and gtype_leq(universe, table, t2, t1):
                     assert t1 == t2
+
+
+def test_nesting_within_the_default_recursion_limit_parses(universe):
+    # two parser frames per constructor level and one per call argument, so
+    # these parse under Python's default limit of 1000 frames
+    assert sys.getrecursionlimit() >= 1000
+    deep_new = "class A { A[1] f; }\nrun " + "new A(" * 400 + "x" + ")" * 400 + " at 1"
+    assert isinstance(parse_program(deep_new, universe).main, New)
+    deep_call = "class A { }\nrun x" + ".m(x" * 700 + ")" * 700 + " at 1"
+    assert isinstance(parse_program(deep_call, universe).main, Invk)
