@@ -335,7 +335,6 @@ Token = tuple[str, str, int, int]
 # ``\w``, which is exactly ``isalnum()`` or '_') or any other character.
 _PIECES = re.compile(r"(//.*|[0-9]+(?![0-9]|[^\x00-\x7f])|\w+|[^ \t\r])")
 
-
 _FIXED_KINDS = {**dict.fromkeys(KEYWORDS, "keyword"), **dict.fromkeys(SYMBOLS, "sym")}
 
 
@@ -418,7 +417,7 @@ class Parser:
 
     def error(self, msg: str, tok: Optional[Token] = None):
         tok = tok or self.toks[self.i]
-        raise SyntaxErrorGFJ(msg, tok[2], tok[3])
+        raise SyntaxErrorGFJ(msg, *tok[2:])
 
     def expect(self, text: str) -> Token:
         """Consume the current token, a symbol or keyword spelled ``text``."""
@@ -454,7 +453,7 @@ class Parser:
             try:
                 grade = self.grades[literal] = self.u.parse_grade(literal)
             except Exception as exc:
-                raise SyntaxErrorGFJ(str(exc), tok[2], tok[3]) from None
+                raise SyntaxErrorGFJ(str(exc), *tok[2:]) from None
         return grade
 
     def _payload_text(self) -> str:
@@ -528,14 +527,13 @@ class Parser:
             follow = self.toks[self.i][1]
             if follow == ";":
                 self.i += 1
-                fields_.append(FieldDecl(member_cls, grade, member_name,
-                                         (name_tok[2], name_tok[3])))
+                fields_.append(FieldDecl(member_cls, grade, member_name, name_tok[2:]))
             elif follow == "(":
                 methods[member_name] = self.parse_method(member_cls, grade, member_name)
             else:
                 self.error("expected ';' or '(' after member name")
         self.i += 1  # '}'
-        return ClassDecl(name, sup, tuple(fields_), methods, (tok[2], tok[3]))
+        return ClassDecl(name, sup, tuple(fields_), methods, tok[2:])
 
     def parse_method(self, ret_cls: str, ret_grade: KindedGrade, name: str) -> MethodDecl:
         tok = self.expect("(")
@@ -554,7 +552,7 @@ class Parser:
         body = self.parse_expr()
         self.expect("}")
         return MethodDecl(name, this_grade, tuple(params), GradedType(ret_cls, ret_grade),
-                          body, (tok[2], tok[3]))
+                          body, tok[2:])
 
     # -- expressions ----------------------------------------------------------
 
@@ -585,7 +583,7 @@ class Parser:
 
     def parse_primary(self) -> Expr:
         tok = self.toks[self.i]
-        kind, text, pos = tok[0], tok[1], (tok[2], tok[3])
+        kind, text, pos = tok[0], tok[1], tok[2:]
         if kind == "ident":
             self.i += 1
             return Var(text, None, pos)
