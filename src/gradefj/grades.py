@@ -10,7 +10,9 @@ the infinity extension of any algebra.
 The law checks (``validate_algebra``, ``validate_hom`` and the universe's
 ``hetero.check_universe_laws``) share one axiom list, ``semiring_laws``,
 and run it over ``Indexed`` grades: small ints whose operations are each
-computed once per pair of values.
+computed once per pair of values.  A grade universe keeps one ``Indexed``
+table of its kinded grades, which also answers the checker's and the
+interpreters' grade operations.
 """
 
 from __future__ import annotations
@@ -54,7 +56,7 @@ def maximal_residuals(alg: Algebra, available: GradeValue,
     return [] if r is None else [r]
 
 
-def _the_residual(maximal: list[GradeValue]) -> Optional[GradeValue]:
+def the_residual(maximal: list[GradeValue]) -> Optional[GradeValue]:
     if len(maximal) > 1:
         raise AmbiguousResidual(maximal)
     return maximal[0] if maximal else None
@@ -400,8 +402,8 @@ class FiniteAlgebra(Algebra):
         self.check_value(available), self.check_value(demand)
         valid = [s for s in self.elements()
                  if self.leq(self.add(demand, s), available)]
-        return _the_residual([s for s in valid
-                              if not any(t != s and self.leq(s, t) for t in valid)])
+        return the_residual([s for s in valid
+                             if not any(t != s and self.leq(s, t) for t in valid)])
 
     def describe(self):
         return f"table:{self.table.name}"
@@ -454,7 +456,7 @@ class ProductAlgebra(Algebra):
         self.check_value(available), self.check_value(demand)
         # componentwise order and sum: the maximal residuals are the pairs
         # of maximal component residuals
-        return _the_residual([PairValue(l, r) for l, r in iproduct(
+        return the_residual([PairValue(l, r) for l, r in iproduct(
             maximal_residuals(self.left, available.left, demand.left),
             maximal_residuals(self.right, available.right, demand.right))])
 
@@ -536,7 +538,7 @@ class ExtendAlgebra(Algebra):
             return ExtInf()
         if isinstance(demand, ExtInf):
             return None
-        return _the_residual([ExtFin(r) for r in maximal_residuals(
+        return the_residual([ExtFin(r) for r in maximal_residuals(
             self.inner, available.inner, demand.inner)])
 
     def describe(self):
@@ -670,10 +672,11 @@ def iota(n: GradeValue, target: Algebra) -> GradeValue:
 
     Built-in carriers give it in closed form (componentwise for products,
     under the finite injection for extensions), matched by exact class
-    because a subclass may redefine the sum.  On any other carrier the
-    running sum is a function of its last value, so once a value repeats
-    the rest of the sequence cycles; a finite carrier repeats within
-    |carrier| + 1 additions.
+    because a subclass may redefine the sum; a finite table sums element
+    names in its own sum table.  On any other carrier the running sum is a
+    function of its last value, so once a value repeats the rest of the
+    sequence cycles; a finite carrier repeats within |carrier| + 1
+    additions.
     """
     if not isinstance(n, Nat):
         raise CarrierMismatch(f"iota expects a natural, got {n}")
@@ -685,14 +688,23 @@ def iota(n: GradeValue, target: Algebra) -> GradeValue:
         return PairValue(iota(n, target.left), iota(n, target.right))
     if type(target) is ExtendAlgebra:
         return ExtFin(iota(n, target.inner))
-    seen: dict[GradeValue, int] = {}  # each partial sum, in order: its count of ones
-    out = target.zero()
-    for i in range(n.n):
+    if type(target) is FiniteAlgebra:
+        table = target.table
+        return target._value(_nth_sum(table.zero, lambda a: table.sum[a][table.one], n.n))
+    return _nth_sum(target.zero(), lambda a: target.add(a, target.one()), n.n)
+
+
+def _nth_sum(start, step, n: int):
+    """``step`` applied n times to ``start``, where the sequence ends in a
+    cycle as soon as a value repeats."""
+    seen: dict = {}  # each partial sum, in order: its count of steps
+    out = start
+    for i in range(n):
         if out in seen:
-            start = seen[out]
-            return list(seen)[start + (n.n - start) % (i - start)]
+            first = seen[out]
+            return list(seen)[first + (n - first) % (i - first)]
         seen[out] = i
-        out = target.add(out, target.one())
+        out = step(out)
     return out
 
 
@@ -877,34 +889,43 @@ class LawReport:
 
 
 class Indexed:
-    """An algebra whose grades are small ints, for the law checks.
+    """An algebra whose grades are small ints: hash-consing (Filliâtre and
+    Conchon, "Type-safe modular hash-consing", ML 2006).
 
     Each distinct grade gets an id the first time ``id`` sees it (one dict
-    lookup by structural equality, so ``id(a) == id(b)`` iff ``a == b``).
-    ``leq``, ``add`` and ``mul`` on ids call the wrapped operation once per
-    ordered pair of ids and answer later calls from an int-keyed memo, so a
-    law check hashes each nested grade value once instead of on every
-    operation.  This is hash-consing (Filliâtre and Conchon, "Type-safe
-    modular hash-consing", ML 2006) kept to the checks.  ``alg`` is anything
-    with ``leq/add/mul/zero/one``: one algebra, or a grade universe.
+    lookup by structural equality, so ``id(a) == id(b)`` iff ``a == b``);
+    ``values`` maps the id back to one canonical grade, ``canonical(v, i)``
+    when given (it may raise, and then nothing is stored).  ``leq``, ``add``,
+    ``mul`` and ``residual`` on ids call the wrapped operation once per
+    ordered pair of ids and answer later calls from int-keyed memo rows,
+    which hash no nested grade value.  ``alg`` is anything with
+    ``leq/add/mul/zero/one`` (and ``residual``, if that is asked for): one
+    algebra in the law checks, or the kinded operations of a grade universe,
+    whose grades are interned here for the universe's lifetime.
     """
 
-    def __init__(self, alg):
+    def __init__(self, alg, canonical=None):
         self.alg = alg
-        self.values: list = []   # id -> grade
+        self.values: list = []   # id -> canonical grade
         self._ids: dict = {}     # grade -> id
-        # per id, the memo rows of leq, add and mul, keyed by the right id
+        self._canonical = canonical
+        # per id, the memo rows of leq, add, mul and residual, keyed by the right id
         self._leq: list[dict] = []
         self._add: list[dict] = []
         self._mul: list[dict] = []
+        self._residual: list[dict] = []
         self._zero, self._one = self.id(alg.zero()), self.id(alg.one())
 
     def id(self, v) -> int:
         i = self._ids.get(v)
         if i is None:
-            i = self._ids[v] = len(self.values)
+            i = len(self.values)
+            if self._canonical is not None:
+                v = self._canonical(v, i)
+            self._ids[v] = i
             self.values.append(v)
             self._leq.append({}), self._add.append({}), self._mul.append({})
+            self._residual.append({})
         return i
 
     def leq(self, i: int, j: int) -> bool:
@@ -926,6 +947,15 @@ class Indexed:
         hit = row.get(j)
         if hit is None:
             hit = row[j] = self.id(self.alg.mul(self.values[i], self.values[j]))
+        return hit
+
+    def residual(self, i: int, j: int) -> tuple[int, ...]:
+        """The ids of every maximal residual of demand ``j`` out of ``i``."""
+        row = self._residual[i]
+        hit = row.get(j)
+        if hit is None:
+            hit = row[j] = tuple(self.id(r) for r in maximal_residuals(
+                self.alg, self.values[i], self.values[j]))
         return hit
 
     def zero(self) -> int:

@@ -10,10 +10,11 @@ The kinds N (naturals) and T (trivial) are always present: N is the
 bottom kind and supplies the zero and one of the combined algebra, T is
 the default join of unrelated kinds.
 
-``GradeUniverse`` memoizes its operations and transports, because the
-checker and the interpreters call them on every step; the law check
-``check_universe_laws`` runs its axioms over ``grades.Indexed(u)``
-instead, so they hash each kinded grade once.
+Each ``GradeUniverse`` interns the kinded grades it meets in one
+``grades.Indexed`` table, whose canonical grades carry their id, and
+answers ``leq``, ``add``, ``mul`` and ``residual`` from memo rows indexed
+by id: the checker and the interpreters call them on every step, and the
+law check ``check_universe_laws`` runs its axioms over the same ids.
 """
 
 from __future__ import annotations
@@ -50,7 +51,9 @@ from .grades import (
     ZetaHom,
     check_laws,
     compose,
+    maximal_residuals,
     semiring_laws,
+    the_residual,
     validate_algebra,
     validate_hom,
 )
@@ -99,6 +102,9 @@ class NotRefinement(UniverseError):
 class KindedGrade:
     kind: str
     value: GradeValue
+    # the grade's id in the universe table that made it canonical (-1: none);
+    # a universe trusts it only when its table holds this very object there
+    id: int = field(default=-1, repr=False, compare=False, hash=False)
 
     def __str__(self):
         if self.kind == KIND_NAT:
@@ -106,8 +112,9 @@ class KindedGrade:
         return f"{self.kind}:{self.value}"
 
 
-ZERO_D = KindedGrade(KIND_NAT, Nat(0))
-ONE_D = KindedGrade(KIND_NAT, Nat(1))
+# canonical in every universe: its table interns them first
+ZERO_D = KindedGrade(KIND_NAT, Nat(0), 0)
+ONE_D = KindedGrade(KIND_NAT, Nat(1), 1)
 
 
 @dataclass(frozen=True)
@@ -117,9 +124,73 @@ class RefinementEdge:
     hom: Hom
 
 
+def _algebra_of(kinds: dict[str, Algebra], kind: str) -> Algebra:
+    if kind not in kinds:
+        raise UnknownKind(f"unknown grade kind {kind!r}")
+    return kinds[kind]
+
+
+class KindedAlgebra:
+    """The combined algebra on kinded grades, computed afresh on each call:
+    operands are transported into their join kind.  ``GradeUniverse``
+    answers from its ``Indexed`` table over this, which calls it once per
+    pair of canonical grades.  It holds the universe's dicts, not the
+    universe, so that no reference cycle outlives a universe."""
+
+    def __init__(self, u: GradeUniverse):
+        self.kinds, self.order, self.join_table, self.homs = (
+            u.kinds, u.order, u.join_table, u.homs)
+
+    def canonical(self, g: KindedGrade, i: int) -> KindedGrade:
+        """The grade stored as id ``i``: its validity is checked here, once."""
+        _algebra_of(self.kinds, g.kind).check_value(g.value)
+        return g if g.id == i else KindedGrade(g.kind, g.value, i)
+
+    def _moved(self, g: KindedGrade, kind: str) -> GradeValue:
+        return self.homs[g.kind, kind].apply(g.value)
+
+    def leq(self, x: KindedGrade, y: KindedGrade) -> bool:
+        if (x.kind, y.kind) not in self.order:
+            return False
+        return self.kinds[y.kind].leq(self._moved(x, y.kind), y.value)
+
+    def add(self, x: KindedGrade, y: KindedGrade) -> KindedGrade:
+        j = self.join_table[x.kind, y.kind]
+        return KindedGrade(j, self.kinds[j].add(self._moved(x, j), self._moved(y, j)))
+
+    def mul(self, x: KindedGrade, y: KindedGrade) -> KindedGrade:
+        # only <N,0> is the combined zero; the table passes canonical grades
+        if x.id == ZERO_D.id or y.id == ZERO_D.id:
+            return ZERO_D
+        j = self.join_table[x.kind, y.kind]
+        return KindedGrade(j, self.kinds[j].mul(self._moved(x, j), self._moved(y, j)))
+
+    def residual(self, available: KindedGrade, demand: KindedGrade) -> Optional[KindedGrade]:
+        """Looked for in the kind of the available grade; the demand must
+        refine that kind for any residual to exist."""
+        kind = available.kind
+        if (demand.kind, kind) not in self.order:
+            return None
+        return the_residual([KindedGrade(kind, v) for v in maximal_residuals(
+            self.kinds[kind], available.value, self._moved(demand, kind))])
+
+    def zero(self) -> KindedGrade:
+        return ZERO_D
+
+    def one(self) -> KindedGrade:
+        return ONE_D
+
+
 @dataclass
 class GradeUniverse:
-    """A validated kind family with derived order, joins and homomorphisms."""
+    """A validated kind family with derived order, joins and homomorphisms.
+
+    Every kinded grade it meets is interned in ``indexed`` (built over
+    ``KindedAlgebra(self)``), whose canonical grades carry their id.  An
+    operation on canonical grades reads one memo row; any other grade is
+    looked up by value first, and a value outside its kind is refused with
+    CarrierMismatch every time, because it is never interned.
+    """
 
     kinds: dict[str, Algebra]
     edges: list[RefinementEdge]
@@ -128,14 +199,16 @@ class GradeUniverse:
     homs: dict[tuple[str, str], Hom] = field(default_factory=dict)
     # the load-time law report of each user kind (none when not validated)
     law_reports: dict[str, LawReport] = field(default_factory=dict, compare=False)
-    _transport_cache: dict = field(default_factory=dict, repr=False, compare=False)
+    indexed: Indexed = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self):
+        kinded = KindedAlgebra(self)
+        self.indexed = Indexed(kinded, kinded.canonical)
 
     # -- kinds ------------------------------------------------------------
 
     def algebra(self, kind: str) -> Algebra:
-        if kind not in self.kinds:
-            raise UnknownKind(f"unknown grade kind {kind!r}")
-        return self.kinds[kind]
+        return _algebra_of(self.kinds, kind)
 
     def kind_leq(self, k1: str, k2: str) -> bool:
         self.algebra(k1), self.algebra(k2)
@@ -151,66 +224,54 @@ class GradeUniverse:
         return self.homs[(k1, k2)]
 
     def transport(self, k1: str, k2: str, value: GradeValue) -> GradeValue:
-        """Apply the derived homomorphism k1 -> k2, memoized (ops are hot)."""
-        key = (k1, k2, value)
-        hit = self._transport_cache.get(key)
-        if hit is None:
-            hit = self.hom(k1, k2).apply(value)
-            self._transport_cache[key] = hit
-        return hit
+        """Apply the derived homomorphism k1 -> k2."""
+        return self.hom(k1, k2).apply(value)
 
     # -- kinded grades ------------------------------------------------------
 
-    def check_grade(self, g: KindedGrade) -> None:
-        self.algebra(g.kind).check_value(g.value)
+    def intern(self, g: KindedGrade) -> KindedGrade:
+        """The canonical grade equal to ``g``; a grade of an unknown kind or
+        outside its kind raises UnknownKind or CarrierMismatch."""
+        ix = self.indexed
+        return ix.values[ix.id(g)]
+
+    # The checker and both interpreters call these on every step, so each
+    # reads its memo row inline.  It trusts the id a grade carries only when
+    # this table holds that very object there; any other grade (a stale or
+    # foreign id included) is interned by value first.
 
     def leq(self, x: KindedGrade, y: KindedGrade) -> bool:
-        key = ("<=", x, y)
-        hit = self._transport_cache.get(key)
-        if hit is None:
-            self.check_grade(x), self.check_grade(y)
-            if not self.kind_leq(x.kind, y.kind):
-                hit = False
-            else:
-                moved = self.transport(x.kind, y.kind, x.value)
-                hit = self.algebra(y.kind).leq(moved, y.value)
-            self._transport_cache[key] = hit
-        return hit
-
-    def _combine(self, x: KindedGrade, y: KindedGrade, op) -> KindedGrade:
-        j = self.join(x.kind, y.kind)
-        alg = self.algebra(j)
-        vx = self.transport(x.kind, j, x.value)
-        vy = self.transport(y.kind, j, y.value)
-        return KindedGrade(j, op(alg, vx, vy))
+        ix = self.indexed
+        i, j = x.id, y.id
+        try:
+            known = ix.values[i] is x and ix.values[j] is y
+        except IndexError:
+            known = False
+        if not known:
+            i, j = ix.id(x), ix.id(y)
+        return ix.leq(i, j)
 
     def add(self, x: KindedGrade, y: KindedGrade) -> KindedGrade:
-        key = ("+", x, y)
-        hit = self._transport_cache.get(key)
-        if hit is None:
-            self.check_grade(x), self.check_grade(y)
-            hit = self._combine(x, y, lambda alg, a, b: alg.add(a, b))
-            self._transport_cache[key] = hit
-        return hit
+        ix = self.indexed
+        i, j = x.id, y.id
+        try:
+            known = ix.values[i] is x and ix.values[j] is y
+        except IndexError:
+            known = False
+        if not known:
+            i, j = ix.id(x), ix.id(y)
+        return ix.values[ix.add(i, j)]
 
     def mul(self, x: KindedGrade, y: KindedGrade) -> KindedGrade:
-        # the zero test is structural: only <N,0> is the combined zero
-        if x == ZERO_D or y == ZERO_D:
-            self.check_grade(x), self.check_grade(y)
-            return ZERO_D
-        key = ("*", x, y)
-        hit = self._transport_cache.get(key)
-        if hit is None:
-            self.check_grade(x), self.check_grade(y)
-            hit = self._combine(x, y, lambda alg, a, b: alg.mul(a, b))
-            self._transport_cache[key] = hit
-        return hit
-
-    def zero(self) -> KindedGrade:
-        return ZERO_D
-
-    def one(self) -> KindedGrade:
-        return ONE_D
+        ix = self.indexed
+        i, j = x.id, y.id
+        try:
+            known = ix.values[i] is x and ix.values[j] is y
+        except IndexError:
+            known = False
+        if not known:
+            i, j = ix.id(x), ix.id(y)
+        return ix.values[ix.mul(i, j)]
 
     def residual(self, available: KindedGrade, demand: KindedGrade) -> Optional[KindedGrade]:
         """Maximal leftover after consuming ``demand`` out of ``available``.
@@ -219,20 +280,22 @@ class GradeUniverse:
         demand must refine that kind for any leftover to exist at all.
         May raise AmbiguousResidual on finite tables with incomparable maxima.
         """
-        self.check_grade(available), self.check_grade(demand)
-        if not self.kind_leq(demand.kind, available.kind):
-            return None
-        alg = self.algebra(available.kind)
-        moved = self.transport(demand.kind, available.kind, demand.value)
-        r = alg.residual(available.value, moved)
-        return None if r is None else KindedGrade(available.kind, r)
+        ix = self.indexed
+        i, j = available.id, demand.id
+        try:
+            known = ix.values[i] is available and ix.values[j] is demand
+        except IndexError:
+            known = False
+        if not known:
+            i, j = ix.id(available), ix.id(demand)
+        return the_residual([ix.values[k] for k in ix.residual(i, j)])
 
     def residual_candidates(self, available: KindedGrade, demand: KindedGrade) -> list[KindedGrade]:
         """Canonical residual, or every maximal one when it is ambiguous."""
         try:
             r = self.residual(available, demand)
         except AmbiguousResidual as exc:
-            return [KindedGrade(available.kind, v) for v in exc.candidates]
+            return list(exc.candidates)
         return [] if r is None else [r]
 
     # -- parsing / printing ------------------------------------------------
@@ -245,7 +308,7 @@ class GradeUniverse:
             kind = kind.strip()
         else:
             kind, payload = KIND_NAT, text
-        return KindedGrade(kind, self.algebra(kind).parse_payload(payload.strip()))
+        return self.intern(KindedGrade(kind, self.algebra(kind).parse_payload(payload.strip())))
 
     def sample_pool(self, nat_prefix: int = NAT_PREFIX) -> list[KindedGrade]:
         """Deterministic kinded-value pool: full finite carriers, a prefix
@@ -260,7 +323,7 @@ class GradeUniverse:
                 values = alg.elements()
                 if values is None:
                     values = _spread(alg.sample(), POOL_SAMPLES)
-            pool.extend(KindedGrade(kind, v) for v in values)
+            pool.extend(self.intern(KindedGrade(kind, v)) for v in values)
         return pool
 
 
@@ -412,11 +475,12 @@ MONOTONE_PAIRS = 400  # at most about this many related pairs for monotonicity
 def check_universe_laws(u: GradeUniverse) -> LawReport:
     """Grade-algebra axioms for the combined algebra plus injection coherence.
 
-    The axioms run over ``Indexed(u)``, so each ``u.leq/add/mul`` is computed
-    once per pair of grades.  They are exhaustive over the kinded pool (full
-    finite carriers, naturals 0..10, eight values spread over the sample of
-    each other infinite kind), with monotonicity on an even stride of at most
-    ``MONOTONE_PAIRS`` related pairs; the cases are generated, not stored.
+    The axioms run over the ids of ``u.indexed``, so each operation is
+    computed once per pair of grades.  They are exhaustive over the kinded
+    pool (full finite carriers, naturals 0..10, eight values spread over the
+    sample of each other infinite kind), with monotonicity on an even stride
+    of at most ``MONOTONE_PAIRS`` related pairs; the cases are generated, not
+    stored.
     Functoriality and the six injection equations are checked on every kind
     pair or triple, pointwise on the pool's values of the source kind.
     """
@@ -424,8 +488,8 @@ def check_universe_laws(u: GradeUniverse) -> LawReport:
     values: dict[str, list[GradeValue]] = {}
     for g in grades:
         values.setdefault(g.kind, []).append(g.value)
-    ix = Indexed(u)
-    pool = [ix.id(g) for g in grades]
+    ix = u.indexed
+    pool = [g.id for g in grades]
 
     def pair_up(related):
         if len(related) > MONOTONE_PAIRS:
@@ -436,7 +500,7 @@ def check_universe_laws(u: GradeUniverse) -> LawReport:
         return all(f(v) == g(v) for v in values[kind])
 
     # the kinds are the universe's own, so joins are read off its table and
-    # the derived homomorphisms applied through its memo
+    # its derived homomorphisms applied
     def join(k1, k2):
         return u.join_table[k1, k2]
 

@@ -318,7 +318,7 @@ def _var_choices(u: GradeUniverse, grade: KindedGrade, stored: KindedGrade,
     alg = u.algebra(stored.kind)
     elems = alg.elements()
     if elems is not None:
-        candidates = [KindedGrade(stored.kind, v) for v in elems]
+        candidates = [u.intern(KindedGrade(stored.kind, v)) for v in elems]
         if grade not in candidates:
             candidates.append(grade)
     else:

@@ -22,6 +22,7 @@ from dataclasses import dataclass, field
 from itertools import accumulate, repeat
 from typing import Optional
 
+from .grades import GradeError
 from .hetero import GradeUniverse, KindedGrade
 
 OBJECT = "Object"
@@ -452,7 +453,7 @@ class Parser:
         if grade is None:
             try:
                 grade = self.grades[literal] = self.u.parse_grade(literal)
-            except Exception as exc:
+            except (GradeError, ValueError) as exc:
                 raise SyntaxErrorGFJ(str(exc), *tok[2:]) from None
         return grade
 

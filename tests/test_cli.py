@@ -6,6 +6,7 @@ import pathlib
 import subprocess
 import sys
 import time
+from collections import Counter
 
 import pytest
 
@@ -149,6 +150,32 @@ def test_search_is_stack_safe_at_fuel_5000(capsys):
     loop = pathlib.Path(__file__).parent / "programs" / "loop.gfj"
     code, out, _ = run_cli(capsys, "run", "--policy", "search", "--fuel", "5000", str(loop))
     assert code == 0 and out == "divergent within fuel (5000 steps)\n"
+
+
+def test_run_grade_arithmetic_does_not_grow_with_fuel(capsys, monkeypatch):
+    # every step repeats the same grade operations, so the universe answers
+    # them from its memo rows and the kind algebras work only on the first
+    import gradefj.grades as grades
+    calls = Counter()
+    for cls in (grades.NatAlgebra, grades.TrivialAlgebra, grades.ExtRealAlgebra,
+                grades.FiniteAlgebra, grades.ProductAlgebra, grades.ExtendAlgebra):
+        for op in ("leq", "add", "mul", "residual"):
+            original = cls.__dict__[op]
+
+            def counted(self, *args, op=op, original=original):
+                calls[op] += 1
+                return original(self, *args)
+
+            monkeypatch.setattr(cls, op, counted)
+    loop = pathlib.Path(__file__).parent / "programs" / "loop.gfj"
+    made = []
+    for fuel in ("150", "1500"):
+        calls.clear()
+        code, out, _ = run_cli(capsys, "run", "--fuel", fuel, str(loop))
+        assert code == 0 and out == f"divergent within fuel ({fuel} steps)\n"
+        made.append(dict(calls))
+    assert made[0]["residual"] > 0
+    assert made[0] == made[1]
 
 
 def test_run_universe_flag(capsys, corpus_dir):

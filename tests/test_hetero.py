@@ -7,6 +7,7 @@ import pytest
 from gradefj.grades import (
     AFFINITY,
     BOOLEAN,
+    CarrierMismatch,
     EXTREAL,
     ExtendAlgebra,
     FiniteAlgebra,
@@ -30,6 +31,7 @@ from gradefj.hetero import (
     CycleDetected,
     DuplicatePath,
     GradeUniverse,
+    KindedAlgebra,
     KindedGrade,
     NoLeastAncestor,
     NotRefinement,
@@ -41,6 +43,7 @@ from gradefj.hetero import (
     ZERO_D,
     check_universe_laws,
     default_universe,
+    load_universe,
     universe_from_config,
     validate_universe,
 )
@@ -266,6 +269,74 @@ def test_residual_heterogeneous(ap_universe):
 
 
 # ---------------------------------------------------------------------------
+# interned grades
+
+INTERN_TEXTS = ["0", "1", "3", "A:w", "P:private", "P:0", "PP:b", "AP:(1,public)", "T:inf"]
+
+
+def _answers(u, x, y):
+    return (u.leq(x, y), u.add(x, y), u.mul(x, y), u.residual_candidates(x, y))
+
+
+def test_interning_gives_the_same_answers_for_every_form_of_a_grade(corpus_dir):
+    path = str(corpus_dir / "affinity_privacy.json")
+    u, other = load_universe(path), load_universe(path)
+    canonical = [u.parse_grade(t) for t in INTERN_TEXTS]
+    # built directly, without an id
+    direct = [KindedGrade(g.kind, g.value) for g in canonical]
+    # parsed by a second universe in another order: its ids name other grades here
+    foreign = {t: other.parse_grade(t) for t in reversed(INTERN_TEXTS)}
+    foreign = [foreign[t] for t in INTERN_TEXTS]
+    assert any(f.id != c.id for f, c in zip(foreign, canonical))
+    # an id that this universe gave to another grade
+    stale = [KindedGrade(g.kind, g.value, canonical[-1 - k].id)
+             for k, g in enumerate(canonical)]
+    for i, x in enumerate(canonical):
+        for j, y in enumerate(canonical):
+            want = _answers(u, x, y)
+            for form in (direct, foreign, stale):
+                got = _answers(u, form[i], form[j])
+                assert got == want, (INTERN_TEXTS[i], INTERN_TEXTS[j])
+                # and the answers are this universe's canonical grades
+                assert got[1] is want[1] and got[2] is want[2]
+                assert all(a is b for a, b in zip(got[3], want[3]))
+
+
+def test_an_off_carrier_value_is_refused_on_every_use(ap_universe):
+    u = ap_universe
+    bad = KindedGrade("A", Nat(3))
+    # even with the id of a canonical grade
+    posing = KindedGrade("A", Nat(3), u.parse_grade("A:w").id)
+    for g in (bad, bad, posing, posing):
+        for op in (u.leq, u.add, u.mul, u.residual_candidates):
+            with pytest.raises(CarrierMismatch):
+                op(g, ONE_D)
+            with pytest.raises(CarrierMismatch):
+                op(ZERO_D, g)
+    with pytest.raises(UnknownKind):
+        u.add(KindedGrade("Q", Nat(1)), ONE_D)
+
+
+def test_operations_return_canonical_grades(ap_universe):
+    u = ap_universe
+    x, y = u.parse_grade("AP:(1,private)"), u.parse_grade("PP:a")
+    assert u.add(x, y) is u.add(x, y)
+    assert u.mul(x, y) is u.mul(KindedGrade(x.kind, x.value), y)
+    assert u.parse_grade("A:w") is u.parse_grade("A:w")
+    assert u.mul(ZERO_D, x) is ZERO_D and u.add(ZERO_D, ONE_D) is ONE_D
+    for g in u.sample_pool():
+        assert u.indexed.values[g.id] is g
+
+
+def test_grade_ids_are_not_compared_or_printed(ap_universe):
+    g = ap_universe.parse_grade("A:w")
+    twin = KindedGrade("A", g.value)
+    assert g.id != twin.id
+    assert g == twin and hash(g) == hash(twin) and repr(g) == repr(twin)
+    assert repr(ZERO_D) == "KindedGrade(kind='N', value=Nat(n=0))"
+
+
+# ---------------------------------------------------------------------------
 # combined-algebra laws
 
 def test_check_universe_laws_ap_universe(ap_universe):
@@ -273,19 +344,25 @@ def test_check_universe_laws_ap_universe(ap_universe):
     assert report.ok, [str(r) for r in report.failures()]
 
 
-def test_check_universe_laws_computes_each_operation_once(monkeypatch, ap_universe):
+def test_check_universe_laws_computes_each_operation_once(monkeypatch, corpus_dir):
+    # a fresh universe: its table has computed nothing yet
+    u = load_universe(str(corpus_dir / "affinity_privacy.json"))
     calls = Counter()
     for op in ("leq", "add", "mul"):
-        original = getattr(GradeUniverse, op)
+        original = getattr(KindedAlgebra, op)
 
         def counted(self, x, y, op=op, original=original):
             calls[op, x, y] += 1
             return original(self, x, y)
 
-        monkeypatch.setattr(GradeUniverse, op, counted)
-    assert check_universe_laws(ap_universe).ok
+        monkeypatch.setattr(KindedAlgebra, op, counted)
+    assert check_universe_laws(u).ok
     assert {op for op, _, _ in calls} == {"leq", "add", "mul"}
     assert max(calls.values()) == 1
+    # a second check reads every answer from the universe's memo rows
+    before = sum(calls.values())
+    assert check_universe_laws(u).ok
+    assert sum(calls.values()) == before
 
 
 def test_check_universe_laws_witnesses():
@@ -398,7 +475,7 @@ def test_residual_candidates_are_grades_of_the_available_kind():
     for available in pool:
         for demand in pool:
             for r in u.residual_candidates(available, demand):
-                u.check_grade(r)
+                assert u.intern(r) is r  # canonical, so a valid grade
                 assert r.kind == available.kind
     q = lambda text: u.parse_grade(f"Q:{text}")
     assert sorted(map(str, u.residual_candidates(q("(a,3)"), q("(1,1)")))) == [

@@ -6,7 +6,7 @@ import sys
 import pytest
 
 from gradefj.grades import FiniteElem, Nat
-from gradefj.hetero import KindedGrade
+from gradefj.hetero import GradeUniverse, KindedGrade
 from gradefj.syntax import (
     Block,
     FieldAccess,
@@ -71,6 +71,16 @@ def test_parse_errors_carry_position(universe):
         parse_program("class A { }\nrun x at Q:3", universe)  # unknown kind
     with pytest.raises(SyntaxErrorGFJ):
         parse_program("class A { }\nrun x at A:9", universe)  # bad element
+
+
+def test_grade_literal_errors_other_than_bad_input_propagate(monkeypatch, universe):
+    # only a grade error or a bad payload is the literal's fault
+    def too_deep(self, text):
+        raise RecursionError("maximum recursion depth exceeded")
+
+    monkeypatch.setattr(GradeUniverse, "parse_grade", too_deep)
+    with pytest.raises(RecursionError, match="^maximum recursion depth exceeded$"):
+        parse_program("class A { }\nrun new A() at A:1", universe)
 
 
 def _error_at(src, universe):
