@@ -101,15 +101,16 @@ def cmd_run(args) -> int:
     }
     if run.reason is not None:
         payload["reason"] = run.reason.render()
-    if args.trace and run.trace is not None:
-        payload["trace"] = [t.render(i, program.mainGrade)
-                            for i, t in enumerate(run.trace)]
+    traced = args.trace and run.trace is not None
     if args.json:
+        if traced:
+            payload["trace"] = [t.render(i, program.mainGrade)
+                                for i, t in enumerate(run.trace)]
         print(json.dumps(payload, sort_keys=True))
     else:
-        if args.trace and run.trace is not None:
-            for line in payload["trace"]:
-                print(line)
+        if traced:  # each line printed as it is rendered
+            for i, t in enumerate(run.trace):
+                print(t.render(i, program.mainGrade))
         if run.outcome == "final":
             print(payload["value"])
             print(" ".join(f"{x}:{g}" for x, g in payload["env"].items()))

@@ -11,6 +11,15 @@ base$1, ... outside the environment's domain, which the environment finds
 in O(1) from its count of bound names per base.  Both semantics pick them
 from their own environments, so runs are reproducible and the erasure of
 an instrumented run is literally a standard run.
+
+``graded_step`` decomposes its expression into a redex and an evaluation
+context, contracts the redex and plugs each contractum back, all in
+loops.  An instrumented run keeps the context between steps as a
+persistent stack of frames: it steps the redex alone and refocuses from
+the contractum inside that context, so its per-step cost is flat in both
+the length of the run and the depth of the context.  ``std_step`` stays
+the plain recursive definition: it is the independent reference that
+subject reduction is checked against.
 """
 
 from __future__ import annotations
@@ -337,11 +346,25 @@ def graded_step(u: GradeUniverse, table: ClassTable, cfg: GradedConfig,
                 grade: KindedGrade, policy: Policy = Minimal()) -> StepResult:
     """One instrumented step; Minimal yields at most one successor.
 
-    ``table`` holds the annotated method bodies.  A slot child is reduced
-    at the grade of its ascription, and every contractum takes over the
-    ascription of its redex, so the slot keeps its grade."""
-    e, env = cfg.expr, cfg.env
+    ``table`` holds the annotated method bodies.  The expression is
+    decomposed into a redex and its evaluation context, the redex is
+    contracted, and each contractum is plugged back into the context.  A
+    slot child is reduced at the grade of its ascription, and every
+    contractum takes over the ascription of its redex, so the slot keeps
+    its grade."""
+    redex, grade, ctx = _focus(u, cfg.expr, grade, None)
+    if is_value(redex):
+        return StepResult("value")
+    result = _contract(u, table, redex, cfg.env, grade, policy)
+    if ctx is not None and result.kind == "step":
+        result.successors = [(GradedConfig(_plug(c.expr, ctx), c.env), info)
+                             for c, info in result.successors]
+    return result
 
+
+def _contract(u: GradeUniverse, table: ClassTable, e: Expr, env: Env,
+              grade: KindedGrade, policy: Policy) -> StepResult:
+    """The steps of the redex ``e`` reduced at ``grade``."""
     if isinstance(e, Var):
         entry = env.get(e.name)
         if entry is None:
@@ -361,45 +384,24 @@ def graded_step(u: GradeUniverse, table: ClassTable, cfg: GradedConfig,
 
     if isinstance(e, FieldAccess):
         recv = e.recv
-        if is_value(recv):
-            try:
-                idx = table.field_index(recv.className, e.fieldName)
-            except (UnknownClass, UnknownMember):
-                return StepResult("stuck", reason=NoSuchMember(
-                    f"{recv.className}.{e.fieldName}"))
-            if idx >= len(recv.args):
-                return StepResult("stuck", reason=NoSuchMember(
-                    f"{recv.className}.{e.fieldName}"))
-            have = u.mul(recv.ascription, recv.args[idx].ascription)
-            if not u.leq(grade, have):
-                return StepResult("stuck",
-                                  reason=FieldExtraction(e.fieldName, have, grade))
-            field_value = with_ascription(recv.args[idx], e.ascription)
-            return StepResult("step", [(GradedConfig(field_value, env),
-                                        StepInfo("field-access"))])
-        sub = graded_step(u, table, GradedConfig(recv, env), recv.ascription, policy)
-        return _wrap(sub, lambda r: FieldAccess(r, e.fieldName, e.ascription, e.pos))
-
-    if isinstance(e, New):
-        for i, arg in enumerate(e.args):
-            if not is_value(arg):
-                sub = graded_step(u, table, GradedConfig(arg, env),
-                                  u.mul(grade, arg.ascription), policy)
-                return _wrap(sub, lambda r, i=i: New(
-                    e.className, e.args[:i] + (r,) + e.args[i + 1:], e.ascription, e.pos))
-        return StepResult("value")
+        try:
+            idx = table.field_index(recv.className, e.fieldName)
+        except (UnknownClass, UnknownMember):
+            return StepResult("stuck", reason=NoSuchMember(
+                f"{recv.className}.{e.fieldName}"))
+        if idx >= len(recv.args):
+            return StepResult("stuck", reason=NoSuchMember(
+                f"{recv.className}.{e.fieldName}"))
+        have = u.mul(recv.ascription, recv.args[idx].ascription)
+        if not u.leq(grade, have):
+            return StepResult("stuck",
+                              reason=FieldExtraction(e.fieldName, have, grade))
+        field_value = with_ascription(recv.args[idx], e.ascription)
+        return StepResult("step", [(GradedConfig(field_value, env),
+                                    StepInfo("field-access"))])
 
     if isinstance(e, Invk):
         recv = e.recv
-        if not is_value(recv):
-            sub = graded_step(u, table, GradedConfig(recv, env), recv.ascription, policy)
-            return _wrap(sub, lambda r: Invk(r, e.method, e.args, e.ascription, e.pos))
-        for i, arg in enumerate(e.args):
-            if not is_value(arg):
-                sub = graded_step(u, table, GradedConfig(arg, env), arg.ascription, policy)
-                return _wrap(sub, lambda r, i=i: Invk(
-                    recv, e.method, e.args[:i] + (r,) + e.args[i + 1:], e.ascription,
-                    e.pos))
         try:
             params, body = table.mbody(recv.className, e.method)
         except (UnknownClass, UnknownMember):
@@ -417,25 +419,95 @@ def graded_step(u: GradeUniverse, table: ClassTable, cfg: GradedConfig,
 
     if isinstance(e, Block):
         init = e.init
-        if is_value(init):
-            y = env.fresh(e.var)
-            body = with_ascription(subst(e.body, {e.var: y}), e.ascription)
-            after = GradedConfig(body, env.set(y, (init, init.ascription)))
-            return StepResult("step", [(after, StepInfo("block"))])
-        sub = graded_step(u, table, GradedConfig(init, env), init.ascription, policy)
-        return _wrap(sub, lambda r: Block(e.declClass, e.declGrade, e.var, r, e.body,
-                                          e.ascription, e.pos))
+        y = env.fresh(e.var)
+        body = with_ascription(subst(e.body, {e.var: y}), e.ascription)
+        after = GradedConfig(body, env.set(y, (init, init.ascription)))
+        return StepResult("step", [(after, StepInfo("block"))])
 
     raise TypeError(e)
 
 
-def _wrap(sub: StepResult, rebuild) -> StepResult:
-    if sub.kind == "value":
-        return StepResult("stuck", reason=NotAValue("contextual subterm is a value"))
-    if sub.kind == "stuck":
-        return sub
-    succs = [(GradedConfig(rebuild(c.expr), c.env), info) for c, info in sub.successors]
-    return StepResult("step", succs)
+# ---------------------------------------------------------------------------
+# Evaluation contexts
+#
+# A context is a persistent linked stack of frames ``(parent, slot, grade,
+# outer)``, innermost first; None is the empty context.  The hole is the
+# subterm of ``parent`` in ``slot`` (see ``_subterm``) and ``grade`` is the
+# parent's reduction grade.  Frames are never mutated, so the successors of
+# one step share the context of their redex.
+
+Context = Optional[tuple]
+
+
+def _subterm(u: GradeUniverse, e: Expr, grade: KindedGrade):
+    """``(slot, subterm, its reduction grade)`` for the first subterm of
+    ``e`` that is not a value, in evaluation order; None when there is
+    none, so that ``e`` is a redex or a value.  The slot is the argument
+    index, -1 for an invocation's receiver and 0 for a field access's
+    receiver and a block's initializer."""
+    kind = type(e)
+    if kind is Invk:
+        if not is_value(e.recv):
+            return -1, e.recv, e.recv.ascription
+        for i, arg in enumerate(e.args):
+            if not is_value(arg):
+                return i, arg, arg.ascription
+        return None
+    if kind is New:
+        for i, arg in enumerate(e.args):
+            if not is_value(arg):
+                return i, arg, u.mul(grade, arg.ascription)
+        return None
+    if kind is FieldAccess:
+        child = e.recv
+    elif kind is Block:
+        child = e.init
+    else:
+        return None
+    return None if is_value(child) else (0, child, child.ascription)
+
+
+def _fill(parent: Expr, slot: int, child: Expr) -> Expr:
+    """``parent`` with ``child`` in ``slot``."""
+    if isinstance(parent, New):
+        args = parent.args[:slot] + (child,) + parent.args[slot + 1:]
+        return New(parent.className, args, parent.ascription, parent.pos)
+    if isinstance(parent, Invk):
+        if slot < 0:
+            return Invk(child, parent.method, parent.args, parent.ascription, parent.pos)
+        args = parent.args[:slot] + (child,) + parent.args[slot + 1:]
+        return Invk(parent.recv, parent.method, args, parent.ascription, parent.pos)
+    if isinstance(parent, FieldAccess):
+        return FieldAccess(child, parent.fieldName, parent.ascription, parent.pos)
+    return Block(parent.declClass, parent.declGrade, parent.var, child, parent.body,
+                 parent.ascription, parent.pos)
+
+
+def _focus(u: GradeUniverse, e: Expr, grade: KindedGrade,
+           ctx: Context) -> tuple[Expr, KindedGrade, Context]:
+    """Refocus: decompose ``e``, reduced at ``grade`` in the hole of
+    ``ctx``, into ``(redex, its grade, its context)``.  A value fills the
+    innermost hole, as often as the parent it completes is a value too,
+    and decomposition goes on from the first parent that is not; a value
+    is returned only with the empty context, when it is the whole term."""
+    while ctx is not None and is_value(e):
+        parent, slot, grade, ctx = ctx
+        e = _fill(parent, slot, e)
+    sub = _subterm(u, e, grade)
+    while sub is not None:
+        slot, child, child_grade = sub
+        ctx = (e, slot, grade, ctx)
+        e, grade = child, child_grade
+        sub = _subterm(u, e, grade)
+    return e, grade, ctx
+
+
+def _plug(e: Expr, ctx: Context) -> Expr:
+    """The whole term: ``e`` in the hole of ``ctx``."""
+    while ctx is not None:
+        parent, slot, _, ctx = ctx
+        e = _fill(parent, slot, e)
+    return e
 
 
 # ---------------------------------------------------------------------------
@@ -568,56 +640,80 @@ def graded_run(u: GradeUniverse, table: ClassTable, cfg: GradedConfig,
     """Iterate graded_step.  With Enumerate, depth-first search over the
     variable-consumption choice points returns the first completed run;
     when every schedule sticks, the reason from the deepest branch is
-    reported."""
+    reported.
+
+    The run keeps the evaluation context between steps (refocusing,
+    Danvy and Nielsen 2004): each step is graded_step on the redex alone,
+    and the contractum is decomposed inside the context already at hand.
+    The whole term is plugged only for the result and the trace."""
     if isinstance(policy, Enumerate):
         return _search_run(u, table, cfg, grade, policy, fuel, want_trace)
     trace = [TraceEntry(cfg, None)] if want_trace else None
+    env = cfg.env
+    e, grade, ctx = _focus(u, cfg.expr, grade, None)
+    del cfg  # an older environment version keeps every newer one alive
     steps = 0
     while steps < fuel:
-        result = graded_step(u, table, cfg, grade, policy)
+        result = graded_step(u, table, GradedConfig(e, env), grade, policy)
         if result.kind == "value":
-            return RunResult("final", steps, cfg, trace=trace)
+            return RunResult("final", steps, _whole(e, ctx, env, trace), trace=trace)
         if result.kind == "stuck":
-            return RunResult("stuck", steps, cfg, reason=result.reason, trace=trace)
-        (cfg, info) = result.successors[0]
+            return RunResult("stuck", steps, _whole(e, ctx, env, trace),
+                             reason=result.reason, trace=trace)
+        (nxt, info) = result.successors[0]
+        env = nxt.env
+        e, grade, ctx = _focus(u, nxt.expr, grade, ctx)
         if trace is not None:
-            trace.append(TraceEntry(cfg, info))
+            trace.append(TraceEntry(GradedConfig(_plug(e, ctx), env), info))
         steps += 1
-    return RunResult("fuel", steps, cfg, trace=trace)
+    return RunResult("fuel", steps, _whole(e, ctx, env, trace), trace=trace)
+
+
+def _whole(e: Expr, ctx: Context, env: Env, trace) -> GradedConfig:
+    """The whole configuration a run is at, focused on ``e`` in ``ctx``:
+    the last trace entry's, when there is a trace."""
+    if trace is not None:
+        return trace[-1].config
+    return GradedConfig(_plug(e, ctx), env)
 
 
 def _search_run(u, table, cfg, grade, policy, fuel, want_trace) -> RunResult:
     """Depth-first search with an explicit stack of [successors, index of
-    the next one to try, their depth] frames, kept only while a successor
-    is left to try; the trace is one list, truncated on backtracking."""
+    the next one to try, their depth, their redex's grade and context]
+    frames, kept only while a successor is left to try; the trace is one
+    list, truncated on backtracking."""
     budget = fuel
     best_reason, best_depth = None, -1
     trace = [TraceEntry(cfg, None)] if want_trace else None
     frames: list[list] = []
-    node, depth = cfg, 0
+    env = cfg.env
+    e, grade, ctx = _focus(u, cfg.expr, grade, None)
+    depth = 0
     while True:
         if budget <= 0:
-            return RunResult("fuel", depth, node, trace=trace)
+            return RunResult("fuel", depth, _whole(e, ctx, env, trace), trace=trace)
         budget -= 1
-        result = graded_step(u, table, node, grade, policy)
+        result = graded_step(u, table, GradedConfig(e, env), grade, policy)
         if result.kind == "value":
-            return RunResult("final", depth, node, trace=trace)
+            return RunResult("final", depth, _whole(e, ctx, env, trace), trace=trace)
         if result.kind == "stuck":
             if depth > best_depth:
                 best_reason, best_depth = result.reason, depth
         elif result.successors:
-            frames.append([result.successors, 0, depth + 1])
+            frames.append([result.successors, 0, depth + 1, grade, ctx])
         if not frames:
             if trace is not None:
                 del trace[1:]
             return RunResult("stuck", best_depth, cfg, reason=best_reason, trace=trace)
         frame = frames[-1]
-        succs, i, depth = frame
+        succs, i, depth, grade, ctx = frame
         node, info = succs[i]
         if i + 1 == len(succs):
             frames.pop()
         else:
             frame[1] = i + 1
+        env = node.env
+        e, grade, ctx = _focus(u, node.expr, grade, ctx)
         if trace is not None:
             del trace[depth:]
-            trace.append(TraceEntry(node, info))
+            trace.append(TraceEntry(GradedConfig(_plug(e, ctx), env), info))

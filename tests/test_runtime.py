@@ -1,12 +1,14 @@
 """Standard and instrumented reduction: steps, runs, policies, properties."""
 
 import dataclasses
+import pathlib
 import random
+from collections import Counter
 
 import pytest
 
 from gradefj.grades import FiniteElem, Nat
-from gradefj.hetero import KindedGrade, ONE_D
+from gradefj.hetero import KindedGrade, ONE_D, default_universe
 from gradefj.syntax import (
     FieldAccess,
     GradedType,
@@ -25,8 +27,10 @@ from gradefj.runtime import (
     Minimal,
     NoSuchMember,
     ResourceExhausted,
+    RunResult,
     StdConfig,
     StdStuck,
+    TraceEntry,
     erase_config,
     graded_run,
     graded_step,
@@ -500,3 +504,209 @@ def test_search_finds_schedule_minimal_misses():
                        Enumerate())
     assert found.outcome == "final"
     assert found.final_env_grades() == {"v": "M:0"}
+
+
+# ---------------------------------------------------------------------------
+# refocused runs: graded_run keeps the evaluation context between steps,
+# and must agree with a plain loop of graded_step on whole configurations
+
+LOOP = pathlib.Path(__file__).parent / "programs" / "loop.gfj"
+LOOP_FUEL = 200  # the loop never ends; the default fuel would take seconds
+
+
+def _stepwise_run(u, table, cfg, grade, policy, fuel, want_trace):
+    """graded_run's contract, stepping whole configurations; also returns
+    the number of graded_step calls made."""
+    calls = 0
+    trace = [TraceEntry(cfg, None)]
+    if isinstance(policy, Enumerate):
+        best = [None, -1]
+
+        def visit(node, depth):
+            nonlocal calls
+            if calls == fuel:
+                return RunResult("fuel", depth, node)
+            calls += 1
+            result = graded_step(u, table, node, grade, policy)
+            if result.kind == "value":
+                return RunResult("final", depth, node)
+            if result.kind == "stuck":
+                if depth > best[1]:
+                    best[:] = result.reason, depth
+                return None
+            for succ, info in result.successors:
+                trace.append(TraceEntry(succ, info))
+                found = visit(succ, depth + 1)
+                if found is not None:
+                    return found
+                trace.pop()
+            return None
+
+        run = visit(cfg, 0) or RunResult("stuck", best[1], cfg, reason=best[0])
+    else:
+        run = None
+        while run is None and len(trace) <= fuel:
+            result = graded_step(u, table, cfg, grade, policy)
+            calls += 1
+            if result.kind == "value":
+                run = RunResult("final", len(trace) - 1, cfg)
+            elif result.kind == "stuck":
+                run = RunResult("stuck", len(trace) - 1, cfg, reason=result.reason)
+            else:
+                cfg, info = result.successors[0]
+                trace.append(TraceEntry(cfg, info))
+        run = run or RunResult("fuel", fuel, cfg)
+    if want_trace:
+        run.trace = trace
+    return run, calls
+
+
+def _assert_same_run(got, want, label):
+    assert (got.outcome, got.steps, got.reason) == (want.outcome, want.steps,
+                                                    want.reason), label
+    assert got.config.expr == want.config.expr, label
+    assert got.config.env == want.config.env, label
+    assert (got.trace is None) == (want.trace is None), label
+    if want.trace is not None:
+        assert len(got.trace) == len(want.trace), label
+        for i, (g, w) in enumerate(zip(got.trace, want.trace)):
+            assert g == w, f"{label}: trace entry {i}"
+
+
+def _differential_cases(corpus):
+    for entry in corpus:
+        diags, checked = elaborate_program(entry.universe, entry.program)
+        fuel = entry.manifest.get("fuel", 100_000)  # the corpus driver's
+        if not diags:
+            yield entry.name, entry.universe, checked, entry.program.mainGrade, fuel
+        if "uncheckedRun" in entry.manifest:
+            _, annotated = annotate_program(entry.universe, entry.program)
+            yield (f"{entry.name} unchecked", entry.universe, annotated,
+                   entry.program.mainGrade, fuel)
+    u = default_universe()
+    program = parse_program(LOOP.read_text(), u)
+    _, checked = elaborate_program(u, program)
+    yield "loop", u, checked, program.mainGrade, LOOP_FUEL
+
+
+def test_refocused_run_agrees_with_whole_configuration_steps(corpus):
+    # fuels n-1, n and n+1 around the run's length n (and around the number
+    # of steps a search tries) pin the fuel rule: a value reached exactly
+    # at the bound still reports "fuel"
+    finals = 0
+    for name, u, ready, grade, default in _differential_cases(corpus):
+        cfg = GradedConfig(ready.main)
+        for policy, want_trace in ((Minimal(), False), (Minimal(), True),
+                                   (Enumerate(), False), (Enumerate(), True)):
+            run, calls = _stepwise_run(u, ready.table, cfg, grade, policy, default, False)
+            fuels = {1, 2, default}
+            for n in (run.steps, calls):
+                fuels |= {n - 1, n, n + 1}
+            if run.outcome == "final" and run.steps > 0:
+                finals += 1
+                at_bound = graded_run(u, ready.table, cfg, grade, policy, run.steps)
+                assert at_bound.outcome == "fuel", name
+            for fuel in sorted(fuels - {0}):
+                label = f"{name} {type(policy).__name__} trace={want_trace} fuel={fuel}"
+                want, _ = _stepwise_run(u, ready.table, cfg, grade, policy, fuel,
+                                        want_trace)
+                got = graded_run(u, ready.table, cfg, grade, policy, fuel, want_trace)
+                _assert_same_run(got, want, label)
+    assert finals > 0
+
+
+@pytest.mark.parametrize("last, outcome", [("new A()", "final"), ("v @ M:1", "stuck")])
+def test_refocused_search_backtracks_into_the_shared_context(last, outcome):
+    # the first burn of 'v', one slot deep, has two residuals; the demand
+    # two slots deep fits only the second (or, with a third use, neither)
+    from conftest import ambiguous_algebra
+    from gradefj.hetero import validate_universe
+    u = validate_universe({"M": ambiguous_algebra()}, [])
+    src = ("class A { }\nclass Pair { A[M:1] first; A[M:1] second; }\n"
+           f"run {{A[M:a] v = new A(); new Pair(v @ M:1, new Pair(v @ M:y, {last}))}} at M:1\n")
+    program = parse_program(src, u)
+    _, annotated = annotate_program(u, program)
+    cfg = GradedConfig(annotated.main)
+    want, calls = _stepwise_run(u, annotated.table, cfg, program.mainGrade, Enumerate(),
+                                100_000, True)
+    assert want.outcome == outcome and calls > want.steps + 1  # it backtracked
+    got = graded_run(u, annotated.table, cfg, program.mainGrade, Enumerate(),
+                     want_trace=True)
+    _assert_same_run(got, want, "backtracking search")
+
+
+def _spine_walk(depth: int, field_grade: str) -> str:
+    """The mirror walk of a one-sided tree ``depth`` deep: the walk of the
+    right spine runs inside one constructor slot per level."""
+    tree = "new L()"
+    for _ in range(depth):
+        tree = f"new Nd(new L(), {tree})"
+    return (f"class T {{ T[A:w] w() [A:w] {{ new L() }} }}\n"
+            f"class L extends T {{ T[A:w] w() [A:w] {{ new L() }} }}\n"
+            f"class Nd extends T {{ T[{field_grade}] l; T[{field_grade}] r;\n"
+            f"  T[A:w] w() [A:w] {{ new Nd((this @ A:w).r.w(), (this @ A:w).l.w()) }} }}\n"
+            f"run {tree}.w() at {field_grade}\n")
+
+
+@pytest.mark.parametrize("field_grade", ["A:w", "N:1"])
+def test_step_cost_does_not_grow_with_context_depth(universe, monkeypatch, field_grade):
+    # each step contracts one redex and rebuilds at most the parents it
+    # leaves; nothing walks the context from the root
+    from gradefj import hetero, syntax
+    counts = Counter()
+    mul = hetero.GradeUniverse.mul
+
+    def counted_mul(self, *args):
+        counts["mul"] += 1
+        return mul(self, *args)
+
+    per_step = []
+    for depth in (16, 64):
+        program = parse_program(_spine_walk(depth, field_grade), universe)
+        diags, checked = elaborate_program(universe, program)
+        assert not diags
+        with monkeypatch.context() as m:
+            m.setattr(hetero.GradeUniverse, "mul", counted_mul)
+            for cls in (syntax.Var, syntax.FieldAccess, syntax.New, syntax.Invk,
+                        syntax.Block):
+                init = cls.__init__
+
+                def counted_init(self, *args, init=init, **kwargs):
+                    counts["nodes"] += 1
+                    init(self, *args, **kwargs)
+
+                m.setattr(cls, "__init__", counted_init)
+            counts.clear()
+            run = graded_run(universe, checked.table, GradedConfig(checked.main),
+                             program.mainGrade)
+        assert run.outcome == "final"
+        per_step.append((counts["mul"] / run.steps, counts["nodes"] / run.steps))
+    for muls, nodes in per_step:
+        assert muls <= 1 and nodes <= 3, per_step
+
+
+def test_deep_context_steps_without_recursion(universe, two_block):
+    # a variable under 5000 constructor slots: decomposition, plugging and
+    # the run's refocusing are loops, not recursion
+    _, _, ann = two_block
+    depth = 5000
+    e = Var("x", N(1))
+    for _ in range(depth):
+        e = New("Box", (e,), N(1))
+    cfg = GradedConfig(e, Env({"x": (New("A", (), N(1)), N(1))}))
+
+    def spine(term):
+        n = 0
+        while term.args:
+            assert term.className == "Box"
+            term, n = term.args[0], n + 1
+        assert term.className == "A"
+        return n
+
+    step = graded_step(universe, ann, cfg, N(1))
+    assert step.kind == "step" and len(step.successors) == 1
+    assert spine(step.successors[0][0].expr) == depth
+    run = graded_run(universe, ann, cfg, N(1), want_trace=True)
+    assert run.outcome == "final" and run.steps == 1
+    assert run.config.expr.is_value and spine(run.config.expr) == depth
+    assert run.final_env_grades() == {"x": "0"}
