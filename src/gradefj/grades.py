@@ -10,9 +10,12 @@ the infinity extension of any algebra.
 The law checks (``validate_algebra``, ``validate_hom`` and the universe's
 ``hetero.check_universe_laws``) share one axiom list, ``semiring_laws``,
 and run it over ``Indexed`` grades: small ints whose operations are each
-computed once per pair of values.  A grade universe keeps one ``Indexed``
-table of its kinded grades, which also answers the checker's and the
-interpreters' grade operations.
+computed once per pair of values.  ``check_laws`` checks a law a row of
+cases at a time: a row kernel builds both sides of the law as rows of ids
+over the whole row, read from the memo rows at C level, and only a row that
+fails is walked case by case for its witness.  A grade universe keeps one
+``Indexed`` table of its kinded grades, which also answers the checker's
+and the interpreters' grade operations.
 """
 
 from __future__ import annotations
@@ -21,8 +24,11 @@ import random
 import re
 from dataclasses import dataclass, field
 from fractions import Fraction
+from functools import cache, reduce
+from itertools import chain, compress, starmap
 from itertools import product as iproduct
-from typing import Optional
+from operator import getitem, itemgetter, or_
+from typing import Callable, Optional, Sequence
 
 
 class GradeError(Exception):
@@ -898,10 +904,11 @@ class Indexed:
     when given (it may raise, and then nothing is stored).  ``leq``, ``add``,
     ``mul`` and ``residual`` on ids call the wrapped operation once per
     ordered pair of ids and answer later calls from int-keyed memo rows,
-    which hash no nested grade value.  ``alg`` is anything with
-    ``leq/add/mul/zero/one`` (and ``residual``, if that is asked for): one
-    algebra in the law checks, or the kinded operations of a grade universe,
-    whose grades are interned here for the universe's lifetime.
+    which hash no nested grade value; ``reader`` and ``read_pairs`` read
+    many memo entries at once.  ``alg`` is anything with ``leq/add/mul/zero/one`` (and
+    ``residual``, if that is asked for): one algebra in the law checks, or
+    the kinded operations of a grade universe, whose grades are interned here
+    for the universe's lifetime.
     """
 
     def __init__(self, alg, canonical=None):
@@ -958,6 +965,42 @@ class Indexed:
                 self.alg, self.values[i], self.values[j]))
         return hit
 
+    def reader(self, op: str, js: Sequence[int]) -> Callable[[int], tuple]:
+        """A batched read of ``op`` ("leq", "add" or "mul") at the ids
+        ``js``: ``read(i)`` is the tuple of ``op(i, j)`` for each j of
+        ``js``.  Entries missing from the memo row of ``i`` are computed once,
+        through ``op``, in the order of ``js``; then one C-level
+        ``itemgetter`` reads every answer from the row."""
+        memo, compute = getattr(self, f"_{op}"), getattr(self, op)
+        keys = tuple(dict.fromkeys(js))
+        get = _getter(js)
+
+        def read(i: int) -> tuple:
+            row = memo[i]
+            try:
+                return get(row)
+            except KeyError:
+                pass
+            for j in keys:
+                if j not in row:
+                    compute(i, j)
+            return get(row)
+        return read
+
+    def read_pairs(self, op: str, xs: Sequence[int], ys: Sequence[int]) -> list:
+        """``op(x, y)`` for each x, y of ``zip(xs, ys)``, read at C level
+        from the memo rows; missing entries are computed once, through
+        ``op``, in order, when a read misses."""
+        memo = getattr(self, f"_{op}")
+        try:
+            return list(map(getitem, map(memo.__getitem__, xs), ys))
+        except KeyError:
+            compute = getattr(self, op)
+            for x, y in dict.fromkeys(zip(xs, ys)):
+                if y not in memo[x]:
+                    compute(x, y)
+            return list(map(getitem, map(memo.__getitem__, xs), ys))
+
     def zero(self) -> int:
         return self._zero
 
@@ -972,67 +1015,202 @@ class Indexed:
         return str(self.values[x])
 
 
+def _getter(keys: Sequence) -> Callable:
+    """``itemgetter(*keys)``, answering a tuple for any number of keys."""
+    if len(keys) == 1:
+        key = keys[0]
+        return lambda row: (row[key],)
+    return itemgetter(*keys) if keys else lambda row: ()
+
+
+_BITS = bytes.maketrans(b"\0\1", b"01")
+
+
+def _mask(flags: tuple) -> int:
+    """The bitmask of a tuple of bools: bit k is set when entry k is true."""
+    return int(bytes(flags[::-1]).translate(_BITS) or b"0", 2)
+
+
+def _whole(row):
+    return row
+
+
+def _one_row(law: str, holds, cases: list) -> tuple:
+    """A ``check_laws`` law whose cases form one row, checked case by case."""
+    return (law, holds, (cases,), _whole, None)
+
+
 def check_laws(laws, total: Optional[str] = None, show=str) -> LawReport:
-    """Check each ``(law, holds, cases)`` in turn: PASS, or FAIL with the
-    first case on which ``holds`` is false, each component formatted by
-    ``show``.
+    """Check each law ``(name, holds, rows, cases, kernel)`` in turn: PASS,
+    or FAIL with the first case on which ``holds`` is false, each component
+    formatted by ``show``.
+
+    The cases are ``cases(row)`` for each of ``rows``, in order.  When
+    ``kernel`` is given, ``kernel(row)`` is true only if ``holds`` is true on
+    every case of the row, and reads whole memo rows to say so; without one
+    the row's cases run through ``holds`` at C level.  A row whose kernel is
+    false or raises is walked case by case, in order, for its first failing
+    case, so a report does not depend on how its kernels are written.
 
     A case on which a map is undefined (PartialMap, CarrierMismatch) fails
     the law with the error as witness; when ``total`` names a law, it fails
     that law instead and ends the report.
     """
     results = []
-    for law, holds, cases in laws:
+    for law, holds, rows, cases, kernel in laws:
         result = LawResult(law, True)
-        for case in cases:
+        for row in rows:
             try:
-                if not holds(*case):
+                if kernel(row) if kernel else all(starmap(holds, cases(row))):
+                    continue
+            except Exception:
+                # a kernel may compute more than the cases do: the walk below
+                # meets the error at its case and reports or raises it there,
+                # or passes the row when no case reaches it
+                pass
+            for case in cases(row):
+                try:
+                    if holds(*case):
+                        continue
                     result = LawResult(law, False, tuple(show(x) for x in case))
-                    break
-            except (PartialMap, CarrierMismatch) as exc:
-                if total is not None:
-                    return LawReport(results + [LawResult(total, False, (str(exc),))])
-                result = LawResult(law, False, (str(exc),))
+                except (PartialMap, CarrierMismatch) as exc:
+                    if total is not None:
+                        return LawReport(results + [LawResult(total, False, (str(exc),))])
+                    result = LawResult(law, False, (str(exc),))
+                break
+            if not result.ok:
                 break
         results.append(result)
     return LawReport(results)
 
 
-def semiring_laws(alg, pool: list, pairs, triples, pair_up) -> list[tuple]:
+def semiring_laws(ix: Indexed, pool: list[int], seeded: Optional[list[tuple]] = None,
+                  monotone_pairs: Optional[int] = None) -> list[tuple]:
     """The axioms of an ordered semiring with a least zero, as ``check_laws``
-    input, over anything with ``leq/add/mul/zero/one``: one algebra, or the
-    kinded grades of a universe (in the checkers, their ``Indexed`` ids).
-    Unary laws range over ``pool``; ``pairs()`` and ``triples()`` return a
-    fresh iterable of cases for each law that uses them, and monotonicity
-    ranges over ``pair_up`` applied to the related pairs.
+    input over the ids of ``ix``: the grades of one algebra, or the kinded
+    grades of a universe.
+
+    Unary laws range over ``pool``, case by case.  With ``seeded`` triples,
+    the pairs are their first two components, monotonicity pairs each related
+    pair with the next, and each law is one row of those cases.  Otherwise
+    the pair and triple laws range over all of the pool, one row per first
+    argument, and monotonicity over every pair of related pairs (an even
+    stride of at most about ``monotone_pairs`` of them, when given), one row
+    per first related pair.  Each of these rows has a kernel over whole memo
+    rows (``Indexed.reader``) that does O(1) or O(pool) Python-level work:
+    both sides of the law become rows of ids over the rest of the row.
     """
-    leq, add, mul, zero, one = alg.leq, alg.add, alg.mul, alg.zero(), alg.one()
-    ones = [(a,) for a in pool]
-    related = [(a, b) for a, b in pairs() if leq(a, b)]
-    return [
-        ("order-reflexive", lambda a: leq(a, a), ones),
-        ("order-antisymmetric", lambda a, b: not (leq(a, b) and leq(b, a)) or a == b,
-         pairs()),
-        ("order-transitive",
-         lambda a, b, c: not (leq(a, b) and leq(b, c)) or leq(a, c), triples()),
-        ("add-commutative", lambda a, b: add(a, b) == add(b, a), pairs()),
-        ("add-associative", lambda a, b, c: add(add(a, b), c) == add(a, add(b, c)),
-         triples()),
-        ("add-unit", lambda a: add(a, zero) == a, ones),
-        ("mul-associative", lambda a, b, c: mul(mul(a, b), c) == mul(a, mul(b, c)),
-         triples()),
-        ("mul-unit", lambda a: mul(a, one) == a and mul(one, a) == a, ones),
-        ("distributes-left",
-         lambda a, b, c: mul(a, add(b, c)) == add(mul(a, b), mul(a, c)), triples()),
-        ("distributes-right",
-         lambda a, b, c: mul(add(b, c), a) == add(mul(b, a), mul(c, a)), triples()),
-        ("annihilation", lambda a: mul(a, zero) == zero and mul(zero, a) == zero, ones),
-        ("zero-least", lambda a: leq(zero, a), ones),
-        ("add-monotone", lambda p, q: leq(add(p[0], q[0]), add(p[1], q[1])),
-         pair_up(related)),
-        ("mul-monotone", lambda p, q: leq(mul(p[0], q[0]), mul(p[1], q[1])),
-         pair_up(related)),
+    leq, add, mul, zero, one = ix.leq, ix.add, ix.mul, ix.zero(), ix.one()
+    laws = [  # name, shape (0: a pair of related pairs, else the arity), statement
+        ("order-reflexive", 1, lambda a: leq(a, a)),
+        ("order-antisymmetric", 2, lambda a, b: not (leq(a, b) and leq(b, a)) or a == b),
+        ("order-transitive", 3, lambda a, b, c: not (leq(a, b) and leq(b, c)) or leq(a, c)),
+        ("add-commutative", 2, lambda a, b: add(a, b) == add(b, a)),
+        ("add-associative", 3, lambda a, b, c: add(add(a, b), c) == add(a, add(b, c))),
+        ("add-unit", 1, lambda a: add(a, zero) == a),
+        ("mul-associative", 3, lambda a, b, c: mul(mul(a, b), c) == mul(a, mul(b, c))),
+        ("mul-unit", 1, lambda a: mul(a, one) == a and mul(one, a) == a),
+        ("distributes-left", 3,
+         lambda a, b, c: mul(a, add(b, c)) == add(mul(a, b), mul(a, c))),
+        ("distributes-right", 3,
+         lambda a, b, c: mul(add(b, c), a) == add(mul(b, a), mul(c, a))),
+        ("annihilation", 1, lambda a: mul(a, zero) == zero and mul(zero, a) == zero),
+        ("zero-least", 1, lambda a: leq(zero, a)),
+        ("add-monotone", 0, lambda p, q: leq(add(p[0], q[0]), add(p[1], q[1]))),
+        ("mul-monotone", 0, lambda p, q: leq(mul(p[0], q[0]), mul(p[1], q[1]))),
     ]
+    ones = [(a,) for a in pool]
+    if seeded is not None:
+        pairs = [(a, b) for a, b, _ in seeded]
+        related = [(a, b) for a, b in pairs if leq(a, b)]
+        cases = {0: list(zip(related, related[1:] + related[:1])), 1: ones, 2: pairs,
+                 3: seeded}
+        return [_one_row(law, holds, cases[shape]) for law, shape, holds in laws]
+
+    P = tuple(pool)
+    read = {op: ix.reader(op, P) for op in ("leq", "add", "mul")}
+
+    @cache
+    def rows(op):  # op(a, b) over b in the pool, for each a in the pool
+        return [read[op](a) for a in P]
+
+    # the related pairs read every leq of the pool, in case order
+    related = [(a, b) for a, row in zip(P, rows("leq")) for b in compress(P, row)]
+    if monotone_pairs is not None and len(related) > monotone_pairs:
+        related = related[::len(related) // monotone_pairs + 1]
+
+    # Row tables live for this check only.  All but the leq rows are built
+    # inside the first kernel that reads them, so that an error building one
+    # sends that row to the walk.
+    @cache
+    def columns(op):  # op(b, a) over b in the pool, for each a
+        return list(zip(*rows(op)))
+
+    @cache
+    def flat(op):  # op(b, c) over (b, c) in the pool², flattened row by row
+        return list(chain.from_iterable(rows(op)))
+
+    @cache
+    def at_flat(op, inner):  # a's row of op at every inner(b, c)
+        return ix.reader(op, flat(inner))
+
+    @cache
+    def orders():  # up-set and down-set bitmasks of each pool position, and its id's
+        same: dict[int, int] = {}
+        for k, a in enumerate(P):
+            same[a] = same.get(a, 0) | 1 << k
+        return ([_mask(r) for r in rows("leq")], [_mask(c) for c in columns("leq")],
+                [same[a] for a in P])
+
+    @cache
+    def times_sums():  # mul(x, a) over the distinct x = add(b, c), for each a; and
+        # a read of those at every (b, c) in the pool²
+        distinct = list(dict.fromkeys(flat("add")))
+        at = _getter(list(map({x: i for i, x in enumerate(distinct)}.__getitem__,
+                              flat("add"))))
+        return list(zip(*map(read["mul"], distinct))), at
+
+    def sums(xs, ys):  # add(x, y) over (x, y) in xs × ys, flattened
+        return list(chain.from_iterable(map(ix.reader("add", ys), xs)))
+
+    def antisymmetric(k):
+        up, down, same = orders()
+        return not up[k] & down[k] & ~same[k]
+
+    def transitive(k):  # every up-set of a's up-set lies inside a's
+        up = orders()[0]
+        return reduce(or_, compress(up, rows("leq")[k]), up[k]) == up[k]
+
+    def commutative(k):
+        return rows("add")[k] == columns("add")[k]
+
+    def associative(op):
+        # (a·b)·c: the pool rows of each a·b; a·(b·c): a's row at every b·c
+        return lambda k: (list(chain.from_iterable(map(read[op], rows(op)[k])))
+                          == list(at_flat(op, op)(P[k])))
+
+    def distributes_left(k):
+        return list(at_flat("mul", "add")(P[k])) == sums(rows("mul")[k], rows("mul")[k])
+
+    def distributes_right(k):
+        columns_at_sums, at = times_sums()
+        return list(at(columns_at_sums[k])) == sums(columns("mul")[k], columns("mul")[k])
+
+    def monotone(op):
+        firsts = ix.reader(op, [q[0] for q in related])
+        seconds = ix.reader(op, [q[1] for q in related])
+        return lambda p: all(ix.read_pairs("leq", firsts(p[0]), seconds(p[1])))
+
+    kernels = {"order-antisymmetric": antisymmetric, "order-transitive": transitive,
+               "add-commutative": commutative, "add-associative": associative("add"),
+               "mul-associative": associative("mul"), "distributes-left": distributes_left,
+               "distributes-right": distributes_right, "add-monotone": monotone("add"),
+               "mul-monotone": monotone("mul")}
+    positions = range(len(P))
+    shapes = {0: (related, lambda p: iproduct((p,), related)), 1: ((ones,), _whole),
+              2: (positions, lambda k: iproduct((P[k],), P)),
+              3: (positions, lambda k: iproduct((P[k],), P, P))}
+    return [(law, holds, *shapes[shape], kernels.get(law)) for law, shape, holds in laws]
 
 
 def _seeded_triples(pool: list, count: int) -> list[tuple]:
@@ -1043,7 +1221,7 @@ def _seeded_triples(pool: list, count: int) -> list[tuple]:
 
 def validate_algebra(spec: Algebra) -> LawReport:
     """Check every grade-algebra axiom over ``Indexed(spec)``; exhaustive on
-    finite carriers.
+    finite carriers, by row kernels.
 
     Infinite carriers are checked on ``ALGEBRA_TRIPLES`` deterministic
     seeded triples drawn from ``spec.sample()``; their pairs are the first
@@ -1056,15 +1234,8 @@ def validate_algebra(spec: Algebra) -> LawReport:
             return LawReport(shape)
     ix = Indexed(spec)
     pool = [ix.id(v) for v in spec.sample()]
-    if spec.elements() is not None:
-        pairs, triples = lambda: iproduct(pool, repeat=2), lambda: iproduct(pool, repeat=3)
-        pair_up = lambda related: iproduct(related, repeat=2)
-    else:
-        seeded = _seeded_triples(pool, ALGEBRA_TRIPLES)
-        seeded_pairs = [(a, b) for a, b, _ in seeded]
-        pairs, triples = lambda: seeded_pairs, lambda: seeded
-        pair_up = lambda related: zip(related, related[1:] + related[:1])
-    return LawReport(shape + check_laws(semiring_laws(ix, pool, pairs, triples, pair_up),
+    seeded = None if spec.elements() is not None else _seeded_triples(pool, ALGEBRA_TRIPLES)
+    return LawReport(shape + check_laws(semiring_laws(ix, pool, seeded),
                                         show=ix.show).results)
 
 
@@ -1090,31 +1261,42 @@ def _validate_table_shape(table: FiniteTable) -> LawResult:
 
 def validate_hom(h: Hom) -> LawReport:
     """Check that a map is monotone and preserves 0, 1, sum and product;
-    exhaustive on a finite source, else on ``HOM_PAIRS`` seeded pairs.
+    exhaustive on a finite source, by row kernels, else on ``HOM_PAIRS``
+    seeded pairs.
 
     Both algebras are ``Indexed``, and the map is applied once per distinct
     source grade.
     """
     source = h.source()
     src, tgt = Indexed(source), Indexed(h.target())
-    images: dict[int, int] = {}
+    f = cache(lambda a: tgt.id(h.apply(src.values[a])))
 
-    def f(a: int) -> int:
-        b = images.get(a)
-        if b is None:
-            b = images[a] = tgt.id(h.apply(src.values[a]))
-        return b
-
-    units = check_laws([("hom-zero", lambda a: f(a) == tgt.zero(), [(src.zero(),)]),
-                        ("hom-one", lambda a: f(a) == tgt.one(), [(src.one(),)])],
+    units = check_laws([_one_row("hom-zero", lambda a: f(a) == tgt.zero(), [(src.zero(),)]),
+                        _one_row("hom-one", lambda a: f(a) == tgt.one(), [(src.one(),)])],
                        total="hom-total", show=src.show)
     if units.results[-1].law == "hom-total":
         return units
+    laws = [("hom-add", lambda a, b: f(src.add(a, b)) == tgt.add(f(a), f(b))),
+            ("hom-mul", lambda a, b: f(src.mul(a, b)) == tgt.mul(f(a), f(b))),
+            ("hom-monotone", lambda a, b: not src.leq(a, b) or tgt.leq(f(a), f(b)))]
     pool = [src.id(v) for v in source.sample()]
-    pairs = (list(iproduct(pool, repeat=2)) if source.elements() is not None
-             else [(a, b) for a, b, _ in _seeded_triples(pool, HOM_PAIRS)])
-    return LawReport(units.results + check_laws([
-        ("hom-add", lambda a, b: f(src.add(a, b)) == tgt.add(f(a), f(b)), pairs),
-        ("hom-mul", lambda a, b: f(src.mul(a, b)) == tgt.mul(f(a), f(b)), pairs),
-        ("hom-monotone", lambda a, b: not src.leq(a, b) or tgt.leq(f(a), f(b)), pairs),
-    ], show=src.show).results)
+    if source.elements() is None:
+        pairs = [(a, b) for a, b, _ in _seeded_triples(pool, HOM_PAIRS)]
+        return LawReport(units.results + check_laws(
+            [_one_row(law, holds, pairs) for law, holds in laws], show=src.show).results)
+
+    P = tuple(pool)
+    read = {op: src.reader(op, P) for op in ("leq", "add", "mul")}
+
+    @cache
+    def at_images(op):  # f(a)'s target row of op at the image of each pool grade
+        return tgt.reader(op, list(map(f, P)))
+
+    kernels = {
+        "hom-add": lambda k: list(map(f, read["add"](P[k]))) == list(at_images("add")(f(P[k]))),
+        "hom-mul": lambda k: list(map(f, read["mul"](P[k]))) == list(at_images("mul")(f(P[k]))),
+        "hom-monotone": lambda k: all(compress(at_images("leq")(f(P[k])), read["leq"](P[k]))),
+    }
+    return LawReport(units.results + check_laws(
+        [(law, holds, range(len(P)), lambda k: iproduct((P[k],), P), kernels[law])
+         for law, holds in laws], show=src.show).results)

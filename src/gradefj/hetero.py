@@ -21,8 +21,10 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass, field
+from functools import cache
 from itertools import product as iproduct
-from typing import Optional
+from operator import itemgetter
+from typing import Callable, Optional
 
 from .grades import (
     AFFINITY,
@@ -64,8 +66,10 @@ NAT_PREFIX = 11   # naturals 0..10 stand for kind N in the kinded pool
 POOL_SAMPLES = 8  # values of each other infinite kind in the kinded pool
 # Universe files are refused past these bounds, before any law check runs:
 MAX_SPEC_DEPTH = 8  # nesting of algebra and homomorphism specs
-MAX_CARRIER = 32    # elements of a finite kind (its law check is cubic in them)
-MAX_POOL = 80       # grades in the kinded pool (the universe law check is cubic in it)
+# The law checks read cubically many operation results in these, at C level
+# a memo row at a time; their Python-level work is at most quadratic.
+MAX_CARRIER = 32    # elements of a finite kind
+MAX_POOL = 80       # grades in the kinded pool
 
 
 class UniverseError(GradeError):
@@ -435,7 +439,10 @@ def validate_universe(kinds: dict[str, Algebra], edges: list[RefinementEdge],
                     j = least[0]
             join_table[(k1, k2)] = j
 
-    # derived signature laws
+    # derived signature laws; associativity compares whole rows over k3:
+    # join(join(k1, k2), k3) against k1's row read at every join(k2, k3)
+    row = {k1: {k2: join_table[k1, k2] for k2 in all_kinds} for k1 in all_kinds}
+    across = {k: itemgetter(*row[k].values()) for k in all_kinds}
     for k1 in all_kinds:
         if join_table[(k1, k1)] != k1:
             raise UniverseError(f"join not idempotent at {k1}")
@@ -444,11 +451,10 @@ def validate_universe(kinds: dict[str, Algebra], edges: list[RefinementEdge],
         for k2 in all_kinds:
             if join_table[(k1, k2)] != join_table[(k2, k1)]:
                 raise UniverseError(f"join not commutative at {k1},{k2}")
-            for k3 in all_kinds:
-                left = join_table[(join_table[(k1, k2)], k3)]
-                right = join_table[(k1, join_table[(k2, k3)])]
-                if left != right:
-                    raise UniverseError(f"join not associative at {k1},{k2},{k3}")
+            left, right = tuple(row[row[k1][k2]].values()), across[k2](row[k1])
+            if left != right:
+                k3 = next(k for k, l, r in zip(all_kinds, left, right) if l != r)
+                raise UniverseError(f"join not associative at {k1},{k2},{k3}")
 
     # N refines every kind and every kind refines T, by the unique homs
     homs: dict[tuple[str, str], Hom] = {(KIND_NAT, k): IotaHom(kinds[k]) for k in all_kinds}
@@ -475,26 +481,41 @@ MONOTONE_PAIRS = 400  # at most about this many related pairs for monotonicity
 def check_universe_laws(u: GradeUniverse) -> LawReport:
     """Grade-algebra axioms for the combined algebra plus injection coherence.
 
-    The axioms run over the ids of ``u.indexed``, so each operation is
-    computed once per pair of grades.  They are exhaustive over the kinded
-    pool (full finite carriers, naturals 0..10, eight values spread over the
-    sample of each other infinite kind), with monotonicity on an even stride
-    of at most ``MONOTONE_PAIRS`` related pairs; the cases are generated, not
-    stored.
+    The axioms run as row kernels over the ids of ``u.indexed``, so each
+    operation is computed once per pair of grades and read back a memo row at
+    a time.  They are exhaustive over the kinded pool (full finite carriers,
+    naturals 0..10, eight values spread over the sample of each other
+    infinite kind), with monotonicity on an even stride of at most
+    ``MONOTONE_PAIRS`` related pairs.
     Functoriality and the six injection equations are checked on every kind
-    pair or triple, pointwise on the pool's values of the source kind.
+    pair or triple, pointwise on the pool's values of the source kind (see
+    ``_coherence_laws``).
     """
     grades = u.sample_pool()
+    ix = u.indexed
+    axioms = check_laws(semiring_laws(ix, [g.id for g in grades],
+                                      monotone_pairs=MONOTONE_PAIRS), show=ix.show)
+    return LawReport(axioms.results + check_laws(_coherence_laws(u, grades)).results)
+
+
+def _coherence_laws(u: GradeUniverse, grades: list[KindedGrade]) -> list[tuple]:
+    """Functoriality of the derived homomorphisms and the six injection
+    equations, as ``check_laws`` input: one row per first kind.
+
+    Each statement says two routes move the pool's values of one kind to the
+    same grades.  The kernels compare routes as lists of ids in
+    ``u.indexed``: the pool's grades of a kind moved into another (one
+    transport map per pair of kinds), then moved on one grade at a time, each
+    grade once per target kind.  A row of kind triples first gathers its
+    distinct routes, so it moves nothing per triple.
+    """
     values: dict[str, list[GradeValue]] = {}
+    ids: dict[str, list[int]] = {}
     for g in grades:
         values.setdefault(g.kind, []).append(g.value)
+        ids.setdefault(g.kind, []).append(g.id)
     ix = u.indexed
-    pool = [g.id for g in grades]
-
-    def pair_up(related):
-        if len(related) > MONOTONE_PAIRS:
-            related = related[::len(related) // MONOTONE_PAIRS + 1]
-        return iproduct(related, repeat=2)
+    names = sorted(u.kinds)
 
     def eq_on(kind, f, g):
         return all(f(v) == g(v) for v in values[kind])
@@ -520,30 +541,108 @@ def check_universe_laws(u: GradeUniverse) -> LawReport:
     def injr(k1, k2):
         return move(k2, join(k1, k2))
 
-    kind_names = sorted(u.kinds)
-    kind_triples = [(a, b, c) for a in kind_names for b in kind_names for c in kind_names]
-    kind_pairs = [(a, b) for a in kind_names for b in kind_names]
-    kind_ones = [(a,) for a in kind_names]
-    axioms = check_laws(semiring_laws(ix, pool, lambda: iproduct(pool, repeat=2),
-                                      lambda: iproduct(pool, repeat=3), pair_up),
-                        show=ix.show)
-    return LawReport(axioms.results + check_laws([
-        ("hom-functorial", functorial, kind_triples),
+    # the kernels: kinds by their index in ``names``
+    @cache
+    def into(k: int) -> Callable[[int], int]:  # moves one grade into kind k, once each
+        kind = names[k]
+
+        def move_id(i: int) -> int:
+            g = ix.values[i]
+            return ix.id(KindedGrade(kind, u.homs[g.kind, kind].apply(g.value)))
+        return cache(move_id)
+
+    @cache
+    def moved(k1: int, k2: int) -> list[int]:  # the transport map k1 -> k2
+        return list(map(into(k2), ids[names[k1]]))
+
+    def via(k: int, k1: int, k2: int) -> list[int]:  # k -> k1, then each on to k2
+        return list(map(into(k2), moved(k, k1)))
+
+    @cache
+    def joins():  # per kind, the join with each kind; and a reader at each join row
+        index = {k: i for i, k in enumerate(names)}
+        table = [[index[join(a, b)] for b in names] for a in names]
+        return table, [itemgetter(*row) for row in table]
+
+    @cache
+    def above():  # per kind, the kinds it refines
+        return [[b for b, kb in enumerate(names) if u.kind_leq(ka, kb)] for ka in names]
+
+    def functorial_row(a: int) -> bool:
+        return all(via(a, b, c) == moved(a, c) for b in above()[a] for c in above()[b])
+
+    # A row of kind triples reads, for each b, the joins over c as whole
+    # rows; b's that give the same rows give the same routes, so each
+    # distinct pair of rows is checked once.  Equal rows are kept as one
+    # tuple.
+    join_rows: dict[tuple, tuple] = {}
+
+    def over_c(a: int, b: int) -> tuple[int, ...]:  # join(a, join(b, c)) over c
+        table, at = joins()
+        row = at[b](table[a])
+        return join_rows.setdefault(row, row)
+
+    def left_assoc_row(a: int) -> bool:
+        table = joins()[0]
+        seen = set()
+        for b, ab in enumerate(table[a]):
+            a_bc = over_c(a, b)
+            if (ab, a_bc) not in seen:
+                seen.add((ab, a_bc))
+                if not all(via(a, ab, abc) == moved(a, j)
+                           for abc, j in set(zip(table[ab], a_bc))):
+                    return False
+        return True
+
+    middle_seen: set[tuple] = set()  # rows shared by kind triples with other a's
+
+    def middle_route_row(a: int) -> bool:
+        table = joins()[0]
+        for b, ab in enumerate(table[a]):
+            a_bc = over_c(a, b)
+            if (b, ab, a_bc) not in middle_seen:
+                if not all(via(b, ab, abc) == via(b, bc, j)
+                           for abc, bc, j in set(zip(table[ab], table[b], a_bc))):
+                    return False
+                middle_seen.add((b, ab, a_bc))
+        return True
+
+    def commute_row(a: int) -> bool:
+        table = joins()[0]
+        return all(moved(a, ab) == moved(a, ba)
+                   for ab, ba in set(zip(table[a], (row[a] for row in table))))
+
+    def into_itself(join_with: Callable[[int], int]) -> Callable[[int], bool]:
+        return lambda a: moved(a, join_with(a)) == ids[names[a]]
+
+    def bottom_right_row(a: int) -> bool:
+        n, iota = names.index(KIND_NAT), IotaHom(u.algebra(names[a])).apply
+        return moved(n, joins()[0][a][n]) == [
+            ix.id(KindedGrade(names[a], iota(v))) for v in values[KIND_NAT]]
+
+    kinds = range(len(names))
+    triples = (kinds, lambda a: iproduct((names[a],), names, names))
+    return [
+        ("hom-functorial", functorial, *triples, functorial_row),
         ("inj-1-left-assoc",
          lambda a, b, c: eq_on(a, lambda v: injl(join(a, b), c)(injl(a, b)(v)),
                                injl(a, join(b, c))),
-         kind_triples),
+         *triples, left_assoc_row),
         ("inj-2-middle-route",
          lambda a, b, c: eq_on(b, lambda v: injl(join(a, b), c)(injr(a, b)(v)),
                                lambda v: injr(a, join(b, c))(injl(b, c)(v))),
-         kind_triples),
-        ("inj-3-commute", lambda a, b: eq_on(a, injl(a, b), injr(b, a)), kind_pairs),
-        ("inj-4-idempotent", lambda a: eq_on(a, injl(a, a), lambda v: v), kind_ones),
-        ("inj-5-bottom-left", lambda a: eq_on(a, injl(a, KIND_NAT), lambda v: v), kind_ones),
+         *triples, middle_route_row),
+        ("inj-3-commute", lambda a, b: eq_on(a, injl(a, b), injr(b, a)),
+         kinds, lambda a: iproduct((names[a],), names), commute_row),
+        ("inj-4-idempotent", lambda a: eq_on(a, injl(a, a), lambda v: v),
+         kinds, lambda a: [(names[a],)], into_itself(lambda a: joins()[0][a][a])),
+        ("inj-5-bottom-left", lambda a: eq_on(a, injl(a, KIND_NAT), lambda v: v),
+         kinds, lambda a: [(names[a],)],
+         into_itself(lambda a: joins()[0][a][names.index(KIND_NAT)])),
         ("inj-6-bottom-right",
          lambda a: eq_on(KIND_NAT, injr(a, KIND_NAT), IotaHom(u.algebra(a)).apply),
-         kind_ones),
-    ]).results)
+         kinds, lambda a: [(names[a],)], bottom_right_row),
+    ]
 
 
 # -- configuration files -----------------------------------------------------
@@ -675,6 +774,11 @@ class PartialMapConfig(UniverseError):
 def universe_from_config(cfg) -> GradeUniverse:
     if not isinstance(cfg, dict):
         raise UniverseError(f"a universe config must be an object, got {type(cfg).__name__}")
+    # a misspelt key would otherwise leave its part of the universe out
+    for key in cfg:
+        if key not in ("kinds", "edges"):
+            raise UniverseError(f"unknown universe key {key!r}: a universe config has "
+                                "only 'kinds' and 'edges'")
     kinds_cfg, edges_cfg = cfg.get("kinds", {}), cfg.get("edges", [])
     if not isinstance(kinds_cfg, dict):
         raise UniverseError(f"'kinds' must be an object, got {type(kinds_cfg).__name__}")
@@ -682,6 +786,13 @@ def universe_from_config(cfg) -> GradeUniverse:
             and all(isinstance(e, dict) and _strings([e.get("sub"), e.get("super")])
                     for e in edges_cfg)):
         raise UniverseError("'edges' must be a list of objects with string 'sub' and 'super'")
+    for e in edges_cfg:
+        for key in e:
+            if key not in ("sub", "super", "hom"):
+                raise UniverseError(f"edge {e['sub']} -> {e['super']}: unknown key {key!r}: "
+                                    "an edge has only 'sub', 'super' and 'hom'")
+        if "hom" not in e:
+            raise UniverseError(f"edge {e['sub']} -> {e['super']} has no 'hom'")
     if KIND_NAT in kinds_cfg or KIND_TRIVIAL in kinds_cfg:
         raise UniverseError("kinds N and T are implicit and may not be redeclared")
     kinds = {name: algebra_from_config(spec, 1) for name, spec in kinds_cfg.items()}

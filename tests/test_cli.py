@@ -288,6 +288,15 @@ _TABLE = {"name": "t", "elements": ["0"], "leq": [["0", "0"]], "sum": {"0": {"0"
     ({"kinds": {"X": {"table": {**_TABLE, "sum": {"0": 1}}}}}, "'sum' must map each element"),
     ({"kinds": {"X": {"product": 3}}}, "'product' must be a list of two specs"),
     (_extreal_image("1/0"), "bad extended real literal '1/0'"),
+    # unknown keys are refused, not ignored: a misspelt "edges" or a program
+    # manifest would load as a universe without them
+    ({"kinds": {"X": {"builtin": "boolean"}}, "edge": []}, "unknown universe key 'edge'"),
+    ({"expect": "accept", "run": {"outcome": "final"}}, "unknown universe key 'expect'"),
+    ({"kinds": {"B": {"builtin": "boolean"}, "R": {"builtin": "extreal"}},
+      "edges": [{"sub": "B", "super": "R", "hom": {"map": {"0": "0", "1": "1"}}, "homs": {}}]},
+     "edge B -> R: unknown key 'homs'"),
+    ({"kinds": {"B": {"builtin": "boolean"}, "R": {"builtin": "extreal"}},
+      "edges": [{"sub": "B", "super": "R"}]}, "edge B -> R has no 'hom'"),
 ])
 @pytest.mark.parametrize("command", ["check", "run", "laws"])
 def test_malformed_universe_config_is_bad_input(capsys, tmp_path, corpus_dir, cfg, message,

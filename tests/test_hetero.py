@@ -1,5 +1,6 @@
 """Refinement graphs, kinded grades, and the combined-algebra laws."""
 
+import pathlib
 from collections import Counter
 
 import pytest
@@ -8,6 +9,7 @@ from gradefj.grades import (
     AFFINITY,
     BOOLEAN,
     CarrierMismatch,
+    ComposeHom,
     EXTREAL,
     ExtendAlgebra,
     FiniteAlgebra,
@@ -15,6 +17,7 @@ from gradefj.grades import (
     FiniteMapHom,
     FiniteTable,
     IdentityHom,
+    Indexed,
     IotaHom,
     NAT,
     Nat,
@@ -25,6 +28,7 @@ from gradefj.grades import (
     ProjLeftHom,
     ProjRightHom,
     Triv,
+    ZetaHom,
     validate_hom,
 )
 from gradefj.hetero import (
@@ -47,6 +51,8 @@ from gradefj.hetero import (
     universe_from_config,
     validate_universe,
 )
+
+PROGRAMS = pathlib.Path(__file__).parent / "programs"
 
 AFF = lambda n: KindedGrade("A", FiniteElem(n, "affinity"))
 PRIV = lambda n: KindedGrade("P", FiniteElem(n, "privacy2"))
@@ -363,6 +369,49 @@ def test_check_universe_laws_computes_each_operation_once(monkeypatch, corpus_di
     before = sum(calls.values())
     assert check_universe_laws(u).ok
     assert sum(calls.values()) == before
+
+
+def test_warm_universe_laws_read_whole_memo_rows(monkeypatch):
+    # the second check finds every operation in the memo rows and reads
+    # them a row at a time: Python-level operation calls stay within a few
+    # per pair of pool grades, where case-by-case checks make millions
+    u = load_universe(str(PROGRAMS / "chain_pool80.json"))
+    assert check_universe_laws(u).ok
+    n = len(u.sample_pool())
+    calls = Counter()
+    for op in ("leq", "add", "mul"):
+        original = getattr(Indexed, op)
+
+        def counted(self, i, j, op=op, original=original):
+            calls[op] += 1
+            return original(self, i, j)
+
+        monkeypatch.setattr(Indexed, op, counted)
+    assert check_universe_laws(u).ok
+    assert 0 < sum(calls.values()) <= 4 * n * n
+
+
+def test_coherence_moves_each_grade_once_per_kind(monkeypatch):
+    # 68 one-element kinds: kind triples are cubic in the kinds, but each
+    # pool grade is moved into each kind at most once per check, plus the
+    # homs the combined operations apply
+    u = load_universe(str(PROGRAMS / "kinds68_pool80.json"))
+    applied = Counter()
+    for cls in (IdentityHom, IotaHom, ZetaHom, FiniteMapHom, ComposeHom):
+        original = cls.apply
+
+        def counted(self, a, cls=cls, original=original):
+            applied[cls.__name__] += 1
+            return original(self, a)
+
+        monkeypatch.setattr(cls, "apply", counted)
+    assert check_universe_laws(u).ok
+    kinds, pool = len(u.kinds), len(u.sample_pool())
+    assert sum(applied.values()) <= kinds * kinds * pool
+    # once the operations are memoised, only the transport maps apply homs
+    applied.clear()
+    assert check_universe_laws(u).ok
+    assert sum(applied.values()) <= kinds * pool
 
 
 def test_check_universe_laws_witnesses():
