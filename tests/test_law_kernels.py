@@ -264,9 +264,20 @@ def _partial_hom():
     return u
 
 
-@pytest.mark.parametrize("make", [_pp_p_b, _off_route_hom, _uneven_join, _partial_hom],
+def _join_into_top():
+    # U's one value moved into T equals it as a value but is another kinded
+    # grade: a kernel comparing ids refuses the row, and the walk passes it
+    u = validate_universe({"U": TRIVIAL}, [])
+    u.join_table["U", "U"] = "T"
+    return u
+
+
+@pytest.mark.parametrize("make", [_pp_p_b, _off_route_hom, _uneven_join, _partial_hom,
+                                  _join_into_top],
                          ids=lambda f: f.__name__.strip("_"))
 def test_altered_universe_reports_match_the_reference(make):
     got = assert_same_universe_report(make)
     if make is _partial_hom:  # the related pairs already need the missing image
         assert got == ("PartialMap", "map has no image for element 'b'")
+    if make is _join_into_top:
+        assert ("inj-4-idempotent", True, None) in got
