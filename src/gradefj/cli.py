@@ -10,6 +10,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from functools import cache
 
 from .hetero import GradeUniverse, check_universe_laws, default_universe, load_universe
 from .grades import GradeError, LawReport, validate_algebra
@@ -166,7 +167,10 @@ def cmd_laws(args) -> int:
     return EXIT_OK if ok else EXIT_BAD_INPUT
 
 
+@cache
 def build_parser() -> argparse.ArgumentParser:
+    """The argument parser, built on the first call and reused: ``main`` may
+    run many commands in one process."""
     parser = argparse.ArgumentParser(prog="gradefj",
                                      description="Resource-aware Featherweight Java")
     sub = parser.add_subparsers(dest="command", required=True)

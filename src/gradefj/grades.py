@@ -73,11 +73,13 @@ def the_residual(maximal: list[GradeValue]) -> Optional[GradeValue]:
 
 @dataclass(frozen=True)
 class GradeValue:
-    pass
+    """A value of some grade algebra."""
 
 
 @dataclass(frozen=True)
 class Nat(GradeValue):
+    """A natural number."""
+
     n: int
 
     def __post_init__(self):
@@ -116,6 +118,8 @@ class ExtReal(GradeValue):
 
 @dataclass(frozen=True)
 class FiniteElem(GradeValue):
+    """Element ``name`` of the finite algebra named ``algebra``."""
+
     name: str
     algebra: str
 
@@ -125,6 +129,8 @@ class FiniteElem(GradeValue):
 
 @dataclass(frozen=True)
 class PairValue(GradeValue):
+    """A value of a product algebra: one value of each side."""
+
     left: GradeValue
     right: GradeValue
 
@@ -134,6 +140,8 @@ class PairValue(GradeValue):
 
 @dataclass(frozen=True)
 class ExtFin(GradeValue):
+    """A value of the inner algebra, inside its extension by infinity."""
+
     inner: GradeValue
 
     def __str__(self):
@@ -142,6 +150,8 @@ class ExtFin(GradeValue):
 
 @dataclass(frozen=True)
 class ExtInf(GradeValue):
+    """The infinity an extension adjoins on top of its inner algebra."""
+
     def __str__(self):
         return "inf"
 
@@ -202,6 +212,8 @@ class Algebra:
 
 @dataclass(frozen=True)
 class NatAlgebra(Algebra):
+    """The naturals with their usual order, sum and product."""
+
     def leq(self, a, b):
         self.check_value(a), self.check_value(b)
         return a.n <= b.n
@@ -246,6 +258,8 @@ class NatAlgebra(Algebra):
 
 @dataclass(frozen=True)
 class TrivialAlgebra(Algebra):
+    """The one-element algebra, whose only value ``inf`` is both zero and one."""
+
     def leq(self, a, b):
         self.check_value(a), self.check_value(b)
         return True
@@ -285,6 +299,8 @@ class TrivialAlgebra(Algebra):
 
 @dataclass(frozen=True)
 class ExtRealAlgebra(Algebra):
+    """Non-negative rationals and infinity with the usual order, sum and product."""
+
     def leq(self, a, b):
         self.check_value(a), self.check_value(b)
         if b.q is None:
@@ -374,6 +390,8 @@ class FiniteTable:
 
 @dataclass(frozen=True)
 class FiniteAlgebra(Algebra):
+    """A finite algebra read from the tables of a ``FiniteTable``."""
+
     table: FiniteTable
 
     def _value(self, name: str) -> FiniteElem:
@@ -422,6 +440,8 @@ class FiniteAlgebra(Algebra):
 
 @dataclass(frozen=True)
 class ProductAlgebra(Algebra):
+    """Pairs of grades, ordered and combined side by side."""
+
     left: Algebra
     right: Algebra
 
@@ -723,7 +743,7 @@ def zeta(a: GradeValue, source: Algebra) -> GradeValue:
 # ---------------------------------------------------------------------------
 # Homomorphisms
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False, repr=False)
 class Hom:
     """A structure-preserving monotone map between two algebras."""
 
@@ -737,8 +757,10 @@ class Hom:
         raise NotImplementedError
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False, repr=False)
 class IdentityHom(Hom):
+    """The identity on ``spec``."""
+
     spec: Algebra
 
     def source(self):
@@ -752,8 +774,10 @@ class IdentityHom(Hom):
         return a
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False, repr=False)
 class IotaHom(Hom):
+    """The one homomorphism from the naturals: n goes to the sum of n ones."""
+
     target_spec: Algebra
 
     def source(self):
@@ -766,8 +790,10 @@ class IotaHom(Hom):
         return iota(a, self.target_spec)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False, repr=False)
 class ZetaHom(Hom):
+    """The one homomorphism into the trivial algebra."""
+
     source_spec: Algebra
 
     def source(self):
@@ -780,8 +806,10 @@ class ZetaHom(Hom):
         return zeta(a, self.source_spec)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False, repr=False)
 class ProjLeftHom(Hom):
+    """The projection of a product onto its left side."""
+
     product: ProductAlgebra
 
     def source(self):
@@ -795,8 +823,10 @@ class ProjLeftHom(Hom):
         return a.left
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False, repr=False)
 class ProjRightHom(Hom):
+    """The projection of a product onto its right side."""
+
     product: ProductAlgebra
 
     def source(self):
@@ -810,11 +840,13 @@ class ProjRightHom(Hom):
         return a.right
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False, repr=False)
 class FiniteMapHom(Hom):
+    """A homomorphism out of a finite algebra, given by the image of each element."""
+
     source_spec: FiniteAlgebra
     target_spec: Algebra
-    mapping: dict[str, GradeValue] = field(hash=False)
+    mapping: dict[str, GradeValue]
 
     def source(self):
         return self.source_spec
@@ -829,7 +861,7 @@ class FiniteMapHom(Hom):
         return self.mapping[a.name]
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False, repr=False)
 class ComposeHom(Hom):
     """Apply ``first``, then ``second``."""
 
@@ -869,6 +901,8 @@ HOM_PAIRS = 400         # seeded pairs checked for a map out of an infinite carr
 
 @dataclass
 class LawResult:
+    """One checked law: whether it held, and a witness when it did not."""
+
     law: str
     ok: bool
     witness: Optional[tuple] = None
@@ -879,8 +913,10 @@ class LawResult:
         return f"FAIL {self.law} witness={self.witness}"
 
 
-@dataclass
+@dataclass(eq=False, repr=False)
 class LawReport:
+    """The results of a law check, one per law, in the order they were checked."""
+
     results: list[LawResult]
 
     @property

@@ -104,6 +104,8 @@ class NotRefinement(UniverseError):
 
 @dataclass(frozen=True)
 class KindedGrade:
+    """A grade of the combined algebra: a value of the algebra of ``kind``."""
+
     kind: str
     value: GradeValue
     # the grade's id in the universe table that made it canonical (-1: none);
@@ -123,6 +125,8 @@ ONE_D = KindedGrade(KIND_NAT, Nat(1), 1)
 
 @dataclass(frozen=True)
 class RefinementEdge:
+    """A declared direct refinement: kind ``sub`` refines ``sup`` by ``hom``."""
+
     sub: str
     sup: str
     hom: Hom
@@ -185,7 +189,7 @@ class KindedAlgebra:
         return ONE_D
 
 
-@dataclass
+@dataclass(eq=False, repr=False)
 class GradeUniverse:
     """A validated kind family with derived order, joins and homomorphisms.
 
@@ -202,8 +206,8 @@ class GradeUniverse:
     join_table: dict[tuple[str, str], str] = field(default_factory=dict)
     homs: dict[tuple[str, str], Hom] = field(default_factory=dict)
     # the load-time law report of each user kind (none when not validated)
-    law_reports: dict[str, LawReport] = field(default_factory=dict, compare=False)
-    indexed: Indexed = field(init=False, repr=False, compare=False)
+    law_reports: dict[str, LawReport] = field(default_factory=dict)
+    indexed: Indexed = field(init=False)
 
     def __post_init__(self):
         kinded = KindedAlgebra(self)
@@ -431,12 +435,13 @@ def validate_universe(kinds: dict[str, Algebra], edges: list[RefinementEdge],
                 if not common:
                     j = KIND_TRIVIAL
                 else:
-                    least = [c for c in common if all(a in up[c] for a in common)]
-                    if not least:
+                    # a least common ancestor's up-set strictly holds every
+                    # other one's, so only the largest can be the least
+                    j = max(common, key=lambda c: len(up[c]))
+                    if not common <= up[j].keys():
                         minimal = {c for c in common
                                    if not any(d != c and c in up[d] for d in common)}
                         raise NoLeastAncestor(k1, k2, minimal)
-                    j = least[0]
             join_table[(k1, k2)] = j
 
     # derived signature laws; associativity compares whole rows over k3:
@@ -466,11 +471,24 @@ def validate_universe(kinds: dict[str, Algebra], edges: list[RefinementEdge],
                          join_table=join_table, homs=homs, law_reports=law_reports)
 
 
-def default_universe() -> GradeUniverse:
-    """N and T plus unrelated affinity (A) and two-level privacy (P)."""
+@cache
+def _validated_default() -> GradeUniverse:
     from .grades import PRIVACY
     return validate_universe({"A": AFFINITY, "P": PRIVACY}, [],
                              validate_algebras=False)
+
+
+def default_universe() -> GradeUniverse:
+    """N and T plus unrelated affinity (A) and two-level privacy (P).
+
+    The kinds are validated on the first call only.  Each call returns a
+    new universe with its own intern table and its own copies of the
+    dicts, so no grade interned in one, and no edit of one, reaches another.
+    """
+    v = _validated_default()
+    return GradeUniverse(kinds=dict(v.kinds), edges=list(v.edges), order=v.order,
+                         join_table=dict(v.join_table), homs=dict(v.homs),
+                         law_reports=dict(v.law_reports))
 
 
 # -- universe-level law checking -------------------------------------------

@@ -13,7 +13,7 @@ and outcomes.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
 from typing import Optional
 
@@ -199,13 +199,15 @@ def lower_grade_samples(u: GradeUniverse, grade: KindedGrade, limit: int = 25) -
 # ---------------------------------------------------------------------------
 # Corpus
 
-@dataclass
+@dataclass(eq=False, repr=False)
 class CorpusEntry:
+    """A corpus program with its manifest, its universe and its parse."""
+
     name: str
     path: Path
     manifest: dict
     universe: GradeUniverse
-    program: Program = field(repr=False, default=None)
+    program: Program = None
 
 
 def load_corpus(directory: str | Path) -> list[CorpusEntry]:
@@ -232,8 +234,10 @@ def load_corpus(directory: str | Path) -> list[CorpusEntry]:
     return entries
 
 
-@dataclass
+@dataclass(eq=False, repr=False)
 class EntryOutcome:
+    """The failures found checking one corpus entry; none when it passed."""
+
     name: str
     failures: list[str]
 

@@ -225,6 +225,8 @@ def erase_config(cfg: GradedConfig) -> StdConfig:
 
 @dataclass(frozen=True)
 class ResourceExhausted:
+    """Stuck: variable ``var`` cannot supply the grade demanded of it."""
+
     var: str
     available: Optional[KindedGrade]
     demanded: KindedGrade
@@ -238,6 +240,8 @@ class ResourceExhausted:
 
 @dataclass(frozen=True)
 class FieldExtraction:
+    """Stuck: a field's grade does not cover the grade demanded of it."""
+
     fieldName: str
     have: KindedGrade
     demanded: KindedGrade
@@ -249,6 +253,8 @@ class FieldExtraction:
 
 @dataclass(frozen=True)
 class NoSuchMember:
+    """Stuck: the receiver's class has no such field or method."""
+
     name: str
 
     def render(self) -> str:
@@ -257,6 +263,8 @@ class NoSuchMember:
 
 @dataclass(frozen=True)
 class NotAValue:
+    """Stuck for another reason, which ``detail`` names."""
+
     detail: str
 
     def render(self) -> str:
@@ -273,20 +281,20 @@ def reason_name(reason: StuckReason) -> str:
 # ---------------------------------------------------------------------------
 # Consumption policies
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False, repr=False)
 class Minimal:
     """Burn exactly the reduction grade (its unit when reducing at zero)
     and keep the canonical maximal residual."""
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False, repr=False)
 class Enumerate:
     """Yield every admissible (burned, residual) pair; on infinite kinds
     the burned amount ranges over grade, grade+1, ... up to the bound."""
     bound: int = 3
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False, repr=False)
 class FixedWitness:
     """Replay a recorded variable consumption (used by step replaying)."""
     consumed: KindedGrade
@@ -298,14 +306,18 @@ Policy = Union[Minimal, Enumerate, FixedWitness]
 
 @dataclass(frozen=True)
 class StepInfo:
+    """The rule a step applied and, for a variable, what it consumed and left."""
+
     rule: str
     var: Optional[str] = None
     consumed: Optional[KindedGrade] = None
     residual: Optional[KindedGrade] = None
 
 
-@dataclass
+@dataclass(eq=False, repr=False)
 class StepResult:
+    """A value, the successors of a step with how each was reached, or why it is stuck."""
+
     kind: str  # "value" | "step" | "stuck"
     successors: list[tuple[GradedConfig, StepInfo]] = field(default_factory=list)
     reason: Optional[StuckReason] = None
@@ -612,6 +624,8 @@ def std_run(table: ClassTable, cfg: StdConfig, fuel: int = 100_000) -> tuple[str
 
 @dataclass
 class TraceEntry:
+    """One configuration of a run and the step that reached it."""
+
     config: GradedConfig
     info: Optional[StepInfo]  # None on the initial configuration
 
@@ -624,6 +638,8 @@ class TraceEntry:
 
 @dataclass
 class RunResult:
+    """How a run ended, after how many steps, and in which configuration."""
+
     outcome: str  # "final" | "stuck" | "fuel"
     steps: int
     config: GradedConfig

@@ -50,11 +50,13 @@ Pos = tuple[int, int]
 
 @dataclass(frozen=True)
 class Expr:
-    pass
+    """An expression; a slot child carries its grade in ``ascription``."""
 
 
 @dataclass(frozen=True)
 class Var(Expr):
+    """A variable, ``this`` included."""
+
     name: str
     ascription: Optional[KindedGrade] = None
     pos: Pos = field(default=(0, 0), compare=False)
@@ -62,6 +64,8 @@ class Var(Expr):
 
 @dataclass(frozen=True)
 class FieldAccess(Expr):
+    """``recv.fieldName``."""
+
     recv: Expr
     fieldName: str
     ascription: Optional[KindedGrade] = None
@@ -70,6 +74,8 @@ class FieldAccess(Expr):
 
 @dataclass(frozen=True)
 class New(Expr):
+    """``new className(args)``: an object, and a value once its arguments are."""
+
     className: str
     args: tuple[Expr, ...]
     ascription: Optional[KindedGrade] = None
@@ -87,6 +93,8 @@ class New(Expr):
 
 @dataclass(frozen=True)
 class Invk(Expr):
+    """``recv.method(args)``."""
+
     recv: Expr
     method: str
     args: tuple[Expr, ...]
@@ -96,6 +104,8 @@ class Invk(Expr):
 
 @dataclass(frozen=True)
 class Block(Expr):
+    """``{declClass[declGrade] var = init; body}``."""
+
     declClass: str
     declGrade: KindedGrade
     var: str
@@ -178,6 +188,8 @@ def subst(e: Expr, mapping: dict[str, str]) -> Expr:
 
 @dataclass(frozen=True)
 class GradedType:
+    """A class name with a grade: ``className[grade]``."""
+
     className: str
     grade: KindedGrade
 
@@ -187,6 +199,8 @@ class GradedType:
 
 @dataclass(frozen=True)
 class FieldDecl:
+    """A field declaration: its class, grade and name."""
+
     className: str
     grade: KindedGrade
     name: str
@@ -195,6 +209,8 @@ class FieldDecl:
 
 @dataclass(frozen=True)
 class Param:
+    """A method parameter: its class, grade and name."""
+
     className: str
     grade: KindedGrade
     name: str
@@ -202,6 +218,8 @@ class Param:
 
 @dataclass(frozen=True)
 class MethodDecl:
+    """A method declaration: the grade of ``this``, parameters, return type and body."""
+
     name: str
     thisGrade: KindedGrade
     params: tuple[Param, ...]
@@ -212,6 +230,8 @@ class MethodDecl:
 
 @dataclass(frozen=True)
 class ClassDecl:
+    """A class declaration: its superclass, fields and methods by name."""
+
     name: str
     superName: str
     fields: tuple[FieldDecl, ...]
@@ -221,13 +241,17 @@ class ClassDecl:
 
 @dataclass(frozen=True)
 class MethodType:
+    """A method's signature: the grade of ``this``, parameters and return type."""
+
     thisGrade: KindedGrade
     params: tuple[Param, ...]
     returnType: GradedType
 
 
-@dataclass
+@dataclass(eq=False, repr=False)
 class ClassTable:
+    """The classes of a program by name, with lookups through inheritance."""
+
     classes: dict[str, ClassDecl]
 
     def decl(self, name: str) -> ClassDecl:
@@ -312,8 +336,10 @@ def gtype_leq(u: GradeUniverse, table: ClassTable, t1: GradedType, t2: GradedTyp
     return table.subclass_of(t1.className, t2.className) and u.leq(t2.grade, t1.grade)
 
 
-@dataclass
+@dataclass(eq=False, repr=False)
 class Program:
+    """A class table and the main expression, run at ``mainGrade``."""
+
     table: ClassTable
     main: Expr
     mainGrade: KindedGrade

@@ -46,6 +46,8 @@ TypeEnv = dict[str, str]
 
 @dataclass(frozen=True)
 class CheckDiag:
+    """One diagnostic: the rule, the kind of error, a message and a position."""
+
     rule: str
     kind: str
     msg: str
@@ -69,8 +71,10 @@ def _fail(rule: str, kind: str, msg: str, pos: Pos = (0, 0)):
     raise CheckError(CheckDiag(rule, kind, msg, pos))
 
 
-@dataclass
+@dataclass(eq=False, repr=False)
 class TypingResult:
+    """The context an expression needs and its elaboration."""
+
     ctx: CoeffectCtx
     elaborated: Expr
 
@@ -413,14 +417,14 @@ def check_program(u: GradeUniverse, program: Program) -> tuple[TypingResult, Gra
     return check(u, program.table, {}, program.main, expected), expected
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False, repr=False)
 class Annotated:
     """A program ready to run: its table and main with every slot filled."""
     table: ClassTable
     main: Expr
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False, repr=False)
 class Elaborated(Annotated):
     """An accepted program, with the context its main needs and its type."""
     ctx: CoeffectCtx

@@ -178,6 +178,29 @@ def test_run_grade_arithmetic_does_not_grow_with_fuel(capsys, monkeypatch):
     assert made[0] == made[1]
 
 
+ARGUMENT_ERRORS = {
+    "zero-fuel": (["run", "--fuel", "0", "f.gfj"], "error: --fuel must be positive"),
+    "unknown-subcommand": (["frobnicate"], "invalid choice: 'frobnicate'"),
+    "missing-file": (["check"], "the following arguments are required: file"),
+}
+
+
+@pytest.mark.parametrize("argv, message", ARGUMENT_ERRORS.values(), ids=list(ARGUMENT_ERRORS))
+def test_argument_errors_exit_2_on_every_call(capsys, corpus_dir, argv, message):
+    # main builds its parser once per process: an error, and a command run
+    # in between, must leave the next call's error as the first one was
+    seen = []
+    for _ in range(2):
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        seen.append((exc.value.code, *capsys.readouterr()))
+        assert run_cli(capsys, "check", corpus_path(corpus_dir, "two_blocks_nat.gfj"))[0] == 0
+    assert seen[0] == seen[1]
+    code, out, err = seen[0]
+    assert code == 2 and out == ""
+    assert err.startswith("usage: gradefj") and message in err
+
+
 def test_run_universe_flag(capsys, corpus_dir):
     code, out, _ = run_cli(capsys, "run",
                            "--universe", corpus_path(corpus_dir, "affinity_privacy.json"),
@@ -191,6 +214,14 @@ def test_laws_ap_universe_passes(capsys, corpus_dir):
     assert code == 0
     assert "FAIL" not in out
     assert "inj-1-left-assoc" in out
+
+
+def test_laws_refuses_refinement_diamonds(capsys):
+    path = str(pathlib.Path(__file__).parent / "programs" / "diamonds_pool79.json")
+    code, out, err = run_cli(capsys, "laws", path)
+    assert code == 2 and out == ""
+    assert err == (f"{path}: more than one refinement path from K63 to K66: "
+                   "[('K63', 'K64', 'K66'), ('K63', 'K65', 'K66')]\n")
 
 
 def test_laws_broken_distributivity(capsys, tmp_path):

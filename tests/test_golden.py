@@ -1,8 +1,9 @@
 """Pinned CLI output for every corpus program.
 
 For each program in ``tests/corpus`` this replays up to four commands with
-the universe and fuel named by its manifest and compares the exit code and
-stdout byte for byte with ``tests/golden/<name>.json``:
+the universe and fuel named by its manifest, twice in one process, and
+compares the exit code and stdout byte for byte with
+``tests/golden/<name>.json`` (and the two calls' stderr with each other):
 
 - ``check --json``
 - ``run --json --trace`` (accepted programs whose manifest has ``run``)
@@ -12,7 +13,8 @@ stdout byte for byte with ``tests/golden/<name>.json``:
 It also pins the exit code, stdout and stderr of ``laws --json`` on the
 corpus universes and on a few universes written out below, in
 ``tests/golden/laws/<name>.json``; the universe file's path is replaced by
-``<universe>`` in stderr.
+``<universe>`` in stderr. A plain ``run --json`` of every program is
+replayed twice as well, and matches the pinned traced run without its trace.
 
 Regenerate the pinned files (only when a change of output is intended) with
 ``PYTHONPATH=src python tests/test_golden.py``.
@@ -72,13 +74,35 @@ def test_golden_covers_the_corpus():
     assert sorted(p.stem for p in GOLDEN_DIR.glob("*.json")) == PROGRAMS
 
 
+def twice(argv: list[str]) -> dict:
+    """Replay ``argv`` twice in this process, with stderr: ``main`` keeps its
+    parser and the default universe's validation between calls, and the
+    second call must answer as the first."""
+    first, second = replay(argv, with_stderr=True), replay(argv, with_stderr=True)
+    assert first == second, argv
+    return first
+
+
 @pytest.mark.parametrize("name", PROGRAMS)
 def test_golden_cli_output(name):
     want = json.loads((GOLDEN_DIR / f"{name}.json").read_text(encoding="utf-8"))
-    got = observe(name)
-    assert sorted(got) == sorted(want)
-    for label in want:
-        assert got[label] == want[label], label
+    assert sorted(commands(name)) == sorted(want)
+    for label, argv in commands(name).items():
+        got = twice(argv)
+        assert {"exit": got["exit"], "stdout": got["stdout"]} == want[label], label
+
+
+@pytest.mark.parametrize("name", PROGRAMS)
+def test_plain_run_repeats_and_matches_the_golden_run(name):
+    # run --json without --trace, with the manifest's universe and fuel
+    plain = [arg for arg in commands(name)["standard"] if arg != "--standard"]
+    got = twice(plain)
+    want = json.loads((GOLDEN_DIR / f"{name}.json").read_text(encoding="utf-8"))
+    if "run" in want:
+        traced = json.loads(want["run"]["stdout"])
+        del traced["trace"]
+        assert got["exit"] == want["run"]["exit"]
+        assert json.loads(got["stdout"]) == traced
 
 
 # ---------------------------------------------------------------------------
@@ -154,7 +178,8 @@ def observe_laws(name: str, workdir: pathlib.Path) -> dict:
 @pytest.mark.parametrize("name", LAW_UNIVERSES)
 def test_golden_laws_output(name, tmp_path):
     want = json.loads((LAWS_GOLDEN_DIR / f"{name}.json").read_text(encoding="utf-8"))
-    assert observe_laws(name, tmp_path) == want
+    # twice in one process: each call loads and law-checks the file afresh
+    assert observe_laws(name, tmp_path) == observe_laws(name, tmp_path) == want
 
 
 if __name__ == "__main__":

@@ -1,5 +1,6 @@
 """Refinement graphs, kinded grades, and the combined-algebra laws."""
 
+import json
 import pathlib
 from collections import Counter
 
@@ -134,6 +135,55 @@ def test_no_least_ancestor_reports_minimal_set():
     with pytest.raises(NoLeastAncestor) as exc:
         validate_universe(kinds, edges, validate_algebras=False)
     assert exc.value.minimal == {"U", "V"}
+    assert str(exc.value) == ("kinds X and Y have common ancestors but no least one; "
+                              "minimal ancestors: ['U', 'V']")
+
+
+def _quadratic_join_table(u):
+    """The join table as the least common ancestors were once found: each
+    common ancestor is tested against all the others."""
+    up = {k: {a for s, a in u.order if s == k and a not in ("N", "T")} for k in u.kinds}
+    table = {}
+    for k1 in sorted(u.kinds):
+        for k2 in sorted(u.kinds):
+            if "N" in (k1, k2):
+                table[k1, k2] = k2 if k1 == "N" else k1
+            elif "T" in (k1, k2) or not up[k1] & up[k2]:
+                table[k1, k2] = "T"
+            else:
+                common = up[k1] & up[k2]
+                least = [c for c in common if all(a in up[c] for a in common)]
+                assert least
+                table[k1, k2] = least[0]
+    return table
+
+
+def _one_element_chain(n):
+    """n one-element kinds, each refining the next by a ``map`` edge."""
+    one = {"table": {"name": "one", "elements": ["0"], "leq": [["0", "0"]],
+                     "sum": {"0": {"0": "0"}}, "mul": {"0": {"0": "0"}},
+                     "zero": "0", "one": "0"}}
+    return {"kinds": {f"C{i:02d}": one for i in range(n)},
+            "edges": [{"sub": f"C{i:02d}", "super": f"C{i + 1:02d}",
+                       "hom": {"map": {"0": "0"}}} for i in range(n - 1)]}
+
+
+LOADABLE_UNIVERSES = sorted(
+    [p for p in (PROGRAMS.parent / "corpus").glob("*.json")
+     if "kinds" in json.loads(p.read_text())]
+    + [p for p in PROGRAMS.glob("*.json") if p.name != "diamonds_pool79.json"])
+
+
+@pytest.mark.parametrize("path", LOADABLE_UNIVERSES, ids=lambda p: p.name)
+def test_least_ancestors_match_the_quadratic_search(path):
+    u = load_universe(str(path))
+    assert u.join_table == _quadratic_join_table(u)
+
+
+def test_chain_least_ancestors_match_the_quadratic_search():
+    u = universe_from_config(_one_element_chain(44))
+    assert u.join_table == _quadratic_join_table(u)
+    assert u.join("C03", "C40") == u.join("C40", "C03") == "C40"
 
 
 def _boolean_refinements(pairs):
@@ -461,6 +511,25 @@ def test_parse_and_format_grades(ap_universe):
 def test_default_universe_shape(universe):
     assert set(universe.kinds) == {"N", "T", "A", "P"}
     assert universe.join("A", "P") == "T"
+
+
+def test_default_universes_share_no_state():
+    # the default kinds are validated once per process; each universe still
+    # has its own intern table and dicts
+    u, v = default_universe(), default_universe()
+    for w in (u, v):
+        assert w.indexed.values[0] is ZERO_D and w.indexed.values[1] is ONE_D
+        assert len(w.indexed.values) == 2
+    u.intern(AFF("w"))
+    u.homs["A", "T"] = IdentityHom(AFFINITY)
+    u.join_table["A", "P"] = "A"
+    u.kinds["Q"] = AFFINITY
+    for w in (v, default_universe()):
+        assert len(w.indexed.values) == 2
+        assert isinstance(w.homs["A", "T"], ZetaHom)
+        assert w.join_table["A", "P"] == "T"
+        assert set(w.kinds) == {"N", "T", "A", "P"}
+        assert w.add(AFF("1"), AFF("1")) == AFF("w")
 
 
 def pp_p_b_universe():
