@@ -139,15 +139,23 @@ def _algebra_of(kinds: dict[str, Algebra], kind: str) -> Algebra:
 
 
 class KindedAlgebra:
-    """The combined algebra on kinded grades, computed afresh on each call:
-    operands are transported into their join kind.  ``GradeUniverse``
-    answers from its ``Indexed`` table over this, which calls it once per
-    pair of canonical grades.  It holds the universe's dicts, not the
-    universe, so that no reference cycle outlives a universe."""
+    """The combined algebra on kinded grades: operands are transported into
+    their join kind.  ``GradeUniverse`` answers from its ``Indexed`` table
+    over this, which calls it once per pair of canonical grades.
+
+    Each canonical grade is moved into each other kind once: ``_moved``
+    keeps its image by (id, kind), trusting the id only when ``values``
+    (the table's list) holds that very grade there, as the universe's
+    ``leq``/``add``/``mul`` do; any other grade is moved afresh, and a hom
+    that raises stores nothing.  It holds the universe's dicts and the
+    table's list, not the universe or the table, so that no reference cycle
+    outlives a universe."""
 
     def __init__(self, u: GradeUniverse):
         self.kinds, self.order, self.join_table, self.homs = (
             u.kinds, u.order, u.join_table, u.homs)
+        self.values: list[KindedGrade] = []  # the table's, once it is built
+        self._images: dict[tuple[int, str], GradeValue] = {}
 
     def canonical(self, g: KindedGrade, i: int) -> KindedGrade:
         """The grade stored as id ``i``: its validity is checked here, once."""
@@ -155,7 +163,19 @@ class KindedAlgebra:
         return g if g.id == i else KindedGrade(g.kind, g.value, i)
 
     def _moved(self, g: KindedGrade, kind: str) -> GradeValue:
-        return self.homs[g.kind, kind].apply(g.value)
+        i = g.id
+        try:
+            known = self.values[i] is g
+        except IndexError:
+            known = False
+        if not known:
+            return self.homs[g.kind, kind].apply(g.value)
+        if g.kind == kind:  # checked when it was interned
+            return g.value
+        image = self._images.get((i, kind))
+        if image is None:
+            image = self._images[i, kind] = self.homs[g.kind, kind].apply(g.value)
+        return image
 
     def leq(self, x: KindedGrade, y: KindedGrade) -> bool:
         if (x.kind, y.kind) not in self.order:
@@ -212,6 +232,7 @@ class GradeUniverse:
     def __post_init__(self):
         kinded = KindedAlgebra(self)
         self.indexed = Indexed(kinded, kinded.canonical)
+        kinded.values = self.indexed.values
 
     # -- kinds ------------------------------------------------------------
 
@@ -492,6 +513,13 @@ def default_universe() -> GradeUniverse:
 
 
 # -- universe-level law checking -------------------------------------------
+
+@cache
+def reserved_law_report(kind: str) -> LawReport:
+    """The law report of the reserved kind N or T, computed on the first call
+    in a process: every universe holds the same algebra under each."""
+    return validate_algebra({KIND_NAT: NAT, KIND_TRIVIAL: TRIVIAL}[kind])
+
 
 MONOTONE_PAIRS = 400  # at most about this many related pairs for monotonicity
 

@@ -254,23 +254,43 @@ def test_laws_json_deterministic(capsys, corpus_dir):
 
 
 def test_laws_validates_each_algebra_once(capsys, corpus_dir, monkeypatch):
-    # user kinds are validated when the universe loads, N and T by laws itself
-    import gradefj.cli
+    # user kinds are validated whenever a universe loads; N and T on the
+    # first laws command of the process only
     import gradefj.hetero
-    from gradefj.grades import validate_algebra
+    from gradefj.grades import NAT, TRIVIAL, validate_algebra
     calls = []
 
-    def counted(*args, **kwargs):
-        calls.append(args)
-        return validate_algebra(*args, **kwargs)
+    def counted(alg, *args, **kwargs):
+        calls.append(alg)
+        return validate_algebra(alg, *args, **kwargs)
     monkeypatch.setattr(gradefj.hetero, "validate_algebra", counted)
-    monkeypatch.setattr(gradefj.cli, "validate_algebra", counted)
-    code, out, _ = run_cli(capsys, "laws", "--json",
-                           corpus_path(corpus_dir, "affinity_privacy.json"))
+    gradefj.hetero.reserved_law_report.cache_clear()
+    path = corpus_path(corpus_dir, "affinity_privacy.json")
+    code, out, _ = run_cli(capsys, "laws", "--json", path)
     assert code == 0
     kinds = {line["scope"] for line in json.loads(out) if line["scope"] != "universe"}
     assert kinds == {f"kind {k}" for k in ("A", "AP", "N", "P", "PP", "T")}
     assert len(calls) == len(kinds)
+    assert {id(NAT), id(TRIVIAL)} <= {id(alg) for alg in calls}
+    calls.clear()
+    assert run_cli(capsys, "laws", "--json", path) == (0, out, "")
+    assert len(calls) == 4 and not {id(NAT), id(TRIVIAL)} & {id(alg) for alg in calls}
+
+
+def test_reserved_kinds_are_checked_on_the_first_laws_command(corpus_dir):
+    # not at import, nor when the default universe is built or a universe
+    # file is loaded: the benchmark times those as set-up
+    src = pathlib.Path(gradefj.__file__).parent.parent
+    code = ("import sys, gradefj.cli, gradefj.props\n"
+            "from gradefj.hetero import default_universe, load_universe, reserved_law_report\n"
+            "default_universe(), load_universe(sys.argv[1])\n"
+            "before = reserved_law_report.cache_info().misses\n"
+            "gradefj.cli.main(['laws', '--json', sys.argv[1]])\n"
+            "print(before, reserved_law_report.cache_info().misses)")
+    out = subprocess.run([sys.executable, "-c", code, corpus_path(corpus_dir, "bool.json")],
+                         capture_output=True, text=True,
+                         env={**os.environ, "PYTHONPATH": str(src)}, check=True).stdout
+    assert out.split()[-2:] == ["0", "2"]
 
 
 @pytest.mark.parametrize("how", ["check", "run", "check_entry", "theorem_suite"])

@@ -464,6 +464,61 @@ def test_coherence_moves_each_grade_once_per_kind(monkeypatch):
     assert sum(applied.values()) <= kinds * pool
 
 
+@pytest.mark.parametrize("name", ["chain_pool80.json", "chain68_one.json"])
+def test_kinded_operations_move_each_grade_once_per_kind(monkeypatch, name):
+    # a kinded operation transports its operands into their join kind; over
+    # a fresh law check each interned grade is moved into each kind at most
+    # once, however deeply the refinement chain composes its homs (a move is
+    # one outermost apply; 50,787 and 52,338 of them before the memo)
+    u = load_universe(str(PROGRAMS / name))
+    seen = Counter()
+    for cls in (IdentityHom, IotaHom, ZetaHom, FiniteMapHom, ComposeHom,
+                ProjLeftHom, ProjRightHom):
+        original = cls.apply
+
+        def counted(self, a, original=original):
+            if seen["op"] and not seen["apply"]:
+                seen["moves"] += 1
+            seen["apply"] += 1
+            try:
+                return original(self, a)
+            finally:
+                seen["apply"] -= 1
+        monkeypatch.setattr(cls, "apply", counted)
+    for op in ("leq", "add", "mul", "residual"):
+        original = getattr(KindedAlgebra, op)
+
+        def in_op(self, x, y, original=original):
+            seen["op"] += 1
+            try:
+                return original(self, x, y)
+            finally:
+                seen["op"] -= 1
+        monkeypatch.setattr(KindedAlgebra, op, in_op)
+    assert check_universe_laws(u).ok
+    assert 0 < seen["moves"] <= len(u.indexed.values) * len(u.kinds)
+
+
+def test_kinded_algebra_moves_grades_it_did_not_intern_afresh():
+    # the transport memo trusts a grade's id only where its own table holds
+    # that very grade: a grade without an id, or with another table's id,
+    # comes back with its own image, not the one stored under that id
+    b = lambda n: FiniteElem(n, "boolean")
+    pair = lambda l, r: KindedGrade("BB", PairValue(b(l), b(r)))
+    config = {"kinds": {"BB": {"product": [{"builtin": "boolean"}, {"builtin": "boolean"}]},
+                        "B": {"builtin": "boolean"}},
+              "edges": [{"sub": "BB", "super": "B", "hom": {"proj": "left"}}]}
+    u, other = universe_from_config(config), universe_from_config(config)
+    g10, stale_01 = u.intern(pair("1", "0")), other.intern(pair("0", "1"))
+    assert g10.id == stale_01.id  # each is the first grade its table interns
+    zero, one = (KindedGrade("B", b(n)) for n in ("0", "1"))
+    kinded = u.indexed.alg
+    assert u.add(g10, zero) == kinded.add(g10, zero) == one  # its image is kept
+    assert kinded.add(stale_01, zero) == zero
+    assert kinded.add(pair("1", "0"), zero) == one and kinded.add(pair("0", "1"), zero) == zero
+    assert u.add(stale_01, zero) == zero
+
+
 def test_check_universe_laws_witnesses():
     # a broken kind, admitted unchecked
     from conftest import noncommutative_affinity
