@@ -41,7 +41,6 @@ from .syntax import (
     UnknownClass,
     UnknownMember,
     Var,
-    erase,
     format_ann,
     is_value,
     subst,
@@ -214,10 +213,6 @@ class StdConfig:
     """``expr`` under an environment of value bindings."""
     expr: Expr
     env: Env = field(default_factory=Env)
-
-
-def erase_config(cfg: GradedConfig) -> StdConfig:
-    return StdConfig(erase(cfg.expr), Env((x, erase(v)) for x, (v, _) in cfg.env.items()))
 
 
 # ---------------------------------------------------------------------------

@@ -694,19 +694,3 @@ def format_ann(e: Expr) -> str:
 
 def _format_slots(args: tuple[Expr, ...]) -> str:
     return ", ".join(f"{format_ann(a)}^{a.ascription}" for a in args)
-
-
-def format_program(p: Program) -> str:
-    lines = []
-    for decl in p.table.classes.values():
-        ext = f" extends {decl.superName}" if decl.superName != OBJECT else ""
-        lines.append(f"class {decl.name}{ext} {{")
-        for fd in decl.fields:
-            lines.append(f"  {fd.className}[{fd.grade}] {fd.name};")
-        for m in decl.methods.values():
-            params = ", ".join(f"{q.className}[{q.grade}] {q.name}" for q in m.params)
-            lines.append(f"  {m.returnType.className}[{m.returnType.grade}] "
-                         f"{m.name}({params}) [{m.thisGrade}] {{ {format_expr(m.body)} }}")
-        lines.append("}")
-    lines.append(f"run {format_expr(p.main)} at {p.mainGrade}")
-    return "\n".join(lines) + "\n"

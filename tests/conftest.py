@@ -4,6 +4,8 @@ import pytest
 
 from gradefj.hetero import default_universe, load_universe
 from gradefj.props import load_corpus
+from gradefj.runtime import Env, GradedConfig, StdConfig
+from gradefj.syntax import erase
 
 CORPUS_DIR = pathlib.Path(__file__).parent / "corpus"
 
@@ -31,6 +33,11 @@ def corpus():
 @pytest.fixture(scope="session")
 def corpus_by_name(corpus):
     return {e.name: e for e in corpus}
+
+
+def erase_config(cfg: GradedConfig) -> StdConfig:
+    """The standard configuration a graded one erases to."""
+    return StdConfig(erase(cfg.expr), Env((x, erase(v)) for x, (v, _) in cfg.env.items()))
 
 
 def ambiguous_algebra():

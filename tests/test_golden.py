@@ -11,10 +11,11 @@ compares the exit code and stdout byte for byte with
 - ``run --standard --json``
 
 It also pins the exit code, stdout and stderr of ``laws --json`` on the
-corpus universes and on a few universes written out below, in
-``tests/golden/laws/<name>.json``; the universe file's path is replaced by
-``<universe>`` in stderr. A plain ``run --json`` of every program is
-replayed twice as well, and matches the pinned traced run without its trace.
+corpus universes, on the ``tests/programs`` universes and on a few universes
+written out below, in ``tests/golden/laws/<name>.json``; the universe file's
+path is replaced by ``<universe>`` in stderr. A plain ``run --json`` of every
+program is replayed twice as well, and matches the pinned traced run without
+its trace.
 
 Regenerate the pinned files (only when a change of output is intended) with
 ``PYTHONPATH=src python tests/test_golden.py``.
@@ -35,6 +36,7 @@ GOLDEN_DIR = HERE / "golden"
 LAWS_GOLDEN_DIR = GOLDEN_DIR / "laws"
 PROGRAMS = sorted(p.stem for p in CORPUS_DIR.glob("*.gfj"))
 CORPUS_UNIVERSES = ("affinity_privacy", "bool", "ext")
+PROGRAM_UNIVERSES = ("chain68_one", "chain_pool80", "diamonds_pool79", "kinds68_pool80")
 
 
 def commands(name: str) -> dict[str, list[str]]:
@@ -161,12 +163,14 @@ def inline_universes() -> dict[str, dict]:
     }
 
 
-LAW_UNIVERSES = sorted([*CORPUS_UNIVERSES, *inline_universes()])
+LAW_UNIVERSES = sorted([*CORPUS_UNIVERSES, *PROGRAM_UNIVERSES, *inline_universes()])
 
 
 def observe_laws(name: str, workdir: pathlib.Path) -> dict:
     if name in CORPUS_UNIVERSES:
         path = CORPUS_DIR / f"{name}.json"
+    elif name in PROGRAM_UNIVERSES:
+        path = HERE / "programs" / f"{name}.json"
     else:
         path = workdir / f"{name}.json"
         path.write_text(json.dumps(inline_universes()[name]), encoding="utf-8")

@@ -2,6 +2,7 @@
 
 import json
 import pathlib
+import sys
 from collections import Counter
 
 import pytest
@@ -30,6 +31,7 @@ from gradefj.grades import (
     ProjRightHom,
     Triv,
     ZetaHom,
+    check_laws,
     validate_hom,
 )
 from gradefj.hetero import (
@@ -46,6 +48,7 @@ from gradefj.hetero import (
     UniverseError,
     UnknownKind,
     ZERO_D,
+    _coherence_laws,
     check_universe_laws,
     default_universe,
     load_universe,
@@ -462,6 +465,51 @@ def test_coherence_moves_each_grade_once_per_kind(monkeypatch):
     applied.clear()
     assert check_universe_laws(u).ok
     assert sum(applied.values()) <= kinds * pool
+
+
+def _chain68_prefix(n):
+    """The first ``n`` kinds of ``chain68_one.json`` and the edges between them."""
+    cfg = json.loads((PROGRAMS / "chain68_one.json").read_text())
+    kinds = dict(list(cfg["kinds"].items())[:n])
+    return {"kinds": kinds,
+            "edges": [e for e in cfg["edges"] if e["sub"] in kinds and e["super"] in kinds]}
+
+
+def test_warm_coherence_work_on_a_chain_grows_at_most_quadratically():
+    # a chain of n kinds has n**2 / 2 related pairs, each checked once on the
+    # grades it reaches, but n**3 kind triples: doubling the chain may at
+    # most quadruple the Python-level calls of a warm coherence check
+    def calls(n):
+        u = universe_from_config(_chain68_prefix(n))
+        assert check_universe_laws(u).ok
+        events = Counter()
+        sys.setprofile(lambda frame, event, arg: events.update((event,)))
+        try:
+            assert check_laws(_coherence_laws(u, u.sample_pool())).ok
+        finally:
+            sys.setprofile(None)
+        return events["call"] + events["c_call"]
+
+    assert calls(68) <= 4 * calls(34)
+
+
+def test_warm_universe_laws_apply_no_composed_or_map_homs(monkeypatch):
+    # the coherence kernels read each image the kinded operations keep, so a
+    # second check moves nothing along the chain's maps (50,116 composed and
+    # 52,394 map applications when the kernels applied homs themselves)
+    u = load_universe(str(PROGRAMS / "chain68_one.json"))
+    assert check_universe_laws(u).ok
+    applied = Counter()
+    for cls in (ComposeHom, FiniteMapHom):
+        original = cls.apply
+
+        def counted(self, a, cls=cls, original=original):
+            applied[cls.__name__] += 1
+            return original(self, a)
+
+        monkeypatch.setattr(cls, "apply", counted)
+    assert check_universe_laws(u).ok
+    assert applied == Counter()
 
 
 @pytest.mark.parametrize("name", ["chain_pool80.json", "chain68_one.json"])

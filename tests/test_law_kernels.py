@@ -10,6 +10,7 @@ after validation.
 import json
 import pathlib
 import random
+from fractions import Fraction
 
 import pytest
 
@@ -22,14 +23,17 @@ from gradefj.grades import (
     PPRIVACY,
     PRIVACY,
     TRIVIAL,
+    ExtReal,
     ExtendAlgebra,
     FiniteAlgebra,
     FiniteElem,
     FiniteMapHom,
     FiniteTable,
+    IdentityHom,
     IotaHom,
     Nat,
     ProductAlgebra,
+    ProjLeftHom,
     iota,
     validate_algebra,
     validate_hom,
@@ -272,8 +276,52 @@ def _join_into_top():
     return u
 
 
+class MovingSixteenth(IdentityHom):
+    """The identity on extended reals, except that 1/16 goes to 1/8."""
+
+    def apply(self, a):
+        return ExtReal(Fraction(1, 8)) if a == ExtReal(Fraction(1, 16)) else super().apply(a)
+
+
+def _moved_off_the_pools():
+    # a -> s -> b -> c, where b -> c moves 1/16: an image of a's pool in s,
+    # but neither one of s's own pool grades nor one of N's
+    pair = ProductAlgebra(EXTREAL, EXTREAL)
+    u = validate_universe({"a": pair, "s": EXTREAL, "b": EXTREAL, "c": EXTREAL},
+                          [RefinementEdge("a", "s", ProjLeftHom(pair)),
+                           RefinementEdge("s", "b", IdentityHom(EXTREAL)),
+                           RefinementEdge("b", "c", IdentityHom(EXTREAL))])
+    u.homs["b", "c"] = MovingSixteenth(EXTREAL)
+    return u
+
+
+def _self_hom_moves():
+    # hom(P, P) sends private to public; the kinded operations never apply it
+    u = _pp_p_b()
+    p = lambda n: FiniteElem(n, "privacy2")
+    u.homs["P", "P"] = FiniteMapHom(PRIVACY, PRIVACY, {"0": p("0"), "private": p("public"),
+                                                       "public": p("public")})
+    return u
+
+
+def _partial_self_hom():
+    # hom(P, P) has no image for private: inj-3 meets it at (P, N)
+    u = _pp_p_b()
+    p = lambda n: FiniteElem(n, "privacy2")
+    u.homs["P", "P"] = FiniteMapHom(PRIVACY, PRIVACY, {"0": p("0"), "public": p("public")})
+    return u
+
+
+def _skipping_nat_identity():
+    # hom(N, N) skips 5: inj-6 meets it at N, whose join with N is N
+    u = _pp_p_b()
+    u.homs["N", "N"] = SkippingIota(NAT)
+    return u
+
+
 @pytest.mark.parametrize("make", [_pp_p_b, _off_route_hom, _uneven_join, _partial_hom,
-                                  _join_into_top],
+                                  _join_into_top, _moved_off_the_pools, _self_hom_moves,
+                                  _partial_self_hom, _skipping_nat_identity],
                          ids=lambda f: f.__name__.strip("_"))
 def test_altered_universe_reports_match_the_reference(make):
     got = assert_same_universe_report(make)
@@ -281,3 +329,14 @@ def test_altered_universe_reports_match_the_reference(make):
         assert got == ("PartialMap", "map has no image for element 'b'")
     if make is _join_into_top:
         assert ("inj-4-idempotent", True, None) in got
+    failing = {law: witness for law, ok, witness in got if not ok} if isinstance(got, list) else {}
+    if make is _moved_off_the_pools:
+        assert failing["hom-functorial"] == failing["inj-1-left-assoc"] == ("a", "b", "c")
+        assert failing["inj-2-middle-route"] == ("b", "a", "c")
+    if make is _self_hom_moves:
+        assert {"hom-functorial", "inj-1-left-assoc", "inj-2-middle-route", "inj-4-idempotent",
+                "inj-5-bottom-left"} <= set(failing)
+    if make is _partial_self_hom:
+        assert failing["inj-3-commute"] == ("map has no image for element 'private'",)
+    if make is _skipping_nat_identity:
+        assert failing["inj-6-bottom-right"] == ("N",)

@@ -104,7 +104,8 @@ def test_subject_reduction_two_block_lockstep(corpus_by_name):
 
 def test_subject_reduction_e1_both_ways(corpus_by_name):
     # the private-level block program ends in new A() in both semantics
-    from gradefj.runtime import erase_config, std_run
+    from conftest import erase_config
+    from gradefj.runtime import std_run
     u, program, ann, main, expected = _setup(corpus_by_name["priv_narrow_at_private"])
     errs = check_run(u, ann, _traced(u, ann, main, expected.grade), expected)
     assert errs == []

@@ -31,7 +31,6 @@ from gradefj.runtime import (
     StdConfig,
     StdStuck,
     TraceEntry,
-    erase_config,
     graded_run,
     graded_step,
     std_run,
@@ -39,6 +38,7 @@ from gradefj.runtime import (
 )
 from gradefj.typecheck import annotate_program, elaborate_program
 from gradefj.props import check_step
+from conftest import erase_config
 
 N = lambda n: KindedGrade("N", Nat(n))
 PRIV = lambda n: KindedGrade("P", FiniteElem(n, "privacy2"))

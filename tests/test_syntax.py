@@ -12,14 +12,15 @@ from gradefj.syntax import (
     FieldAccess,
     GradedType,
     Invk,
+    OBJECT,
     New,
+    Program,
     SyntaxErrorGFJ,
     UnknownClass,
     UnknownMember,
     Var,
     erase,
     format_expr,
-    format_program,
     free_vars,
     gtype_leq,
     is_value,
@@ -32,6 +33,23 @@ from gradefj.typecheck import elaborate_program
 
 AFF = lambda n: KindedGrade("A", FiniteElem(n, "affinity"))
 N = lambda n: KindedGrade("N", Nat(n))
+
+
+def format_program(p: Program) -> str:
+    """The source text of ``p``, for the round trip through the parser."""
+    lines = []
+    for decl in p.table.classes.values():
+        ext = f" extends {decl.superName}" if decl.superName != OBJECT else ""
+        lines.append(f"class {decl.name}{ext} {{")
+        for fd in decl.fields:
+            lines.append(f"  {fd.className}[{fd.grade}] {fd.name};")
+        for m in decl.methods.values():
+            params = ", ".join(f"{q.className}[{q.grade}] {q.name}" for q in m.params)
+            lines.append(f"  {m.returnType.className}[{m.returnType.grade}] "
+                         f"{m.name}({params}) [{m.thisGrade}] {{ {format_expr(m.body)} }}")
+        lines.append("}")
+    lines.append(f"run {format_expr(p.main)} at {p.mainGrade}")
+    return "\n".join(lines) + "\n"
 
 PAIR_SRC = """
 class Pair { A[N:1] first; A[N:1] second; }
