@@ -12,8 +12,8 @@ import json
 import sys
 from functools import cache
 
-from .hetero import (GradeUniverse, check_universe_laws, default_universe, load_universe,
-                     reserved_law_report)
+from .hetero import (GradeUniverse, builtin_law_report, builtin_name, check_universe_laws,
+                     default_universe, load_universe)
 from .grades import GradeError, LawReport
 from .runtime import Enumerate, GradedConfig, Minimal, StdConfig, graded_run, std_run
 from .syntax import Program, SyntaxErrorGFJ, erase, erase_table, format_expr, parse_program
@@ -153,8 +153,10 @@ def cmd_laws(args) -> int:
 
     lines = []
     for kind in sorted(universe.kinds):
-        # user kinds were validated at load; N and T on the first laws command
-        report = universe.law_reports.get(kind) or reserved_law_report(kind)
+        # user-built kinds were validated at load; builtin algebras, N's and
+        # T's among them, are checked on the first laws command of the process
+        report = (universe.law_reports.get(kind)
+                  or builtin_law_report(builtin_name(universe.kinds[kind])))
         lines += _law_lines(f"kind {kind}", report)
     lines += _law_lines("universe", check_universe_laws(universe))
     ok = all(entry["ok"] for entry in lines)

@@ -15,7 +15,9 @@ cases at a time: a row kernel builds both sides of the law as rows of ids
 over the whole row, read from the memo rows at C level, and only a row that
 fails is walked case by case for its witness.  A grade universe keeps one
 ``Indexed`` table of its kinded grades, which also answers the checker's
-and the interpreters' grade operations.
+and the interpreters' grade operations.  An algebra's public operations
+check their operands; an ``Indexed`` grade is checked once, and the
+unchecked operations run on it.
 """
 
 from __future__ import annotations
@@ -51,12 +53,12 @@ class AmbiguousResidual(GradeError):
         self.candidates = candidates
 
 
-def maximal_residuals(alg: Algebra, available: GradeValue,
+def maximal_residuals(residual: Callable, available: GradeValue,
                       demand: GradeValue) -> list[GradeValue]:
-    """Every maximal residual: none, the canonical one, or the incomparable
-    candidates of an ambiguous query."""
+    """Every maximal residual by the operation ``residual``: none, the
+    canonical one, or the incomparable candidates of an ambiguous query."""
     try:
-        r = alg.residual(available, demand)
+        r = residual(available, demand)
     except AmbiguousResidual as exc:
         return list(exc.candidates)
     return [] if r is None else [r]
@@ -164,15 +166,52 @@ SAMPLE_SEED = 20240809  # fixed seed for deterministic law sampling
 
 @dataclass(frozen=True)
 class Algebra:
-    """One grade algebra: order, sum, product and neutral elements."""
+    """One grade algebra: order, sum, product and neutral elements.
+
+    The public ``leq``, ``add``, ``mul`` and ``residual`` check both operands
+    (``check_value``) and then call ``unchecked_leq``, ``unchecked_add``,
+    ``unchecked_mul`` and ``unchecked_residual``, which a class defines on
+    values already known to be in its carrier.  Products and extensions call
+    their components' unchecked operations, and ``Indexed`` and the kinded
+    operations of a universe call them on grades checked once each.  A
+    subclass that overrides a public operation has that override as its
+    unchecked one too, so no caller bypasses it.
+    """
+
+    def __init_subclass__(cls, **kwargs):
+        super().__init_subclass__(**kwargs)
+        for op in ("leq", "add", "mul", "residual"):
+            if op in vars(cls) and f"unchecked_{op}" not in vars(cls):
+                setattr(cls, f"unchecked_{op}", vars(cls)[op])
 
     def leq(self, a: GradeValue, b: GradeValue) -> bool:
-        raise NotImplementedError
+        self.check_value(a), self.check_value(b)
+        return self.unchecked_leq(a, b)
 
     def add(self, a: GradeValue, b: GradeValue) -> GradeValue:
-        raise NotImplementedError
+        self.check_value(a), self.check_value(b)
+        return self.unchecked_add(a, b)
 
     def mul(self, a: GradeValue, b: GradeValue) -> GradeValue:
+        self.check_value(a), self.check_value(b)
+        return self.unchecked_mul(a, b)
+
+    def residual(self, available: GradeValue, demand: GradeValue) -> Optional[GradeValue]:
+        """Canonical maximal s' with demand + s' <= available, if any."""
+        self.check_value(available), self.check_value(demand)
+        return self.unchecked_residual(available, demand)
+
+    def unchecked_leq(self, a: GradeValue, b: GradeValue) -> bool:
+        raise NotImplementedError
+
+    def unchecked_add(self, a: GradeValue, b: GradeValue) -> GradeValue:
+        raise NotImplementedError
+
+    def unchecked_mul(self, a: GradeValue, b: GradeValue) -> GradeValue:
+        raise NotImplementedError
+
+    def unchecked_residual(self, available: GradeValue,
+                           demand: GradeValue) -> Optional[GradeValue]:
         raise NotImplementedError
 
     def zero(self) -> GradeValue:
@@ -195,10 +234,6 @@ class Algebra:
             raise NotImplementedError
         return elems
 
-    def residual(self, available: GradeValue, demand: GradeValue) -> Optional[GradeValue]:
-        """Canonical maximal s' with demand + s' <= available, if any."""
-        raise NotImplementedError
-
     def describe(self) -> str:
         raise NotImplementedError
 
@@ -214,16 +249,13 @@ class Algebra:
 class NatAlgebra(Algebra):
     """The naturals with their usual order, sum and product."""
 
-    def leq(self, a, b):
-        self.check_value(a), self.check_value(b)
+    def unchecked_leq(self, a, b):
         return a.n <= b.n
 
-    def add(self, a, b):
-        self.check_value(a), self.check_value(b)
+    def unchecked_add(self, a, b):
         return Nat(a.n + b.n)
 
-    def mul(self, a, b):
-        self.check_value(a), self.check_value(b)
+    def unchecked_mul(self, a, b):
         return Nat(a.n * b.n)
 
     def zero(self):
@@ -238,8 +270,7 @@ class NatAlgebra(Algebra):
     def sample(self):
         return [Nat(n) for n in range(51)]
 
-    def residual(self, available, demand):
-        self.check_value(available), self.check_value(demand)
+    def unchecked_residual(self, available, demand):
         if demand.n <= available.n:
             return Nat(available.n - demand.n)
         return None
@@ -260,16 +291,13 @@ class NatAlgebra(Algebra):
 class TrivialAlgebra(Algebra):
     """The one-element algebra, whose only value ``inf`` is both zero and one."""
 
-    def leq(self, a, b):
-        self.check_value(a), self.check_value(b)
+    def unchecked_leq(self, a, b):
         return True
 
-    def add(self, a, b):
-        self.check_value(a), self.check_value(b)
+    def unchecked_add(self, a, b):
         return Triv()
 
-    def mul(self, a, b):
-        self.check_value(a), self.check_value(b)
+    def unchecked_mul(self, a, b):
         return Triv()
 
     def zero(self):
@@ -284,8 +312,7 @@ class TrivialAlgebra(Algebra):
     def elements(self):
         return [Triv()]
 
-    def residual(self, available, demand):
-        self.check_value(available), self.check_value(demand)
+    def unchecked_residual(self, available, demand):
         return Triv()
 
     def describe(self):
@@ -301,22 +328,19 @@ class TrivialAlgebra(Algebra):
 class ExtRealAlgebra(Algebra):
     """Non-negative rationals and infinity with the usual order, sum and product."""
 
-    def leq(self, a, b):
-        self.check_value(a), self.check_value(b)
+    def unchecked_leq(self, a, b):
         if b.q is None:
             return True
         if a.q is None:
             return False
         return a.q <= b.q
 
-    def add(self, a, b):
-        self.check_value(a), self.check_value(b)
+    def unchecked_add(self, a, b):
         if a.q is None or b.q is None:
             return ExtReal(None)
         return ExtReal(a.q + b.q)
 
-    def mul(self, a, b):
-        self.check_value(a), self.check_value(b)
+    def unchecked_mul(self, a, b):
         # 0 annihilates even against infinity
         if a.q == 0 or b.q == 0:
             return ExtReal(Fraction(0))
@@ -340,8 +364,7 @@ class ExtRealAlgebra(Algebra):
                 pool.append(ExtReal(Fraction(num, den)))
         return sorted(set(pool), key=lambda v: (v.q is None, v.q or 0))
 
-    def residual(self, available, demand):
-        self.check_value(available), self.check_value(demand)
+    def unchecked_residual(self, available, demand):
         if available.q is None:
             return ExtReal(None)
         if demand.q is None or demand.q > available.q:
@@ -397,16 +420,13 @@ class FiniteAlgebra(Algebra):
     def _value(self, name: str) -> FiniteElem:
         return FiniteElem(name, self.table.name)
 
-    def leq(self, a, b):
-        self.check_value(a), self.check_value(b)
+    def unchecked_leq(self, a, b):
         return (a.name, b.name) in self.table.leq
 
-    def add(self, a, b):
-        self.check_value(a), self.check_value(b)
+    def unchecked_add(self, a, b):
         return self._value(self.table.sum[a.name][b.name])
 
-    def mul(self, a, b):
-        self.check_value(a), self.check_value(b)
+    def unchecked_mul(self, a, b):
         return self._value(self.table.mul[a.name][b.name])
 
     def zero(self):
@@ -422,12 +442,13 @@ class FiniteAlgebra(Algebra):
     def elements(self):
         return [self._value(n) for n in self.table.elements]
 
-    def residual(self, available, demand):
-        self.check_value(available), self.check_value(demand)
+    def unchecked_residual(self, available, demand):
+        # each sum is checked: a table admitted without its shape check may
+        # leave its carrier
         valid = [s for s in self.elements()
-                 if self.leq(self.add(demand, s), available)]
+                 if self.leq(self.unchecked_add(demand, s), available)]
         return the_residual([s for s in valid
-                             if not any(t != s and self.leq(s, t) for t in valid)])
+                             if not any(t != s and self.unchecked_leq(s, t) for t in valid)])
 
     def describe(self):
         return f"table:{self.table.name}"
@@ -445,17 +466,17 @@ class ProductAlgebra(Algebra):
     left: Algebra
     right: Algebra
 
-    def leq(self, a, b):
-        self.check_value(a), self.check_value(b)
-        return self.left.leq(a.left, b.left) and self.right.leq(a.right, b.right)
+    def unchecked_leq(self, a, b):
+        return (self.left.unchecked_leq(a.left, b.left)
+                and self.right.unchecked_leq(a.right, b.right))
 
-    def add(self, a, b):
-        self.check_value(a), self.check_value(b)
-        return PairValue(self.left.add(a.left, b.left), self.right.add(a.right, b.right))
+    def unchecked_add(self, a, b):
+        return PairValue(self.left.unchecked_add(a.left, b.left),
+                         self.right.unchecked_add(a.right, b.right))
 
-    def mul(self, a, b):
-        self.check_value(a), self.check_value(b)
-        return PairValue(self.left.mul(a.left, b.left), self.right.mul(a.right, b.right))
+    def unchecked_mul(self, a, b):
+        return PairValue(self.left.unchecked_mul(a.left, b.left),
+                         self.right.unchecked_mul(a.right, b.right))
 
     def zero(self):
         return PairValue(self.left.zero(), self.right.zero())
@@ -478,13 +499,12 @@ class ProductAlgebra(Algebra):
         re_ = self.right.elements() or self.right.sample()[:8]
         return [PairValue(l, r) for l, r in iproduct(le, re_)]
 
-    def residual(self, available, demand):
-        self.check_value(available), self.check_value(demand)
+    def unchecked_residual(self, available, demand):
         # componentwise order and sum: the maximal residuals are the pairs
         # of maximal component residuals
         return the_residual([PairValue(l, r) for l, r in iproduct(
-            maximal_residuals(self.left, available.left, demand.left),
-            maximal_residuals(self.right, available.right, demand.right))])
+            maximal_residuals(self.left.unchecked_residual, available.left, demand.left),
+            maximal_residuals(self.right.unchecked_residual, available.right, demand.right))])
 
     def describe(self):
         return f"product({self.left.describe()},{self.right.describe()})"
@@ -515,27 +535,24 @@ class ExtendAlgebra(Algebra):
 
     inner: Algebra
 
-    def leq(self, a, b):
-        self.check_value(a), self.check_value(b)
+    def unchecked_leq(self, a, b):
         if isinstance(b, ExtInf):
             return True
         if isinstance(a, ExtInf):
             return False
-        return self.inner.leq(a.inner, b.inner)
+        return self.inner.unchecked_leq(a.inner, b.inner)
 
-    def add(self, a, b):
-        self.check_value(a), self.check_value(b)
+    def unchecked_add(self, a, b):
         if isinstance(a, ExtInf) or isinstance(b, ExtInf):
             return ExtInf()
-        return ExtFin(self.inner.add(a.inner, b.inner))
+        return ExtFin(self.inner.unchecked_add(a.inner, b.inner))
 
-    def mul(self, a, b):
-        self.check_value(a), self.check_value(b)
+    def unchecked_mul(self, a, b):
         if isinstance(a, ExtInf) or isinstance(b, ExtInf):
             if a == self.zero() or b == self.zero():
                 return self.zero()
             return ExtInf()
-        return ExtFin(self.inner.mul(a.inner, b.inner))
+        return ExtFin(self.inner.unchecked_mul(a.inner, b.inner))
 
     def zero(self):
         return ExtFin(self.inner.zero())
@@ -558,14 +575,13 @@ class ExtendAlgebra(Algebra):
         inner = self.inner.elements() or self.inner.sample()[:12]
         return [ExtFin(v) for v in inner] + [ExtInf()]
 
-    def residual(self, available, demand):
-        self.check_value(available), self.check_value(demand)
+    def unchecked_residual(self, available, demand):
         if isinstance(available, ExtInf):
             return ExtInf()
         if isinstance(demand, ExtInf):
             return None
         return the_residual([ExtFin(r) for r in maximal_residuals(
-            self.inner, available.inner, demand.inner)])
+            self.inner.unchecked_residual, available.inner, demand.inner)])
 
     def describe(self):
         return f"extend({self.inner.describe()})"
@@ -945,6 +961,10 @@ class Indexed:
     ``residual``, if that is asked for): one algebra in the law checks, or
     the kinded operations of a grade universe, whose grades are interned here
     for the universe's lifetime.
+
+    An ``Algebra``'s grades are checked once per id, on the first use of the
+    id as an operand, and its unchecked operations run on them: the same
+    operands are refused, with the same errors, as by its public operations.
     """
 
     def __init__(self, alg, canonical=None):
@@ -952,6 +972,8 @@ class Indexed:
         self.values: list = []   # id -> canonical grade
         self._ids: dict = {}     # grade -> id
         self._canonical = canonical
+        self._algebra = isinstance(alg, Algebra)
+        self._unchecked: set[int] = set()  # an algebra's ids not yet checked as operands
         # per id, the memo rows of leq, add, mul and residual, keyed by the right id
         self._leq: list[dict] = []
         self._add: list[dict] = []
@@ -967,6 +989,8 @@ class Indexed:
                 v = self._canonical(v, i)
             self._ids[v] = i
             self.values.append(v)
+            if self._algebra:
+                self._unchecked.add(i)
             self._leq.append({}), self._add.append({}), self._mul.append({})
             self._residual.append({})
         return i
@@ -975,21 +999,32 @@ class Indexed:
         row = self._leq[i]
         hit = row.get(j)
         if hit is None:
-            hit = row[j] = self.alg.leq(self.values[i], self.values[j])
+            if self._unchecked:
+                self._check_operands(i, j)
+            a, b = self.values[i], self.values[j]
+            hit = row[j] = self.alg.unchecked_leq(a, b) if self._algebra else self.alg.leq(a, b)
         return hit
 
     def add(self, i: int, j: int) -> int:
         row = self._add[i]
         hit = row.get(j)
         if hit is None:
-            hit = row[j] = self.id(self.alg.add(self.values[i], self.values[j]))
+            if self._unchecked:
+                self._check_operands(i, j)
+            a, b = self.values[i], self.values[j]
+            hit = row[j] = self.id(self.alg.unchecked_add(a, b) if self._algebra
+                                   else self.alg.add(a, b))
         return hit
 
     def mul(self, i: int, j: int) -> int:
         row = self._mul[i]
         hit = row.get(j)
         if hit is None:
-            hit = row[j] = self.id(self.alg.mul(self.values[i], self.values[j]))
+            if self._unchecked:
+                self._check_operands(i, j)
+            a, b = self.values[i], self.values[j]
+            hit = row[j] = self.id(self.alg.unchecked_mul(a, b) if self._algebra
+                                   else self.alg.mul(a, b))
         return hit
 
     def residual(self, i: int, j: int) -> tuple[int, ...]:
@@ -997,9 +1032,19 @@ class Indexed:
         row = self._residual[i]
         hit = row.get(j)
         if hit is None:
+            if self._unchecked:
+                self._check_operands(i, j)
+            residual = self.alg.unchecked_residual if self._algebra else self.alg.residual
             hit = row[j] = tuple(self.id(r) for r in maximal_residuals(
-                self.alg, self.values[i], self.values[j]))
+                residual, self.values[i], self.values[j]))
         return hit
+
+    def _check_operands(self, i: int, j: int) -> None:
+        """Check the grades of ids i and j, in that order, unless checked."""
+        for k in (i, j):
+            if k in self._unchecked:
+                self.alg.check_value(self.values[k])
+                self._unchecked.discard(k)
 
     def reader(self, op: str, js: Sequence[int]) -> Callable[[int], tuple]:
         """A batched read of ``op`` ("leq", "add" or "mul") at the ids

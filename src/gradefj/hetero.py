@@ -143,13 +143,15 @@ class KindedAlgebra:
     their join kind.  ``GradeUniverse`` answers from its ``Indexed`` table
     over this, which calls it once per pair of canonical grades.
 
-    Each canonical grade is moved into each other kind once: ``_moved``
-    keeps its image by (id, kind), trusting the id only when ``values``
-    (the table's list) holds that very grade there, as the universe's
-    ``leq``/``add``/``mul`` do; any other grade is moved afresh, and a hom
-    that raises stores nothing.  It holds the universe's dicts and the
-    table's list, not the universe or the table, so that no reference cycle
-    outlives a universe."""
+    Each kind's unchecked operations run on values known to be in its
+    carrier: a canonical grade's value was checked when it was interned, and
+    its image in another kind is checked once, before ``_moved`` keeps it by
+    (id, kind).  A grade is canonical when ``values`` (the table's list)
+    holds that very grade at its id, as the universe's ``leq``/``add``/``mul``
+    trust it; any other grade is moved and checked afresh every time, and a
+    hom that raises, or whose image leaves the kind, stores nothing.  It
+    holds the universe's dicts and the table's list, not the universe or the
+    table, so that no reference cycle outlives a universe."""
 
     def __init__(self, u: GradeUniverse):
         self.kinds, self.order, self.join_table, self.homs = (
@@ -162,36 +164,49 @@ class KindedAlgebra:
         _algebra_of(self.kinds, g.kind).check_value(g.value)
         return g if g.id == i else KindedGrade(g.kind, g.value, i)
 
-    def _moved(self, g: KindedGrade, kind: str) -> GradeValue:
-        i = g.id
+    def _value(self, g: KindedGrade) -> GradeValue:
+        """``g``'s value, checked in its kind unless ``g`` is canonical."""
         try:
-            known = self.values[i] is g
+            known = self.values[g.id] is g
         except IndexError:
             known = False
         if not known:
-            return self.homs[g.kind, kind].apply(g.value)
-        if g.kind == kind:  # checked when it was interned
-            return g.value
-        image = self._images.get((i, kind))
-        if image is None:
-            image = self._images[i, kind] = self.homs[g.kind, kind].apply(g.value)
+            self.kinds[g.kind].check_value(g.value)
+        return g.value
+
+    def _moved(self, g: KindedGrade, kind: str) -> GradeValue:
+        """``g``'s image in ``kind``, checked to be in its carrier."""
+        try:
+            known = self.values[g.id] is g
+        except IndexError:
+            known = False
+        if known:
+            if g.kind == kind:  # checked when it was interned
+                return g.value
+            image = self._images.get((g.id, kind))
+            if image is not None:
+                return image
+        image = self.homs[g.kind, kind].apply(g.value)
+        self.kinds[kind].check_value(image)
+        if known:
+            self._images[g.id, kind] = image
         return image
 
     def leq(self, x: KindedGrade, y: KindedGrade) -> bool:
         if (x.kind, y.kind) not in self.order:
             return False
-        return self.kinds[y.kind].leq(self._moved(x, y.kind), y.value)
+        return self.kinds[y.kind].unchecked_leq(self._moved(x, y.kind), self._value(y))
 
     def add(self, x: KindedGrade, y: KindedGrade) -> KindedGrade:
         j = self.join_table[x.kind, y.kind]
-        return KindedGrade(j, self.kinds[j].add(self._moved(x, j), self._moved(y, j)))
+        return KindedGrade(j, self.kinds[j].unchecked_add(self._moved(x, j), self._moved(y, j)))
 
     def mul(self, x: KindedGrade, y: KindedGrade) -> KindedGrade:
         # only <N,0> is the combined zero; the table passes canonical grades
         if x.id == ZERO_D.id or y.id == ZERO_D.id:
             return ZERO_D
         j = self.join_table[x.kind, y.kind]
-        return KindedGrade(j, self.kinds[j].mul(self._moved(x, j), self._moved(y, j)))
+        return KindedGrade(j, self.kinds[j].unchecked_mul(self._moved(x, j), self._moved(y, j)))
 
     def residual(self, available: KindedGrade, demand: KindedGrade) -> Optional[KindedGrade]:
         """Looked for in the kind of the available grade; the demand must
@@ -200,7 +215,8 @@ class KindedAlgebra:
         if (demand.kind, kind) not in self.order:
             return None
         return the_residual([KindedGrade(kind, v) for v in maximal_residuals(
-            self.kinds[kind], available.value, self._moved(demand, kind))])
+            self.kinds[kind].unchecked_residual, self._value(available),
+            self._moved(demand, kind))])
 
     def zero(self) -> KindedGrade:
         return ZERO_D
@@ -225,7 +241,8 @@ class GradeUniverse:
     order: frozenset[tuple[str, str]] = field(default_factory=frozenset)
     join_table: dict[tuple[str, str], str] = field(default_factory=dict)
     homs: dict[tuple[str, str], Hom] = field(default_factory=dict)
-    # the load-time law report of each user kind (none when not validated)
+    # the load-time law report of each user-built kind (none when not
+    # validated); a builtin algebra's is ``builtin_law_report``'s
     law_reports: dict[str, LawReport] = field(default_factory=dict)
     indexed: Indexed = field(init=False)
 
@@ -374,7 +391,9 @@ def validate_universe(kinds: dict[str, Algebra], edges: list[RefinementEdge],
     pass derives each user kind's homomorphism to every ancestor, supers
     before subs; its keys are the ancestor sets the joins are read from.
     The derived join table is checked to be a commutative idempotent
-    monoid with unit N.
+    monoid with unit N.  The algebra laws are checked here for user-built
+    kinds (tables, products, extensions) only: a builtin algebra's report is
+    ``builtin_law_report``'s, computed once per process when asked for.
     """
     kinds = dict(kinds)
     for reserved, alg in ((KIND_NAT, NAT), (KIND_TRIVIAL, TRIVIAL)):
@@ -385,7 +404,7 @@ def validate_universe(kinds: dict[str, Algebra], edges: list[RefinementEdge],
 
     law_reports: dict[str, LawReport] = {}
     if validate_algebras:
-        for k in sorted(user):
+        for k in sorted(k for k in user if builtin_name(kinds[k]) is None):
             report = law_reports[k] = validate_algebra(kinds[k])
             if not report.ok:
                 raise UniverseError(
@@ -520,11 +539,21 @@ def default_universe() -> GradeUniverse:
 
 # -- universe-level law checking -------------------------------------------
 
+_BUILTINS = {"nat": NAT, "trivial": TRIVIAL, "affinity": AFFINITY,
+             "boolean": BOOLEAN, "extreal": EXTREAL}
+
+
+def builtin_name(alg: Algebra) -> Optional[str]:
+    """The name of ``alg`` when it is one of the builtin algebra constants
+    (those of N and T among them), else None."""
+    return next((name for name, b in _BUILTINS.items() if alg is b), None)
+
+
 @cache
-def reserved_law_report(kind: str) -> LawReport:
-    """The law report of the reserved kind N or T, computed on the first call
-    in a process: every universe holds the same algebra under each."""
-    return validate_algebra({KIND_NAT: NAT, KIND_TRIVIAL: TRIVIAL}[kind])
+def builtin_law_report(name: str) -> LawReport:
+    """The law report of the builtin algebra ``name``, computed on the first
+    call in a process: every kind that holds it holds the same constant."""
+    return validate_algebra(_BUILTINS[name])
 
 
 MONOTONE_PAIRS = 400  # at most about this many related pairs for monotonicity
@@ -677,10 +706,6 @@ def _coherence_laws(u: GradeUniverse, grades: list[KindedGrade]) -> list[tuple]:
 
 
 # -- configuration files -----------------------------------------------------
-
-_BUILTINS = {"nat": NAT, "trivial": TRIVIAL, "affinity": AFFINITY,
-             "boolean": BOOLEAN, "extreal": EXTREAL}
-
 
 def _nested(depth: int) -> int:
     """The depth of a spec inside one at ``depth``, within MAX_SPEC_DEPTH."""

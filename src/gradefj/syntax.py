@@ -664,11 +664,15 @@ def format_expr(e: Expr) -> str:
         return e.name + asc
     if isinstance(e, FieldAccess):
         return f"{format_expr(e.recv)}.{e.fieldName}" + asc
-    if isinstance(e, New):
-        return f"new {e.className}({', '.join(format_expr(a) for a in e.args)})" + asc
-    if isinstance(e, Invk):
-        return (f"{format_expr(e.recv)}.{e.method}"
-                f"({', '.join(format_expr(a) for a in e.args)})" + asc)
+    if isinstance(e, (New, Invk)):
+        # a loop, not a generator, so that each level of nesting costs one
+        # frame: every value the checker accepts prints
+        args = []
+        for a in e.args:
+            args.append(format_expr(a))
+        if isinstance(e, New):
+            return f"new {e.className}({', '.join(args)})" + asc
+        return f"{format_expr(e.recv)}.{e.method}({', '.join(args)})" + asc
     if isinstance(e, Block):
         return (f"{{{e.declClass}[{e.declGrade}] {e.var} = {format_expr(e.init)}; "
                 f"{format_expr(e.body)}}}" + asc)

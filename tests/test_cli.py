@@ -144,6 +144,27 @@ def test_run_fuel_divergence_is_not_an_error(capsys, corpus_dir):
     assert "divergent within fuel" in out
 
 
+DEEP_VALUE = "new B(" * 400 + "new A()" + ")" * 400
+
+
+@pytest.mark.parametrize("mode", [[], ["--json"], ["--standard"], ["--unchecked"]],
+                         ids=["checked", "json", "standard", "unchecked"])
+def test_deep_values_print_in_every_run_mode(mode):
+    # a value nested 400 deep, which the checker accepts, prints in a fresh
+    # interpreter at its default recursion limit
+    src = pathlib.Path(gradefj.__file__).parent.parent
+    program = pathlib.Path(__file__).parent / "programs" / "deep_new400.gfj"
+    done = subprocess.run([sys.executable, "-m", "gradefj.cli", "run", *mode, str(program)],
+                          capture_output=True, text=True,
+                          env={**os.environ, "PYTHONPATH": str(src)}, timeout=60)
+    assert (done.returncode, done.stderr) == (0, "")
+    if mode == ["--json"]:
+        payload = json.loads(done.stdout)
+        assert (payload["outcome"], payload["value"]) == ("final", DEEP_VALUE)
+    else:
+        assert done.stdout.splitlines()[0] == DEEP_VALUE
+
+
 def test_search_is_stack_safe_at_fuel_5000(capsys):
     # the depth-first search keeps its own stack, so its depth is bounded
     # by the fuel and not by the interpreter's recursion limit
@@ -154,19 +175,24 @@ def test_search_is_stack_safe_at_fuel_5000(capsys):
 
 def test_run_grade_arithmetic_does_not_grow_with_fuel(capsys, monkeypatch):
     # every step repeats the same grade operations, so the universe answers
-    # them from its memo rows and the kind algebras work only on the first
+    # them from its memo rows and the kind algebras work only on the first;
+    # the public operations and the unchecked ones they call are all counted
     import gradefj.grades as grades
     calls = Counter()
-    for cls in (grades.NatAlgebra, grades.TrivialAlgebra, grades.ExtRealAlgebra,
-                grades.FiniteAlgebra, grades.ProductAlgebra, grades.ExtendAlgebra):
+    for cls in (grades.Algebra, grades.NatAlgebra, grades.TrivialAlgebra,
+                grades.ExtRealAlgebra, grades.FiniteAlgebra, grades.ProductAlgebra,
+                grades.ExtendAlgebra):
         for op in ("leq", "add", "mul", "residual"):
-            original = cls.__dict__[op]
+            for name in (op, f"unchecked_{op}"):
+                if name not in cls.__dict__:
+                    continue
+                original = cls.__dict__[name]
 
-            def counted(self, *args, op=op, original=original):
-                calls[op] += 1
-                return original(self, *args)
+                def counted(self, *args, name=name, original=original):
+                    calls[name] += 1
+                    return original(self, *args)
 
-            monkeypatch.setattr(cls, op, counted)
+                monkeypatch.setattr(cls, name, counted)
     loop = pathlib.Path(__file__).parent / "programs" / "loop.gfj"
     made = []
     for fuel in ("150", "1500"):
@@ -174,7 +200,7 @@ def test_run_grade_arithmetic_does_not_grow_with_fuel(capsys, monkeypatch):
         code, out, _ = run_cli(capsys, "run", "--fuel", fuel, str(loop))
         assert code == 0 and out == f"divergent within fuel ({fuel} steps)\n"
         made.append(dict(calls))
-    assert made[0]["residual"] > 0
+    assert made[0]["unchecked_residual"] > 0
     assert made[0] == made[1]
 
 
@@ -254,43 +280,66 @@ def test_laws_json_deterministic(capsys, corpus_dir):
 
 
 def test_laws_validates_each_algebra_once(capsys, corpus_dir, monkeypatch):
-    # user kinds are validated whenever a universe loads; N and T on the
-    # first laws command of the process only
+    # user-built kinds are validated whenever a universe loads; builtin
+    # algebras (affinity for A, and N's and T's) on the first laws command of
+    # the process only
     import gradefj.hetero
-    from gradefj.grades import NAT, TRIVIAL, validate_algebra
+    from gradefj.grades import AFFINITY, NAT, TRIVIAL, validate_algebra
     calls = []
 
     def counted(alg, *args, **kwargs):
         calls.append(alg)
         return validate_algebra(alg, *args, **kwargs)
     monkeypatch.setattr(gradefj.hetero, "validate_algebra", counted)
-    gradefj.hetero.reserved_law_report.cache_clear()
+    gradefj.hetero.builtin_law_report.cache_clear()
     path = corpus_path(corpus_dir, "affinity_privacy.json")
     code, out, _ = run_cli(capsys, "laws", "--json", path)
     assert code == 0
     kinds = {line["scope"] for line in json.loads(out) if line["scope"] != "universe"}
     assert kinds == {f"kind {k}" for k in ("A", "AP", "N", "P", "PP", "T")}
     assert len(calls) == len(kinds)
-    assert {id(NAT), id(TRIVIAL)} <= {id(alg) for alg in calls}
+    builtins = {id(AFFINITY), id(NAT), id(TRIVIAL)}
+    assert builtins <= {id(alg) for alg in calls}
     calls.clear()
     assert run_cli(capsys, "laws", "--json", path) == (0, out, "")
-    assert len(calls) == 4 and not {id(NAT), id(TRIVIAL)} & {id(alg) for alg in calls}
+    second = list(calls)
+    universe = gradefj.hetero.load_universe(path)
+    assert second == [universe.kinds[k] for k in ("AP", "P", "PP")]
+    assert not builtins & {id(alg) for alg in second}
 
 
-def test_reserved_kinds_are_checked_on_the_first_laws_command(corpus_dir):
-    # not at import, nor when the default universe is built or a universe
-    # file is loaded: the benchmark times those as set-up
+def test_reserved_kinds_are_checked_on_the_first_laws_command(corpus_dir, tmp_path):
+    # builtin algebras, N's and T's among them, are law-checked neither at
+    # import, nor when the default universe is built or a universe file is
+    # loaded (the benchmark times those as set-up), but on the first laws
+    # command that prints one, once per process
     src = pathlib.Path(gradefj.__file__).parent.parent
-    code = ("import sys, gradefj.cli, gradefj.props\n"
-            "from gradefj.hetero import default_universe, load_universe, reserved_law_report\n"
-            "default_universe(), load_universe(sys.argv[1])\n"
-            "before = reserved_law_report.cache_info().misses\n"
-            "gradefj.cli.main(['laws', '--json', sys.argv[1]])\n"
-            "print(before, reserved_law_report.cache_info().misses)")
-    out = subprocess.run([sys.executable, "-c", code, corpus_path(corpus_dir, "bool.json")],
-                         capture_output=True, text=True,
+    real = tmp_path / "real.json"
+    real.write_text(json.dumps({"kinds": {"R": {"builtin": "extreal"}}}))
+    code = ("import sys\n"
+            "checked = []\n"
+            "def profile(frame, event, arg):\n"
+            "    if event == 'call' and frame.f_code.co_name == 'validate_algebra':\n"
+            "        checked.append(frame.f_locals['spec'])\n"
+            "sys.setprofile(profile)\n"
+            "import gradefj.cli, gradefj.props\n"
+            "from gradefj.hetero import builtin_law_report, builtin_name, default_universe, "
+            "load_universe\n"
+            "default_universe(), [load_universe(p) for p in sys.argv[1:]]\n"
+            "sys.setprofile(None)\n"
+            "print(len(checked), sum(builtin_name(a) is not None for a in checked),\n"
+            "      builtin_law_report.cache_info().misses)\n"
+            "for p in sys.argv[1:]:\n"
+            "    gradefj.cli.main(['laws', '--json', p])\n"
+            "    print(builtin_law_report.cache_info().misses)")
+    paths = [corpus_path(corpus_dir, "bool.json"), corpus_path(corpus_dir, "affinity_privacy.json"),
+             str(real)]
+    out = subprocess.run([sys.executable, "-c", code, *paths], capture_output=True, text=True,
                          env={**os.environ, "PYTHONPATH": str(src)}, check=True).stdout
-    assert out.split()[-2:] == ["0", "2"]
+    lines = [line for line in out.splitlines() if not line.startswith("[")]
+    # only affinity_privacy's three user-built kinds were validated at load;
+    # then bool checks N, T and boolean, affinity_privacy affinity, real extreal
+    assert lines == ["3 0 0", "3", "4", "5"]
 
 
 @pytest.mark.parametrize("how", ["check", "run", "check_entry", "theorem_suite"])

@@ -187,10 +187,11 @@ def test_golden_laws_output(name, tmp_path):
 
 
 def test_golden_laws_output_with_reserved_reports_cached(tmp_path):
-    # N and T are checked on the first laws command of a process; later
-    # commands print the cached reports, which must read as a fresh check
-    from gradefj.hetero import reserved_law_report
-    reserved_law_report.cache_clear()
+    # builtin algebras, N's and T's among them, are checked on the first laws
+    # command that prints them in a process; later commands print the cached
+    # reports, which must read as a fresh check
+    from gradefj.hetero import builtin_law_report
+    builtin_law_report.cache_clear()
     for name in ("bool", "affinity_privacy", "bool"):
         want = json.loads((LAWS_GOLDEN_DIR / f"{name}.json").read_text(encoding="utf-8"))
         assert observe_laws(name, tmp_path) == want, name

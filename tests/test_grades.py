@@ -81,6 +81,32 @@ def test_carrier_mismatch():
         AFFINITY.leq(PRIV("public"), AFF("1"))
 
 
+# per algebra class: the algebra, a value of it, a value off its carrier (one
+# level down for products and extensions), and the refusal's message
+OFF_CARRIER = {
+    "nat": (NAT, Nat(1), ExtReal(Fraction(1)), "1 is not a value of nat"),
+    "trivial": (TRIVIAL, Triv(), Nat(0), "0 is not a value of trivial"),
+    "extreal": (EXTREAL, ExtReal(Fraction(1, 2)), Nat(1), "1 is not a value of extreal"),
+    "finite": (AFFINITY, AFF("1"), FiniteElem("1", "boolean"),
+               "1 is not a value of table:affinity"),
+    "product": (ProductAlgebra(AFFINITY, NAT), PairValue(AFF("1"), Nat(2)),
+                PairValue(AFF("w"), Triv()),
+                "(w,inf) is not a value of product(table:affinity,nat)"),
+    "extend": (ExtendAlgebra(NAT), ExtFin(Nat(3)), ExtFin(ExtReal(None)),
+               "inf is not a value of extend(nat)"),
+}
+
+
+@pytest.mark.parametrize("op", ["leq", "add", "mul", "residual"])
+@pytest.mark.parametrize("alg, good, bad, message", OFF_CARRIER.values(), ids=list(OFF_CARRIER))
+def test_public_operations_refuse_off_carrier_values(alg, good, bad, message, op):
+    # the public operations check both operands before the unchecked ones run
+    for args in ((bad, good), (good, bad), (bad, bad)):
+        with pytest.raises(CarrierMismatch) as exc:
+            getattr(alg, op)(*args)
+        assert str(exc.value) == message
+
+
 def test_extreal_exact():
     third = ExtReal(Fraction(1, 3))
     assert EXTREAL.add(third, third) == ExtReal(Fraction(2, 3))
@@ -327,6 +353,13 @@ def test_validate_hom_witnesses():
         "hom-add": ("1", "1"), "hom-monotone": ("1", "w")}
     assert {r.law: r.witness for r in validate_hom(SkippingIotaHom(NAT)).failures()} == {
         "hom-add": ("32", "41"), "hom-mul": ("32", "41")}
+    # an image off the target's carrier is refused by each law that operates
+    # on it, as the target's public operations refuse it
+    off_carrier = FiniteMapHom(AFFINITY, BOOLEAN, {
+        "0": FiniteElem("0", "boolean"), "1": FiniteElem("1", "boolean"), "w": Nat(2)})
+    refused = ("2 is not a value of table:boolean",)
+    assert {r.law: r.witness for r in validate_hom(off_carrier).failures()} == {
+        "hom-add": refused, "hom-mul": refused, "hom-monotone": refused}
 
 
 @pytest.mark.parametrize("target", [AFFINITY, ProductAlgebra(AFFINITY, PRIVACY)])

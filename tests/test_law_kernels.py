@@ -38,9 +38,13 @@ from gradefj.grades import (
     validate_algebra,
     validate_hom,
 )
+from gradefj.grades import CarrierMismatch
 from gradefj.hetero import (
+    KindedGrade,
     RefinementEdge,
     UniverseError,
+    builtin_law_report,
+    builtin_name,
     check_universe_laws,
     load_universe,
     universe_from_config,
@@ -84,8 +88,9 @@ def test_universe_reports_match_the_reference(path):
     u = load_universe(str(path))
     for kind, spec in u.kinds.items():
         want = assert_same_algebra_report(spec)
-        if kind in u.law_reports:
-            assert rows(u.law_reports[kind]) == rows(want)
+        # a user-built kind's report is made at load, a builtin's once per process
+        name = builtin_name(spec)
+        assert rows(u.law_reports[kind] if name is None else builtin_law_report(name)) == rows(want)
     for edge in u.edges:
         assert rows(validate_hom(edge.hom)) == rows(ref.validate_hom(edge.hom))
     assert all(ok for _, ok, _ in assert_same_universe_report(lambda: load_universe(str(path))))
@@ -312,6 +317,13 @@ def _partial_self_hom():
     return u
 
 
+def _off_carrier_hom():
+    # hom(PP, P) sends every grade to a boolean, off privacy2's carrier
+    u = _pp_p_b()
+    u.homs["PP", "P"] = FiniteMapHom(PPRIVACY, BOOLEAN, {n: BOOL("1") for n in "0abcd"})
+    return u
+
+
 def _skipping_nat_identity():
     # hom(N, N) skips 5: inj-6 meets it at N, whose join with N is N
     u = _pp_p_b()
@@ -321,7 +333,7 @@ def _skipping_nat_identity():
 
 @pytest.mark.parametrize("make", [_pp_p_b, _off_route_hom, _uneven_join, _partial_hom,
                                   _join_into_top, _moved_off_the_pools, _self_hom_moves,
-                                  _partial_self_hom, _skipping_nat_identity],
+                                  _partial_self_hom, _skipping_nat_identity, _off_carrier_hom],
                          ids=lambda f: f.__name__.strip("_"))
 def test_altered_universe_reports_match_the_reference(make):
     got = assert_same_universe_report(make)
@@ -340,3 +352,24 @@ def test_altered_universe_reports_match_the_reference(make):
         assert failing["inj-3-commute"] == ("map has no image for element 'private'",)
     if make is _skipping_nat_identity:
         assert failing["inj-6-bottom-right"] == ("N",)
+
+
+def test_an_image_off_the_carrier_is_refused_every_time():
+    # the kinded operations run each kind's unchecked operations on images
+    # checked once, before they are kept: an image off the kind's carrier is
+    # kept nowhere, so every operation that needs it is refused
+    u = _off_carrier_hom()
+    a, private = u.intern(KindedGrade("PP", FiniteElem("a", "privacy4"))), u.parse_grade("P:private")
+    message = "1 is not a value of table:privacy2"
+    kinded = u.indexed.alg
+    for _ in range(2):
+        for op in (u.add, u.leq, kinded.add, kinded.leq):
+            with pytest.raises(CarrierMismatch, match=message):
+                op(a, private)
+    assert kinded._images == {}
+    # a grade the table did not intern is checked every time, moved or not
+    stray = KindedGrade("P", BOOL("1"))
+    for op, args in ((kinded.leq, (private, stray)), (kinded.add, (stray, private)),
+                     (kinded.residual, (stray, private))):
+        with pytest.raises(CarrierMismatch, match=message):
+            op(*args)
