@@ -20,7 +20,7 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass, field
 from itertools import accumulate, repeat
-from typing import Optional
+from typing import NamedTuple, Optional
 
 from .grades import GradeError
 from .hetero import GradeUniverse, KindedGrade
@@ -117,7 +117,8 @@ class Block(Expr):
 
 def with_ascription(e: Expr, grade: Optional[KindedGrade]) -> Expr:
     """``e`` carrying ``grade`` as its own ascription (``e`` itself if it does)."""
-    if e.ascription is grade or e.ascription == grade:
+    have = e.ascription
+    if have is grade or (have is not None and have == grade):
         return e
     out = object.__new__(type(e))  # a field-for-field copy, cheaper than __init__
     out.__dict__.update(e.__dict__, ascription=grade)
@@ -239,91 +240,114 @@ class ClassDecl:
     pos: Pos = field(default=(0, 0), compare=False)
 
 
-@dataclass(frozen=True)
-class MethodType:
-    """A method's signature: the grade of ``this``, parameters and return type."""
+class Resolved(NamedTuple):
+    """A class with its inheritance resolved.  ``broken`` names the first
+    class on its superclass chain (itself included) that is undeclared or
+    on an inheritance cycle; the members and ancestors then stop below it."""
 
-    thisGrade: KindedGrade
-    params: tuple[Param, ...]
-    returnType: GradedType
+    fields: tuple[FieldDecl, ...]    # superclass fields first
+    index: dict[str, int]            # field name -> its first index
+    methods: dict[str, MethodDecl]   # declared or inherited
+    ancestors: dict[str, None]       # itself first, up to Object
+    broken: Optional[str] = None
 
 
-@dataclass(eq=False, repr=False)
+class _Resolutions(dict):
+    """Class name -> ``Resolved``, each resolved on first use, superclasses
+    first, by a loop rather than one frame per level."""
+
+    def __init__(self, classes: dict[str, ClassDecl]):
+        super().__init__({OBJECT: Resolved((), {}, {}, {OBJECT: None})})
+        self.classes = classes
+
+    def __missing__(self, name: str) -> Resolved:
+        chain: dict[str, ClassDecl] = {}
+        cur = name
+        while cur not in self:
+            if cur in chain or cur not in self.classes:
+                self[cur] = Resolved((), {}, {}, {}, cur)
+            else:
+                chain[cur] = decl = self.classes[cur]
+                cur = decl.superName
+        res = self[cur]
+        for decl in reversed(chain.values()):
+            index = dict(res.index)
+            for i, fd in enumerate(decl.fields, len(res.fields)):
+                index.setdefault(fd.name, i)
+            res = self[decl.name] = Resolved(
+                res.fields + decl.fields, index, {**res.methods, **decl.methods},
+                {decl.name: None, **res.ancestors}, res.broken)
+        return res
+
+
 class ClassTable:
-    """The classes of a program by name, with lookups through inheritance."""
+    """The classes of a program by name.  Each class is resolved once, on
+    first use, so a lookup through inheritance is a read; the table is never
+    changed, and ``with_bodies`` makes a new one."""
 
-    classes: dict[str, ClassDecl]
-
-    def decl(self, name: str) -> ClassDecl:
-        if name == OBJECT or name not in self.classes:
-            raise UnknownClass(f"unknown class {name!r}")
-        return self.classes[name]
+    def __init__(self, classes: dict[str, ClassDecl]):
+        self.classes = classes
+        self.resolve = _Resolutions(classes).__getitem__   # name -> Resolved
 
     def has_class(self, name: str) -> bool:
         return name == OBJECT or name in self.classes
 
-    def super_of(self, name: str) -> Optional[str]:
-        if name == OBJECT:
-            return None
-        return self.decl(name).superName
+    def _known(self, name: str) -> Resolved:
+        """``name`` resolved, or UnknownClass if its chain is broken."""
+        res = self.resolve(name)
+        if res.broken is not None:
+            raise UnknownClass(f"inheritance cycle through {res.broken}" if res.broken
+                               in self.classes else f"unknown class {res.broken!r}")
+        return res
 
     def subclass_of(self, sub: str, sup: str) -> bool:
         """Reflexive-transitive closure of extends, rooted at Object."""
+        if sup in self.resolve(sub).ancestors:
+            return True
         for name in (sub, sup):
             if not self.has_class(name):
                 raise UnknownClass(f"unknown class {name!r}")
-        cur: Optional[str] = sub
-        while cur is not None:
-            if cur == sup:
-                return True
-            cur = self.super_of(cur)
+        self._known(sub)
         return False
 
-    def fields(self, name: str) -> list[FieldDecl]:
+    def fields(self, name: str) -> tuple[FieldDecl, ...]:
         """Declared fields, superclass fields first."""
-        if name == OBJECT:
-            return []
-        decl = self.decl(name)
-        return self.fields(decl.superName) + list(decl.fields)
+        return self._known(name).fields
 
     def field(self, name: str, fieldName: str) -> FieldDecl:
-        for fd in self.fields(name):
-            if fd.name == fieldName:
-                return fd
-        raise UnknownMember(f"class {name} has no field {fieldName!r}")
+        return self._known(name).fields[self.field_index(name, fieldName)]
 
     def field_index(self, name: str, fieldName: str) -> int:
-        for i, fd in enumerate(self.fields(name)):
-            if fd.name == fieldName:
-                return i
-        raise UnknownMember(f"class {name} has no field {fieldName!r}")
+        """The index of the first field so named."""
+        try:
+            return self._known(name).index[fieldName]
+        except KeyError:
+            raise UnknownMember(f"class {name} has no field {fieldName!r}") from None
 
-    def mtype(self, name: str, method: str) -> MethodType:
-        decl = self._find_method(name, method)
-        return MethodType(decl.thisGrade, decl.params, decl.returnType)
+    def mtype(self, name: str, method: str) -> MethodDecl:
+        """The declaration of ``method`` in ``name`` or the nearest superclass
+        that has one; it carries the signature."""
+        decl = self.resolve(name).methods.get(method)
+        if decl is None:
+            self._known(name)
+            raise UnknownMember(f"class {name} has no method {method!r}")
+        return decl
 
     def mbody(self, name: str, method: str) -> tuple[tuple[str, ...], Expr]:
-        decl = self._find_method(name, method)
+        decl = self.mtype(name, method)
         return tuple(p.name for p in decl.params), decl.body
 
     def with_bodies(self, body_of) -> "ClassTable":
         """The same table with each method body replaced by
         ``body_of(class name, method declaration)``."""
-        return ClassTable({
-            name: ClassDecl(name, decl.superName, decl.fields,
-                            {m: MethodDecl(m, md.thisGrade, md.params, md.returnType,
-                                           body_of(name, md), md.pos)
-                             for m, md in decl.methods.items()}, decl.pos)
-            for name, decl in self.classes.items()})
-
-    def _find_method(self, name: str, method: str) -> MethodDecl:
-        cur: Optional[str] = name
-        while cur is not None and cur != OBJECT:
-            decl = self.decl(cur)
-            if method in decl.methods:
-                return decl.methods[method]
-            cur = decl.superName
-        raise UnknownMember(f"class {name} has no method {method!r}")
+        classes = {}
+        for name, decl in self.classes.items():
+            methods = {}
+            for m, md in decl.methods.items():
+                copy = methods[m] = object.__new__(MethodDecl)  # cheaper than __init__
+                copy.__dict__.update(md.__dict__, body=body_of(name, md))
+            classes[name] = ClassDecl(name, decl.superName, decl.fields, methods, decl.pos)
+        return ClassTable(classes)
 
 
 def erase_table(table: ClassTable) -> ClassTable:
@@ -556,6 +580,8 @@ class Parser:
                 self.i += 1
                 fields_.append(FieldDecl(member_cls, grade, member_name, name_tok[2:]))
             elif follow == "(":
+                if member_name in methods:
+                    self.error(f"duplicate method {name}.{member_name}", name_tok)
                 methods[member_name] = self.parse_method(member_cls, grade, member_name)
             else:
                 self.error("expected ';' or '(' after member name")

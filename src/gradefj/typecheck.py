@@ -1,6 +1,8 @@
 """Graded type checking with elaboration by slot ascription.
 
-The checker runs in checking mode: the expected graded type flows down.
+The checker runs in checking mode: the expected class and grade flow down
+as two values.  Classes flow up only from receivers, whose class a member
+lookup needs first; one walk synthesises each receiver's class once.
 Where the typing rules leave a grade free, it picks the least admissible
 one (the expected grade at variables, the canonical unit on field-access
 receivers unless an ascription overrides it); every other slot grade is
@@ -95,6 +97,9 @@ def ctx_leq(u: GradeUniverse, c1: CoeffectCtx, c2: CoeffectCtx) -> bool:
 
 def ctx_add(u: GradeUniverse, c1: CoeffectCtx, c2: CoeffectCtx,
             rule: str = "ctx", pos: Pos = (0, 0)) -> CoeffectCtx:
+    """Pointwise sum; contexts are never changed, so an empty side gives the other."""
+    if not c1 or not c2:
+        return c1 or c2
     out = dict(c1)
     for x, (cls, g) in c2.items():
         if x in out:
@@ -109,9 +114,14 @@ def ctx_add(u: GradeUniverse, c1: CoeffectCtx, c2: CoeffectCtx,
 
 
 # ---------------------------------------------------------------------------
-# Class inference (grades flow down, classes flow up)
+# Class synthesis (classes flow up, once per walk)
 
-def infer_class(table: ClassTable, env: TypeEnv, e: Expr) -> str:
+def infer_class(table: ClassTable, env: TypeEnv, e: Expr,
+                classes: dict[int, str] | None = None) -> str:
+    """The class of ``e``.  ``classes`` records, by node identity, the class
+    of each field access, invocation and block synthesised without error;
+    the walk that checks a term passes one record, so each receiver's class
+    is synthesised once and diagnostics come in the order a fresh one gives."""
     if isinstance(e, Var):
         if e.name not in env:
             _fail("t-var", "UnknownVariable", f"unknown variable {e.name!r}", e.pos)
@@ -120,32 +130,35 @@ def infer_class(table: ClassTable, env: TypeEnv, e: Expr) -> str:
         if not table.has_class(e.className):
             _fail("t-new", "UnknownClass", f"unknown class {e.className!r}", e.pos)
         return e.className
+    if classes is None:
+        classes = {}
+    cls = classes.get(id(e))
+    if cls is not None:
+        return cls
     if isinstance(e, FieldAccess):
-        recv_cls = infer_class(table, env, e.recv)
+        recv_cls = infer_class(table, env, e.recv, classes)
         try:
-            return table.field(recv_cls, e.fieldName).className
+            cls = table.field(recv_cls, e.fieldName).className
         except UnknownMember as exc:
             _fail("t-field-access", "UnknownMember", str(exc), e.pos)
-    if isinstance(e, Invk):
-        recv_cls = infer_class(table, env, e.recv)
+    elif isinstance(e, Invk):
+        recv_cls = infer_class(table, env, e.recv, classes)
         try:
-            return table.mtype(recv_cls, e.method).returnType.className
+            cls = table.mtype(recv_cls, e.method).returnType.className
         except UnknownMember as exc:
             _fail("t-invk", "UnknownMember", str(exc), e.pos)
-    if isinstance(e, Block):
+    elif isinstance(e, Block):
         if not table.has_class(e.declClass):
             _fail("t-block", "UnknownClass", f"unknown class {e.declClass!r}", e.pos)
-        return infer_class(table, {**env, e.var: e.declClass}, e.body)
-    raise TypeError(e)
+        cls = infer_class(table, {**env, e.var: e.declClass}, e.body, classes)
+    else:
+        raise TypeError(e)
+    classes[id(e)] = cls
+    return cls
 
 
 # ---------------------------------------------------------------------------
 # Checking source expressions (check + elaborate)
-
-def _consume_grade(expected: KindedGrade) -> KindedGrade:
-    """Least nonzero grade admissible at a variable for this expectation."""
-    return expected if expected != ZERO_D else ONE_D
-
 
 def _require_subclass(table: ClassTable, sub: str, sup: str, rule: str, pos: Pos):
     try:
@@ -176,41 +189,50 @@ def check(u: GradeUniverse, table: ClassTable, env: TypeEnv, e: Expr,
     The elaboration is ``e`` with each slot child ascribed with its grade;
     ``e``'s own ascription is left to its parent.  A fully ascribed ``e``
     is returned as is."""
+    return TypingResult(*_check(u, table, env, e, expected.className, expected.grade, {}))
+
+
+def _check(u: GradeUniverse, table: ClassTable, env: TypeEnv, e: Expr, cls: str,
+           grade: KindedGrade, classes: dict[int, str]) -> tuple[CoeffectCtx, Expr]:
+    """``check`` at class ``cls`` and grade ``grade``: the context and the
+    elaboration.  ``classes`` is the walk's ``infer_class`` record."""
     if isinstance(e, Var):
         if e.name not in env:
             _fail("t-var", "UnknownVariable", f"unknown variable {e.name!r}", e.pos)
-        cls = env[e.name]
-        _require_subclass(table, cls, expected.className, "t-sub", e.pos)
-        consume = _consume_grade(expected.grade)
-        return TypingResult({e.name: (cls, consume)}, e)
+        have = env[e.name]
+        _require_subclass(table, have, cls, "t-sub", e.pos)
+        # the least nonzero grade admissible at a variable; a canonical grade
+        # (id >= 0) is zero only as ZERO_D itself, which every table interns first
+        zero = grade is ZERO_D or (grade.id < 0 and grade == ZERO_D)
+        return {e.name: (have, ONE_D if zero else grade)}, e
 
     if isinstance(e, FieldAccess):
-        recv_cls = infer_class(table, env, e.recv)
+        recv_cls = infer_class(table, env, e.recv, classes)
         try:
             fd = table.field(recv_cls, e.fieldName)
         except UnknownMember as exc:
             _fail("t-field-access", "UnknownMember", str(exc), e.pos)
-        _require_subclass(table, fd.className, expected.className, "t-sub", e.pos)
+        _require_subclass(table, fd.className, cls, "t-sub", e.pos)
         recv_grade = e.recv.ascription if e.recv.ascription is not None else ONE_D
         have = u.mul(recv_grade, fd.grade)
-        if not u.leq(expected.grade, have):
+        if not u.leq(grade, have):
             if e.recv.ascription is None:
                 _fail("t-field-access", "AscriptionNeeded",
                       f"field {e.fieldName!r} gives grade {have} under the default "
-                      f"receiver grade {ONE_D}, but {expected.grade} is required; "
+                      f"receiver grade {ONE_D}, but {grade} is required; "
                       f"ascribe the receiver with '@'", e.pos)
             _fail("t-field-access", "GradeTooDemanding",
                   f"field {e.fieldName!r} gives grade {have} (receiver at "
-                  f"{recv_grade}), but {expected.grade} is required", e.pos)
-        sub = check(u, table, env, e.recv, GradedType(recv_cls, recv_grade))
-        recv = with_ascription(sub.elaborated, recv_grade)
-        return TypingResult(sub.ctx, e if recv is e.recv else
-                            FieldAccess(recv, e.fieldName, e.ascription, e.pos))
+                  f"{recv_grade}), but {grade} is required", e.pos)
+        ctx, recv = _check(u, table, env, e.recv, recv_cls, recv_grade, classes)
+        recv = with_ascription(recv, recv_grade)
+        return ctx, (e if recv is e.recv else
+                     FieldAccess(recv, e.fieldName, e.ascription, e.pos))
 
     if isinstance(e, New):
         if not table.has_class(e.className):
             _fail("t-new", "UnknownClass", f"unknown class {e.className!r}", e.pos)
-        _require_subclass(table, e.className, expected.className, "t-sub", e.pos)
+        _require_subclass(table, e.className, cls, "t-sub", e.pos)
         flds = table.fields(e.className)
         if len(flds) != len(e.args):
             _fail("t-new", "ArityMismatch",
@@ -220,55 +242,54 @@ def check(u: GradeUniverse, table: ClassTable, env: TypeEnv, e: Expr,
         args, same = [], True
         for fd, arg in zip(flds, e.args):
             _forced_ascription(arg, fd.grade, "t-new", f"grade of field {fd.name!r}")
-            target = GradedType(fd.className, u.mul(expected.grade, fd.grade))
-            sub = check(u, table, env, arg, target)
-            ctx = ctx_add(u, ctx, sub.ctx, "t-new", e.pos)
-            args.append(with_ascription(sub.elaborated, fd.grade))
+            sub_ctx, sub = _check(u, table, env, arg, fd.className, u.mul(grade, fd.grade),
+                                  classes)
+            ctx = ctx_add(u, ctx, sub_ctx, "t-new", e.pos)
+            args.append(with_ascription(sub, fd.grade))
             same = same and args[-1] is arg
-        return TypingResult(ctx, e if same else
-                            New(e.className, tuple(args), e.ascription, e.pos))
+        return ctx, (e if same else New(e.className, tuple(args), e.ascription, e.pos))
 
     if isinstance(e, Invk):
-        recv_cls = infer_class(table, env, e.recv)
+        recv_cls = infer_class(table, env, e.recv, classes)
         try:
             mt = table.mtype(recv_cls, e.method)
         except UnknownMember as exc:
             _fail("t-invk", "UnknownMember", str(exc), e.pos)
-        if not table.subclass_of(mt.returnType.className, expected.className):
+        ret = mt.returnType
+        if not table.subclass_of(ret.className, cls):
             _fail("t-sub", "TypeMismatch",
-                  f"method {e.method!r} returns {mt.returnType.className}, "
-                  f"which is not a subclass of {expected.className}", e.pos)
-        if not u.leq(expected.grade, mt.returnType.grade):
+                  f"method {e.method!r} returns {ret.className}, "
+                  f"which is not a subclass of {cls}", e.pos)
+        if not u.leq(grade, ret.grade):
             _fail("t-sub", "GradeTooDemanding",
-                  f"method {e.method!r} returns grade {mt.returnType.grade}, "
-                  f"but {expected.grade} is required", e.pos)
+                  f"method {e.method!r} returns grade {ret.grade}, "
+                  f"but {grade} is required", e.pos)
         if len(mt.params) != len(e.args):
             _fail("t-invk", "ArityMismatch",
                   f"method {e.method!r} takes {len(mt.params)} arguments, "
                   f"got {len(e.args)}", e.pos)
         _forced_ascription(e.recv, mt.thisGrade, "t-invk", "grade of 'this'")
-        sub0 = check(u, table, env, e.recv, GradedType(recv_cls, mt.thisGrade))
-        ctx = sub0.ctx
-        recv = with_ascription(sub0.elaborated, mt.thisGrade)
+        ctx, recv = _check(u, table, env, e.recv, recv_cls, mt.thisGrade, classes)
+        recv = with_ascription(recv, mt.thisGrade)
         args, same = [], recv is e.recv
         for p, arg in zip(mt.params, e.args):
             _forced_ascription(arg, p.grade, "t-invk", f"grade of parameter {p.name!r}")
-            sub = check(u, table, env, arg, GradedType(p.className, p.grade))
-            ctx = ctx_add(u, ctx, sub.ctx, "t-invk", e.pos)
-            args.append(with_ascription(sub.elaborated, p.grade))
+            sub_ctx, sub = _check(u, table, env, arg, p.className, p.grade, classes)
+            ctx = ctx_add(u, ctx, sub_ctx, "t-invk", e.pos)
+            args.append(with_ascription(sub, p.grade))
             same = same and args[-1] is arg
-        return TypingResult(ctx, e if same else
-                            Invk(recv, e.method, tuple(args), e.ascription, e.pos))
+        return ctx, (e if same else Invk(recv, e.method, tuple(args), e.ascription, e.pos))
 
     if isinstance(e, Block):
         if not table.has_class(e.declClass):
             _fail("t-block", "UnknownClass", f"unknown class {e.declClass!r}", e.pos)
         _forced_ascription(e.init, e.declGrade, "t-block", "grade of the local")
-        sub1 = check(u, table, env, e.init, GradedType(e.declClass, e.declGrade))
+        init_ctx, init = _check(u, table, env, e.init, e.declClass, e.declGrade, classes)
         _no_ascription(e.body, "t-block")
-        sub2 = check(u, table, {**env, e.var: e.declClass}, e.body, expected)
-        body_ctx = dict(sub2.ctx)
+        body_ctx, body = _check(u, table, {**env, e.var: e.declClass}, e.body, cls, grade,
+                                classes)
         if e.var in body_ctx:
+            body_ctx = dict(body_ctx)
             _, used = body_ctx.pop(e.var)
             if not u.leq(used, e.declGrade):
                 zero_like = (e.declGrade == ZERO_D
@@ -277,12 +298,10 @@ def check(u: GradeUniverse, table: ClassTable, env: TypeEnv, e: Expr,
                 _fail("t-var", kind,
                       f"variable {e.var!r} is used at grade {used}, which is not "
                       f"within its declared grade {e.declGrade}", e.pos)
-        ctx = ctx_add(u, sub1.ctx, body_ctx, "t-block", e.pos)
-        init = with_ascription(sub1.elaborated, e.declGrade)
-        same = init is e.init and sub2.elaborated is e.body
-        return TypingResult(ctx, e if same else
-                            Block(e.declClass, e.declGrade, e.var, init, sub2.elaborated,
-                                  e.ascription, e.pos))
+        ctx = ctx_add(u, init_ctx, body_ctx, "t-block", e.pos)
+        init = with_ascription(init, e.declGrade)
+        return ctx, (e if init is e.init and body is e.body else
+                     Block(e.declClass, e.declGrade, e.var, init, body, e.ascription, e.pos))
 
     raise TypeError(e)
 
@@ -301,26 +320,27 @@ def check_method(u: GradeUniverse, table: ClassTable, cls: str,
                  method: str) -> tuple[list[CheckDiag], Expr]:
     """Body conformance: params and this at their declared grades.  Returns
     the diagnostics and the elaborated body (the source body on failure)."""
-    decl = table.decl(cls).methods[method]
-    declared: CoeffectCtx = {"this": (cls, decl.thisGrade)}
+    decl = table.classes[cls].methods[method]
+    declared = {"this": decl.thisGrade}
     for p in decl.params:
-        declared[p.name] = (p.className, p.grade)
+        declared[p.name] = p.grade
     try:
         _no_ascription(decl.body, "t-meth")
-        result = check(u, table, _method_env(cls, decl), decl.body, decl.returnType)
+        ctx, body = _check(u, table, _method_env(cls, decl), decl.body,
+                           decl.returnType.className, decl.returnType.grade, {})
     except CheckError as exc:
         return [CheckDiag("t-meth", exc.diag.kind,
                           f"in {cls}.{method}: {exc.diag.msg}",
                           exc.diag.pos if exc.diag.pos != (0, 0) else decl.pos)], decl.body
     diags = []
-    for x, (_, g) in result.ctx.items():
-        if x not in declared or not u.leq(g, declared[x][1]):
-            have = declared.get(x, (None, None))[1]
+    for x, (_, g) in ctx.items():
+        have = declared.get(x)
+        if have is None or not u.leq(g, have):
             diags.append(CheckDiag(
                 "t-meth", "GradeTooDemanding",
                 f"in {cls}.{method}: {x!r} is used at grade {g}, declared {have}",
                 decl.pos))
-    return diags, result.elaborated
+    return diags, body
 
 
 def hierarchy_diags(table: ClassTable) -> list[CheckDiag]:
@@ -328,24 +348,18 @@ def hierarchy_diags(table: ClassTable) -> list[CheckDiag]:
     loops (CycleDetected) or reaches an undeclared class (UnknownClass)."""
     diags: list[CheckDiag] = []
     for name, decl in table.classes.items():
-        seen = {name}
-        cur = decl.superName
-        while cur != OBJECT:
-            if cur in seen:
-                diags.append(CheckDiag("table", "CycleDetected",
-                                       f"inheritance cycle through {name}", decl.pos))
-                break
-            if cur not in table.classes:
-                diags.append(CheckDiag("table", "UnknownClass",
-                                       f"class {name} extends unknown {cur}", decl.pos))
-                break
-            seen.add(cur)
-            cur = table.classes[cur].superName
+        broken = table.resolve(name).broken
+        if broken in table.classes:
+            diags.append(CheckDiag("table", "CycleDetected",
+                                   f"inheritance cycle through {name}", decl.pos))
+        elif broken is not None:
+            diags.append(CheckDiag("table", "UnknownClass",
+                                   f"class {name} extends unknown {broken}", decl.pos))
     return diags
 
 
 def cycle_diags(table: ClassTable) -> list[CheckDiag]:
-    """The inheritance cycles, on which member lookup would never end."""
+    """The inheritance cycles, on which member lookups have no answer."""
     return [d for d in hierarchy_diags(table) if d.kind == "CycleDetected"]
 
 
@@ -356,15 +370,14 @@ def check_table(u: GradeUniverse, table: ClassTable) -> list[CheckDiag]:
     if diags:
         return diags
 
-    for name in table.classes:
-        flds = table.fields(name)
-        names = [f.name for f in flds]
-        if len(set(names)) != len(names):
-            dup = sorted({n for n in names if names.count(n) > 1})
+    for name, decl in table.classes.items():
+        res = table.resolve(name)
+        if len(res.index) != len(res.fields):
+            dup = sorted({f.name for i, f in enumerate(res.fields) if res.index[f.name] != i})
             diags.append(CheckDiag("table", "Coherence",
                                    f"class {name} redeclares inherited fields {dup}",
-                                   table.classes[name].pos))
-        for fd in flds:
+                                   decl.pos))
+        for fd in res.fields:
             if not table.has_class(fd.className):
                 diags.append(CheckDiag("table", "UnknownClass",
                                        f"field {name}.{fd.name} has unknown class "
@@ -372,32 +385,34 @@ def check_table(u: GradeUniverse, table: ClassTable) -> list[CheckDiag]:
 
     for name, decl in table.classes.items():
         for mname, m in decl.methods.items():
-            for cls in [m.returnType.className] + [p.className for p in m.params]:
-                if not table.has_class(cls):
+            for typed in (m.returnType, *m.params):
+                if not table.has_class(typed.className):
                     diags.append(CheckDiag("table", "UnknownClass",
                                            f"{name}.{mname} mentions unknown class "
-                                           f"{cls}", m.pos))
+                                           f"{typed.className}", m.pos))
     if diags:
         return diags
 
+    # each override against every superclass's declaration of the method
     for name, decl in table.classes.items():
+        parent = table.resolve(decl.superName)
         for mname, m in decl.methods.items():
-            sup = decl.superName
-            while sup != OBJECT:
-                sup_decl = table.classes[sup]
-                if mname in sup_decl.methods:
-                    sm = sup_decl.methods[mname]
-                    if sm.thisGrade != m.thisGrade or sm.params != m.params:
-                        diags.append(CheckDiag(
-                            "table", "Coherence",
-                            f"{name}.{mname} overrides {sup}.{mname} with different "
-                            f"parameter or receiver grades", m.pos))
-                    elif not gtype_leq(u, table, m.returnType, sm.returnType):
-                        diags.append(CheckDiag(
-                            "table", "Coherence",
-                            f"{name}.{mname} overrides {sup}.{mname} with return type "
-                            f"{m.returnType}, not a subtype of {sm.returnType}", m.pos))
-                sup = sup_decl.superName
+            if mname not in parent.methods:   # it overrides nothing
+                continue
+            for sup in parent.ancestors:
+                sm = sup != OBJECT and table.classes[sup].methods.get(mname)
+                if not sm:
+                    continue
+                if sm.thisGrade != m.thisGrade or sm.params != m.params:
+                    diags.append(CheckDiag(
+                        "table", "Coherence",
+                        f"{name}.{mname} overrides {sup}.{mname} with different "
+                        f"parameter or receiver grades", m.pos))
+                elif not gtype_leq(u, table, m.returnType, sm.returnType):
+                    diags.append(CheckDiag(
+                        "table", "Coherence",
+                        f"{name}.{mname} overrides {sup}.{mname} with return type "
+                        f"{m.returnType}, not a subtype of {sm.returnType}", m.pos))
     return diags
 
 
@@ -413,8 +428,10 @@ def elaborate_table(u: GradeUniverse, table: ClassTable) -> tuple[list[CheckDiag
 def check_program(u: GradeUniverse, program: Program) -> tuple[TypingResult, GradedType]:
     """Check the closed main expression at its declared reduction grade."""
     _no_ascription(program.main, "t-conf")
-    expected = GradedType(infer_class(program.table, {}, program.main), program.mainGrade)
-    return check(u, program.table, {}, program.main, expected), expected
+    classes: dict[int, str] = {}
+    cls = infer_class(program.table, {}, program.main, classes)
+    result = _check(u, program.table, {}, program.main, cls, program.mainGrade, classes)
+    return TypingResult(*result), GradedType(cls, program.mainGrade)
 
 
 @dataclass(frozen=True, eq=False, repr=False)
@@ -499,13 +516,17 @@ def _fill(e: Expr, declared: KindedGrade) -> Expr:
     return e if e.ascription is not None else with_ascription(e, declared)
 
 
-def annotate_expr(u: GradeUniverse, table: ClassTable, env: TypeEnv, e: Expr) -> Expr:
+def annotate_expr(u: GradeUniverse, table: ClassTable, env: TypeEnv, e: Expr,
+                  classes: dict[int, str] | None = None) -> Expr:
     """Fill every slot without grade checking: a written ascription wins,
-    else the declared grade (the unit on field-access receivers)."""
+    else the declared grade (the unit on field-access receivers).
+    ``classes`` is the walk's ``infer_class`` record."""
     if isinstance(e, Var):
         return e
+    if classes is None:
+        classes = {}
     if isinstance(e, FieldAccess):
-        recv = _fill(annotate_expr(u, table, env, e.recv), ONE_D)
+        recv = _fill(annotate_expr(u, table, env, e.recv, classes), ONE_D)
         return FieldAccess(recv, e.fieldName, e.ascription, e.pos)
     if isinstance(e, New):
         try:
@@ -516,11 +537,11 @@ def annotate_expr(u: GradeUniverse, table: ClassTable, env: TypeEnv, e: Expr) ->
             _fail("annotate", "ArityMismatch",
                   f"class {e.className} has {len(flds)} fields, got {len(e.args)}",
                   e.pos)
-        args = tuple(_fill(annotate_expr(u, table, env, a), fd.grade)
+        args = tuple(_fill(annotate_expr(u, table, env, a, classes), fd.grade)
                      for fd, a in zip(flds, e.args))
         return New(e.className, args, e.ascription, e.pos)
     if isinstance(e, Invk):
-        recv_cls = infer_class(table, env, e.recv)
+        recv_cls = infer_class(table, env, e.recv, classes)
         try:
             mt = table.mtype(recv_cls, e.method)
         except (UnknownClass, UnknownMember) as exc:
@@ -529,13 +550,13 @@ def annotate_expr(u: GradeUniverse, table: ClassTable, env: TypeEnv, e: Expr) ->
             _fail("annotate", "ArityMismatch",
                   f"method {e.method!r} takes {len(mt.params)} arguments, "
                   f"got {len(e.args)}", e.pos)
-        recv = _fill(annotate_expr(u, table, env, e.recv), mt.thisGrade)
-        args = tuple(_fill(annotate_expr(u, table, env, a), p.grade)
+        recv = _fill(annotate_expr(u, table, env, e.recv, classes), mt.thisGrade)
+        args = tuple(_fill(annotate_expr(u, table, env, a, classes), p.grade)
                      for p, a in zip(mt.params, e.args))
         return Invk(recv, e.method, args, e.ascription, e.pos)
     if isinstance(e, Block):
-        init = _fill(annotate_expr(u, table, env, e.init), e.declGrade)
-        body = annotate_expr(u, table, {**env, e.var: e.declClass}, e.body)
+        init = _fill(annotate_expr(u, table, env, e.init, classes), e.declGrade)
+        body = annotate_expr(u, table, {**env, e.var: e.declClass}, e.body, classes)
         return Block(e.declClass, e.declGrade, e.var, init, body, e.ascription, e.pos)
     raise TypeError(e)
 

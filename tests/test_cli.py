@@ -53,6 +53,29 @@ def test_check_json_field_position(capsys, tmp_path):
                                 "msg": "field A.f has unknown class B", "rule": "table"}]
 
 
+@pytest.mark.parametrize("src, diag", [
+    # the field lookup above a receiver is reported before the receiver's
+    # own argument, which names an unknown variable
+    ("class A { A[1] id(A[1] x) [1] { x } }\n"
+     "class P { A[1] a; A[1] bad() [1] { this.a.id(q).nope } }\nrun new A() at 1",
+     {"col": 36, "kind": "UnknownMember", "line": 2,
+      "msg": "in P.bad: class A has no field 'nope'", "rule": "t-meth"}),
+    # an unknown variable deep in a receiver comes before the lookups above it
+    ("class A { }\nclass P { A[1] a; }\nrun zz.a.nope at 1",
+     {"col": 5, "kind": "UnknownVariable", "line": 3, "msg": "unknown variable 'zz'",
+      "rule": "t-var"}),
+    # an unknown method above a call whose argument is an unknown variable
+    ("class A { A[1] id(A[1] x) [1] { x } }\nrun new A().id(zz).nope() at 1",
+     {"col": 5, "kind": "UnknownMember", "line": 2, "msg": "class A has no method 'nope'",
+      "rule": "t-invk"}),
+])
+def test_check_json_diagnostic_order(capsys, tmp_path, src, diag):
+    path = tmp_path / "order.gfj"
+    path.write_text(src)
+    code, out, err = run_cli(capsys, "check", "--json", str(path))
+    assert (code, json.loads(out), err) == (1, [diag], "")
+
+
 def test_check_missing_file(capsys):
     code, _, err = run_cli(capsys, "check", "no/such/file.gfj")
     assert code == 3
@@ -347,7 +370,7 @@ def test_each_method_body_is_typed_once(capsys, corpus_dir, corpus_by_name, monk
     # the checked pipeline keeps the elaboration of its one pass over each body
     import gradefj.typecheck
     from gradefj.props import check_entry, theorem_suite
-    check, parse = gradefj.typecheck.check, gradefj.cli.parse_program
+    check, parse = gradefj.typecheck._check, gradefj.cli.parse_program
     bodies, typed = [], []
 
     def note(program):
@@ -355,10 +378,10 @@ def test_each_method_body_is_typed_once(capsys, corpus_dir, corpus_by_name, monk
                       for m, md in decl.methods.items())
         return program
 
-    def counted(u, table, env, e, expected):
+    def counted(u, table, env, e, *expected):
         typed.extend(name for body, name in bodies if e is body)
-        return check(u, table, env, e, expected)
-    monkeypatch.setattr(gradefj.typecheck, "check", counted)
+        return check(u, table, env, e, *expected)
+    monkeypatch.setattr(gradefj.typecheck, "_check", counted)
     monkeypatch.setattr(gradefj.cli, "parse_program", lambda *args: note(parse(*args)))
     if how in ("check", "run"):
         code, _, _ = run_cli(capsys, how, corpus_path(corpus_dir, "invk_method.gfj"))

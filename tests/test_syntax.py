@@ -1,6 +1,7 @@
 """Parser, printer, class table, graded subtyping, erasure."""
 
 import dataclasses
+import random
 import sys
 
 import pytest
@@ -122,6 +123,17 @@ def test_duplicate_class_rejected(universe):
         "duplicate class Object", 1, 1)
 
 
+def test_duplicate_method_rejected(universe):
+    # FJ method names are distinct within a class; the second one is refused
+    src = ("class A { }\nclass B { A[1] m() [1] { new A() } A[2] m() [1] { new A() } }\n"
+           "run new A() at 1")
+    assert _error_at(src, universe) == ("duplicate method B.m", 2, 41)
+    # a field may share a method's name, and a subclass may override
+    parse_program("class A { }\nclass B { A[1] m; A[1] m() [1] { new A() } }\n"
+                  "class C extends B { A[1] m() [1] { new A() } }\nrun new A() at 1",
+                  universe)
+
+
 def test_bad_parameter_name_position(universe):
     src = "class A { }\nclass B { A[1] m(A[1] x, A[1] x) [1] { x } }\nrun new A() at 1"
     assert _error_at(src, universe) == ("bad parameter name 'x'", 2, 31)
@@ -183,6 +195,113 @@ def test_inherited_fields_prefix(universe):
         sub_f = [f.name for f in table.fields(sub)]
         sup_f = [f.name for f in table.fields(sup)]
         assert sub_f[:len(sup_f)] == sup_f
+
+
+class InheritanceWalk:
+    """The lookups as walks up the superclass chain on every query: the
+    reference the resolved class table is held to."""
+
+    def __init__(self, classes):
+        self.classes = classes
+
+    def decl(self, name):
+        if name == OBJECT or name not in self.classes:
+            raise UnknownClass(f"unknown class {name!r}")
+        return self.classes[name]
+
+    def subclass_of(self, sub, sup):
+        for name in (sub, sup):
+            if name != OBJECT and name not in self.classes:
+                raise UnknownClass(f"unknown class {name!r}")
+        cur = sub
+        while cur is not None:
+            if cur == sup:
+                return True
+            cur = None if cur == OBJECT else self.decl(cur).superName
+        return False
+
+    def fields(self, name):
+        if name == OBJECT:
+            return ()
+        decl = self.decl(name)
+        return self.fields(decl.superName) + decl.fields
+
+    def field_index(self, name, fieldName):
+        for i, fd in enumerate(self.fields(name)):
+            if fd.name == fieldName:
+                return i
+        raise UnknownMember(f"class {name} has no field {fieldName!r}")
+
+    def field(self, name, fieldName):
+        return self.fields(name)[self.field_index(name, fieldName)]
+
+    def mtype(self, name, method):
+        cur = name
+        while cur != OBJECT:
+            decl = self.decl(cur)
+            if method in decl.methods:
+                return decl.methods[method]
+            cur = decl.superName
+        raise UnknownMember(f"class {name} has no method {method!r}")
+
+    def mbody(self, name, method):
+        decl = self.mtype(name, method)
+        return tuple(p.name for p in decl.params), decl.body
+
+
+def _outcome(lookup, *args):
+    try:
+        out = lookup(*args)
+    except (UnknownClass, UnknownMember) as exc:
+        return type(exc).__name__, str(exc)
+    if hasattr(out, "returnType"):   # a method: its signature, wherever declared
+        return out.thisGrade, out.params, out.returnType, out.body
+    return out
+
+
+def _seeded_table_source(seed: int) -> str:
+    """Classes up to 4 deep, with overridden methods, a field name declared
+    again below (first occurrence wins) and a class below an undeclared one."""
+    rng = random.Random(seed)
+    lines, by_depth = ["class A { }"], {}
+    for i in range(16):
+        depth, name = i % 5, f"C{i}"
+        parent = rng.choice(by_depth[depth - 1]) if depth else None
+        by_depth.setdefault(depth, []).append(name)
+        members = [f"A[{rng.randint(1, 3)}] f{rng.randint(0, 5)};",
+                   f"A[1] m{rng.randint(0, 3)}() [{rng.randint(1, 2)}] {{ new A() }}",
+                   f"A[1] k{i}(A[1] x) [1] {{ x }}"]
+        ext = f" extends {parent}" if parent else ""
+        lines.append(f"class {name}{ext} {{ {' '.join(members)} }}")
+    lines.append("class Lost extends Missing { A[1] m0() [1] { new A() } A[1] g; }")
+    lines.append("class Below extends Lost { A[1] m1() [1] { new A() } }")
+    return "\n".join(lines) + "\nrun new A() at 1"
+
+
+def test_resolved_table_matches_the_inheritance_walk(universe, corpus):
+    programs = [entry.program for entry in corpus]
+    programs += [parse_program(_seeded_table_source(seed), universe) for seed in (1, 2)]
+    # 4 deep: a class, its 4 superclasses and Object
+    assert max(len(programs[-1].table.resolve(n).ancestors)
+               for n in programs[-1].table.classes if n not in ("Lost", "Below")) == 6
+    for program in programs:
+        table, walk = program.table, InheritanceWalk(program.table.classes)
+        names = [*table.classes, OBJECT, "Nope", "Missing"]
+        field_names = {f.name for d in table.classes.values() for f in d.fields} | {"nope"}
+        method_names = {m for d in table.classes.values() for m in d.methods} | {"nope"}
+        for name in names:
+            assert _outcome(table.fields, name) == _outcome(walk.fields, name), name
+            for sup in names:
+                assert (_outcome(table.subclass_of, name, sup)
+                        == _outcome(walk.subclass_of, name, sup)), (name, sup)
+            for f in field_names:
+                for lookup in ("field", "field_index"):
+                    assert (_outcome(getattr(table, lookup), name, f)
+                            == _outcome(getattr(walk, lookup), name, f)), (lookup, name, f)
+            for m in method_names:
+                for lookup in ("mtype", "mbody"):
+                    assert (_outcome(getattr(table, lookup), name, m)
+                            == _outcome(getattr(walk, lookup), name, m)), (lookup, name, m)
 
 
 # ---------------------------------------------------------------------------
