@@ -761,7 +761,19 @@ def zeta(a: GradeValue, source: Algebra) -> GradeValue:
 
 @dataclass(frozen=True, eq=False, repr=False)
 class Hom:
-    """A structure-preserving monotone map between two algebras."""
+    """A structure-preserving monotone map between two algebras.
+
+    The public ``apply`` refuses a value outside the source carrier;
+    ``unchecked_apply`` maps a value known to be in it.  A composition
+    checks its argument once and passes each image on unchecked, as each
+    map's image is in its target.  A subclass that overrides ``apply`` has
+    that override as its unchecked one too, so no caller bypasses it.
+    """
+
+    def __init_subclass__(cls, **kwargs):
+        super().__init_subclass__(**kwargs)
+        if "apply" in vars(cls) and "unchecked_apply" not in vars(cls):
+            cls.unchecked_apply = vars(cls)["apply"]
 
     def source(self) -> Algebra:
         raise NotImplementedError
@@ -770,6 +782,9 @@ class Hom:
         raise NotImplementedError
 
     def apply(self, a: GradeValue) -> GradeValue:
+        raise NotImplementedError
+
+    def unchecked_apply(self, a: GradeValue) -> GradeValue:
         raise NotImplementedError
 
 
@@ -787,6 +802,9 @@ class IdentityHom(Hom):
 
     def apply(self, a):
         self.spec.check_value(a)
+        return a
+
+    def unchecked_apply(self, a):
         return a
 
 
@@ -821,6 +839,9 @@ class ZetaHom(Hom):
     def apply(self, a):
         return zeta(a, self.source_spec)
 
+    def unchecked_apply(self, a):
+        return Triv()
+
 
 @dataclass(frozen=True, eq=False, repr=False)
 class ProjLeftHom(Hom):
@@ -836,6 +857,9 @@ class ProjLeftHom(Hom):
 
     def apply(self, a):
         self.product.check_value(a)
+        return a.left
+
+    def unchecked_apply(self, a):
         return a.left
 
 
@@ -855,6 +879,9 @@ class ProjRightHom(Hom):
         self.product.check_value(a)
         return a.right
 
+    def unchecked_apply(self, a):
+        return a.right
+
 
 @dataclass(frozen=True, eq=False, repr=False)
 class FiniteMapHom(Hom):
@@ -872,6 +899,10 @@ class FiniteMapHom(Hom):
 
     def apply(self, a):
         self.source_spec.check_value(a)
+        # this class's lookup: a subclass's apply is also its unchecked_apply
+        return FiniteMapHom.unchecked_apply(self, a)
+
+    def unchecked_apply(self, a):
         if a.name not in self.mapping:
             raise PartialMap(f"map has no image for element {a.name!r}")
         return self.mapping[a.name]
@@ -897,7 +928,10 @@ class ComposeHom(Hom):
         return self.second.target()
 
     def apply(self, a):
-        return self.second.apply(self.first.apply(a))
+        return self.second.unchecked_apply(self.first.apply(a))  # checks ``a`` once
+
+    def unchecked_apply(self, a):
+        return self.second.unchecked_apply(self.first.unchecked_apply(a))
 
 
 def compose(first: Hom, second: Hom) -> Hom:

@@ -44,6 +44,7 @@ from .typecheck import (
     Annotated,
     CheckError,
     CoeffectCtx,
+    Elaborated,
     annotate_program,
     check_conf,
     check_env_entry,
@@ -275,7 +276,7 @@ def check_entry(entry: CorpusEntry) -> EntryOutcome:
     return EntryOutcome(entry.name, failures)
 
 
-def _run(entry: CorpusEntry, ready: Annotated) -> RunResult:
+def _run(entry: CorpusEntry, ready: Annotated | Elaborated) -> RunResult:
     return graded_run(entry.universe, ready.table, GradedConfig(ready.main),
                       entry.program.mainGrade, fuel=entry.manifest.get("fuel", 100_000))
 

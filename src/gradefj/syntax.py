@@ -47,13 +47,19 @@ Pos = tuple[int, int]
 
 # ---------------------------------------------------------------------------
 # Source AST
+#
+# The syntax records (the expressions here, the types and declarations
+# below) are plain dataclasses, compared by value and never hashed.
+# They are immutable by convention: nothing assigns a field of a built node,
+# and every rewrite (elaboration, substitution, reduction, erasure) builds
+# new nodes, so a node may be shared between terms, tables and traces.
 
-@dataclass(frozen=True)
+@dataclass
 class Expr:
     """An expression; a slot child carries its grade in ``ascription``."""
 
 
-@dataclass(frozen=True)
+@dataclass
 class Var(Expr):
     """A variable, ``this`` included."""
 
@@ -62,7 +68,7 @@ class Var(Expr):
     pos: Pos = field(default=(0, 0), compare=False)
 
 
-@dataclass(frozen=True)
+@dataclass
 class FieldAccess(Expr):
     """``recv.fieldName``."""
 
@@ -72,7 +78,7 @@ class FieldAccess(Expr):
     pos: Pos = field(default=(0, 0), compare=False)
 
 
-@dataclass(frozen=True)
+@dataclass
 class New(Expr):
     """``new className(args)``: an object, and a value once its arguments are."""
 
@@ -86,12 +92,12 @@ class New(Expr):
         # an attribute, not a field, so it is neither compared nor printed
         for a in self.args:
             if not (isinstance(a, New) and a.is_value):
-                object.__setattr__(self, "is_value", False)
+                self.is_value = False
                 return
-        object.__setattr__(self, "is_value", True)
+        self.is_value = True
 
 
-@dataclass(frozen=True)
+@dataclass
 class Invk(Expr):
     """``recv.method(args)``."""
 
@@ -102,7 +108,7 @@ class Invk(Expr):
     pos: Pos = field(default=(0, 0), compare=False)
 
 
-@dataclass(frozen=True)
+@dataclass
 class Block(Expr):
     """``{declClass[declGrade] var = init; body}``."""
 
@@ -120,9 +126,17 @@ def with_ascription(e: Expr, grade: Optional[KindedGrade]) -> Expr:
     have = e.ascription
     if have is grade or (have is not None and have == grade):
         return e
-    out = object.__new__(type(e))  # a field-for-field copy, cheaper than __init__
-    out.__dict__.update(e.__dict__, ascription=grade)
-    return out
+    if isinstance(e, Var):
+        return Var(e.name, grade, e.pos)
+    if isinstance(e, FieldAccess):
+        return FieldAccess(e.recv, e.fieldName, grade, e.pos)
+    if isinstance(e, New):
+        return New(e.className, e.args, grade, e.pos)
+    if isinstance(e, Invk):
+        return Invk(e.recv, e.method, e.args, grade, e.pos)
+    if isinstance(e, Block):
+        return Block(e.declClass, e.declGrade, e.var, e.init, e.body, grade, e.pos)
+    raise TypeError(e)
 
 
 def is_value(e: Expr) -> bool:
@@ -187,7 +201,7 @@ def subst(e: Expr, mapping: dict[str, str]) -> Expr:
 # ---------------------------------------------------------------------------
 # Types and the class table
 
-@dataclass(frozen=True)
+@dataclass
 class GradedType:
     """A class name with a grade: ``className[grade]``."""
 
@@ -198,7 +212,7 @@ class GradedType:
         return f"{self.className}^{self.grade}"
 
 
-@dataclass(frozen=True)
+@dataclass
 class FieldDecl:
     """A field declaration: its class, grade and name."""
 
@@ -208,7 +222,7 @@ class FieldDecl:
     pos: Pos = field(default=(0, 0), compare=False)
 
 
-@dataclass(frozen=True)
+@dataclass
 class Param:
     """A method parameter: its class, grade and name."""
 
@@ -217,7 +231,7 @@ class Param:
     name: str
 
 
-@dataclass(frozen=True)
+@dataclass
 class MethodDecl:
     """A method declaration: the grade of ``this``, parameters, return type and body."""
 
@@ -229,14 +243,14 @@ class MethodDecl:
     pos: Pos = field(default=(0, 0), compare=False)
 
 
-@dataclass(frozen=True)
+@dataclass
 class ClassDecl:
     """A class declaration: its superclass, fields and methods by name."""
 
     name: str
     superName: str
     fields: tuple[FieldDecl, ...]
-    methods: dict[str, MethodDecl] = field(hash=False)
+    methods: dict[str, MethodDecl]
     pos: Pos = field(default=(0, 0), compare=False)
 
 
@@ -342,10 +356,9 @@ class ClassTable:
         ``body_of(class name, method declaration)``."""
         classes = {}
         for name, decl in self.classes.items():
-            methods = {}
-            for m, md in decl.methods.items():
-                copy = methods[m] = object.__new__(MethodDecl)  # cheaper than __init__
-                copy.__dict__.update(md.__dict__, body=body_of(name, md))
+            methods = {m: MethodDecl(md.name, md.thisGrade, md.params, md.returnType,
+                                     body_of(name, md), md.pos)
+                       for m, md in decl.methods.items()}
             classes[name] = ClassDecl(name, decl.superName, decl.fields, methods, decl.pos)
         return ClassTable(classes)
 
@@ -375,16 +388,28 @@ class Program:
 KEYWORDS = {"class", "extends", "new", "run", "at"}
 SYMBOLS = {"{", "}", "(", ")", "[", "]", ";", ",", ".", "@", ":", "=", "/"}
 
-# A token is ``(kind, text, line, col)``; kind is ident, int, sym, keyword
-# or eof.  A symbol's or keyword's text is never another kind's, so the
-# parser compares only the text of those.
-Token = tuple[str, str, int, int]
+
+class Tokens:
+    """The tokens of one text, eof last, as four parallel columns: token i
+    is ``kinds[i]`` (ident, int, sym, keyword or eof), ``texts[i]`` and its
+    position ``(lines[i], cols[i])``.  A symbol's or keyword's text is never
+    another kind's, so the parser compares only the text of those.  The
+    length is the token count."""
+
+    __slots__ = ("kinds", "texts", "lines", "cols")
+
+    def __init__(self, kinds: list[str], texts: list[str], lines: list[int],
+                 cols: list[int]):
+        self.kinds, self.texts, self.lines, self.cols = kinds, texts, lines, cols
+
+    def __len__(self) -> int:
+        return len(self.kinds)
+
 
 # A line splits into gap, piece, gap, ..., piece, gap; gaps hold only
-# spaces, tabs and carriage returns.  A piece is a comment, a whole run of
-# ASCII digits that no non-ASCII character follows, a word (a run of
-# ``\w``, which is exactly ``isalnum()`` or '_') or any other character.
-_PIECES = re.compile(r"(//.*|[0-9]+(?![0-9]|[^\x00-\x7f])|\w+|[^ \t\r])")
+# spaces, tabs and carriage returns.  A piece is a word (a run of ``\w``,
+# which is exactly ``isalnum()`` or '_'), a comment or any other character.
+_PIECES = re.compile(r"(\w+|//.*|[^ \t\r])")
 
 _FIXED_KINDS = {**dict.fromkeys(KEYWORDS, "keyword"), **dict.fromkeys(SYMBOLS, "sym")}
 
@@ -402,101 +427,112 @@ class _Kinds(dict):
         return kind
 
 
-def _split_word(word: str, line: int, col: int) -> list[Token]:
-    """The tokens of a piece that ``_Kinds`` leaves open: digit runs and a
-    trailing identifier by ``isdigit``/``isalpha``, one character at a time,
-    or the error at the first character that starts no token."""
-    out: list[Token] = []
+def _split_word(word: str, line: int, col: int) -> list[tuple[str, str, int]]:
+    """The ``(kind, text, col)`` of each token of a piece that ``_Kinds``
+    leaves open: digit runs and a trailing identifier by ``isdigit``/
+    ``isalpha``, one character at a time, or the error at the first
+    character that starts no token."""
+    out = []
     i, n = 0, len(word)
     while i < n:
         ch = word[i]
         if ch.isalpha() or ch == "_":
             rest = word[i:]
-            out.append(("keyword" if rest in KEYWORDS else "ident", rest, line, col + i))
+            out.append(("keyword" if rest in KEYWORDS else "ident", rest, col + i))
             break
         if not ch.isdigit():
             raise SyntaxErrorGFJ(f"unexpected character {ch!r}", line, col + i)
         j = i + 1
         while j < n and word[j].isdigit():
             j += 1
-        out.append(("int", word[i:j], line, col + i))
+        out.append(("int", word[i:j], col + i))
         i = j
     return out
 
 
-def lex(text: str) -> list[Token]:
+def lex(text: str) -> Tokens:
     """The tokens of ``text``, eof last.  Each line is split by one regular
     expression and its columns are running sums of the part lengths; only a
-    word outside the ASCII classes is looked at one character at a time."""
-    out: list[Token] = []
-    kinds = _Kinds(_FIXED_KINDS)
+    word outside the ASCII classes is looked at one character at a time.
+    The columns grow by whole lines, so no object is made per token."""
+    kinds, texts, lines, cols = [], [], [], []
+    kind_of = _Kinds(_FIXED_KINDS)
     for line, src in enumerate(text.split("\n"), 1):
         parts = _PIECES.split(src)
-        cols = list(accumulate(map(len, parts), initial=1))
-        pieces, starts, end = parts[1::2], cols[1:-1:2], cols[-1]
+        ends = list(accumulate(map(len, parts), initial=1))
+        pieces, starts, end = parts[1::2], ends[1:-1:2], ends[-1]
         if pieces and pieces[-1].startswith("//"):
             pieces.pop()
             end = starts.pop()   # a comment does not advance the column
-        found = list(map(kinds.__getitem__, pieces))
+        found = list(map(kind_of.__getitem__, pieces))
         if None in found:
+            split = []
             for kind, piece, col in zip(found, pieces, starts):
-                if kind is None:
-                    out += _split_word(piece, line, col)
-                else:
-                    out.append((kind, piece, line, col))
-        else:
-            out += zip(found, pieces, repeat(line), starts)
-    out.append(("eof", "", line, end))
-    return out
+                split += [(kind, piece, col)] if kind else _split_word(piece, line, col)
+            found, pieces, starts = zip(*split)
+        kinds += found
+        texts += pieces
+        cols += starts
+        lines += repeat(line, len(pieces))
+    kinds.append("eof")
+    texts.append("")
+    lines.append(line)
+    cols.append(end)
+    return Tokens(kinds, texts, lines, cols)
 
 
 # ---------------------------------------------------------------------------
 # Parser
 
 class Parser:
-    """Recursive descent over the tokens, read by index.  The last token is
-    eof and no rule consumes it before the end, so ``self.i`` stays in
-    range; only a kinded grade literal looks one token ahead."""
+    """Recursive descent over the token columns, read by index.  The last
+    token is eof and no rule consumes it before the end, so ``self.i``
+    stays in range; only a kinded grade literal looks one token ahead."""
 
-    def __init__(self, tokens: list[Token], universe: GradeUniverse):
-        self.toks = tokens
+    def __init__(self, tokens: Tokens, universe: GradeUniverse):
+        self.kinds, self.texts = tokens.kinds, tokens.texts
+        self.lines, self.cols = tokens.lines, tokens.cols
         self.i = 0
         self.u = universe
         # literal -> grade, for this parse only: a literal's meaning
         # depends on the universe
         self.grades: dict[str, KindedGrade] = {}
 
-    def error(self, msg: str, tok: Optional[Token] = None):
-        tok = tok or self.toks[self.i]
-        raise SyntaxErrorGFJ(msg, *tok[2:])
+    def pos(self, i: int) -> Pos:
+        return self.lines[i], self.cols[i]
 
-    def expect(self, text: str) -> Token:
-        """Consume the current token, a symbol or keyword spelled ``text``."""
-        tok = self.toks[self.i]
-        if tok[1] != text:
-            self.error(f"expected {text!r}, found {tok[1]!r}")
-        self.i += 1
-        return tok
+    def error(self, msg: str, at: Optional[int] = None):
+        """Refuse the input at token ``at``, the current one by default."""
+        raise SyntaxErrorGFJ(msg, *self.pos(self.i if at is None else at))
 
-    def expect_kind(self, kind: str) -> Token:
-        """Consume the current token, of kind ident, int or eof."""
-        tok = self.toks[self.i]
-        if tok[0] != kind:
-            self.error(f"expected {kind!r}, found {tok[1]!r}")
-        self.i += 1
-        return tok
+    def expect(self, text: str) -> int:
+        """Consume the current token, a symbol or keyword spelled ``text``;
+        its index."""
+        i = self.i
+        if self.texts[i] != text:
+            self.error(f"expected {text!r}, found {self.texts[i]!r}")
+        self.i = i + 1
+        return i
+
+    def expect_kind(self, kind: str) -> str:
+        """Consume the current token, of kind ident, int or eof; its text."""
+        i = self.i
+        if self.kinds[i] != kind:
+            self.error(f"expected {kind!r}, found {self.texts[i]!r}")
+        self.i = i + 1
+        return self.texts[i]
 
     # -- grades -------------------------------------------------------------
 
     def parse_grade(self) -> KindedGrade:
-        toks, i = self.toks, self.i
-        tok = toks[i]
-        if tok[0] == "int":
+        i, texts = self.i, self.texts
+        kind = self.kinds[i]
+        if kind == "int":
             self.i = i + 1
-            literal = "N:" + tok[1]
-        elif tok[0] == "ident" and toks[i + 1][1] == ":":
+            literal = "N:" + texts[i]
+        elif kind == "ident" and texts[i + 1] == ":":
             self.i = i + 2
-            literal = f"{tok[1]}:{self._payload_text()}"
+            literal = f"{texts[i]}:{self._payload_text()}"
         else:
             self.error("expected a grade literal")
         grade = self.grades.get(literal)
@@ -504,32 +540,32 @@ class Parser:
             try:
                 grade = self.grades[literal] = self.u.parse_grade(literal)
             except (GradeError, ValueError) as exc:
-                raise SyntaxErrorGFJ(str(exc), *tok[2:]) from None
+                raise SyntaxErrorGFJ(str(exc), *self.pos(i)) from None
         return grade
 
     def _payload_text(self) -> str:
-        toks = self.toks
+        kinds, texts = self.kinds, self.texts
         start = self.i
-        tok = toks[start]
-        if tok[1] == "(":
+        if texts[start] == "(":
             depth = 0
             while True:
-                t = toks[self.i]
-                if t[0] == "eof":
-                    self.error("unterminated grade literal", tok)
-                self.i += 1
-                if t[1] == "(":
+                i = self.i
+                if kinds[i] == "eof":
+                    self.error("unterminated grade literal", start)
+                self.i = i + 1
+                if texts[i] == "(":
                     depth += 1
-                elif t[1] == ")":
+                elif texts[i] == ")":
                     depth -= 1
                     if depth == 0:
-                        return "".join(t[1] for t in toks[start:self.i])
-        if tok[0] in ("ident", "int"):
-            self.i += 1
-            if tok[0] == "int" and toks[self.i][1] == "/":
+                        return "".join(texts[start:self.i])
+        kind = kinds[start]
+        if kind in ("ident", "int"):
+            self.i = start + 1
+            if kind == "int" and texts[self.i] == "/":
                 self.i += 1
-                return f"{tok[1]}/{self.expect_kind('int')[1]}"
-            return tok[1]
+                return f"{texts[start]}/{self.expect_kind('int')}"
+            return texts[start]
         self.error("expected a grade payload")
 
     def bracketed_grade(self) -> KindedGrade:
@@ -538,17 +574,18 @@ class Parser:
         self.expect("]")
         return grade
 
-    def typed_name(self) -> tuple[str, KindedGrade, Token]:
-        """``Class[grade] name``: the class, the grade and the name's token."""
-        cls = self.expect_kind("ident")[1]
+    def typed_name(self) -> tuple[str, KindedGrade, str, int]:
+        """``Class[grade] name``: the class, the grade, the name and its index."""
+        cls = self.expect_kind("ident")
         grade = self.bracketed_grade()
-        return cls, grade, self.expect_kind("ident")
+        at = self.i
+        return cls, grade, self.expect_kind("ident"), at
 
     # -- programs -----------------------------------------------------------
 
     def parse_program(self) -> Program:
         classes: dict[str, ClassDecl] = {}
-        while self.toks[self.i][1] == "class":
+        while self.texts[self.i] == "class":
             decl = self.parse_class()
             if decl.name in classes or decl.name == OBJECT:
                 raise SyntaxErrorGFJ(f"duplicate class {decl.name}", *decl.pos)
@@ -561,43 +598,41 @@ class Parser:
         return Program(ClassTable(classes), main, grade)
 
     def parse_class(self) -> ClassDecl:
-        tok = self.expect("class")
-        name = self.expect_kind("ident")[1]
+        at = self.expect("class")
+        name = self.expect_kind("ident")
         sup = OBJECT
-        if self.toks[self.i][1] == "extends":
+        if self.texts[self.i] == "extends":
             self.i += 1
-            sup = self.expect_kind("ident")[1]
+            sup = self.expect_kind("ident")
         self.expect("{")
         fields_: list[FieldDecl] = []
         methods: dict[str, MethodDecl] = {}
-        while self.toks[self.i][1] != "}":
-            member_cls, grade, name_tok = self.typed_name()
-            member_name = name_tok[1]
+        while self.texts[self.i] != "}":
+            member_cls, grade, member_name, name_at = self.typed_name()
             if member_name == "this":
-                self.error("'this' is reserved", name_tok)
-            follow = self.toks[self.i][1]
+                self.error("'this' is reserved", name_at)
+            follow = self.texts[self.i]
             if follow == ";":
                 self.i += 1
-                fields_.append(FieldDecl(member_cls, grade, member_name, name_tok[2:]))
+                fields_.append(FieldDecl(member_cls, grade, member_name, self.pos(name_at)))
             elif follow == "(":
                 if member_name in methods:
-                    self.error(f"duplicate method {name}.{member_name}", name_tok)
+                    self.error(f"duplicate method {name}.{member_name}", name_at)
                 methods[member_name] = self.parse_method(member_cls, grade, member_name)
             else:
                 self.error("expected ';' or '(' after member name")
         self.i += 1  # '}'
-        return ClassDecl(name, sup, tuple(fields_), methods, tok[2:])
+        return ClassDecl(name, sup, tuple(fields_), methods, self.pos(at))
 
     def parse_method(self, ret_cls: str, ret_grade: KindedGrade, name: str) -> MethodDecl:
-        tok = self.expect("(")
+        at = self.expect("(")
         params: list[Param] = []
-        while self.toks[self.i][1] != ")":
+        while self.texts[self.i] != ")":
             if params:
                 self.expect(",")
-            p_cls, p_grade, name_tok = self.typed_name()
-            p_name = name_tok[1]
+            p_cls, p_grade, p_name, name_at = self.typed_name()
             if p_name == "this" or any(p.name == p_name for p in params):
-                self.error(f"bad parameter name {p_name!r}", name_tok)
+                self.error(f"bad parameter name {p_name!r}", name_at)
             params.append(Param(p_cls, p_grade, p_name))
         self.i += 1  # ')'
         this_grade = self.bracketed_grade()
@@ -605,25 +640,25 @@ class Parser:
         body = self.parse_expr()
         self.expect("}")
         return MethodDecl(name, this_grade, tuple(params), GradedType(ret_cls, ret_grade),
-                          body, tok[2:])
+                          body, self.pos(at))
 
     # -- expressions ----------------------------------------------------------
 
     def parse_expr(self) -> Expr:
         e = self.parse_primary()
-        toks = self.toks
+        texts = self.texts
         while True:
-            text = toks[self.i][1]
+            text = texts[self.i]
             if text == "@":
                 self.i += 1
                 e = with_ascription(e, self.parse_grade())
             elif text == ".":
                 self.i += 1
-                member = self.expect_kind("ident")[1]
-                if toks[self.i][1] == "(":
+                member = self.expect_kind("ident")
+                if texts[self.i] == "(":
                     self.i += 1
                     args: list[Expr] = []
-                    while toks[self.i][1] != ")":
+                    while texts[self.i] != ")":
                         if args:
                             self.expect(",")
                         args.append(self.parse_expr())
@@ -635,35 +670,35 @@ class Parser:
                 return e
 
     def parse_primary(self) -> Expr:
-        tok = self.toks[self.i]
-        kind, text, pos = tok[0], tok[1], tok[2:]
-        if kind == "ident":
-            self.i += 1
-            return Var(text, None, pos)
+        i = self.i
+        text = self.texts[i]
+        if self.kinds[i] == "ident":
+            self.i = i + 1
+            return Var(text, None, self.pos(i))
         if text == "new":
-            self.i += 1
-            cls = self.expect_kind("ident")[1]
+            self.i = i + 1
+            cls = self.expect_kind("ident")
             self.expect("(")
             args: list[Expr] = []
-            while self.toks[self.i][1] != ")":
+            while self.texts[self.i] != ")":
                 if args:
                     self.expect(",")
                 args.append(self.parse_expr())
             self.i += 1
-            return New(cls, tuple(args), None, pos)
+            return New(cls, tuple(args), None, self.pos(i))
         if text == "{":
-            self.i += 1
-            cls, grade, var_tok = self.typed_name()
-            if var_tok[1] == "this":
-                self.error("'this' is reserved", var_tok)
+            self.i = i + 1
+            cls, grade, var, var_at = self.typed_name()
+            if var == "this":
+                self.error("'this' is reserved", var_at)
             self.expect("=")
             init = self.parse_expr()
             self.expect(";")
             body = self.parse_expr()
             self.expect("}")
-            return Block(cls, grade, var_tok[1], init, body, None, pos)
+            return Block(cls, grade, var, init, body, None, self.pos(i))
         if text == "(":
-            self.i += 1
+            self.i = i + 1
             e = self.parse_expr()
             self.expect(")")
             return e

@@ -18,6 +18,7 @@ from __future__ import annotations
 
 from collections.abc import Mapping
 from dataclasses import dataclass, field
+from functools import cached_property
 
 from .hetero import GradeUniverse, KindedGrade, ONE_D, ZERO_D
 from .syntax import (
@@ -416,13 +417,18 @@ def check_table(u: GradeUniverse, table: ClassTable) -> list[CheckDiag]:
     return diags
 
 
-def elaborate_table(u: GradeUniverse, table: ClassTable) -> tuple[list[CheckDiag], ClassTable]:
-    """Type every method body once: the diagnostics, and the table with
-    every body elaborated (meaningful only when there are none)."""
-    done = {(c, m): check_method(u, table, c, m)
-            for c, decl in table.classes.items() for m in decl.methods}
-    return ([d for found, _ in done.values() for d in found],
-            table.with_bodies(lambda cls, md: done[cls, md.name][1]))
+def elaborate_table(u: GradeUniverse,
+                    table: ClassTable) -> tuple[list[CheckDiag], dict[tuple[str, str], Expr]]:
+    """Type every method body once: the diagnostics, and each body's
+    elaboration by class and method name (meaningful only when there are
+    no diagnostics)."""
+    diags: list[CheckDiag] = []
+    bodies: dict[tuple[str, str], Expr] = {}
+    for c, decl in table.classes.items():
+        for m in decl.methods:
+            found, bodies[c, m] = check_method(u, table, c, m)
+            diags += found
+    return diags, bodies
 
 
 def check_program(u: GradeUniverse, program: Program) -> tuple[TypingResult, GradedType]:
@@ -442,10 +448,20 @@ class Annotated:
 
 
 @dataclass(frozen=True, eq=False, repr=False)
-class Elaborated(Annotated):
-    """An accepted program, with the context its main needs and its type."""
+class Elaborated:
+    """An accepted program: its main with every slot filled, the context
+    that main needs and its type.  ``table``, the source table with each
+    body elaborated, is built on first read: a run needs it, a check
+    does not."""
+    source: ClassTable
+    bodies: dict[tuple[str, str], Expr]
+    main: Expr
     ctx: CoeffectCtx
     type: GradedType
+
+    @cached_property
+    def table(self) -> ClassTable:
+        return self.source.with_bodies(lambda cls, md: self.bodies[cls, md.name])
 
 
 def elaborate_program(u: GradeUniverse,
@@ -454,14 +470,14 @@ def elaborate_program(u: GradeUniverse,
     the diagnostics of the first failing stage, or none and the elaboration."""
     diags = check_table(u, program.table)
     if not diags:
-        diags, table = elaborate_table(u, program.table)
+        diags, bodies = elaborate_table(u, program.table)
     if diags:
         return diags, None
     try:
         result, expected = check_program(u, program)
     except CheckError as exc:
         return [exc.diag], None
-    return [], Elaborated(table, result.elaborated, result.ctx, expected)
+    return [], Elaborated(program.table, bodies, result.elaborated, result.ctx, expected)
 
 
 def check_env_entry(u: GradeUniverse, table: ClassTable, x: str, v: Expr,

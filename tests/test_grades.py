@@ -404,3 +404,25 @@ def test_compose_joint_must_agree():
         ComposeHom(ZetaHom(AFFINITY), IotaHom(PRIVACY))  # Triv is not Nat
     ok = ComposeHom(IotaHom(AFFINITY), ZetaHom(AFFINITY))
     assert ok.apply(Nat(2)) == Triv()
+
+
+def test_composed_maps_check_their_argument_once(monkeypatch):
+    from gradefj.grades import ComposeHom
+    identity = FiniteMapHom(AFFINITY, AFFINITY, {n: AFF(n) for n in ("0", "1", "w")})
+    chain = identity
+    for _ in range(5):
+        chain = ComposeHom(identity, chain)
+    checked = Counter()
+    original = FiniteAlgebra.check_value
+
+    def counted(self, a):
+        checked[a] += 1
+        return original(self, a)
+
+    monkeypatch.setattr(FiniteAlgebra, "check_value", counted)
+    assert chain.apply(AFF("w")) == AFF("w")
+    assert checked == Counter({AFF("w"): 1})
+    # an argument off the source carrier is refused as by the first map alone
+    for h in (identity, chain):
+        with pytest.raises(CarrierMismatch, match="^2 is not a value of table:affinity$"):
+            h.apply(Nat(2))

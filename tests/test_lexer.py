@@ -11,6 +11,7 @@ statement of the token classes, on strings mixing ASCII with characters
 where Python's character predicates and regular-expression classes differ.
 """
 
+import gc
 import json
 import pathlib
 import random
@@ -24,20 +25,14 @@ CORPUS_DIR = HERE / "corpus"
 CORPUS_TOKENS = HERE / "corpus_tokens.json"
 
 
-def _triple(tok):
-    # a token is a (kind, text, line, col) tuple or a record with kind, text, pos
-    if isinstance(tok, tuple):
-        kind, text, line, col = tok
-        return kind, text, (line, col)
-    return tok.kind, tok.text, tok.pos
-
-
 def tokens(src: str):
     """The pinned view of ``lex(src)``: its tokens, or its error."""
     try:
-        return [_triple(tok) for tok in lex(src)]
+        toks = lex(src)
     except SyntaxErrorGFJ as exc:
         return ("error", exc.msg, exc.line, exc.col)
+    return [(kind, text, (line, col))
+            for kind, text, line, col in zip(toks.kinds, toks.texts, toks.lines, toks.cols)]
 
 
 CASES = [
@@ -152,3 +147,18 @@ if __name__ == "__main__":
                       + ",\n".join(f"  {json.dumps(tok, ensure_ascii=False)}" for tok in toks)
                       + "\n ]" for name, toks in corpus_tokens().items())
     CORPUS_TOKENS.write_text("{\n" + text + "\n}\n", encoding="utf-8")
+
+
+def test_lex_allocates_per_call_not_per_token():
+    # the tokens are four columns of strings and ints, which the collector
+    # does not track, so a big table adds a handful of tracked objects
+    src = (HERE / "programs" / "big_table129.gfj").read_text(encoding="utf-8")
+    gc.disable()
+    try:
+        before = len(gc.get_objects())
+        toks = lex(src)
+        added = len(gc.get_objects()) - before
+    finally:
+        gc.enable()
+    assert len(toks) > 16_000
+    assert added <= 8

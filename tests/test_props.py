@@ -10,14 +10,31 @@ from gradefj.runtime import (
     GradedConfig,
     Minimal,
     ResourceExhausted,
+    StdConfig,
     TraceEntry,
     graded_run,
+    std_run,
 )
-from gradefj.syntax import GradedType, erase_table, is_value, parse_expr, parse_program
-from gradefj.typecheck import check, check_configuration, elaborate_program
+from gradefj.syntax import (
+    ClassTable,
+    GradedType,
+    erase,
+    erase_table,
+    is_value,
+    parse_expr,
+    parse_program,
+)
+from gradefj.typecheck import (
+    annotate_program,
+    check,
+    check_configuration,
+    cycle_diags,
+    elaborate_program,
+)
 from gradefj.props import (
     check_entry,
     check_run,
+    load_corpus,
     lower_grade_samples,
     theorem_suite,
 )
@@ -326,3 +343,38 @@ def test_check_entry_catches_wrong_manifest(corpus_by_name):
     entry2.manifest["expect"] = "reject"
     out2 = check_entry(entry2)
     assert not out2.ok
+
+
+def _dump(x):
+    """``x`` field by field: every dataclass field (positions included, which
+    equality skips) and a node's ``is_value`` flag."""
+    if isinstance(x, ClassTable):
+        return _dump(x.classes)
+    if dataclasses.is_dataclass(x):
+        return (type(x).__name__, getattr(x, "is_value", None),
+                tuple((f.name, _dump(getattr(x, f.name))) for f in dataclasses.fields(x)))
+    if isinstance(x, dict):
+        return tuple((k, _dump(v)) for k, v in x.items())
+    if isinstance(x, (tuple, list)):
+        return tuple(map(_dump, x))
+    return x
+
+
+def test_commands_leave_the_parsed_program_as_it_was(corpus_dir):
+    # the syntax records are immutable by convention only: no command may
+    # assign a field of a node it was given
+    for entry in load_corpus(corpus_dir):
+        u, program = entry.universe, entry.program
+        before = _dump(program)
+        _, checked = elaborate_program(u, program)                        # check
+        if checked is not None:                                           # run
+            graded_run(u, checked.table, GradedConfig(checked.main), program.mainGrade,
+                       fuel=2000)
+        if not cycle_diags(program.table):                                # run --standard
+            std_run(erase_table(program.table), StdConfig(erase(program.main)), 2000)
+        _, annotated = annotate_program(u, program)                       # run --unchecked
+        if annotated is not None:
+            graded_run(u, annotated.table, GradedConfig(annotated.main), program.mainGrade,
+                       fuel=2000)
+        theorem_suite(entry)
+        assert _dump(program) == before, entry.name
