@@ -127,7 +127,7 @@ def _run_standard(args, program: Program) -> int:
     table = erase_table(program.table)
     main = erase(program.main)
     outcome, cfg, steps = std_run(table, StdConfig(main), args.fuel)
-    payload = {"outcome": "final" if outcome == "final" else outcome,
+    payload = {"outcome": outcome,
                "steps": steps,
                "value": format_expr(cfg.expr) if outcome == "final" else None}
     if args.json:

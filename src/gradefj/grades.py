@@ -700,14 +700,6 @@ PRIVACY = FiniteAlgebra(privacy_table())
 PPRIVACY = FiniteAlgebra(pprivacy_table())
 
 
-def all_residuals(spec: Algebra, available: GradeValue, demand: GradeValue) -> list[GradeValue]:
-    """Every valid residual of a finite algebra, for enumeration/oracles."""
-    elems = spec.elements()
-    if elems is None:
-        raise GradeError("all_residuals needs a finite carrier")
-    return [s for s in elems if spec.leq(spec.add(demand, s), available)]
-
-
 def iota(n: GradeValue, target: Algebra) -> GradeValue:
     """Sum of n copies of the target's one, added from the left to zero;
     the unique hom out of naturals.
@@ -988,17 +980,19 @@ class Indexed:
     lookup by structural equality, so ``id(a) == id(b)`` iff ``a == b``);
     ``values`` maps the id back to one canonical grade, ``canonical(v, i)``
     when given (it may raise, and then nothing is stored).  ``leq``, ``add``,
-    ``mul`` and ``residual`` on ids call the wrapped operation once per
-    ordered pair of ids and answer later calls from int-keyed memo rows,
+    ``mul`` and ``residual`` on ids call the wrapped unchecked operation once
+    per ordered pair of ids and answer later calls from int-keyed memo rows,
     which hash no nested grade value; ``reader`` and ``read_pairs`` read
-    many memo entries at once.  ``alg`` is anything with ``leq/add/mul/zero/one`` (and
-    ``residual``, if that is asked for): one algebra in the law checks, or
-    the kinded operations of a grade universe, whose grades are interned here
-    for the universe's lifetime.
+    many memo entries at once.  ``alg`` is anything with
+    ``unchecked_leq/add/mul``, ``zero`` and ``one`` (and
+    ``unchecked_residual``, if that is asked for) that takes this table's
+    canonical grades as operands: one algebra in the law checks, or the
+    kinded operations of a grade universe, whose grades are interned here
+    for the universe's lifetime and checked by ``canonical``.
 
     An ``Algebra``'s grades are checked once per id, on the first use of the
-    id as an operand, and its unchecked operations run on them: the same
-    operands are refused, with the same errors, as by its public operations.
+    id as an operand: the same operands are refused, with the same errors,
+    as by its public operations.
     """
 
     def __init__(self, alg, canonical=None):
@@ -1006,7 +1000,7 @@ class Indexed:
         self.values: list = []   # id -> canonical grade
         self._ids: dict = {}     # grade -> id
         self._canonical = canonical
-        self._algebra = isinstance(alg, Algebra)
+        self._algebra = isinstance(alg, Algebra)  # then its ids are checked lazily
         self._unchecked: set[int] = set()  # an algebra's ids not yet checked as operands
         # per id, the memo rows of leq, add, mul and residual, keyed by the right id
         self._leq: list[dict] = []
@@ -1035,8 +1029,7 @@ class Indexed:
         if hit is None:
             if self._unchecked:
                 self._check_operands(i, j)
-            a, b = self.values[i], self.values[j]
-            hit = row[j] = self.alg.unchecked_leq(a, b) if self._algebra else self.alg.leq(a, b)
+            hit = row[j] = self.alg.unchecked_leq(self.values[i], self.values[j])
         return hit
 
     def add(self, i: int, j: int) -> int:
@@ -1045,9 +1038,7 @@ class Indexed:
         if hit is None:
             if self._unchecked:
                 self._check_operands(i, j)
-            a, b = self.values[i], self.values[j]
-            hit = row[j] = self.id(self.alg.unchecked_add(a, b) if self._algebra
-                                   else self.alg.add(a, b))
+            hit = row[j] = self.id(self.alg.unchecked_add(self.values[i], self.values[j]))
         return hit
 
     def mul(self, i: int, j: int) -> int:
@@ -1056,9 +1047,7 @@ class Indexed:
         if hit is None:
             if self._unchecked:
                 self._check_operands(i, j)
-            a, b = self.values[i], self.values[j]
-            hit = row[j] = self.id(self.alg.unchecked_mul(a, b) if self._algebra
-                                   else self.alg.mul(a, b))
+            hit = row[j] = self.id(self.alg.unchecked_mul(self.values[i], self.values[j]))
         return hit
 
     def residual(self, i: int, j: int) -> tuple[int, ...]:
@@ -1068,9 +1057,8 @@ class Indexed:
         if hit is None:
             if self._unchecked:
                 self._check_operands(i, j)
-            residual = self.alg.unchecked_residual if self._algebra else self.alg.residual
             hit = row[j] = tuple(self.id(r) for r in maximal_residuals(
-                residual, self.values[i], self.values[j]))
+                self.alg.unchecked_residual, self.values[i], self.values[j]))
         return hit
 
     def _check_operands(self, i: int, j: int) -> None:

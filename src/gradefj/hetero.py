@@ -14,7 +14,10 @@ Each ``GradeUniverse`` interns the kinded grades it meets in one
 ``grades.Indexed`` table, whose canonical grades carry their id, and
 answers ``leq``, ``add``, ``mul`` and ``residual`` from memo rows indexed
 by id: the checker and the interpreters call them on every step, and the
-law check ``check_universe_laws`` runs its axioms over the same ids.
+law check ``check_universe_laws`` runs its axioms over the same ids.  The
+universe alone resolves a grade to its id; the table's ``KindedAlgebra``
+checks each grade once, as it is interned, and its unchecked operations
+take only the table's canonical grades.
 """
 
 from __future__ import annotations
@@ -33,7 +36,6 @@ from .grades import (
     NAT,
     TRIVIAL,
     Algebra,
-    AmbiguousResidual,
     ComposeHom,
     ExtendAlgebra,
     FiniteAlgebra,
@@ -141,22 +143,20 @@ def _algebra_of(kinds: dict[str, Algebra], kind: str) -> Algebra:
 class KindedAlgebra:
     """The combined algebra on kinded grades: operands are transported into
     their join kind.  ``GradeUniverse`` answers from its ``Indexed`` table
-    over this, which calls it once per pair of canonical grades.
+    over this, which calls the unchecked operations once per pair of its
+    canonical grades; they take no other operands.
 
-    Each kind's unchecked operations run on values known to be in its
-    carrier: a canonical grade's value was checked when it was interned, and
-    its image in another kind is checked once, before ``_moved`` keeps it by
-    (id, kind).  A grade is canonical when ``values`` (the table's list)
-    holds that very grade at its id, as the universe's ``leq``/``add``/``mul``
-    trust it; any other grade is moved and checked afresh every time, and a
+    ``canonical`` is the one check of a kinded value: it runs when the table
+    interns a grade.  Each kind's unchecked operations then run on values
+    known to be in its carrier: a canonical grade's own value, or its image
+    in another kind, which ``_moved`` checks once and keeps by (id, kind).  A
     hom that raises, or whose image leaves the kind, stores nothing.  It
-    holds the universe's dicts and the table's list, not the universe or the
-    table, so that no reference cycle outlives a universe."""
+    holds the universe's dicts, not the universe or the table, so that no
+    reference cycle outlives a universe."""
 
     def __init__(self, u: GradeUniverse):
         self.kinds, self.order, self.join_table, self.homs = (
             u.kinds, u.order, u.join_table, u.homs)
-        self.values: list[KindedGrade] = []  # the table's, once it is built
         self._images: dict[tuple[int, str], GradeValue] = {}
 
     def canonical(self, g: KindedGrade, i: int) -> KindedGrade:
@@ -164,58 +164,42 @@ class KindedAlgebra:
         _algebra_of(self.kinds, g.kind).check_value(g.value)
         return g if g.id == i else KindedGrade(g.kind, g.value, i)
 
-    def _value(self, g: KindedGrade) -> GradeValue:
-        """``g``'s value, checked in its kind unless ``g`` is canonical."""
-        try:
-            known = self.values[g.id] is g
-        except IndexError:
-            known = False
-        if not known:
-            self.kinds[g.kind].check_value(g.value)
-        return g.value
-
     def _moved(self, g: KindedGrade, kind: str) -> GradeValue:
-        """``g``'s image in ``kind``, checked to be in its carrier."""
-        try:
-            known = self.values[g.id] is g
-        except IndexError:
-            known = False
-        if known:
-            if g.kind == kind:  # checked when it was interned
-                return g.value
-            image = self._images.get((g.id, kind))
-            if image is not None:
-                return image
-        image = self.homs[g.kind, kind].apply(g.value)
-        self.kinds[kind].check_value(image)
-        if known:
+        """Canonical ``g``'s image in ``kind``, checked to be in its carrier."""
+        if g.kind == kind:  # checked when it was interned
+            return g.value
+        image = self._images.get((g.id, kind))
+        if image is None:
+            image = self.homs[g.kind, kind].apply(g.value)
+            self.kinds[kind].check_value(image)
             self._images[g.id, kind] = image
         return image
 
-    def leq(self, x: KindedGrade, y: KindedGrade) -> bool:
+    def unchecked_leq(self, x: KindedGrade, y: KindedGrade) -> bool:
         if (x.kind, y.kind) not in self.order:
             return False
-        return self.kinds[y.kind].unchecked_leq(self._moved(x, y.kind), self._value(y))
+        return self.kinds[y.kind].unchecked_leq(self._moved(x, y.kind), y.value)
 
-    def add(self, x: KindedGrade, y: KindedGrade) -> KindedGrade:
+    def unchecked_add(self, x: KindedGrade, y: KindedGrade) -> KindedGrade:
         j = self.join_table[x.kind, y.kind]
         return KindedGrade(j, self.kinds[j].unchecked_add(self._moved(x, j), self._moved(y, j)))
 
-    def mul(self, x: KindedGrade, y: KindedGrade) -> KindedGrade:
-        # only <N,0> is the combined zero; the table passes canonical grades
+    def unchecked_mul(self, x: KindedGrade, y: KindedGrade) -> KindedGrade:
+        # only <N,0> is the combined zero
         if x.id == ZERO_D.id or y.id == ZERO_D.id:
             return ZERO_D
         j = self.join_table[x.kind, y.kind]
         return KindedGrade(j, self.kinds[j].unchecked_mul(self._moved(x, j), self._moved(y, j)))
 
-    def residual(self, available: KindedGrade, demand: KindedGrade) -> Optional[KindedGrade]:
+    def unchecked_residual(self, available: KindedGrade,
+                           demand: KindedGrade) -> Optional[KindedGrade]:
         """Looked for in the kind of the available grade; the demand must
         refine that kind for any residual to exist."""
         kind = available.kind
         if (demand.kind, kind) not in self.order:
             return None
         return the_residual([KindedGrade(kind, v) for v in maximal_residuals(
-            self.kinds[kind].unchecked_residual, self._value(available),
+            self.kinds[kind].unchecked_residual, available.value,
             self._moved(demand, kind))])
 
     def zero(self) -> KindedGrade:
@@ -230,10 +214,11 @@ class GradeUniverse:
     """A validated kind family with derived order, joins and homomorphisms.
 
     Every kinded grade it meets is interned in ``indexed`` (built over
-    ``KindedAlgebra(self)``), whose canonical grades carry their id.  An
-    operation on canonical grades reads one memo row; any other grade is
-    looked up by value first, and a value outside its kind is refused with
-    CarrierMismatch every time, because it is never interned.
+    ``KindedAlgebra(self)``), whose canonical grades carry their id.
+    ``_id`` is the one place a kinded grade is resolved to its id, and every
+    operation goes through it: a canonical grade's id is read off it, any
+    other grade is looked up by value first, and a value outside its kind is
+    refused with CarrierMismatch every time, because it is never interned.
     """
 
     kinds: dict[str, Algebra]
@@ -249,7 +234,6 @@ class GradeUniverse:
     def __post_init__(self):
         kinded = KindedAlgebra(self)
         self.indexed = Indexed(kinded, kinded.canonical)
-        kinded.values = self.indexed.values
 
     # -- kinds ------------------------------------------------------------
 
@@ -275,49 +259,36 @@ class GradeUniverse:
 
     # -- kinded grades ------------------------------------------------------
 
+    def _id(self, g: KindedGrade) -> int:
+        """``g``'s id in this table.  The id a grade carries is trusted only
+        when the table holds that very object there; any other grade (a
+        stale or foreign id included) is interned by value."""
+        ix = self.indexed
+        try:
+            if ix.values[g.id] is g:
+                return g.id
+        except IndexError:
+            pass
+        return ix.id(g)
+
     def intern(self, g: KindedGrade) -> KindedGrade:
         """The canonical grade equal to ``g``; a grade of an unknown kind or
         outside its kind raises UnknownKind or CarrierMismatch."""
-        ix = self.indexed
-        return ix.values[ix.id(g)]
+        return self.indexed.values[self._id(g)]
 
-    # The checker and both interpreters call these on every step, so each
-    # reads its memo row inline.  It trusts the id a grade carries only when
-    # this table holds that very object there; any other grade (a stale or
-    # foreign id included) is interned by value first.
+    # The checker and both interpreters call these on every step: each reads
+    # one memo row.
 
     def leq(self, x: KindedGrade, y: KindedGrade) -> bool:
-        ix = self.indexed
-        i, j = x.id, y.id
-        try:
-            known = ix.values[i] is x and ix.values[j] is y
-        except IndexError:
-            known = False
-        if not known:
-            i, j = ix.id(x), ix.id(y)
-        return ix.leq(i, j)
+        return self.indexed.leq(self._id(x), self._id(y))
 
     def add(self, x: KindedGrade, y: KindedGrade) -> KindedGrade:
         ix = self.indexed
-        i, j = x.id, y.id
-        try:
-            known = ix.values[i] is x and ix.values[j] is y
-        except IndexError:
-            known = False
-        if not known:
-            i, j = ix.id(x), ix.id(y)
-        return ix.values[ix.add(i, j)]
+        return ix.values[ix.add(self._id(x), self._id(y))]
 
     def mul(self, x: KindedGrade, y: KindedGrade) -> KindedGrade:
         ix = self.indexed
-        i, j = x.id, y.id
-        try:
-            known = ix.values[i] is x and ix.values[j] is y
-        except IndexError:
-            known = False
-        if not known:
-            i, j = ix.id(x), ix.id(y)
-        return ix.values[ix.mul(i, j)]
+        return ix.values[ix.mul(self._id(x), self._id(y))]
 
     def residual(self, available: KindedGrade, demand: KindedGrade) -> Optional[KindedGrade]:
         """Maximal leftover after consuming ``demand`` out of ``available``.
@@ -326,23 +297,12 @@ class GradeUniverse:
         demand must refine that kind for any leftover to exist at all.
         May raise AmbiguousResidual on finite tables with incomparable maxima.
         """
-        ix = self.indexed
-        i, j = available.id, demand.id
-        try:
-            known = ix.values[i] is available and ix.values[j] is demand
-        except IndexError:
-            known = False
-        if not known:
-            i, j = ix.id(available), ix.id(demand)
-        return the_residual([ix.values[k] for k in ix.residual(i, j)])
+        return the_residual(self.residual_candidates(available, demand))
 
     def residual_candidates(self, available: KindedGrade, demand: KindedGrade) -> list[KindedGrade]:
         """Canonical residual, or every maximal one when it is ambiguous."""
-        try:
-            r = self.residual(available, demand)
-        except AmbiguousResidual as exc:
-            return list(exc.candidates)
-        return [] if r is None else [r]
+        ix = self.indexed
+        return [ix.values[k] for k in ix.residual(self._id(available), self._id(demand))]
 
     # -- parsing / printing ------------------------------------------------
 

@@ -51,6 +51,8 @@ from .typecheck import (
     elaborate_program,
 )
 
+LOWER_GRADE_SAMPLES = 25  # at most this many lower grades replay each step
+
 
 # ---------------------------------------------------------------------------
 # Theorem-level checks
@@ -185,8 +187,9 @@ def check_step(u: GradeUniverse, table: ClassTable, std_table: ClassTable,
     return violations
 
 
-def lower_grade_samples(u: GradeUniverse, grade: KindedGrade, limit: int = 25) -> list[KindedGrade]:
-    """Deterministic sample of grades below the given one (inclusive)."""
+def lower_grade_samples(u: GradeUniverse, grade: KindedGrade) -> list[KindedGrade]:
+    """Deterministic sample of at most ``LOWER_GRADE_SAMPLES`` grades below
+    the given one (inclusive)."""
     out = [g for g in u.sample_pool(nat_prefix=6) if u.leq(g, grade)]
     out.append(grade)
     seen, uniq = set(), []
@@ -194,7 +197,7 @@ def lower_grade_samples(u: GradeUniverse, grade: KindedGrade, limit: int = 25) -
         if g not in seen:
             seen.add(g)
             uniq.append(g)
-    return uniq[:limit]
+    return uniq[:LOWER_GRADE_SAMPLES]
 
 
 # ---------------------------------------------------------------------------

@@ -34,7 +34,6 @@ from gradefj.grades import (
     Triv,
     ZetaHom,
     affinity_table,
-    all_residuals,
     iota,
     validate_algebra,
     validate_hom,
@@ -135,6 +134,11 @@ def test_extreal_payload_grammar(text, value):
 def brute_force_residuals_nat(available, demand, bound=50):
     return [Nat(s) for s in range(bound + 1)
             if NAT.leq(NAT.add(Nat(demand), Nat(s)), Nat(available))]
+
+
+def all_residuals(spec, available, demand):
+    """Every valid residual of a finite algebra, by enumeration."""
+    return [s for s in spec.elements() if spec.leq(spec.add(demand, s), available)]
 
 
 def test_residual_nat_oracle():

@@ -408,13 +408,13 @@ def test_check_universe_laws_computes_each_operation_once(monkeypatch, corpus_di
     u = load_universe(str(corpus_dir / "affinity_privacy.json"))
     calls = Counter()
     for op in ("leq", "add", "mul"):
-        original = getattr(KindedAlgebra, op)
+        original = getattr(KindedAlgebra, f"unchecked_{op}")
 
         def counted(self, x, y, op=op, original=original):
             calls[op, x, y] += 1
             return original(self, x, y)
 
-        monkeypatch.setattr(KindedAlgebra, op, counted)
+        monkeypatch.setattr(KindedAlgebra, f"unchecked_{op}", counted)
     assert check_universe_laws(u).ok
     assert {op for op, _, _ in calls} == {"leq", "add", "mul"}
     assert max(calls.values()) == 1
@@ -533,7 +533,7 @@ def test_kinded_operations_move_each_grade_once_per_kind(monkeypatch, name):
             finally:
                 seen["apply"] -= 1
         monkeypatch.setattr(cls, "apply", counted)
-    for op in ("leq", "add", "mul", "residual"):
+    for op in ("unchecked_leq", "unchecked_add", "unchecked_mul", "unchecked_residual"):
         original = getattr(KindedAlgebra, op)
 
         def in_op(self, x, y, original=original):
@@ -547,24 +547,61 @@ def test_kinded_operations_move_each_grade_once_per_kind(monkeypatch, name):
     assert 0 < seen["moves"] <= len(u.indexed.values) * len(u.kinds)
 
 
+_BOOLS = {"kinds": {"BB": {"product": [{"builtin": "boolean"}, {"builtin": "boolean"}]},
+                    "B": {"builtin": "boolean"}},
+          "edges": [{"sub": "BB", "super": "B", "hom": {"proj": "left"}}]}
+
+
 def test_kinded_algebra_moves_grades_it_did_not_intern_afresh():
-    # the transport memo trusts a grade's id only where its own table holds
-    # that very grade: a grade without an id, or with another table's id,
-    # comes back with its own image, not the one stored under that id
+    # the universe trusts a grade's id only where its own table holds that
+    # very grade: a grade without an id, or with another table's id, is
+    # interned by value and moved as its own value, so the transport memo
+    # never hands it the image stored under the id it carries
     b = lambda n: FiniteElem(n, "boolean")
     pair = lambda l, r: KindedGrade("BB", PairValue(b(l), b(r)))
-    config = {"kinds": {"BB": {"product": [{"builtin": "boolean"}, {"builtin": "boolean"}]},
-                        "B": {"builtin": "boolean"}},
-              "edges": [{"sub": "BB", "super": "B", "hom": {"proj": "left"}}]}
-    u, other = universe_from_config(config), universe_from_config(config)
+    u, other = universe_from_config(_BOOLS), universe_from_config(_BOOLS)
     g10, stale_01 = u.intern(pair("1", "0")), other.intern(pair("0", "1"))
     assert g10.id == stale_01.id  # each is the first grade its table interns
     zero, one = (KindedGrade("B", b(n)) for n in ("0", "1"))
-    kinded = u.indexed.alg
-    assert u.add(g10, zero) == kinded.add(g10, zero) == one  # its image is kept
-    assert kinded.add(stale_01, zero) == zero
-    assert kinded.add(pair("1", "0"), zero) == one and kinded.add(pair("0", "1"), zero) == zero
+    assert u.add(g10, zero) == one
+    assert u.indexed.alg._images == {(g10.id, "B"): b("1")}  # its image is kept
     assert u.add(stale_01, zero) == zero
+    assert u.add(pair("1", "0"), zero) == one and u.add(pair("0", "1"), zero) == zero
+
+
+@pytest.mark.parametrize("op", ["leq", "add", "mul", "residual", "residual_candidates"])
+def test_universe_operations_resolve_every_copy_of_a_grade_alike(op):
+    # an operand is the table's own grade, an equal grade with no id, or an
+    # equal grade carrying the id another universe gave it (here that of a
+    # different grade in this table, or one past its end): all give one answer
+    b = lambda n: FiniteElem(n, "boolean")
+    pair = KindedGrade("BB", PairValue(b("1"), b("0")))
+    u, other, far = (universe_from_config(_BOOLS) for _ in range(3))
+    u.intern(KindedGrade("B", b("0")))
+    for left, right in ("00", "11", "01"):
+        far.intern(KindedGrade("BB", PairValue(b(left), b(right))))
+    canonical, top = u.intern(pair), u.intern(KindedGrade("B", b("1")))
+    stale = [other.intern(pair), far.intern(pair)]
+    assert [g.id for g in stale] == [2, 5] and canonical.id == 3
+    assert u.indexed.values[2] != pair and len(u.indexed.values) == 5
+    run = getattr(u, op)
+    for order in (lambda g: (g, top), lambda g: (top, g)):  # available, then demanded
+        expected = run(*order(canonical))
+        for g in [KindedGrade(pair.kind, pair.value)] + stale:
+            got = run(*order(g))
+            assert got == expected
+            for r in got if isinstance(got, list) else [got]:
+                assert not isinstance(r, KindedGrade) or r is u.intern(r)
+    # a grade off its kind's carrier is refused every time, and never interned
+    off = KindedGrade("B", FiniteElem("private", "privacy2"))
+    size = len(u.indexed.values)
+    messages = set()
+    for args in [(off, top), (top, off)] * 2:
+        with pytest.raises(CarrierMismatch) as exc:
+            run(*args)
+        messages.add(str(exc.value))
+    assert messages == {"private is not a value of table:boolean"}
+    assert len(u.indexed.values) == size
 
 
 def test_check_universe_laws_witnesses():
