@@ -1,14 +1,16 @@
 """Command-line front end: check, run, and validate grade universes.
 
 Exit codes: 0 success (including a reported divergence), 1 a program was
-rejected by the checker, 2 a parse/universe/law failure, 3 an I/O error,
-4 an instrumented run got stuck.
+rejected by the checker, 2 a parse/universe/law failure, 3 an I/O error
+(a stdout closed before the output was written among them), 4 an
+instrumented run got stuck.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 from functools import cache
 
@@ -104,10 +106,9 @@ def cmd_run(args) -> int:
     if run.reason is not None:
         payload["reason"] = run.reason.render()
     traced = args.trace and run.trace is not None
-    if args.json:
-        if traced:
-            payload["trace"] = [t.render(i, program.mainGrade)
-                                for i, t in enumerate(run.trace)]
+    if args.json and traced:
+        _print_traced(payload, (t.render(i, program.mainGrade) for i, t in enumerate(run.trace)))
+    elif args.json:
         print(json.dumps(payload, sort_keys=True))
     else:
         if traced:  # each line printed as it is rendered
@@ -121,6 +122,18 @@ def cmd_run(args) -> int:
         else:
             print(f"divergent within fuel ({run.steps} steps)")
     return EXIT_STUCK if run.outcome == "stuck" else EXIT_OK
+
+
+def _print_traced(payload: dict, lines) -> None:
+    """Print ``json.dumps({**payload, "trace": list(lines)}, sort_keys=True)``
+    one trace line at a time, holding no list of them: every key of
+    ``payload`` but "value" sorts before "trace"."""
+    head = {k: v for k, v in payload.items() if k != "value"}
+    write = sys.stdout.write
+    write(json.dumps(head, sort_keys=True)[:-1] + ', "trace": [')
+    for i, line in enumerate(lines):
+        write((", " if i else "") + json.dumps(line))
+    write('], "value": ' + json.dumps(payload["value"]) + "}\n")
 
 
 def _run_standard(args, program: Program) -> int:
@@ -209,7 +222,17 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     if getattr(args, "fuel", 1) <= 0:
         parser.error("--fuel must be positive")
-    return args.fn(args)
+    try:
+        code = args.fn(args)
+        sys.stdout.flush()
+    except BrokenPipeError:
+        # the reader closed stdout: what is left unwritten goes to the null
+        # device, so that the flush at exit raises nothing either
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        os.close(devnull)
+        return EXIT_IO
+    return code
 
 
 if __name__ == "__main__":

@@ -15,9 +15,10 @@ cases at a time: a row kernel builds both sides of the law as rows of ids
 over the whole row, read from the memo rows at C level, and only a row that
 fails is walked case by case for its witness.  A grade universe keeps one
 ``Indexed`` table of its kinded grades, which also answers the checker's
-and the interpreters' grade operations.  An algebra's public operations
-check their operands; an ``Indexed`` grade is checked once, and the
-unchecked operations run on it.
+and the interpreters' grade operations; the kinded algebra gives the id of
+a sum or product itself, by int codes where it can.  An algebra's public
+operations check their operands; an ``Indexed`` grade is checked once, and
+the unchecked operations run on it.
 """
 
 from __future__ import annotations
@@ -26,7 +27,7 @@ import random
 import re
 from dataclasses import dataclass, field
 from fractions import Fraction
-from functools import cache, reduce
+from functools import cache, cached_property, reduce
 from itertools import chain, compress, starmap
 from itertools import product as iproduct
 from operator import getitem, itemgetter, or_
@@ -226,6 +227,13 @@ class Algebra:
     def elements(self) -> Optional[list[GradeValue]]:
         """Full carrier for finite algebras, None otherwise."""
         return None
+
+    @cached_property
+    def element_codes(self) -> Optional[tuple[list[GradeValue], dict[GradeValue, int]]]:
+        """``elements()``, and each element's index in it, built on the first
+        use and kept with the algebra; None for an infinite carrier."""
+        elements = self.elements()
+        return None if elements is None else (elements, {v: k for k, v in enumerate(elements)})
 
     def sample(self) -> list[GradeValue]:
         """Deterministic value pool used to test laws on infinite carriers."""
@@ -980,15 +988,16 @@ class Indexed:
     lookup by structural equality, so ``id(a) == id(b)`` iff ``a == b``);
     ``values`` maps the id back to one canonical grade, ``canonical(v, i)``
     when given (it may raise, and then nothing is stored).  ``leq``, ``add``,
-    ``mul`` and ``residual`` on ids call the wrapped unchecked operation once
-    per ordered pair of ids and answer later calls from int-keyed memo rows,
+    ``mul`` and ``residual`` on ids call the wrapped operation once per
+    ordered pair of ids and answer later calls from int-keyed memo rows,
     which hash no nested grade value; ``reader`` and ``read_pairs`` read
-    many memo entries at once.  ``alg`` is anything with
-    ``unchecked_leq/add/mul``, ``zero`` and ``one`` (and
-    ``unchecked_residual``, if that is asked for) that takes this table's
-    canonical grades as operands: one algebra in the law checks, or the
-    kinded operations of a grade universe, whose grades are interned here
-    for the universe's lifetime and checked by ``canonical``.
+    many memo entries at once.  ``alg`` takes this table's canonical grades
+    as operands.  It is one ``Algebra`` in the law checks, whose
+    ``unchecked_leq/add/mul`` (and ``unchecked_residual``, if that is asked
+    for) results are interned here.  Or it is the kinded algebra of a grade
+    universe, whose grades are interned here for the universe's lifetime
+    and checked by ``canonical``; its ``add_id`` and ``mul_id`` give the
+    result's id, interning a new result through ``id``.
 
     An ``Algebra``'s grades are checked once per id, on the first use of the
     id as an operand: the same operands are refused, with the same errors,
@@ -1000,7 +1009,8 @@ class Indexed:
         self.values: list = []   # id -> canonical grade
         self._ids: dict = {}     # grade -> id
         self._canonical = canonical
-        self._algebra = isinstance(alg, Algebra)  # then its ids are checked lazily
+        # an algebra's ids are checked lazily, and its results interned here
+        self._algebra = isinstance(alg, Algebra)
         self._unchecked: set[int] = set()  # an algebra's ids not yet checked as operands
         # per id, the memo rows of leq, add, mul and residual, keyed by the right id
         self._leq: list[dict] = []
@@ -1038,7 +1048,9 @@ class Indexed:
         if hit is None:
             if self._unchecked:
                 self._check_operands(i, j)
-            hit = row[j] = self.id(self.alg.unchecked_add(self.values[i], self.values[j]))
+            x, y = self.values[i], self.values[j]
+            hit = row[j] = (self.id(self.alg.unchecked_add(x, y)) if self._algebra
+                            else self.alg.add_id(x, y, self.id))
         return hit
 
     def mul(self, i: int, j: int) -> int:
@@ -1047,7 +1059,9 @@ class Indexed:
         if hit is None:
             if self._unchecked:
                 self._check_operands(i, j)
-            hit = row[j] = self.id(self.alg.unchecked_mul(self.values[i], self.values[j]))
+            x, y = self.values[i], self.values[j]
+            hit = row[j] = (self.id(self.alg.unchecked_mul(x, y)) if self._algebra
+                            else self.alg.mul_id(x, y, self.id))
         return hit
 
     def residual(self, i: int, j: int) -> tuple[int, ...]:

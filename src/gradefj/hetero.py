@@ -17,16 +17,20 @@ by id: the checker and the interpreters call them on every step, and the
 law check ``check_universe_laws`` runs its axioms over the same ids.  The
 universe alone resolves a grade to its id; the table's ``KindedAlgebra``
 checks each grade once, as it is interned, and its unchecked operations
-take only the table's canonical grades.
+take only the table's canonical grades.  In a natural or finite join kind
+sums and products work on int codes, the natural itself or the index in
+the carrier, and find a result's id by its code, so that filling the memo
+rows builds and hashes a grade only for a result met the first time.
 """
 
 from __future__ import annotations
 
 import json
+import operator
 from dataclasses import dataclass, field
 from functools import cache
 from itertools import chain, product as iproduct
-from operator import itemgetter
+from operator import attrgetter, itemgetter
 from typing import Callable, Optional
 
 from .grades import (
@@ -49,6 +53,7 @@ from .grades import (
     IotaHom,
     LawReport,
     Nat,
+    NatAlgebra,
     ProductAlgebra,
     ProjLeftHom,
     ProjRightHom,
@@ -140,24 +145,81 @@ def _algebra_of(kinds: dict[str, Algebra], kind: str) -> Algebra:
     return kinds[kind]
 
 
+@dataclass(eq=False, repr=False)
+class _Codes:
+    """The grades of one kind as int codes: ``n`` for a natural, the index in
+    ``elements()`` for a finite carrier.  ``value`` and ``code`` map between
+    codes and values (``code`` gives None off the codes).  ``add`` and
+    ``mul`` take two codes and give the result's code: int arithmetic on the
+    naturals, or a memo filled on first use by the kind's own unchecked
+    operation, which keeps no result off the carrier (answering None).
+    ``of`` keeps each kinded id's code in this kind, of its grade or of its
+    image, and ``ids`` the kinded id of each result code."""
+
+    value: Callable[[int], GradeValue]
+    code: Callable[[GradeValue], Optional[int]]
+    add: Callable[[int, int], Optional[int]]
+    mul: Callable[[int, int], Optional[int]]
+    of: dict[int, int] = field(default_factory=dict)
+    ids: dict[int, int] = field(default_factory=dict)
+
+
+def _kind_codes(alg: Algebra) -> Optional[_Codes]:
+    """The codes of a natural or finite kind, None for any other; they hold
+    the kind's algebra only, whose ``element_codes`` every universe shares."""
+    if type(alg) is NatAlgebra:  # as iota: a subclass may redefine the sum
+        return _Codes(Nat, attrgetter("n"), operator.add, operator.mul)
+    if alg.element_codes is None:
+        return None
+    elements, index = alg.element_codes
+    return _Codes(elements.__getitem__, index.get, _memo(alg.unchecked_add, elements, index),
+                  _memo(alg.unchecked_mul, elements, index))
+
+
+def _memo(op: Callable, elements: list, index: dict) -> Callable[[int, int], Optional[int]]:
+    """``op`` on codes: the index of ``op`` on two elements, each pair
+    computed once; None, and nothing kept, when the result is no element."""
+    n = len(elements)
+    memo: list = [None] * (n * n)
+
+    def read(a: int, b: int) -> Optional[int]:
+        r = memo[a * n + b]
+        if r is None:
+            r = memo[a * n + b] = index.get(op(elements[a], elements[b]))
+        return r
+    return read
+
+
 class KindedAlgebra:
     """The combined algebra on kinded grades: operands are transported into
     their join kind.  ``GradeUniverse`` answers from its ``Indexed`` table
-    over this, which calls the unchecked operations once per pair of its
-    canonical grades; they take no other operands.
+    over this, which calls ``unchecked_leq``, ``add_id``, ``mul_id`` and
+    ``unchecked_residual`` once per pair of its canonical grades; they take
+    no other operands.
 
     ``canonical`` is the one check of a kinded value: it runs when the table
     interns a grade.  Each kind's unchecked operations then run on values
     known to be in its carrier: a canonical grade's own value, or its image
     in another kind, which ``_moved`` checks once and keeps by (id, kind).  A
-    hom that raises, or whose image leaves the kind, stores nothing.  It
-    holds the universe's dicts, not the universe or the table, so that no
-    reference cycle outlives a universe."""
+    hom that raises, or whose image leaves the kind, stores nothing.
+
+    In a natural or finite join kind ``add_id`` and ``mul_id`` read int codes
+    (Filliâtre and Conchon's hash-consing, down to ints): each operand's code
+    in the kind is kept by (id, kind) next to its image, the result's code
+    comes from int arithmetic or the kind's memo, and its id from the kind's
+    code-to-id map, so an interned result costs no ``KindedGrade`` and no
+    hash.  A new result is interned through the table, and ``canonical``
+    checks it; a result off its kind's carrier takes the path of any other
+    kind, which refuses it.  ``unchecked_leq`` builds no grade, and compares
+    values.  Every kind's codes are built on first use.  It holds the
+    universe's dicts, not the universe or the table, so that no reference
+    cycle outlives a universe."""
 
     def __init__(self, u: GradeUniverse):
         self.kinds, self.order, self.join_table, self.homs = (
             u.kinds, u.order, u.join_table, u.homs)
         self._images: dict[tuple[int, str], GradeValue] = {}
+        self._codes: dict[str, Optional[_Codes]] = {}
 
     def canonical(self, g: KindedGrade, i: int) -> KindedGrade:
         """The grade stored as id ``i``: its validity is checked here, once."""
@@ -175,21 +237,66 @@ class KindedAlgebra:
             self._images[g.id, kind] = image
         return image
 
+    def _coded(self, op: str, kind: str, x: KindedGrade, y: KindedGrade,
+               intern: Callable[[KindedGrade], int]) -> Optional[int]:
+        """The id of ``op`` ("add" or "mul") in ``kind`` on canonical ``x``
+        and ``y``, read by their codes there (moved as ``_moved`` moves them);
+        a result met the first time is interned by ``intern``.  None when
+        ``kind`` is not coded, or a code or the result is off its carrier."""
+        try:
+            codes = self._codes[kind]
+        except KeyError:
+            codes = self._codes[kind] = _kind_codes(self.kinds[kind])
+        if codes is None:
+            return None
+        cx = codes.of.get(x.id)
+        if cx is None:
+            cx = self._code(codes, x, kind)
+        cy = codes.of.get(y.id)
+        if cy is None:
+            cy = self._code(codes, y, kind)
+        if cx is None or cy is None:
+            return None
+        r = getattr(codes, op)(cx, cy)
+        if r is None:
+            return None
+        i = codes.ids.get(r)
+        if i is None:
+            i = codes.ids[r] = intern(KindedGrade(kind, codes.value(r)))
+            codes.of[i] = r
+        return i
+
+    def _code(self, codes: _Codes, g: KindedGrade, kind: str) -> Optional[int]:
+        """Canonical ``g``'s code in ``kind``, kept once found."""
+        c = codes.code(self._moved(g, kind))
+        if c is not None:
+            codes.of[g.id] = c
+        return c
+
     def unchecked_leq(self, x: KindedGrade, y: KindedGrade) -> bool:
         if (x.kind, y.kind) not in self.order:
             return False
         return self.kinds[y.kind].unchecked_leq(self._moved(x, y.kind), y.value)
 
-    def unchecked_add(self, x: KindedGrade, y: KindedGrade) -> KindedGrade:
+    def add_id(self, x: KindedGrade, y: KindedGrade, intern: Callable[[KindedGrade], int]) -> int:
+        """The id of x + y, a new sum interned by ``intern``."""
         j = self.join_table[x.kind, y.kind]
-        return KindedGrade(j, self.kinds[j].unchecked_add(self._moved(x, j), self._moved(y, j)))
+        i = self._coded("add", j, x, y, intern)
+        if i is None:  # an infinite join kind, or a sum off the carrier
+            i = intern(KindedGrade(j, self.kinds[j].unchecked_add(self._moved(x, j),
+                                                                  self._moved(y, j))))
+        return i
 
-    def unchecked_mul(self, x: KindedGrade, y: KindedGrade) -> KindedGrade:
-        # only <N,0> is the combined zero
-        if x.id == ZERO_D.id or y.id == ZERO_D.id:
-            return ZERO_D
+    def mul_id(self, x: KindedGrade, y: KindedGrade, intern: Callable[[KindedGrade], int]) -> int:
+        """The id of x * y, a new product interned by ``intern``."""
+        if x.id == ZERO_D.id or y.id == ZERO_D.id:  # only <N,0> is the combined zero
+            return ZERO_D.id
         j = self.join_table[x.kind, y.kind]
-        return KindedGrade(j, self.kinds[j].unchecked_mul(self._moved(x, j), self._moved(y, j)))
+        i = self._coded("mul", j, x, y, intern)
+        if i is None:  # an infinite join kind, or a product off the carrier
+            i = intern(KindedGrade(j, self.kinds[j].unchecked_mul(self._moved(x, j),
+                                                                  self._moved(y, j))))
+        return i
 
     def unchecked_residual(self, available: KindedGrade,
                            demand: KindedGrade) -> Optional[KindedGrade]:

@@ -602,3 +602,64 @@ def test_traced_functions_are_module_level_functions():
             fn = getattr(module, name, None)
             assert inspect.isfunction(fn) and fn.__module__ == module.__name__, \
                 f"gradefj.{layer}.{name}"
+
+
+TESTS = pathlib.Path(__file__).parent
+LOOP = str(TESTS / "programs" / "loop.gfj")
+
+
+@pytest.mark.parametrize("argv", [["--fuel", "2000", LOOP],
+                                  ["--unchecked", str(TESTS / "corpus" / "overdemand_receiver.gfj")]
+                                  ], ids=["loop-2000", "stuck"])
+def test_json_trace_streams_the_bytes_of_the_whole_payload(capsys, argv):
+    # the trace lines are written one at a time between the keys that sort
+    # before "trace" and "value": the bytes are those of json.dumps on the
+    # whole payload, and the lines those text mode prints
+    code, out, _ = run_cli(capsys, "run", "--json", "--trace", *argv)
+    payload = json.loads(out)
+    assert out == json.dumps(payload, sort_keys=True) + "\n"
+    assert len(payload["trace"]) > 1 and ("reason" in payload) == (code == 4)
+    assert run_cli(capsys, "run", "--trace", *argv)[1].splitlines()[:len(payload["trace"])] \
+        == payload["trace"]
+
+
+def _peak_rss_kb(argv) -> int:
+    """The peak RSS of the CLI run on ``argv`` with stdout discarded, read in
+    a fresh parent so that no other child's peak counts."""
+    src = pathlib.Path(gradefj.__file__).parent.parent
+    code = ("import resource, subprocess, sys; "
+            "subprocess.run(sys.argv[1:], stdout=subprocess.DEVNULL, check=True); "
+            "print(resource.getrusage(resource.RUSAGE_CHILDREN).ru_maxrss)")
+    done = subprocess.run([sys.executable, "-c", code, sys.executable, "-m", "gradefj.cli",
+                           *argv], capture_output=True, text=True, check=True, timeout=120,
+                          env={**os.environ, "PYTHONPATH": str(src)})
+    return int(done.stdout)
+
+
+def test_json_trace_holds_no_rendered_trace(corpus_dir):
+    # at fuel 2000 divergent.gfj prints about 11 MB of trace; holding every
+    # rendered line before json.dumps peaked at 2.5 times text mode's RSS
+    argv = ["--trace", "--fuel", "2000", corpus_path(corpus_dir, "divergent.gfj")]
+    assert _peak_rss_kb(["run", "--json", *argv]) <= 1.5 * _peak_rss_kb(["run", *argv])
+
+
+@pytest.mark.parametrize("argv", [["laws", str(TESTS / "corpus" / "affinity_privacy.json")],
+                                  ["run", "--trace", "--fuel", "50", LOOP],
+                                  ["run", "--json", "--trace", "--fuel", "50", LOOP]],
+                         ids=["laws", "run-trace", "run-json-trace"])
+@pytest.mark.parametrize("unbuffered", ["", "1"], ids=["buffered", "unbuffered"])
+def test_a_closed_stdout_ends_with_exit_3_and_no_traceback(argv, unbuffered):
+    # the read end of stdout's pipe is closed before the command starts, as
+    # `| head -1` closes it after one line: the first write that reaches the
+    # pipe fails, at a print or at main's flush
+    src = pathlib.Path(gradefj.__file__).parent.parent
+    read, write = os.pipe()
+    os.close(read)
+    try:
+        done = subprocess.run([sys.executable, "-m", "gradefj.cli", *argv], stdout=write,
+                              stderr=subprocess.PIPE, text=True, timeout=60,
+                              env={**os.environ, "PYTHONPATH": str(src),
+                                   "PYTHONUNBUFFERED": unbuffered})
+    finally:
+        os.close(write)
+    assert (done.returncode, done.stderr) == (3, "")

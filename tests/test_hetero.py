@@ -407,14 +407,15 @@ def test_check_universe_laws_computes_each_operation_once(monkeypatch, corpus_di
     # a fresh universe: its table has computed nothing yet
     u = load_universe(str(corpus_dir / "affinity_privacy.json"))
     calls = Counter()
-    for op in ("leq", "add", "mul"):
-        original = getattr(KindedAlgebra, f"unchecked_{op}")
+    # the table's misses: leq's, and add's and mul's, which answer an id
+    for op, name in (("leq", "unchecked_leq"), ("add", "add_id"), ("mul", "mul_id")):
+        original = getattr(KindedAlgebra, name)
 
-        def counted(self, x, y, op=op, original=original):
+        def counted(self, x, y, *intern, op=op, original=original):
             calls[op, x, y] += 1
-            return original(self, x, y)
+            return original(self, x, y, *intern)
 
-        monkeypatch.setattr(KindedAlgebra, f"unchecked_{op}", counted)
+        monkeypatch.setattr(KindedAlgebra, name, counted)
     assert check_universe_laws(u).ok
     assert {op for op, _, _ in calls} == {"leq", "add", "mul"}
     assert max(calls.values()) == 1
@@ -533,13 +534,13 @@ def test_kinded_operations_move_each_grade_once_per_kind(monkeypatch, name):
             finally:
                 seen["apply"] -= 1
         monkeypatch.setattr(cls, "apply", counted)
-    for op in ("unchecked_leq", "unchecked_add", "unchecked_mul", "unchecked_residual"):
+    for op in ("unchecked_leq", "add_id", "mul_id", "unchecked_residual"):
         original = getattr(KindedAlgebra, op)
 
-        def in_op(self, x, y, original=original):
+        def in_op(self, x, y, *intern, original=original):
             seen["op"] += 1
             try:
-                return original(self, x, y)
+                return original(self, x, y, *intern)
             finally:
                 seen["op"] -= 1
         monkeypatch.setattr(KindedAlgebra, op, in_op)
@@ -602,6 +603,87 @@ def test_universe_operations_resolve_every_copy_of_a_grade_alike(op):
         messages.add(str(exc.value))
     assert messages == {"private is not a value of table:boolean"}
     assert len(u.indexed.values) == size
+
+
+def _fin_product():
+    # as perfbench's fin_product: a 3-element chain, and its product with the
+    # booleans refining it
+    pair = ProductAlgebra(_chain3("c3"), BOOLEAN)
+    return validate_universe({"K": _chain3("c3"), "KB": pair},
+                             [RefinementEdge("KB", "K", ProjLeftHom(pair))])
+
+
+@pytest.mark.parametrize("make", [
+    lambda: load_universe(str(pathlib.Path(__file__).parent / "corpus" / "bool.json")),
+    _fin_product,
+    lambda: load_universe(str(PROGRAMS / "chain_pool80.json"))],
+    ids=["bool", "fin_product", "chain_pool80"])
+def test_a_law_check_builds_few_kinded_grades(monkeypatch, make):
+    # in a natural or finite join kind a missed operation finds its result's
+    # id by int codes: a check builds a KindedGrade for each grade it interns,
+    # not for each pair (2,661 for 166 ids on bool and 24,743 for 232 on
+    # chain_pool80 when every miss built and hashed its result)
+    u = make()
+    made = Counter()
+    original = KindedGrade.__init__
+
+    def counted(self, *args, **kwargs):
+        made["grades"] += 1
+        original(self, *args, **kwargs)
+
+    monkeypatch.setattr(KindedGrade, "__init__", counted)
+    assert check_universe_laws(u).ok
+    assert 0 < made["grades"] <= 4 * len(u.indexed.values)
+
+
+def test_coded_operations_match_the_kind_algebras():
+    # every pool pair of a universe of naturals, finite and infinite kinds:
+    # the universe's answer is the join kind's public operation on the
+    # operands moved there, whether the join kind is coded or not (RB, with
+    # an infinite side, joins B in B, a finite kind, and R in R, an infinite one)
+    u = validate_universe(
+        {"A": AFFINITY, "P": PRIVACY, "AP": ProductAlgebra(AFFINITY, PRIVACY), "B": BOOLEAN,
+         "RB": ProductAlgebra(EXTREAL, BOOLEAN), "R": EXTREAL, "E": ExtendAlgebra(NAT),
+         "EB": ExtendAlgebra(BOOLEAN), "M": NAT},
+        [RefinementEdge("AP", "A", ProjLeftHom(ProductAlgebra(AFFINITY, PRIVACY))),
+         RefinementEdge("RB", "B", ProjRightHom(ProductAlgebra(EXTREAL, BOOLEAN))),
+         RefinementEdge("RB", "R", ProjLeftHom(ProductAlgebra(EXTREAL, BOOLEAN)))])
+    pool = u.sample_pool()
+    for x in pool:
+        for y in pool:
+            j = u.join(x.kind, y.kind)
+            alg = u.algebra(j)
+            vx, vy = u.transport(x.kind, j, x.value), u.transport(y.kind, j, y.value)
+            product = ZERO_D if ZERO_D in (x, y) else KindedGrade(j, alg.mul(vx, vy))
+            for got, want in ((u.add(x, y), KindedGrade(j, alg.add(vx, vy))),
+                              (u.mul(x, y), product)):
+                assert got == want and got is u.intern(got)
+            assert u.leq(x, y) == (u.kind_leq(x.kind, y.kind) and u.algebra(y.kind).leq(
+                u.transport(x.kind, y.kind, x.value), y.value))
+    coded = {k for k, codes in u.indexed.alg._codes.items() if codes is not None}
+    assert coded == {"N", "T", "A", "P", "AP", "B", "EB", "M"}
+
+
+def test_a_result_off_a_coded_carrier_is_refused_and_kept_nowhere():
+    # a table admitted unchecked whose 1 + 1 and 1 * 1 name a non-element:
+    # each operation that reaches it is refused with the message of the
+    # carrier check, every time, and no memo keeps an answer
+    table = BOOLEAN.table
+    leaky = {a: {**row, "1": "2"} if a == "1" else dict(row) for a, row in table.sum.items()}
+    u = validate_universe({"X": FiniteAlgebra(FiniteTable(
+        name="leaky", elements=table.elements, leq=table.leq, sum=leaky,
+        mul={a: dict(row) for a, row in leaky.items()}, zero="0", one="1"))}, [],
+        validate_algebras=False)
+    one, nat_one = u.parse_grade("X:1"), u.parse_grade("1")
+    size = len(u.indexed.values)
+    for op in (u.add, u.mul):
+        for args in [(one, one), (one, nat_one), (nat_one, one)] * 2:
+            with pytest.raises(CarrierMismatch, match="^2 is not a value of table:leaky$"):
+                op(*args)
+    ix = u.indexed
+    assert len(ix.values) == size
+    assert all(one.id not in ix._add[i] and one.id not in ix._mul[i] for i in (one.id, nat_one.id))
+    assert u.add(one, u.parse_grade("X:0")) is one
 
 
 def test_check_universe_laws_witnesses():

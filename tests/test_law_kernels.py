@@ -11,6 +11,7 @@ import json
 import pathlib
 import random
 from fractions import Fraction
+from functools import partial
 
 import pytest
 
@@ -363,10 +364,11 @@ def test_an_image_off_the_carrier_is_refused_every_time():
     message = "1 is not a value of table:privacy2"
     kinded = u.indexed.alg
     for _ in range(2):
-        for op in (u.add, u.leq, kinded.unchecked_add, kinded.unchecked_leq):
+        for op in (u.add, u.leq, partial(kinded.add_id, intern=u.indexed.id),
+                   kinded.unchecked_leq):
             with pytest.raises(CarrierMismatch, match=message):
                 op(a, private)
-    assert kinded._images == {}
+    assert kinded._images == {} and not any(codes and codes.of for codes in kinded._codes.values())
     # a grade off its kind's carrier is refused every time, moved or not:
     # the table never interns it
     stray = KindedGrade("P", BOOL("1"))
