@@ -15,14 +15,16 @@ cases at a time: a row kernel builds both sides of the law as rows of ids
 over the whole row, read from the memo rows at C level, and only a row that
 fails is walked case by case for its witness.  A grade universe keeps one
 ``Indexed`` table of its kinded grades, which also answers the checker's
-and the interpreters' grade operations; the kinded algebra gives the id of
-a sum or product itself, by int codes where it can.  An algebra's public
-operations check their operands; an ``Indexed`` grade is checked once, and
-the unchecked operations run on it.
+and the interpreters' grade operations.  ``Indexed`` asks its algebra for
+the id of a sum or product: an ``Algebra`` interns its result, and the
+kinded algebra reads it by int codes (``Algebra.codes``) where it can.  An
+algebra's public operations check their operands; an ``Indexed`` grade is
+checked once, and the unchecked operations run on it.
 """
 
 from __future__ import annotations
 
+import operator
 import random
 import re
 from dataclasses import dataclass, field
@@ -165,6 +167,33 @@ class ExtInf(GradeValue):
 SAMPLE_SEED = 20240809  # fixed seed for deterministic law sampling
 
 
+@dataclass(frozen=True, eq=False)
+class Codes:
+    """An algebra's values as int codes.  ``value`` and ``code`` map between
+    codes and values (``code`` gives None off the codes); ``add`` and ``mul``
+    take two codes and give the result's code, or None for a result off the
+    codes."""
+
+    value: Callable[[int], GradeValue]
+    code: Callable[[GradeValue], Optional[int]]
+    add: Callable[[int, int], Optional[int]]
+    mul: Callable[[int, int], Optional[int]]
+
+
+def _code_memo(op: Callable, elements: list, index: dict) -> Callable[[int, int], Optional[int]]:
+    """``op`` on codes: the index of ``op`` on two elements, each pair
+    computed once; None, and nothing kept, when the result is no element."""
+    n = len(elements)
+    memo: list = [None] * (n * n)
+
+    def read(a: int, b: int) -> Optional[int]:
+        r = memo[a * n + b]
+        if r is None:
+            r = memo[a * n + b] = index.get(op(elements[a], elements[b]))
+        return r
+    return read
+
+
 @dataclass(frozen=True)
 class Algebra:
     """One grade algebra: order, sum, product and neutral elements.
@@ -174,9 +203,11 @@ class Algebra:
     ``unchecked_mul`` and ``unchecked_residual``, which a class defines on
     values already known to be in its carrier.  Products and extensions call
     their components' unchecked operations, and ``Indexed`` and the kinded
-    operations of a universe call them on grades checked once each.  A
-    subclass that overrides a public operation has that override as its
-    unchecked one too, so no caller bypasses it.
+    operations of a universe call them on grades checked once each;
+    ``Indexed`` asks for a sum or product by ``add_id`` and ``mul_id``, which
+    intern the unchecked result.  A subclass that overrides a public
+    operation has that override as its unchecked one too, so no caller
+    bypasses it.
     """
 
     def __init_subclass__(cls, **kwargs):
@@ -229,11 +260,25 @@ class Algebra:
         return None
 
     @cached_property
-    def element_codes(self) -> Optional[tuple[list[GradeValue], dict[GradeValue, int]]]:
-        """``elements()``, and each element's index in it, built on the first
-        use and kept with the algebra; None for an infinite carrier."""
+    def codes(self) -> Optional[Codes]:
+        """The carrier as int codes, each element's index in ``elements()``:
+        built on first use and kept with the algebra, so every universe
+        holding it shares them; None for an infinite carrier."""
         elements = self.elements()
-        return None if elements is None else (elements, {v: k for k, v in enumerate(elements)})
+        if elements is None:
+            return None
+        index = {v: k for k, v in enumerate(elements)}
+        return Codes(elements.__getitem__, index.get,
+                     _code_memo(self.unchecked_add, elements, index),
+                     _code_memo(self.unchecked_mul, elements, index))
+
+    def add_id(self, a: GradeValue, b: GradeValue, intern: Callable[[GradeValue], int]) -> int:
+        """The id that ``intern`` gives the sum of two carrier values."""
+        return intern(self.unchecked_add(a, b))
+
+    def mul_id(self, a: GradeValue, b: GradeValue, intern: Callable[[GradeValue], int]) -> int:
+        """The id that ``intern`` gives the product of two carrier values."""
+        return intern(self.unchecked_mul(a, b))
 
     def sample(self) -> list[GradeValue]:
         """Deterministic value pool used to test laws on infinite carriers."""
@@ -265,6 +310,14 @@ class NatAlgebra(Algebra):
 
     def unchecked_mul(self, a, b):
         return Nat(a.n * b.n)
+
+    @cached_property
+    def codes(self):
+        """Each natural's code is ``n``, and sums and products are int ones;
+        a subclass may redefine them, and has no codes."""
+        if type(self) is not NatAlgebra:
+            return None
+        return Codes(Nat, operator.attrgetter("n"), operator.add, operator.mul)
 
     def zero(self):
         return Nat(0)
@@ -992,12 +1045,11 @@ class Indexed:
     ordered pair of ids and answer later calls from int-keyed memo rows,
     which hash no nested grade value; ``reader`` and ``read_pairs`` read
     many memo entries at once.  ``alg`` takes this table's canonical grades
-    as operands.  It is one ``Algebra`` in the law checks, whose
-    ``unchecked_leq/add/mul`` (and ``unchecked_residual``, if that is asked
-    for) results are interned here.  Or it is the kinded algebra of a grade
-    universe, whose grades are interned here for the universe's lifetime
-    and checked by ``canonical``; its ``add_id`` and ``mul_id`` give the
-    result's id, interning a new result through ``id``.
+    as operands of its ``unchecked_leq``, ``add_id``, ``mul_id`` and
+    ``unchecked_residual``; ``add_id`` and ``mul_id`` give the result's id,
+    interning a new result through ``id``.  It is one ``Algebra`` in the law
+    checks, or the kinded algebra of a grade universe, whose grades are
+    interned here for the universe's lifetime and checked by ``canonical``.
 
     An ``Algebra``'s grades are checked once per id, on the first use of the
     id as an operand: the same operands are refused, with the same errors,
@@ -1009,7 +1061,7 @@ class Indexed:
         self.values: list = []   # id -> canonical grade
         self._ids: dict = {}     # grade -> id
         self._canonical = canonical
-        # an algebra's ids are checked lazily, and its results interned here
+        # an algebra's ids are checked lazily
         self._algebra = isinstance(alg, Algebra)
         self._unchecked: set[int] = set()  # an algebra's ids not yet checked as operands
         # per id, the memo rows of leq, add, mul and residual, keyed by the right id
@@ -1048,9 +1100,7 @@ class Indexed:
         if hit is None:
             if self._unchecked:
                 self._check_operands(i, j)
-            x, y = self.values[i], self.values[j]
-            hit = row[j] = (self.id(self.alg.unchecked_add(x, y)) if self._algebra
-                            else self.alg.add_id(x, y, self.id))
+            hit = row[j] = self.alg.add_id(self.values[i], self.values[j], self.id)
         return hit
 
     def mul(self, i: int, j: int) -> int:
@@ -1059,9 +1109,7 @@ class Indexed:
         if hit is None:
             if self._unchecked:
                 self._check_operands(i, j)
-            x, y = self.values[i], self.values[j]
-            hit = row[j] = (self.id(self.alg.unchecked_mul(x, y)) if self._algebra
-                            else self.alg.mul_id(x, y, self.id))
+            hit = row[j] = self.alg.mul_id(self.values[i], self.values[j], self.id)
         return hit
 
     def residual(self, i: int, j: int) -> tuple[int, ...]:

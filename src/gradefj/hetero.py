@@ -26,7 +26,6 @@ rows builds and hashes a grade only for a result met the first time.
 from __future__ import annotations
 
 import json
-import operator
 from dataclasses import dataclass, field
 from functools import cache
 from itertools import chain, product as iproduct
@@ -40,6 +39,7 @@ from .grades import (
     NAT,
     TRIVIAL,
     Algebra,
+    Codes,
     ComposeHom,
     ExtendAlgebra,
     FiniteAlgebra,
@@ -53,7 +53,6 @@ from .grades import (
     IotaHom,
     LawReport,
     Nat,
-    NatAlgebra,
     ProductAlgebra,
     ProjLeftHom,
     ProjRightHom,
@@ -145,49 +144,20 @@ def _algebra_of(kinds: dict[str, Algebra], kind: str) -> Algebra:
     return kinds[kind]
 
 
-@dataclass(eq=False, repr=False)
-class _Codes:
-    """The grades of one kind as int codes: ``n`` for a natural, the index in
-    ``elements()`` for a finite carrier.  ``value`` and ``code`` map between
-    codes and values (``code`` gives None off the codes).  ``add`` and
-    ``mul`` take two codes and give the result's code: int arithmetic on the
-    naturals, or a memo filled on first use by the kind's own unchecked
-    operation, which keeps no result off the carrier (answering None).
-    ``of`` keeps each kinded id's code in this kind, of its grade or of its
-    image, and ``ids`` the kinded id of each result code."""
+class _KindIds:
+    """One universe's ids in a coded kind: the kind algebra's ``codes``,
+    ``of`` each kinded id's code there (of its grade or of its image), and
+    ``ids`` the kinded id of each result code."""
 
-    value: Callable[[int], GradeValue]
-    code: Callable[[GradeValue], Optional[int]]
-    add: Callable[[int, int], Optional[int]]
-    mul: Callable[[int, int], Optional[int]]
-    of: dict[int, int] = field(default_factory=dict)
-    ids: dict[int, int] = field(default_factory=dict)
+    __slots__ = ("codes", "of", "ids")
+
+    def __init__(self, codes: Codes):
+        self.codes, self.of, self.ids = codes, {}, {}
 
 
-def _kind_codes(alg: Algebra) -> Optional[_Codes]:
-    """The codes of a natural or finite kind, None for any other; they hold
-    the kind's algebra only, whose ``element_codes`` every universe shares."""
-    if type(alg) is NatAlgebra:  # as iota: a subclass may redefine the sum
-        return _Codes(Nat, attrgetter("n"), operator.add, operator.mul)
-    if alg.element_codes is None:
-        return None
-    elements, index = alg.element_codes
-    return _Codes(elements.__getitem__, index.get, _memo(alg.unchecked_add, elements, index),
-                  _memo(alg.unchecked_mul, elements, index))
-
-
-def _memo(op: Callable, elements: list, index: dict) -> Callable[[int, int], Optional[int]]:
-    """``op`` on codes: the index of ``op`` on two elements, each pair
-    computed once; None, and nothing kept, when the result is no element."""
-    n = len(elements)
-    memo: list = [None] * (n * n)
-
-    def read(a: int, b: int) -> Optional[int]:
-        r = memo[a * n + b]
-        if r is None:
-            r = memo[a * n + b] = index.get(op(elements[a], elements[b]))
-        return r
-    return read
+# a coded operation, read on a kind's int codes and on its algebra's values
+_ADD = (attrgetter("add"), attrgetter("unchecked_add"))
+_MUL = (attrgetter("mul"), attrgetter("unchecked_mul"))
 
 
 class KindedAlgebra:
@@ -211,15 +181,17 @@ class KindedAlgebra:
     hash.  A new result is interned through the table, and ``canonical``
     checks it; a result off its kind's carrier takes the path of any other
     kind, which refuses it.  ``unchecked_leq`` builds no grade, and compares
-    values.  Every kind's codes are built on first use.  It holds the
-    universe's dicts, not the universe or the table, so that no reference
-    cycle outlives a universe."""
+    values.  A kind's codes and its memos of code pairs are its algebra's
+    ``codes``, built on first use and shared by every universe that holds
+    the algebra; a universe keeps only its ids' codes and its codes' ids.  It
+    holds the universe's dicts, not the universe or the table, so that no
+    reference cycle outlives a universe."""
 
     def __init__(self, u: GradeUniverse):
         self.kinds, self.order, self.join_table, self.homs = (
             u.kinds, u.order, u.join_table, u.homs)
         self._images: dict[tuple[int, str], GradeValue] = {}
-        self._codes: dict[str, Optional[_Codes]] = {}
+        self._kind_ids: dict[str, Optional[_KindIds]] = {}  # None: an uncoded kind
 
     def canonical(self, g: KindedGrade, i: int) -> KindedGrade:
         """The grade stored as id ``i``: its validity is checked here, once."""
@@ -237,40 +209,44 @@ class KindedAlgebra:
             self._images[g.id, kind] = image
         return image
 
-    def _coded(self, op: str, kind: str, x: KindedGrade, y: KindedGrade,
-               intern: Callable[[KindedGrade], int]) -> Optional[int]:
-        """The id of ``op`` ("add" or "mul") in ``kind`` on canonical ``x``
-        and ``y``, read by their codes there (moved as ``_moved`` moves them);
-        a result met the first time is interned by ``intern``.  None when
-        ``kind`` is not coded, or a code or the result is off its carrier."""
+    def _op_id(self, op: tuple, x: KindedGrade, y: KindedGrade,
+               intern: Callable[[KindedGrade], int]) -> int:
+        """The id of ``op`` (``_ADD`` or ``_MUL``) on canonical ``x`` and
+        ``y`` in their join kind; a result met the first time is interned by
+        ``intern``.  In a coded kind it is read by the operands' codes there
+        (moved as ``_moved`` moves them); an infinite join kind, or a code or
+        result off the carrier, takes the kind algebra's operation on the
+        moved values."""
+        on_codes, on_values = op
+        kind = self.join_table[x.kind, y.kind]
         try:
-            codes = self._codes[kind]
+            kind_ids = self._kind_ids[kind]
         except KeyError:
-            codes = self._codes[kind] = _kind_codes(self.kinds[kind])
-        if codes is None:
-            return None
-        cx = codes.of.get(x.id)
-        if cx is None:
-            cx = self._code(codes, x, kind)
-        cy = codes.of.get(y.id)
-        if cy is None:
-            cy = self._code(codes, y, kind)
-        if cx is None or cy is None:
-            return None
-        r = getattr(codes, op)(cx, cy)
-        if r is None:
-            return None
-        i = codes.ids.get(r)
-        if i is None:
-            i = codes.ids[r] = intern(KindedGrade(kind, codes.value(r)))
-            codes.of[i] = r
-        return i
+            codes = self.kinds[kind].codes
+            kind_ids = self._kind_ids[kind] = None if codes is None else _KindIds(codes)
+        if kind_ids is not None:
+            codes, of = kind_ids.codes, kind_ids.of
+            cx = of.get(x.id)
+            if cx is None:
+                cx = self._code(kind_ids, x, kind)
+            cy = of.get(y.id)
+            if cy is None:
+                cy = self._code(kind_ids, y, kind)
+            r = None if cx is None or cy is None else on_codes(codes)(cx, cy)
+            if r is not None:
+                i = kind_ids.ids.get(r)
+                if i is None:
+                    i = kind_ids.ids[r] = intern(KindedGrade(kind, codes.value(r)))
+                    of[i] = r
+                return i
+        return intern(KindedGrade(kind, on_values(self.kinds[kind])(
+            self._moved(x, kind), self._moved(y, kind))))
 
-    def _code(self, codes: _Codes, g: KindedGrade, kind: str) -> Optional[int]:
+    def _code(self, kind_ids: _KindIds, g: KindedGrade, kind: str) -> Optional[int]:
         """Canonical ``g``'s code in ``kind``, kept once found."""
-        c = codes.code(self._moved(g, kind))
+        c = kind_ids.codes.code(self._moved(g, kind))
         if c is not None:
-            codes.of[g.id] = c
+            kind_ids.of[g.id] = c
         return c
 
     def unchecked_leq(self, x: KindedGrade, y: KindedGrade) -> bool:
@@ -280,23 +256,13 @@ class KindedAlgebra:
 
     def add_id(self, x: KindedGrade, y: KindedGrade, intern: Callable[[KindedGrade], int]) -> int:
         """The id of x + y, a new sum interned by ``intern``."""
-        j = self.join_table[x.kind, y.kind]
-        i = self._coded("add", j, x, y, intern)
-        if i is None:  # an infinite join kind, or a sum off the carrier
-            i = intern(KindedGrade(j, self.kinds[j].unchecked_add(self._moved(x, j),
-                                                                  self._moved(y, j))))
-        return i
+        return self._op_id(_ADD, x, y, intern)
 
     def mul_id(self, x: KindedGrade, y: KindedGrade, intern: Callable[[KindedGrade], int]) -> int:
         """The id of x * y, a new product interned by ``intern``."""
         if x.id == ZERO_D.id or y.id == ZERO_D.id:  # only <N,0> is the combined zero
             return ZERO_D.id
-        j = self.join_table[x.kind, y.kind]
-        i = self._coded("mul", j, x, y, intern)
-        if i is None:  # an infinite join kind, or a product off the carrier
-            i = intern(KindedGrade(j, self.kinds[j].unchecked_mul(self._moved(x, j),
-                                                                  self._moved(y, j))))
-        return i
+        return self._op_id(_MUL, x, y, intern)
 
     def unchecked_residual(self, available: KindedGrade,
                            demand: KindedGrade) -> Optional[KindedGrade]:

@@ -660,7 +660,7 @@ def test_coded_operations_match_the_kind_algebras():
                 assert got == want and got is u.intern(got)
             assert u.leq(x, y) == (u.kind_leq(x.kind, y.kind) and u.algebra(y.kind).leq(
                 u.transport(x.kind, y.kind, x.value), y.value))
-    coded = {k for k, codes in u.indexed.alg._codes.items() if codes is not None}
+    coded = {k for k, ids in u.indexed.alg._kind_ids.items() if ids is not None}
     assert coded == {"N", "T", "A", "P", "AP", "B", "EB", "M"}
 
 

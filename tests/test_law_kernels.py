@@ -368,7 +368,7 @@ def test_an_image_off_the_carrier_is_refused_every_time():
                    kinded.unchecked_leq):
             with pytest.raises(CarrierMismatch, match=message):
                 op(a, private)
-    assert kinded._images == {} and not any(codes and codes.of for codes in kinded._codes.values())
+    assert kinded._images == {} and not any(ids and ids.of for ids in kinded._kind_ids.values())
     # a grade off its kind's carrier is refused every time, moved or not:
     # the table never interns it
     stray = KindedGrade("P", BOOL("1"))
