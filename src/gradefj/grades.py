@@ -19,7 +19,10 @@ and the interpreters' grade operations.  ``Indexed`` asks its algebra for
 the id of a sum or product: an ``Algebra`` interns its result, and the
 kinded algebra reads it by int codes (``Algebra.codes``) where it can.  An
 algebra's public operations check their operands; an ``Indexed`` grade is
-checked once, and the unchecked operations run on it.
+checked once, by its algebra's ``canonical`` as it is interned, and the
+unchecked operations run on it.  A residual query has any number of maximal
+answers: the unchecked operations list them all, and only the public
+single-answer ``residual`` refuses several.
 """
 
 from __future__ import annotations
@@ -56,18 +59,9 @@ class AmbiguousResidual(GradeError):
         self.candidates = candidates
 
 
-def maximal_residuals(residual: Callable, available: GradeValue,
-                      demand: GradeValue) -> list[GradeValue]:
-    """Every maximal residual by the operation ``residual``: none, the
-    canonical one, or the incomparable candidates of an ambiguous query."""
-    try:
-        r = residual(available, demand)
-    except AmbiguousResidual as exc:
-        return list(exc.candidates)
-    return [] if r is None else [r]
-
-
 def the_residual(maximal: list[GradeValue]) -> Optional[GradeValue]:
+    """The one maximal residual of ``maximal``, None for none; several are
+    refused with AmbiguousResidual."""
     if len(maximal) > 1:
         raise AmbiguousResidual(maximal)
     return maximal[0] if maximal else None
@@ -200,19 +194,21 @@ class Algebra:
 
     The public ``leq``, ``add``, ``mul`` and ``residual`` check both operands
     (``check_value``) and then call ``unchecked_leq``, ``unchecked_add``,
-    ``unchecked_mul`` and ``unchecked_residual``, which a class defines on
-    values already known to be in its carrier.  Products and extensions call
-    their components' unchecked operations, and ``Indexed`` and the kinded
-    operations of a universe call them on grades checked once each;
-    ``Indexed`` asks for a sum or product by ``add_id`` and ``mul_id``, which
-    intern the unchecked result.  A subclass that overrides a public
-    operation has that override as its unchecked one too, so no caller
-    bypasses it.
+    ``unchecked_mul`` and ``unchecked_residuals``, which a class defines on
+    values already known to be in its carrier.  ``unchecked_residuals`` lists
+    every maximal residual (none, one, or several incomparable ones), and
+    ``residual`` refuses several with AmbiguousResidual.  Products and
+    extensions call their components' unchecked operations, and ``Indexed``
+    and the kinded operations of a universe call them on grades checked once
+    each, by ``canonical`` as ``Indexed`` interns them; ``Indexed`` asks for a
+    sum or product by ``add_id`` and ``mul_id``, which intern the unchecked
+    result.  A subclass that overrides a public ``leq``, ``add`` or ``mul``
+    has that override as its unchecked one too, so no caller bypasses it.
     """
 
     def __init_subclass__(cls, **kwargs):
         super().__init_subclass__(**kwargs)
-        for op in ("leq", "add", "mul", "residual"):
+        for op in ("leq", "add", "mul"):
             if op in vars(cls) and f"unchecked_{op}" not in vars(cls):
                 setattr(cls, f"unchecked_{op}", vars(cls)[op])
 
@@ -229,9 +225,10 @@ class Algebra:
         return self.unchecked_mul(a, b)
 
     def residual(self, available: GradeValue, demand: GradeValue) -> Optional[GradeValue]:
-        """Canonical maximal s' with demand + s' <= available, if any."""
+        """The maximal s' with demand + s' <= available, None if there is
+        none; AmbiguousResidual if there are several."""
         self.check_value(available), self.check_value(demand)
-        return self.unchecked_residual(available, demand)
+        return the_residual(self.unchecked_residuals(available, demand))
 
     def unchecked_leq(self, a: GradeValue, b: GradeValue) -> bool:
         raise NotImplementedError
@@ -242,8 +239,9 @@ class Algebra:
     def unchecked_mul(self, a: GradeValue, b: GradeValue) -> GradeValue:
         raise NotImplementedError
 
-    def unchecked_residual(self, available: GradeValue,
-                           demand: GradeValue) -> Optional[GradeValue]:
+    def unchecked_residuals(self, available: GradeValue,
+                            demand: GradeValue) -> list[GradeValue]:
+        """Every maximal s' with demand + s' <= available."""
         raise NotImplementedError
 
     def zero(self) -> GradeValue:
@@ -271,6 +269,11 @@ class Algebra:
         return Codes(elements.__getitem__, index.get,
                      _code_memo(self.unchecked_add, elements, index),
                      _code_memo(self.unchecked_mul, elements, index))
+
+    def canonical(self, a: GradeValue, i: int) -> GradeValue:
+        """The grade ``Indexed`` stores as id ``i``: ``a``, checked here once."""
+        self.check_value(a)
+        return a
 
     def add_id(self, a: GradeValue, b: GradeValue, intern: Callable[[GradeValue], int]) -> int:
         """The id that ``intern`` gives the sum of two carrier values."""
@@ -331,10 +334,8 @@ class NatAlgebra(Algebra):
     def sample(self):
         return [Nat(n) for n in range(51)]
 
-    def unchecked_residual(self, available, demand):
-        if demand.n <= available.n:
-            return Nat(available.n - demand.n)
-        return None
+    def unchecked_residuals(self, available, demand):
+        return [Nat(available.n - demand.n)] if demand.n <= available.n else []
 
     def describe(self):
         return "nat"
@@ -373,8 +374,8 @@ class TrivialAlgebra(Algebra):
     def elements(self):
         return [Triv()]
 
-    def unchecked_residual(self, available, demand):
-        return Triv()
+    def unchecked_residuals(self, available, demand):
+        return [Triv()]
 
     def describe(self):
         return "trivial"
@@ -425,12 +426,12 @@ class ExtRealAlgebra(Algebra):
                 pool.append(ExtReal(Fraction(num, den)))
         return sorted(set(pool), key=lambda v: (v.q is None, v.q or 0))
 
-    def unchecked_residual(self, available, demand):
+    def unchecked_residuals(self, available, demand):
         if available.q is None:
-            return ExtReal(None)
+            return [ExtReal(None)]
         if demand.q is None or demand.q > available.q:
-            return None
-        return ExtReal(available.q - demand.q)
+            return []
+        return [ExtReal(available.q - demand.q)]
 
     def describe(self):
         return "extreal"
@@ -460,16 +461,6 @@ class FiniteTable:
     mul: dict[str, dict[str, str]] = field(hash=False)
     zero: str
     one: str
-
-    def __eq__(self, other):
-        if not isinstance(other, FiniteTable):
-            return NotImplemented
-        return (self.name, self.elements, self.leq, self.sum, self.mul,
-                self.zero, self.one) == (other.name, other.elements, other.leq,
-                                         other.sum, other.mul, other.zero, other.one)
-
-    def __hash__(self):
-        return hash((self.name, self.elements, self.leq, self.zero, self.one))
 
 
 @dataclass(frozen=True)
@@ -503,13 +494,12 @@ class FiniteAlgebra(Algebra):
     def elements(self):
         return [self._value(n) for n in self.table.elements]
 
-    def unchecked_residual(self, available, demand):
+    def unchecked_residuals(self, available, demand):
         # each sum is checked: a table admitted without its shape check may
         # leave its carrier
         valid = [s for s in self.elements()
                  if self.leq(self.unchecked_add(demand, s), available)]
-        return the_residual([s for s in valid
-                             if not any(t != s and self.unchecked_leq(s, t) for t in valid)])
+        return [s for s in valid if not any(t != s and self.unchecked_leq(s, t) for t in valid)]
 
     def describe(self):
         return f"table:{self.table.name}"
@@ -560,12 +550,12 @@ class ProductAlgebra(Algebra):
         re_ = self.right.elements() or self.right.sample()[:8]
         return [PairValue(l, r) for l, r in iproduct(le, re_)]
 
-    def unchecked_residual(self, available, demand):
+    def unchecked_residuals(self, available, demand):
         # componentwise order and sum: the maximal residuals are the pairs
         # of maximal component residuals
-        return the_residual([PairValue(l, r) for l, r in iproduct(
-            maximal_residuals(self.left.unchecked_residual, available.left, demand.left),
-            maximal_residuals(self.right.unchecked_residual, available.right, demand.right))])
+        return [PairValue(l, r) for l, r in iproduct(
+            self.left.unchecked_residuals(available.left, demand.left),
+            self.right.unchecked_residuals(available.right, demand.right))]
 
     def describe(self):
         return f"product({self.left.describe()},{self.right.describe()})"
@@ -636,13 +626,12 @@ class ExtendAlgebra(Algebra):
         inner = self.inner.elements() or self.inner.sample()[:12]
         return [ExtFin(v) for v in inner] + [ExtInf()]
 
-    def unchecked_residual(self, available, demand):
+    def unchecked_residuals(self, available, demand):
         if isinstance(available, ExtInf):
-            return ExtInf()
+            return [ExtInf()]
         if isinstance(demand, ExtInf):
-            return None
-        return the_residual([ExtFin(r) for r in maximal_residuals(
-            self.inner.unchecked_residual, available.inner, demand.inner)])
+            return []
+        return [ExtFin(r) for r in self.inner.unchecked_residuals(available.inner, demand.inner)]
 
     def describe(self):
         return f"extend({self.inner.describe()})"
@@ -768,8 +757,9 @@ def iota(n: GradeValue, target: Algebra) -> GradeValue:
     Built-in carriers give it in closed form (componentwise for products,
     under the finite injection for extensions), matched by exact class
     because a subclass may redefine the sum; a finite table sums element
-    names in its own sum table.  On any other carrier the running sum is a
-    function of its last value, so once a value repeats the rest of the
+    names in its own sum table, and a sum off its carrier is refused by the
+    checked sums of the general path.  On any other carrier the running sum
+    is a function of its last value, so once a value repeats the rest of the
     sequence cycles; a finite carrier repeats within |carrier| + 1
     additions.
     """
@@ -785,7 +775,10 @@ def iota(n: GradeValue, target: Algebra) -> GradeValue:
         return ExtFin(iota(n, target.inner))
     if type(target) is FiniteAlgebra:
         table = target.table
-        return target._value(_nth_sum(table.zero, lambda a: table.sum[a][table.one], n.n))
+        try:
+            return target._value(_nth_sum(table.zero, lambda a: table.sum[a][table.one], n.n))
+        except KeyError:  # a table admitted unchecked: the checked sums name the culprit
+            pass
     return _nth_sum(target.zero(), lambda a: target.add(a, target.one()), n.n)
 
 
@@ -1039,31 +1032,23 @@ class Indexed:
 
     Each distinct grade gets an id the first time ``id`` sees it (one dict
     lookup by structural equality, so ``id(a) == id(b)`` iff ``a == b``);
-    ``values`` maps the id back to one canonical grade, ``canonical(v, i)``
-    when given (it may raise, and then nothing is stored).  ``leq``, ``add``,
-    ``mul`` and ``residual`` on ids call the wrapped operation once per
-    ordered pair of ids and answer later calls from int-keyed memo rows,
-    which hash no nested grade value; ``reader`` and ``read_pairs`` read
-    many memo entries at once.  ``alg`` takes this table's canonical grades
-    as operands of its ``unchecked_leq``, ``add_id``, ``mul_id`` and
-    ``unchecked_residual``; ``add_id`` and ``mul_id`` give the result's id,
-    interning a new result through ``id``.  It is one ``Algebra`` in the law
-    checks, or the kinded algebra of a grade universe, whose grades are
-    interned here for the universe's lifetime and checked by ``canonical``.
-
-    An ``Algebra``'s grades are checked once per id, on the first use of the
-    id as an operand: the same operands are refused, with the same errors,
-    as by its public operations.
+    ``values`` maps the id back to one canonical grade, ``alg.canonical(v,
+    i)``, which checks ``v`` once: it may raise, and then nothing is stored.
+    ``leq``, ``add``, ``mul`` and ``residual`` on ids call the wrapped
+    operation once per ordered pair of ids and answer later calls from
+    int-keyed memo rows, which hash no nested grade value; ``reader`` and
+    ``read_pairs`` read many memo entries at once.  ``alg`` takes this
+    table's canonical grades as operands of its ``unchecked_leq``,
+    ``add_id``, ``mul_id`` and ``unchecked_residuals``; ``add_id`` and
+    ``mul_id`` give the result's id, interning a new result through ``id``.
+    It is one ``Algebra`` in the law checks, or the kinded algebra of a grade
+    universe, whose grades are interned here for the universe's lifetime.
     """
 
-    def __init__(self, alg, canonical=None):
+    def __init__(self, alg):
         self.alg = alg
         self.values: list = []   # id -> canonical grade
         self._ids: dict = {}     # grade -> id
-        self._canonical = canonical
-        # an algebra's ids are checked lazily
-        self._algebra = isinstance(alg, Algebra)
-        self._unchecked: set[int] = set()  # an algebra's ids not yet checked as operands
         # per id, the memo rows of leq, add, mul and residual, keyed by the right id
         self._leq: list[dict] = []
         self._add: list[dict] = []
@@ -1075,12 +1060,9 @@ class Indexed:
         i = self._ids.get(v)
         if i is None:
             i = len(self.values)
-            if self._canonical is not None:
-                v = self._canonical(v, i)
+            v = self.alg.canonical(v, i)
             self._ids[v] = i
             self.values.append(v)
-            if self._algebra:
-                self._unchecked.add(i)
             self._leq.append({}), self._add.append({}), self._mul.append({})
             self._residual.append({})
         return i
@@ -1089,8 +1071,6 @@ class Indexed:
         row = self._leq[i]
         hit = row.get(j)
         if hit is None:
-            if self._unchecked:
-                self._check_operands(i, j)
             hit = row[j] = self.alg.unchecked_leq(self.values[i], self.values[j])
         return hit
 
@@ -1098,8 +1078,6 @@ class Indexed:
         row = self._add[i]
         hit = row.get(j)
         if hit is None:
-            if self._unchecked:
-                self._check_operands(i, j)
             hit = row[j] = self.alg.add_id(self.values[i], self.values[j], self.id)
         return hit
 
@@ -1107,8 +1085,6 @@ class Indexed:
         row = self._mul[i]
         hit = row.get(j)
         if hit is None:
-            if self._unchecked:
-                self._check_operands(i, j)
             hit = row[j] = self.alg.mul_id(self.values[i], self.values[j], self.id)
         return hit
 
@@ -1117,18 +1093,9 @@ class Indexed:
         row = self._residual[i]
         hit = row.get(j)
         if hit is None:
-            if self._unchecked:
-                self._check_operands(i, j)
-            hit = row[j] = tuple(self.id(r) for r in maximal_residuals(
-                self.alg.unchecked_residual, self.values[i], self.values[j]))
+            hit = row[j] = tuple(map(self.id, self.alg.unchecked_residuals(
+                self.values[i], self.values[j])))
         return hit
-
-    def _check_operands(self, i: int, j: int) -> None:
-        """Check the grades of ids i and j, in that order, unless checked."""
-        for k in (i, j):
-            if k in self._unchecked:
-                self.alg.check_value(self.values[k])
-                self._unchecked.discard(k)
 
     def reader(self, op: str, js: Sequence[int]) -> Callable[[int], tuple]:
         """A batched read of ``op`` ("leq", "add" or "mul") at the ids
@@ -1391,17 +1358,31 @@ def validate_algebra(spec: Algebra) -> LawReport:
     Infinite carriers are checked on ``ALGEBRA_TRIPLES`` deterministic
     seeded triples drawn from ``spec.sample()``; their pairs are the first
     two components, and monotonicity pairs each related pair with the next.
+    Every finite table in ``spec`` is first checked for its shape, and the
+    first one that fails is the whole report; a table that is ``spec``
+    itself reports its PASS line too.
     """
-    shape = []
-    if isinstance(spec, FiniteAlgebra):
-        shape = [_validate_table_shape(spec.table)]
-        if not shape[0].ok:
-            return LawReport(shape)
+    shapes = [_validate_table_shape(table) for table in _tables(spec)]
+    if bad := [r for r in shapes if not r.ok]:
+        return LawReport(bad[:1])
+    shape = shapes if isinstance(spec, FiniteAlgebra) else []
     ix = Indexed(spec)
     pool = [ix.id(v) for v in spec.sample()]
     seeded = None if spec.elements() is not None else _seeded_triples(pool, ALGEBRA_TRIPLES)
     return LawReport(shape + check_laws(semiring_laws(ix, pool, seeded),
                                         show=ix.show).results)
+
+
+def _tables(spec: Algebra) -> list[FiniteTable]:
+    """The finite tables of ``spec``, itself and nested in products and
+    extensions, left to right."""
+    if isinstance(spec, FiniteAlgebra):
+        return [spec.table]
+    if isinstance(spec, ProductAlgebra):
+        return _tables(spec.left) + _tables(spec.right)
+    if isinstance(spec, ExtendAlgebra):
+        return _tables(spec.inner)
+    return []
 
 
 def _validate_table_shape(table: FiniteTable) -> LawResult:

@@ -59,7 +59,6 @@ from .grades import (
     ZetaHom,
     check_laws,
     compose,
-    maximal_residuals,
     semiring_laws,
     the_residual,
     validate_algebra,
@@ -164,14 +163,15 @@ class KindedAlgebra:
     """The combined algebra on kinded grades: operands are transported into
     their join kind.  ``GradeUniverse`` answers from its ``Indexed`` table
     over this, which calls ``unchecked_leq``, ``add_id``, ``mul_id`` and
-    ``unchecked_residual`` once per pair of its canonical grades; they take
+    ``unchecked_residuals`` once per pair of its canonical grades; they take
     no other operands.
 
-    ``canonical`` is the one check of a kinded value: it runs when the table
-    interns a grade.  Each kind's unchecked operations then run on values
-    known to be in its carrier: a canonical grade's own value, or its image
-    in another kind, which ``_moved`` checks once and keeps by (id, kind).  A
-    hom that raises, or whose image leaves the kind, stores nothing.
+    ``canonical`` is the one check of a kinded value, as it is for an
+    ``Algebra``'s values: the table calls it when it interns a grade.  Each
+    kind's unchecked operations then run on values known to be in its
+    carrier: a canonical grade's own value, or its image in another kind,
+    which ``_moved`` checks once and keeps by (id, kind).  A hom that raises,
+    or whose image leaves the kind, stores nothing.
 
     In a natural or finite join kind ``add_id`` and ``mul_id`` read int codes
     (Filliâtre and Conchon's hash-consing, down to ints): each operand's code
@@ -264,16 +264,15 @@ class KindedAlgebra:
             return ZERO_D.id
         return self._op_id(_MUL, x, y, intern)
 
-    def unchecked_residual(self, available: KindedGrade,
-                           demand: KindedGrade) -> Optional[KindedGrade]:
-        """Looked for in the kind of the available grade; the demand must
-        refine that kind for any residual to exist."""
+    def unchecked_residuals(self, available: KindedGrade,
+                            demand: KindedGrade) -> list[KindedGrade]:
+        """Every maximal residual, looked for in the kind of the available
+        grade; the demand must refine that kind for any residual to exist."""
         kind = available.kind
         if (demand.kind, kind) not in self.order:
-            return None
-        return the_residual([KindedGrade(kind, v) for v in maximal_residuals(
-            self.kinds[kind].unchecked_residual, available.value,
-            self._moved(demand, kind))])
+            return []
+        return [KindedGrade(kind, v) for v in self.kinds[kind].unchecked_residuals(
+            available.value, self._moved(demand, kind))]
 
     def zero(self) -> KindedGrade:
         return ZERO_D
@@ -305,8 +304,7 @@ class GradeUniverse:
     indexed: Indexed = field(init=False)
 
     def __post_init__(self):
-        kinded = KindedAlgebra(self)
-        self.indexed = Indexed(kinded, kinded.canonical)
+        self.indexed = Indexed(KindedAlgebra(self))
 
     # -- kinds ------------------------------------------------------------
 
@@ -373,7 +371,7 @@ class GradeUniverse:
         return the_residual(self.residual_candidates(available, demand))
 
     def residual_candidates(self, available: KindedGrade, demand: KindedGrade) -> list[KindedGrade]:
-        """Canonical residual, or every maximal one when it is ambiguous."""
+        """Every maximal residual: none, one, or several incomparable ones."""
         ix = self.indexed
         return [ix.values[k] for k in ix.residual(self._id(available), self._id(demand))]
 

@@ -192,12 +192,7 @@ def lower_grade_samples(u: GradeUniverse, grade: KindedGrade) -> list[KindedGrad
     the given one (inclusive)."""
     out = [g for g in u.sample_pool(nat_prefix=6) if u.leq(g, grade)]
     out.append(grade)
-    seen, uniq = set(), []
-    for g in out:
-        if g not in seen:
-            seen.add(g)
-            uniq.append(g)
-    return uniq[:LOWER_GRADE_SAMPLES]
+    return list(dict.fromkeys(out))[:LOWER_GRADE_SAMPLES]
 
 
 # ---------------------------------------------------------------------------

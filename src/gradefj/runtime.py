@@ -279,7 +279,8 @@ def reason_name(reason: StuckReason) -> str:
 @dataclass(frozen=True, eq=False, repr=False)
 class Minimal:
     """Burn exactly the reduction grade (its unit when reducing at zero)
-    and keep the canonical maximal residual."""
+    and keep a maximal residual: one successor for each, so several when
+    the residual is ambiguous."""
 
 
 @dataclass(frozen=True, eq=False, repr=False)
@@ -351,7 +352,8 @@ def _var_choices(u: GradeUniverse, grade: KindedGrade, stored: KindedGrade,
 
 def graded_step(u: GradeUniverse, table: ClassTable, cfg: GradedConfig,
                 grade: KindedGrade, policy: Policy = Minimal()) -> StepResult:
-    """One instrumented step; Minimal yields at most one successor.
+    """One instrumented step; Minimal yields one successor per maximal
+    residual of a replaced variable, so at most one unless it is ambiguous.
 
     ``table`` holds the annotated method bodies.  The expression is
     decomposed into a redex and its evaluation context, the redex is
@@ -651,7 +653,7 @@ def graded_run(u: GradeUniverse, table: ClassTable, cfg: GradedConfig,
     """Iterate graded_step.  With Enumerate, depth-first search over the
     variable-consumption choice points returns the first completed run;
     when every schedule sticks, the reason from the deepest branch is
-    reported.
+    reported.  Any other policy follows the first successor of each step.
 
     The run keeps the evaluation context between steps (refocusing,
     Danvy and Nielsen 2004): each step is graded_step on the redex alone,

@@ -205,17 +205,17 @@ def test_run_grade_arithmetic_does_not_grow_with_fuel(capsys, monkeypatch):
     for cls in (grades.Algebra, grades.NatAlgebra, grades.TrivialAlgebra,
                 grades.ExtRealAlgebra, grades.FiniteAlgebra, grades.ProductAlgebra,
                 grades.ExtendAlgebra):
-        for op in ("leq", "add", "mul", "residual"):
-            for name in (op, f"unchecked_{op}"):
-                if name not in cls.__dict__:
-                    continue
-                original = cls.__dict__[name]
+        for name in ("leq", "add", "mul", "residual", "unchecked_leq", "unchecked_add",
+                     "unchecked_mul", "unchecked_residuals"):
+            if name not in cls.__dict__:
+                continue
+            original = cls.__dict__[name]
 
-                def counted(self, *args, name=name, original=original):
-                    calls[name] += 1
-                    return original(self, *args)
+            def counted(self, *args, name=name, original=original):
+                calls[name] += 1
+                return original(self, *args)
 
-                monkeypatch.setattr(cls, name, counted)
+            monkeypatch.setattr(cls, name, counted)
     loop = pathlib.Path(__file__).parent / "programs" / "loop.gfj"
     made = []
     for fuel in ("150", "1500"):
@@ -223,7 +223,7 @@ def test_run_grade_arithmetic_does_not_grow_with_fuel(capsys, monkeypatch):
         code, out, _ = run_cli(capsys, "run", "--fuel", fuel, str(loop))
         assert code == 0 and out == f"divergent within fuel ({fuel} steps)\n"
         made.append(dict(calls))
-    assert made[0]["unchecked_residual"] > 0
+    assert made[0]["unchecked_residuals"] > 0
     assert made[0] == made[1]
 
 
@@ -420,6 +420,15 @@ _TABLE = {"name": "t", "elements": ["0"], "leq": [["0", "0"]], "sum": {"0": {"0"
      "edge B -> R: unknown key 'homs'"),
     ({"kinds": {"B": {"builtin": "boolean"}, "R": {"builtin": "extreal"}},
       "edges": [{"sub": "B", "super": "R"}]}, "edge B -> R has no 'hom'"),
+    # a table nested in a product or an extension is checked for its shape
+    # before any law runs, as a table kind is
+    ({"kinds": {"X": {"product": [{"builtin": "nat"}, {"table": {**_TABLE, "sum": {"0": {}}}}]}}},
+     "algebra of kind X violates table-shape: ('sum not total', '0')\n"),
+    ({"kinds": {"X": {"extend": {"table": {**_TABLE, "zero": "z"}}}}},
+     "algebra of kind X violates table-shape: ('constants off carrier',)\n"),
+    ({"kinds": {"X": {"product": [{"table": {**_TABLE, "sum": {"0": {"0": "1"}}}},
+                                  {"builtin": "boolean"}]}}},
+     "algebra of kind X violates table-shape: ('sum leaves carrier', '0', '0')\n"),
 ])
 @pytest.mark.parametrize("command", ["check", "run", "laws"])
 def test_malformed_universe_config_is_bad_input(capsys, tmp_path, corpus_dir, cfg, message,

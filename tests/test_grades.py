@@ -39,8 +39,10 @@ from gradefj.grades import (
     validate_hom,
     zeta,
 )
+from conftest import ambiguous_algebra
 
 AFF = lambda n: FiniteElem(n, "affinity")
+AMB = ambiguous_algebra()
 PRIV = lambda n: FiniteElem(n, "privacy2")
 PP = lambda n: FiniteElem(n, "privacy4")
 
@@ -158,7 +160,8 @@ def test_residual_privacy_join_table():
 
 @pytest.mark.parametrize("spec", [AFFINITY, BOOLEAN, PRIVACY, PPRIVACY,
                                   ProductAlgebra(AFFINITY, PRIVACY),
-                                  ExtendAlgebra(AFFINITY)])
+                                  ExtendAlgebra(AFFINITY), AMB, ProductAlgebra(AMB, AMB),
+                                  ExtendAlgebra(AMB)])
 def test_residual_maximality_finite(spec):
     elems = spec.elements()
     for avail in elems:
@@ -273,6 +276,15 @@ def test_validate_hom_detects_unit_violation():
     report = validate_hom(bad)
     assert not report.ok
     assert any(r.law == "hom-one" for r in report.failures())
+
+
+def test_validate_hom_refuses_an_image_off_the_target_when_it_meets_it():
+    # a map built in code that sends 0 to a natural: the target's table
+    # checks each image as it interns it, so the first law to apply the map
+    # ends the report at hom-total with the carrier message
+    bad = FiniteMapHom(BOOLEAN, AFFINITY, {"0": Nat(0), "1": AFF("1")})
+    assert [str(r) for r in validate_hom(bad).results] == [
+        "FAIL hom-total witness=('0 is not a value of table:affinity',)"]
 
 
 def test_validate_hom_pp_to_p():

@@ -534,7 +534,7 @@ def test_kinded_operations_move_each_grade_once_per_kind(monkeypatch, name):
             finally:
                 seen["apply"] -= 1
         monkeypatch.setattr(cls, "apply", counted)
-    for op in ("unchecked_leq", "add_id", "mul_id", "unchecked_residual"):
+    for op in ("unchecked_leq", "add_id", "mul_id", "unchecked_residuals"):
         original = getattr(KindedAlgebra, op)
 
         def in_op(self, x, y, *intern, original=original):
@@ -674,10 +674,10 @@ def test_a_result_off_a_coded_carrier_is_refused_and_kept_nowhere():
         name="leaky", elements=table.elements, leq=table.leq, sum=leaky,
         mul={a: dict(row) for a, row in leaky.items()}, zero="0", one="1"))}, [],
         validate_algebras=False)
-    one, nat_one = u.parse_grade("X:1"), u.parse_grade("1")
+    one, nat_one, nat_three = (u.parse_grade(t) for t in ("X:1", "1", "3"))
     size = len(u.indexed.values)
     for op in (u.add, u.mul):
-        for args in [(one, one), (one, nat_one), (nat_one, one)] * 2:
+        for args in [(one, one), (one, nat_one), (nat_one, one), (one, nat_three)] * 2:
             with pytest.raises(CarrierMismatch, match="^2 is not a value of table:leaky$"):
                 op(*args)
     ix = u.indexed
