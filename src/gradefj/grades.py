@@ -17,7 +17,8 @@ fails is walked case by case for its witness.  A grade universe keeps one
 ``Indexed`` table of its kinded grades, which also answers the checker's
 and the interpreters' grade operations.  ``Indexed`` asks its algebra for
 the id of a sum or product: an ``Algebra`` interns its result, and the
-kinded algebra reads it by int codes (``Algebra.codes``) where it can.  An
+kinded algebra works on its operands' ids in an ``Indexed`` table of their
+join kind, so both levels hash-cons by one table type.  An
 algebra's public operations check their operands; an ``Indexed`` grade is
 checked once, by its algebra's ``canonical`` as it is interned, and the
 unchecked operations run on it.  A residual query has any number of maximal
@@ -27,12 +28,11 @@ single-answer ``residual`` refuses several.
 
 from __future__ import annotations
 
-import operator
 import random
 import re
 from dataclasses import dataclass, field
 from fractions import Fraction
-from functools import cache, cached_property, reduce
+from functools import cache, reduce
 from itertools import chain, compress, starmap
 from itertools import product as iproduct
 from operator import getitem, itemgetter, or_
@@ -161,33 +161,6 @@ class ExtInf(GradeValue):
 SAMPLE_SEED = 20240809  # fixed seed for deterministic law sampling
 
 
-@dataclass(frozen=True, eq=False)
-class Codes:
-    """An algebra's values as int codes.  ``value`` and ``code`` map between
-    codes and values (``code`` gives None off the codes); ``add`` and ``mul``
-    take two codes and give the result's code, or None for a result off the
-    codes."""
-
-    value: Callable[[int], GradeValue]
-    code: Callable[[GradeValue], Optional[int]]
-    add: Callable[[int, int], Optional[int]]
-    mul: Callable[[int, int], Optional[int]]
-
-
-def _code_memo(op: Callable, elements: list, index: dict) -> Callable[[int, int], Optional[int]]:
-    """``op`` on codes: the index of ``op`` on two elements, each pair
-    computed once; None, and nothing kept, when the result is no element."""
-    n = len(elements)
-    memo: list = [None] * (n * n)
-
-    def read(a: int, b: int) -> Optional[int]:
-        r = memo[a * n + b]
-        if r is None:
-            r = memo[a * n + b] = index.get(op(elements[a], elements[b]))
-        return r
-    return read
-
-
 @dataclass(frozen=True)
 class Algebra:
     """One grade algebra: order, sum, product and neutral elements.
@@ -198,12 +171,13 @@ class Algebra:
     values already known to be in its carrier.  ``unchecked_residuals`` lists
     every maximal residual (none, one, or several incomparable ones), and
     ``residual`` refuses several with AmbiguousResidual.  Products and
-    extensions call their components' unchecked operations, and ``Indexed``
-    and the kinded operations of a universe call them on grades checked once
-    each, by ``canonical`` as ``Indexed`` interns them; ``Indexed`` asks for a
-    sum or product by ``add_id`` and ``mul_id``, which intern the unchecked
-    result.  A subclass that overrides a public ``leq``, ``add`` or ``mul``
-    has that override as its unchecked one too, so no caller bypasses it.
+    extensions call their components' unchecked operations.  ``Indexed``
+    calls them on grades checked once each, by ``canonical`` as it interns
+    them, and asks for a sum or product by ``add_id`` and ``mul_id``, which
+    intern the unchecked result; a grade universe keeps such a table for each
+    kind its sums and products meet.  A subclass that overrides a public
+    ``leq``, ``add`` or ``mul`` has that override as its unchecked one too, so
+    no caller bypasses it.
     """
 
     def __init_subclass__(cls, **kwargs):
@@ -257,19 +231,6 @@ class Algebra:
         """Full carrier for finite algebras, None otherwise."""
         return None
 
-    @cached_property
-    def codes(self) -> Optional[Codes]:
-        """The carrier as int codes, each element's index in ``elements()``:
-        built on first use and kept with the algebra, so every universe
-        holding it shares them; None for an infinite carrier."""
-        elements = self.elements()
-        if elements is None:
-            return None
-        index = {v: k for k, v in enumerate(elements)}
-        return Codes(elements.__getitem__, index.get,
-                     _code_memo(self.unchecked_add, elements, index),
-                     _code_memo(self.unchecked_mul, elements, index))
-
     def canonical(self, a: GradeValue, i: int) -> GradeValue:
         """The grade ``Indexed`` stores as id ``i``: ``a``, checked here once."""
         self.check_value(a)
@@ -313,14 +274,6 @@ class NatAlgebra(Algebra):
 
     def unchecked_mul(self, a, b):
         return Nat(a.n * b.n)
-
-    @cached_property
-    def codes(self):
-        """Each natural's code is ``n``, and sums and products are int ones;
-        a subclass may redefine them, and has no codes."""
-        if type(self) is not NatAlgebra:
-            return None
-        return Codes(Nat, operator.attrgetter("n"), operator.add, operator.mul)
 
     def zero(self):
         return Nat(0)
@@ -1041,8 +994,11 @@ class Indexed:
     table's canonical grades as operands of its ``unchecked_leq``,
     ``add_id``, ``mul_id`` and ``unchecked_residuals``; ``add_id`` and
     ``mul_id`` give the result's id, interning a new result through ``id``.
-    It is one ``Algebra`` in the law checks, or the kinded algebra of a grade
-    universe, whose grades are interned here for the universe's lifetime.
+    ``zero`` and ``one`` intern the algebra's units when asked for: a new
+    table is empty.  ``alg`` is one ``Algebra`` (in the law checks, or one
+    kind of a grade universe, whose ids are then that kind's codes) or the
+    kinded algebra of a grade universe, whose grades are interned here for
+    the universe's lifetime.
     """
 
     def __init__(self, alg):
@@ -1054,7 +1010,6 @@ class Indexed:
         self._add: list[dict] = []
         self._mul: list[dict] = []
         self._residual: list[dict] = []
-        self._zero, self._one = self.id(alg.zero()), self.id(alg.one())
 
     def id(self, v) -> int:
         i = self._ids.get(v)
@@ -1134,10 +1089,10 @@ class Indexed:
             return list(map(getitem, map(memo.__getitem__, xs), ys))
 
     def zero(self) -> int:
-        return self._zero
+        return self.id(self.alg.zero())
 
     def one(self) -> int:
-        return self._one
+        return self.id(self.alg.one())
 
     def show(self, x) -> str:
         """The witness text of an id, or of a tuple of ids (a pair of grades
@@ -1435,13 +1390,13 @@ def validate_hom(h: Hom) -> LawReport:
     read = {op: src.reader(op, P) for op in ("leq", "add", "mul")}
 
     @cache
-    def at_images(op):  # f(a)'s target row of op at the image of each pool grade
+    def target_rows(op):  # f(a)'s target row of op at the image of each pool grade
         return tgt.reader(op, list(map(f, P)))
 
     kernels = {
-        "hom-add": lambda k: list(map(f, read["add"](P[k]))) == list(at_images("add")(f(P[k]))),
-        "hom-mul": lambda k: list(map(f, read["mul"](P[k]))) == list(at_images("mul")(f(P[k]))),
-        "hom-monotone": lambda k: all(compress(at_images("leq")(f(P[k])), read["leq"](P[k]))),
+        "hom-add": lambda k: list(map(f, read["add"](P[k]))) == list(target_rows("add")(f(P[k]))),
+        "hom-mul": lambda k: list(map(f, read["mul"](P[k]))) == list(target_rows("mul")(f(P[k]))),
+        "hom-monotone": lambda k: all(compress(target_rows("leq")(f(P[k])), read["leq"](P[k]))),
     }
     return LawReport(units.results + check_laws(
         [(law, holds, range(len(P)), lambda k: iproduct((P[k],), P), kernels[law])

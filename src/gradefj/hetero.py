@@ -17,10 +17,12 @@ by id: the checker and the interpreters call them on every step, and the
 law check ``check_universe_laws`` runs its axioms over the same ids.  The
 universe alone resolves a grade to its id; the table's ``KindedAlgebra``
 checks each grade once, as it is interned, and its unchecked operations
-take only the table's canonical grades.  In a natural or finite join kind
-sums and products work on int codes, the natural itself or the index in
-the carrier, and find a result's id by its code, so that filling the memo
-rows builds and hashes a grade only for a result met the first time.
+take only the table's canonical grades.  Sums and products work one level
+down, in another ``Indexed`` table for each join kind met, whose ids are
+that kind's codes: the operands' codes there give the result's code, and
+the result's kinded id is looked up by its code, so that filling the memo
+rows builds and hashes a kinded grade only for a result new to the
+universe.  Two naturals are added and multiplied as ints.
 """
 
 from __future__ import annotations
@@ -29,7 +31,7 @@ import json
 from dataclasses import dataclass, field
 from functools import cache
 from itertools import chain, product as iproduct
-from operator import attrgetter, itemgetter
+from operator import add, itemgetter, mul
 from typing import Callable, Optional
 
 from .grades import (
@@ -39,7 +41,6 @@ from .grades import (
     NAT,
     TRIVIAL,
     Algebra,
-    Codes,
     ComposeHom,
     ExtendAlgebra,
     FiniteAlgebra,
@@ -143,22 +144,6 @@ def _algebra_of(kinds: dict[str, Algebra], kind: str) -> Algebra:
     return kinds[kind]
 
 
-class _KindIds:
-    """One universe's ids in a coded kind: the kind algebra's ``codes``,
-    ``of`` each kinded id's code there (of its grade or of its image), and
-    ``ids`` the kinded id of each result code."""
-
-    __slots__ = ("codes", "of", "ids")
-
-    def __init__(self, codes: Codes):
-        self.codes, self.of, self.ids = codes, {}, {}
-
-
-# a coded operation, read on a kind's int codes and on its algebra's values
-_ADD = (attrgetter("add"), attrgetter("unchecked_add"))
-_MUL = (attrgetter("mul"), attrgetter("unchecked_mul"))
-
-
 class KindedAlgebra:
     """The combined algebra on kinded grades: operands are transported into
     their join kind.  ``GradeUniverse`` answers from its ``Indexed`` table
@@ -168,86 +153,82 @@ class KindedAlgebra:
 
     ``canonical`` is the one check of a kinded value, as it is for an
     ``Algebra``'s values: the table calls it when it interns a grade.  Each
-    kind's unchecked operations then run on values known to be in its
-    carrier: a canonical grade's own value, or its image in another kind,
-    which ``_moved`` checks once and keeps by (id, kind).  A hom that raises,
-    or whose image leaves the kind, stores nothing.
-
-    In a natural or finite join kind ``add_id`` and ``mul_id`` read int codes
-    (Filliâtre and Conchon's hash-consing, down to ints): each operand's code
-    in the kind is kept by (id, kind) next to its image, the result's code
-    comes from int arithmetic or the kind's memo, and its id from the kind's
-    code-to-id map, so an interned result costs no ``KindedGrade`` and no
-    hash.  A new result is interned through the table, and ``canonical``
-    checks it; a result off its kind's carrier takes the path of any other
-    kind, which refuses it.  ``unchecked_leq`` builds no grade, and compares
-    values.  A kind's codes and its memos of code pairs are its algebra's
-    ``codes``, built on first use and shared by every universe that holds
-    the algebra; a universe keeps only its ids' codes and its codes' ids.  It
-    holds the universe's dicts, not the universe or the table, so that no
-    reference cycle outlives a universe."""
+    kind met other than N has its own ``Indexed`` table over its algebra in
+    ``tables``, whose ids are the kind's codes: a kinded id's code is the
+    kind table's id of the grade's own value or of its image there, interned
+    (and so checked, by that table's ``canonical``) once.  A hom that raises,
+    or whose image leaves the kind, stores nothing.  Sums and products work
+    on the operands' codes in their join kind, through the kind table's memo
+    rows, and find the result's kinded id by its code, so only a result new
+    to the universe builds a ``KindedGrade``; two naturals, whose join kind
+    is N, are added and multiplied as ints.  ``unchecked_leq`` and
+    ``unchecked_residuals`` run on values.  This holds the universe's dicts,
+    not the universe or its grade table, so that no reference cycle outlives
+    a universe."""
 
     def __init__(self, u: GradeUniverse):
         self.kinds, self.order, self.join_table, self.homs = (
             u.kinds, u.order, u.join_table, u.homs)
-        self._images: dict[tuple[int, str], GradeValue] = {}
-        self._kind_ids: dict[str, Optional[_KindIds]] = {}  # None: an uncoded kind
+        # each kind met but N: its table, the code of each kinded id and the
+        # kinded id of each code
+        self.tables: dict[str, tuple[Indexed, dict[int, int], dict[int, int]]] = {}
+        self._nat_ids: dict[int, int] = {}  # the kinded id of each natural
 
     def canonical(self, g: KindedGrade, i: int) -> KindedGrade:
         """The grade stored as id ``i``: its validity is checked here, once."""
         _algebra_of(self.kinds, g.kind).check_value(g.value)
         return g if g.id == i else KindedGrade(g.kind, g.value, i)
 
+    def _table(self, kind: str) -> tuple[Indexed, dict[int, int], dict[int, int]]:
+        met = self.tables.get(kind)
+        if met is None:
+            met = self.tables[kind] = (Indexed(self.kinds[kind]), {}, {})
+        return met
+
+    def _code(self, g: KindedGrade, kind: str) -> int:
+        """Canonical ``g``'s code in ``kind``, kept once found."""
+        table, codes, ids = self.tables[kind]
+        if g.kind == kind:
+            c = codes[g.id] = table.id(g.value)
+            ids[c] = g.id  # a result equal to g needs no lookup by value
+        else:
+            c = codes[g.id] = table.id(self.homs[g.kind, kind].apply(g.value))
+        return c
+
     def _moved(self, g: KindedGrade, kind: str) -> GradeValue:
-        """Canonical ``g``'s image in ``kind``, checked to be in its carrier."""
+        """Canonical ``g``'s value in ``kind``: its own, or its image there."""
         if g.kind == kind:  # checked when it was interned
             return g.value
-        image = self._images.get((g.id, kind))
-        if image is None:
-            image = self.homs[g.kind, kind].apply(g.value)
-            self.kinds[kind].check_value(image)
-            self._images[g.id, kind] = image
-        return image
+        table, codes, _ = self._table(kind)
+        c = codes.get(g.id)
+        return table.values[self._code(g, kind) if c is None else c]
 
-    def _op_id(self, op: tuple, x: KindedGrade, y: KindedGrade,
-               intern: Callable[[KindedGrade], int]) -> int:
-        """The id of ``op`` (``_ADD`` or ``_MUL``) on canonical ``x`` and
-        ``y`` in their join kind; a result met the first time is interned by
-        ``intern``.  In a coded kind it is read by the operands' codes there
-        (moved as ``_moved`` moves them); an infinite join kind, or a code or
-        result off the carrier, takes the kind algebra's operation on the
-        moved values."""
-        on_codes, on_values = op
+    def _op_id(self, op: Callable[[Indexed, int, int], int], nat_op: Callable[[int, int], int],
+               x: KindedGrade, y: KindedGrade, intern: Callable[[KindedGrade], int]) -> int:
+        """The id of ``op`` (``Indexed.add`` or ``Indexed.mul``) on canonical
+        ``x`` and ``y`` in their join kind, read on their codes there; a
+        result new to the universe is interned by ``intern``.  Two naturals
+        take ``nat_op`` on ints."""
         kind = self.join_table[x.kind, y.kind]
-        try:
-            kind_ids = self._kind_ids[kind]
-        except KeyError:
-            codes = self.kinds[kind].codes
-            kind_ids = self._kind_ids[kind] = None if codes is None else _KindIds(codes)
-        if kind_ids is not None:
-            codes, of = kind_ids.codes, kind_ids.of
-            cx = of.get(x.id)
-            if cx is None:
-                cx = self._code(kind_ids, x, kind)
-            cy = of.get(y.id)
-            if cy is None:
-                cy = self._code(kind_ids, y, kind)
-            r = None if cx is None or cy is None else on_codes(codes)(cx, cy)
-            if r is not None:
-                i = kind_ids.ids.get(r)
-                if i is None:
-                    i = kind_ids.ids[r] = intern(KindedGrade(kind, codes.value(r)))
-                    of[i] = r
-                return i
-        return intern(KindedGrade(kind, on_values(self.kinds[kind])(
-            self._moved(x, kind), self._moved(y, kind))))
-
-    def _code(self, kind_ids: _KindIds, g: KindedGrade, kind: str) -> Optional[int]:
-        """Canonical ``g``'s code in ``kind``, kept once found."""
-        c = kind_ids.codes.code(self._moved(g, kind))
-        if c is not None:
-            kind_ids.of[g.id] = c
-        return c
+        if kind == KIND_NAT:
+            n = nat_op(x.value.n, y.value.n)
+            i = self._nat_ids.get(n)
+            if i is None:
+                i = self._nat_ids[n] = intern(KindedGrade(KIND_NAT, Nat(n)))
+            return i
+        table, codes, ids = self._table(kind)
+        cx = codes.get(x.id)
+        if cx is None:
+            cx = self._code(x, kind)
+        cy = codes.get(y.id)
+        if cy is None:
+            cy = self._code(y, kind)
+        r = op(table, cx, cy)
+        i = ids.get(r)
+        if i is None:
+            i = ids[r] = intern(KindedGrade(kind, table.values[r]))
+            codes[i] = r
+        return i
 
     def unchecked_leq(self, x: KindedGrade, y: KindedGrade) -> bool:
         if (x.kind, y.kind) not in self.order:
@@ -256,13 +237,13 @@ class KindedAlgebra:
 
     def add_id(self, x: KindedGrade, y: KindedGrade, intern: Callable[[KindedGrade], int]) -> int:
         """The id of x + y, a new sum interned by ``intern``."""
-        return self._op_id(_ADD, x, y, intern)
+        return self._op_id(Indexed.add, add, x, y, intern)
 
     def mul_id(self, x: KindedGrade, y: KindedGrade, intern: Callable[[KindedGrade], int]) -> int:
         """The id of x * y, a new product interned by ``intern``."""
         if x.id == ZERO_D.id or y.id == ZERO_D.id:  # only <N,0> is the combined zero
             return ZERO_D.id
-        return self._op_id(_MUL, x, y, intern)
+        return self._op_id(Indexed.mul, mul, x, y, intern)
 
     def unchecked_residuals(self, available: KindedGrade,
                             demand: KindedGrade) -> list[KindedGrade]:
@@ -305,6 +286,7 @@ class GradeUniverse:
 
     def __post_init__(self):
         self.indexed = Indexed(KindedAlgebra(self))
+        self.indexed.id(ZERO_D), self.indexed.id(ONE_D)
 
     # -- kinds ------------------------------------------------------------
 

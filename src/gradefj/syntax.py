@@ -746,16 +746,15 @@ def format_ann(e: Expr) -> str:
         return e.name
     if isinstance(e, FieldAccess):
         return f"{format_ann(e.recv)}^{e.recv.ascription}.{e.fieldName}"
-    if isinstance(e, New):
-        return f"new {e.className}({_format_slots(e.args)})"
-    if isinstance(e, Invk):
-        return (f"{format_ann(e.recv)}^{e.recv.ascription}.{e.method}"
-                f"({_format_slots(e.args)})")
+    if isinstance(e, (New, Invk)):
+        # a loop, as in ``format_expr``: one frame per level of nesting
+        slots = []
+        for a in e.args:
+            slots.append(f"{format_ann(a)}^{a.ascription}")
+        if isinstance(e, New):
+            return f"new {e.className}({', '.join(slots)})"
+        return f"{format_ann(e.recv)}^{e.recv.ascription}.{e.method}({', '.join(slots)})"
     if isinstance(e, Block):
         return (f"{{{e.declClass} {e.var} = {format_ann(e.init)}^{e.init.ascription}; "
                 f"{format_ann(e.body)}}}")
     raise TypeError(e)
-
-
-def _format_slots(args: tuple[Expr, ...]) -> str:
-    return ", ".join(f"{format_ann(a)}^{a.ascription}" for a in args)

@@ -170,20 +170,23 @@ def test_run_fuel_divergence_is_not_an_error(capsys, corpus_dir):
 DEEP_VALUE = "new B(" * 400 + "new A()" + ")" * 400
 
 
-@pytest.mark.parametrize("mode", [[], ["--json"], ["--standard"], ["--unchecked"]],
-                         ids=["checked", "json", "standard", "unchecked"])
+@pytest.mark.parametrize("mode", [[], ["--json"], ["--standard"], ["--unchecked"], ["--trace"],
+                                  ["--json", "--trace"]],
+                         ids=["checked", "json", "standard", "unchecked", "trace", "json-trace"])
 def test_deep_values_print_in_every_run_mode(mode):
-    # a value nested 400 deep, which the checker accepts, prints in a fresh
-    # interpreter at its default recursion limit
+    # a value nested 400 deep, which the checker accepts, prints (in a trace
+    # too) in a fresh interpreter at its default recursion limit
     src = pathlib.Path(gradefj.__file__).parent.parent
     program = pathlib.Path(__file__).parent / "programs" / "deep_new400.gfj"
     done = subprocess.run([sys.executable, "-m", "gradefj.cli", "run", *mode, str(program)],
                           capture_output=True, text=True,
                           env={**os.environ, "PYTHONPATH": str(src)}, timeout=60)
     assert (done.returncode, done.stderr) == (0, "")
-    if mode == ["--json"]:
+    if "--json" in mode:
         payload = json.loads(done.stdout)
         assert (payload["outcome"], payload["value"]) == ("final", DEEP_VALUE)
+    elif "--trace" in mode:  # the trace, then the value
+        assert DEEP_VALUE in done.stdout.splitlines()
     else:
         assert done.stdout.splitlines()[0] == DEEP_VALUE
 
