@@ -52,7 +52,15 @@ from .typecheck import (
     check_configuration,
     elaborate_program,
 )
-from .runtime import Env, Enumerate, GradedConfig, Minimal, graded_run, graded_step, std_run
+from .runtime import (
+    Env,
+    Enumerate,
+    GradedConfig,
+    Minimal,
+    graded_config_step,
+    graded_run,
+    std_run,
+)
 from .props import check_entry, load_corpus, theorem_suite
 
 __version__ = "0.1.0"

@@ -27,8 +27,8 @@ from .runtime import (
     StdConfig,
     StdStuck,
     StepInfo,
+    graded_config_step,
     graded_run,
-    graded_step,
     reason_name,
     std_step,
 )
@@ -173,7 +173,7 @@ def check_step(u: GradeUniverse, table: ClassTable, std_table: ClassTable,
     for s in (lower_grades or []):
         if not u.leq(s, grade):
             continue
-        res = graded_step(u, table, before, s, replay_policy)
+        res = graded_config_step(u, table, before, s, replay_policy)
         if res.kind != "step" or all(c != after for c, _ in res.successors):
             violations.append(f"step does not replay at lower grade {s}")
 

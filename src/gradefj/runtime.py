@@ -12,14 +12,16 @@ in O(1) from its count of bound names per base.  Both semantics pick them
 from their own environments, so runs are reproducible and the erasure of
 an instrumented run is literally a standard run.
 
-``graded_step`` decomposes its expression into a redex and an evaluation
-context, contracts the redex and plugs each contractum back, all in
-loops.  An instrumented run keeps the context between steps as a
-persistent stack of frames: it steps the redex alone and refocuses from
-the contractum inside that context, so its per-step cost is flat in both
-the length of the run and the depth of the context.  ``std_step`` stays
-the plain recursive definition: it is the independent reference that
-subject reduction is checked against.
+``graded_step`` contracts one focused redex.  ``graded_config_step`` is
+the step of a whole configuration: it decomposes the expression into a
+redex and an evaluation context, calls ``graded_step`` and plugs each
+contractum back, all in loops.  An instrumented run keeps the context
+between steps as a persistent stack of frames: it calls ``graded_step``
+on the redex it holds and refocuses from the contractum inside that
+context, so its per-step cost is flat in both the length of the run and
+the depth of the context.  ``std_step`` stays the plain recursive
+definition: it is the independent reference that subject reduction is
+checked against.
 """
 
 from __future__ import annotations
@@ -350,90 +352,81 @@ def _var_choices(u: GradeUniverse, grade: KindedGrade, stored: KindedGrade,
     return out
 
 
-def graded_step(u: GradeUniverse, table: ClassTable, cfg: GradedConfig,
-                grade: KindedGrade, policy: Policy = Minimal()) -> StepResult:
-    """One instrumented step; Minimal yields one successor per maximal
-    residual of a replaced variable, so at most one unless it is ambiguous.
-
-    ``table`` holds the annotated method bodies.  The expression is
-    decomposed into a redex and its evaluation context, the redex is
-    contracted, and each contractum is plugged back into the context.  A
-    slot child is reduced at the grade of its ascription, and every
-    contractum takes over the ascription of its redex, so the slot keeps
-    its grade."""
-    redex, grade, ctx = _focus(u, cfg.expr, grade, None)
-    if is_value(redex):
-        return StepResult("value")
-    result = _contract(u, table, redex, cfg.env, grade, policy)
-    if ctx is not None and result.kind == "step":
-        result.successors = [(GradedConfig(_plug(c.expr, ctx), c.env), info)
-                             for c, info in result.successors]
-    return result
+_INVK, _BLOCK, _FIELD_ACCESS = StepInfo("invk"), StepInfo("block"), StepInfo("field-access")
 
 
-def _contract(u: GradeUniverse, table: ClassTable, e: Expr, env: Env,
-              grade: KindedGrade, policy: Policy) -> StepResult:
-    """The steps of the redex ``e`` reduced at ``grade``."""
+def graded_step(u: GradeUniverse, table: ClassTable, e: Expr, env: Env,
+                grade: KindedGrade, policy: Policy = Minimal()
+                ) -> Union[list[tuple[Expr, Env, StepInfo]], StuckReason]:
+    """Contract the focused redex ``e``, reduced at ``grade`` under ``env``:
+    its successors as ``(contractum, env, StepInfo)`` triples, or the
+    StuckReason.  Minimal yields one successor per maximal residual of a
+    replaced variable, so at most one unless it is ambiguous.
+
+    ``table`` holds the annotated method bodies.  Every contractum takes
+    over the ascription of its redex, so a slot keeps its grade."""
     if isinstance(e, Var):
         entry = env.get(e.name)
         if entry is None:
-            return StepResult("stuck", reason=ResourceExhausted(e.name, None, grade))
+            return ResourceExhausted(e.name, None, grade)
         value, stored = entry
         choices = _var_choices(u, grade, stored, policy)
         if not choices:
-            demanded = grade if grade != ZERO_D else ONE_D
-            return StepResult("stuck",
-                              reason=ResourceExhausted(e.name, stored, demanded))
+            return ResourceExhausted(e.name, stored, grade if grade != ZERO_D else ONE_D)
         contractum = with_ascription(value, e.ascription)
-        succs = []
-        for burned, left in choices:
-            succs.append((GradedConfig(contractum, env.set(e.name, (value, left))),
-                          StepInfo("var", e.name, burned, left)))
-        return StepResult("step", succs)
+        return [(contractum, env.set(e.name, (value, left)),
+                 StepInfo("var", e.name, burned, left)) for burned, left in choices]
 
     if isinstance(e, FieldAccess):
         recv = e.recv
         try:
             idx = table.field_index(recv.className, e.fieldName)
         except (UnknownClass, UnknownMember):
-            return StepResult("stuck", reason=NoSuchMember(
-                f"{recv.className}.{e.fieldName}"))
+            return NoSuchMember(f"{recv.className}.{e.fieldName}")
         if idx >= len(recv.args):
-            return StepResult("stuck", reason=NoSuchMember(
-                f"{recv.className}.{e.fieldName}"))
+            return NoSuchMember(f"{recv.className}.{e.fieldName}")
         have = u.mul(recv.ascription, recv.args[idx].ascription)
         if not u.leq(grade, have):
-            return StepResult("stuck",
-                              reason=FieldExtraction(e.fieldName, have, grade))
-        field_value = with_ascription(recv.args[idx], e.ascription)
-        return StepResult("step", [(GradedConfig(field_value, env),
-                                    StepInfo("field-access"))])
+            return FieldExtraction(e.fieldName, have, grade)
+        return [(with_ascription(recv.args[idx], e.ascription), env, _FIELD_ACCESS)]
 
     if isinstance(e, Invk):
         recv = e.recv
         try:
             params, body = table.mbody(recv.className, e.method)
         except (UnknownClass, UnknownMember):
-            return StepResult("stuck", reason=NoSuchMember(
-                f"{recv.className}.{e.method}"))
+            return NoSuchMember(f"{recv.className}.{e.method}")
         if len(params) != len(e.args):
-            return StepResult("stuck", reason=NotAValue(
-                f"arity mismatch calling {e.method}"))
+            return NotAValue(f"arity mismatch calling {e.method}")
         mapping = {}
         for base, value in zip(("this",) + params, (recv,) + e.args):
             y = mapping[base] = env.fresh(base)
             env = env.set(y, (value, value.ascription))
-        body = with_ascription(subst(body, mapping), e.ascription)
-        return StepResult("step", [(GradedConfig(body, env), StepInfo("invk"))])
+        return [(with_ascription(subst(body, mapping), e.ascription), env, _INVK)]
 
     if isinstance(e, Block):
         init = e.init
         y = env.fresh(e.var)
         body = with_ascription(subst(e.body, {e.var: y}), e.ascription)
-        after = GradedConfig(body, env.set(y, (init, init.ascription)))
-        return StepResult("step", [(after, StepInfo("block"))])
+        return [(body, env.set(y, (init, init.ascription)), _BLOCK)]
 
     raise TypeError(e)
+
+
+def graded_config_step(u: GradeUniverse, table: ClassTable, cfg: GradedConfig,
+                       grade: KindedGrade, policy: Policy = Minimal()) -> StepResult:
+    """One instrumented step of a whole configuration: decompose its
+    expression into a redex and an evaluation context, contract the redex
+    with graded_step and plug each contractum back into the context.  A
+    slot child is reduced at the grade of its ascription."""
+    redex, grade, ctx = _focus(u, cfg.expr, grade, None)
+    if is_value(redex):
+        return StepResult("value")
+    result = graded_step(u, table, redex, cfg.env, grade, policy)
+    if type(result) is not list:
+        return StepResult("stuck", reason=result)
+    return StepResult("step", [(GradedConfig(_plug(e, ctx), env), info)
+                               for e, env, info in result])
 
 
 # ---------------------------------------------------------------------------
@@ -650,15 +643,17 @@ class RunResult:
 def graded_run(u: GradeUniverse, table: ClassTable, cfg: GradedConfig,
                grade: KindedGrade, policy: Policy = Minimal(),
                fuel: int = 100_000, want_trace: bool = False) -> RunResult:
-    """Iterate graded_step.  With Enumerate, depth-first search over the
-    variable-consumption choice points returns the first completed run;
-    when every schedule sticks, the reason from the deepest branch is
-    reported.  Any other policy follows the first successor of each step.
+    """Iterate graded_step on the focused redex.  With Enumerate,
+    depth-first search over the variable-consumption choice points returns
+    the first completed run; when every schedule sticks, the reason from
+    the deepest branch is reported.  Any other policy follows the first
+    successor of each step.
 
     The run keeps the evaluation context between steps (refocusing,
-    Danvy and Nielsen 2004): each step is graded_step on the redex alone,
-    and the contractum is decomposed inside the context already at hand.
-    The whole term is plugged only for the result and the trace."""
+    Danvy and Nielsen 2004): it contracts the redex it holds and
+    decomposes the contractum inside the context already at hand, with no
+    whole configuration per step.  The whole term is plugged only for the
+    result and the trace."""
     if isinstance(policy, Enumerate):
         return _search_run(u, table, cfg, grade, policy, fuel, want_trace)
     trace = [TraceEntry(cfg, None)] if want_trace else None
@@ -667,15 +662,14 @@ def graded_run(u: GradeUniverse, table: ClassTable, cfg: GradedConfig,
     del cfg  # an older environment version keeps every newer one alive
     steps = 0
     while steps < fuel:
-        result = graded_step(u, table, GradedConfig(e, env), grade, policy)
-        if result.kind == "value":
+        if ctx is None and is_value(e):
             return RunResult("final", steps, _whole(e, ctx, env, trace), trace=trace)
-        if result.kind == "stuck":
+        result = graded_step(u, table, e, env, grade, policy)
+        if type(result) is not list:
             return RunResult("stuck", steps, _whole(e, ctx, env, trace),
-                             reason=result.reason, trace=trace)
-        (nxt, info) = result.successors[0]
-        env = nxt.env
-        e, grade, ctx = _focus(u, nxt.expr, grade, ctx)
+                             reason=result, trace=trace)
+        e, env, info = result[0]
+        e, grade, ctx = _focus(u, e, grade, ctx)
         if trace is not None:
             trace.append(TraceEntry(GradedConfig(_plug(e, ctx), env), info))
         steps += 1
@@ -694,7 +688,8 @@ def _search_run(u, table, cfg, grade, policy, fuel, want_trace) -> RunResult:
     """Depth-first search with an explicit stack of [successors, index of
     the next one to try, their depth, their redex's grade and context]
     frames, kept only while a successor is left to try; the trace is one
-    list, truncated on backtracking."""
+    list, truncated on backtracking.  Each node tried, a value too, costs
+    one unit of fuel."""
     budget = fuel
     best_reason, best_depth = None, -1
     trace = [TraceEntry(cfg, None)] if want_trace else None
@@ -706,27 +701,25 @@ def _search_run(u, table, cfg, grade, policy, fuel, want_trace) -> RunResult:
         if budget <= 0:
             return RunResult("fuel", depth, _whole(e, ctx, env, trace), trace=trace)
         budget -= 1
-        result = graded_step(u, table, GradedConfig(e, env), grade, policy)
-        if result.kind == "value":
+        if ctx is None and is_value(e):
             return RunResult("final", depth, _whole(e, ctx, env, trace), trace=trace)
-        if result.kind == "stuck":
-            if depth > best_depth:
-                best_reason, best_depth = result.reason, depth
-        elif result.successors:
-            frames.append([result.successors, 0, depth + 1, grade, ctx])
+        result = graded_step(u, table, e, env, grade, policy)
+        if type(result) is list:
+            frames.append([result, 0, depth + 1, grade, ctx])
+        elif depth > best_depth:
+            best_reason, best_depth = result, depth
         if not frames:
             if trace is not None:
                 del trace[1:]
             return RunResult("stuck", best_depth, cfg, reason=best_reason, trace=trace)
         frame = frames[-1]
         succs, i, depth, grade, ctx = frame
-        node, info = succs[i]
+        e, env, info = succs[i]
         if i + 1 == len(succs):
             frames.pop()
         else:
             frame[1] = i + 1
-        env = node.env
-        e, grade, ctx = _focus(u, node.expr, grade, ctx)
+        e, grade, ctx = _focus(u, e, grade, ctx)
         if trace is not None:
             del trace[depth:]
             trace.append(TraceEntry(GradedConfig(_plug(e, ctx), env), info))

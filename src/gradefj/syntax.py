@@ -178,23 +178,31 @@ def free_vars(e: Expr) -> set[str]:
 
 
 def subst(e: Expr, mapping: dict[str, str]) -> Expr:
-    """Simultaneous variable renaming, stopping at shadowing binders."""
-    if not mapping:
-        return e
+    """Simultaneous variable renaming, stopping at shadowing binders.  The
+    pairs that rename a name to itself are dropped first, so a renaming
+    that changes no name returns ``e`` itself, whatever its size."""
+    mapping = {x: y for x, y in mapping.items() if x != y}
+    return _rename(e, mapping) if mapping else e
+
+
+def _rename(e: Expr, mapping: dict[str, str]) -> Expr:
     if isinstance(e, Var):
         return Var(mapping.get(e.name, e.name), e.ascription, e.pos)
     if isinstance(e, FieldAccess):
-        return FieldAccess(subst(e.recv, mapping), e.fieldName, e.ascription, e.pos)
+        return FieldAccess(_rename(e.recv, mapping), e.fieldName, e.ascription, e.pos)
     if isinstance(e, New):
-        return New(e.className, tuple(subst(a, mapping) for a in e.args),
+        return New(e.className, tuple(_rename(a, mapping) for a in e.args),
                    e.ascription, e.pos)
     if isinstance(e, Invk):
-        return Invk(subst(e.recv, mapping), e.method,
-                    tuple(subst(a, mapping) for a in e.args), e.ascription, e.pos)
+        return Invk(_rename(e.recv, mapping), e.method,
+                    tuple(_rename(a, mapping) for a in e.args), e.ascription, e.pos)
     if isinstance(e, Block):
-        inner = {k: v for k, v in mapping.items() if k != e.var}
-        return Block(e.declClass, e.declGrade, e.var, subst(e.init, mapping),
-                     subst(e.body, inner), e.ascription, e.pos)
+        inner = mapping
+        if e.var in mapping:
+            inner = {x: y for x, y in mapping.items() if x != e.var}
+        body = _rename(e.body, inner) if inner else e.body
+        return Block(e.declClass, e.declGrade, e.var, _rename(e.init, mapping), body,
+                     e.ascription, e.pos)
     raise TypeError(e)
 
 

@@ -31,8 +31,8 @@ from gradefj.runtime import (
     StdConfig,
     StdStuck,
     TraceEntry,
+    graded_config_step,
     graded_run,
-    graded_step,
     std_run,
     std_step,
 )
@@ -319,14 +319,14 @@ def test_var_at_zero_burns_unit(universe):
 def test_no_such_member_stuck(universe, two_block):
     _, _, ann = two_block
     bad = FieldAccess(New("A", (), N(1)), "nope")
-    res = graded_step(universe, ann, GradedConfig(bad), N(1))
+    res = graded_config_step(universe, ann, GradedConfig(bad), N(1))
     assert res.kind == "stuck" and isinstance(res.reason, NoSuchMember)
 
 
 def test_enumerate_offers_choices(universe, two_block):
     _, _, ann = two_block
     cfg = GradedConfig(Var("x"), Env({"x": (New("A", ()), N(3))}))
-    res = graded_step(universe, ann, cfg, N(1), Enumerate(bound=4))
+    res = graded_config_step(universe, ann, cfg, N(1), Enumerate(bound=4))
     assert res.kind == "step"
     consumed = sorted(i.consumed.value.n for _, i in res.successors)
     assert consumed == [1, 2, 3]  # burn 1, 2 or 3 of the available 3
@@ -437,9 +437,9 @@ def test_erasure_agrees_with_standard_run(universe, two_block):
 def test_fixed_witness_policy(universe, two_block):
     _, _, ann = two_block
     cfg = GradedConfig(Var("x"), Env({"x": (New("A", ()), N(3))}))
-    ok = graded_step(universe, ann, cfg, N(1), FixedWitness(N(2), N(1)))
+    ok = graded_config_step(universe, ann, cfg, N(1), FixedWitness(N(2), N(1)))
     assert ok.kind == "step"
-    bad = graded_step(universe, ann, cfg, N(1), FixedWitness(N(2), N(2)))
+    bad = graded_config_step(universe, ann, cfg, N(1), FixedWitness(N(2), N(2)))
     assert bad.kind == "stuck"  # 2 + 2 is not within 3
 
 
@@ -478,7 +478,7 @@ def test_enumerate_on_finite_kind(universe, two_block):
     _, _, ann = two_block
     aff = lambda n: KindedGrade("A", FiniteElem(n, "affinity"))
     cfg = GradedConfig(Var("x"), Env({"x": (New("A", ()), aff("w"))}))
-    res = graded_step(universe, ann, cfg, aff("1"), Enumerate())
+    res = graded_config_step(universe, ann, cfg, aff("1"), Enumerate())
     assert res.kind == "step"
     burned = sorted(str(i.consumed) for _, i in res.successors)
     assert burned == ["A:1", "A:w"]  # every carrier element above the grade
@@ -508,15 +508,18 @@ def test_search_finds_schedule_minimal_misses():
 
 # ---------------------------------------------------------------------------
 # refocused runs: graded_run keeps the evaluation context between steps,
-# and must agree with a plain loop of graded_step on whole configurations
+# and must agree with a plain loop of graded_config_step on whole
+# configurations
 
-LOOP = pathlib.Path(__file__).parent / "programs" / "loop.gfj"
+PROGRAMS = pathlib.Path(__file__).parent / "programs"
+LOOP = PROGRAMS / "loop.gfj"
+MIRROR_WALK = PROGRAMS / "mirror_walk.gfj"  # a complete tree 4 deep, A:w fields
 LOOP_FUEL = 200  # the loop never ends; the default fuel would take seconds
 
 
 def _stepwise_run(u, table, cfg, grade, policy, fuel, want_trace):
     """graded_run's contract, stepping whole configurations; also returns
-    the number of graded_step calls made."""
+    the number of graded_config_step calls made."""
     calls = 0
     trace = [TraceEntry(cfg, None)]
     if isinstance(policy, Enumerate):
@@ -527,7 +530,7 @@ def _stepwise_run(u, table, cfg, grade, policy, fuel, want_trace):
             if calls == fuel:
                 return RunResult("fuel", depth, node)
             calls += 1
-            result = graded_step(u, table, node, grade, policy)
+            result = graded_config_step(u, table, node, grade, policy)
             if result.kind == "value":
                 return RunResult("final", depth, node)
             if result.kind == "stuck":
@@ -546,7 +549,7 @@ def _stepwise_run(u, table, cfg, grade, policy, fuel, want_trace):
     else:
         run = None
         while run is None and len(trace) <= fuel:
-            result = graded_step(u, table, cfg, grade, policy)
+            result = graded_config_step(u, table, cfg, grade, policy)
             calls += 1
             if result.kind == "value":
                 run = RunResult("final", len(trace) - 1, cfg)
@@ -584,9 +587,11 @@ def _differential_cases(corpus):
             yield (f"{entry.name} unchecked", entry.universe, annotated,
                    entry.program.mainGrade, fuel)
     u = default_universe()
-    program = parse_program(LOOP.read_text(), u)
-    _, checked = elaborate_program(u, program)
-    yield "loop", u, checked, program.mainGrade, LOOP_FUEL
+    for path, fuel in ((LOOP, LOOP_FUEL), (MIRROR_WALK, 100_000)):
+        program = parse_program(path.read_text(), u)
+        diags, checked = elaborate_program(u, program)
+        assert not diags, path.name
+        yield path.stem, u, checked, program.mainGrade, fuel
 
 
 def test_refocused_run_agrees_with_whole_configuration_steps(corpus):
@@ -635,6 +640,73 @@ def test_refocused_search_backtracks_into_the_shared_context(last, outcome):
     _assert_same_run(got, want, "backtracking search")
 
 
+def _count_inits(m, counts, classes):
+    """Count, in ``counts`` by class name, the instances of ``classes``
+    built while the monkeypatch context ``m`` is open."""
+    for cls in classes:
+        init = cls.__init__
+
+        def counted_init(self, *args, init=init, name=cls.__name__, **kwargs):
+            counts[name] += 1
+            init(self, *args, **kwargs)
+
+        m.setattr(cls, "__init__", counted_init)
+
+
+def test_run_contracts_the_focused_redex_with_one_call_per_step(universe, two_block,
+                                                               monkeypatch):
+    # an untraced Minimal run builds no StepResult and no configuration but
+    # its result's, and calls graded_step once per step; a value ends the
+    # run without a further call
+    from gradefj import runtime
+    loop = parse_program(LOOP.read_text(), universe)
+    _, checked = elaborate_program(universe, loop)
+    program, main, ann = two_block
+    for table, cfg, grade, fuel, outcome in (
+            (checked.table, GradedConfig(checked.main), loop.mainGrade, 1500, "fuel"),
+            (ann, GradedConfig(main), program.mainGrade, 100_000, "final")):
+        counts = Counter()
+        step = runtime.graded_step
+
+        def counted_step(*args, **kwargs):
+            counts["graded_step"] += 1
+            return step(*args, **kwargs)
+
+        with monkeypatch.context() as m:
+            m.setattr(runtime, "graded_step", counted_step)
+            _count_inits(m, counts, (runtime.StepResult, runtime.GradedConfig))
+            run = graded_run(universe, table, cfg, grade, Minimal(), fuel)
+        assert run.outcome == outcome and run.steps > 0
+        assert counts == Counter(graded_step=run.steps, GradedConfig=1), counts
+
+
+def _block_nest(n: int) -> str:
+    """A main of ``n`` nested blocks, each binding a name of its own."""
+    body = "new A()"
+    for i in reversed(range(n)):
+        body = f"{{A[1] x{i} = new A(); {body}}}"
+    return f"class A {{ }}\nrun {body} at 1\n"
+
+
+@pytest.mark.parametrize("mode", [[], ["--standard"]])
+def test_run_builds_nodes_linear_in_block_nesting(mode, monkeypatch, tmp_path, capsys):
+    # a block step renames its variable to itself when the name is free,
+    # which builds nothing; the whole command stays linear in the nesting
+    from gradefj import cli, syntax
+    built = []
+    for n in (200, 400):
+        path = tmp_path / f"nest{n}.gfj"
+        path.write_text(_block_nest(n))
+        counts = Counter()
+        with monkeypatch.context() as m:
+            _count_inits(m, counts, (syntax.Var, syntax.FieldAccess, syntax.New,
+                                     syntax.Invk, syntax.Block))
+            assert cli.main(["run", "--json", *mode, str(path)]) == 0
+        assert f'"steps": {n}' in capsys.readouterr().out
+        built.append(sum(counts.values()))
+    assert built[1] <= 2.2 * built[0], built
+
+
 def _spine_walk(depth: int, field_grade: str) -> str:
     """The mirror walk of a one-sided tree ``depth`` deep: the walk of the
     right spine runs inside one constructor slot per level."""
@@ -665,22 +737,16 @@ def test_step_cost_does_not_grow_with_context_depth(universe, monkeypatch, field
         program = parse_program(_spine_walk(depth, field_grade), universe)
         diags, checked = elaborate_program(universe, program)
         assert not diags
+        cfg = GradedConfig(checked.main)
+        counts.clear()
         with monkeypatch.context() as m:
             m.setattr(hetero.GradeUniverse, "mul", counted_mul)
-            for cls in (syntax.Var, syntax.FieldAccess, syntax.New, syntax.Invk,
-                        syntax.Block):
-                init = cls.__init__
-
-                def counted_init(self, *args, init=init, **kwargs):
-                    counts["nodes"] += 1
-                    init(self, *args, **kwargs)
-
-                m.setattr(cls, "__init__", counted_init)
-            counts.clear()
-            run = graded_run(universe, checked.table, GradedConfig(checked.main),
-                             program.mainGrade)
+            _count_inits(m, counts, (syntax.Var, syntax.FieldAccess, syntax.New,
+                                     syntax.Invk, syntax.Block))
+            run = graded_run(universe, checked.table, cfg, program.mainGrade)
         assert run.outcome == "final"
-        per_step.append((counts["mul"] / run.steps, counts["nodes"] / run.steps))
+        nodes = sum(counts.values()) - counts["mul"]
+        per_step.append((counts["mul"] / run.steps, nodes / run.steps))
     for muls, nodes in per_step:
         assert muls <= 1 and nodes <= 3, per_step
 
@@ -703,7 +769,7 @@ def test_deep_context_steps_without_recursion(universe, two_block):
         assert term.className == "A"
         return n
 
-    step = graded_step(universe, ann, cfg, N(1))
+    step = graded_config_step(universe, ann, cfg, N(1))
     assert step.kind == "step" and len(step.successors) == 1
     assert spine(step.successors[0][0].expr) == depth
     run = graded_run(universe, ann, cfg, N(1), want_trace=True)
