@@ -5,7 +5,9 @@ monoid, a multiplicative monoid, distributivity, annihilating zero,
 monotone operations, and zero as the least element.  Built-in instances:
 naturals, the trivial one-point algebra, affinity {0,1,w}, booleans,
 extended non-negative rationals, plus finite tables, binary products and
-the infinity extension of any algebra.
+the infinity extension of any algebra.  All arithmetic is exact and on
+ints: an extended real is a reduced pair of ints (``ExtReal``), summed,
+multiplied and compared by cross-multiplication.
 
 The law checks (``validate_algebra``, ``validate_hom`` and the universe's
 ``hetero.check_universe_laws``) share one axiom list, ``semiring_laws``,
@@ -31,10 +33,10 @@ from __future__ import annotations
 import random
 import re
 from dataclasses import dataclass, field
-from fractions import Fraction
 from functools import cache, reduce
 from itertools import chain, compress, starmap
 from itertools import product as iproduct
+from math import gcd, lcm
 from operator import getitem, itemgetter, or_
 from typing import Callable, Optional, Sequence
 
@@ -89,7 +91,6 @@ class Nat(GradeValue):
         return str(self.n)
 
 
-@dataclass(frozen=True)
 class Triv(GradeValue):
     """The single inhabitant of the trivial algebra."""
 
@@ -99,20 +100,47 @@ class Triv(GradeValue):
 
 @dataclass(frozen=True)
 class ExtReal(GradeValue):
-    """Exact non-negative rational, or infinity when ``q`` is None."""
+    """An extended non-negative real: the rational ``num/den`` in lowest
+    terms with ``den`` >= 1, or infinity when ``num`` is None (and ``den``
+    is 1).  A negative, unreduced or non-int pair is refused, so equal values
+    are equal pairs under ``==`` and ``hash``; ``_ratio`` reduces a pair."""
 
-    q: Optional[Fraction]
+    num: Optional[int]
+    den: int = 1
 
     def __post_init__(self):
-        if self.q is not None and self.q < 0:
+        num, den = self.num, self.den
+        if num is None:
+            if den != 1:
+                raise ValueError("infinity has no denominator")
+            return
+        if type(num) is not int or type(den) is not int:
+            raise TypeError("an extended real is a pair of ints")
+        if num < 0 or den < 1:
             raise ValueError("extended reals are non-negative")
+        if gcd(num, den) != 1:
+            raise ValueError(f"{num}/{den} is not in lowest terms")
 
     def __str__(self):
-        if self.q is None:
+        if self.num is None:
             return "inf"
-        if self.q.denominator == 1:
-            return str(self.q.numerator)
-        return f"{self.q.numerator}/{self.q.denominator}"
+        if self.den == 1:
+            return str(self.num)
+        return f"{self.num}/{self.den}"
+
+    def __repr__(self):
+        # a law witness that is a pair of grades prints their reprs
+        # (``Indexed.show``): keep the form such witnesses have always had,
+        # the value as the rational ``q``
+        if self.num is None:
+            return "ExtReal(q=None)"
+        return f"ExtReal(q=Fraction({self.num}, {self.den}))"
+
+
+def _ratio(num: int, den: int) -> ExtReal:
+    """The extended real ``num/den`` of non-negative ints, ``den`` >= 1."""
+    g = gcd(num, den)
+    return ExtReal(num // g, den // g)
 
 
 @dataclass(frozen=True)
@@ -147,7 +175,6 @@ class ExtFin(GradeValue):
         return str(self.inner)
 
 
-@dataclass(frozen=True)
 class ExtInf(GradeValue):
     """The infinity an extension adjoins on top of its inner algebra."""
 
@@ -262,7 +289,6 @@ class Algebra:
         raise NotImplementedError
 
 
-@dataclass(frozen=True)
 class NatAlgebra(Algebra):
     """The naturals with their usual order, sum and product."""
 
@@ -302,7 +328,6 @@ class NatAlgebra(Algebra):
         return Nat(n)
 
 
-@dataclass(frozen=True)
 class TrivialAlgebra(Algebra):
     """The one-element algebra, whose only value ``inf`` is both zero and one."""
 
@@ -339,52 +364,52 @@ class TrivialAlgebra(Algebra):
         return Triv()
 
 
-@dataclass(frozen=True)
 class ExtRealAlgebra(Algebra):
-    """Non-negative rationals and infinity with the usual order, sum and product."""
+    """Non-negative rationals and infinity with the usual order, sum and
+    product, computed on the ints of each reduced pair."""
 
     def unchecked_leq(self, a, b):
-        if b.q is None:
+        if b.num is None:
             return True
-        if a.q is None:
+        if a.num is None:
             return False
-        return a.q <= b.q
+        return a.num * b.den <= b.num * a.den
 
     def unchecked_add(self, a, b):
-        if a.q is None or b.q is None:
-            return ExtReal(None)
-        return ExtReal(a.q + b.q)
+        if a.num is None or b.num is None:
+            return _INF
+        return _ratio(a.num * b.den + b.num * a.den, a.den * b.den)
 
     def unchecked_mul(self, a, b):
         # 0 annihilates even against infinity
-        if a.q == 0 or b.q == 0:
-            return ExtReal(Fraction(0))
-        if a.q is None or b.q is None:
-            return ExtReal(None)
-        return ExtReal(a.q * b.q)
+        if a.num == 0 or b.num == 0:
+            return _ZERO
+        if a.num is None or b.num is None:
+            return _INF
+        return _ratio(a.num * b.num, a.den * b.den)
 
     def zero(self):
-        return ExtReal(Fraction(0))
+        return _ZERO
 
     def one(self):
-        return ExtReal(Fraction(1))
+        return _ONE
 
     def contains(self, a):
         return isinstance(a, ExtReal)
 
     def sample(self):
-        pool = [ExtReal(None)]
-        for den in (1, 2, 3, 4, 7, 16):
-            for num in range(0, 9):
-                pool.append(ExtReal(Fraction(num, den)))
-        return sorted(set(pool), key=lambda v: (v.q is None, v.q or 0))
+        dens = (1, 2, 3, 4, 7, 16)
+        scale = lcm(*dens)  # each value times scale is an int: an exact sort key
+        values = {num * (scale // den): _ratio(num, den) for den in dens for num in range(9)}
+        return [values[k] for k in sorted(values)] + [_INF]
 
     def unchecked_residuals(self, available, demand):
-        if available.q is None:
-            return [ExtReal(None)]
-        if demand.q is None or demand.q > available.q:
+        if available.num is None:
+            return [_INF]
+        if demand.num is None:
             return []
-        return [ExtReal(available.q - demand.q)]
+        left = available.num * demand.den - demand.num * available.den
+        return [_ratio(left, available.den * demand.den)] if left >= 0 else []
 
     def describe(self):
         return "extreal"
@@ -392,10 +417,14 @@ class ExtRealAlgebra(Algebra):
     def parse_payload(self, text):
         # only the forms ExtReal prints: inf, n and n/d in ASCII digits, d >= 1
         if text == "inf":
-            return ExtReal(None)
+            return _INF
         if not re.fullmatch(r"[0-9]+(/0*[1-9][0-9]*)?", text):
             raise ValueError(f"bad extended real literal {text!r}: expected inf, n or n/d")
-        return ExtReal(Fraction(text))
+        num, _, den = text.partition("/")
+        return _ratio(int(num), int(den) if den else 1)
+
+
+_INF, _ZERO, _ONE = ExtReal(None), ExtReal(0), ExtReal(1)
 
 
 @dataclass(frozen=True)
@@ -721,7 +750,7 @@ def iota(n: GradeValue, target: Algebra) -> GradeValue:
     if type(target) is NatAlgebra:
         return Nat(n.n)
     if type(target) is ExtRealAlgebra:
-        return ExtReal(Fraction(n.n))
+        return ExtReal(n.n)
     if type(target) is ProductAlgebra:
         return PairValue(iota(n, target.left), iota(n, target.right))
     if type(target) is ExtendAlgebra:
@@ -758,7 +787,6 @@ def zeta(a: GradeValue, source: Algebra) -> GradeValue:
 # ---------------------------------------------------------------------------
 # Homomorphisms
 
-@dataclass(frozen=True, eq=False, repr=False)
 class Hom:
     """A structure-preserving monotone map between two algebras.
 
@@ -1306,9 +1334,9 @@ def _seeded_triples(pool: list, count: int) -> list[tuple]:
             for _ in range(max(count, len(pool)))]
 
 
-def validate_algebra(spec: Algebra) -> LawReport:
-    """Check every grade-algebra axiom over ``Indexed(spec)``; exhaustive on
-    finite carriers, by row kernels.
+def validate_algebra(spec: Algebra, ix: Optional[Indexed] = None) -> LawReport:
+    """Check every grade-algebra axiom over ``ix``, a new ``Indexed(spec)``
+    unless given; exhaustive on finite carriers, by row kernels.
 
     Infinite carriers are checked on ``ALGEBRA_TRIPLES`` deterministic
     seeded triples drawn from ``spec.sample()``; their pairs are the first
@@ -1321,7 +1349,8 @@ def validate_algebra(spec: Algebra) -> LawReport:
     if bad := [r for r in shapes if not r.ok]:
         return LawReport(bad[:1])
     shape = shapes if isinstance(spec, FiniteAlgebra) else []
-    ix = Indexed(spec)
+    if ix is None:
+        ix = Indexed(spec)
     pool = [ix.id(v) for v in spec.sample()]
     seeded = None if spec.elements() is not None else _seeded_triples(pool, ALGEBRA_TRIPLES)
     return LawReport(shape + check_laws(semiring_laws(ix, pool, seeded),
@@ -1360,16 +1389,22 @@ def _validate_table_shape(table: FiniteTable) -> LawResult:
     return LawResult("table-shape", True)
 
 
-def validate_hom(h: Hom) -> LawReport:
+def validate_hom(h: Hom, src: Optional[Indexed] = None,
+                 tgt: Optional[Indexed] = None) -> LawReport:
     """Check that a map is monotone and preserves 0, 1, sum and product;
     exhaustive on a finite source, by row kernels, else on ``HOM_PAIRS``
     seeded pairs.
 
-    Both algebras are ``Indexed``, and the map is applied once per distinct
-    source grade.
+    Both algebras are ``Indexed``: ``src`` and ``tgt``, or new tables.  A
+    table given here may already hold memo rows, of ``validate_algebra`` or
+    of another hom's check on the same algebra, and may be both ends.  The
+    map is applied once per distinct source grade.
     """
     source = h.source()
-    src, tgt = Indexed(source), Indexed(h.target())
+    if src is None:
+        src = Indexed(source)
+    if tgt is None:
+        tgt = Indexed(h.target())
     f = cache(lambda a: tgt.id(h.apply(src.values[a])))
 
     units = check_laws([_one_row("hom-zero", lambda a: f(a) == tgt.zero(), [(src.zero(),)]),

@@ -415,10 +415,20 @@ def validate_universe(kinds: dict[str, Algebra], edges: list[RefinementEdge],
         kinds[reserved] = alg
     user = [k for k in kinds if k not in (KIND_NAT, KIND_TRIVIAL)]
 
+    # the law checks of this load share one table per algebra object, so an
+    # edge's check reads the memo rows its kinds' checks filled
+    tables: dict[int, Indexed] = {}
+
+    def table(alg: Algebra) -> Indexed:
+        ix = tables.get(id(alg))
+        if ix is None:  # the table holds ``alg``, so its id is not reused
+            ix = tables[id(alg)] = Indexed(alg)
+        return ix
+
     law_reports: dict[str, LawReport] = {}
     if validate_algebras:
         for k in sorted(k for k in user if builtin_name(kinds[k]) is None):
-            report = law_reports[k] = validate_algebra(kinds[k])
+            report = law_reports[k] = validate_algebra(kinds[k], table(kinds[k]))
             if not report.ok:
                 raise UniverseError(
                     f"algebra of kind {k} violates {report.failures()[0].law}: "
@@ -432,7 +442,7 @@ def validate_universe(kinds: dict[str, Algebra], edges: list[RefinementEdge],
             raise NotRefinement(f"self-refinement on kind {e.sub}")
         if e.sub not in kinds or e.sup not in kinds:
             raise UnknownKind(f"edge {e.sub} -> {e.sup} mentions an undeclared kind")
-        hom_report = validate_hom(e.hom)
+        hom_report = validate_hom(e.hom, table(e.hom.source()), table(e.hom.target()))
         if not hom_report.ok:
             bad = hom_report.failures()[0]
             raise UniverseError(

@@ -203,14 +203,14 @@ class Env(Mapping):
         return f"Env({dict(self.items())!r})"
 
 
-@dataclass(frozen=True)
+@dataclass
 class GradedConfig:
     """``expr`` under an environment of (value, grade) bindings."""
     expr: Expr
     env: Env = field(default_factory=Env)
 
 
-@dataclass(frozen=True)
+@dataclass
 class StdConfig:
     """``expr`` under an environment of value bindings."""
     expr: Expr
@@ -220,7 +220,7 @@ class StdConfig:
 # ---------------------------------------------------------------------------
 # Stuck reasons
 
-@dataclass(frozen=True)
+@dataclass
 class ResourceExhausted:
     """Stuck: variable ``var`` cannot supply the grade demanded of it."""
 
@@ -235,7 +235,7 @@ class ResourceExhausted:
                 f"cannot burn {self.demanded}")
 
 
-@dataclass(frozen=True)
+@dataclass
 class FieldExtraction:
     """Stuck: a field's grade does not cover the grade demanded of it."""
 
@@ -248,7 +248,7 @@ class FieldExtraction:
                 f"{self.have}, demanded {self.demanded}")
 
 
-@dataclass(frozen=True)
+@dataclass
 class NoSuchMember:
     """Stuck: the receiver's class has no such field or method."""
 
@@ -258,7 +258,7 @@ class NoSuchMember:
         return f"NoSuchMember: {self.name}"
 
 
-@dataclass(frozen=True)
+@dataclass
 class NotAValue:
     """Stuck for another reason, which ``detail`` names."""
 
@@ -278,21 +278,20 @@ def reason_name(reason: StuckReason) -> str:
 # ---------------------------------------------------------------------------
 # Consumption policies
 
-@dataclass(frozen=True, eq=False, repr=False)
 class Minimal:
     """Burn exactly the reduction grade (its unit when reducing at zero)
     and keep a maximal residual: one successor for each, so several when
     the residual is ambiguous."""
 
 
-@dataclass(frozen=True, eq=False, repr=False)
+@dataclass(eq=False, repr=False)
 class Enumerate:
     """Yield every admissible (burned, residual) pair; on infinite kinds
     the burned amount ranges over grade, grade+1, ... up to the bound."""
     bound: int = 3
 
 
-@dataclass(frozen=True, eq=False, repr=False)
+@dataclass(eq=False, repr=False)
 class FixedWitness:
     """Replay a recorded variable consumption (used by step replaying)."""
     consumed: KindedGrade
@@ -302,7 +301,7 @@ class FixedWitness:
 Policy = Union[Minimal, Enumerate, FixedWitness]
 
 
-@dataclass(frozen=True)
+@dataclass
 class StepInfo:
     """The rule a step applied and, for a variable, what it consumed and left."""
 

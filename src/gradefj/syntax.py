@@ -54,7 +54,6 @@ Pos = tuple[int, int]
 # and every rewrite (elaboration, substitution, reduction, erasure) builds
 # new nodes, so a node may be shared between terms, tables and traces.
 
-@dataclass
 class Expr:
     """An expression; a slot child carries its grade in ``ascription``."""
 

@@ -47,7 +47,7 @@ CoeffectCtx = dict[str, tuple[str, KindedGrade]]
 TypeEnv = dict[str, str]
 
 
-@dataclass(frozen=True)
+@dataclass
 class CheckDiag:
     """One diagnostic: the rule, the kind of error, a message and a position."""
 
@@ -114,6 +114,26 @@ def ctx_add(u: GradeUniverse, c1: CoeffectCtx, c2: CoeffectCtx,
     return out
 
 
+_UNBOUND = object()
+
+
+def _bind(env: TypeEnv, var: str, cls: str) -> object:
+    """Bind ``var`` to ``cls`` in ``env``, a block scope in O(1); the class
+    it shadows (or _UNBOUND) is what ``_unbind`` puts back.  A walk extends
+    one dict and undoes each binding on the way out, instead of copying the
+    dict at every block."""
+    old = env.get(var, _UNBOUND)
+    env[var] = cls
+    return old
+
+
+def _unbind(env: TypeEnv, var: str, old) -> None:
+    if old is _UNBOUND:
+        del env[var]
+    else:
+        env[var] = old
+
+
 # ---------------------------------------------------------------------------
 # Class synthesis (classes flow up, once per walk)
 
@@ -122,7 +142,8 @@ def infer_class(table: ClassTable, env: TypeEnv, e: Expr,
     """The class of ``e``.  ``classes`` records, by node identity, the class
     of each field access, invocation and block synthesised without error;
     the walk that checks a term passes one record, so each receiver's class
-    is synthesised once and diagnostics come in the order a fresh one gives."""
+    is synthesised once and diagnostics come in the order a fresh one gives.
+    A block's body is typed under ``env`` extended in place (``_bind``)."""
     if isinstance(e, Var):
         if e.name not in env:
             _fail("t-var", "UnknownVariable", f"unknown variable {e.name!r}", e.pos)
@@ -151,7 +172,11 @@ def infer_class(table: ClassTable, env: TypeEnv, e: Expr,
     elif isinstance(e, Block):
         if not table.has_class(e.declClass):
             _fail("t-block", "UnknownClass", f"unknown class {e.declClass!r}", e.pos)
-        cls = infer_class(table, {**env, e.var: e.declClass}, e.body, classes)
+        old = _bind(env, e.var, e.declClass)
+        try:
+            cls = infer_class(table, env, e.body, classes)
+        finally:
+            _unbind(env, e.var, old)
     else:
         raise TypeError(e)
     classes[id(e)] = cls
@@ -189,7 +214,8 @@ def check(u: GradeUniverse, table: ClassTable, env: TypeEnv, e: Expr,
 
     The elaboration is ``e`` with each slot child ascribed with its grade;
     ``e``'s own ascription is left to its parent.  A fully ascribed ``e``
-    is returned as is."""
+    is returned as is.  ``env`` is extended in place at each block and
+    restored before the call returns or raises."""
     return TypingResult(*_check(u, table, env, e, expected.className, expected.grade, {}))
 
 
@@ -287,8 +313,11 @@ def _check(u: GradeUniverse, table: ClassTable, env: TypeEnv, e: Expr, cls: str,
         _forced_ascription(e.init, e.declGrade, "t-block", "grade of the local")
         init_ctx, init = _check(u, table, env, e.init, e.declClass, e.declGrade, classes)
         _no_ascription(e.body, "t-block")
-        body_ctx, body = _check(u, table, {**env, e.var: e.declClass}, e.body, cls, grade,
-                                classes)
+        old = _bind(env, e.var, e.declClass)
+        try:
+            body_ctx, body = _check(u, table, env, e.body, cls, grade, classes)
+        finally:
+            _unbind(env, e.var, old)
         if e.var in body_ctx:
             body_ctx = dict(body_ctx)
             _, used = body_ctx.pop(e.var)
@@ -440,14 +469,14 @@ def check_program(u: GradeUniverse, program: Program) -> tuple[TypingResult, Gra
     return TypingResult(*result), GradedType(cls, program.mainGrade)
 
 
-@dataclass(frozen=True, eq=False, repr=False)
+@dataclass(eq=False, repr=False)
 class Annotated:
     """A program ready to run: its table and main with every slot filled."""
     table: ClassTable
     main: Expr
 
 
-@dataclass(frozen=True, eq=False, repr=False)
+@dataclass(eq=False, repr=False)
 class Elaborated:
     """An accepted program: its main with every slot filled, the context
     that main needs and its type.  ``table``, the source table with each
@@ -536,7 +565,8 @@ def annotate_expr(u: GradeUniverse, table: ClassTable, env: TypeEnv, e: Expr,
                   classes: dict[int, str] | None = None) -> Expr:
     """Fill every slot without grade checking: a written ascription wins,
     else the declared grade (the unit on field-access receivers).
-    ``classes`` is the walk's ``infer_class`` record."""
+    ``classes`` is the walk's ``infer_class`` record; ``env`` is extended in
+    place at each block, as in ``check``."""
     if isinstance(e, Var):
         return e
     if classes is None:
@@ -572,7 +602,11 @@ def annotate_expr(u: GradeUniverse, table: ClassTable, env: TypeEnv, e: Expr,
         return Invk(recv, e.method, args, e.ascription, e.pos)
     if isinstance(e, Block):
         init = _fill(annotate_expr(u, table, env, e.init, classes), e.declGrade)
-        body = annotate_expr(u, table, {**env, e.var: e.declClass}, e.body, classes)
+        old = _bind(env, e.var, e.declClass)
+        try:
+            body = annotate_expr(u, table, env, e.body, classes)
+        finally:
+            _unbind(env, e.var, old)
         return Block(e.declClass, e.declGrade, e.var, init, body, e.ascription, e.pos)
     raise TypeError(e)
 

@@ -36,7 +36,8 @@ GOLDEN_DIR = HERE / "golden"
 LAWS_GOLDEN_DIR = GOLDEN_DIR / "laws"
 PROGRAMS = sorted(p.stem for p in CORPUS_DIR.glob("*.gfj"))
 CORPUS_UNIVERSES = ("affinity_privacy", "bool", "ext")
-PROGRAM_UNIVERSES = ("chain68_one", "chain_pool80", "diamonds_pool79", "kinds68_pool80")
+PROGRAM_UNIVERSES = ("chain68_one", "chain_pool80", "diamonds_pool79", "extreal8_pool76",
+                     "kinds68_pool80")
 
 
 def commands(name: str) -> dict[str, list[str]]:

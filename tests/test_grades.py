@@ -1,5 +1,11 @@
 """Grade algebra laws, residuals, and homomorphisms."""
 
+import os
+import pathlib
+import random
+import re
+import subprocess
+import sys
 import time
 from collections import Counter
 from dataclasses import dataclass
@@ -7,6 +13,7 @@ from fractions import Fraction
 
 import pytest
 
+import gradefj
 from gradefj.grades import (
     AFFINITY,
     AmbiguousResidual,
@@ -85,9 +92,9 @@ def test_carrier_mismatch():
 # per algebra class: the algebra, a value of it, a value off its carrier (one
 # level down for products and extensions), and the refusal's message
 OFF_CARRIER = {
-    "nat": (NAT, Nat(1), ExtReal(Fraction(1)), "1 is not a value of nat"),
+    "nat": (NAT, Nat(1), ExtReal(1), "1 is not a value of nat"),
     "trivial": (TRIVIAL, Triv(), Nat(0), "0 is not a value of trivial"),
-    "extreal": (EXTREAL, ExtReal(Fraction(1, 2)), Nat(1), "1 is not a value of extreal"),
+    "extreal": (EXTREAL, ExtReal(1, 2), Nat(1), "1 is not a value of extreal"),
     "finite": (AFFINITY, AFF("1"), FiniteElem("1", "boolean"),
                "1 is not a value of table:affinity"),
     "product": (ProductAlgebra(AFFINITY, NAT), PairValue(AFF("1"), Nat(2)),
@@ -109,15 +116,95 @@ def test_public_operations_refuse_off_carrier_values(alg, good, bad, message, op
 
 
 def test_extreal_exact():
-    third = ExtReal(Fraction(1, 3))
-    assert EXTREAL.add(third, third) == ExtReal(Fraction(2, 3))
-    assert EXTREAL.mul(ExtReal(Fraction(0)), ExtReal(None)) == ExtReal(Fraction(0))
-    assert EXTREAL.leq(ExtReal(Fraction(7, 2)), ExtReal(None))
+    third = ExtReal(1, 3)
+    assert EXTREAL.add(third, third) == ExtReal(2, 3)
+    assert EXTREAL.mul(ExtReal(0), ExtReal(None)) == ExtReal(0)
+    assert EXTREAL.leq(ExtReal(7, 2), ExtReal(None))
+
+
+@pytest.mark.parametrize("num, den, error", [
+    (-1, 1, ValueError), (1, 0, ValueError), (1, -2, ValueError), (2, 4, ValueError),
+    (0, 2, ValueError), (None, 2, ValueError), (Fraction(1, 2), 1, TypeError),
+    (1.5, 1, TypeError), (1, 2.0, TypeError), (True, 1, TypeError),
+])
+def test_extreal_refuses_negative_unreduced_and_non_int_pairs(num, den, error):
+    # one pair per value, so equal values are equal and hash alike
+    with pytest.raises(error):
+        ExtReal(num, den)
+
+
+def _q(v: ExtReal):
+    """The Fraction reference of an extended real, None for inf."""
+    return None if v.num is None else Fraction(v.num, v.den)
+
+
+def _ext(q) -> ExtReal:
+    return ExtReal(None) if q is None else ExtReal(q.numerator, q.denominator)
+
+
+_LITERAL = r"[0-9]+(/0*[1-9][0-9]*)?"
+
+
+def _reference_payload(text: str):
+    # the Fraction-backed parse: inf, or the literal's own Fraction
+    if text == "inf":
+        return None
+    if not re.fullmatch(_LITERAL, text):
+        raise ValueError(f"bad extended real literal {text!r}: expected inf, n or n/d")
+    return Fraction(text)
+
+
+def test_extreal_agrees_with_a_fraction_reference():
+    # a seeded grid, numerators 0-40 over denominators 1-16 and inf: sums,
+    # products, order, residuals, printing and parsing as Fraction computes them
+    grid = [(n, d) for d in range(1, 17) for n in range(41)]
+    values = sorted({_ext(Fraction(n, d)) for n, d in grid}, key=str) + [ExtReal(None)]
+    rng = random.Random(20240809)
+    pairs = [(a, b) for a in values[::37] + [ExtReal(0), ExtReal(None)] for b in values]
+    pairs += [(rng.choice(values), rng.choice(values)) for _ in range(4000)]
+    for a, b in pairs:
+        qa, qb = _q(a), _q(b)
+        assert EXTREAL.add(a, b) == _ext(None if None in (qa, qb) else qa + qb), (a, b)
+        want_mul = 0 if 0 in (qa, qb) else None if None in (qa, qb) else qa * qb
+        assert EXTREAL.mul(a, b) == _ext(want_mul), (a, b)
+        assert EXTREAL.leq(a, b) == (qb is None or qa is not None and qa <= qb), (a, b)
+        if qa is None:
+            want = [None]
+        else:
+            want = [] if qb is None or qb > qa else [qa - qb]
+        assert EXTREAL.unchecked_residuals(a, b) == list(map(_ext, want)), (a, b)
+    texts = [str(v) for v in values] + [f"{n}/{d}" for n, d in grid]
+    texts += ["6/4", "1/007", "00", "0/16", "007/014", "1/0", "1/00", "0.5", "-1", " 1",
+              "1/", "1e9", "Infinity", "", "\u0663"]
+    for text in texts:
+        try:
+            want = _reference_payload(text)
+        except ValueError as exc:
+            with pytest.raises(ValueError) as got:
+                EXTREAL.parse_payload(text)
+            assert str(got.value) == str(exc), text
+            continue
+        got = EXTREAL.parse_payload(text)
+        assert got == _ext(want) and str(got) == ("inf" if want is None else str(want)), text
+        assert hash(got) == hash(_ext(want)), text
+    assert EXTREAL.parse_payload("6/4") == ExtReal(3, 2)
+    assert EXTREAL.parse_payload("1/007") == ExtReal(1, 7)
+
+
+def test_importing_gradefj_skips_fractions():
+    # extended reals are ints: no command start-up pays for fractions and
+    # decimal
+    src = pathlib.Path(gradefj.__file__).parent.parent
+    code = ("import sys, gradefj.cli, gradefj.props; "
+            "print(sorted({'fractions', 'decimal'} & set(sys.modules)))")
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                         env={**os.environ, "PYTHONPATH": str(src)}, check=True).stdout
+    assert out == "[]\n"
 
 
 @pytest.mark.parametrize("text, value", [
-    ("inf", None), ("0", Fraction(0)), ("7", Fraction(7)), ("6/4", Fraction(3, 2)),
-    ("1/007", Fraction(1, 7)), ("1/0", ValueError), ("1/00", ValueError),
+    ("inf", None), ("0", (0, 1)), ("7", (7, 1)), ("6/4", (3, 2)),
+    ("1/007", (1, 7)), ("1/0", ValueError), ("1/00", ValueError),
     ("1e99999999", ValueError), ("0.5", ValueError), ("-1", ValueError), (" 1", ValueError),
     ("\u0663", ValueError), ("1/", ValueError), ("Infinity", ValueError), ("", ValueError),
 ])
@@ -127,7 +214,7 @@ def test_extreal_payload_grammar(text, value):
         with pytest.raises(ValueError):
             EXTREAL.parse_payload(text)
     else:
-        assert EXTREAL.parse_payload(text) == ExtReal(value)
+        assert EXTREAL.parse_payload(text) == ExtReal(*value or (None,))
 
 
 # ---------------------------------------------------------------------------

@@ -614,6 +614,28 @@ def _fin_product():
                              [RefinementEdge("KB", "K", ProjLeftHom(pair))])
 
 
+def test_a_load_tables_each_algebra_once(monkeypatch):
+    # the law checks of one load share a table per algebra: a product kind
+    # with both projections as edges is tabled once, not by its own check
+    # and again by each edge's, and an edge reads what its kinds' checks filled
+    chain = _chain3("c3")
+    pair = ProductAlgebra(chain, BOOLEAN)
+    made = Counter()
+    original = Indexed.__init__
+
+    def counted(self, alg):
+        made[id(alg)] += 1
+        original(self, alg)
+
+    monkeypatch.setattr(Indexed, "__init__", counted)
+    u = validate_universe({"K": chain, "B": BOOLEAN, "KB": pair},
+                          [RefinementEdge("KB", "K", ProjLeftHom(pair)),
+                           RefinementEdge("KB", "B", ProjRightHom(pair))])
+    assert sorted(u.law_reports) == ["K", "KB"]
+    assert made == Counter({id(chain): 1, id(BOOLEAN): 1, id(pair): 1,
+                            id(u.indexed.alg): 1})
+
+
 @pytest.mark.parametrize("make, per_id", [
     (lambda: load_universe(str(pathlib.Path(__file__).parent / "corpus" / "bool.json")), 4),
     (_fin_product, 4),

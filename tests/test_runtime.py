@@ -458,7 +458,6 @@ def test_search_reports_deepest_stuck_reason(universe):
 def test_extreal_kind_end_to_end():
     from gradefj.hetero import validate_universe
     from gradefj.grades import EXTREAL
-    from fractions import Fraction
     u = validate_universe({"R": EXTREAL}, [])
     src = ("class A { }\nclass Pair { A[R:1/2] first; A[R:1/2] second; }\n"
            "run {A[R:1] a = new A(); new Pair(a, a)} at R:1\n")
@@ -705,6 +704,35 @@ def test_run_builds_nodes_linear_in_block_nesting(mode, monkeypatch, tmp_path, c
         assert f'"steps": {n}' in capsys.readouterr().out
         built.append(sum(counts.values()))
     assert built[1] <= 2.2 * built[0], built
+
+
+@pytest.mark.parametrize("command", [["check"], ["run", "--unchecked"]])
+def test_typing_copies_env_entries_linear_in_block_nesting(command, monkeypatch, tmp_path,
+                                                          capsys):
+    # a block extends the walk's one type environment in place, so the
+    # environments the typing walks see hold entries linear in the nesting;
+    # a copy at every block would hold quadratically many
+    from gradefj import cli, typecheck
+    copied = []
+    for n in (200, 400):
+        path = tmp_path / f"nest{n}.gfj"
+        path.write_text(_block_nest(n))
+        seen = {}  # each environment dict, kept alive, and its size when first seen
+
+        def recorded(fn, at):
+            def wrapper(*args, **kwargs):
+                env = args[at]
+                seen.setdefault(id(env), (env, len(env)))
+                return fn(*args, **kwargs)
+            return wrapper
+
+        with monkeypatch.context() as m:
+            for name, at in (("_check", 2), ("infer_class", 1), ("annotate_expr", 2)):
+                m.setattr(typecheck, name, recorded(getattr(typecheck, name), at))
+            assert cli.main([*command, "--json", str(path)]) == 0
+        capsys.readouterr()
+        copied.append(sum(1 + size for _, size in seen.values()))  # dicts made, entries copied
+    assert copied[1] <= 2.2 * copied[0], copied
 
 
 def _spine_walk(depth: int, field_grade: str) -> str:

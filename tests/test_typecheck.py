@@ -146,6 +146,23 @@ def test_infer_class(universe, getters_table):
                        parse_expr("{Pair[1] q = p; q}", universe)) == "Pair"
 
 
+def test_block_scopes_give_back_the_callers_env(universe, getters_table):
+    # a block binds its variable in the walk's env and puts back what it
+    # shadowed, on return and when a diagnostic ends the walk
+    shadowing = parse_expr("{Pair[1] p = new Pair(new A(), new A()); p.first}", universe)
+    failing = parse_expr("{Pair[1] q = p; q.nope()}", universe)
+    for walk in (lambda env, e: infer_class(getters_table, env, e),
+                 lambda env, e: check(universe, getters_table, env, e, GradedType("A", ONE_D)),
+                 lambda env, e: annotate_expr(universe, getters_table, env, e)):
+        env = {"p": "A"}
+        walk(env, shadowing)
+        assert env == {"p": "A"}
+        env = {"p": "Pair"}
+        with pytest.raises(CheckError):
+            walk(env, failing)
+        assert env == {"p": "Pair"}
+
+
 # ---------------------------------------------------------------------------
 # checking fully ascribed terms (elaboration is idempotent)
 
