@@ -17,10 +17,12 @@ cases at a time: a row kernel builds both sides of the law as rows of ids
 over the whole row, read from the memo rows at C level, and only a row that
 fails is walked case by case for its witness.  A grade universe keeps one
 ``Indexed`` table of its kinded grades, which also answers the checker's
-and the interpreters' grade operations.  ``Indexed`` asks its algebra for
-the id of a sum or product: an ``Algebra`` interns its result, and the
-kinded algebra works on its operands' ids in an ``Indexed`` table of their
-join kind, so both levels hash-cons by one table type.  An
+and the interpreters' grade operations, and one ``Indexed`` table of values
+per algebra, shared by the kinds that hold it and by its load-time law
+checks.  ``Indexed`` asks its algebra for the id of a sum or product: an
+``Algebra`` interns its result, and the kinded algebra works on its
+operands' codes (each kind's own ids in its algebra's table) in the table
+of their join kind's algebra, so both levels hash-cons by one table type.  An
 algebra's public operations check their operands; an ``Indexed`` grade is
 checked once, by its algebra's ``canonical`` as it is interned, and the
 unchecked operations run on it.  A residual query has any number of maximal
@@ -201,8 +203,8 @@ class Algebra:
     extensions call their components' unchecked operations.  ``Indexed``
     calls them on grades checked once each, by ``canonical`` as it interns
     them, and asks for a sum or product by ``add_id`` and ``mul_id``, which
-    intern the unchecked result; a grade universe keeps such a table for each
-    kind its sums and products meet.  A subclass that overrides a public
+    intern the unchecked result; a grade universe keeps one such table for
+    each algebra, shared by its kinds.  A subclass that overrides a public
     ``leq``, ``add`` or ``mul`` has that override as its unchecked one too, so
     no caller bypasses it.
     """
@@ -1024,9 +1026,10 @@ class Indexed:
     ``mul_id`` give the result's id, interning a new result through ``id``.
     ``zero`` and ``one`` intern the algebra's units when asked for: a new
     table is empty.  ``alg`` is one ``Algebra`` (in the law checks, or one
-    kind of a grade universe, whose ids are then that kind's codes) or the
-    kinded algebra of a grade universe, whose grades are interned here for
-    the universe's lifetime.
+    algebra of a grade universe, shared by its kinds, each of which keeps
+    its own codes, the ids here of its grades' values) or the kinded
+    algebra of a grade universe, whose grades are interned here for the
+    universe's lifetime.
     """
 
     def __init__(self, alg):

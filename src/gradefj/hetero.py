@@ -18,11 +18,13 @@ law check ``check_universe_laws`` runs its axioms over the same ids.  The
 universe alone resolves a grade to its id; the table's ``KindedAlgebra``
 checks each grade once, as it is interned, and its unchecked operations
 take only the table's canonical grades.  Sums and products work one level
-down, in another ``Indexed`` table for each join kind met, whose ids are
-that kind's codes: the operands' codes there give the result's code, and
-the result's kinded id is looked up by its code, so that filling the memo
-rows builds and hashes a kinded grade only for a result new to the
-universe.  Two naturals are added and multiplied as ints.
+down, in the universe's one ``Indexed`` table of values for each algebra,
+shared by every kind that holds it; each kind keeps its own codes, the
+ids there of its grades' values or images.  The operands' codes in their
+join kind give the result's code, and the result's kinded id is looked up
+by its code in that kind, so that filling the memo rows builds and hashes
+a kinded grade only for a result new to the universe.  Two naturals are
+added and multiplied as ints.
 """
 
 from __future__ import annotations
@@ -144,6 +146,14 @@ def _algebra_of(kinds: dict[str, Algebra], kind: str) -> Algebra:
     return kinds[kind]
 
 
+def _table_of(tables: dict[Algebra, Indexed], alg: Algebra) -> Indexed:
+    """``alg``'s one value table in ``tables``, made when first asked for."""
+    ix = tables.get(alg)
+    if ix is None:
+        ix = tables[alg] = Indexed(alg)
+    return ix
+
+
 class KindedAlgebra:
     """The combined algebra on kinded grades: operands are transported into
     their join kind.  ``GradeUniverse`` answers from its ``Indexed`` table
@@ -153,25 +163,26 @@ class KindedAlgebra:
 
     ``canonical`` is the one check of a kinded value, as it is for an
     ``Algebra``'s values: the table calls it when it interns a grade.  Each
-    kind met other than N has its own ``Indexed`` table over its algebra in
-    ``tables``, whose ids are the kind's codes: a kinded id's code is the
-    kind table's id of the grade's own value or of its image there, interned
-    (and so checked, by that table's ``canonical``) once.  A hom that raises,
-    or whose image leaves the kind, stores nothing.  Sums and products work
-    on the operands' codes in their join kind, through the kind table's memo
-    rows, and find the result's kinded id by its code, so only a result new
-    to the universe builds a ``KindedGrade``; two naturals, whose join kind
-    is N, are added and multiplied as ints.  ``unchecked_leq`` and
-    ``unchecked_residuals`` run on values.  This holds the universe's dicts,
-    not the universe or its grade table, so that no reference cycle outlives
-    a universe."""
+    algebra has one ``Indexed`` table of values in the universe's ``tables``,
+    shared by the kinds that hold it, and each kind met other than N keeps
+    its own codes in ``kind_codes``: a kinded id's code in a kind is the id
+    in its algebra's table of the grade's own value or of its image there,
+    interned (and so checked, by that table's ``canonical``) once.  A hom
+    that raises, or whose image leaves the kind, stores nothing.  Sums and
+    products work on the operands' codes in their join kind, through the
+    table's memo rows, and find the result's kinded id by its code in that
+    kind, so only a result new to the universe builds a ``KindedGrade``; two
+    naturals, whose join kind is N, are added and multiplied as ints.
+    ``unchecked_leq`` and ``unchecked_residuals`` run on values.  This holds
+    the universe's dicts, not the universe or its grade table, so that no
+    reference cycle outlives a universe."""
 
     def __init__(self, u: GradeUniverse):
-        self.kinds, self.order, self.join_table, self.homs = (
-            u.kinds, u.order, u.join_table, u.homs)
-        # each kind met but N: its table, the code of each kinded id and the
-        # kinded id of each code
-        self.tables: dict[str, tuple[Indexed, dict[int, int], dict[int, int]]] = {}
+        self.kinds, self.order, self.join_table, self.homs, self.tables = (
+            u.kinds, u.order, u.join_table, u.homs, u.tables)
+        # each kind met but N: its algebra's table, the code of each kinded id
+        # (code_of) and the kinded id of each code (id_of)
+        self.kind_codes: dict[str, tuple[Indexed, dict[int, int], dict[int, int]]] = {}
         self._nat_ids: dict[int, int] = {}  # the kinded id of each natural
 
     def canonical(self, g: KindedGrade, i: int) -> KindedGrade:
@@ -179,28 +190,28 @@ class KindedAlgebra:
         _algebra_of(self.kinds, g.kind).check_value(g.value)
         return g if g.id == i else KindedGrade(g.kind, g.value, i)
 
-    def _table(self, kind: str) -> tuple[Indexed, dict[int, int], dict[int, int]]:
-        met = self.tables.get(kind)
+    def _codes(self, kind: str) -> tuple[Indexed, dict[int, int], dict[int, int]]:
+        met = self.kind_codes.get(kind)
         if met is None:
-            met = self.tables[kind] = (Indexed(self.kinds[kind]), {}, {})
+            met = self.kind_codes[kind] = (_table_of(self.tables, self.kinds[kind]), {}, {})
         return met
 
     def _code(self, g: KindedGrade, kind: str) -> int:
         """Canonical ``g``'s code in ``kind``, kept once found."""
-        table, codes, ids = self.tables[kind]
+        table, code_of, id_of = self.kind_codes[kind]
         if g.kind == kind:
-            c = codes[g.id] = table.id(g.value)
-            ids[c] = g.id  # a result equal to g needs no lookup by value
+            c = code_of[g.id] = table.id(g.value)
+            id_of[c] = g.id  # a result equal to g needs no lookup by value
         else:
-            c = codes[g.id] = table.id(self.homs[g.kind, kind].apply(g.value))
+            c = code_of[g.id] = table.id(self.homs[g.kind, kind].apply(g.value))
         return c
 
     def _moved(self, g: KindedGrade, kind: str) -> GradeValue:
         """Canonical ``g``'s value in ``kind``: its own, or its image there."""
         if g.kind == kind:  # checked when it was interned
             return g.value
-        table, codes, _ = self._table(kind)
-        c = codes.get(g.id)
+        table, code_of, _ = self._codes(kind)
+        c = code_of.get(g.id)
         return table.values[self._code(g, kind) if c is None else c]
 
     def _op_id(self, op: Callable[[Indexed, int, int], int], nat_op: Callable[[int, int], int],
@@ -216,18 +227,18 @@ class KindedAlgebra:
             if i is None:
                 i = self._nat_ids[n] = intern(KindedGrade(KIND_NAT, Nat(n)))
             return i
-        table, codes, ids = self._table(kind)
-        cx = codes.get(x.id)
+        table, code_of, id_of = self._codes(kind)
+        cx = code_of.get(x.id)
         if cx is None:
             cx = self._code(x, kind)
-        cy = codes.get(y.id)
+        cy = code_of.get(y.id)
         if cy is None:
             cy = self._code(y, kind)
         r = op(table, cx, cy)
-        i = ids.get(r)
+        i = id_of.get(r)
         if i is None:
-            i = ids[r] = intern(KindedGrade(kind, table.values[r]))
-            codes[i] = r
+            i = id_of[r] = intern(KindedGrade(kind, table.values[r]))
+            code_of[i] = r
         return i
 
     def unchecked_leq(self, x: KindedGrade, y: KindedGrade) -> bool:
@@ -272,6 +283,11 @@ class GradeUniverse:
     operation goes through it: a canonical grade's id is read off it, any
     other grade is looked up by value first, and a value outside its kind is
     refused with CarrierMismatch every time, because it is never interned.
+    ``tables`` holds one ``Indexed`` table of values per algebra, keyed by
+    the algebra, so kinds that hold equal algebras share it; the load-time
+    law checks fill it, and the kinded sums and products read it on their
+    operands' codes, which each kind keeps for itself.  Each universe starts
+    with its own dict, so no memo reaches another universe.
     """
 
     kinds: dict[str, Algebra]
@@ -282,6 +298,7 @@ class GradeUniverse:
     # the load-time law report of each user-built kind (none when not
     # validated); a builtin algebra's is ``builtin_law_report``'s
     law_reports: dict[str, LawReport] = field(default_factory=dict)
+    tables: dict[Algebra, Indexed] = field(default_factory=dict)
     indexed: Indexed = field(init=False)
 
     def __post_init__(self):
@@ -415,20 +432,14 @@ def validate_universe(kinds: dict[str, Algebra], edges: list[RefinementEdge],
         kinds[reserved] = alg
     user = [k for k in kinds if k not in (KIND_NAT, KIND_TRIVIAL)]
 
-    # the law checks of this load share one table per algebra object, so an
-    # edge's check reads the memo rows its kinds' checks filled
-    tables: dict[int, Indexed] = {}
-
-    def table(alg: Algebra) -> Indexed:
-        ix = tables.get(id(alg))
-        if ix is None:  # the table holds ``alg``, so its id is not reused
-            ix = tables[id(alg)] = Indexed(alg)
-        return ix
-
+    # one value table per algebra, handed to the universe: an edge's check
+    # reads the memo rows its kinds' checks filled, and the kinded sums and
+    # products read them all, with codes per kind
+    tables: dict[Algebra, Indexed] = {}
     law_reports: dict[str, LawReport] = {}
     if validate_algebras:
         for k in sorted(k for k in user if builtin_name(kinds[k]) is None):
-            report = law_reports[k] = validate_algebra(kinds[k], table(kinds[k]))
+            report = law_reports[k] = validate_algebra(kinds[k], _table_of(tables, kinds[k]))
             if not report.ok:
                 raise UniverseError(
                     f"algebra of kind {k} violates {report.failures()[0].law}: "
@@ -442,7 +453,8 @@ def validate_universe(kinds: dict[str, Algebra], edges: list[RefinementEdge],
             raise NotRefinement(f"self-refinement on kind {e.sub}")
         if e.sub not in kinds or e.sup not in kinds:
             raise UnknownKind(f"edge {e.sub} -> {e.sup} mentions an undeclared kind")
-        hom_report = validate_hom(e.hom, table(e.hom.source()), table(e.hom.target()))
+        hom_report = validate_hom(e.hom, _table_of(tables, e.hom.source()),
+                                  _table_of(tables, e.hom.target()))
         if not hom_report.ok:
             bad = hom_report.failures()[0]
             raise UniverseError(
@@ -517,7 +529,8 @@ def validate_universe(kinds: dict[str, Algebra], edges: list[RefinementEdge],
     homs.update(((k, a), h) for k in user for a, h in up[k].items())
 
     return GradeUniverse(kinds=kinds, edges=list(edges), order=frozenset(homs),
-                         join_table=join_table, homs=homs, law_reports=law_reports)
+                         join_table=join_table, homs=homs, law_reports=law_reports,
+                         tables=tables)
 
 
 def _join_fault(join_table: dict[tuple[str, str], str], kinds: list[str]) -> Optional[str]:
@@ -551,8 +564,9 @@ def default_universe() -> GradeUniverse:
     """N and T plus unrelated affinity (A) and two-level privacy (P).
 
     The kinds are validated on the first call only.  Each call returns a
-    new universe with its own intern table and its own copies of the
-    dicts, so no grade interned in one, and no edit of one, reaches another.
+    new universe with its own intern table, its own value tables and its own
+    copies of the dicts, so no grade or value interned in one, and no edit
+    of one, reaches another.
     """
     v = _validated_default()
     return GradeUniverse(kinds=dict(v.kinds), edges=list(v.edges), order=v.order,

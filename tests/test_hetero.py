@@ -565,7 +565,7 @@ def test_kinded_algebra_moves_grades_it_did_not_intern_afresh():
     assert g10.id == stale_01.id  # each is the first grade its table interns
     zero, one = (KindedGrade("B", b(n)) for n in ("0", "1"))
     assert u.add(g10, zero) == one
-    table, codes, _ = u.indexed.alg.tables["B"]
+    table, codes, _ = u.indexed.alg.kind_codes["B"]
     assert codes[g10.id] == table.id(b("1"))  # its image is kept, as a code in B
     assert u.add(stale_01, zero) == zero
     assert u.add(pair("1", "0"), zero) == one and u.add(pair("0", "1"), zero) == zero
@@ -636,6 +636,71 @@ def test_a_load_tables_each_algebra_once(monkeypatch):
                             id(u.indexed.alg): 1})
 
 
+def _chain4_config():
+    """The table of the chain 0 < a < b < 1 under max and min."""
+    elems = ["0", "a", "b", "1"]
+    top = lambda x, y: max(x, y, key=elems.index)
+    bottom = lambda x, y: min(x, y, key=elems.index)
+    return {"name": "c4", "elements": elems,
+            "leq": [[x, y] for x in elems for y in elems[elems.index(x):]],
+            "sum": {x: {y: top(x, y) for y in elems} for x in elems},
+            "mul": {x: {y: bottom(x, y) for y in elems} for x in elems},
+            "zero": "0", "one": "1"}
+
+
+def test_kinds_of_equal_algebras_share_one_table_and_keep_their_own_codes():
+    # two kinds declared with the same table hold equal algebras, so their
+    # values live in one table; a grade's code there is still per kind, since
+    # C1:a moved into C2 is C2:b
+    u = universe_from_config({
+        "kinds": {"C1": {"table": _chain4_config()}, "C2": {"table": _chain4_config()}},
+        "edges": [{"sub": "C1", "super": "C2",
+                   "hom": {"map": {"0": "0", "a": "b", "b": "b", "1": "1"}}}]})
+    assert u.kinds["C1"] is not u.kinds["C2"] and u.kinds["C1"] == u.kinds["C2"]
+    g = u.parse_grade
+    assert u.add(g("C1:a"), g("C2:0")) == g("C2:b")
+    assert u.add(g("C1:a"), g("C1:0")) == g("C1:a")
+    assert not u.leq(g("C1:a"), g("C2:a"))
+    assert check_universe_laws(u).ok
+    codes = u.indexed.alg.kind_codes
+    assert codes["C1"][0] is codes["C2"][0] is u.tables[u.kinds["C1"]]
+    a = g("C1:a").id
+    assert codes["C2"][0].values[codes["C2"][1][a]] == u.kinds["C2"].parse_payload("b")
+    assert codes["C1"][0].values[codes["C1"][1][a]] == u.kinds["C1"].parse_payload("a")
+
+
+@pytest.mark.parametrize("path, tables", [
+    (PROGRAMS / "extreal8_pool76.json", 2),
+    (pathlib.Path(__file__).parent / "corpus" / "affinity_privacy.json", 5)],
+    ids=["extreal8_pool76", "affinity_privacy"])
+def test_a_universe_builds_one_table_per_algebra(monkeypatch, path, tables):
+    # loading and law-checking a universe builds one value table per distinct
+    # algebra it meets, shared by its kinds and its load-time checks, and one
+    # table of kinded grades
+    made = []
+    original = Indexed.__init__
+
+    def counted(self, alg):
+        made.append(alg)
+        original(self, alg)
+
+    monkeypatch.setattr(Indexed, "__init__", counted)
+    u = load_universe(str(path))
+    assert check_universe_laws(u).ok
+    algebras = {alg for k, alg in u.kinds.items() if k != "N"}
+    assert len(algebras) == tables and set(u.tables) == algebras
+    assert Counter(made) == Counter([*algebras, u.indexed.alg])
+
+
+def test_default_universes_share_no_table():
+    us = [default_universe() for _ in range(2)]
+    for u in us:
+        u.add(u.parse_grade("A:1"), u.parse_grade("P:private"))
+        u.add(u.parse_grade("A:1"), u.parse_grade("A:w"))
+    left, right = (set(map(id, u.tables.values())) for u in us)
+    assert us[0].tables is not us[1].tables and left and not left & right
+
+
 @pytest.mark.parametrize("make, per_id", [
     (lambda: load_universe(str(pathlib.Path(__file__).parent / "corpus" / "bool.json")), 4),
     (_fin_product, 4),
@@ -686,7 +751,7 @@ def test_coded_operations_match_the_kind_algebras():
                 assert got == want and got is u.intern(got)
             assert u.leq(x, y) == (u.kind_leq(x.kind, y.kind) and u.algebra(y.kind).leq(
                 u.transport(x.kind, y.kind, x.value), y.value))
-    assert set(u.indexed.alg.tables) == set(u.kinds) - {"N"}
+    assert set(u.indexed.alg.kind_codes) == set(u.kinds) - {"N"}
 
 
 def test_a_result_off_a_coded_carrier_is_refused_and_kept_nowhere():

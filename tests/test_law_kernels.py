@@ -367,8 +367,8 @@ def test_an_image_off_the_carrier_is_refused_every_time():
                    kinded.unchecked_leq):
             with pytest.raises(CarrierMismatch, match=message):
                 op(a, private)
-    assert a.id not in kinded.tables["P"][1]  # no code kept for it in P
-    for kind, (table, _, _) in kinded.tables.items():
+    assert a.id not in kinded.kind_codes["P"][1]  # no code kept for it in P
+    for kind, (table, _, _) in kinded.kind_codes.items():
         assert all(map(u.kinds[kind].contains, table.values))
     # a grade off its kind's carrier is refused every time, moved or not:
     # the table never interns it
