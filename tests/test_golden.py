@@ -140,9 +140,19 @@ def broken_mul_table() -> dict:
             "sum": table.sum, "mul": mul, "zero": "0", "one": "1"}
 
 
+def privacy4_table() -> dict:
+    # the builtin four-level privacy lattice, written out as a table
+    from gradefj.grades import pprivacy_table
+    table = pprivacy_table()
+    return {"name": table.name, "elements": list(table.elements),
+            "leq": sorted([list(p) for p in table.leq]),
+            "sum": table.sum, "mul": table.mul, "zero": table.zero, "one": table.one}
+
+
 def inline_universes() -> dict[str, dict]:
     """Universe configs pinned besides the corpus ones, keyed by golden name."""
     lh = chain_table("lh", ["lo", "hi"])
+    c2, c4 = chain_table("c2", ["lo", "hi"]), chain_table("c4", ["a", "b", "c", "d"])
     return {
         "fin_product": {
             "kinds": {"L": {"table": lh},
@@ -161,6 +171,19 @@ def inline_universes() -> dict[str, dict]:
         "broken_add": {"kinds": {"X": {"table": broken_add_table()}}, "edges": []},
         "broken_distributivity": {"kinds": {"X": {"table": broken_mul_table()}},
                                   "edges": []},
+        # edge maps that break one homomorphism law each: the universe is refused
+        "edge_hom_one": {
+            "kinds": {"C": {"table": c2}, "B": {"builtin": "boolean"}},
+            "edges": [{"sub": "C", "super": "B", "hom": {"map": {
+                "0": "0", "lo": "0", "hi": "0"}}}]},
+        "edge_hom_add": {
+            "kinds": {"K4": {"table": c4}, "K2": {"table": c2}},
+            "edges": [{"sub": "K4", "super": "K2", "hom": {"map": {
+                "0": "0", "a": "lo", "b": "hi", "c": "lo", "d": "hi"}}}]},
+        "edge_hom_mul": {
+            "kinds": {"PP": {"table": privacy4_table()}, "B": {"builtin": "boolean"}},
+            "edges": [{"sub": "PP", "super": "B", "hom": {"map": {
+                "0": "0", "a": "0", "b": "1", "c": "1", "d": "1"}}}]},
     }
 
 
