@@ -28,7 +28,6 @@ from .grades import (
     iota,
     validate_algebra,
     validate_hom,
-    zeta,
 )
 from .hetero import (
     GradeUniverse,

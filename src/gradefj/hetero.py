@@ -506,13 +506,12 @@ def validate_universe(kinds: dict[str, Algebra], edges: list[RefinementEdge],
             elif k1 == KIND_TRIVIAL or k2 == KIND_TRIVIAL:
                 j = KIND_TRIVIAL
             else:
-                common = up[k1].keys() & up[k2].keys()
-                if not common:
-                    j = KIND_TRIVIAL
-                else:
-                    # a least common ancestor's up-set strictly holds every
-                    # other one's, so only the largest can be the least
-                    j = max(common, key=lambda c: len(up[c]))
+                # up[k1] lists each ancestor before the ancestor's own (one
+                # route to each), so its first key that up[k2] holds is a
+                # minimal common ancestor: the only one that can be the least
+                j = next((c for c in up[k1] if c in up[k2]), KIND_TRIVIAL)
+                if j != KIND_TRIVIAL:
+                    common = up[k1].keys() & up[k2].keys()
                     if not common <= up[j].keys():
                         minimal = {c for c in common
                                    if not any(d != c and c in up[d] for d in common)}

@@ -68,6 +68,30 @@ def test_check_json_field_position(capsys, tmp_path):
     ("class A { A[1] id(A[1] x) [1] { x } }\nrun new A().id(zz).nope() at 1",
      {"col": 5, "kind": "UnknownMember", "line": 2, "msg": "class A has no method 'nope'",
       "rule": "t-invk"}),
+    # one diagnostic per program, of a kind that no corpus program reaches
+    ("class A { }\nclass P { A[1] f; }\nrun new P() at 1",
+     {"col": 5, "kind": "ArityMismatch", "line": 3,
+      "msg": "class P has 1 fields, got 0 arguments", "rule": "t-new"}),
+    ("class A { A[1] m()[1] { new A() } }\nrun new A().m(new A()) at 1",
+     {"col": 5, "kind": "ArityMismatch", "line": 2,
+      "msg": "method 'm' takes 0 arguments, got 1", "rule": "t-invk"}),
+    ("class A { }\nclass B { }\nclass C { B[1] m()[1] { new B() } }\n"
+     "run {A[1] x = new C().m(); x} at 1",
+     {"col": 15, "kind": "TypeMismatch", "line": 4,
+      "msg": "method 'm' returns B, which is not a subclass of A", "rule": "t-sub"}),
+    ("class A { Q[1] m()[1] { new A() } }\nrun new A() at 1",
+     {"col": 17, "kind": "UnknownClass", "line": 1,
+      "msg": "A.m mentions unknown class Q", "rule": "table"}),
+    ("class A { }\nclass B { }\nclass C { A[1] m()[1] { new A() } }\n"
+     "class D extends C { B[1] m()[1] { new B() } }\nrun new D() at 1",
+     {"col": 27, "kind": "Coherence", "line": 4,
+      "msg": "D.m overrides C.m with return type B^1, not a subtype of A^1", "rule": "table"}),
+    ("class A { }\nrun new Q().f at 1",
+     {"col": 5, "kind": "UnknownClass", "line": 2, "msg": "unknown class 'Q'",
+      "rule": "t-new"}),
+    ("class A { }\nrun {A[1] x = new A(); x @ 1} at 1",
+     {"col": 24, "kind": "AnnotationMismatch", "line": 2,
+      "msg": "a grade ascription is not allowed at this position", "rule": "t-block"}),
 ])
 def test_check_json_diagnostic_order(capsys, tmp_path, src, diag):
     path = tmp_path / "order.gfj"
@@ -79,6 +103,24 @@ def test_check_json_diagnostic_order(capsys, tmp_path, src, diag):
 def test_check_missing_file(capsys):
     code, _, err = run_cli(capsys, "check", "no/such/file.gfj")
     assert code == 3
+
+
+PROGRAMS_DIR = pathlib.Path(__file__).parent / "programs"
+
+
+@pytest.mark.parametrize("argv", [["check", str(PROGRAMS_DIR / "loop.gfj"), "--universe"],
+                                  ["laws"]], ids=["check-universe", "laws"])
+def test_missing_universe_file_exits_3(capsys, tmp_path, argv):
+    missing = str(tmp_path / "missing.json")
+    code, out, err = run_cli(capsys, *argv, missing)
+    assert (code, out) == (3, "")
+    assert err == f"error: [Errno 2] No such file or directory: {missing!r}\n"
+
+
+def test_standard_run_out_of_fuel_is_not_an_error(capsys):
+    code, out, err = run_cli(capsys, "run", "--standard", "--fuel", "50",
+                             str(PROGRAMS_DIR / "loop.gfj"))
+    assert (code, out, err) == (0, "divergent within fuel (50 steps)\n", "")
 
 
 def test_check_parse_error(capsys, tmp_path):

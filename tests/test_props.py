@@ -5,6 +5,8 @@ import dataclasses
 
 import pytest
 
+from gradefj.grades import Nat
+from gradefj.hetero import KindedGrade
 from gradefj.runtime import (
     Env,
     GradedConfig,
@@ -212,6 +214,50 @@ def test_walk_reports_shrinking_env(two_block_run):
     n = len(trace) - 1
     x = next(iter(before.env))
     assert f"step {n}: dom shrank: {x} disappeared" in errs, errs
+
+
+def _lowered(items):  # a's grade 4 lowered to 2
+    return [(x, (v, KindedGrade("N", Nat(2))) if x == "a" else (v, g)) for x, (v, g) in items]
+
+
+def _replaced(items):  # a's value replaced by one of an unknown class
+    return [(x, (dataclasses.replace(v, className="Q"), g) if x == "a" else (v, g))
+            for x, (v, g) in items]
+
+
+def _dropped(items):
+    return [(x, vg) for x, vg in items if x != "a"]
+
+
+@pytest.mark.parametrize("step, change, lower, want", [
+    (1, _lowered, False,
+     ["type not preserved at step 1: expression needs a at 4 beyond what the "
+      "environment provides"]),
+    (3, _replaced, True,
+     ["type not preserved at step 3: unknown class 'Q'",
+      "step 3: value of a changed",
+      "step 3: step does not replay at lower grade 0",
+      "step 3: step does not replay at lower grade 1",
+      "step 3: erasure of the step is not the standard step",
+      "step 4: value of a changed",
+      "step 4: step does not replay at lower grade 0",
+      "step 4: step does not replay at lower grade 1",
+      "step 4: erasure of the step is not the standard step"]),
+    (4, _dropped, False,
+     ["step 4: dom shrank: a disappeared",
+      "step 4: erasure of the step is not the standard step",
+      "step 5: erasure of the step is not the standard step"]),
+], ids=["grade-lowered", "value-replaced", "binding-dropped"])
+def test_walk_reports_one_altered_environment(two_block_run, step, change, lower, want):
+    # one configuration's environment rebuilt with a's binding altered: the
+    # t-conf and t-env checks, the step checks and the replay each report it
+    u, ann, run, expected = two_block_run
+    trace = list(run.trace)
+    cfg = trace[step].config
+    trace[step] = TraceEntry(GradedConfig(cfg.expr, Env(change(cfg.env.items()))),
+                             trace[step].info)
+    lows = lower_grade_samples(u, expected.grade) if lower else None
+    assert check_run(u, ann, dataclasses.replace(run, trace=trace), expected, lows) == want
 
 
 def test_walk_reports_stuck_outcome(two_block_run):
