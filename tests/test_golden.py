@@ -129,28 +129,25 @@ def broken_add_table() -> dict:
     return table
 
 
-def broken_mul_table() -> dict:
-    # affinity with 1 * w redefined: distributivity breaks
-    from gradefj.grades import affinity_table
-    table = affinity_table()
-    mul = {a: dict(row) for a, row in table.mul.items()}
-    mul["1"]["w"] = "1"
-    return {"name": "brokenaff", "elements": list(table.elements),
-            "leq": sorted([list(p) for p in table.leq]),
-            "sum": table.sum, "mul": mul, "zero": "0", "one": "1"}
-
-
-def privacy4_table() -> dict:
-    # the builtin four-level privacy lattice, written out as a table
-    from gradefj.grades import pprivacy_table
-    table = pprivacy_table()
+def table_config(table) -> dict:
+    """A ``FiniteTable`` written out as a universe file's table."""
     return {"name": table.name, "elements": list(table.elements),
             "leq": sorted([list(p) for p in table.leq]),
             "sum": table.sum, "mul": table.mul, "zero": table.zero, "one": table.one}
 
 
+def broken_mul_table() -> dict:
+    # affinity with 1 * w redefined: distributivity breaks
+    from gradefj.grades import affinity_table
+    cfg = table_config(affinity_table())
+    cfg["name"], cfg["mul"] = "brokenaff", {a: dict(row) for a, row in cfg["mul"].items()}
+    cfg["mul"]["1"]["w"] = "1"
+    return cfg
+
+
 def inline_universes() -> dict[str, dict]:
     """Universe configs pinned besides the corpus ones, keyed by golden name."""
+    from gradefj.grades import pprivacy_table
     lh = chain_table("lh", ["lo", "hi"])
     c2, c4 = chain_table("c2", ["lo", "hi"]), chain_table("c4", ["a", "b", "c", "d"])
     return {
@@ -159,8 +156,7 @@ def inline_universes() -> dict[str, dict]:
                       "LB": {"product": [{"table": lh}, {"builtin": "boolean"}]}},
             "edges": [{"sub": "LB", "super": "L", "hom": {"proj": "left"}}]},
         "fin_chain": {
-            "kinds": {"K4": {"table": chain_table("c4", ["a", "b", "c", "d"])},
-                      "K2": {"table": chain_table("c2", ["lo", "hi"])},
+            "kinds": {"K4": {"table": c4}, "K2": {"table": c2},
                       "K1": {"table": chain_table("c1", ["on"])}},
             "edges": [{"sub": "K4", "super": "K2", "hom": {"map": {
                            "0": "0", "a": "lo", "b": "lo", "c": "hi", "d": "hi"}}},
@@ -181,7 +177,8 @@ def inline_universes() -> dict[str, dict]:
             "edges": [{"sub": "K4", "super": "K2", "hom": {"map": {
                 "0": "0", "a": "lo", "b": "hi", "c": "lo", "d": "hi"}}}]},
         "edge_hom_mul": {
-            "kinds": {"PP": {"table": privacy4_table()}, "B": {"builtin": "boolean"}},
+            "kinds": {"PP": {"table": table_config(pprivacy_table())},
+                      "B": {"builtin": "boolean"}},
             "edges": [{"sub": "PP", "super": "B", "hom": {"map": {
                 "0": "0", "a": "0", "b": "1", "c": "1", "d": "1"}}}]},
     }
