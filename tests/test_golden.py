@@ -37,7 +37,7 @@ LAWS_GOLDEN_DIR = GOLDEN_DIR / "laws"
 PROGRAMS = sorted(p.stem for p in CORPUS_DIR.glob("*.gfj"))
 CORPUS_UNIVERSES = ("affinity_privacy", "bool", "ext")
 PROGRAM_UNIVERSES = ("chain68_one", "chain_pool80", "diamonds_pool79", "extreal8_pool76",
-                     "kinds68_pool80")
+                     "kinds68_pool80", "real_product_chain")
 
 
 def commands(name: str) -> dict[str, list[str]]:
