@@ -14,17 +14,18 @@ Each ``GradeUniverse`` interns the kinded grades it meets in one
 ``grades.Indexed`` table, whose canonical grades carry their id, and
 answers ``leq``, ``add``, ``mul`` and ``residual`` from memo rows indexed
 by id: the checker and the interpreters call them on every step, and the
-law check ``check_universe_laws`` runs its axioms over the same ids.  The
-universe alone resolves a grade to its id; the table's ``KindedAlgebra``
-checks each grade once, as it is interned, and its unchecked operations
-take only the table's canonical grades.  Sums and products work one level
-down, in the universe's one ``Indexed`` table of values for each algebra,
-shared by every kind that holds it; each kind keeps its own codes, the
-ids there of its grades' values or images.  The operands' codes in their
-join kind give the result's code, and the result's kinded id is looked up
-by its code in that kind, so that filling the memo rows builds and hashes
-a kinded grade only for a result new to the universe.  Two naturals are
-added and multiplied as ints.
+law check ``check_universe_laws`` runs its axioms over the same ids where a
+fact about single kinds and steps fails.  The universe alone resolves a
+grade to its id; the table's ``KindedAlgebra`` checks each grade once, as
+it is interned, and its unchecked operations take only the table's
+canonical grades.  Sums and products work one level down, in the
+universe's one ``Indexed`` table of values for each algebra, shared by
+every kind that holds it; each kind keeps its own codes, the ids there of
+its grades' values or images.  The operands' codes in their join kind give
+the result's code, and the result's kinded id is looked up by its code in
+that kind, so that filling the memo rows builds and hashes a kinded grade
+only for a result new to the universe.  Two naturals are added and
+multiplied as ints.
 """
 
 from __future__ import annotations
@@ -32,7 +33,7 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass, field
 from functools import cache
-from itertools import chain, product as iproduct
+from itertools import chain, compress, product as iproduct
 from operator import add, itemgetter, mul
 from typing import Callable, Optional
 
@@ -55,6 +56,7 @@ from .grades import (
     Indexed,
     IotaHom,
     LawReport,
+    LawResult,
     Nat,
     ProductAlgebra,
     ProjLeftHom,
@@ -594,28 +596,293 @@ def builtin_law_report(name: str) -> LawReport:
 
 MONOTONE_PAIRS = 400  # at most about this many related pairs for monotonicity
 
+# What each axiom of the combined algebra rests on besides the same axiom in
+# every kind (see ``check_universe_laws``): other per-kind axioms, the step
+# facts "add", "mul" and "leq", iota's "zero" and "one", and "coherence".
+# Annihilation rests on nothing.
+_RESTS_ON = {
+    "order-reflexive": (), "order-antisymmetric": (),
+    "order-transitive": ("leq", "coherence"),
+    "add-commutative": ("coherence",), "add-associative": ("add", "coherence"),
+    "add-unit": ("zero", "coherence"), "mul-associative": ("mul", "coherence"),
+    "mul-unit": ("one", "coherence"),
+    "distributes-left": ("annihilation", "add", "mul", "zero", "coherence"),
+    "distributes-right": ("annihilation", "add", "mul", "zero", "coherence"),
+    "annihilation": None, "zero-least": ("zero",),
+    "add-monotone": ("add", "leq", "coherence"),
+    "mul-monotone": ("zero-least", "annihilation", "mul", "leq", "zero", "coherence"),
+}
+
 
 def check_universe_laws(u: GradeUniverse) -> LawReport:
     """Grade-algebra axioms for the combined algebra plus injection coherence.
 
-    The axioms run as row kernels over the ids of ``u.indexed``, so each
-    operation is computed once per pair of grades and read back a memo row at
-    a time.  They are exhaustive over the kinded pool (full finite carriers,
-    naturals 0..10, eight values spread over the sample of each other
-    infinite kind), with monotonicity on an even stride of at most
-    ``MONOTONE_PAIRS`` related pairs.
-    Functoriality and the six injection equations hold on every kind pair or
-    triple, pointwise on the pool's values of the source kind, when facts
-    checked once per kind do (see ``_coherence_laws``).
+    The fourteen axioms are ``semiring_laws``' on the kinded pool (full finite
+    carriers, naturals 0..10, eight values spread over the sample of each
+    other infinite kind; monotonicity on an even stride of at most
+    ``MONOTONE_PAIRS`` related pairs).  Each is decided from facts on the
+    grades the pool reaches in each kind (``_Reach.reached``), as
+    ``_RESTS_ON`` lists:
+
+    (a) the axiom in each kind, on every case of its reached grades: a finite
+        kind's load-time or builtin report covers its carrier; an infinite
+        kind's reached ids are checked in its value table, once per algebra
+        and reached set; N's (0..10 in every universe) once per process;
+    (b) each direct step (an edge, iota out of N, zeta into T) preserves +,
+        * and <= on its source's reached grades, iota sends 0 and 1 to the
+        target's, and each other derived hom is a step composed with the hom
+        after it, as ``validate_universe`` derives it;
+    (c) the coherence facts and the join check (see ``_coherence_laws``).
+
+    By (b) and (c) each derived hom preserves +, * and <= on reached grades
+    and moves a pool grade x of kind a to a reached grade x_c of each kind c
+    above a, the same along every route.  A sum or product is taken in the
+    join kind m of its operands, on their images there, but a product with
+    <N,0> is <N,0>, which iota moves to each kind's 0.  So:
+    - reflexivity, antisymmetry: x <= y needs kind(x) <= kind(y), and is
+      then decided in kind(y); both ways, the kinds are equal;
+    - transitivity: x <= y <= z gives x_c <= y_c <= z in c = kind(z);
+    - commutativity, associativity, distributivity, monotonicity: both sides
+      are made in m from the x_m, where the axiom holds;
+    - units: x + 0 and x * 1 are made in kind(x) with iota's 0 and 1, and
+      zero-least reads 0 <= x there;
+    - with a <N,0> operand: annihilation is the shortcut itself, both sides
+      of associativity are <N,0>, a distributive law reads x(0 + z) = 0 + xz
+      in m (by annihilation and distributivity there), and mul-monotone
+      compares <N,0> with y_m z_m, above 0 * 0 = 0 in m.
+
+    The facts trust ``u.order``, ``u.edges`` and ``u.kinds[N]`` as
+    validated, as the coherence kernels do.  An axiom whose facts fail, or
+    raise, runs the pooled row kernels of ``semiring_laws`` over the ids of
+    ``u.indexed``, so its PASS or FAIL line and witness are theirs.
     """
     grades = u.sample_pool()
-    ix = u.indexed
-    axioms = check_laws(semiring_laws(ix, [g.id for g in grades],
-                                      monotone_pairs=MONOTONE_PAIRS), show=ix.show)
-    return LawReport(axioms.results + check_laws(_coherence_laws(u, grades)).results)
+    r = _Reach(u, grades)
+    results = {law: LawResult(law, True) for law in _RESTS_ON}
+    if pooled := _unproved_axioms(u, r):
+        ix = u.indexed
+        laws = semiring_laws(ix, [g.id for g in grades], monotone_pairs=MONOTONE_PAIRS)
+        results.update((res.law, res) for res in check_laws(
+            [law for law in laws if law[0] in pooled], show=ix.show).results)
+    return LawReport([*results.values(), *check_laws(_coherence_laws(u, grades, r)).results])
 
 
-def _coherence_laws(u: GradeUniverse, grades: list[KindedGrade]) -> list[tuple]:
+def _unproved_axioms(u: GradeUniverse, r: _Reach) -> set[str]:
+    """The axioms of the combined algebra whose facts fail or raise."""
+    try:
+        failed = _kind_failures(u, r) | _step_failures(u, r)
+        if not (all(map(r.facts, r.names)) and r.join_check()):
+            failed.add("coherence")
+    except Exception:
+        return set(_RESTS_ON)
+    return {law for law, rests in _RESTS_ON.items()
+            if rests is not None and failed & {law, *rests}}
+
+
+@cache
+def _nat_report() -> LawReport:
+    """N's axioms on 0..NAT_PREFIX-1, the grades N reaches in every
+    universe: checked once per process, in a table of its own."""
+    ix = Indexed(NAT)
+    return check_laws(semiring_laws(ix, [ix.id(Nat(n)) for n in range(NAT_PREFIX)]))
+
+
+def _reached_ids(u: GradeUniverse, r: _Reach, k: str) -> tuple[Indexed, list[int]]:
+    """The value table of k's algebra, and the ids there of the values of
+    the grades k reaches, in their order."""
+    table, values = _table_of(u.tables, u.kinds[k]), u.indexed.values
+    return table, [table.id(values[i].value) for i in r.reached(k)]
+
+
+def _kind_failures(u: GradeUniverse, r: _Reach) -> set[str]:
+    """The axioms that fail in some kind on the grades it reaches (fact a)."""
+    reports: dict[tuple, LawReport] = {}
+    failed: set[str] = set()
+    for k in r.names:
+        alg = u.kinds[k]
+        if k == KIND_NAT:  # the kinded operations add and multiply naturals as ints
+            report = _nat_report() if alg is NAT else LawReport([])
+        elif alg.elements() is not None and (k in u.law_reports or builtin_name(alg)):
+            report = u.law_reports.get(k) or builtin_law_report(builtin_name(alg))
+        else:
+            table, ids = _reached_ids(u, r, k)
+            key = (alg, frozenset(ids))
+            if key not in reports:
+                reports[key] = check_laws(semiring_laws(table, ids))
+            report = reports[key]
+        failed |= _RESTS_ON.keys() - {res.law for res in report.results if res.ok}
+    return failed
+
+
+def _step_failures(u: GradeUniverse, r: _Reach) -> set[str]:
+    """The facts of (b) that fail: "add", "mul" and "leq" when a direct step
+    does not preserve its operation on its source's reached grades, or a
+    derived hom is not the composition of a step and the hom after it;
+    "zero" and "one" when iota misses a unit."""
+    failed: set[str] = set()
+    seen: set[tuple] = set()
+    values = u.indexed.values
+    for k in r.names:
+        if k != KIND_NAT:
+            src, ids = _reached_ids(u, r, k)
+            rows = {op: list(map(src.reader(op, ids), ids)) for op in ("add", "mul", "leq")}
+        for s in r.supers[k]:
+            h, alg = u.homs[k, s], u.kinds[s]
+            if k != KIND_NAT and s != KIND_TRIVIAL and not all(
+                    _composes(u.homs[k, c], h, u.homs[s, c])
+                    for c in r.above[s] if c not in (s, KIND_TRIVIAL)):
+                failed |= {"add", "mul", "leq"}
+            # iota and zeta are fixed by their ends, so kinds of one algebra share them
+            same = (type(h), h.source(), h.target()) if type(h) in (IotaHom, ZetaHom) else h
+            key = (same, u.kinds[k], alg, () if k == KIND_NAT else tuple(ids))
+            if key in seen:
+                continue
+            seen.add(key)
+            if k == KIND_NAT and same == (IotaHom, NAT, alg) and builtin_name(alg):
+                failed |= _builtin_iota_failures(builtin_name(alg))
+                continue
+            tgt = _table_of(u.tables, alg)
+            # the images of the reached grades, as the coherence facts moved them
+            images = [tgt.id(values[i].value) for i in r.image(k, s)]
+            if k == KIND_NAT:
+                failed |= _iota_failures(h, tgt, images)
+            else:
+                failed |= _hom_failures(h, tgt, dict(zip(ids, images)),
+                                        src.values.__getitem__, rows)
+    return failed
+
+
+def _hom_failures(h: Hom, tgt: Indexed, known: dict, value: Callable,
+                  rows: dict[str, list[tuple]]) -> set[str]:
+    """Which of +, * and <= the step ``h`` fails to preserve on its source's
+    reached grades.  ``known`` maps the key of each, in order, to its image's
+    id in ``tgt``; ``rows[op]`` holds, per reached grade, the keys of its sums
+    or products with each (bools, for <=), and ``value`` gives a key's
+    value, which ``h`` maps when ``known`` has no image for it yet."""
+    def f(a):
+        b = known.get(a)
+        if b is None:
+            b = known[a] = tgt.id(h.apply(value(a)))
+        return b
+
+    images = list(known.values())
+    failed = set()
+    for op in ("add", "mul"):
+        theirs = tgt.reader(op, images)
+        if any(tuple(map(f, row)) != theirs(fa) for row, fa in zip(rows[op], images)):
+            failed.add(op)
+    theirs = tgt.reader("leq", images)
+    if not all(all(compress(theirs(fa), row)) for row, fa in zip(rows["leq"], images)):
+        failed.add("leq")
+    return failed
+
+
+def _iota_failures(h: Hom, tgt: Indexed, images: list[int]) -> set[str]:
+    """``_hom_failures`` of ``h``, a map out of N whose images of
+    0..NAT_PREFIX-1 have the ids ``images`` in ``tgt``, on N's sums,
+    products and order read on ints; and "zero" or "one" where it misses
+    that unit."""
+    ns = range(NAT_PREFIX)
+    known = dict(zip(ns, images))
+    rows = {"add": [tuple(a + b for b in ns) for a in ns],
+            "mul": [tuple(a * b for b in ns) for a in ns],
+            "leq": [tuple(a <= b for b in ns) for a in ns]}
+    return _hom_failures(h, tgt, known, Nat, rows) | {
+        name for name, n, unit in (("zero", 0, tgt.zero), ("one", 1, tgt.one))
+        if known[n] != unit()}
+
+
+@cache
+def _builtin_iota_failures(name: str) -> frozenset[str]:
+    """``_iota_failures`` of iota into the builtin algebra ``name``: the same
+    in every universe, so checked once per process, in a table of its own."""
+    h, tgt = IotaHom(_BUILTINS[name]), Indexed(_BUILTINS[name])
+    return frozenset(_iota_failures(h, tgt, [tgt.id(h.apply(Nat(n))) for n in range(NAT_PREFIX)]))
+
+
+def _composes(h: Hom, first: Hom, second: Hom) -> bool:
+    """Whether ``h`` is ``compose(first, second)`` as a map, in the form
+    ``validate_universe`` derives it."""
+    if type(first) is IdentityHom:
+        return h is second
+    if type(second) is IdentityHom:
+        return h is first
+    return type(h) is ComposeHom and h.first is first and h.second is second
+
+
+class _Reach:
+    """What the coherence kernels and the axioms' facts share in one check:
+    each kind's direct supers and the kinds above it, the grades the pool
+    reaches in each kind, and the two coherence facts per kind (see
+    ``_coherence_laws``), each computed once.  The memos are plain dicts: a
+    cycle of cached closures would keep the universe's tables alive until
+    the cyclic collector ran."""
+
+    def __init__(self, u: GradeUniverse, grades: list[KindedGrade]):
+        self.u, self.grades = u, grades
+        names = self.names = sorted(u.kinds)
+        # from the validated order and edges: per kind, the kinds above it
+        # and its direct supers; N's homs are not composed along edges, so
+        # every other kind is a direct super of N
+        self.above = {k: [c for c in names if (k, c) in u.order] for k in names}
+        supers = self.supers = {k: [KIND_TRIVIAL] for k in names}
+        supers[KIND_NAT], supers[KIND_TRIVIAL] = [c for c in names if c != KIND_NAT], []
+        for e in u.edges:
+            supers[e.sub].append(e.sup)
+        self._moves: dict[str, dict[int, int]] = {}
+        self._reached: dict[str, list[int]] = {}
+        self._images: dict[tuple[str, str], list[int]] = {}
+        self._facts: dict[str, bool] = {}
+        self._join: Optional[bool] = None
+
+    def into(self, kind: str, ids: list[int]) -> list[int]:
+        """The grades ``ids`` moved into ``kind``, each moved once."""
+        ix, moves = self.u.indexed, self._moves.setdefault(kind, {})
+        for i in ids:
+            if i not in moves:
+                moves[i] = ix.id(KindedGrade(kind, ix.alg._moved(ix.values[i], kind)))
+        return [moves[i] for i in ids]
+
+    def reached(self, k: str) -> list[int]:
+        """k's pool grades, and those reached in its direct subs moved into k."""
+        if k not in self._reached:
+            subs = [d for d, up in self.supers.items() if k in up]
+            own = [g.id for g in self.grades if g.kind == k]
+            self._reached[k] = list(dict.fromkeys(
+                chain(own, *[self.image(d, k) for d in subs])))
+        return self._reached[k]
+
+    def image(self, k: str, c: str) -> list[int]:
+        """The grades reached in k, moved into c."""
+        if (k, c) not in self._images:
+            self._images[k, c] = self.into(c, self.reached(k))
+        return self._images[k, c]
+
+    def facts(self, k: str) -> bool:
+        """Facts 1 and 2 of ``_coherence_laws`` at k."""
+        if k not in self._facts:
+            u = self.u
+            steps = [(s, c) for s in self.supers[k] for c in self.above[s] if c != s]
+            fix = u.homs[k, k].apply
+            reached_k = [u.indexed.values[i].value for i in self.reached(k)]
+            self._facts[k] = (list(map(fix, reached_k)) == reached_k
+                              and [self.image(k, c) for _, c in steps]
+                              == [self.into(c, self.image(k, s)) for s, c in steps])
+        return self._facts[k]
+
+    def join_check(self) -> bool:
+        """Each join is an upper bound, b is the join of a <= b (so joins are
+        least), and the table has no ``_join_fault``."""
+        if self._join is None:
+            u, names = self.u, self.names
+            bounds = {(k, u.join_table[a, b]) for a in names for b in names for k in (a, b)}
+            self._join = (bounds <= u.order and all(u.join_table[a, b] == b for a, b in u.order)
+                          and _join_fault(u.join_table, names) is None)
+        return self._join
+
+
+def _coherence_laws(u: GradeUniverse, grades: list[KindedGrade],
+                    r: Optional[_Reach] = None) -> list[tuple]:
     """Functoriality of the derived homomorphisms and the six injection
     equations, as ``check_laws`` input: one row per first kind.
 
@@ -631,7 +898,8 @@ def _coherence_laws(u: GradeUniverse, grades: list[KindedGrade]) -> list[tuple]:
     on a grade reached in s, so by induction along the route the facts at
     the kinds above a give functoriality on a's pool, fact 1 closing b = a
     and b = c.  Given a join check (each join an upper bound, and no
-    ``_join_fault``), inj-1 to inj-5 are instances of functoriality: inj-1
+    ``_join_fault``; ``_Reach.join_check`` also asks that joins be least),
+    inj-1 to inj-5 are instances of functoriality: inj-1
     and inj-2 meet at join(join(a, b), c) = join(a, join(b, c)), inj-3
     applies one hom to both sides, inj-4 and inj-5 apply hom(a, a); inj-6
     compares with iota, and reads fact 1 at N, which a move into N skips.
@@ -641,12 +909,14 @@ def _coherence_laws(u: GradeUniverse, grades: list[KindedGrade]) -> list[tuple]:
     kernel, where ``check_laws`` meets its errors.  Images are read through
     ``KindedAlgebra._moved``: a hom edited after the universe has moved
     grades is outside the contract, as it is for the kinded operations.
+    The facts are ``r``'s, a new ``_Reach`` unless given.
     """
     values: dict[str, list[GradeValue]] = {}
     for g in grades:
         values.setdefault(g.kind, []).append(g.value)
     ix = u.indexed
-    names = sorted(u.kinds)
+    r = r or _Reach(u, grades)
+    names, above, image, facts, join_check = r.names, r.above, r.image, r.facts, r.join_check
 
     def eq_on(kind, f, g):
         return all(f(v) == g(v) for v in values[kind])
@@ -672,45 +942,7 @@ def _coherence_laws(u: GradeUniverse, grades: list[KindedGrade]) -> list[tuple]:
     def injr(k1, k2):
         return move(k2, join(k1, k2))
 
-    # the kernels, over ids of ``ix``: per kind, the kinds above it and its
-    # direct supers, from the validated order and edges
-    above = {k: [c for c in names if (k, c) in u.order] for k in names}
-    supers = {k: [KIND_TRIVIAL] for k in names}
-    # N's homs are not composed along edges: every other kind is a direct super
-    supers[KIND_NAT], supers[KIND_TRIVIAL] = [c for c in names if c != KIND_NAT], []
-    for e in u.edges:
-        supers[e.sub].append(e.sup)
-
-    @cache
-    def into(kind: str) -> Callable[[int], int]:  # moves one grade into kind, once each
-        def move_id(i: int) -> int:
-            return ix.id(KindedGrade(kind, ix.alg._moved(ix.values[i], kind)))
-        return cache(move_id)
-
-    @cache
-    def reached(k: str) -> list[int]:  # k's pool grades, and those reached in its subs
-        subs = [d for d, up in supers.items() if k in up]
-        own = [g.id for g in grades if g.kind == k]
-        return list(dict.fromkeys(chain(own, *[image(d, k) for d in subs])))
-
-    @cache
-    def image(k: str, c: str) -> list[int]:  # the grades reached in k, moved into c
-        return list(map(into(c), reached(k)))
-
-    @cache
-    def facts(k: str) -> bool:
-        steps = [(s, c) for s in supers[k] for c in above[s] if c != s]
-        fix, reached_k = u.homs[k, k].apply, [ix.values[i].value for i in reached(k)]
-        return (list(map(fix, reached_k)) == reached_k
-                and [image(k, c) for _, c in steps]
-                == [list(map(into(c), image(k, s))) for s, c in steps])
-
     facts_above = cache(lambda a: all(map(facts, above[a])))
-
-    @cache
-    def join_check() -> bool:
-        bounds = {(k, join(a, b)) for a in names for b in names for k in (a, b)}
-        return bounds <= u.order and _join_fault(u.join_table, names) is None
 
     def bottom_right_row(a: str) -> bool:
         iota = IotaHom(u.algebra(a)).apply

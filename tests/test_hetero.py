@@ -7,6 +7,7 @@ from collections import Counter
 
 import pytest
 
+from gradefj import hetero
 from gradefj.grades import (
     AFFINITY,
     BOOLEAN,
@@ -398,13 +399,20 @@ def test_grade_ids_are_not_compared_or_printed(ap_universe):
 # ---------------------------------------------------------------------------
 # combined-algebra laws
 
+@pytest.fixture
+def pooled(monkeypatch):
+    """``check_universe_laws`` as when no fact holds: every axiom runs the
+    pooled row kernels over the kinded pool, the fallback path."""
+    monkeypatch.setattr(hetero, "_unproved_axioms", lambda u, r: set(hetero._RESTS_ON))
+
+
 def test_check_universe_laws_ap_universe(ap_universe):
     report = check_universe_laws(ap_universe)
     assert report.ok, [str(r) for r in report.failures()]
 
 
-def test_check_universe_laws_computes_each_operation_once(monkeypatch, corpus_dir):
-    # a fresh universe: its table has computed nothing yet
+def test_check_universe_laws_computes_each_operation_once(monkeypatch, pooled, corpus_dir):
+    # the pooled kernels on a fresh universe: its table has computed nothing yet
     u = load_universe(str(corpus_dir / "affinity_privacy.json"))
     calls = Counter()
     # the table's misses: leq's, and add's and mul's, which answer an id
@@ -425,8 +433,9 @@ def test_check_universe_laws_computes_each_operation_once(monkeypatch, corpus_di
     assert sum(calls.values()) == before
 
 
-def test_warm_universe_laws_read_whole_memo_rows(monkeypatch):
-    # the second check finds every operation in the memo rows and reads
+def test_warm_universe_laws_read_whole_memo_rows(monkeypatch, pooled):
+    # the second run of the pooled kernels finds every operation in the memo
+    # rows and reads
     # them a row at a time: Python-level operation calls stay within a few
     # per pair of pool grades, where case-by-case checks make millions
     u = load_universe(str(PROGRAMS / "chain_pool80.json"))
@@ -514,11 +523,12 @@ def test_warm_universe_laws_apply_no_composed_or_map_homs(monkeypatch):
 
 
 @pytest.mark.parametrize("name", ["chain_pool80.json", "chain68_one.json"])
-def test_kinded_operations_move_each_grade_once_per_kind(monkeypatch, name):
+def test_kinded_operations_move_each_grade_once_per_kind(monkeypatch, pooled, name):
     # a kinded operation transports its operands into their join kind; over
-    # a fresh law check each interned grade is moved into each kind at most
-    # once, however deeply the refinement chain composes its homs (a move is
-    # one outermost apply; 50,787 and 52,338 of them before the memo)
+    # a fresh run of the pooled kernels each interned grade is moved into
+    # each kind at most once, however deeply the refinement chain composes
+    # its homs (a move is one outermost apply; 50,787 and 52,338 of them
+    # before the memo)
     u = load_universe(str(PROGRAMS / name))
     seen = Counter()
     for cls in (IdentityHom, IotaHom, ZetaHom, FiniteMapHom, ComposeHom,
@@ -676,7 +686,9 @@ def test_kinds_of_equal_algebras_share_one_table_and_keep_their_own_codes():
 def test_a_universe_builds_one_table_per_algebra(monkeypatch, path, tables):
     # loading and law-checking a universe builds one value table per distinct
     # algebra it meets, shared by its kinds and its load-time checks, and one
-    # table of kinded grades
+    # table of kinded grades; the reports made once per process (the builtin
+    # algebras' and N's) are made by a first check, before counting
+    assert check_universe_laws(load_universe(str(path))).ok
     made = []
     original = Indexed.__init__
 
@@ -707,12 +719,12 @@ def test_default_universes_share_no_table():
     (lambda: load_universe(str(PROGRAMS / "chain_pool80.json")), 4),
     (lambda: validate_universe({"R": EXTREAL}, []), 3)],
     ids=["bool", "fin_product", "chain_pool80", "extreal"])
-def test_a_law_check_builds_few_kinded_grades(monkeypatch, make, per_id):
+def test_a_law_check_builds_few_kinded_grades(monkeypatch, pooled, make, per_id):
     # a missed sum or product finds its result's id by its code in the join
-    # kind, finite or infinite (or by the natural itself): a check builds a
-    # KindedGrade for each grade it interns, not for each pair (2,661 for 166
-    # ids on bool, 24,743 for 232 on chain_pool80 and 10,932 for 906 on
-    # extreal when every miss built and hashed its result)
+    # kind, finite or infinite (or by the natural itself): the pooled kernels
+    # build a KindedGrade for each grade they intern, not for each pair (2,661
+    # for 166 ids on bool, 24,743 for 232 on chain_pool80 and 10,932 for 906
+    # on extreal when every miss built and hashed its result)
     u = make()
     made = Counter()
     original = KindedGrade.__init__

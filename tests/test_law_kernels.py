@@ -15,6 +15,7 @@ from functools import partial
 import pytest
 
 import law_reference as ref
+from gradefj import hetero
 from gradefj.grades import (
     AFFINITY,
     BOOLEAN,
@@ -32,6 +33,7 @@ from gradefj.grades import (
     IdentityHom,
     IotaHom,
     Nat,
+    PairValue,
     ProductAlgebra,
     ProjLeftHom,
     iota,
@@ -40,12 +42,15 @@ from gradefj.grades import (
 )
 from gradefj.grades import CarrierMismatch
 from gradefj.hetero import (
+    KindedAlgebra,
     KindedGrade,
     RefinementEdge,
     UniverseError,
     builtin_law_report,
     builtin_name,
+    algebra_from_config,
     check_universe_laws,
+    hom_from_config,
     load_universe,
     universe_from_config,
     validate_universe,
@@ -82,7 +87,8 @@ def assert_same_universe_report(make):
     return want
 
 
-@pytest.mark.parametrize("path", CORPUS_UNIVERSES + [TESTS / "programs" / "chain_pool80.json"],
+@pytest.mark.parametrize("path", CORPUS_UNIVERSES + [TESTS / "programs" / "chain_pool80.json",
+                                                     TESTS / "programs" / "real_product_chain.json"],
                          ids=lambda p: p.name)
 def test_universe_reports_match_the_reference(path):
     u = load_universe(str(path))
@@ -377,3 +383,130 @@ def test_an_image_off_the_carrier_is_refused_every_time():
                          (u.residual, (stray, private))):
             with pytest.raises(CarrierMismatch, match=message):
                 op(*args)
+
+
+# -- the axioms from per-kind facts, the pooled kernels as the fallback --------
+
+PROGRAM_UNIVERSES = sorted((TESTS / "programs").glob("*.json"))
+
+
+def _counted_kernels(monkeypatch) -> set:
+    """The names of the axioms whose pooled kernels run over a universe's
+    kinded grades from now on: ``semiring_laws`` on ``u.indexed``, as
+    ``check_universe_laws`` calls it, marks each law it hands out when its
+    kernel or its case check runs."""
+    ran = set()
+    original = hetero.semiring_laws
+
+    def counted(ix, *args, **kwargs):
+        laws = original(ix, *args, **kwargs)
+        if not isinstance(ix.alg, KindedAlgebra):
+            return laws
+
+        def marked(name, f):
+            return f and (lambda *a: ran.add(name) or f(*a))
+
+        return [(name, marked(name, holds), rows, cases, marked(name, kernel))
+                for name, holds, rows, cases, kernel in laws]
+
+    monkeypatch.setattr(hetero, "semiring_laws", counted)
+    return ran
+
+
+@pytest.mark.parametrize("path", CORPUS_UNIVERSES + PROGRAM_UNIVERSES, ids=lambda p: p.name)
+def test_passing_universes_run_no_pooled_kernel(monkeypatch, path):
+    try:
+        u = load_universe(str(path))
+    except UniverseError:
+        return  # refused at load: diamonds_pool79
+    ran = _counted_kernels(monkeypatch)
+    assert check_universe_laws(u).ok
+    assert ran == set()
+
+
+class _CappedLeft(ProjLeftHom):
+    """fin_product's projection L x B -> L, but (hi, 0) goes to lo: monotone,
+    multiplicative and unit-preserving, not additive ((hi, 0) + (0, 1))."""
+
+    def image(self, a):
+        return FiniteElem("lo", "lh") if a == PairValue(
+            FiniteElem("hi", "lh"), FiniteElem("0", "boolean")) else a.left
+
+
+class _LiftedLeft(ProjLeftHom):
+    """fin_product's projection, but (lo, 0) goes to hi: not monotone, as
+    (lo, 0) <= (lo, 1), nor additive nor multiplicative."""
+
+    def image(self, a):
+        return FiniteElem("hi", "lh") if a == PairValue(
+            FiniteElem("lo", "lh"), FiniteElem("0", "boolean")) else a.left
+
+
+class _PositiveToB(IotaHom):
+    """Iota into privacy4, but each positive natural goes to b, not to the
+    one, d: additive, multiplicative and monotone, and PP -> P still sends
+    it where iota into P does (b and d both go to public)."""
+
+    def image(self, a):
+        return FiniteElem("b" if a.n else "0", "privacy4")
+
+
+def _inline(name):
+    from test_golden import inline_universes
+    return universe_from_config(inline_universes()[name])
+
+
+def _edited(make, key, hom):
+    def edit():
+        u = make()
+        u.homs[key] = hom(u)
+        return u
+    return edit
+
+
+def _antisymmetry_broken():
+    # fin_chain with d <= c as well in K4's table, admitted unchecked: only
+    # antisymmetry fails, and the edge K4 -> K2 (c, d -> hi) stays monotone
+    from test_golden import inline_universes
+    cfg = inline_universes()["fin_chain"]
+    kinds = {name: algebra_from_config(spec, 1) for name, spec in cfg["kinds"].items()}
+    table = kinds["K4"].table
+    kinds["K4"] = FiniteAlgebra(FiniteTable(
+        name=table.name, elements=table.elements, leq=table.leq | {("d", "c")},
+        sum=table.sum, mul=table.mul, zero=table.zero, one=table.one))
+    edges = [RefinementEdge(e["sub"], e["super"], hom_from_config(
+        e["hom"], kinds[e["sub"]], kinds[e["super"]], 1)) for e in cfg["edges"]]
+    return validate_universe(kinds, edges, validate_algebras=False)
+
+
+# each planted fault, and the axioms resting on the facts it breaks
+PLANTED = {
+    "not-additive": (_edited(lambda: _inline("fin_product"), ("LB", "L"),
+                             lambda u: _CappedLeft(u.kinds["LB"])),
+                     {"add-associative", "distributes-left", "distributes-right",
+                      "add-monotone"}),
+    "not-monotone": (_edited(lambda: _inline("fin_product"), ("LB", "L"),
+                             lambda u: _LiftedLeft(u.kinds["LB"])),
+                     {"order-transitive", "add-associative", "mul-associative",
+                      "distributes-left", "distributes-right", "add-monotone",
+                      "mul-monotone"}),
+    "wrong-iota": (_edited(lambda: load_universe(str(TESTS / "corpus" / "affinity_privacy.json")),
+                           ("N", "PP"), lambda u: _PositiveToB(u.kinds["PP"])),
+                   {"mul-unit"}),
+    "kind-table": (_antisymmetry_broken, {"order-antisymmetric"}),
+}
+
+
+@pytest.mark.parametrize("fault", PLANTED)
+def test_planted_faults_report_as_the_pooled_kernels_and_the_reference(monkeypatch, fault):
+    make, resting = PLANTED[fault]
+    ran = _counted_kernels(monkeypatch)
+    derived = outcome(check_universe_laws, make())
+    # each fault is planted so that every axiom resting on a fact it breaks
+    # fails: the kernels run for the axioms it breaks, and for no other
+    failing = {law for law, ok, _ in derived if not ok}
+    assert ran == resting == failing & set(hetero._RESTS_ON)
+    with monkeypatch.context() as m:
+        m.setattr(hetero, "_unproved_axioms", lambda u, r: set(hetero._RESTS_ON))
+        assert outcome(check_universe_laws, make()) == derived
+    assert outcome(ref.check_universe_laws, make()) == derived
