@@ -35,7 +35,7 @@ from dataclasses import dataclass, field
 from functools import cache
 from itertools import chain, compress, product as iproduct
 from operator import add, itemgetter, mul
-from typing import Callable, Optional
+from typing import Callable, Optional, Sequence
 
 from .grades import (
     AFFINITY,
@@ -687,6 +687,17 @@ def _nat_report() -> LawReport:
     return check_laws(semiring_laws(ix, [ix.id(Nat(n)) for n in range(NAT_PREFIX)]))
 
 
+@cache
+def _nat_rows() -> dict[str, tuple[tuple, ...]]:
+    """N's sums, products and order on 0..NAT_PREFIX-1, read on ints, one
+    row per natural, as ``_hom_failures`` takes them: the same for every
+    iota, so built once per process."""
+    ns = range(NAT_PREFIX)
+    return {"add": tuple(tuple(a + b for b in ns) for a in ns),
+            "mul": tuple(tuple(a * b for b in ns) for a in ns),
+            "leq": tuple(tuple(a <= b for b in ns) for a in ns)}
+
+
 def _reached_ids(u: GradeUniverse, r: _Reach, k: str) -> tuple[Indexed, list[int]]:
     """The value table of k's algebra, and the ids there of the values of
     the grades k reaches, in their order."""
@@ -753,7 +764,7 @@ def _step_failures(u: GradeUniverse, r: _Reach) -> set[str]:
 
 
 def _hom_failures(h: Hom, tgt: Indexed, known: dict, value: Callable,
-                  rows: dict[str, list[tuple]]) -> set[str]:
+                  rows: dict[str, Sequence[tuple]]) -> set[str]:
     """Which of +, * and <= the step ``h`` fails to preserve on its source's
     reached grades.  ``known`` maps the key of each, in order, to its image's
     id in ``tgt``; ``rows[op]`` holds, per reached grade, the keys of its sums
@@ -782,12 +793,8 @@ def _iota_failures(h: Hom, tgt: Indexed, images: list[int]) -> set[str]:
     0..NAT_PREFIX-1 have the ids ``images`` in ``tgt``, on N's sums,
     products and order read on ints; and "zero" or "one" where it misses
     that unit."""
-    ns = range(NAT_PREFIX)
-    known = dict(zip(ns, images))
-    rows = {"add": [tuple(a + b for b in ns) for a in ns],
-            "mul": [tuple(a * b for b in ns) for a in ns],
-            "leq": [tuple(a <= b for b in ns) for a in ns]}
-    return _hom_failures(h, tgt, known, Nat, rows) | {
+    known = dict(zip(range(NAT_PREFIX), images))
+    return _hom_failures(h, tgt, known, Nat, _nat_rows()) | {
         name for name, n, unit in (("zero", 0, tgt.zero), ("one", 1, tgt.one))
         if known[n] != unit()}
 

@@ -397,34 +397,50 @@ SYMBOLS = {"{", "}", "(", ")", "[", "]", ";", ",", ".", "@", ":", "=", "/"}
 
 
 class Tokens:
-    """The tokens of one text, eof last, as four parallel columns: token i
-    is ``kinds[i]`` (ident, int, sym, keyword or eof), ``texts[i]`` and its
-    position ``(lines[i], cols[i])``.  A symbol's or keyword's text is never
-    another kind's, so the parser compares only the text of those.  The
-    length is the token count."""
+    """The tokens of one text, eof last, as three parallel columns: token i
+    is ``texts[i]`` at ``(lines[i], cols[i])``.  A token's kind (ident,
+    int, sym, keyword or eof) follows from its text, so it is not stored
+    per token: it is ``kind_of[texts[i]]``, from one dict per text that
+    works a kind out the first time it is asked.  A symbol's or keyword's
+    text is never another kind's, so the parser compares only the text of
+    those.  The length is the token count."""
 
-    __slots__ = ("kinds", "texts", "lines", "cols")
+    __slots__ = ("texts", "lines", "cols", "kind_of")
 
-    def __init__(self, kinds: list[str], texts: list[str], lines: list[int],
-                 cols: list[int]):
-        self.kinds, self.texts, self.lines, self.cols = kinds, texts, lines, cols
+    def __init__(self, texts: list[str], lines: list[int], cols: list[int],
+                 kind_of: "_Kinds"):
+        self.texts, self.lines, self.cols, self.kind_of = texts, lines, cols, kind_of
 
     def __len__(self) -> int:
-        return len(self.kinds)
+        return len(self.texts)
+
+    @property
+    def kinds(self) -> list[str]:
+        """The kind of each token, as a column."""
+        return [self.kind_of[text] for text in self.texts]
 
 
 # A line splits into gap, piece, gap, ..., piece, gap; gaps hold only
 # spaces, tabs and carriage returns.  A piece is a word (a run of ``\w``,
 # which is exactly ``isalnum()`` or '_'), a comment or any other character.
 _PIECES = re.compile(r"(\w+|//.*|[^ \t\r])")
+# ASCII text is split with ASCII classes, which are cheaper to test, and
+# a digit run is cut from the letters after it, so that in a text made of
+# the characters in _TOKEN_BYTES every piece but a comment is a token.
+_ASCII_PIECES = re.compile(r"([A-Za-z_]\w*|[^\w \t\r/]|\d+|//.*|/)", re.ASCII)
+_TOKEN_BYTES = bytes(c for c in range(128) if chr(c).isalnum() or chr(c) in "_ \t\r\n"
+                     or chr(c) in SYMBOLS)
 
-_FIXED_KINDS = {**dict.fromkeys(KEYWORDS, "keyword"), **dict.fromkeys(SYMBOLS, "sym")}
+_FIXED_KINDS = {**dict.fromkeys(KEYWORDS, "keyword"), **dict.fromkeys(SYMBOLS, "sym"),
+                "": "eof"}
 
 
 class _Kinds(dict):
-    """Piece text -> token kind, filled during one ``lex`` call.  A word is
-    an identifier if it starts with a letter or '_' and an integer if it is
-    all digits; otherwise (None) it needs ``_split_word``."""
+    """Piece text -> token kind, worked out on first lookup, for one
+    ``lex`` call and the parse of its tokens.  A word is an identifier if
+    it starts with a letter or '_' and an integer if it is all digits;
+    otherwise (None) it is no token, and ``_split_word`` splits it into
+    tokens or refuses it."""
 
     def __missing__(self, text: str) -> Optional[str]:
         first = text[0]
@@ -434,75 +450,86 @@ class _Kinds(dict):
         return kind
 
 
-def _split_word(word: str, line: int, col: int) -> list[tuple[str, str, int]]:
-    """The ``(kind, text, col)`` of each token of a piece that ``_Kinds``
-    leaves open: digit runs and a trailing identifier by ``isdigit``/
-    ``isalpha``, one character at a time, or the error at the first
-    character that starts no token."""
+def _split_word(word: str, line: int, col: int) -> list[tuple[str, int]]:
+    """The ``(text, col)`` of each token of a piece that ``_Kinds`` leaves
+    open: digit runs and a trailing identifier by ``isdigit``/``isalpha``,
+    one character at a time, or the error at the first character that
+    starts no token."""
     out = []
     i, n = 0, len(word)
     while i < n:
         ch = word[i]
         if ch.isalpha() or ch == "_":
-            rest = word[i:]
-            out.append(("keyword" if rest in KEYWORDS else "ident", rest, col + i))
+            out.append((word[i:], col + i))
             break
         if not ch.isdigit():
             raise SyntaxErrorGFJ(f"unexpected character {ch!r}", line, col + i)
         j = i + 1
         while j < n and word[j].isdigit():
             j += 1
-        out.append(("int", word[i:j], col + i))
+        out.append((word[i:j], col + i))
         i = j
     return out
 
 
 def lex(text: str) -> Tokens:
     """The tokens of ``text``, eof last.  Each line is split by one regular
-    expression and its columns are running sums of the part lengths; only a
-    word outside the ASCII classes is looked at one character at a time.
-    The columns grow by whole lines, so no object is made per token."""
-    kinds, texts, lines, cols = [], [], [], []
+    expression and its columns are running sums of the part lengths.  The
+    kind of each piece is looked up, to refuse a character that starts no
+    token and to split a word that is not one, only where that can happen:
+    in a text outside ASCII, or one holding a character outside
+    ``_TOKEN_BYTES``; only a word outside the ASCII classes is looked at
+    one character at a time.  The columns grow by whole lines, so no
+    object is made per token."""
+    texts, lines, cols = [], [], []
     kind_of = _Kinds(_FIXED_KINDS)
+    if text.isascii():
+        split = _ASCII_PIECES.split
+        check = bool(text.encode().translate(None, _TOKEN_BYTES))
+    else:
+        split, check = _PIECES.split, True
     for line, src in enumerate(text.split("\n"), 1):
-        parts = _PIECES.split(src)
+        parts = split(src)
         ends = list(accumulate(map(len, parts), initial=1))
         pieces, starts, end = parts[1::2], ends[1:-1:2], ends[-1]
         if pieces and pieces[-1].startswith("//"):
             pieces.pop()
             end = starts.pop()   # a comment does not advance the column
-        found = list(map(kind_of.__getitem__, pieces))
-        if None in found:
-            split = []
-            for kind, piece, col in zip(found, pieces, starts):
-                split += [(kind, piece, col)] if kind else _split_word(piece, line, col)
-            found, pieces, starts = zip(*split)
-        kinds += found
+        if check and None in map(kind_of.__getitem__, pieces):
+            words = []
+            for piece, col in zip(pieces, starts):
+                words += [(piece, col)] if kind_of[piece] else _split_word(piece, line, col)
+            pieces, starts = zip(*words)
         texts += pieces
         cols += starts
         lines += repeat(line, len(pieces))
-    kinds.append("eof")
     texts.append("")
     lines.append(line)
     cols.append(end)
-    return Tokens(kinds, texts, lines, cols)
+    return Tokens(texts, lines, cols, kind_of)
 
 
 # ---------------------------------------------------------------------------
 # Parser
 
 class Parser:
-    """Recursive descent over the token columns, read by index.  The last
-    token is eof and no rule consumes it before the end, so ``self.i``
-    stays in range; only a kinded grade literal looks one token ahead."""
+    """Recursive descent over the token columns, read by index; a token's
+    kind is read from ``kind_of`` by its text.  The last token is eof and
+    no rule consumes it before the end, so ``self.i`` stays in range.  A
+    rule reads past a token only once it has seen that the token is not
+    eof: a kinded grade literal does, and so do the hot paths, which read
+    the common shapes ``Class[grade] name``, ``[grade]``, ``new C(`` and
+    ``.m(`` at once; where such a shape does not match, the general rule
+    reads the tokens again and refuses them."""
 
     def __init__(self, tokens: Tokens, universe: GradeUniverse):
-        self.kinds, self.texts = tokens.kinds, tokens.texts
+        self.texts, self.kind_of = tokens.texts, tokens.kind_of
         self.lines, self.cols = tokens.lines, tokens.cols
         self.i = 0
         self.u = universe
         # literal -> grade, for this parse only: a literal's meaning
-        # depends on the universe
+        # depends on the universe.  A grade of kind N written as a bare
+        # integer is keyed by the integer's text, which holds no ':'.
         self.grades: dict[str, KindedGrade] = {}
 
     def pos(self, i: int) -> Pos:
@@ -524,19 +551,20 @@ class Parser:
     def expect_kind(self, kind: str) -> str:
         """Consume the current token, of kind ident, int or eof; its text."""
         i = self.i
-        if self.kinds[i] != kind:
-            self.error(f"expected {kind!r}, found {self.texts[i]!r}")
+        text = self.texts[i]
+        if self.kind_of[text] != kind:
+            self.error(f"expected {kind!r}, found {text!r}")
         self.i = i + 1
-        return self.texts[i]
+        return text
 
     # -- grades -------------------------------------------------------------
 
     def parse_grade(self) -> KindedGrade:
         i, texts = self.i, self.texts
-        kind = self.kinds[i]
+        kind = self.kind_of[texts[i]]
         if kind == "int":
             self.i = i + 1
-            literal = "N:" + texts[i]
+            literal = texts[i]
         elif kind == "ident" and texts[i + 1] == ":":
             self.i = i + 2
             literal = f"{texts[i]}:{self._payload_text()}"
@@ -551,13 +579,13 @@ class Parser:
         return grade
 
     def _payload_text(self) -> str:
-        kinds, texts = self.kinds, self.texts
+        kind_of, texts = self.kind_of, self.texts
         start = self.i
         if texts[start] == "(":
             depth = 0
             while True:
                 i = self.i
-                if kinds[i] == "eof":
+                if texts[i] == "":
                     self.error("unterminated grade literal", start)
                 self.i = i + 1
                 if texts[i] == "(":
@@ -566,7 +594,7 @@ class Parser:
                     depth -= 1
                     if depth == 0:
                         return "".join(texts[start:self.i])
-        kind = kinds[start]
+        kind = kind_of[texts[start]]
         if kind in ("ident", "int"):
             self.i = start + 1
             if kind == "int" and texts[self.i] == "/":
@@ -576,6 +604,13 @@ class Parser:
         self.error("expected a grade payload")
 
     def bracketed_grade(self) -> KindedGrade:
+        """``[grade]``; a one-token grade met before is read at once."""
+        i, texts = self.i, self.texts
+        if texts[i] == "[":
+            grade = self.grades.get(texts[i + 1])
+            if grade is not None and texts[i + 2] == "]":
+                self.i = i + 3
+                return grade
         self.expect("[")
         grade = self.parse_grade()
         self.expect("]")
@@ -583,6 +618,13 @@ class Parser:
 
     def typed_name(self) -> tuple[str, KindedGrade, str, int]:
         """``Class[grade] name``: the class, the grade, the name and its index."""
+        i, texts, kind_of = self.i, self.texts, self.kind_of
+        cls = texts[i]
+        if kind_of[cls] == "ident" and texts[i + 1] == "[":
+            grade = self.grades.get(texts[i + 2])
+            if grade is not None and texts[i + 3] == "]" and kind_of[texts[i + 4]] == "ident":
+                self.i = i + 5
+                return cls, grade, texts[i + 4], i + 4
         cls = self.expect_kind("ident")
         grade = self.bracketed_grade()
         at = self.i
@@ -605,23 +647,25 @@ class Parser:
         return Program(ClassTable(classes), main, grade)
 
     def parse_class(self) -> ClassDecl:
+        texts, lines, cols = self.texts, self.lines, self.cols
         at = self.expect("class")
         name = self.expect_kind("ident")
         sup = OBJECT
-        if self.texts[self.i] == "extends":
+        if texts[self.i] == "extends":
             self.i += 1
             sup = self.expect_kind("ident")
         self.expect("{")
         fields_: list[FieldDecl] = []
         methods: dict[str, MethodDecl] = {}
-        while self.texts[self.i] != "}":
+        while texts[self.i] != "}":
             member_cls, grade, member_name, name_at = self.typed_name()
             if member_name == "this":
                 self.error("'this' is reserved", name_at)
-            follow = self.texts[self.i]
+            follow = texts[self.i]
             if follow == ";":
                 self.i += 1
-                fields_.append(FieldDecl(member_cls, grade, member_name, self.pos(name_at)))
+                fields_.append(FieldDecl(member_cls, grade, member_name,
+                                         (lines[name_at], cols[name_at])))
             elif follow == "(":
                 if member_name in methods:
                     self.error(f"duplicate method {name}.{member_name}", name_at)
@@ -629,12 +673,15 @@ class Parser:
             else:
                 self.error("expected ';' or '(' after member name")
         self.i += 1  # '}'
-        return ClassDecl(name, sup, tuple(fields_), methods, self.pos(at))
+        return ClassDecl(name, sup, tuple(fields_), methods, (lines[at], cols[at]))
 
     def parse_method(self, ret_cls: str, ret_grade: KindedGrade, name: str) -> MethodDecl:
-        at = self.expect("(")
+        """The rest of a method, from its '(' on, which the caller has seen."""
+        texts = self.texts
+        at = self.i
+        self.i = at + 1
         params: list[Param] = []
-        while self.texts[self.i] != ")":
+        while texts[self.i] != ")":
             if params:
                 self.expect(",")
             p_cls, p_grade, p_name, name_at = self.typed_name()
@@ -647,7 +694,7 @@ class Parser:
         body = self.parse_expr()
         self.expect("}")
         return MethodDecl(name, this_grade, tuple(params), GradedType(ret_cls, ret_grade),
-                          body, self.pos(at))
+                          body, (self.lines[at], self.cols[at]))
 
     # -- expressions ----------------------------------------------------------
 
@@ -655,44 +702,58 @@ class Parser:
         e = self.parse_primary()
         texts = self.texts
         while True:
-            text = texts[self.i]
-            if text == "@":
-                self.i += 1
-                e = with_ascription(e, self.parse_grade())
-            elif text == ".":
-                self.i += 1
-                member = self.expect_kind("ident")
-                if texts[self.i] == "(":
-                    self.i += 1
+            i = self.i
+            text = texts[i]
+            if text == ".":
+                member = texts[i + 1]
+                if self.kind_of[member] != "ident":
+                    self.error(f"expected 'ident', found {member!r}", i + 1)
+                if texts[i + 2] == "(":
+                    self.i = i + 3
                     args: list[Expr] = []
-                    while texts[self.i] != ")":
-                        if args:
-                            self.expect(",")
+                    # a loop here and in parse_primary, not a shared rule,
+                    # so that each call argument costs one parser frame
+                    if texts[self.i] != ")":
                         args.append(self.parse_expr())
+                        while texts[self.i] == ",":
+                            self.i += 1
+                            args.append(self.parse_expr())
+                        if texts[self.i] != ")":
+                            self.error(f"expected ',', found {texts[self.i]!r}")
                     self.i += 1
                     e = Invk(e, member, tuple(args), None, e.pos)
                 else:
+                    self.i = i + 2
                     e = FieldAccess(e, member, None, e.pos)
+            elif text == "@":
+                self.i = i + 1
+                e = with_ascription(e, self.parse_grade())
             else:
                 return e
 
     def parse_primary(self) -> Expr:
-        i = self.i
-        text = self.texts[i]
-        if self.kinds[i] == "ident":
+        i, texts = self.i, self.texts
+        text = texts[i]
+        if self.kind_of[text] == "ident":
             self.i = i + 1
-            return Var(text, None, self.pos(i))
+            return Var(text, None, (self.lines[i], self.cols[i]))
         if text == "new":
-            self.i = i + 1
-            cls = self.expect_kind("ident")
-            self.expect("(")
+            cls = texts[i + 1]
+            if self.kind_of[cls] != "ident":
+                self.error(f"expected 'ident', found {cls!r}", i + 1)
+            if texts[i + 2] != "(":
+                self.error(f"expected '(', found {texts[i + 2]!r}", i + 2)
+            self.i = i + 3
             args: list[Expr] = []
-            while self.texts[self.i] != ")":
-                if args:
-                    self.expect(",")
+            if texts[self.i] != ")":
                 args.append(self.parse_expr())
+                while texts[self.i] == ",":
+                    self.i += 1
+                    args.append(self.parse_expr())
+                if texts[self.i] != ")":
+                    self.error(f"expected ',', found {texts[self.i]!r}")
             self.i += 1
-            return New(cls, tuple(args), None, self.pos(i))
+            return New(cls, tuple(args), None, (self.lines[i], self.cols[i]))
         if text == "{":
             self.i = i + 1
             cls, grade, var, var_at = self.typed_name()
@@ -703,7 +764,7 @@ class Parser:
             self.expect(";")
             body = self.parse_expr()
             self.expect("}")
-            return Block(cls, grade, var, init, body, None, self.pos(i))
+            return Block(cls, grade, var, init, body, None, (self.lines[i], self.cols[i]))
         if text == "(":
             self.i = i + 1
             e = self.parse_expr()

@@ -136,6 +136,44 @@ def test_lex_agrees_with_reference_on_fuzz():
         assert tokens(src) == reference_lex(src), repr(src)
 
 
+# ASCII text has its own split, and is looked at piece by piece only when
+# it holds a character that starts no token; these fragments make lines
+# with comments at their ends and inside them, CRLF ends, tabs and digit-
+# letter runs, and one case in four gets a stray character somewhere
+ASCII_FRAGMENTS = (["a", "Zq_1", "_", "x9", "12ab", "007", "9_x", "1a2b", "class", "run",
+                    "at", "new", "//", "// c ~#", "/", " / ", "\r\n", "\n", "\t",
+                    " ", "\r", "  "] + sorted(SYMBOLS))
+STRAY = "~#`\x0c\x00\x7f"
+
+
+def test_lex_agrees_with_reference_on_ascii_fuzz():
+    rng = random.Random(29)
+    clean = multiline = 0
+    for n in range(3000):
+        parts = [rng.choice(ASCII_FRAGMENTS) for _ in range(rng.randrange(40))]
+        if n % 4 == 0:
+            parts.insert(rng.randrange(len(parts) + 1), rng.choice(STRAY))
+        src = "".join(parts)
+        assert src.isascii()
+        got = tokens(src)
+        assert got == reference_lex(src), repr(src)
+        clean += got[0] != "error"
+        multiline += "\n" in src
+    # both sides of the split: most texts lex, many span lines
+    assert clean > 2000 and multiline > 1500
+
+
+# the Unicode split on several lines: in code, and only in a comment
+UNICODE_TEXTS = ["x²3 12ab // é\n\t1²class\r\n  é_1 //~\n٣a 五x(y, 1½",
+                 "class A { } // é\nrun new A( ) at 1 \r\n\t12ab"]
+
+
+@pytest.mark.parametrize("src", UNICODE_TEXTS)
+def test_lex_agrees_with_reference_on_unicode_lines(src):
+    assert not src.isascii()
+    assert tokens(src) == reference_lex(src)
+
+
 def test_lex_agrees_with_reference_on_corpus():
     for p in sorted(CORPUS_DIR.glob("*.gfj")):
         src = p.read_text(encoding="utf-8")
