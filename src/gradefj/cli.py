@@ -14,8 +14,7 @@ import os
 import sys
 from functools import cache
 
-from .hetero import (GradeUniverse, builtin_law_report, builtin_name, check_universe_laws,
-                     default_universe, load_universe)
+from .hetero import GradeUniverse, check_universe_laws, default_universe, load_universe
 from .grades import GradeError, LawReport
 from .runtime import Enumerate, GradedConfig, Minimal, StdConfig, graded_run, std_run
 from .syntax import Program, SyntaxErrorGFJ, erase, erase_table, format_expr, parse_program
@@ -166,11 +165,7 @@ def cmd_laws(args) -> int:
 
     lines = []
     for kind in sorted(universe.kinds):
-        # user-built kinds were validated at load; builtin algebras, N's and
-        # T's among them, are checked on the first laws command of the process
-        report = (universe.law_reports.get(kind)
-                  or builtin_law_report(builtin_name(universe.kinds[kind])))
-        lines += _law_lines(f"kind {kind}", report)
+        lines += _law_lines(f"kind {kind}", universe.law_report(kind))
     lines += _law_lines("universe", check_universe_laws(universe))
     ok = all(entry["ok"] for entry in lines)
     if args.json:
@@ -222,6 +217,11 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     if getattr(args, "fuel", 1) <= 0:
         parser.error("--fuel must be positive")
+    if getattr(args, "standard", False):  # no grades to trace, leave unchecked or search
+        for flag, given in (("--trace", args.trace), ("--unchecked", args.unchecked),
+                            ("--policy search", args.policy == "search")):
+            if given:
+                parser.error(f"--standard does not take {flag}")
     try:
         code = args.fn(args)
         sys.stdout.flush()

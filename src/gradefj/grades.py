@@ -12,12 +12,12 @@ multiplied and compared by cross-multiplication.
 The law checks (``validate_algebra``, ``validate_hom`` and the universe's
 ``hetero.check_universe_laws``) run over ``Indexed`` grades: small ints
 whose operations are each computed once per pair of values.  The semiring
-axioms are one list, ``semiring_laws``, that ``check_laws`` checks a row of
-cases at a time: a row kernel builds both sides of a law as rows of ids
-over the whole row, read from the memo rows at C level, and only a row that
-fails is walked case by case for its witness.  A homomorphism's laws run
-case by case.  A grade universe keeps one ``Indexed`` table of its kinded
-grades, which also answers the checker's and the interpreters' grade
+axioms are one list, ``semiring_laws``, and a homomorphism's laws another,
+``hom_laws``, that ``check_laws`` checks a row of cases at a time: a row
+kernel builds both sides of a law as rows of ids over the whole row, read
+from the memo rows at C level, and only a row that fails is walked case by
+case for its witness.  A grade universe keeps one ``Indexed`` table of its
+kinded grades, which also answers the checker's and the interpreters' grade
 operations, and one ``Indexed`` table of values per algebra, shared by the
 kinds that hold it and by its load-time law checks.  ``Indexed`` asks its
 algebra for the id of a sum or product: an ``Algebra`` interns its result,
@@ -42,7 +42,7 @@ from itertools import chain, compress, starmap
 from itertools import product as iproduct
 from math import gcd, lcm
 from operator import getitem, itemgetter, or_
-from typing import Callable, Optional, Sequence
+from typing import Callable, Iterable, Optional, Sequence
 
 
 class GradeError(Exception):
@@ -1352,36 +1352,72 @@ def _validate_table_shape(table: FiniteTable) -> LawResult:
     return LawResult("table-shape", True)
 
 
-def validate_hom(h: Hom, src: Optional[Indexed] = None,
-                 tgt: Optional[Indexed] = None) -> LawReport:
-    """Check that a map is monotone and preserves 0, 1, sum and product,
-    case by case: over every pair of a finite source, else over
-    ``HOM_PAIRS`` seeded pairs.
+class Memo(dict):
+    """A dict that computes a missing entry by ``compute`` and keeps it."""
 
-    Both algebras are ``Indexed``: ``src`` and ``tgt``, or new tables.  A
-    table given here may already hold memo rows, of ``validate_algebra`` or
-    of another hom's check on the same algebra, and may be both ends.  The
-    map is applied once per distinct source grade.
+    def __init__(self, compute: Callable, known=()):
+        super().__init__(known)
+        self.compute = compute
+
+    def __missing__(self, key):
+        value = self[key] = self.compute(key)
+        return value
+
+
+def hom_laws(f: Callable[[int], int], src: Indexed, tgt: Indexed, pool: list[int],
+             pairs: Optional[list[tuple]] = None) -> list[tuple]:
+    """A homomorphism's laws but its units, as ``check_laws`` input: ``f``,
+    from the ids of ``src`` to those of ``tgt``, preserves sums and products
+    and is monotone.  With ``pairs``, each law is one row of them; else it
+    ranges over every pair of ``pool``, one row per first argument a, whose
+    kernel compares ``f`` of a's memo row (``Indexed.reader``) with the
+    target's row at f(a), read at the images of the pool."""
+    laws = [("hom-add", lambda a, b: f(src.add(a, b)) == tgt.add(f(a), f(b))),
+            ("hom-mul", lambda a, b: f(src.mul(a, b)) == tgt.mul(f(a), f(b))),
+            ("hom-monotone", lambda a, b: not src.leq(a, b) or tgt.leq(f(a), f(b)))]
+    if pairs is not None:
+        return [_one_row(law, holds, pairs) for law, holds in laws]
+    P = tuple(pool)
+    rows = (range(len(P)), lambda k: iproduct((P[k],), P))
+    try:
+        images = list(map(f, P))
+    except Exception:  # no kernels: the walk meets the error at its case
+        return [(law, holds, *rows, None) for law, holds in laws]
+    ours, theirs = ({op: ix.reader(op, js) for op in ("add", "mul", "leq")}
+                    for ix, js in ((src, P), (tgt, images)))
+    kernels = {"hom-add": lambda k: tuple(map(f, ours["add"](P[k]))) == theirs["add"](images[k]),
+               "hom-mul": lambda k: tuple(map(f, ours["mul"](P[k]))) == theirs["mul"](images[k]),
+               "hom-monotone": lambda k: all(compress(theirs["leq"](images[k]),
+                                                      ours["leq"](P[k])))}
+    return [(law, holds, *rows, kernels[law]) for law, holds in laws]
+
+
+def validate_hom(h: Hom, src: Optional[Indexed] = None, tgt: Optional[Indexed] = None,
+                 pool: Optional[list[int]] = None, images: Iterable = ()) -> LawReport:
+    """Check that a map preserves 0 and 1, then its ``hom_laws``: over every
+    pair of ``pool`` (ids of ``src``), else of a finite source, by row
+    kernels, or over ``HOM_PAIRS`` seeded pairs of an infinite one.
+
+    Both algebras are ``Indexed``: ``src`` and ``tgt``, or new tables, which
+    may hold memo rows and be one table.  The map is applied once per source
+    grade that ``images`` does not pair with its image's id in ``tgt``.
     """
     source = h.source()
     if src is None:
         src = Indexed(source)
     if tgt is None:
         tgt = Indexed(h.target())
-    f = cache(lambda a: tgt.id(h.apply(src.values[a])))
+    f = Memo(lambda a: tgt.id(h.apply(src.values[a])), images).__getitem__
 
     units = check_laws([_one_row("hom-zero", lambda a: f(a) == tgt.zero(), [(src.zero(),)]),
                         _one_row("hom-one", lambda a: f(a) == tgt.one(), [(src.one(),)])],
                        total="hom-total", show=src.show)
     if units.results[-1].law == "hom-total":
         return units
-    laws = [("hom-add", lambda a, b: f(src.add(a, b)) == tgt.add(f(a), f(b))),
-            ("hom-mul", lambda a, b: f(src.mul(a, b)) == tgt.mul(f(a), f(b))),
-            ("hom-monotone", lambda a, b: not src.leq(a, b) or tgt.leq(f(a), f(b)))]
-    pool = [src.id(v) for v in source.sample()]
-    if source.elements() is None:
-        pairs = [(a, b) for a, b, _ in _seeded_triples(pool, HOM_PAIRS)]
-    else:
-        pairs = list(iproduct(pool, pool))
-    return LawReport(units.results + check_laws(
-        [_one_row(law, holds, pairs) for law, holds in laws], show=src.show).results)
+    pairs = None
+    if pool is None:
+        pool = [src.id(v) for v in source.sample()]
+        if source.elements() is None:
+            pairs = [(a, b) for a, b, _ in _seeded_triples(pool, HOM_PAIRS)]
+    return LawReport(units.results + check_laws(hom_laws(f, src, tgt, pool, pairs),
+                                                show=src.show).results)

@@ -33,9 +33,9 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass, field
 from functools import cache
-from itertools import chain, compress, product as iproduct
+from itertools import chain, product as iproduct
 from operator import add, itemgetter, mul
-from typing import Callable, Optional, Sequence
+from typing import Callable, Optional
 
 from .grades import (
     AFFINITY,
@@ -57,6 +57,7 @@ from .grades import (
     IotaHom,
     LawReport,
     LawResult,
+    Memo,
     Nat,
     ProductAlgebra,
     ProjLeftHom,
@@ -148,14 +149,6 @@ def _algebra_of(kinds: dict[str, Algebra], kind: str) -> Algebra:
     return kinds[kind]
 
 
-def _table_of(tables: dict[Algebra, Indexed], alg: Algebra) -> Indexed:
-    """``alg``'s one value table in ``tables``, made when first asked for."""
-    ix = tables.get(alg)
-    if ix is None:
-        ix = tables[alg] = Indexed(alg)
-    return ix
-
-
 class KindedAlgebra:
     """The combined algebra on kinded grades: operands are transported into
     their join kind.  ``GradeUniverse`` answers from its ``Indexed`` table
@@ -183,20 +176,17 @@ class KindedAlgebra:
         self.kinds, self.order, self.join_table, self.homs, self.tables = (
             u.kinds, u.order, u.join_table, u.homs, u.tables)
         # each kind met but N: its algebra's table, the code of each kinded id
-        # (code_of) and the kinded id of each code (id_of)
-        self.kind_codes: dict[str, tuple[Indexed, dict[int, int], dict[int, int]]] = {}
+        # (code_of) and the kinded id of each code (id_of); made when first
+        # asked for, by a closure over the dicts, not over self
+        kinds, tables = self.kinds, self.tables
+        self.kind_codes: dict[str, tuple[Indexed, dict[int, int], dict[int, int]]] = Memo(
+            lambda kind: (tables[kinds[kind]], {}, {}))
         self._nat_ids: dict[int, int] = {}  # the kinded id of each natural
 
     def canonical(self, g: KindedGrade, i: int) -> KindedGrade:
         """The grade stored as id ``i``: its validity is checked here, once."""
         _algebra_of(self.kinds, g.kind).check_value(g.value)
         return g if g.id == i else KindedGrade(g.kind, g.value, i)
-
-    def _codes(self, kind: str) -> tuple[Indexed, dict[int, int], dict[int, int]]:
-        met = self.kind_codes.get(kind)
-        if met is None:
-            met = self.kind_codes[kind] = (_table_of(self.tables, self.kinds[kind]), {}, {})
-        return met
 
     def _code(self, g: KindedGrade, kind: str) -> int:
         """Canonical ``g``'s code in ``kind``, kept once found."""
@@ -212,7 +202,7 @@ class KindedAlgebra:
         """Canonical ``g``'s value in ``kind``: its own, or its image there."""
         if g.kind == kind:  # checked when it was interned
             return g.value
-        table, code_of, _ = self._codes(kind)
+        table, code_of, _ = self.kind_codes[kind]
         c = code_of.get(g.id)
         return table.values[self._code(g, kind) if c is None else c]
 
@@ -229,7 +219,7 @@ class KindedAlgebra:
             if i is None:
                 i = self._nat_ids[n] = intern(KindedGrade(KIND_NAT, Nat(n)))
             return i
-        table, code_of, id_of = self._codes(kind)
+        table, code_of, id_of = self.kind_codes[kind]
         cx = code_of.get(x.id)
         if cx is None:
             cx = self._code(x, kind)
@@ -285,11 +275,11 @@ class GradeUniverse:
     operation goes through it: a canonical grade's id is read off it, any
     other grade is looked up by value first, and a value outside its kind is
     refused with CarrierMismatch every time, because it is never interned.
-    ``tables`` holds one ``Indexed`` table of values per algebra, keyed by
-    the algebra, so kinds that hold equal algebras share it; the load-time
-    law checks fill it, and the kinded sums and products read it on their
-    operands' codes, which each kind keeps for itself.  Each universe starts
-    with its own dict, so no memo reaches another universe.
+    ``tables`` holds one ``Indexed`` table of values per algebra, made when
+    first asked for, so kinds that hold equal algebras share it; the
+    load-time law checks fill it, and the kinded sums and products read it
+    on their operands' codes, which each kind keeps for itself.  Each
+    universe starts with its own dict, so no memo reaches another universe.
     """
 
     kinds: dict[str, Algebra]
@@ -300,7 +290,7 @@ class GradeUniverse:
     # the load-time law report of each user-built kind (none when not
     # validated); a builtin algebra's is ``builtin_law_report``'s
     law_reports: dict[str, LawReport] = field(default_factory=dict)
-    tables: dict[Algebra, Indexed] = field(default_factory=dict)
+    tables: dict[Algebra, Indexed] = field(default_factory=lambda: Memo(Indexed))
     indexed: Indexed = field(init=False)
 
     def __post_init__(self):
@@ -328,6 +318,10 @@ class GradeUniverse:
     def transport(self, k1: str, k2: str, value: GradeValue) -> GradeValue:
         """Apply the derived homomorphism k1 -> k2."""
         return self.hom(k1, k2).apply(value)
+
+    def law_report(self, kind: str) -> LawReport:
+        """``kind``'s law report: from load, or ``builtin_law_report``'s."""
+        return self.law_reports.get(kind) or builtin_law_report(builtin_name(self.kinds[kind]))
 
     # -- kinded grades ------------------------------------------------------
 
@@ -434,14 +428,14 @@ def validate_universe(kinds: dict[str, Algebra], edges: list[RefinementEdge],
         kinds[reserved] = alg
     user = [k for k in kinds if k not in (KIND_NAT, KIND_TRIVIAL)]
 
-    # one value table per algebra, handed to the universe: an edge's check
-    # reads the memo rows its kinds' checks filled, and the kinded sums and
-    # products read them all, with codes per kind
-    tables: dict[Algebra, Indexed] = {}
+    # one value table per algebra, made when first asked for: an edge's
+    # check reads the memo rows its kinds' checks filled, and the universe's
+    # kinded sums and products read them all, with codes per kind
+    tables: dict[Algebra, Indexed] = Memo(Indexed)
     law_reports: dict[str, LawReport] = {}
     if validate_algebras:
         for k in sorted(k for k in user if builtin_name(kinds[k]) is None):
-            report = law_reports[k] = validate_algebra(kinds[k], _table_of(tables, kinds[k]))
+            report = law_reports[k] = validate_algebra(kinds[k], tables[kinds[k]])
             if not report.ok:
                 raise UniverseError(
                     f"algebra of kind {k} violates {report.failures()[0].law}: "
@@ -455,8 +449,7 @@ def validate_universe(kinds: dict[str, Algebra], edges: list[RefinementEdge],
             raise NotRefinement(f"self-refinement on kind {e.sub}")
         if e.sub not in kinds or e.sup not in kinds:
             raise UnknownKind(f"edge {e.sub} -> {e.sup} mentions an undeclared kind")
-        hom_report = validate_hom(e.hom, _table_of(tables, e.hom.source()),
-                                  _table_of(tables, e.hom.target()))
+        hom_report = validate_hom(e.hom, tables[e.hom.source()], tables[e.hom.target()])
         if not hom_report.ok:
             bad = hom_report.failures()[0]
             raise UniverseError(
@@ -598,7 +591,7 @@ MONOTONE_PAIRS = 400  # at most about this many related pairs for monotonicity
 
 # What each axiom of the combined algebra rests on besides the same axiom in
 # every kind (see ``check_universe_laws``): other per-kind axioms, the step
-# facts "add", "mul" and "leq", iota's "zero" and "one", and "coherence".
+# facts "add", "mul", "leq", "zero" and "one", and "coherence".
 # Annihilation rests on nothing.
 _RESTS_ON = {
     "order-reflexive": (), "order-antisymmetric": (),
@@ -628,10 +621,10 @@ def check_universe_laws(u: GradeUniverse) -> LawReport:
         kind's load-time or builtin report covers its carrier; an infinite
         kind's reached ids are checked in its value table, once per algebra
         and reached set; N's (0..10 in every universe) once per process;
-    (b) each direct step (an edge, iota out of N, zeta into T) preserves +,
-        * and <= on its source's reached grades, iota sends 0 and 1 to the
-        target's, and each other derived hom is a step composed with the hom
-        after it, as ``validate_universe`` derives it;
+    (b) each direct step but zeta (constant into T's one grade) passes
+        ``validate_hom`` on its source's reached grades, and each other
+        derived hom is a step composed with the hom after it, as
+        ``validate_universe`` derives it;
     (c) the coherence facts and the join check (see ``_coherence_laws``).
 
     By (b) and (c) each derived hom preserves +, * and <= on reached grades
@@ -651,10 +644,10 @@ def check_universe_laws(u: GradeUniverse) -> LawReport:
       in m (by annihilation and distributivity there), and mul-monotone
       compares <N,0> with y_m z_m, above 0 * 0 = 0 in m.
 
-    The facts trust ``u.order``, ``u.edges`` and ``u.kinds[N]`` as
-    validated, as the coherence kernels do.  An axiom whose facts fail, or
-    raise, runs the pooled row kernels of ``semiring_laws`` over the ids of
-    ``u.indexed``, so its PASS or FAIL line and witness are theirs.
+    The facts trust ``u.order``, ``u.edges`` and the algebras of N and T
+    as validated, as the coherence kernels do.  An axiom whose facts fail,
+    or raise, runs the pooled row kernels of ``semiring_laws`` over the ids
+    of ``u.indexed``, so its PASS or FAIL line and witness are theirs.
     """
     grades = u.sample_pool()
     r = _Reach(u, grades)
@@ -680,28 +673,22 @@ def _unproved_axioms(u: GradeUniverse, r: _Reach) -> set[str]:
 
 
 @cache
-def _nat_report() -> LawReport:
-    """N's axioms on 0..NAT_PREFIX-1, the grades N reaches in every
-    universe: checked once per process, in a table of its own."""
+def _nat_table() -> tuple[Indexed, list[int]]:
+    """N's table for the checks made once per process, and the ids of 0..10."""
     ix = Indexed(NAT)
-    return check_laws(semiring_laws(ix, [ix.id(Nat(n)) for n in range(NAT_PREFIX)]))
+    return ix, [ix.id(Nat(n)) for n in range(NAT_PREFIX)]
 
 
 @cache
-def _nat_rows() -> dict[str, tuple[tuple, ...]]:
-    """N's sums, products and order on 0..NAT_PREFIX-1, read on ints, one
-    row per natural, as ``_hom_failures`` takes them: the same for every
-    iota, so built once per process."""
-    ns = range(NAT_PREFIX)
-    return {"add": tuple(tuple(a + b for b in ns) for a in ns),
-            "mul": tuple(tuple(a * b for b in ns) for a in ns),
-            "leq": tuple(tuple(a <= b for b in ns) for a in ns)}
+def _nat_report() -> LawReport:
+    """N's axioms on the grades it reaches: checked once per process."""
+    return check_laws(semiring_laws(*_nat_table()))
 
 
 def _reached_ids(u: GradeUniverse, r: _Reach, k: str) -> tuple[Indexed, list[int]]:
     """The value table of k's algebra, and the ids there of the values of
     the grades k reaches, in their order."""
-    table, values = _table_of(u.tables, u.kinds[k]), u.indexed.values
+    table, values = u.tables[u.kinds[k]], u.indexed.values
     return table, [table.id(values[i].value) for i in r.reached(k)]
 
 
@@ -714,7 +701,7 @@ def _kind_failures(u: GradeUniverse, r: _Reach) -> set[str]:
         if k == KIND_NAT:  # the kinded operations add and multiply naturals as ints
             report = _nat_report() if alg is NAT else LawReport([])
         elif alg.elements() is not None and (k in u.law_reports or builtin_name(alg)):
-            report = u.law_reports.get(k) or builtin_law_report(builtin_name(alg))
+            report = u.law_report(k)
         else:
             table, ids = _reached_ids(u, r, k)
             key = (alg, frozenset(ids))
@@ -726,85 +713,60 @@ def _kind_failures(u: GradeUniverse, r: _Reach) -> set[str]:
 
 
 def _step_failures(u: GradeUniverse, r: _Reach) -> set[str]:
-    """The facts of (b) that fail: "add", "mul" and "leq" when a direct step
-    does not preserve its operation on its source's reached grades, or a
-    derived hom is not the composition of a step and the hom after it;
-    "zero" and "one" when iota misses a unit."""
+    """The facts of (b) that fail: those ``_step_facts`` reads off the
+    ``validate_hom`` report of each direct step but zeta on its source's
+    reached grades, and "add", "mul" and "leq" when a derived hom is not
+    the composition of a step and the hom after it."""
     failed: set[str] = set()
     seen: set[tuple] = set()
-    values = u.indexed.values
     for k in r.names:
-        if k != KIND_NAT:
-            src, ids = _reached_ids(u, r, k)
-            rows = {op: list(map(src.reader(op, ids), ids)) for op in ("add", "mul", "leq")}
+        src, ids = _nat_table() if k == KIND_NAT else _reached_ids(u, r, k)
         for s in r.supers[k]:
             h, alg = u.homs[k, s], u.kinds[s]
             if k != KIND_NAT and s != KIND_TRIVIAL and not all(
                     _composes(u.homs[k, c], h, u.homs[s, c])
                     for c in r.above[s] if c not in (s, KIND_TRIVIAL)):
                 failed |= {"add", "mul", "leq"}
-            # iota and zeta are fixed by their ends, so kinds of one algebra share them
-            same = (type(h), h.source(), h.target()) if type(h) in (IotaHom, ZetaHom) else h
-            key = (same, u.kinds[k], alg, () if k == KIND_NAT else tuple(ids))
+            if type(h) is ZetaHom:  # constant into T's one grade: every fact holds
+                continue
+            # iota is fixed by its ends, so kinds of one algebra share it
+            same = (IotaHom, h.target()) if type(h) is IotaHom else h
+            key = (same, u.kinds[k], alg, tuple(ids))
             if key in seen:
                 continue
             seen.add(key)
-            if k == KIND_NAT and same == (IotaHom, NAT, alg) and builtin_name(alg):
+            if k == KIND_NAT and same == (IotaHom, alg) and builtin_name(alg):
                 failed |= _builtin_iota_failures(builtin_name(alg))
-                continue
-            tgt = _table_of(u.tables, alg)
-            # the images of the reached grades, as the coherence facts moved them
-            images = [tgt.id(values[i].value) for i in r.image(k, s)]
-            if k == KIND_NAT:
-                failed |= _iota_failures(h, tgt, images)
-            else:
-                failed |= _hom_failures(h, tgt, dict(zip(ids, images)),
-                                        src.values.__getitem__, rows)
+            else:  # the images of the reached grades, as the coherence facts moved them
+                tgt = u.tables[alg]
+                images = [tgt.id(u.indexed.values[i].value) for i in r.image(k, s)]
+                failed |= _step_facts(validate_hom(h, src, tgt, ids, zip(ids, images)))
     return failed
 
 
-def _hom_failures(h: Hom, tgt: Indexed, known: dict, value: Callable,
-                  rows: dict[str, Sequence[tuple]]) -> set[str]:
-    """Which of +, * and <= the step ``h`` fails to preserve on its source's
-    reached grades.  ``known`` maps the key of each, in order, to its image's
-    id in ``tgt``; ``rows[op]`` holds, per reached grade, the keys of its sums
-    or products with each (bools, for <=), and ``value`` gives a key's
-    value, which ``h`` maps when ``known`` has no image for it yet."""
-    def f(a):
-        b = known.get(a)
-        if b is None:
-            b = known[a] = tgt.id(h.apply(value(a)))
-        return b
-
-    images = list(known.values())
-    failed = set()
-    for op in ("add", "mul"):
-        theirs = tgt.reader(op, images)
-        if any(tuple(map(f, row)) != theirs(fa) for row, fa in zip(rows[op], images)):
-            failed.add(op)
-    theirs = tgt.reader("leq", images)
-    if not all(all(compress(theirs(fa), row)) for row, fa in zip(rows["leq"], images)):
-        failed.add("leq")
-    return failed
+# the fact of (b) each law of a step's ``validate_hom`` report states
+_STEP_FACTS = {"hom-zero": "zero", "hom-one": "one", "hom-add": "add", "hom-mul": "mul",
+               "hom-monotone": "leq"}
 
 
-def _iota_failures(h: Hom, tgt: Indexed, images: list[int]) -> set[str]:
-    """``_hom_failures`` of ``h``, a map out of N whose images of
-    0..NAT_PREFIX-1 have the ids ``images`` in ``tgt``, on N's sums,
-    products and order read on ints; and "zero" or "one" where it misses
-    that unit."""
-    known = dict(zip(range(NAT_PREFIX), images))
-    return _hom_failures(h, tgt, known, Nat, _nat_rows()) | {
-        name for name, n, unit in (("zero", 0, tgt.zero), ("one", 1, tgt.one))
-        if known[n] != unit()}
+def _step_facts(report: LawReport) -> set[str]:
+    """The facts of (b) a step's ``validate_hom`` report fails; all of them
+    where the map is undefined on a case or maps it off its target
+    (hom-total, or a pair law whose witness is the error alone)."""
+    bad = report.failures()
+    if any(res.law == "hom-total" or res.law not in ("hom-zero", "hom-one")
+           and len(res.witness) == 1 for res in bad):
+        return set(_STEP_FACTS.values())
+    return {_STEP_FACTS[res.law] for res in bad}
 
 
 @cache
 def _builtin_iota_failures(name: str) -> frozenset[str]:
-    """``_iota_failures`` of iota into the builtin algebra ``name``: the same
-    in every universe, so checked once per process, in a table of its own."""
-    h, tgt = IotaHom(_BUILTINS[name]), Indexed(_BUILTINS[name])
-    return frozenset(_iota_failures(h, tgt, [tgt.id(h.apply(Nat(n))) for n in range(NAT_PREFIX)]))
+    """The facts iota into the builtin algebra ``name`` fails: the same in
+    every universe, so checked once per process, into a table of its own."""
+    src, ids = _nat_table()
+    alg = _BUILTINS[name]
+    return frozenset(_step_facts(validate_hom(IotaHom(alg), src, Indexed(alg), ids)))
 
 
 def _composes(h: Hom, first: Hom, second: Hom) -> bool:

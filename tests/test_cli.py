@@ -276,6 +276,12 @@ ARGUMENT_ERRORS = {
     "zero-fuel": (["run", "--fuel", "0", "f.gfj"], "error: --fuel must be positive"),
     "unknown-subcommand": (["frobnicate"], "invalid choice: 'frobnicate'"),
     "missing-file": (["check"], "the following arguments are required: file"),
+    "standard-trace": (["run", "--standard", "--trace", "f.gfj"],
+                       "error: --standard does not take --trace"),
+    "standard-unchecked": (["run", "--standard", "--unchecked", "f.gfj"],
+                           "error: --standard does not take --unchecked"),
+    "standard-search": (["run", "--standard", "--policy", "search", "f.gfj"],
+                        "error: --standard does not take --policy search"),
 }
 
 

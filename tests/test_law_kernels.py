@@ -40,7 +40,7 @@ from gradefj.grades import (
     validate_algebra,
     validate_hom,
 )
-from gradefj.grades import CarrierMismatch
+from gradefj.grades import CarrierMismatch, PartialMap
 from gradefj.hetero import (
     KindedAlgebra,
     KindedGrade,
@@ -336,9 +336,27 @@ def _skipping_nat_identity():
     return u
 
 
+class _PartialAtOneSum(ProjLeftHom):
+    """real_product_chain's projection RB -> R, undefined at (23/112, 0): the
+    sum of the reached (1/16, 0) and (1/7, 0), itself not reached."""
+
+    def image(self, a):
+        if a == PairValue(ExtReal(23, 112), FiniteElem("0", "boolean")):
+            raise PartialMap("map has no image for (23/112,0)")
+        return a.left
+
+
+def _partial_off_the_reached():
+    # every reached grade has an image, so only the step check meets the gap
+    u = load_universe(str(TESTS / "programs" / "real_product_chain.json"))
+    u.homs["RB", "R"] = _PartialAtOneSum(u.kinds["RB"])
+    return u
+
+
 @pytest.mark.parametrize("make", [_pp_p_b, _off_route_hom, _uneven_join, _partial_hom,
                                   _join_into_top, _moved_off_the_pools, _self_hom_moves,
-                                  _partial_self_hom, _skipping_nat_identity, _off_carrier_hom],
+                                  _partial_self_hom, _skipping_nat_identity, _off_carrier_hom,
+                                  _partial_off_the_reached],
                          ids=lambda f: f.__name__.strip("_"))
 def test_altered_universe_reports_match_the_reference(make):
     got = assert_same_universe_report(make)
@@ -442,6 +460,16 @@ class _LiftedLeft(ProjLeftHom):
             FiniteElem("lo", "lh"), FiniteElem("0", "boolean")) else a.left
 
 
+class _InfiniteAtOneSum(ProjLeftHom):
+    """real_product_chain's projection RB -> R, but (23/112, 0) goes to inf.
+    It is the sum of the reached (1/16, 0) and (1/7, 0), and neither reached
+    nor a product of reached grades: the map stays monotone, multiplicative
+    and unit-preserving on the reached grades, and is not additive."""
+
+    def image(self, a):
+        return ExtReal(None) if a == PairValue(ExtReal(23, 112), BOOL("0")) else a.left
+
+
 class _PositiveToB(IotaHom):
     """Iota into privacy4, but each positive natural goes to b, not to the
     one, d: additive, multiplicative and monotone, and PP -> P still sends
@@ -490,6 +518,10 @@ PLANTED = {
                      {"order-transitive", "add-associative", "mul-associative",
                       "distributes-left", "distributes-right", "add-monotone",
                       "mul-monotone"}),
+    "not-additive-infinite": (
+        _edited(lambda: load_universe(str(TESTS / "programs" / "real_product_chain.json")),
+                ("RB", "R"), lambda u: _InfiniteAtOneSum(u.kinds["RB"])),
+        {"add-associative", "distributes-left", "distributes-right", "add-monotone"}),
     "wrong-iota": (_edited(lambda: load_universe(str(TESTS / "corpus" / "affinity_privacy.json")),
                            ("N", "PP"), lambda u: _PositiveToB(u.kinds["PP"])),
                    {"mul-unit"}),
