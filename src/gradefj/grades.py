@@ -30,6 +30,10 @@ residual query has any number of maximal answers: the unchecked operations
 list them all, and only the public single-answer ``residual`` refuses
 several.  A homomorphism is one map, ``Hom.image``, on its source carrier;
 ``Hom.apply`` checks its argument and maps it by ``image``.
+
+An infinite algebra whose structure proves the axioms (``structural_report``:
+naturals, extended reals, and products and extensions of proved algebras)
+has them decided without enumerating a case.
 """
 
 from __future__ import annotations
@@ -37,7 +41,7 @@ from __future__ import annotations
 import random
 import re
 from dataclasses import dataclass, field
-from functools import cache, reduce
+from functools import cache, cached_property, reduce
 from itertools import chain, compress, starmap
 from itertools import product as iproduct
 from math import gcd, lcm
@@ -489,6 +493,19 @@ class FiniteAlgebra(Algebra):
             raise ValueError(f"{text!r} is not an element of {self.table.name}")
         return self._value(text)
 
+    @cached_property
+    def sums_of_one(self) -> tuple[tuple[str, ...], int]:
+        """The sums 0, 0 + 1, (0 + 1) + 1, ... read from the table up to the
+        first that repeats, and the position where that one first appears:
+        ``iota`` reads each natural's image off this cycle.  A sum missing
+        from the table raises KeyError, and nothing is kept."""
+        table, seen = self.table, {}
+        out = table.zero
+        while out not in seen:
+            seen[out] = len(seen)
+            out = table.sum[out][table.one]
+        return tuple(seen), seen[out]
+
 
 @dataclass(frozen=True)
 class ProductAlgebra(Algebra):
@@ -754,11 +771,12 @@ def iota(n: GradeValue, target: Algebra) -> GradeValue:
     if type(target) is ExtendAlgebra:
         return ExtFin(iota(n, target.inner))
     if type(target) is FiniteAlgebra:
-        table = target.table
         try:
-            return target._value(_nth_sum(table.zero, lambda a: table.sum[a][table.one], n.n))
+            sums, first = target.sums_of_one
         except KeyError:  # a table admitted unchecked: the checked sums name the culprit
             pass
+        else:
+            return target._value(_around(sums, first, n.n))
     return _nth_sum(target.zero(), lambda a: target.add(a, target.one()), n.n)
 
 
@@ -769,11 +787,18 @@ def _nth_sum(start, step, n: int):
     out = start
     for i in range(n):
         if out in seen:
-            first = seen[out]
-            return list(seen)[first + (n - first) % (i - first)]
+            return _around(list(seen), seen[out], n)
         seen[out] = i
         out = step(out)
     return out
+
+
+def _around(values: Sequence, first: int, n: int):
+    """The n-th value of a sequence that repeats ``values[first:]`` after
+    its last value."""
+    if n < len(values):
+        return values[n]
+    return values[first + (n - first) % (len(values) - first)]
 
 
 # ---------------------------------------------------------------------------
@@ -1162,24 +1187,11 @@ def check_laws(laws, total: Optional[str] = None, show=str) -> LawReport:
     return LawReport(results)
 
 
-def semiring_laws(ix: Indexed, pool: list[int], seeded: Optional[list[tuple]] = None,
-                  monotone_pairs: Optional[int] = None) -> list[tuple]:
-    """The axioms of an ordered semiring with a least zero, as ``check_laws``
-    input over the ids of ``ix``: the grades of one algebra, or the kinded
-    grades of a universe.
-
-    Unary laws range over ``pool``, case by case.  With ``seeded`` triples,
-    the pairs are their first two components, monotonicity pairs each related
-    pair with the next, and each law is one row of those cases.  Otherwise
-    the pair and triple laws range over all of the pool, one row per first
-    argument, and monotonicity over every pair of related pairs (an even
-    stride of at most about ``monotone_pairs`` of them, when given), one row
-    per first related pair.  Each of these rows has a kernel over whole memo
-    rows (``Indexed.reader``) that does O(1) or O(pool) Python-level work:
-    both sides of the law become rows of ids over the rest of the row.
-    """
-    leq, add, mul, zero, one = ix.leq, ix.add, ix.mul, ix.zero(), ix.one()
-    laws = [  # name, shape (0: a pair of related pairs, else the arity), statement
+def _axioms(leq, add, mul, zero, one) -> list[tuple]:
+    """The axioms of an ordered semiring with a least zero, stated over
+    ``leq``, ``add``, ``mul``, ``zero`` and ``one``: each a name, a shape
+    (0: a pair of related pairs, else the arity) and a statement."""
+    return [
         ("order-reflexive", 1, lambda a: leq(a, a)),
         ("order-antisymmetric", 2, lambda a, b: not (leq(a, b) and leq(b, a)) or a == b),
         ("order-transitive", 3, lambda a, b, c: not (leq(a, b) and leq(b, c)) or leq(a, c)),
@@ -1197,15 +1209,41 @@ def semiring_laws(ix: Indexed, pool: list[int], seeded: Optional[list[tuple]] = 
         ("add-monotone", 0, lambda p, q: leq(add(p[0], q[0]), add(p[1], q[1]))),
         ("mul-monotone", 0, lambda p, q: leq(mul(p[0], q[0]), mul(p[1], q[1]))),
     ]
+
+
+AXIOMS = tuple(law for law, _, _ in _axioms(None, None, None, None, None))
+
+
+def semiring_laws(ix: Indexed, pool: list[int], seeded: Optional[list[tuple]] = None,
+                  monotone_pairs: Optional[int] = None) -> list[tuple]:
+    """The axioms of an ordered semiring with a least zero, as ``check_laws``
+    input over the ids of ``ix``: the grades of one algebra, or the kinded
+    grades of a universe.
+
+    Unary laws range over ``pool``, case by case.  With ``seeded`` triples,
+    the pairs are their first two components, monotonicity pairs each related
+    pair with the next, and each law is one row of those cases.  Otherwise
+    the pair and triple laws range over all of the pool, one row per first
+    argument, and monotonicity over every pair of related pairs (an even
+    stride of at most about ``monotone_pairs`` of them, when given), one row
+    per first related pair.  Each of these rows has a kernel over whole memo
+    rows (``Indexed.reader``) that does O(1) or O(pool) Python-level work:
+    both sides of the law become rows of ids over the rest of the row.  A
+    monotonicity kernel first tries the one-sided law, where that reads
+    fewer cases: on a transitive pool closed under the operation, as a
+    finite carrier is, its pass passes every row.
+    """
+    laws = _axioms(ix.leq, ix.add, ix.mul, ix.zero(), ix.one())
     ones = [(a,) for a in pool]
     if seeded is not None:
         pairs = [(a, b) for a, b, _ in seeded]
-        related = [(a, b) for a, b in pairs if leq(a, b)]
+        related = [(a, b) for a, b in pairs if ix.leq(a, b)]
         cases = {0: list(zip(related, related[1:] + related[:1])), 1: ones, 2: pairs,
                  3: seeded}
         return [_one_row(law, holds, cases[shape]) for law, shape, holds in laws]
 
     P = tuple(pool)
+    positions = range(len(P))
     read = {op: ix.reader(op, P) for op in ("leq", "add", "mul")}
 
     @cache
@@ -1274,17 +1312,34 @@ def semiring_laws(ix: Indexed, pool: list[int], seeded: Optional[list[tuple]] = 
         columns_at_sums, at = times_sums()
         return list(at(columns_at_sums[k])) == sums(columns("mul")[k], columns("mul")[k])
 
+    @cache
+    def one_sided(op):
+        # a <= b gives op(a, c) <= op(b, c) and op(c, a) <= op(c, b) for each
+        # c of the pool.  On a transitive pool closed under op, this gives
+        # op(a, c) <= op(b, c) <= op(b, d) for any related (a, b) and (c, d)
+        if not (set(P).issuperset(flat(op)) and all(map(transitive, positions))):
+            return False
+        sides = (dict(zip(P, rows(op))), dict(zip(P, columns(op))))
+        lows, highs = (list(chain.from_iterable(side[q[i]] for side in sides for q in related))
+                       for i in (0, 1))
+        return all(ix.read_pairs("leq", lows, highs))
+
+    # the one-sided law reads 2 * related * pool cases, and the rows related²
+    by_one_side = len(related) > 2 * len(P)
+
     def monotone(op):
+        # a pass of the one-sided law passes every row; where it fails, or
+        # would read more, each row is checked against every related pair
         firsts = ix.reader(op, [q[0] for q in related])
         seconds = ix.reader(op, [q[1] for q in related])
-        return lambda p: all(ix.read_pairs("leq", firsts(p[0]), seconds(p[1])))
+        return lambda p: (by_one_side and one_sided(op)
+                          or all(ix.read_pairs("leq", firsts(p[0]), seconds(p[1]))))
 
     kernels = {"order-antisymmetric": antisymmetric, "order-transitive": transitive,
                "add-commutative": commutative, "add-associative": associative("add"),
                "mul-associative": associative("mul"), "distributes-left": distributes_left,
                "distributes-right": distributes_right, "add-monotone": monotone("add"),
                "mul-monotone": monotone("mul")}
-    positions = range(len(P))
     shapes = {0: (related, lambda p: iproduct((p,), related)), 1: ((ones,), _whole),
               2: (positions, lambda k: iproduct((P[k],), P)),
               3: (positions, lambda k: iproduct((P[k],), P, P))}
@@ -1301,16 +1356,19 @@ def validate_algebra(spec: Algebra, ix: Optional[Indexed] = None) -> LawReport:
     """Check every grade-algebra axiom over ``ix``, a new ``Indexed(spec)``
     unless given; exhaustive on finite carriers, by row kernels.
 
-    Infinite carriers are checked on ``ALGEBRA_TRIPLES`` deterministic
-    seeded triples drawn from ``spec.sample()``; their pairs are the first
-    two components, and monotonicity pairs each related pair with the next.
     Every finite table in ``spec`` is first checked for its shape, and the
     first one that fails is the whole report; a table that is ``spec``
-    itself reports its PASS line too.
+    itself reports its PASS line too.  An infinite carrier whose structure
+    proves the axioms gets ``structural_report``'s PASS lines.  Any other
+    is checked on ``ALGEBRA_TRIPLES`` deterministic seeded triples drawn
+    from ``spec.sample()``; their pairs are the first two components, and
+    monotonicity pairs each related pair with the next.
     """
     shapes = [_validate_table_shape(table) for table in _tables(spec)]
     if bad := [r for r in shapes if not r.ok]:
         return LawReport(bad[:1])
+    if (proved := structural_report(spec)) is not None:
+        return proved
     shape = shapes if isinstance(spec, FiniteAlgebra) else []
     if ix is None:
         ix = Indexed(spec)
@@ -1318,6 +1376,63 @@ def validate_algebra(spec: Algebra, ix: Optional[Indexed] = None) -> LawReport:
     seeded = None if spec.elements() is not None else _seeded_triples(pool, ALGEBRA_TRIPLES)
     return LawReport(shape + check_laws(semiring_laws(ix, pool, seeded),
                                         show=ix.show).results)
+
+
+def structural_report(spec: Algebra) -> Optional[LawReport]:
+    """The PASS line of each axiom, in ``semiring_laws``' order, when the
+    structure of ``spec``, an algebra with an infinite carrier, proves them
+    on all of its values; None when it does not, or the carrier is finite.
+
+    - ``NAT`` and ``EXTREAL``, matched by identity (a subclass may redefine
+      an operation), are ordered semirings with a least zero: the tests
+      check the fourteen axioms on exhaustive grids of their values.
+    - A ``ProductAlgebra``: each axiom holds componentwise, so it holds
+      when it holds in both factors (Golan, *Semirings and their
+      Applications*, 1999).  A finite factor is proved by its exhaustive
+      ``validate_algebra`` report.
+    - ``NAT`` or ``EXTREAL`` under ``ExtendAlgebra`` layers.  Each layer
+      extends an X that is proved, infinite and without zero divisors
+      (a * b = 0 only when a = 0 or b = 0: the tests check this of ``NAT``
+      and ``EXTREAL``, and inf * a = 0 only when a = 0).  As X is infinite,
+      0 != 1 (else a = a * 1 = a * 0 = 0 for every a), and X is
+      zero-sum-free: 0 <= a gives b = 0 + b <= a + b, so a + b = 0 forces
+      b = 0, and a = 0 likewise.  Inf tops X, a sum with inf is inf, and a
+      product with inf is 0 when the other operand is 0, else inf.
+      Axiom by axiom, on cases with inf (the others are X's):
+      - order, zero-least: a top is added to a partial order with least 0;
+      - add-commutative, -associative, -unit: both sides are inf;
+      - mul-unit: 1 * inf = inf, as 1 != 0; annihilation: the rule for 0;
+      - mul-associative: with a 0 operand both sides are 0; else both are
+        inf, as a product of nonzero values of X is nonzero;
+      - distributivity: with a = inf, a * (b + c) and a * b + a * c are 0
+        when b = c = 0 (b + c = 0 only then) and inf otherwise; with a = 0
+        both are 0; with a != 0 and b or c inf both are inf;
+      - add-monotone: with a <= b and c <= d, b + d is inf (the top) unless
+        b and d are finite, and then so are a and c;
+      - mul-monotone: b * d is inf unless b and d are finite (then so are
+        a and c) or one of them is 0 (then a or c is 0, and a * c = 0).
+
+    Any other algebra gets None, and its cases must be enumerated: a
+    subclass, an extension of any other infinite algebra (one of a finite
+    algebra is finite), or a product with a factor not proved.
+    """
+    if spec.elements() is not None:
+        return None
+    if type(spec) is ProductAlgebra:
+        proved = _proved(spec.left) and _proved(spec.right)
+    else:
+        while type(spec) is ExtendAlgebra:
+            spec = spec.inner
+        proved = spec is NAT or spec is EXTREAL
+    return LawReport([LawResult(law, True) for law in AXIOMS]) if proved else None
+
+
+def _proved(spec: Algebra) -> bool:
+    """Whether every axiom holds on all of ``spec``: by its exhaustive
+    report on a finite carrier, else by its structure."""
+    if spec.elements() is not None:
+        return validate_algebra(spec).ok
+    return structural_report(spec) is not None
 
 
 def _tables(spec: Algebra) -> list[FiniteTable]:

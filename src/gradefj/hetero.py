@@ -66,6 +66,7 @@ from .grades import (
     check_laws,
     compose,
     semiring_laws,
+    structural_report,
     the_residual,
     validate_algebra,
     validate_hom,
@@ -418,8 +419,10 @@ def validate_universe(kinds: dict[str, Algebra], edges: list[RefinementEdge],
     before subs; its keys are the ancestor sets the joins are read from.
     The derived join table is checked to be a commutative idempotent
     monoid with unit N.  The algebra laws are checked here for user-built
-    kinds (tables, products, extensions) only: a builtin algebra's report is
-    ``builtin_law_report``'s, computed once per process when asked for.
+    kinds (tables, products, extensions) only, an infinite one's decided by
+    ``grades.structural_report`` where its structure proves them: a builtin
+    algebra's report is ``builtin_law_report``'s, made once per process when
+    asked for, by structure for ``nat`` and ``extreal``.
     """
     kinds = dict(kinds)
     for reserved, alg in ((KIND_NAT, NAT), (KIND_TRIVIAL, TRIVIAL)):
@@ -618,9 +621,10 @@ def check_universe_laws(u: GradeUniverse) -> LawReport:
     ``_RESTS_ON`` lists:
 
     (a) the axiom in each kind, on every case of its reached grades: a finite
-        kind's load-time or builtin report covers its carrier; an infinite
-        kind's reached ids are checked in its value table, once per algebra
-        and reached set; N's (0..10 in every universe) once per process;
+        kind's load-time or builtin report covers its carrier, and so does
+        ``grades.structural_report`` for an infinite kind whose structure
+        proves the axioms (N's among them); any other infinite kind's
+        reached ids are checked in its value table;
     (b) each direct step but zeta (constant into T's one grade) passes
         ``validate_hom`` on its source's reached grades, and each other
         derived hom is a step composed with the hom after it, as
@@ -645,7 +649,11 @@ def check_universe_laws(u: GradeUniverse) -> LawReport:
       compares <N,0> with y_m z_m, above 0 * 0 = 0 in m.
 
     The facts trust ``u.order``, ``u.edges`` and the algebras of N and T
-    as validated, as the coherence kernels do.  An axiom whose facts fail,
+    as validated, as the coherence kernels do.  They trust the builtin
+    ``nat`` and ``extreal`` to hold every axiom on all of their values, where
+    ``structural_report`` rests on them: a property test checks the
+    fourteen axioms, and the absence of nonzero sums to 0 and of zero
+    divisors, on exhaustive grids of their values.  An axiom whose facts fail,
     or raise, runs the pooled row kernels of ``semiring_laws`` over the ids
     of ``u.indexed``, so its PASS or FAIL line and witness are theirs.
     """
@@ -679,12 +687,6 @@ def _nat_table() -> tuple[Indexed, list[int]]:
     return ix, [ix.id(Nat(n)) for n in range(NAT_PREFIX)]
 
 
-@cache
-def _nat_report() -> LawReport:
-    """N's axioms on the grades it reaches: checked once per process."""
-    return check_laws(semiring_laws(*_nat_table()))
-
-
 def _reached_ids(u: GradeUniverse, r: _Reach, k: str) -> tuple[Indexed, list[int]]:
     """The value table of k's algebra, and the ids there of the values of
     the grades k reaches, in their order."""
@@ -694,20 +696,16 @@ def _reached_ids(u: GradeUniverse, r: _Reach, k: str) -> tuple[Indexed, list[int
 
 def _kind_failures(u: GradeUniverse, r: _Reach) -> set[str]:
     """The axioms that fail in some kind on the grades it reaches (fact a)."""
-    reports: dict[tuple, LawReport] = {}
     failed: set[str] = set()
     for k in r.names:
         alg = u.kinds[k]
-        if k == KIND_NAT:  # the kinded operations add and multiply naturals as ints
-            report = _nat_report() if alg is NAT else LawReport([])
+        if k == KIND_NAT and alg is not NAT:
+            # the kinded operations add and multiply naturals as ints
+            report = LawReport([])
         elif alg.elements() is not None and (k in u.law_reports or builtin_name(alg)):
             report = u.law_report(k)
-        else:
-            table, ids = _reached_ids(u, r, k)
-            key = (alg, frozenset(ids))
-            if key not in reports:
-                reports[key] = check_laws(semiring_laws(table, ids))
-            report = reports[key]
+        elif (report := structural_report(alg)) is None:
+            report = check_laws(semiring_laws(*_reached_ids(u, r, k)))
         failed |= _RESTS_ON.keys() - {res.law for res in report.results if res.ok}
     return failed
 

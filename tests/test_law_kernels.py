@@ -11,13 +11,15 @@ import json
 import pathlib
 import random
 from functools import partial
+from itertools import product as iproduct
 
 import pytest
 
 import law_reference as ref
-from gradefj import hetero
+from gradefj import grades, hetero
 from gradefj.grades import (
     AFFINITY,
+    AXIOMS,
     BOOLEAN,
     EXTREAL,
     NAT,
@@ -31,12 +33,14 @@ from gradefj.grades import (
     FiniteMapHom,
     FiniteTable,
     IdentityHom,
+    Indexed,
     IotaHom,
     Nat,
     PairValue,
     ProductAlgebra,
     ProjLeftHom,
     iota,
+    structural_report,
     validate_algebra,
     validate_hom,
 )
@@ -199,6 +203,42 @@ def test_mutations_break_what_they_should():
     assert "order-antisymmetric" in failing["chain4-leq-2-1-None"]
 
 
+def _every_case(ix, pool):
+    """``law_reference``'s report of the axioms on every case of ``pool``."""
+    return ref.check_laws(ref.semiring_laws(
+        ix, pool, lambda: iproduct(pool, repeat=2), lambda: iproduct(pool, repeat=3),
+        lambda related: iproduct(related, repeat=2)), show=ix.show)
+
+
+def _capped_sums(n, missing):
+    """Elements 0..n-1 whose sum and product are both a + b capped at n - 1,
+    ordered as integers but for the pair ``missing``."""
+    elems = tuple(map(str, range(n)))
+    op = {a: {b: str(min(int(a) + int(b), n - 1)) for b in elems} for a in elems}
+    leq = {(a, b) for a in elems for b in elems if int(a) <= int(b)} - {missing}
+    return FiniteAlgebra(FiniteTable(f"capped{n}", elems, frozenset(leq), op, op, "0", "1"))
+
+
+# the one-sided law passes on each pool, a <= b giving a + c <= b + c and
+# c + a <= c + b, but not the two-sided law, as 0 + 0 <= 1 + 3 needs 0 <= 4
+# (0 <= 5): leq is not transitive on the carrier, or it is on the pool but
+# not on the sums that leave it
+ONE_SIDED_TRAPS = {
+    "not-transitive": (_capped_sums(5, ("0", "4")), "01234"),
+    "pool-left": (_capped_sums(6, ("0", "5")), "01234"),
+}
+
+
+@pytest.mark.parametrize("trap", ONE_SIDED_TRAPS)
+def test_one_sided_monotonicity_passes_only_a_transitive_closed_pool(trap):
+    spec, names = ONE_SIDED_TRAPS[trap]
+    ix, ref_ix = Indexed(spec), Indexed(spec)
+    pool, ref_pool = ([t.id(FiniteElem(n, spec.table.name)) for n in names] for t in (ix, ref_ix))
+    want = _every_case(ref_ix, ref_pool)
+    assert not {r.law: r.ok for r in want.results}["add-monotone"]
+    assert rows(grades.check_laws(grades.semiring_laws(ix, pool), show=ix.show)) == rows(want)
+
+
 # -- infinite kinds and maps ----------------------------------------------------
 
 class WrappingNat(type(NAT)):
@@ -219,6 +259,84 @@ def test_infinite_kind_universe_matches_the_reference():
     assert_same_universe_report(lambda: validate_universe(
         {"E": ExtendAlgebra(NAT), "R": EXTREAL, "W": WrappingNat()}, [],
         validate_algebras=False))
+
+
+# -- infinite kinds decided by structure, and the enumeration as the fallback ----
+
+NAT_GRID = [Nat(n) for n in range(13)]
+EXTREAL_GRID = list(dict.fromkeys(EXTREAL.parse_payload(f"{p}/{q}")
+                                  for p in range(7) for q in range(1, 5))) + [ExtReal(None)]
+
+
+@pytest.mark.parametrize("spec, grid", [(NAT, NAT_GRID), (EXTREAL, EXTREAL_GRID)],
+                         ids=["nat", "extreal"])
+def test_builtin_infinite_algebras_hold_every_axiom_on_a_grid(spec, grid):
+    # structural_report trusts NAT and EXTREAL on all of their values: here
+    # every case of the fourteen axioms on a grid of them, case by case, and
+    # the two conditions an extension needs of its inner algebra
+    ix = Indexed(spec)
+    pool = [ix.id(v) for v in grid]
+    assert rows(_every_case(ix, pool)) == rows(structural_report(spec)) == [
+        (law, True, None) for law in AXIOMS]
+    zero = ix.zero()
+    for a, b in iproduct(pool, repeat=2):
+        assert ix.add(a, b) != zero or a == b == zero, "a nonzero sum is 0"
+        assert ix.mul(a, b) != zero or zero in (a, b), "a zero divisor"
+
+
+class SaturatingRealProduct(type(EXTREAL)):
+    """Extended reals whose product of two values above 1 is inf."""
+
+    def unchecked_mul(self, a, b):
+        big = ExtReal(1)
+        if not (self.unchecked_leq(a, big) or self.unchecked_leq(b, big)):
+            return ExtReal(None)
+        return super().unchecked_mul(a, b)
+
+
+@pytest.mark.parametrize("spec", [
+    NAT, EXTREAL, ExtendAlgebra(NAT), ExtendAlgebra(EXTREAL), ExtendAlgebra(ExtendAlgebra(NAT)),
+    ProductAlgebra(EXTREAL, BOOLEAN),
+    ProductAlgebra(ExtendAlgebra(AFFINITY), ProductAlgebra(NAT, EXTREAL)),
+    ProductAlgebra(ExtendAlgebra(FiniteAlgebra(_chain_table(3))), NAT)],
+    ids=lambda s: s.describe())
+def test_structure_proves_the_axioms_of_built_infinite_algebras(spec):
+    # the seeded enumeration, which the structure replaces, passes them too
+    passes = [(law, True, None) for law in AXIOMS]
+    assert rows(structural_report(spec)) == rows(validate_algebra(spec)) == passes
+    assert rows(ref.validate_algebra(spec)) == passes
+
+
+# infinite algebras that structure does not prove: each takes the enumeration
+FALLBACK = {
+    # 1 * 1 = 0 in the chain 0 < 1 < 2, a lawful table whose extension
+    # breaks mul-associative at (1, 1, inf)
+    "extend-zero-divisors": ProductAlgebra(
+        ExtendAlgebra(_mutated(_chain_table(3), "mul", "1", "1", "0")), NAT),
+    # 1 + 1 = 0 in the chain 0 < 1, which breaks add-monotone in the table
+    "extend-sums-to-zero": ProductAlgebra(
+        ExtendAlgebra(_mutated(_chain_table(2), "sum", "1", "1", "0")), NAT),
+    "extend-infinite-product": ExtendAlgebra(ProductAlgebra(BOOLEAN, NAT)),
+    "faulty-finite-factor": ProductAlgebra(_mutated(_chain_table(4), "sum", "1", "2", "1"), NAT),
+    "wrong-extreal-product": SaturatingRealProduct(),
+}
+
+
+@pytest.mark.parametrize("fault", FALLBACK)
+def test_unproved_infinite_algebras_report_as_the_enumeration_and_the_reference(
+        monkeypatch, fault):
+    spec = FALLBACK[fault]
+    assert structural_report(spec) is None and spec.elements() is None
+    load = assert_same_algebra_report(spec)
+    assert not load.ok
+    # admitted unchecked, the kind's axioms are enumerated on its reached grades
+    make = lambda: validate_universe({"K": spec}, [], validate_algebras=False)
+    laws = assert_same_universe_report(make)
+    with monkeypatch.context() as m:  # the enumeration alone, as if unproved
+        m.setattr(grades, "structural_report", lambda spec: None)
+        m.setattr(hetero, "structural_report", lambda spec: None)
+        assert rows(validate_algebra(spec)) == rows(load)
+        assert outcome(check_universe_laws, make()) == laws
 
 
 class SkippingIota(IotaHom):
