@@ -12,28 +12,32 @@ multiplied and compared by cross-multiplication.
 The law checks (``validate_algebra``, ``validate_hom`` and the universe's
 ``hetero.check_universe_laws``) run over ``Indexed`` grades: small ints
 whose operations are each computed once per pair of values.  The semiring
-axioms are one list, ``semiring_laws``, and a homomorphism's laws another,
-``hom_laws``, that ``check_laws`` checks a row of cases at a time: a row
-kernel builds both sides of a law as rows of ids over the whole row, read
-from the memo rows at C level, and only a row that fails is walked case by
-case for its witness.  A grade universe keeps one ``Indexed`` table of its
-kinded grades, which also answers the checker's and the interpreters' grade
-operations, and one ``Indexed`` table of values per algebra, shared by the
-kinds that hold it and by its load-time law checks.  ``Indexed`` asks its
-algebra for the id of a sum or product: an ``Algebra`` interns its result,
-and the kinded algebra works on its operands' codes (each kind's own ids in
-its algebra's table) in the table of their join kind's algebra, so both
-levels hash-cons by one table type.  An algebra's public operations check
-their operands; an ``Indexed`` grade is checked once, by its algebra's
-``canonical`` as it is interned, and the unchecked operations run on it.  A
-residual query has any number of maximal answers: the unchecked operations
-list them all, and only the public single-answer ``residual`` refuses
-several.  A homomorphism is one map, ``Hom.image``, on its source carrier;
-``Hom.apply`` checks its argument and maps it by ``image``.
+axioms are one list, ``semiring_laws``, that ``check_laws`` checks a row of
+cases at a time: a row kernel builds both sides of a law as rows of ids
+over the whole row, read from the memo rows at C level, and only a row that
+fails is walked case by case for its witness.  A homomorphism's laws are
+another list, ``hom_laws``, whose cases are walked.  A grade universe keeps
+one ``Indexed`` table of its kinded grades, which also answers the
+checker's and the interpreters' grade operations, and one ``Indexed`` table
+of values per algebra, shared by the kinds that hold it and by its
+load-time law checks.  ``Indexed`` asks its algebra for the id of a sum or
+product: an ``Algebra`` interns its result, and the kinded algebra works on
+its operands' codes (each kind's own ids in its algebra's table) in the
+table of their join kind's algebra, so both levels hash-cons by one table
+type.  An algebra's public operations check their operands; an ``Indexed``
+grade is checked once, by its algebra's ``canonical`` as it is interned,
+and the unchecked operations run on it.  A residual query has any number
+of maximal answers: the unchecked operations list them all, and only the
+public single-answer ``residual`` refuses several.  A homomorphism is one
+map, ``Hom.image``, on its source carrier; ``Hom.apply`` checks its
+argument and maps it by ``image``.
 
-An infinite algebra whose structure proves the axioms (``structural_report``:
-naturals, extended reals, and products and extensions of proved algebras)
-has them decided without enumerating a case.
+An algebra whose structure proves the axioms (``structural_report``:
+naturals, extended reals, products of proved algebras and extensions of
+naturals or extended reals) has them decided without enumerating a case,
+and so does a map whose structure proves it a homomorphism
+(``structural_hom``: the identity, a projection out of a product, and iota
+into a lawful algebra).
 """
 
 from __future__ import annotations
@@ -46,6 +50,7 @@ from itertools import chain, compress, starmap
 from itertools import product as iproduct
 from math import gcd, lcm
 from operator import getitem, itemgetter, or_
+from types import MappingProxyType
 from typing import Callable, Iterable, Optional, Sequence
 
 
@@ -745,6 +750,15 @@ AFFINITY = FiniteAlgebra(affinity_table())
 BOOLEAN = FiniteAlgebra(boolean_table())
 PRIVACY = FiniteAlgebra(privacy_table())
 PPRIVACY = FiniteAlgebra(pprivacy_table())
+# the algebras a universe file names by "builtin"
+BUILTINS = {"nat": NAT, "trivial": TRIVIAL, "affinity": AFFINITY, "boolean": BOOLEAN,
+            "extreal": EXTREAL}
+
+
+def builtin_name(alg: Algebra) -> Optional[str]:
+    """The name of ``alg`` when it is one of the ``BUILTINS`` constants
+    (those of N and T among them), else None."""
+    return next((name for name, b in BUILTINS.items() if alg is b), None)
 
 
 def iota(n: GradeValue, target: Algebra) -> GradeValue:
@@ -982,9 +996,12 @@ class LawResult:
 
 @dataclass(eq=False, repr=False)
 class LawReport:
-    """The results of a law check, one per law, in the order they were checked."""
+    """The results of a law check, one per law, in the order they were
+    checked; ``whole`` when they cover every value of the carrier (an
+    exhaustive check, or a proof by structure), not a sample of it."""
 
     results: list[LawResult]
+    whole: bool = False
 
     @property
     def ok(self) -> bool:
@@ -1004,24 +1021,27 @@ class Indexed:
     i)``, which checks ``v`` once: it may raise, and then nothing is stored.
     ``leq``, ``add``, ``mul`` and ``residual`` on ids call the wrapped
     operation once per ordered pair of ids and answer later calls from
-    int-keyed memo rows, which hash no nested grade value; ``reader`` and
-    ``read_pairs`` read many memo entries at once.  ``alg`` takes this
-    table's canonical grades as operands of its ``unchecked_leq``,
-    ``add_id``, ``mul_id`` and ``unchecked_residuals``; ``add_id`` and
-    ``mul_id`` give the result's id, interning a new result through ``id``.
-    ``zero`` and ``one`` intern the algebra's units when asked for: a new
-    table is empty.  ``alg`` is one ``Algebra`` (in the law checks, or one
-    algebra of a grade universe, shared by its kinds, each of which keeps
-    its own codes, the ids here of its grades' values) or the kinded
-    algebra of a grade universe, whose grades are interned here for the
-    universe's lifetime.
+    int-keyed memo rows, which hash no nested grade value (a ``leq`` or
+    ``residual`` row made when its operation first meets its left id);
+    ``reader`` and ``read_pairs`` read many memo entries at once.  ``alg``
+    takes this table's canonical grades as operands of its
+    ``unchecked_leq``, ``add_id``, ``mul_id`` and ``unchecked_residuals``;
+    ``add_id`` and ``mul_id`` give the result's id, interning a new result
+    through ``id``.  ``zero`` and ``one`` intern the algebra's units when
+    asked for: a new table is empty.  ``alg`` is one ``Algebra`` (in the
+    law checks, or one algebra of a grade universe, shared by its kinds,
+    each of which keeps its own codes, the ids here of its grades' values)
+    or the kinded algebra of a grade universe, whose grades are interned
+    here for the universe's lifetime.
     """
 
     def __init__(self, alg):
         self.alg = alg
         self.values: list = []   # id -> canonical grade
         self._ids: dict = {}     # grade -> id
-        # per id, the memo rows of leq, add, mul and residual, keyed by the right id
+        # per id, the memo rows of leq, add, mul and residual, keyed by the
+        # right id; a leq or residual row is _UNUSED until its operation
+        # first meets the id, as a kind's table reads only add and mul
         self._leq: list[dict] = []
         self._add: list[dict] = []
         self._mul: list[dict] = []
@@ -1034,14 +1054,16 @@ class Indexed:
             v = self.alg.canonical(v, i)
             self._ids[v] = i
             self.values.append(v)
-            self._leq.append({}), self._add.append({}), self._mul.append({})
-            self._residual.append({})
+            self._leq.append(_UNUSED), self._add.append({}), self._mul.append({})
+            self._residual.append(_UNUSED)
         return i
 
     def leq(self, i: int, j: int) -> bool:
         row = self._leq[i]
         hit = row.get(j)
         if hit is None:
+            if not row:  # _UNUSED, or left empty when its first operation raised
+                row = self._leq[i] = {}
             hit = row[j] = self.alg.unchecked_leq(self.values[i], self.values[j])
         return hit
 
@@ -1064,6 +1086,8 @@ class Indexed:
         row = self._residual[i]
         hit = row.get(j)
         if hit is None:
+            if not row:  # _UNUSED, or left empty when its first operation raised
+                row = self._residual[i] = {}
             hit = row[j] = tuple(map(self.id, self.alg.unchecked_residuals(
                 self.values[i], self.values[j])))
         return hit
@@ -1079,15 +1103,14 @@ class Indexed:
         get = _getter(js)
 
         def read(i: int) -> tuple:
-            row = memo[i]
             try:
-                return get(row)
+                return get(memo[i])
             except KeyError:
                 pass
             for j in keys:
-                if j not in row:
+                if j not in memo[i]:
                     compute(i, j)
-            return get(row)
+            return get(memo[i])
         return read
 
     def read_pairs(self, op: str, xs: Sequence[int], ys: Sequence[int]) -> list:
@@ -1116,6 +1139,9 @@ class Indexed:
         if isinstance(x, tuple):
             return str(tuple(self.values[i] for i in x))
         return str(self.values[x])
+
+
+_UNUSED = MappingProxyType({})  # the memo row of an id its operation has not met
 
 
 def _getter(keys: Sequence) -> Callable:
@@ -1352,44 +1378,51 @@ def _seeded_triples(pool: list, count: int) -> list[tuple]:
             for _ in range(max(count, len(pool)))]
 
 
-def validate_algebra(spec: Algebra, ix: Optional[Indexed] = None) -> LawReport:
+def validate_algebra(spec: Algebra, ix: Optional[Indexed] = None,
+                     report: Optional[Callable[[Algebra], LawReport]] = None) -> LawReport:
     """Check every grade-algebra axiom over ``ix``, a new ``Indexed(spec)``
     unless given; exhaustive on finite carriers, by row kernels.
 
     Every finite table in ``spec`` is first checked for its shape, and the
     first one that fails is the whole report; a table that is ``spec``
-    itself reports its PASS line too.  An infinite carrier whose structure
-    proves the axioms gets ``structural_report``'s PASS lines.  Any other
-    is checked on ``ALGEBRA_TRIPLES`` deterministic seeded triples drawn
-    from ``spec.sample()``; their pairs are the first two components, and
+    itself reports its PASS line too.  An algebra whose structure proves
+    the axioms gets ``structural_report``'s PASS lines, its factors' reports
+    read from ``report`` when given.  Any other infinite carrier is checked
+    on ``ALGEBRA_TRIPLES`` deterministic seeded triples drawn from
+    ``spec.sample()``; their pairs are the first two components, and
     monotonicity pairs each related pair with the next.
     """
     shapes = [_validate_table_shape(table) for table in _tables(spec)]
     if bad := [r for r in shapes if not r.ok]:
         return LawReport(bad[:1])
-    if (proved := structural_report(spec)) is not None:
+    proved = structural_report(spec) if report is None else structural_report(spec, report)
+    if proved is not None:
         return proved
     shape = shapes if isinstance(spec, FiniteAlgebra) else []
     if ix is None:
         ix = Indexed(spec)
     pool = [ix.id(v) for v in spec.sample()]
-    seeded = None if spec.elements() is not None else _seeded_triples(pool, ALGEBRA_TRIPLES)
-    return LawReport(shape + check_laws(semiring_laws(ix, pool, seeded),
-                                        show=ix.show).results)
+    whole = spec.elements() is not None
+    seeded = None if whole else _seeded_triples(pool, ALGEBRA_TRIPLES)
+    return LawReport(shape + check_laws(semiring_laws(ix, pool, seeded), show=ix.show).results,
+                     whole=whole)
 
 
-def structural_report(spec: Algebra) -> Optional[LawReport]:
+def structural_report(spec: Algebra, report: Optional[Callable[[Algebra], LawReport]] = None
+                      ) -> Optional[LawReport]:
     """The PASS line of each axiom, in ``semiring_laws``' order, when the
-    structure of ``spec``, an algebra with an infinite carrier, proves them
-    on all of its values; None when it does not, or the carrier is finite.
+    structure of ``spec`` proves them on all of its values; None when it
+    does not.
 
     - ``NAT`` and ``EXTREAL``, matched by identity (a subclass may redefine
       an operation), are ordered semirings with a least zero: the tests
       check the fourteen axioms on exhaustive grids of their values.
-    - A ``ProductAlgebra``: each axiom holds componentwise, so it holds
-      when it holds in both factors (Golan, *Semirings and their
-      Applications*, 1999).  A finite factor is proved by its exhaustive
-      ``validate_algebra`` report.
+    - A ``ProductAlgebra``, with a finite carrier or not: each axiom holds
+      componentwise, so it holds when it holds in both factors (Golan,
+      *Semirings and their Applications*, 1999).  A builtin factor
+      (``BUILTINS``) is trusted by identity, any other finite one is proved
+      by its exhaustive report, ``report(factor)`` when given, else
+      ``validate_algebra``'s, and an infinite one by its structure.
     - ``NAT`` or ``EXTREAL`` under ``ExtendAlgebra`` layers.  Each layer
       extends an X that is proved, infinite and without zero divisors
       (a * b = 0 only when a = 0 or b = 0: the tests check this of ``NAT``
@@ -1413,26 +1446,26 @@ def structural_report(spec: Algebra) -> Optional[LawReport]:
         a and c) or one of them is 0 (then a or c is 0, and a * c = 0).
 
     Any other algebra gets None, and its cases must be enumerated: a
-    subclass, an extension of any other infinite algebra (one of a finite
-    algebra is finite), or a product with a factor not proved.
+    subclass, a finite table, an extension of a finite algebra or of any
+    other infinite one, or a product with a factor not proved.
     """
-    if spec.elements() is not None:
-        return None
     if type(spec) is ProductAlgebra:
-        proved = _proved(spec.left) and _proved(spec.right)
+        proved = _proved(spec.left, report) and _proved(spec.right, report)
     else:
         while type(spec) is ExtendAlgebra:
             spec = spec.inner
         proved = spec is NAT or spec is EXTREAL
-    return LawReport([LawResult(law, True) for law in AXIOMS]) if proved else None
+    return LawReport([LawResult(law, True) for law in AXIOMS], whole=True) if proved else None
 
 
-def _proved(spec: Algebra) -> bool:
-    """Whether every axiom holds on all of ``spec``: by its exhaustive
-    report on a finite carrier, else by its structure."""
-    if spec.elements() is not None:
-        return validate_algebra(spec).ok
-    return structural_report(spec) is not None
+def _proved(spec: Algebra, report: Optional[Callable[[Algebra], LawReport]]) -> bool:
+    """Whether every axiom holds on all of ``spec``: a builtin by identity,
+    a finite carrier by its exhaustive report, any other by its structure."""
+    if builtin_name(spec):
+        return True
+    if spec.elements() is None:
+        return structural_report(spec, report) is not None
+    return (report or validate_algebra)(spec).ok
 
 
 def _tables(spec: Algebra) -> list[FiniteTable]:
@@ -1483,28 +1516,44 @@ def hom_laws(f: Callable[[int], int], src: Indexed, tgt: Indexed, pool: list[int
              pairs: Optional[list[tuple]] = None) -> list[tuple]:
     """A homomorphism's laws but its units, as ``check_laws`` input: ``f``,
     from the ids of ``src`` to those of ``tgt``, preserves sums and products
-    and is monotone.  With ``pairs``, each law is one row of them; else it
-    ranges over every pair of ``pool``, one row per first argument a, whose
-    kernel compares ``f`` of a's memo row (``Indexed.reader``) with the
-    target's row at f(a), read at the images of the pool."""
+    and is monotone, each law one row of ``pairs``, by default every pair
+    of ``pool``.  The cases run through the memo rows one by one, with no
+    row kernel: structure decides the identity, the projections and iota
+    (``structural_hom``), and the maps left are mostly out of a few grades,
+    whose cases cost less than a kernel's readers (a 32-element source
+    walks its 1024 pairs in about a millisecond)."""
     laws = [("hom-add", lambda a, b: f(src.add(a, b)) == tgt.add(f(a), f(b))),
             ("hom-mul", lambda a, b: f(src.mul(a, b)) == tgt.mul(f(a), f(b))),
             ("hom-monotone", lambda a, b: not src.leq(a, b) or tgt.leq(f(a), f(b)))]
-    if pairs is not None:
-        return [_one_row(law, holds, pairs) for law, holds in laws]
-    P = tuple(pool)
-    rows = (range(len(P)), lambda k: iproduct((P[k],), P))
-    try:
-        images = list(map(f, P))
-    except Exception:  # no kernels: the walk meets the error at its case
-        return [(law, holds, *rows, None) for law, holds in laws]
-    ours, theirs = ({op: ix.reader(op, js) for op in ("add", "mul", "leq")}
-                    for ix, js in ((src, P), (tgt, images)))
-    kernels = {"hom-add": lambda k: tuple(map(f, ours["add"](P[k]))) == theirs["add"](images[k]),
-               "hom-mul": lambda k: tuple(map(f, ours["mul"](P[k]))) == theirs["mul"](images[k]),
-               "hom-monotone": lambda k: all(compress(theirs["leq"](images[k]),
-                                                      ours["leq"](P[k])))}
-    return [(law, holds, *rows, kernels[law]) for law, holds in laws]
+    if pairs is None:
+        pairs = list(iproduct(pool, pool))
+    return [_one_row(law, holds, pairs) for law, holds in laws]
+
+
+def structural_hom(h: Hom, lawful: Callable[[Algebra], bool]) -> bool:
+    """Whether ``h`` is a homomorphism by its structure, which then needs
+    no case checked.  ``lawful(alg)`` says that ``alg`` holds every axiom
+    on all of its values, so its operations are total on its carrier.
+    Matched by exact class, since a subclass may redefine ``image`` or an
+    operation:
+
+    - an ``IdentityHom`` on a lawful algebra;
+    - a ``ProjLeftHom`` or ``ProjRightHom`` out of a lawful
+      ``ProductAlgebra``, whose operations, order and units act
+      componentwise, onto its factor;
+    - an ``IotaHom`` into a lawful algebra.  ``iota(n)`` is the sum of n
+      ones (``test_iota_is_the_left_sum_in_bounded_time``), so it keeps 0,
+      and 1 by add-unit and commutativity; sums by associativity; products
+      by distributivity, the units and annihilation; and order, as m <= n
+      gives iota(n) = iota(m) + iota(n - m) >= iota(m) + 0 by zero-least
+      and add-monotone.
+
+    Any other map is checked case by case (``validate_hom``).
+    """
+    kind = type(h)
+    if kind in (ProjLeftHom, ProjRightHom):
+        return type(h.product) is ProductAlgebra and lawful(h.product)
+    return kind in (IdentityHom, IotaHom) and lawful(h.target())
 
 
 def validate_hom(h: Hom, src: Optional[Indexed] = None, tgt: Optional[Indexed] = None,

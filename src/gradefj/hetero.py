@@ -32,15 +32,14 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass, field
-from functools import cache
+from functools import cache, partial
 from itertools import chain, product as iproduct
 from operator import add, itemgetter, mul
 from typing import Callable, Optional
 
 from .grades import (
     AFFINITY,
-    BOOLEAN,
-    EXTREAL,
+    BUILTINS,
     NAT,
     TRIVIAL,
     Algebra,
@@ -63,9 +62,11 @@ from .grades import (
     ProjLeftHom,
     ProjRightHom,
     ZetaHom,
+    builtin_name,
     check_laws,
     compose,
     semiring_laws,
+    structural_hom,
     structural_report,
     the_residual,
     validate_algebra,
@@ -419,10 +420,15 @@ def validate_universe(kinds: dict[str, Algebra], edges: list[RefinementEdge],
     before subs; its keys are the ancestor sets the joins are read from.
     The derived join table is checked to be a commutative idempotent
     monoid with unit N.  The algebra laws are checked here for user-built
-    kinds (tables, products, extensions) only, an infinite one's decided by
-    ``grades.structural_report`` where its structure proves them: a builtin
-    algebra's report is ``builtin_law_report``'s, made once per process when
-    asked for, by structure for ``nat`` and ``extreal``.
+    kinds (tables, products, extensions) only, each algebra's once per load
+    (``_load_report``), decided by ``grades.structural_report`` where its
+    structure proves them: a product of proved factors, finite or not, reads
+    a factor's report from this load, a builtin factor is trusted, and a
+    builtin algebra's own report is ``builtin_law_report``'s, made once per
+    process when asked for, by structure for ``nat`` and ``extreal``.  An
+    edge whose map ``grades.structural_hom`` proves (the identity or a
+    projection out of a lawful product) needs no case checked; any other is
+    checked by ``validate_hom``.
     """
     kinds = dict(kinds)
     for reserved, alg in ((KIND_NAT, NAT), (KIND_TRIVIAL, TRIVIAL)):
@@ -437,12 +443,14 @@ def validate_universe(kinds: dict[str, Algebra], edges: list[RefinementEdge],
     tables: dict[Algebra, Indexed] = Memo(Indexed)
     law_reports: dict[str, LawReport] = {}
     if validate_algebras:
+        report_of = partial(_load_report, tables, {})
         for k in sorted(k for k in user if builtin_name(kinds[k]) is None):
-            report = law_reports[k] = validate_algebra(kinds[k], tables[kinds[k]])
+            report = law_reports[k] = report_of(kinds[k])
             if not report.ok:
                 raise UniverseError(
                     f"algebra of kind {k} violates {report.failures()[0].law}: "
                     f"{report.failures()[0].witness}")
+    lawful = _lawful(kinds, law_reports)
 
     supers: dict[str, list[RefinementEdge]] = {k: [] for k in user}
     for e in edges:
@@ -452,8 +460,10 @@ def validate_universe(kinds: dict[str, Algebra], edges: list[RefinementEdge],
             raise NotRefinement(f"self-refinement on kind {e.sub}")
         if e.sub not in kinds or e.sup not in kinds:
             raise UnknownKind(f"edge {e.sub} -> {e.sup} mentions an undeclared kind")
-        hom_report = validate_hom(e.hom, tables[e.hom.source()], tables[e.hom.target()])
-        if not hom_report.ok:
+        # the edge's tables are made even when its structure proves the map,
+        # so that a load tables every algebra its edges meet
+        src, tgt = tables[e.hom.source()], tables[e.hom.target()]
+        if not (structural_hom(e.hom, lawful) or (hom_report := validate_hom(e.hom, src, tgt)).ok):
             bad = hom_report.failures()[0]
             raise UniverseError(
                 f"edge {e.sub} -> {e.sup}: homomorphism violates {bad.law}: {bad.witness}")
@@ -530,6 +540,28 @@ def validate_universe(kinds: dict[str, Algebra], edges: list[RefinementEdge],
                          tables=tables)
 
 
+def _load_report(tables: dict[Algebra, Indexed], reports: dict[Algebra, LawReport],
+                 alg: Algebra) -> LawReport:
+    """``alg``'s law report within one load, made once per algebra, over its
+    table in ``tables``: a kind's, and a product's factors' (one equal to a
+    kind's algebra is that kind's report), kept in ``reports``."""
+    if alg not in reports:
+        reports[alg] = validate_algebra(alg, tables[alg], partial(_load_report, tables, reports))
+    return reports[alg]
+
+
+def _lawful(kinds: dict[str, Algebra], law_reports: dict[str, LawReport]
+            ) -> Callable[[Algebra], bool]:
+    """The test of whether an algebra holds every axiom on all of its
+    values, as ``grades.structural_hom`` asks: true of the algebra of a kind
+    whose load-time report covers its carrier, of a builtin (trusted by
+    identity, as ``structural_report`` trusts it), and of one whose
+    structure proves it.  A kind admitted unchecked has no report."""
+    proved = {id(kinds[k]) for k, report in law_reports.items() if report.whole}
+    return lambda alg: (id(alg) in proved or builtin_name(alg) is not None
+                        or structural_report(alg) is not None)
+
+
 def _join_fault(join_table: dict[tuple[str, str], str], kinds: list[str]) -> Optional[str]:
     """Why ``join_table`` on ``kinds`` is not a commutative idempotent monoid
     with unit N, or None.  Associativity compares whole rows over k3:
@@ -573,21 +605,11 @@ def default_universe() -> GradeUniverse:
 
 # -- universe-level law checking -------------------------------------------
 
-_BUILTINS = {"nat": NAT, "trivial": TRIVIAL, "affinity": AFFINITY,
-             "boolean": BOOLEAN, "extreal": EXTREAL}
-
-
-def builtin_name(alg: Algebra) -> Optional[str]:
-    """The name of ``alg`` when it is one of the builtin algebra constants
-    (those of N and T among them), else None."""
-    return next((name for name, b in _BUILTINS.items() if alg is b), None)
-
-
 @cache
 def builtin_law_report(name: str) -> LawReport:
     """The law report of the builtin algebra ``name``, computed on the first
     call in a process: every kind that holds it holds the same constant."""
-    return validate_algebra(_BUILTINS[name])
+    return validate_algebra(BUILTINS[name])
 
 
 MONOTONE_PAIRS = 400  # at most about this many related pairs for monotonicity
@@ -620,14 +642,18 @@ def check_universe_laws(u: GradeUniverse) -> LawReport:
     grades the pool reaches in each kind (``_Reach.reached``), as
     ``_RESTS_ON`` lists:
 
-    (a) the axiom in each kind, on every case of its reached grades: a finite
-        kind's load-time or builtin report covers its carrier, and so does
-        ``grades.structural_report`` for an infinite kind whose structure
-        proves the axioms (N's among them); any other infinite kind's
-        reached ids are checked in its value table;
-    (b) each direct step but zeta (constant into T's one grade) passes
-        ``validate_hom`` on its source's reached grades, and each other
-        derived hom is a step composed with the hom after it, as
+    (a) the axiom in each kind, on every case of its reached grades: it
+        holds on all the values of a lawful kind (``_lawful``: a builtin, a
+        kind whose load-time report covers its carrier, exhaustively or by
+        ``grades.structural_report``, or a kind admitted unchecked that
+        structure proves); any other kind's reached ids are checked in its
+        value table;
+    (b) each direct step is a homomorphism on its source's reached grades:
+        zeta (constant into T's one grade) always, a step between its kinds'
+        algebras that ``grades.structural_hom`` proves (the identity, a
+        projection out of a product, iota into a lawful kind) on all values,
+        and any other passes ``validate_hom`` on those grades; and each
+        other derived hom is a step composed with the hom after it, as
         ``validate_universe`` derives it;
     (c) the coherence facts and the join check (see ``_coherence_laws``).
 
@@ -649,13 +675,16 @@ def check_universe_laws(u: GradeUniverse) -> LawReport:
       compares <N,0> with y_m z_m, above 0 * 0 = 0 in m.
 
     The facts trust ``u.order``, ``u.edges`` and the algebras of N and T
-    as validated, as the coherence kernels do.  They trust the builtin
-    ``nat`` and ``extreal`` to hold every axiom on all of their values, where
-    ``structural_report`` rests on them: a property test checks the
-    fourteen axioms, and the absence of nonzero sums to 0 and of zero
-    divisors, on exhaustive grids of their values.  An axiom whose facts fail,
-    or raise, runs the pooled row kernels of ``semiring_laws`` over the ids
-    of ``u.indexed``, so its PASS or FAIL line and witness are theirs.
+    as validated, as the coherence kernels do.  They trust every builtin
+    algebra (``grades.BUILTINS``) to hold every axiom on all of its values,
+    as kinds, as factors of products and as targets of iota: the tests pass
+    the exhaustive reports of ``affinity``, ``boolean`` and ``trivial``, and
+    check the fourteen axioms of ``nat`` and ``extreal``, and the absence of
+    nonzero sums to 0 and of zero divisors, on exhaustive grids of their
+    values, where ``structural_report`` rests on them.  An axiom whose
+    facts fail, or raise, runs the pooled row kernels of ``semiring_laws``
+    over the ids of ``u.indexed``, so its PASS or FAIL line and witness are
+    theirs.
     """
     grades = u.sample_pool()
     r = _Reach(u, grades)
@@ -680,13 +709,6 @@ def _unproved_axioms(u: GradeUniverse, r: _Reach) -> set[str]:
             if rests is not None and failed & {law, *rests}}
 
 
-@cache
-def _nat_table() -> tuple[Indexed, list[int]]:
-    """N's table for the checks made once per process, and the ids of 0..10."""
-    ix = Indexed(NAT)
-    return ix, [ix.id(Nat(n)) for n in range(NAT_PREFIX)]
-
-
 def _reached_ids(u: GradeUniverse, r: _Reach, k: str) -> tuple[Indexed, list[int]]:
     """The value table of k's algebra, and the ids there of the values of
     the grades k reaches, in their order."""
@@ -695,50 +717,46 @@ def _reached_ids(u: GradeUniverse, r: _Reach, k: str) -> tuple[Indexed, list[int
 
 
 def _kind_failures(u: GradeUniverse, r: _Reach) -> set[str]:
-    """The axioms that fail in some kind on the grades it reaches (fact a)."""
+    """The axioms that fail in some kind on the grades it reaches (fact a):
+    none in a lawful kind, the enumerated failures in any other."""
     failed: set[str] = set()
     for k in r.names:
         alg = u.kinds[k]
         if k == KIND_NAT and alg is not NAT:
             # the kinded operations add and multiply naturals as ints
             report = LawReport([])
-        elif alg.elements() is not None and (k in u.law_reports or builtin_name(alg)):
-            report = u.law_report(k)
-        elif (report := structural_report(alg)) is None:
+        elif r.lawful(alg):
+            continue
+        else:
             report = check_laws(semiring_laws(*_reached_ids(u, r, k)))
         failed |= _RESTS_ON.keys() - {res.law for res in report.results if res.ok}
     return failed
 
 
 def _step_failures(u: GradeUniverse, r: _Reach) -> set[str]:
-    """The facts of (b) that fail: those ``_step_facts`` reads off the
-    ``validate_hom`` report of each direct step but zeta on its source's
-    reached grades, and "add", "mul" and "leq" when a derived hom is not
-    the composition of a step and the hom after it."""
+    """The facts of (b) that fail: none for zeta or a step between its
+    kinds' algebras that ``grades.structural_hom`` proves, those
+    ``_step_facts`` reads off the ``validate_hom`` report of any other step
+    on its source's reached grades, and "add", "mul" and "leq" when a
+    derived hom is not the composition of a step and the hom after it."""
     failed: set[str] = set()
-    seen: set[tuple] = set()
     for k in r.names:
-        src, ids = _nat_table() if k == KIND_NAT else _reached_ids(u, r, k)
         for s in r.supers[k]:
             h, alg = u.homs[k, s], u.kinds[s]
             if k != KIND_NAT and s != KIND_TRIVIAL and not all(
                     _composes(u.homs[k, c], h, u.homs[s, c])
                     for c in r.above[s] if c not in (s, KIND_TRIVIAL)):
                 failed |= {"add", "mul", "leq"}
-            if type(h) is ZetaHom:  # constant into T's one grade: every fact holds
+            # zeta is constant into T's one grade: every fact holds.  A map
+            # structure proves is a homomorphism between its own ends, which
+            # an edit of ``u.homs`` may have moved off the step's kinds
+            if type(h) is ZetaHom or (structural_hom(h, r.lawful)
+                                      and (h.source(), h.target()) == (u.kinds[k], alg)):
                 continue
-            # iota is fixed by its ends, so kinds of one algebra share it
-            same = (IotaHom, h.target()) if type(h) is IotaHom else h
-            key = (same, u.kinds[k], alg, tuple(ids))
-            if key in seen:
-                continue
-            seen.add(key)
-            if k == KIND_NAT and same == (IotaHom, alg) and builtin_name(alg):
-                failed |= _builtin_iota_failures(builtin_name(alg))
-            else:  # the images of the reached grades, as the coherence facts moved them
-                tgt = u.tables[alg]
-                images = [tgt.id(u.indexed.values[i].value) for i in r.image(k, s)]
-                failed |= _step_facts(validate_hom(h, src, tgt, ids, zip(ids, images)))
+            # the images of the reached grades, as the coherence facts moved them
+            (src, ids), tgt = _reached_ids(u, r, k), u.tables[alg]
+            images = [tgt.id(u.indexed.values[i].value) for i in r.image(k, s)]
+            failed |= _step_facts(validate_hom(h, src, tgt, ids, zip(ids, images)))
     return failed
 
 
@@ -758,15 +776,6 @@ def _step_facts(report: LawReport) -> set[str]:
     return {_STEP_FACTS[res.law] for res in bad}
 
 
-@cache
-def _builtin_iota_failures(name: str) -> frozenset[str]:
-    """The facts iota into the builtin algebra ``name`` fails: the same in
-    every universe, so checked once per process, into a table of its own."""
-    src, ids = _nat_table()
-    alg = _BUILTINS[name]
-    return frozenset(_step_facts(validate_hom(IotaHom(alg), src, Indexed(alg), ids)))
-
-
 def _composes(h: Hom, first: Hom, second: Hom) -> bool:
     """Whether ``h`` is ``compose(first, second)`` as a map, in the form
     ``validate_universe`` derives it."""
@@ -780,13 +789,15 @@ def _composes(h: Hom, first: Hom, second: Hom) -> bool:
 class _Reach:
     """What the coherence kernels and the axioms' facts share in one check:
     each kind's direct supers and the kinds above it, the grades the pool
-    reaches in each kind, and the two coherence facts per kind (see
-    ``_coherence_laws``), each computed once.  The memos are plain dicts: a
-    cycle of cached closures would keep the universe's tables alive until
-    the cyclic collector ran."""
+    reaches in each kind, the two coherence facts per kind (see
+    ``_coherence_laws``), each computed once, and which algebras are
+    lawful (``_lawful``).  The memos are plain dicts: a cycle of cached
+    closures would keep the universe's tables alive until the cyclic
+    collector ran."""
 
     def __init__(self, u: GradeUniverse, grades: list[KindedGrade]):
         self.u, self.grades = u, grades
+        self.lawful = _lawful(u.kinds, u.law_reports)
         names = self.names = sorted(u.kinds)
         # from the validated order and edges: per kind, the kinds above it
         # and its direct supers; N's homs are not composed along edges, so
@@ -967,9 +978,9 @@ def algebra_from_config(cfg, depth: int) -> Algebra:
         raise UniverseError(f"bad algebra spec: {cfg!r}")
     if "builtin" in cfg:
         name = cfg["builtin"]
-        if not isinstance(name, str) or name not in _BUILTINS:
+        if not isinstance(name, str) or name not in BUILTINS:
             raise UniverseError(f"unknown builtin algebra {name!r}")
-        return _BUILTINS[name]
+        return BUILTINS[name]
     if "table" in cfg:
         return FiniteAlgebra(table_from_config(cfg["table"]))
     if "product" in cfg:

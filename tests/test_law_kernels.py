@@ -3,13 +3,15 @@
 Each report must equal ``law_reference``'s law by law, witness text
 included: on the corpus and ``tests/programs`` universes, on seeded
 single-entry mutations of finite tables, on infinite kinds, on broken maps
-given to ``validate_hom`` and on universes whose homs or joins were altered
-after validation.
+given to ``validate_hom``, on universes whose homs or joins were altered
+after validation, and where structure decides an algebra or a map.
 """
 
 import json
 import pathlib
 import random
+import re
+from dataclasses import replace
 from functools import partial
 from itertools import product as iproduct
 
@@ -39,7 +41,9 @@ from gradefj.grades import (
     PairValue,
     ProductAlgebra,
     ProjLeftHom,
+    ProjRightHom,
     iota,
+    structural_hom,
     structural_report,
     validate_algebra,
     validate_hom,
@@ -656,6 +660,169 @@ def test_planted_faults_report_as_the_pooled_kernels_and_the_reference(monkeypat
     # fails: the kernels run for the axioms it breaks, and for no other
     failing = {law for law, ok, _ in derived if not ok}
     assert ran == resting == failing & set(hetero._RESTS_ON)
+    with monkeypatch.context() as m:
+        m.setattr(hetero, "_unproved_axioms", lambda u, r: set(hetero._RESTS_ON))
+        assert outcome(check_universe_laws, make()) == derived
+    assert outcome(ref.check_universe_laws, make()) == derived
+
+
+# -- maps and products decided by structure, and the enumeration as the fallback --
+
+HOM_LAWS = ["hom-zero", "hom-one", "hom-add", "hom-mul", "hom-monotone"]
+AP = ProductAlgebra(AFFINITY, PRIVACY)
+RB = ProductAlgebra(EXTREAL, BOOLEAN)
+
+
+def _covered(spec):
+    """Whether ``spec``'s report covers all of its values and passes."""
+    report = validate_algebra(spec)
+    return report.whole and report.ok
+
+
+@pytest.mark.parametrize("hom", [
+    IdentityHom(AP), IdentityHom(EXTREAL), ProjLeftHom(AP), ProjRightHom(AP),
+    ProjLeftHom(RB), ProjRightHom(RB),
+    *(IotaHom(target) for target in (NAT, TRIVIAL, AFFINITY, BOOLEAN, PRIVACY, PPRIVACY, EXTREAL,
+                                     AP, ExtendAlgebra(AFFINITY), ExtendAlgebra(NAT)))],
+    ids=lambda h: f"{type(h).__name__}-{h.source().describe()}-{h.target().describe()}")
+def test_maps_proved_by_structure_pass_the_enumeration_and_the_reference(monkeypatch, hom):
+    assert structural_hom(hom, _covered)
+    # validate_hom enumerates its cases whatever the structure says
+    monkeypatch.setattr(grades, "structural_hom", None)
+    assert rows(validate_hom(hom)) == rows(ref.validate_hom(hom)) == [
+        (law, True, None) for law in HOM_LAWS]
+
+
+def _proved_steps():
+    """Kinds reached by iota (T's and these), and left by the identity and
+    both projections."""
+    kinds = {"M": NAT, "A": AFFINITY, "B": BOOLEAN, "P": PRIVACY, "PP": PPRIVACY, "R": EXTREAL,
+             "AP": AP, "RB": RB, "EA": ExtendAlgebra(AFFINITY), "E": ExtendAlgebra(NAT),
+             "F": ExtendAlgebra(NAT)}
+    return validate_universe(kinds, [
+        RefinementEdge("AP", "A", ProjLeftHom(AP)), RefinementEdge("AP", "P", ProjRightHom(AP)),
+        RefinementEdge("RB", "R", ProjLeftHom(RB)), RefinementEdge("RB", "B", ProjRightHom(RB)),
+        RefinementEdge("F", "E", IdentityHom(kinds["F"]))])
+
+
+def _checked_homs(monkeypatch) -> list:
+    """The maps ``hetero`` checks case by case from now on."""
+    checked = []
+    original = hetero.validate_hom
+
+    def counted(h, *args, **kwargs):
+        checked.append(h)
+        return original(h, *args, **kwargs)
+
+    monkeypatch.setattr(hetero, "validate_hom", counted)
+    return checked
+
+
+def test_steps_proved_by_structure_report_as_their_enumeration(monkeypatch):
+    checked = _checked_homs(monkeypatch)
+    derived = outcome(check_universe_laws, _proved_steps())
+    assert checked == [] and all(ok for _, ok, _ in derived)
+    with monkeypatch.context() as m:  # every edge and step checked case by case
+        m.setattr(hetero, "structural_hom", lambda h, lawful: False)
+        assert outcome(check_universe_laws, _proved_steps()) == derived
+    assert {type(h) for h in checked} == {IdentityHom, IotaHom, ProjLeftHom, ProjRightHom}
+
+
+@pytest.mark.parametrize("spec", [AP, RB], ids=lambda s: s.describe())
+def test_products_proved_by_structure_report_as_the_enumeration_and_the_reference(
+        monkeypatch, spec):
+    proved = structural_report(spec)
+    assert proved.whole and rows(proved) == [(law, True, None) for law in AXIOMS]
+    with monkeypatch.context() as m:  # the enumeration alone, as if unproved
+        m.setattr(grades, "structural_report", lambda spec: None)
+        assert rows(validate_algebra(spec)) == rows(proved)
+    assert rows(ref.validate_algebra(spec)) == rows(proved)
+
+
+@pytest.mark.parametrize("spec", [AFFINITY, BOOLEAN, TRIVIAL], ids=lambda s: s.describe())
+def test_finite_builtins_pass_their_exhaustive_reports(spec):
+    # structural_report trusts them as factors by identity, and the iota
+    # rule as targets: their own reports are enumerated, never trusted
+    assert structural_report(spec) is None
+    report = validate_algebra(spec)
+    assert report.whole and report.ok and rows(report) == rows(ref.validate_algebra(spec))
+
+
+class _CollapsedW(IdentityHom):
+    """The identity on affinity, but w goes to 1: not additive (1 + 1)."""
+
+    def image(self, a):
+        return AFF("1") if a == AFF("w") else a
+
+
+class _WithoutOneSum(ProductAlgebra):
+    """extreal x boolean without (23/112, 0): the sum of the reached (1/16, 0)
+    and (1/7, 0) in real_product_chain, itself not reached."""
+
+    def contains(self, a):
+        return a != PairValue(ExtReal(23, 112), BOOL("0")) and super().contains(a)
+
+
+class _MaxLeftProduct(ProductAlgebra):
+    """affinity x boolean whose left sum is the larger side, not affinity's
+    sum: lawful, but its left projection is not additive, as 1 + 1 = w."""
+
+    def unchecked_add(self, a, b):
+        return PairValue(max(a.left, b.left, key=lambda x: "01w".index(x.name)),
+                         self.right.unchecked_add(a.right, b.right))
+
+
+def test_a_projection_out_of_a_lawful_product_subclass_is_enumerated_at_load():
+    spec = _MaxLeftProduct(AFFINITY, BOOLEAN)
+    assert _covered(spec)
+    bad = ref.validate_hom(ProjLeftHom(spec)).failures()[0]
+    assert bad.law == "hom-add"
+    with pytest.raises(UniverseError, match=re.escape(
+            f"edge M -> A: homomorphism violates hom-add: {bad.witness}")):
+        validate_universe({"M": spec, "A": AFFINITY}, [RefinementEdge("M", "A", ProjLeftHom(spec))])
+
+
+# 2 + 2 = 0 in the chain 0 < 1 < 2: not associative, as (1 + 2) + 2 = 0 but 1 + (2 + 2) = 1
+_NOT_ASSOCIATIVE = _mutated(_chain_table(3), "sum", "2", "2", "0")
+_BAD_PAIR = ProductAlgebra(_NOT_ASSOCIATIVE, BOOLEAN)
+# the chain 0 < 1 < 2 under max and min, and its values with 1 * 1 = 0:
+# both lawful, with the same sums of one, but the identity of the first is
+# not multiplicative into the second
+_CHAIN3 = FiniteAlgebra(_chain_table(3))
+_SQUARE_ZERO = FiniteAlgebra(replace(
+    _chain_table(3), mul={**_chain_table(3).mul, "1": {"0": "0", "1": "0", "2": "1"}}))
+
+# each planted fault, and the classes of the maps it makes checked case by case
+FALLBACK_STEPS = {
+    "identity-subclass": (_edited(lambda: validate_universe(
+        {"X": AFFINITY, "Y": AFFINITY}, [RefinementEdge("X", "Y", IdentityHom(AFFINITY))]),
+        ("X", "Y"), lambda u: _CollapsedW(AFFINITY)), {_CollapsedW}),
+    "projection-out-of-a-product-subclass": (
+        _edited(lambda: load_universe(str(TESTS / "programs" / "real_product_chain.json")),
+                ("RB", "R"), lambda u: ProjLeftHom(_WithoutOneSum(EXTREAL, BOOLEAN))),
+        {ProjLeftHom}),
+    "iota-into-a-table-unchecked": (lambda: validate_universe(
+        {"X": _NOT_ASSOCIATIVE}, [], validate_algebras=False), {IotaHom}),
+    "product-of-a-failing-table-unchecked": (lambda: validate_universe(
+        {"K": _BAD_PAIR, "L": _NOT_ASSOCIATIVE},
+        [RefinementEdge("K", "L", ProjLeftHom(_BAD_PAIR))], validate_algebras=False),
+        {ProjLeftHom, IotaHom}),
+    # the identity of X's chain in place of the map X -> Y: structure proves
+    # it, but into X's chain, not Y's, and the coherence facts still hold
+    "identity-onto-another-kind": (_edited(lambda: validate_universe(
+        {"X": _CHAIN3, "Y": _SQUARE_ZERO}, [RefinementEdge("X", "Y", FiniteMapHom(
+            _CHAIN3, _SQUARE_ZERO, {"0": _CHAIN3.zero(), "1": _CHAIN3.one(), "2": _CHAIN3.one()}))]),
+        ("X", "Y"), lambda u: IdentityHom(_CHAIN3)), {IdentityHom}),
+}
+
+
+@pytest.mark.parametrize("fault", FALLBACK_STEPS)
+def test_planted_faults_take_the_enumeration_of_their_maps(monkeypatch, fault):
+    make, maps = FALLBACK_STEPS[fault]
+    checked = _checked_homs(monkeypatch)
+    derived = outcome(check_universe_laws, make())
+    assert maps <= {type(h) for h in checked}
+    assert any(not ok for _, ok, _ in derived)
     with monkeypatch.context() as m:
         m.setattr(hetero, "_unproved_axioms", lambda u, r: set(hetero._RESTS_ON))
         assert outcome(check_universe_laws, make()) == derived
