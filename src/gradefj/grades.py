@@ -458,8 +458,16 @@ class FiniteAlgebra(Algebra):
 
     table: FiniteTable
 
+    @cached_property
+    def _elements(self) -> dict[str, FiniteElem]:
+        """Each element of the carrier, built once, by its name."""
+        return {n: FiniteElem(n, self.table.name) for n in self.table.elements}
+
     def _value(self, name: str) -> FiniteElem:
-        return FiniteElem(name, self.table.name)
+        # a table admitted without its shape check may name a non-element,
+        # which is built here for the carrier check to refuse
+        elem = self._elements.get(name)
+        return FiniteElem(name, self.table.name) if elem is None else elem
 
     def unchecked_leq(self, a, b):
         return (a.name, b.name) in self.table.leq
@@ -478,10 +486,10 @@ class FiniteAlgebra(Algebra):
 
     def contains(self, a):
         return (isinstance(a, FiniteElem) and a.algebra == self.table.name
-                and a.name in self.table.elements)
+                and a.name in self._elements)
 
     def elements(self):
-        return [self._value(n) for n in self.table.elements]
+        return list(map(self._value, self.table.elements))
 
     def unchecked_residuals(self, available, demand):
         # each sum is checked: a table admitted without its shape check may
@@ -778,6 +786,8 @@ def iota(n: GradeValue, target: Algebra) -> GradeValue:
         raise CarrierMismatch(f"iota expects a natural, got {n}")
     if type(target) is NatAlgebra:
         return Nat(n.n)
+    if type(target) is TrivialAlgebra:
+        return Triv()
     if type(target) is ExtRealAlgebra:
         return ExtReal(n.n)
     if type(target) is ProductAlgebra:
@@ -1127,6 +1137,14 @@ class Indexed:
                     compute(x, y)
             return list(map(getitem, map(memo.__getitem__, xs), ys))
 
+    def fill(self, i: int, leq: dict, add: dict, mul: dict) -> None:
+        """Keep the answers of ``leq``, ``add`` and ``mul`` at the left id
+        ``i``, keyed by right ids, where they are known without calling the
+        operations: a finite table's own rows."""
+        self._leq[i] = leq
+        self._add[i].update(add)
+        self._mul[i].update(mul)
+
     def zero(self) -> int:
         return self.id(self.alg.zero())
 
@@ -1271,84 +1289,79 @@ def semiring_laws(ix: Indexed, pool: list[int], seeded: Optional[list[tuple]] = 
     P = tuple(pool)
     positions = range(len(P))
     read = {op: ix.reader(op, P) for op in ("leq", "add", "mul")}
-
-    @cache
-    def rows(op):  # op(a, b) over b in the pool, for each a in the pool
-        return [read[op](a) for a in P]
+    # op(a, b) over b in the pool, for each a in the pool
+    rows = Memo(lambda op: [read[op](a) for a in P])
 
     # the related pairs read every leq of the pool, in case order
-    related = [(a, b) for a, row in zip(P, rows("leq")) for b in compress(P, row)]
+    related = [(a, b) for a, row in zip(P, rows["leq"]) for b in compress(P, row)]
     if monotone_pairs is not None and len(related) > monotone_pairs:
         related = related[::len(related) // monotone_pairs + 1]
 
     # Row tables live for this check only.  All but the leq rows are built
     # inside the first kernel that reads them, so that an error building one
-    # sends that row to the walk.
-    @cache
-    def columns(op):  # op(b, a) over b in the pool, for each a
-        return list(zip(*rows(op)))
+    # sends that row to the walk.  They are dicts filled on first use, as a
+    # small pool's kernels cost less than ``functools.cache`` wrappers.
+    # op(b, a) over b in the pool, for each a
+    columns = Memo(lambda op: list(zip(*rows[op])))
+    # op(b, c) over (b, c) in the pool², flattened row by row
+    flat = Memo(lambda op: list(chain.from_iterable(rows[op])))
+    # a's row of op at every inner(b, c), for each (op, inner)
+    at_flat = Memo(lambda ops: ix.reader(ops[0], flat[ops[1]]))
 
-    @cache
-    def flat(op):  # op(b, c) over (b, c) in the pool², flattened row by row
-        return list(chain.from_iterable(rows(op)))
-
-    @cache
-    def at_flat(op, inner):  # a's row of op at every inner(b, c)
-        return ix.reader(op, flat(inner))
-
-    @cache
-    def orders():  # up-set and down-set bitmasks of each pool position, and its id's
+    def orders(_):  # up-set and down-set bitmasks of each pool position, and its id's
         same: dict[int, int] = {}
         for k, a in enumerate(P):
             same[a] = same.get(a, 0) | 1 << k
-        return ([_mask(r) for r in rows("leq")], [_mask(c) for c in columns("leq")],
+        return ([_mask(r) for r in rows["leq"]], [_mask(c) for c in columns["leq"]],
                 [same[a] for a in P])
 
-    @cache
-    def times_sums():  # mul(x, a) over the distinct x = add(b, c), for each a; and
+    def times_sums(_):  # mul(x, a) over the distinct x = add(b, c), for each a; and
         # a read of those at every (b, c) in the pool²
-        distinct = list(dict.fromkeys(flat("add")))
+        distinct = list(dict.fromkeys(flat["add"]))
         at = _getter(list(map({x: i for i, x in enumerate(distinct)}.__getitem__,
-                              flat("add"))))
+                              flat["add"])))
         return list(zip(*map(read["mul"], distinct))), at
+
+    made = Memo(lambda make: make(None))  # orders and times_sums, each made once
 
     def sums(xs, ys):  # add(x, y) over (x, y) in xs × ys, flattened
         return list(chain.from_iterable(map(ix.reader("add", ys), xs)))
 
     def antisymmetric(k):
-        up, down, same = orders()
+        up, down, same = made[orders]
         return not up[k] & down[k] & ~same[k]
 
     def transitive(k):  # every up-set of a's up-set lies inside a's
-        up = orders()[0]
-        return reduce(or_, compress(up, rows("leq")[k]), up[k]) == up[k]
+        up = made[orders][0]
+        return reduce(or_, compress(up, rows["leq"][k]), up[k]) == up[k]
 
     def commutative(k):
-        return rows("add")[k] == columns("add")[k]
+        return rows["add"][k] == columns["add"][k]
 
     def associative(op):
         # (a·b)·c: the pool rows of each a·b; a·(b·c): a's row at every b·c
-        return lambda k: (list(chain.from_iterable(map(read[op], rows(op)[k])))
-                          == list(at_flat(op, op)(P[k])))
+        return lambda k: (list(chain.from_iterable(map(read[op], rows[op][k])))
+                          == list(at_flat[op, op](P[k])))
 
     def distributes_left(k):
-        return list(at_flat("mul", "add")(P[k])) == sums(rows("mul")[k], rows("mul")[k])
+        return list(at_flat["mul", "add"](P[k])) == sums(rows["mul"][k], rows["mul"][k])
 
     def distributes_right(k):
-        columns_at_sums, at = times_sums()
-        return list(at(columns_at_sums[k])) == sums(columns("mul")[k], columns("mul")[k])
+        columns_at_sums, at = made[times_sums]
+        return list(at(columns_at_sums[k])) == sums(columns["mul"][k], columns["mul"][k])
 
-    @cache
-    def one_sided(op):
+    def one_sided_law(op):
         # a <= b gives op(a, c) <= op(b, c) and op(c, a) <= op(c, b) for each
         # c of the pool.  On a transitive pool closed under op, this gives
         # op(a, c) <= op(b, c) <= op(b, d) for any related (a, b) and (c, d)
-        if not (set(P).issuperset(flat(op)) and all(map(transitive, positions))):
+        if not (set(P).issuperset(flat[op]) and all(map(transitive, positions))):
             return False
-        sides = (dict(zip(P, rows(op))), dict(zip(P, columns(op))))
+        sides = (dict(zip(P, rows[op])), dict(zip(P, columns[op])))
         lows, highs = (list(chain.from_iterable(side[q[i]] for side in sides for q in related))
                        for i in (0, 1))
         return all(ix.read_pairs("leq", lows, highs))
+
+    one_sided = Memo(one_sided_law)
 
     # the one-sided law reads 2 * related * pool cases, and the rows related²
     by_one_side = len(related) > 2 * len(P)
@@ -1358,7 +1371,7 @@ def semiring_laws(ix: Indexed, pool: list[int], seeded: Optional[list[tuple]] = 
         # would read more, each row is checked against every related pair
         firsts = ix.reader(op, [q[0] for q in related])
         seconds = ix.reader(op, [q[1] for q in related])
-        return lambda p: (by_one_side and one_sided(op)
+        return lambda p: (by_one_side and one_sided[op]
                           or all(ix.read_pairs("leq", firsts(p[0]), seconds(p[1]))))
 
     kernels = {"order-antisymmetric": antisymmetric, "order-transitive": transitive,
@@ -1402,10 +1415,25 @@ def validate_algebra(spec: Algebra, ix: Optional[Indexed] = None,
     if ix is None:
         ix = Indexed(spec)
     pool = [ix.id(v) for v in spec.sample()]
+    if type(spec) is FiniteAlgebra:  # a subclass may redefine an operation
+        _fill_from_table(ix, spec.table, pool)
     whole = spec.elements() is not None
     seeded = None if whole else _seeded_triples(pool, ALGEBRA_TRIPLES)
     return LawReport(shape + check_laws(semiring_laws(ix, pool, seeded), show=ix.show).results,
                      whole=whole)
+
+
+def _fill_from_table(ix: Indexed, table: FiniteTable, ids: list[int]) -> None:
+    """Fill the memo rows of ``ix`` at ``ids``, the ids of ``table``'s
+    elements in their order, from the table's own rows, read by name: no
+    element is built or hashed per entry.  The table has passed its shape
+    check, so each row names every element and only elements."""
+    id_of = dict(zip(table.elements, ids))
+    leq, sums, muls = table.leq, table.sum, table.mul
+    for a, i in id_of.items():
+        ix.fill(i, {j: (a, b) in leq for b, j in id_of.items()},
+                {id_of[b]: id_of[c] for b, c in sums[a].items()},
+                {id_of[b]: id_of[c] for b, c in muls[a].items()})
 
 
 def structural_report(spec: Algebra, report: Optional[Callable[[Algebra], LawReport]] = None
