@@ -45,7 +45,7 @@ from __future__ import annotations
 import random
 import re
 from dataclasses import dataclass, field
-from functools import cache, cached_property, reduce
+from functools import cached_property, reduce
 from itertools import chain, compress, starmap
 from itertools import product as iproduct
 from math import gcd, lcm
@@ -1037,7 +1037,9 @@ class Indexed:
     takes this table's canonical grades as operands of its
     ``unchecked_leq``, ``add_id``, ``mul_id`` and ``unchecked_residuals``;
     ``add_id`` and ``mul_id`` give the result's id, interning a new result
-    through ``id``.  ``zero`` and ``one`` intern the algebra's units when
+    through ``id``.  ``fill`` keeps answers known without the operations:
+    ``validate_algebra`` fills a finite table's rows from the table itself,
+    by element name.  ``zero`` and ``one`` intern the algebra's units when
     asked for: a new table is empty.  ``alg`` is one ``Algebra`` (in the
     law checks, or one algebra of a grade universe, shared by its kinds,
     each of which keeps its own codes, the ids here of its grades' values)
@@ -1398,7 +1400,8 @@ def validate_algebra(spec: Algebra, ix: Optional[Indexed] = None,
 
     Every finite table in ``spec`` is first checked for its shape, and the
     first one that fails is the whole report; a table that is ``spec``
-    itself reports its PASS line too.  An algebra whose structure proves
+    itself reports its PASS line too, and the memo rows of its elements are
+    filled from it.  An algebra whose structure proves
     the axioms gets ``structural_report``'s PASS lines, its factors' reports
     read from ``report`` when given.  Any other infinite carrier is checked
     on ``ALGEBRA_TRIPLES`` deterministic seeded triples drawn from

@@ -15,7 +15,8 @@ Each ``GradeUniverse`` interns the kinded grades it meets in one
 answers ``leq``, ``add``, ``mul`` and ``residual`` from memo rows indexed
 by id: the checker and the interpreters call them on every step, and the
 law check ``check_universe_laws`` runs its axioms over the same ids where a
-fact about single kinds and steps fails.  The universe alone resolves a
+fact about single kinds and steps fails.  The facts themselves work on
+each kind's codes and move values along the direct steps' code maps.  The universe alone resolves a
 grade to its id; the table's ``KindedAlgebra`` checks each grade once, as
 it is interned, and its unchecked operations take only the table's
 canonical grades.  Sums and products work one level down, in the
@@ -437,9 +438,13 @@ def validate_universe(kinds: dict[str, Algebra], edges: list[RefinementEdge],
     pass derives each user kind's homomorphism to every ancestor, supers
     before subs; its keys are the ancestor sets the joins are read from.
     The derived join table is checked to be a commutative idempotent
-    monoid with unit N.  The algebra laws are checked here for user-built
-    kinds (tables, products, extensions) only, each algebra's once per load
-    (``_load_report``), decided by ``grades.structural_report`` where its
+    monoid with unit N (``_join_fault``).  A kind's ancestors are listed so
+    that each ancestor's own list is a slice of it, so the least ancestor
+    is checked by reading the ancestors after that slice.  The algebra laws
+    are checked here for user-built kinds (tables, products, extensions)
+    only, each algebra's once per load (``_load_report``; tables equal but
+    for their names share a passing report), decided by
+    ``grades.structural_report`` where its
     structure proves them: a product of proved factors, finite or not, reads
     a factor's report from this load, a builtin factor is trusted, and a
     builtin algebra's own report is ``builtin_law_report``'s, made once per
@@ -701,6 +706,12 @@ def check_universe_laws(u: GradeUniverse) -> LawReport:
         other derived hom is a step composed with the hom after it, as
         ``validate_universe`` derives it;
     (c) the coherence facts and the join check (see ``_coherence_laws``).
+
+    The facts work on codes (``_Reach``): each reached value is moved along
+    each direct step once per universe, a derived hom composed of its steps
+    is read through their code maps, and no kinded grade is built, so the
+    check builds and hashes a grade value only for the pool's grades new to
+    the universe and, in the fallback, for new sums and products.
 
     By (b) and (c) each derived hom preserves +, * and <= on reached grades
     and moves a pool grade x of kind a to a reached grade x_c of each kind c
