@@ -15,11 +15,11 @@ Each ``GradeUniverse`` interns the kinded grades it meets in one
 answers ``leq``, ``add``, ``mul`` and ``residual`` from memo rows indexed
 by id: the checker and the interpreters call them on every step, and the
 law check ``check_universe_laws`` runs its axioms over the same ids where a
-fact about single kinds and steps fails.  The facts themselves work on
-each kind's codes and move values along the direct steps' code maps.  The universe alone resolves a
-grade to its id; the table's ``KindedAlgebra`` checks each grade once, as
-it is interned, and its unchecked operations take only the table's
-canonical grades.  Sums and products work one level down, in the
+fact about single kinds and steps fails (the facts themselves work on each
+kind's codes, moved along the direct steps' code maps).  The universe
+alone resolves a grade to its id; the table's ``KindedAlgebra`` checks
+each grade once, as it is interned, and its unchecked operations take only
+the table's canonical grades.  Sums and products work one level down, in the
 universe's one ``Indexed`` table of values for each algebra, shared by
 every kind that holds it; each kind keeps its own codes, the ids there of
 its grades' values or images.  The operands' codes in their join kind give
@@ -866,7 +866,7 @@ class _Reach:
     collector ran."""
 
     def __init__(self, u: GradeUniverse, grades: list[KindedGrade]):
-        self.u, self.grades = u, grades
+        self.u = u
         self.lawful = _lawful(u.kinds, u.law_reports)
         names = self.names = sorted(u.kinds)
         # from the validated order and edges: per kind, the kinds above it
@@ -889,9 +889,9 @@ class _Reach:
         self._facts: dict[str, bool] = {}
         self._join: Optional[bool] = None
 
-    def value(self, k: str, c: int) -> GradeValue:
-        """The value of k's grade with code ``c``."""
-        return Nat(c) if k == KIND_NAT else self.tables[k].values[c]
+    def value(self, k: str, x: int) -> GradeValue:
+        """The value of k's grade with code ``x``."""
+        return Nat(x) if k == KIND_NAT else self.tables[k].values[x]
 
     def into(self, k: str, c: str, codes: list[int]) -> list[int]:
         """The codes in c of k's grades ``codes``, moved by hom(k, c)."""
@@ -931,10 +931,7 @@ class _Reach:
 
     def facts(self, k: str) -> bool:
         """Facts 1 and 2 of ``_coherence_laws`` at k.  Fact 1 holds of the
-        identity on k's own algebra, which the check does not apply; fact 2
-        at a direct super s and a kind c above it holds of a hom(k, c) that
-        is hom(k, s) then hom(s, c) (``_composes``), once k's reached grades
-        are moved along those two."""
+        identity on k's own algebra, which the check does not apply."""
         if k not in self._facts:
             u, fix = self.u, self.u.homs[k, k]
             if type(fix) is IdentityHom and fix.spec is u.kinds[k]:
@@ -942,12 +939,17 @@ class _Reach:
             else:
                 reached_k = [self.value(k, x) for x in self.reached(k)]
                 fixed = list(map(fix.apply, reached_k)) == reached_k
-            self._facts[k] = fixed and all(
-                self.into(s, c, self.image(k, s)) == self.image(k, c)
-                if not _composes(u.homs[k, c], u.homs[k, s], u.homs[s, c])
-                else self.into(s, c, self.image(k, s)) is not None
-                for s in self.supers[k] for c in self.above[s] if c != s)
+            self._facts[k] = fixed and all(self._route(k, s, c) for s in self.supers[k]
+                                           for c in self.above[s] if c != s)
         return self._facts[k]
+
+    def _route(self, k: str, s: str, c: str) -> bool:
+        """Fact 2 at k, its direct super s and a kind c above s: hom(k, c)
+        moves k's reached grades where hom(k, s) then hom(s, c) does, as a
+        hom(k, c) that is their composition (``_composes``) does once they
+        are moved."""
+        u, moved = self.u, self.into(s, c, self.image(k, s))
+        return _composes(u.homs[k, c], u.homs[k, s], u.homs[s, c]) or self.image(k, c) == moved
 
     def iota_row(self, a: str) -> bool:
         """Whether hom(N, join(a, N)) moves N's pool grades where iota into
