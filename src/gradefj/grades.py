@@ -1037,9 +1037,9 @@ class Indexed:
     takes this table's canonical grades as operands of its
     ``unchecked_leq``, ``add_id``, ``mul_id`` and ``unchecked_residuals``;
     ``add_id`` and ``mul_id`` give the result's id, interning a new result
-    through ``id``.  ``fill`` keeps answers known without the operations:
-    ``validate_algebra`` fills a finite table's rows from the table itself,
-    by element name.  ``zero`` and ``one`` intern the algebra's units when
+    through ``id``; ``validate_algebra`` fills the add and mul rows of a
+    finite table's elements from the table itself, by element name, without
+    calling them.  ``zero`` and ``one`` intern the algebra's units when
     asked for: a new table is empty.  ``alg`` is one ``Algebra`` (in the
     law checks, or one algebra of a grade universe, shared by its kinds,
     each of which keeps its own codes, the ids here of its grades' values)
@@ -1138,14 +1138,6 @@ class Indexed:
                 if y not in memo[x]:
                     compute(x, y)
             return list(map(getitem, map(memo.__getitem__, xs), ys))
-
-    def fill(self, i: int, leq: dict, add: dict, mul: dict) -> None:
-        """Keep the answers of ``leq``, ``add`` and ``mul`` at the left id
-        ``i``, keyed by right ids, where they are known without calling the
-        operations: a finite table's own rows."""
-        self._leq[i] = leq
-        self._add[i].update(add)
-        self._mul[i].update(mul)
 
     def zero(self) -> int:
         return self.id(self.alg.zero())
@@ -1310,21 +1302,21 @@ def semiring_laws(ix: Indexed, pool: list[int], seeded: Optional[list[tuple]] = 
     # a's row of op at every inner(b, c), for each (op, inner)
     at_flat = Memo(lambda ops: ix.reader(ops[0], flat[ops[1]]))
 
-    def orders(_):  # up-set and down-set bitmasks of each pool position, and its id's
+    def orders():  # up-set and down-set bitmasks of each pool position, and its id's
         same: dict[int, int] = {}
         for k, a in enumerate(P):
             same[a] = same.get(a, 0) | 1 << k
         return ([_mask(r) for r in rows["leq"]], [_mask(c) for c in columns["leq"]],
                 [same[a] for a in P])
 
-    def times_sums(_):  # mul(x, a) over the distinct x = add(b, c), for each a; and
+    def times_sums():  # mul(x, a) over the distinct x = add(b, c), for each a; and
         # a read of those at every (b, c) in the pool²
         distinct = list(dict.fromkeys(flat["add"]))
         at = _getter(list(map({x: i for i, x in enumerate(distinct)}.__getitem__,
                               flat["add"])))
         return list(zip(*map(read["mul"], distinct))), at
 
-    made = Memo(lambda make: make(None))  # orders and times_sums, each made once
+    made = Memo(lambda make: make())  # orders and times_sums, each made once
 
     def sums(xs, ys):  # add(x, y) over (x, y) in xs × ys, flattened
         return list(chain.from_iterable(map(ix.reader("add", ys), xs)))
@@ -1427,16 +1419,14 @@ def validate_algebra(spec: Algebra, ix: Optional[Indexed] = None,
 
 
 def _fill_from_table(ix: Indexed, table: FiniteTable, ids: list[int]) -> None:
-    """Fill the memo rows of ``ix`` at ``ids``, the ids of ``table``'s
-    elements in their order, from the table's own rows, read by name: no
-    element is built or hashed per entry.  The table has passed its shape
-    check, so each row names every element and only elements."""
+    """Fill the add and mul memo rows of ``ix`` at ``ids``, the ids of
+    ``table``'s elements in their order, from the table's own rows, read by
+    name: no element is built or hashed per entry.  The table has passed its
+    shape check, so each row names every element and only elements."""
     id_of = dict(zip(table.elements, ids))
-    leq, sums, muls = table.leq, table.sum, table.mul
     for a, i in id_of.items():
-        ix.fill(i, {j: (a, b) in leq for b, j in id_of.items()},
-                {id_of[b]: id_of[c] for b, c in sums[a].items()},
-                {id_of[b]: id_of[c] for b, c in muls[a].items()})
+        ix._add[i].update((id_of[b], id_of[c]) for b, c in table.sum[a].items())
+        ix._mul[i].update((id_of[b], id_of[c]) for b, c in table.mul[a].items())
 
 
 def structural_report(spec: Algebra, report: Optional[Callable[[Algebra], LawReport]] = None

@@ -897,22 +897,16 @@ class _Reach:
         """The codes in c of k's grades ``codes``, moved by hom(k, c)."""
         if k == c:
             return codes
-        moved = self._maps.get((k, c))
-        if moved is None:
-            moved = self._maps[k, c] = {}
-        try:
-            return list(map(moved.__getitem__, codes))
-        except KeyError:
-            pass
-        new = [x for x in dict.fromkeys(codes) if x not in moved]
-        u = self.u
-        s = c if c in self.supers[k] else next(
-            (s for s in self.supers[k] if c in self.above[s]), None)
-        if s not in (c, None) and _composes(u.homs[k, c], u.homs[k, s], u.homs[s, c]):
-            moved.update(zip(new, self.into(s, c, self.into(k, s, new))))
-        else:
-            h, table = u.homs[k, c], self.tables[c]
-            moved.update(zip(new, [table.id(h.apply(self.value(k, x))) for x in new]))
+        moved = self._maps.setdefault((k, c), {})
+        if new := [x for x in dict.fromkeys(codes) if x not in moved]:
+            u = self.u
+            s = c if c in self.supers[k] else next(
+                (s for s in self.supers[k] if c in self.above[s]), None)
+            if s not in (c, None) and _composes(u.homs[k, c], u.homs[k, s], u.homs[s, c]):
+                moved.update(zip(new, self.into(s, c, self.into(k, s, new))))
+            else:
+                h, table = u.homs[k, c], self.tables[c]
+                moved.update(zip(new, [table.id(h.apply(self.value(k, x))) for x in new]))
         return list(map(moved.__getitem__, codes))
 
     def reached(self, k: str) -> list[int]:
@@ -952,20 +946,15 @@ class _Reach:
         return _composes(u.homs[k, c], u.homs[k, s], u.homs[s, c]) or self.image(k, c) == moved
 
     def iota_row(self, a: str) -> bool:
-        """Whether hom(N, join(a, N)) moves N's pool grades where iota into
-        a's algebra does: an ``IotaHom`` into that very algebra does, and so
-        does the move of N into itself, which applies no hom."""
+        """Whether hom(N, join(a, N)) is iota into a's algebra, and so moves
+        N's pool grades where iota does: an ``IotaHom`` into that very
+        algebra, or the move of N into itself, which applies no hom, when
+        N's algebra is ``NAT``.  Any other map is left to the walk."""
         u = self.u
-        if u.join_table[a, KIND_NAT] != a:
-            return False
-        image, h, alg = self.image(KIND_NAT, a), u.homs[KIND_NAT, a], u.kinds[a]
-        if type(h) is IotaHom and h.target_spec is alg or a == KIND_NAT and alg is NAT:
-            return True  # into N does not move a natural, and iota into NAT is the identity
-        iota = IotaHom(alg).apply
-        moved = [iota(Nat(n)) for n in self.reached(KIND_NAT)]
-        if a == KIND_NAT:
-            return image == [v.n for v in moved]
-        return image == list(map(self.tables[a].id, moved))
+        h, alg = u.homs[KIND_NAT, a], u.kinds[a]
+        self.image(KIND_NAT, a)  # a map that raises here sends the row to the walk
+        return u.join_table[a, KIND_NAT] == a and (
+            type(h) is IotaHom and h.target_spec is alg or alg is NAT and a == KIND_NAT)
 
     def join_check(self) -> bool:
         """Each join is an upper bound, b is the join of a <= b (so joins are
