@@ -189,8 +189,6 @@ class KindedAlgebra:
         self.kind_codes: dict[str, tuple[Indexed, dict[int, int], dict[int, int]]] = Memo(
             lambda kind: (tables[kinds[kind]], {}, {}))
         self._nat_ids: dict[int, int] = {}  # the kinded id of each natural
-        # the law checks' code map of each related pair of kinds (``_Reach``)
-        self.moves: dict[tuple[str, str], dict[int, int]] = {}
 
     def canonical(self, g: KindedGrade, i: int) -> KindedGrade:
         """The grade stored as id ``i``: its validity is checked here, once,
@@ -708,10 +706,12 @@ def check_universe_laws(u: GradeUniverse) -> LawReport:
     (c) the coherence facts and the join check (see ``_coherence_laws``).
 
     The facts work on codes (``_Reach``): each reached value is moved along
-    each direct step once per universe, a derived hom composed of its steps
-    is read through their code maps, and no kinded grade is built, so the
-    check builds and hashes a grade value only for the pool's grades new to
-    the universe and, in the fallback, for new sums and products.
+    each direct step at most once per check (a grade the universe holds
+    keeps its moves in ``KindedAlgebra.kind_codes``), a derived hom
+    composed of its steps is read through their code maps, and no kinded
+    grade is built, so the check builds and hashes a grade value only for
+    the pool's grades new to the universe and, in the fallback, for new
+    sums and products.
 
     By (b) and (c) each derived hom preserves +, * and <= on reached grades
     and moves a pool grade x of kind a to a reached grade x_c of each kind c
@@ -853,17 +853,19 @@ class _Reach:
     It works on codes, never on kinded grades: a grade of a kind k is its
     code in k's value table (``KindedAlgebra.kind_codes``, where the pool's
     grades were coded as they were interned), a natural is its int.  Each
-    related pair of kinds has one code map, filled as grades are moved and
-    kept in ``KindedAlgebra.moves`` for the universe's later checks.  A
-    direct step's map applies its hom once per code, and so does a derived
-    hom that is not the composition ``validate_universe`` derives
-    (``_composes``); any other derived hom's map is its first step's map
-    followed by the map after it.  So each (value, direct step) is applied
-    once per universe, and the check builds and hashes no kinded grade.  A
-    hom edited after a check has moved grades is outside the contract, as
-    it is for the kinded operations.  The memos are plain dicts: a cycle of
-    cached closures would keep the universe's tables alive until the cyclic
-    collector ran."""
+    related pair of kinds has one code map in the check, filled as grades
+    are moved.  A grade the universe holds in k is moved into c by the code
+    ``kind_codes`` keeps for its kinded id in c, where the kinded operations
+    or an earlier move put it, and a move it makes is kept there too; any
+    other grade is moved by applying homs.  A direct step's map applies its
+    hom once per code, and so does a derived hom that is not the
+    composition ``validate_universe`` derives (``_composes``); any other
+    derived hom's map is its first step's map followed by the map after it.
+    So each (value, direct step) is applied at most once per check, and the
+    check builds and hashes no kinded grade.  A hom edited after a grade
+    was moved is outside the contract, as it is for the kinded operations.
+    The memos are plain dicts: a cycle of cached closures would keep the
+    universe's tables alive until the cyclic collector ran."""
 
     def __init__(self, u: GradeUniverse, grades: list[KindedGrade]):
         self.u = u
@@ -883,7 +885,7 @@ class _Reach:
         for g in grades:
             own[g.kind].append(g.value.n if g.kind == KIND_NAT
                                else codes[g.kind][1][u._id(g)])
-        self._maps = u.indexed.alg.moves
+        self._maps: dict[tuple[str, str], dict[int, int]] = {}
         self._reached: dict[str, list[int]] = {}
         self._images: dict[tuple[str, str], list[int]] = {}
         self._facts: dict[str, bool] = {}
@@ -899,14 +901,24 @@ class _Reach:
             return codes
         moved = self._maps.setdefault((k, c), {})
         if new := [x for x in dict.fromkeys(codes) if x not in moved]:
-            u = self.u
-            s = c if c in self.supers[k] else next(
-                (s for s in self.supers[k] if c in self.above[s]), None)
-            if s not in (c, None) and _composes(u.homs[k, c], u.homs[k, s], u.homs[s, c]):
-                moved.update(zip(new, self.into(s, c, self.into(k, s, new))))
-            else:
-                h, table = u.homs[k, c], self.tables[c]
-                moved.update(zip(new, [table.id(h.apply(self.value(k, x))) for x in new]))
+            # a grade the universe holds as kind k keeps its code in c once
+            # moved there, by the kinded operations or by an earlier check
+            u, kinded = self.u, self.u.indexed.alg
+            held = kinded._nat_ids if k == KIND_NAT else kinded.kind_codes[k][2]
+            kept = kinded.kind_codes[c][1]
+            moved.update((x, y) for x in new if (y := kept.get(held.get(x))) is not None)
+            if new := [x for x in new if x not in moved]:
+                s = c if c in self.supers[k] else next(
+                    (s for s in self.supers[k] if c in self.above[s]), None)
+                if s not in (c, None) and _composes(u.homs[k, c], u.homs[k, s], u.homs[s, c]):
+                    images = self.into(s, c, self.into(k, s, new))
+                else:
+                    h, table = u.homs[k, c], self.tables[c]
+                    images = [table.id(h.apply(self.value(k, x))) for x in new]
+                for x, y in zip(new, images):
+                    moved[x] = y
+                    if (i := held.get(x)) is not None:
+                        kept[i] = y
         return list(map(moved.__getitem__, codes))
 
     def reached(self, k: str) -> list[int]:

@@ -57,36 +57,36 @@ def _passing(path):
 
 @pytest.mark.parametrize("path", UNIVERSES, ids=lambda p: p.name)
 def test_a_law_check_builds_and_applies_only_what_is_new(monkeypatch, path):
-    # a check of a passing universe builds no KindedGrade equal to a grade
-    # the universe already holds and applies at most one hom per (reached
-    # value, direct step); a second check of the same universe object
-    # reports as the first, and builds and applies nothing
+    # each of two checks of one passing universe object builds no KindedGrade
+    # equal to a grade the universe already holds and applies at most one
+    # hom per (reached value, direct step), and the two report the same
     u = _passing(path)
     if u is None:
         pytest.skip("the universe is refused, or fails a law")
-    seen = Counter()
     held = u.indexed._ids
-    built = KindedGrade.__init__
+    built, apply = KindedGrade.__init__, Hom.apply
+    reports, work = [], []
+    for _ in range(2):
+        seen = Counter(held=0, apply=0)
 
-    def counted_init(self, *args, **kwargs):
-        built(self, *args, **kwargs)
-        seen["held"] += self in held
+        def counted_init(self, *args, seen=seen, **kwargs):
+            built(self, *args, **kwargs)
+            seen["held"] += self in held
 
-    apply = Hom.apply
+        def counted_apply(self, a, seen=seen):
+            seen["apply"] += 1
+            return apply(self, a)
 
-    def counted_apply(self, a):
-        seen["apply"] += 1
-        return apply(self, a)
-
-    monkeypatch.setattr(KindedGrade, "__init__", counted_init)
-    monkeypatch.setattr(Hom, "apply", counted_apply)
-    first = check_universe_laws(u)
-    applied = seen["apply"]
-    assert rows(check_universe_laws(u)) == rows(first)
-    monkeypatch.undo()
-    assert first.ok and seen == Counter(apply=applied)
+        with monkeypatch.context() as patch:
+            patch.setattr(KindedGrade, "__init__", counted_init)
+            patch.setattr(Hom, "apply", counted_apply)
+            reports.append(check_universe_laws(u))
+        work.append(seen)
     r = hetero._Reach(u, u.sample_pool())
-    assert applied <= sum(len(r.reached(k)) * len(r.supers[k]) for k in r.names)
+    bound = sum(len(r.reached(k)) * len(r.supers[k]) for k in r.names)
+    assert reports[0].ok and rows(reports[1]) == rows(reports[0])
+    for seen in work:
+        assert seen["held"] == 0 and seen["apply"] <= bound, seen
 
 
 # -- finite tables ------------------------------------------------------------
